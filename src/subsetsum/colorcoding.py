@@ -19,11 +19,22 @@ sizes, subtree maxima, subtree sums) suffices to build checkable dense
 evidence.  Otherwise the per-group roots, unioned over all repetitions,
 form the group sumsets.
 
-Empty parts are never materialized: a node whose subtree holds no
-element is exactly {0}, a sumset identity of size one, so the budget
-arithmetic can count such nodes without computing them.  This keeps the
-cost proportional to the number of elements rather than to the g * ell
-virtual tree, with bit-identical results and trip points.
+On the budgeted path empty parts are never materialized: a node whose
+subtree holds no element is exactly {0}, a sumset identity of size one,
+so the budget arithmetic can count such nodes without computing them.
+This keeps the cost proportional to the number of elements rather than
+to the g * ell virtual tree, with bit-identical results and trip points.
+
+When the budget can never trip, a group is complete once one repetition
+puts each of its elements into a part of its own.  A repetition's root
+picks at most one element per part, so it is always a subset of the
+group's subset sums, and it equals them when no part holds two elements;
+later repetitions cannot add to a complete group.  Singletons and empty
+groups are complete without any draw.  Repetitions are drawn only until
+every group is complete, complete groups get their subset sums computed
+once, and only groups that never complete are merged part by part from
+their recorded draws.  The union over repetitions does not depend on
+order, so the sets are bit-identical to merging every repetition.
 """
 
 from __future__ import annotations
@@ -226,53 +237,25 @@ def build_group_sumsets(
     """Stage two: color-coded per-group sumsets under a shared budget.
 
     Returns GroupSumsets on the sparse path.  Whenever a level's running
-    total size reaes the budget, returns a DenseTripSignal instead.
+    total size reaches the budget, returns a DenseTripSignal instead.
     """
     params = color_params(n, t, w, q, c_ap, budget_mult)
-    g = params.g
-    ell = family.ell
-    sigma_total = family.sigma()
-    total_elems = sum(len(grp) for grp in family.groups)
-
     # A level's size excess over its node count is at most sigma(D):
     # every node set lies in [0, sigma(subtree)], so size-1 <= sigma(subtree),
     # and subtrees partition each group.  Below the tail the budget can
     # never trip and the per-level accounting can be skipped entirely.
-    fast = params.tail > sigma_total
+    if params.tail > family.sigma():
+        return GroupSumsets(_unbudgeted_sumsets(family, params, rng), params)
 
-    acc: list[set[int]] = [{0} for _ in range(ell)]
-    singleton_done = [False] * ell
-
+    g = params.g
+    total_elems = sum(len(grp) for grp in family.groups)
+    acc: list[set[int]] = [{0} for _ in range(family.ell)]
     for rep in range(params.reps):
         draws = rng.integers(0, g, size=total_elems) if total_elems else None
-
-        if fast:
-            pos = 0
-            for i, grp in enumerate(family.groups):
-                m = len(grp)
-                if m == 0:
-                    continue
-                if m == 1:
-                    # any split puts the lone element in one part: root is {0, x}
-                    if not singleton_done[i]:
-                        acc[i].add(grp[0])
-                        singleton_done[i] = True
-                    pos += 1
-                    continue
-                parts: dict[int, list[int]] = {}
-                for x, p in zip(grp, draws[pos : pos + m]):
-                    parts.setdefault(int(p), []).append(x)
-                pos += m
-                vals: tuple = (0,)
-                for plist in parts.values():
-                    vals = _sum_values(vals, tuple(sorted({0, *plist})))
-                acc[i].update(vals)
-            continue
-
         split: list[dict[int, list[int]]] = []
         pos = 0
         for grp in family.groups:
-            parts = {}
+            parts: dict[int, list[int]] = {}
             for x, p in zip(grp, draws[pos : pos + len(grp)] if grp else ()):
                 parts.setdefault(int(p), []).append(x)
             pos += len(grp)
@@ -283,6 +266,62 @@ def build_group_sumsets(
 
     sets = tuple(SumSet(tuple(sorted(s))) for s in acc)
     return GroupSumsets(sets, params)
+
+
+def _unbudgeted_sumsets(
+    family: GroupFamily, params: ColorCodingParams, rng: np.random.Generator
+) -> tuple[SumSet, ...]:
+    """Per-group union of every repetition's root, without a budget.
+
+    Draws repetitions only while some group is incomplete (see the module
+    docstring).  Each repetition consumes the same draws as a budgeted one,
+    so groups that never complete get the same parts and the same sets.
+    """
+    g = params.g
+    sizes = np.array([len(grp) for grp in family.groups], dtype=np.int64)
+    owner = np.repeat(np.arange(family.ell, dtype=np.int64), sizes)
+    # flat element positions of the groups not yet complete, with the parts
+    # they were drawn into in each repetition so far
+    open_pos = np.flatnonzero(sizes[owner] >= 2)
+    records: list[tuple[np.ndarray, np.ndarray]] = []
+    for _ in range(params.reps):
+        if open_pos.size == 0:
+            break
+        draws = rng.integers(0, g, size=owner.size)[open_pos]
+        keys = np.sort(owner[open_pos] * g + draws)
+        shared = np.zeros(family.ell, dtype=bool)
+        shared[keys[1:][keys[1:] == keys[:-1]] // g] = True
+        still_open = shared[owner[open_pos]]
+        open_pos = open_pos[still_open]
+        records.append((open_pos, draws[still_open]))
+
+    acc: dict[int, set[int]] = {}
+    flat = [x for grp in family.groups for x in grp] if open_pos.size else []
+    for pos, drawn in records:
+        keep = np.isin(pos, open_pos)
+        split: dict[int, dict[int, list[int]]] = {}
+        for e, p in zip(pos[keep].tolist(), drawn[keep].tolist()):
+            split.setdefault(int(owner[e]), {}).setdefault(p, []).append(flat[e])
+        for i, parts in split.items():
+            vals: tuple = (0,)
+            for plist in parts.values():
+                vals = _sum_values(vals, tuple(sorted({0, *plist})))
+            acc.setdefault(i, {0}).update(vals)
+
+    # complete groups with equal contents share one (immutable) subset-sum set
+    full: dict[tuple[int, ...], SumSet] = {}
+    sets = []
+    for i, grp in enumerate(family.groups):
+        if i in acc:
+            sets.append(SumSet(tuple(sorted(acc[i]))))
+            continue
+        if grp not in full:
+            sums = {0}
+            for x in grp:
+                sums |= {v + x for v in sums}
+            full[grp] = SumSet(tuple(sorted(sums)))
+        sets.append(full[grp])
+    return tuple(sets)
 
 
 def _levels_with_budget(

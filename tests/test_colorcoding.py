@@ -174,10 +174,51 @@ def _naive_stage_two(family, t, w, n, q, c_ap, rng, budget_mult):
     return tuple(SumSet.of(s) for s in acc)
 
 
-@pytest.mark.parametrize("budget_mult,seed", [(1.0, 4), (1e-9, 4), (1e-9, 9), (3e-9, 2)])
-def test_virtual_levels_match_materialized_reference(budget_mult, seed):
-    family = GroupFamily(((3, 5), (6,), (7, 2), (4,)), (1, 2, 2, 2), 4)
-    t, w, n, q = 10, 8, 4, 0.9
+def _first_clean_rep(family, g, reps, rng):
+    """Per multi-element group, the first repetition (same draws as stage
+    two) that puts each of its elements into a part of its own, or None."""
+    total = sum(len(grp) for grp in family.groups)
+    first = {}
+    for rep in range(reps):
+        draws = rng.integers(0, g, size=total)
+        pos = 0
+        for i, grp in enumerate(family.groups):
+            parts = draws[pos : pos + len(grp)].tolist()
+            pos += len(grp)
+            if len(grp) >= 2 and len(set(parts)) == len(grp):
+                first.setdefault(i, rep)
+    return [first.get(i) for i, grp in enumerate(family.groups) if len(grp) >= 2]
+
+
+_SMALL_GROUPS = (GroupFamily(((3, 5), (6,), (7, 2), (4,)), (1, 2, 2, 2), 4), 4, 0.9)
+# n=1 and q=0.9 give the smallest part count (g=64) and 6 repetitions: the
+# 10-item group splits cleanly only after a collision, the 40-item one never
+_LARGE_GROUPS = (
+    GroupFamily(((1, 2, 3, 4, 5, 6, 7, 8, 1, 2), (6,), tuple(range(1, 9)) * 5, ()), (3, 2, 3, None), 3),
+    1,
+    0.9,
+)
+
+
+@pytest.mark.parametrize(
+    "budget_mult,seed,case",
+    [
+        pytest.param(1.0, 4, _SMALL_GROUPS, id="1.0-4"),
+        pytest.param(1e-9, 4, _SMALL_GROUPS, id="1e-09-4"),
+        pytest.param(1e-9, 9, _SMALL_GROUPS, id="1e-09-9"),
+        pytest.param(3e-9, 2, _SMALL_GROUPS, id="3e-09-2"),
+        pytest.param(1.0, 4, _LARGE_GROUPS, id="1.0-4-large"),
+        pytest.param(1.0, 9, _LARGE_GROUPS, id="1.0-9-large"),
+    ],
+)
+def test_virtual_levels_match_materialized_reference(budget_mult, seed, case):
+    family, n, q = case
+    t, w = 10, 8
+    if case is _LARGE_GROUPS:
+        params = color_params(n, t, w, q, 1, budget_mult)
+        first = _first_clean_rep(family, params.g, params.reps, rng_stream(seed, "p2"))
+        assert any(r is not None and r > 0 for r in first), "no group completes late"
+        assert None in first, "every group completes"
     fast = build_group_sumsets(
         family, t, w, n, q, 1, rng_stream(seed, "p2"), budget_mult=budget_mult
     )
