@@ -19,7 +19,7 @@ from .core import (
     normalize,
     rng_stream,
 )
-from .sumset import DenseSignal, cap, dense_sumset, scale, sparse_sumset, sum_if_sparse, unscale
+from .sumset import DenseSignal, cap, dense_sumset, sparse_sumset, sum_if_sparse
 from .structure import (
     FactorTable,
     InstancePartition,
@@ -57,8 +57,6 @@ __all__ = [
     "sparse_sumset",
     "sum_if_sparse",
     "cap",
-    "scale",
-    "unscale",
     "FactorTable",
     "factorize_all",
     "find_almost_divisor",

@@ -210,7 +210,7 @@ def merge_group_sumsets(
                 "phase-three", t, rho, u_prime, h, budget, 0, sizes, new_f, new_sig
             )
 
-        out, signal = _pair_level(cur, budget, absorb_empty=True)
+        out, signal = _pair_level(cur, budget)
         if signal is not None:
             sizes = [len(z) for z in out]
             maxes: list[Optional[int]] = [max(z) if z else 0 for z in out]

@@ -1,19 +1,18 @@
-"""Sumset kernels: dense FFT, output-sensitive sparse, and budgeted levels.
+"""Sumset kernels: pairwise, dense FFT, and budgeted levels.
 
-The sumset of A and B is {x + y : x in A, y in B}.  Three backends:
+The sumset of A and B is {x + y : x in A, y in B}.  Two exact backends:
 
-  * dense: FFT convolution of 0/1 indicator vectors shifted to a zero
-    offset, with a 0.5 magnitude threshold to recover the support.  Runs
-    in O(u log u) for u the larger diameter.
-  * pairwise: direct enumeration, used whenever |A|*|B| is tiny.
-  * hashed: for few elements spread over a huge range.  Projects values
-    modulo a (deterministically seeded) random modulus, convolves count,
-    first-moment and second-moment arrays exactly via Kronecker-packed
-    integer multiplication, and extracts each residue class whose pairs
-    provably share a single sum (count * sum-of-squares == (sum)**2).
-    Classes that still mix distinct sums are retried under fresh moduli
-    until every pair of inputs is accounted for, so the result is exact,
-    not probabilistic.
+  * pairwise: direct enumeration, used whenever |A|*|B| <= PAIRWISE_LIMIT.
+  * FFT: convolution of 0/1 indicator vectors shifted to a zero offset,
+    with a 0.5 magnitude threshold to recover the support.  Runs in
+    O(u log u) for u the hull (A's diameter plus B's diameter plus one),
+    and is used whenever u <= HULL_FFT_LIMIT.
+
+A larger hull is split: the operand with the larger diameter is halved
+by value, both halves are summed with the other operand (recursively, so
+every FFT stays within HULL_FFT_LIMIT), and the two sorted outputs are
+merged.  The result is exact because only the two kernels above ever
+compute a sum.
 
 `sum_if_sparse` computes one level of pairwise sumsets left to right and
 stops the moment the accumulated output size reaches a budget, returning
@@ -29,11 +28,10 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import SumSet, next_pow2, rng_stream
+from .core import SumSet, next_pow2
 
 PAIRWISE_LIMIT = 2048
 HULL_FFT_LIMIT = 1 << 22
-HASHED_SIZE_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -55,17 +53,19 @@ LevelBudgetResult = Union[list[SumSet], DenseSignal]
 
 
 def dense_sumset(a: SumSet, b: SumSet) -> SumSet:
-    """FFT sumset of two non-empty SumSets."""
+    """Sumset of two non-empty SumSets; same kernels as sparse_sumset."""
     if a.is_empty or b.is_empty:
         raise ValueError("empty operand")
-    return SumSet(_fft_values(a.values, b.values))
+    return SumSet(_sum_values(a.values, b.values))
 
 
 def sparse_sumset(a: SumSet, b: SumSet) -> SumSet:
     """Sumset with output-size-sensitive backend selection.
 
-    Same output contract as dense_sumset; picks pairwise enumeration,
-    span-bounded FFT, or hashed projection based on the input shapes.
+    Same output contract as dense_sumset: pairwise enumeration when
+    |a|*|b| <= PAIRWISE_LIMIT, one FFT when the hull is at most
+    HULL_FFT_LIMIT, and otherwise the wider operand is halved by value
+    until every FFT fits that limit.
     """
     if a.is_empty or b.is_empty:
         raise ValueError("empty operand")
@@ -89,7 +89,7 @@ def sum_if_sparse(sets: Sequence[SumSet], budget_k: int) -> LevelBudgetResult:
     if budget_k <= ell // 2:
         return DenseSignal(0, budget_k, 0)
     values = [s.values for s in sets]
-    out, signal = _pair_level(values, budget_k, absorb_empty=False)
+    out, signal = _pair_level(values, budget_k)
     if signal is not None:
         return signal
     return [SumSet(v) for v in out]
@@ -105,44 +105,24 @@ def cap(a: SumSet, lo: int, hi: int) -> SumSet:
     return SumSet(v[i:j])
 
 
-def scale(a: SumSet, d: int) -> SumSet:
-    """Multiply every value by d > 0."""
-    if d < 1:
-        raise ValueError("scale factor must be a positive integer")
-    return SumSet(tuple(x * d for x in a.values))
-
-
-def unscale(a: SumSet, d: int) -> SumSet:
-    """Divide every value by d > 0; all values must be divisible."""
-    if d < 1:
-        raise ValueError("scale factor must be a positive integer")
-    for x in a.values:
-        if x % d:
-            raise ValueError("not divisible")
-    return SumSet(tuple(x // d for x in a.values))
-
-
 # ---------------------------------------------------------------------------
 # tuple-level kernels (hot paths avoid SumSet wrapping)
 # ---------------------------------------------------------------------------
 
 
-def _pair_level(values: list[tuple], budget_k: int, absorb_empty: bool):
+def _pair_level(values: list[tuple], budget_k: int):
     """One level of pairwise sums with exact left-to-right budget stops.
 
     Returns (computed, signal): on a trip, computed holds the prefix of
-    outputs up to and including the tripping one.  With absorb_empty, an
-    empty operand yields an empty output (size 0) instead of an error;
-    used by the merge phase where interval capping can empty a node.
+    outputs up to and including the tripping one.  An empty operand
+    yields an empty output (size 0): in the merge phase, interval
+    capping can empty a node.
     """
     out = []
     total = 0
     for i in range(len(values) // 2):
         x, y = values[2 * i], values[2 * i + 1]
-        if absorb_empty and (not x or not y):
-            z = ()
-        else:
-            z = _sum_values(x, y)
+        z = _sum_values(x, y) if x and y else ()
         out.append(z)
         total += len(z)
         if total >= budget_k:
@@ -158,7 +138,17 @@ def _sum_values(a: tuple, b: tuple) -> tuple:
     hull = (a[-1] - a[0]) + (b[-1] - b[0]) + 1
     if hull <= HULL_FFT_LIMIT:
         return _fft_values(a, b)
-    return _hashed_values(a, b)
+    # Halve the wider operand by value: its diameter is at least
+    # (hull - 1) / 2 > 0, so both halves are non-empty and each child's
+    # hull shrinks.
+    if a[-1] - a[0] < b[-1] - b[0]:
+        a, b = b, a
+    mid = bisect_right(a, (a[0] + a[-1]) // 2)
+    z = np.sort(np.concatenate([
+        np.asarray(_sum_values(a[:mid], b), dtype=np.int64),
+        np.asarray(_sum_values(a[mid:], b), dtype=np.int64),
+    ]))
+    return tuple(z[np.append(True, z[1:] != z[:-1])].tolist())
 
 
 def _fft_values(a: tuple, b: tuple) -> tuple:
@@ -175,158 +165,3 @@ def _fft_values(a: tuple, b: tuple) -> tuple:
     idx = np.nonzero(conv > 0.5)[0]
     off = a0 + b0
     return tuple(int(v) + off for v in idx)
-
-
-try:  # GMP-backed big ints make the Kronecker products much faster
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover - plain ints are correct, just slower
-    _mpz = int
-
-
-def _hashed_values(a: tuple, b: tuple) -> tuple:
-    """Exact sparse sumset via random modular projection.
-
-    Works on values shifted to a zero minimum so the modulus scales with
-    output count, not magnitude.  Residue-class counts come from an FFT
-    whose integrality is verified against the exact pair total; a class
-    is extracted only when its pairs provably share one sum (equality in
-    Cauchy-Schwarz on exactly computed first and second moments).  The
-    loop ends once extracted multiplicities account for every input
-    pair, so the output is exact.  The modulus sequence is seeded from
-    the input content, keeping the function deterministic.
-    """
-    if len(a) > HASHED_SIZE_LIMIT or len(b) > HASHED_SIZE_LIMIT:
-        raise ValueError("hashed sumset backend caps operand size at 2**20")
-    a0, b0 = a[0], b[0]
-    av = [x - a0 for x in a]
-    bv = [y - b0 for y in b]
-    off = a0 + b0
-
-    fingerprint = (len(a), len(b), a[0], a[-1], b[0], b[-1], sum(av) & ((1 << 61) - 1))
-    rng = rng_stream(0x5E75, repr(fingerprint))
-
-    found: dict[int, int] = {}
-    total_pairs = len(a) * len(b)
-    est = max(len(a), len(b), 64)
-    accounted = 0
-    an = np.asarray(av, dtype=np.int64)
-    bn = np.asarray(bv, dtype=np.int64)
-
-    for _ in range(64):
-        if accounted == total_pairs:
-            break
-        if est > (HASHED_SIZE_LIMIT << 3):
-            raise ValueError("sumset output too dense for the hashed backend")
-        m = int(rng.integers(8 * est, 16 * est)) | 1
-        counts = _count_conv(an, bn, m, total_pairs)
-        occupied = np.nonzero(counts)[0]
-        if 4 * len(occupied) > m:
-            # saturated modulus: most classes collide, sums would be
-            # unrecoverable; grow the estimate before doing real work
-            est *= 4
-            continue
-        sums_raw, w_sum, squares_raw, w_sq = _moment_convs(av, bv, m)
-        for r in occupied:
-            r = int(r)
-            n_r = int(counts[r])
-            v_r = _slot_bytes(sums_raw, w_sum, r, m)
-            q_r = _slot_bytes(squares_raw, w_sq, r, m)
-            if n_r * q_r == v_r * v_r:
-                # all pairs in this class share one sum: extract exactly
-                s = v_r // n_r
-                if s not in found:
-                    found[s] = n_r
-                    accounted += n_r
-                elif found[s] != n_r:
-                    raise AssertionError("inconsistent multiplicity in hashed sumset")
-        est = max(est, len(found))
-    else:
-        raise AssertionError("hashed sumset failed to converge")
-    return tuple(sorted(x + off for x in found))
-
-
-def _count_conv(an: np.ndarray, bn: np.ndarray, m: int, total_pairs: int) -> np.ndarray:
-    """Cyclic pair-count convolution mod m.
-
-    FFT-based with an exactness check against the true pair total; on a
-    precision failure (possible only for astronomically many pairs) it
-    recomputes through the exact integer path.
-    """
-    ia = np.bincount(np.remainder(an, m), minlength=m)
-    ib = np.bincount(np.remainder(bn, m), minlength=m)
-    conv = np.fft.irfft(np.fft.rfft(ia.astype(np.float64)) * np.fft.rfft(ib.astype(np.float64)), m)
-    counts = np.rint(conv).astype(np.int64)
-    counts[counts < 0] = 0
-    if int(counts.sum()) != total_pairs:
-        width = _slot_width(total_pairs)
-        raw = int(_pack([int(v) for v in ia], width) * _pack([int(v) for v in ib], width))
-        raw_bytes = raw.to_bytes(2 * m * width, "little")
-        counts = np.asarray(
-            [_slot_bytes(raw_bytes, width, r, m) for r in range(m)], dtype=np.int64
-        )
-    return counts
-
-
-def _moment_convs(av: list[int], bv: list[int], m: int):
-    """Exact cyclic convolutions of residue-binned first and second
-    moments, as raw Kronecker product bytes.
-
-    Slot widths are derived from the actual value bounds so no
-    convolution entry can overflow its slot; the caller reads individual
-    slots with _slot_bytes (entry r is the sum of slots r and r + m).
-    """
-    ia = [0] * m
-    sa = [0] * m
-    qa = [0] * m
-    for x in av:
-        r = x % m
-        ia[r] += 1
-        sa[r] += x
-        qa[r] += x * x
-    ib = [0] * m
-    sb = [0] * m
-    qb = [0] * m
-    for y in bv:
-        r = y % m
-        ib[r] += 1
-        sb[r] += y
-        qb[r] += y * y
-
-    pairs = len(av) * len(bv)
-    vmax = max(max(av), max(bv), 1)
-    w_sum = _slot_width(2 * vmax * pairs)
-    w_sq = _slot_width(4 * vmax * vmax * pairs)
-
-    # Slot-aligned additions cannot carry across slots: the widths were
-    # sized from the summed bounds (2x for the sums, 4x for the squares).
-    sums = _pack(sa, w_sum) * _pack(ib, w_sum) + _pack(ia, w_sum) * _pack(sb, w_sum)
-    squares = (
-        _pack(qa, w_sq) * _pack(ib, w_sq)
-        + _pack(ia, w_sq) * _pack(qb, w_sq)
-        + (_pack(sa, w_sq) * _pack(sb, w_sq) << 1)
-    )
-    sums_raw = int(sums).to_bytes(2 * m * w_sum, "little")
-    squares_raw = int(squares).to_bytes(2 * m * w_sq, "little")
-    return sums_raw, w_sum, squares_raw, w_sq
-
-
-def _slot_width(bound: int) -> int:
-    """Bytes per Kronecker slot for entries in [0, bound], with headroom
-    for summing three convolutions."""
-    return (bound.bit_length() + 8) // 8 + 1
-
-
-def _slot_bytes(raw: bytes, width: int, r: int, m: int) -> int:
-    """Cyclic-convolution entry r: linear-convolution slots r and r+m."""
-    lo = int.from_bytes(raw[r * width : (r + 1) * width], "little")
-    hi = int.from_bytes(raw[(r + m) * width : (r + m + 1) * width], "little")
-    return lo + hi
-
-
-def _pack(xs: list[int], width: int):
-    buf = bytearray(width * len(xs))
-    for i, v in enumerate(xs):
-        if v:
-            nb = (v.bit_length() + 7) // 8
-            buf[i * width : i * width + nb] = v.to_bytes(nb, "little")
-    return _mpz(int.from_bytes(bytes(buf), "little"))

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from subsetsum import sumset
+from subsetsum.cli import generate_instance
 from subsetsum.core import Instance, OracleBudgetError, SolverConfig, SumSet, rng_stream
 from subsetsum.merge import DenseEvidence
 from subsetsum.solver import (
@@ -208,6 +210,25 @@ def test_solve_deterministic_given_seed():
         b.decision,
         b.branch,
         b.candidate_set_size,
+    )
+
+
+def test_solve_unchanged_when_hull_split(monkeypatch, fft_hulls):
+    # a lowered FFT hull limit sends the merge tree's wide nodes through
+    # the split path; every answer and report must stay the same
+    inst = generate_instance("uniform", 10_588, 16, seed=5, t=30_000)
+    cfg = SolverConfig(seed=5)
+    full = solve(inst, cfg)
+    limit = 1 << 16
+    assert full.branch == "sparse" and max(fft_hulls) > limit
+    fft_hulls.clear()
+    monkeypatch.setattr(sumset, "HULL_FFT_LIMIT", limit)
+    split = solve(inst, cfg)
+    assert max(fft_hulls) <= limit
+    assert (split.decision, split.candidate_set_size, split.report) == (
+        full.decision,
+        full.candidate_set_size,
+        full.report,
     )
 
 

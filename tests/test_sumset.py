@@ -3,15 +3,13 @@ import pytest
 
 from subsetsum.core import SumSet
 from subsetsum.sumset import (
+    HULL_FFT_LIMIT,
     DenseSignal,
     _fft_values,
-    _hashed_values,
     cap,
     dense_sumset,
-    scale,
     sparse_sumset,
     sum_if_sparse,
-    unscale,
 )
 
 from oracles import pairwise_sumset
@@ -54,22 +52,45 @@ def test_kernels_agree_with_bruteforce():
         assert dense_sumset(SumSet(tuple(a)), SumSet(tuple(b))).values == expected
 
 
-def test_hashed_backend_exact_on_wide_ranges():
+def test_split_exact_on_wide_ranges():
     rng = np.random.default_rng(3)
     # values spread over 2**40: far beyond the FFT hull limit
     for trial in range(5):
         a = sorted(set(int(v) for v in rng.integers(0, 1 << 40, size=80)))
         b = sorted(set(int(v) for v in rng.integers(0, 1 << 40, size=70)))
-        assert _hashed_values(tuple(a), tuple(b)) == tuple(pairwise_sumset(a, b))
+        got = sparse_sumset(SumSet(tuple(a)), SumSet(tuple(b))).values
+        assert got == tuple(pairwise_sumset(a, b))
+    # a narrow left operand: only the right one can be halved
+    a = [7, 8, 12]
+    b = sorted(set(int(v) for v in rng.integers(0, 1 << 40, size=3000)))
+    got = sparse_sumset(SumSet(tuple(a)), SumSet(tuple(b))).values
+    assert got == tuple(pairwise_sumset(a, b))
 
 
-def test_hashed_backend_exact_on_structured_collisions():
-    # arithmetic progressions produce heavy modular collisions
-    a = tuple(range(0, 5000 * 97, 97))
-    b = tuple(range(0, 3000 * 97, 97))
-    big = 1 << 30
-    a = tuple(x + big for x in a)
-    assert _hashed_values(a, b) == tuple(x + y for x in (big,) for y in range(0, (5000 + 3000 - 1) * 97, 97))
+def test_split_exact_on_structured_collisions():
+    # long arithmetic progressions whose hull is ~15% above the FFT limit;
+    # every sum lies on the progression, so the halves' outputs overlap
+    step, big = 601, 1 << 30
+    a = SumSet(tuple(big + x for x in range(0, 5000 * step, step)))
+    b = SumSet(tuple(range(0, 3000 * step, step)))
+    assert (a.max() - a.min()) + (b.max() - b.min()) + 1 > HULL_FFT_LIMIT
+    expected = tuple(range(big, big + (5000 + 3000 - 1) * step, step))
+    assert sparse_sumset(a, b).values == expected
+
+
+@pytest.mark.parametrize("excess", [0, 1])
+def test_hull_limit_boundary(fft_hulls, excess):
+    # hull == HULL_FFT_LIMIT takes one FFT; one more splits the wider operand
+    rng = np.random.default_rng(40 + excess)
+    hull = HULL_FFT_LIMIT + excess
+    da = hull // 2
+    db = hull - 1 - da
+    a = sorted({0, da, *(int(v) for v in rng.integers(0, da, size=200))})
+    b = sorted({0, db, *(int(v) for v in rng.integers(0, db, size=200))})
+    got = sparse_sumset(SumSet(tuple(a)), SumSet(tuple(b))).values
+    assert got == tuple(pairwise_sumset(a, b))
+    assert max(fft_hulls) <= HULL_FFT_LIMIT
+    assert len(fft_hulls) == (1 if excess == 0 else 2)
 
 
 def test_fft_backend_matches_pairwise():
@@ -98,15 +119,6 @@ def test_cap_examples():
     assert nested == cap(S(1, 5, 9, 12), 4, 9)
     with pytest.raises(ValueError):
         cap(S(1), 3, 2)
-
-
-def test_scale_unscale():
-    assert scale(S(1, 2, 3), 3).values == (3, 6, 9)
-    assert unscale(S(4, 8), 4).values == (1, 2)
-    with pytest.raises(ValueError, match="not divisible"):
-        unscale(S(3, 4), 2)
-    with pytest.raises(ValueError):
-        scale(S(1), 0)
 
 
 def test_sum_if_sparse_returns_levels():
