@@ -19,7 +19,7 @@ from .core import (
     normalize,
     rng_stream,
 )
-from .sumset import DenseSignal, cap, dense_sumset, sparse_sumset, sum_if_sparse
+from .sumset import DenseSignal, cap, dense_sumset, sum_if_sparse
 from .structure import (
     FactorTable,
     InstancePartition,
@@ -54,7 +54,6 @@ __all__ = [
     "OracleBudgetError",
     "DenseSignal",
     "dense_sumset",
-    "sparse_sumset",
     "sum_if_sparse",
     "cap",
     "FactorTable",

@@ -45,7 +45,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import SumSet, ceil_div, ceil_log2, next_pow2
+from .core import SumSet, ceil_div, ceil_log2, next_pow2, target_window
 from .sumset import _sum_values
 
 
@@ -166,7 +166,7 @@ def color_params(
         raise ValueError("q must be in (0, 1)")
     k = math.ceil(6 * math.log2(2 * n / q))
     g = next_pow2(k * k)
-    u_prime = max(g * w + 1, math.ceil(5 * math.sqrt(w * t) * math.log2(max(w, 2))))
+    u_prime = max(g * w + 1, target_window(w, t))
     rho = 10 * g * ceil_log2(max(w, 1))
     reps = math.ceil(math.log(4 * n / q) / math.log(4 / 3))
     tail = math.ceil(budget_mult * 4 * c_ap * rho * u_prime * ceil_log2(u_prime))
@@ -260,7 +260,7 @@ def build_group_sumsets(
                 parts.setdefault(int(p), []).append(x)
             pos += len(grp)
             split.append(parts)
-        signal = _levels_with_budget(split, family, params, rep, acc)
+        signal = _levels_with_budget(split, params, rep, acc)
         if signal is not None:
             return signal
 
@@ -326,7 +326,6 @@ def _unbudgeted_sumsets(
 
 def _levels_with_budget(
     split: list[dict[int, list[int]]],
-    family: GroupFamily,
     params: ColorCodingParams,
     rep: int,
     acc: list[set[int]],
@@ -342,26 +341,12 @@ def _levels_with_budget(
     g = params.g
     ell = len(split)
     levels = ceil_log2(g)
-    sets: list[dict[int, tuple]] = []
-    fvals: list[dict[int, int]] = []
-    svals: list[dict[int, int]] = []
-    for parts in split:
-        sets.append({j: tuple(sorted({0, *v})) for j, v in parts.items()})
-        fvals.append({j: max(v) for j, v in parts.items()})
-        svals.append({j: sum(v) for j, v in parts.items()})
+    sets = [{j: tuple(sorted({0, *v})) for j, v in parts.items()} for parts in split]
 
     for h in range(1, levels + 1):
         nodes_per_group = g >> h
         num_nodes = ell * nodes_per_group
         budget = num_nodes + params.tail
-
-        new_f = [_merge_scalars(fv) for fv in fvals]
-        new_s = [_merge_scalars(sv) for sv in svals]
-
-        if params.tail == 0:
-            # budget <= half the input count: immediate dense signal
-            return _trip_signal(h, 0, budget, params, rep, num_nodes, 0, [], new_f, new_s, nodes_per_group)
-
         extra = 0
         computed: list[tuple[int, int]] = []  # (global index, size)
         new_sets: list[dict[int, tuple]] = []
@@ -397,12 +382,8 @@ def _levels_with_budget(
             trip_at = budget - extra
             observed = budget
         if trip_at is not None:
-            return _trip_signal(
-                h, observed, budget, params, rep, num_nodes, trip_at, computed, new_f, new_s, nodes_per_group
-            )
+            return _trip_signal(split, h, observed, budget, params, rep, num_nodes, trip_at, computed)
         sets = new_sets
-        fvals = new_f
-        svals = new_s
 
     for i in range(ell):
         root = sets[i].get(0, (0,))
@@ -410,17 +391,8 @@ def _levels_with_budget(
     return None
 
 
-def _merge_scalars(d: dict[int, int]) -> dict[int, int]:
-    """Parent value = sum of child values (subtree max / subtree sigma
-    both combine additively across a sumset merge)."""
-    out: dict[int, int] = {}
-    for j, v in d.items():
-        p = j >> 1
-        out[p] = out.get(p, 0) + v
-    return out
-
-
 def _trip_signal(
+    split: list[dict[int, list[int]]],
     level: int,
     observed: int,
     budget: int,
@@ -429,22 +401,28 @@ def _trip_signal(
     num_nodes: int,
     trip_index: int,
     computed: list[tuple[int, int]],
-    new_f: list[dict[int, int]],
-    new_s: list[dict[int, int]],
-    nodes_per_group: int,
 ) -> DenseTripSignal:
+    """Signal for a trip at `level`, listing every non-{0} node in
+    (group, node) order.  Node j of a group gathers the parts p with
+    p >> level == j: its weight is the sum of their maxima and its
+    subtree sum the sum of their elements."""
     computed_size = dict(computed)
+    nodes_per_group = params.g >> level
     sizes: list[int] = []
     f: list[int] = []
     sg: list[int] = []
-    for i, fv in enumerate(new_f):
+    for i, parts in enumerate(split):
+        node_f: dict[int, int] = {}
+        node_s: dict[int, int] = {}
+        for p, v in parts.items():
+            j = p >> level
+            node_f[j] = node_f.get(j, 0) + max(v)
+            node_s[j] = node_s.get(j, 0) + sum(v)
         base = i * nodes_per_group
-        sv = new_s[i]
-        for j in sorted(fv):
-            gidx = base + j
-            sizes.append(computed_size.get(gidx, 1))
-            f.append(fv[j])
-            sg.append(sv[j])
+        for j in sorted(node_f):
+            sizes.append(computed_size.get(base + j, 1))
+            f.append(node_f[j])
+            sg.append(node_s[j])
     return DenseTripSignal(
         level=level,
         observed_total_size=observed,

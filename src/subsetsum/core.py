@@ -67,6 +67,15 @@ def ceil_sqrt(x: int) -> int:
     return s if s * s == x else s + 1
 
 
+def target_window(w: int, t: int) -> int:
+    """Width ceil(5 * sqrt(w*t) * log2 max(w, 2)) of the target window.
+
+    The sparse path looks for dense-part sums in [t - window, t]; colour
+    coding sizes its diameter bound u' from the same width.
+    """
+    return math.ceil(5 * math.sqrt(w * t) * math.log2(max(w, 2)))
+
+
 @dataclass(frozen=True)
 class Instance:
     """A subset-sum instance: positive integer items and a target.

@@ -26,15 +26,14 @@ concrete low-weight selection of generator sets.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import InternalConsistencyError, SumSet, ceil_div, ceil_log2
+from .core import InternalConsistencyError, SumSet, ceil_div, ceil_log2, target_window
 from .colorcoding import DenseTripSignal, GroupFamily, GroupSumsets
-from .sumset import _pair_level
+from .sumset import _cap_values, _pair_level
 
 
 @dataclass
@@ -180,7 +179,7 @@ def merge_group_sumsets(
     g = params.g
     lgw = math.log2(max(w, 2))
     if window is None:
-        window = math.ceil(5 * math.sqrt(w * t) * lgw)
+        window = target_window(w, t)
 
     perm = [int(i) for i in rng.permutation(ell)]
     cur: list[tuple] = [sets0[p].values for p in perm]
@@ -193,7 +192,7 @@ def merge_group_sumsets(
     # either capped nodes (span <= 2*eta+4) or the uncapped stage-two
     # roots (diameter <= g*w + 1).
     u_prime = max(4 * eta + 9, 2 * g * w + 1)
-    rho = 10 * g * ceil_log2(max(w, 1))
+    rho = params.rho
     tail = math.ceil(budget_mult * 4 * c_ap * rho * u_prime * ceil_log2(u_prime))
 
     levels = ceil_log2(ell)
@@ -202,14 +201,6 @@ def merge_group_sumsets(
         budget = ell_h + tail
         new_f = [f[2 * i] + f[2 * i + 1] for i in range(ell_h)]
         new_sig = [sig[2 * i] + sig[2 * i + 1] for i in range(ell_h)]
-
-        if tail == 0:
-            # budget <= half the input count: immediate dense signal
-            sizes = [1 if (cur[2 * i] and cur[2 * i + 1]) else 0 for i in range(ell_h)]
-            return assemble_dense_evidence(
-                "phase-three", t, rho, u_prime, h, budget, 0, sizes, new_f, new_sig
-            )
-
         out, signal = _pair_level(cur, budget)
         if signal is not None:
             sizes = [len(z) for z in out]
@@ -241,12 +232,6 @@ def merge_group_sumsets(
         f, sig = new_f, new_sig
 
     return SumSet(cur[0])
-
-
-def _cap_values(values: tuple, lo: int, hi: int) -> tuple:
-    i = bisect_left(values, lo)
-    j = bisect_right(values, hi)
-    return values[i:j]
 
 
 def select_ap_generators(

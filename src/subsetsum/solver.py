@@ -44,6 +44,7 @@ from .core import (
     ceil_log2,
     normalize,
     rng_stream,
+    target_window,
 )
 from .colorcoding import (
     DenseTripSignal,
@@ -85,7 +86,7 @@ def _bits_to_values(mask: int) -> tuple[int, ...]:
         return ()
     raw = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
     bits = np.unpackbits(raw, bitorder="little")
-    return tuple(int(i) for i in np.nonzero(bits)[0])
+    return tuple(np.nonzero(bits)[0].tolist())
 
 
 def bounded_subset_sums(items: Sequence[int], cap_hi: int) -> SumSet:
@@ -215,7 +216,7 @@ def solve_d_window(
     """
     q = config.q_for(n, t)
     if window is None:
-        window = math.ceil(5 * math.sqrt(w * t) * math.log2(max(w, 2)))
+        window = target_window(w, t)
     family = partition_groups(d_part, t, rng_stream(config.seed, "phase1"))
     if config.checked_mode:
         verify_group_family(family, d_part, t, w)
@@ -274,8 +275,25 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveOut
     inst = norm.instance
     t, w, n = inst.target, inst.w, inst.n
 
-    if config.fallback_only or small_target_gate(t, w):
-        reason = "fallback_only" if config.fallback_only else "small target"
+    if config.fallback_only:
+        reason = "fallback_only"
+    elif small_target_gate(t, w):
+        reason = "small target"
+    else:
+        reason = None
+        part = partition_instance(inst)
+        if config.checked_mode:
+            verify_partition(part, inst)
+        tick = _mark("partition", tick)
+        sigma_g = sum(part.leftover_part)
+        sigma_r = sum(part.residue_part)
+        sigma_d = sum(part.dense_part)
+        if 2 * sigma_d < 3 * t:
+            # Rounding slack in the split bounds can leave the dense part
+            # short of the 3t/2 mass the merge stage needs; fall back.
+            reason = "dense part below 3t/2"
+
+    if reason is not None:
         decision = fallback_dp(inst.items, t)
         _mark("fallback_dp", tick)
         timings["total"] = time.perf_counter_ns() - t_start
@@ -289,38 +307,11 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveOut
             report=BranchReport(branch="fallback-dp", gate_reason=reason),
         )
 
-    part = partition_instance(inst)
-    if config.checked_mode:
-        verify_partition(part, inst)
-    tick = _mark("partition", tick)
-
-    sigma_g = sum(part.leftover_part)
-    sigma_r = sum(part.residue_part)
-    sigma_d = sum(part.dense_part)
-
-    if 2 * sigma_d < 3 * t:
-        # Rounding slack in the split bounds can leave the dense part
-        # short of the 3t/2 mass the merge stage needs; fall back.
-        decision = fallback_dp(inst.items, t)
-        _mark("fallback_dp", tick)
-        timings["total"] = time.perf_counter_ns() - t_start
-        return SolveOutcome(
-            decision=decision,
-            branch="fallback-dp",
-            candidate_set_size=0,
-            dense_evidence=None,
-            seed=config.seed,
-            timings=timings,
-            report=BranchReport(branch="fallback-dp", gate_reason="dense part below 3t/2"),
-        )
-
     s_g = bounded_subset_sums(part.leftover_part, sigma_g)
     s_r = bounded_subset_sums(part.residue_part, sigma_r)
     tick = _mark("bounded_sums", tick)
 
-    window = max(
-        math.ceil(5 * math.sqrt(w * t) * math.log2(max(w, 2))), sigma_g + sigma_r
-    )
+    window = max(target_window(w, t), sigma_g + sigma_r)
     result = solve_d_window(part.dense_part, t, w, n, config, window)
     tick = _mark("d_window", tick)
 

@@ -1,6 +1,8 @@
-"""Sumset kernels: pairwise, dense FFT, and budgeted levels.
+"""Sumset kernels: one dispatcher, an interval cap, and budgeted levels.
 
-The sumset of A and B is {x + y : x in A, y in B}.  Two exact backends:
+The sumset of A and B is {x + y : x in A, y in B}.  `dense_sumset` is
+the one public entry point; it and every internal caller go through the
+dispatcher `_sum_values`, which picks one of two exact kernels:
 
   * pairwise: direct enumeration, used whenever |A|*|B| <= PAIRWISE_LIMIT.
   * FFT: convolution of 0/1 indicator vectors shifted to a zero offset,
@@ -14,10 +16,12 @@ every FFT stays within HULL_FFT_LIMIT), and the two sorted outputs are
 merged.  The result is exact because only the two kernels above ever
 compute a sum.
 
-`sum_if_sparse` computes one level of pairwise sumsets left to right and
-stops the moment the accumulated output size reaches a budget, returning
-a signal instead of the level.  A budget of at most half the number of
-input sets trips immediately (each output has size >= 1).
+`cap` intersects a set with an interval; the merge stage uses its
+tuple-level form `_cap_values` directly.  `sum_if_sparse` computes one
+level of pairwise sumsets left to right and stops the moment the
+accumulated output size reaches a budget, returning a signal instead of
+the level.  A budget of at most half the number of input sets trips
+immediately (each output has size >= 1).
 """
 
 from __future__ import annotations
@@ -49,30 +53,19 @@ class DenseSignal:
     last_index_computed: int
 
 
-LevelBudgetResult = Union[list[SumSet], DenseSignal]
-
-
 def dense_sumset(a: SumSet, b: SumSet) -> SumSet:
-    """Sumset of two non-empty SumSets; same kernels as sparse_sumset."""
-    if a.is_empty or b.is_empty:
-        raise ValueError("empty operand")
-    return SumSet(_sum_values(a.values, b.values))
+    """Sumset of two non-empty SumSets.
 
-
-def sparse_sumset(a: SumSet, b: SumSet) -> SumSet:
-    """Sumset with output-size-sensitive backend selection.
-
-    Same output contract as dense_sumset: pairwise enumeration when
-    |a|*|b| <= PAIRWISE_LIMIT, one FFT when the hull is at most
-    HULL_FFT_LIMIT, and otherwise the wider operand is halved by value
-    until every FFT fits that limit.
+    Pairwise enumeration when |a|*|b| <= PAIRWISE_LIMIT, one FFT when the
+    hull is at most HULL_FFT_LIMIT, and otherwise the wider operand is
+    halved by value until every FFT fits that limit.
     """
     if a.is_empty or b.is_empty:
         raise ValueError("empty operand")
     return SumSet(_sum_values(a.values, b.values))
 
 
-def sum_if_sparse(sets: Sequence[SumSet], budget_k: int) -> LevelBudgetResult:
+def sum_if_sparse(sets: Sequence[SumSet], budget_k: int) -> Union[list[SumSet], DenseSignal]:
     """Compute pairwise sumsets B_i = sets[2i] + sets[2i+1] under a budget.
 
     Stops immediately once the accumulated size of computed B_i reaches
@@ -99,15 +92,18 @@ def cap(a: SumSet, lo: int, hi: int) -> SumSet:
     """a intersected with the integer interval [lo, hi]; may be empty."""
     if lo > hi:
         raise ValueError("lo > hi")
-    v = a.values
-    i = bisect_left(v, lo)
-    j = bisect_right(v, hi)
-    return SumSet(v[i:j])
+    return SumSet(_cap_values(a.values, lo, hi))
 
 
 # ---------------------------------------------------------------------------
 # tuple-level kernels (hot paths avoid SumSet wrapping)
 # ---------------------------------------------------------------------------
+
+
+def _cap_values(values: tuple, lo: int, hi: int) -> tuple:
+    i = bisect_left(values, lo)
+    j = bisect_right(values, hi)
+    return values[i:j]
 
 
 def _pair_level(values: list[tuple], budget_k: int):
@@ -163,5 +159,4 @@ def _fft_values(a: tuple, b: tuple) -> tuple:
     nfft = next_pow2(n)
     conv = np.fft.irfft(np.fft.rfft(ia, nfft) * np.fft.rfft(ib, nfft), nfft)[:n]
     idx = np.nonzero(conv > 0.5)[0]
-    off = a0 + b0
-    return tuple(int(v) + off for v in idx)
+    return tuple((idx + (a0 + b0)).tolist())

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+from subsetsum import sumset
 from subsetsum.core import SumSet
+from subsetsum.solver import bounded_subset_sums
 from subsetsum.sumset import (
     HULL_FFT_LIMIT,
     DenseSignal,
     _fft_values,
+    _sum_values,
     cap,
     dense_sumset,
-    sparse_sumset,
     sum_if_sparse,
 )
 
@@ -28,16 +30,17 @@ def test_dense_sumset_examples():
 
 
 def test_sparse_sumset_examples():
-    assert sparse_sumset(S(0, 1000000), S(0, 1)).values == (0, 1, 1000000, 1000001)
+    # sparse operands (wide hull, few values) go through the same entry point
+    assert dense_sumset(S(0, 1000000), S(0, 1)).values == (0, 1, 1000000, 1000001)
     b = S(3, 8, 19)
-    assert sparse_sumset(S(0), b).values == b.values
+    assert dense_sumset(S(0), b).values == b.values
 
 
 def test_empty_operand_errors():
     with pytest.raises(ValueError, match="empty operand"):
         dense_sumset(SumSet.empty(), S(1))
     with pytest.raises(ValueError, match="empty operand"):
-        sparse_sumset(S(1), SumSet.empty())
+        dense_sumset(S(1), SumSet.empty())
 
 
 def test_kernels_agree_with_bruteforce():
@@ -48,7 +51,6 @@ def test_kernels_agree_with_bruteforce():
         a = sorted(set(int(v) for v in rng.integers(0, hi, size=na)))
         b = sorted(set(int(v) for v in rng.integers(0, hi, size=nb)))
         expected = tuple(pairwise_sumset(a, b))
-        assert sparse_sumset(SumSet(tuple(a)), SumSet(tuple(b))).values == expected
         assert dense_sumset(SumSet(tuple(a)), SumSet(tuple(b))).values == expected
 
 
@@ -58,12 +60,12 @@ def test_split_exact_on_wide_ranges():
     for trial in range(5):
         a = sorted(set(int(v) for v in rng.integers(0, 1 << 40, size=80)))
         b = sorted(set(int(v) for v in rng.integers(0, 1 << 40, size=70)))
-        got = sparse_sumset(SumSet(tuple(a)), SumSet(tuple(b))).values
+        got = dense_sumset(SumSet(tuple(a)), SumSet(tuple(b))).values
         assert got == tuple(pairwise_sumset(a, b))
     # a narrow left operand: only the right one can be halved
     a = [7, 8, 12]
     b = sorted(set(int(v) for v in rng.integers(0, 1 << 40, size=3000)))
-    got = sparse_sumset(SumSet(tuple(a)), SumSet(tuple(b))).values
+    got = dense_sumset(SumSet(tuple(a)), SumSet(tuple(b))).values
     assert got == tuple(pairwise_sumset(a, b))
 
 
@@ -75,7 +77,7 @@ def test_split_exact_on_structured_collisions():
     b = SumSet(tuple(range(0, 3000 * step, step)))
     assert (a.max() - a.min()) + (b.max() - b.min()) + 1 > HULL_FFT_LIMIT
     expected = tuple(range(big, big + (5000 + 3000 - 1) * step, step))
-    assert sparse_sumset(a, b).values == expected
+    assert dense_sumset(a, b).values == expected
 
 
 @pytest.mark.parametrize("excess", [0, 1])
@@ -87,7 +89,7 @@ def test_hull_limit_boundary(fft_hulls, excess):
     db = hull - 1 - da
     a = sorted({0, da, *(int(v) for v in rng.integers(0, da, size=200))})
     b = sorted({0, db, *(int(v) for v in rng.integers(0, db, size=200))})
-    got = sparse_sumset(SumSet(tuple(a)), SumSet(tuple(b))).values
+    got = dense_sumset(SumSet(tuple(a)), SumSet(tuple(b))).values
     assert got == tuple(pairwise_sumset(a, b))
     assert max(fft_hulls) <= HULL_FFT_LIMIT
     assert len(fft_hulls) == (1 if excess == 0 else 2)
@@ -100,15 +102,29 @@ def test_fft_backend_matches_pairwise():
     assert _fft_values(a, b) == tuple(pairwise_sumset(a, b))
 
 
+def test_kernels_return_python_ints(monkeypatch, fft_hulls):
+    # numpy scalars must not leak into the value tuples
+    a = tuple(range(0, 3000, 7))
+    b = tuple(range(5, 4000, 11))
+    outs = [_sum_values((1, 2, 3), (4, 10)), _sum_values(a, b)]
+    assert len(fft_hulls) == 1
+    monkeypatch.setattr(sumset, "HULL_FFT_LIMIT", 1024)
+    outs.append(_sum_values(a, b))
+    assert len(fft_hulls) > 2
+    outs.append(bounded_subset_sums([3, 5, 9], 17).values)
+    for out in outs:
+        assert out and all(type(v) is int for v in out)
+
+
 def test_sumset_commutative_associative():
     rng = np.random.default_rng(5)
     for _ in range(20):
         a = SumSet.of(int(v) for v in rng.integers(0, 500, size=10))
         b = SumSet.of(int(v) for v in rng.integers(0, 500, size=10))
         c = SumSet.of(int(v) for v in rng.integers(0, 500, size=10))
-        assert sparse_sumset(a, b) == sparse_sumset(b, a)
-        left = sparse_sumset(sparse_sumset(a, b), c)
-        right = sparse_sumset(a, sparse_sumset(b, c))
+        assert dense_sumset(a, b) == dense_sumset(b, a)
+        left = dense_sumset(dense_sumset(a, b), c)
+        right = dense_sumset(a, dense_sumset(b, c))
         assert left == right
 
 
