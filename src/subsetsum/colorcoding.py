@@ -25,7 +25,10 @@ so the budget arithmetic can count such nodes without computing them.
 This keeps the cost proportional to the number of elements rather than
 to the g * ell virtual tree, with bit-identical results and trip points.
 
-When the budget can never trip, a group is complete once one repetition
+The budget can never trip when its tail exceeds the sum over groups of
+min(sigma(G), 2^|G| - 1), a bound on any level's size excess over its
+node count (see `_max_level_excess`); only then is the budgeted path
+skipped.  Without a budget, a group is complete once one repetition
 puts each of its elements into a part of its own.  A repetition's root
 picks at most one element per part, so it is always a subset of the
 group's subset sums, and it equals them when no part holds two elements;
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -66,8 +70,16 @@ class GroupFamily:
     def ell(self) -> int:
         return len(self.groups)
 
-    def sigma(self) -> int:
-        return sum(sum(g) for g in self.groups)
+    def group_sizes(self) -> np.ndarray:
+        return np.fromiter(map(len, self.groups), dtype=np.int64, count=self.ell)
+
+    def group_sums(self) -> np.ndarray:
+        """sigma of every group, in group order."""
+        sizes = self.group_sizes()
+        prefix = np.zeros(int(sizes.sum()) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(chain.from_iterable(self.groups), dtype=np.int64), out=prefix[1:])
+        ends = np.cumsum(sizes)
+        return prefix[ends] - prefix[ends - sizes]
 
 
 def partition_groups(d_part: Sequence[int], t: int, rng: np.random.Generator) -> GroupFamily:
@@ -240,13 +252,32 @@ def build_group_sumsets(
     total size reaches the budget, returns a DenseTripSignal instead.
     """
     params = color_params(n, t, w, q, c_ap, budget_mult)
-    # A level's size excess over its node count is at most sigma(D):
-    # every node set lies in [0, sigma(subtree)], so size-1 <= sigma(subtree),
-    # and subtrees partition each group.  Below the tail the budget can
-    # never trip and the per-level accounting can be skipped entirely.
-    if params.tail > family.sigma():
+    if params.tail > _max_level_excess(family):
         return GroupSumsets(_unbudgeted_sumsets(family, params, rng), params)
+    return _budgeted_sumsets(family, params, rng)
 
+
+def _max_level_excess(family: GroupFamily) -> int:
+    """Upper bound on a level's total set size minus its node count.
+
+    A node's set lies in [0, sigma(node)] and holds at most 2^k sums of
+    its k elements, so its size minus one is at most
+    min(sigma(node), 2^k - 1).  Both terms are subadditive over the nodes
+    a group splits into at any level, so summing min(sigma(G), 2^|G| - 1)
+    over the groups bounds every level of every repetition.  While the
+    budget tail exceeds this bound no level can trip.
+    """
+    sums, sizes = family.group_sums(), family.group_sizes()
+    # for |G| >= 63, 2^|G| - 1 > sigma(G) (all sums are below 2^63)
+    small = sizes < 63
+    sums[small] = np.minimum(sums[small], (1 << sizes[small]) - 1)
+    return int(sums.sum())
+
+
+def _budgeted_sumsets(
+    family: GroupFamily, params: ColorCodingParams, rng: np.random.Generator
+) -> Union[GroupSumsets, DenseTripSignal]:
+    """Every repetition through `_levels_with_budget`, until one trips."""
     g = params.g
     total_elems = sum(len(grp) for grp in family.groups)
     acc: list[set[int]] = [{0} for _ in range(family.ell)]
@@ -263,9 +294,7 @@ def build_group_sumsets(
         signal = _levels_with_budget(split, params, rep, acc)
         if signal is not None:
             return signal
-
-    sets = tuple(SumSet(tuple(sorted(s))) for s in acc)
-    return GroupSumsets(sets, params)
+    return GroupSumsets(tuple(SumSet(tuple(sorted(s))) for s in acc), params)
 
 
 def _unbudgeted_sumsets(

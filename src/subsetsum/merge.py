@@ -12,6 +12,12 @@ combines a concentration term with the width of the target window the
 caller cares about; caps are widened by one on each side to absorb
 integer rounding.
 
+Each level is one flat `sumset.Level` (every node's sorted int64 values
+back to back) and goes through the level kernel `_pair_level` whole;
+the interval cap, the per-node weights and subtree sums, the checked-mode
+bounds and the evidence sizes and maxima are all computed level-wide
+from its offsets.  The root becomes a SumSet only when it is returned.
+
 A budget trip, here or in the color-coding stage, is converted into a
 DenseEvidence record: per-node set sizes, a weight f per node (the
 permuted-order subtree sums of the original group maxima, an exact
@@ -33,7 +39,7 @@ import numpy as np
 
 from .core import InternalConsistencyError, SumSet, ceil_div, ceil_log2, target_window
 from .colorcoding import DenseTripSignal, GroupFamily, GroupSumsets
-from .sumset import _cap_values, _pair_level
+from .sumset import Level, _pair_level
 
 
 @dataclass
@@ -182,9 +188,9 @@ def merge_group_sumsets(
         window = target_window(w, t)
 
     perm = [int(i) for i in rng.permutation(ell)]
-    cur: list[tuple] = [sets0[p].values for p in perm]
-    f = [sets0[p].max() for p in perm]
-    sig = [sum(family.groups[p]) for p in perm]
+    cur = Level.of([sets0[p].values for p in perm])
+    f = cur.vals[cur.offs[1:] - 1]  # every stage-two set holds 0, so none is empty
+    sig = family.group_sums()[perm]
 
     eta = math.ceil(eta_mult * 2304 * math.sqrt(w * t) * lgw**2 * math.log2(2 * n / q) ** 3)
     eta += window
@@ -199,15 +205,17 @@ def merge_group_sumsets(
     for h in range(1, levels + 1):
         ell_h = ell >> h
         budget = ell_h + tail
-        new_f = [f[2 * i] + f[2 * i + 1] for i in range(ell_h)]
-        new_sig = [sig[2 * i] + sig[2 * i + 1] for i in range(ell_h)]
+        f = f[0::2] + f[1::2]
+        sig = sig[0::2] + sig[1::2]
         out, signal = _pair_level(cur, budget)
+        sizes = out.sizes()
+        filled = np.flatnonzero(sizes)
+        tops = out.vals[out.offs[filled + 1] - 1]
         if signal is not None:
-            sizes = [len(z) for z in out]
-            maxes: list[Optional[int]] = [max(z) if z else 0 for z in out]
-            for i in range(len(out), ell_h):
-                sizes.append(1 if (cur[2 * i] and cur[2 * i + 1]) else 0)
-                maxes.append(None)
+            # nodes after the stop: size >= 1 unless an operand is empty
+            rest = cur.sizes()[2 * len(out) :]
+            maxes = np.zeros(len(out), dtype=np.int64)
+            maxes[filled] = tops
             return assemble_dense_evidence(
                 "phase-three",
                 t,
@@ -216,22 +224,17 @@ def merge_group_sumsets(
                 h,
                 budget,
                 signal.observed_total_size,
-                sizes,
-                new_f,
-                new_sig,
-                maxes,
+                sizes.tolist() + ((rest[0::2] > 0) & (rest[1::2] > 0)).astype(int).tolist(),
+                f.tolist(),
+                sig.tolist(),
+                maxes.tolist() + [None] * (ell_h - len(out)),
             )
 
-        if checked:
-            for z, fv, sv in zip(out, new_f, new_sig):
-                if z and not (z[-1] <= fv <= sv):
-                    raise InternalConsistencyError("merge weight bookkeeping broken")
-        lo = t // ell_h - eta - 1
-        hi = ceil_div(t, ell_h) + eta + 1
-        cur = [_cap_values(z, lo, hi) for z in out]
-        f, sig = new_f, new_sig
+        if checked and not (np.all(tops <= f[filled]) and np.all(f[filled] <= sig[filled])):
+            raise InternalConsistencyError("merge weight bookkeeping broken")
+        cur = out.cap(t // ell_h - eta - 1, ceil_div(t, ell_h) + eta + 1)
 
-    return SumSet(cur[0])
+    return SumSet(tuple(cur.vals.tolist()))
 
 
 def select_ap_generators(

@@ -5,13 +5,16 @@ from subsetsum import sumset
 
 @pytest.fixture
 def fft_hulls(monkeypatch):
-    """Hull of every FFT the sumset kernels run during the test, in order."""
+    """Hull of every FFT row the sumset kernels compute during the test, in
+    order: one per pair of a batched level FFT, one per single-pair FFT."""
     hulls = []
-    fft = sumset._fft_values
+    fft_rows = sumset._fft_rows
 
-    def spy(a, b):
-        hulls.append((a[-1] - a[0]) + (b[-1] - b[0]) + 1)
-        return fft(a, b)
+    def spy(level, pairs, nfft):
+        for i in pairs.tolist():
+            a, b = level[2 * i], level[2 * i + 1]
+            hulls.append(int(a[-1] - a[0]) + int(b[-1] - b[0]) + 1)
+        return fft_rows(level, pairs, nfft)
 
-    monkeypatch.setattr(sumset, "_fft_values", spy)
+    monkeypatch.setattr(sumset, "_fft_rows", spy)
     return hulls

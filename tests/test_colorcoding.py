@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from subsetsum.core import SumSet, next_pow2, rng_stream
+from subsetsum import colorcoding
+from subsetsum.core import SolverConfig, SumSet, next_pow2, rng_stream
 from subsetsum.colorcoding import (
     DenseTripSignal,
     GroupFamily,
@@ -236,6 +237,40 @@ def test_virtual_levels_match_materialized_reference(budget_mult, seed, case):
     else:
         assert isinstance(ref, tuple) and all(isinstance(s, SumSet) for s in ref)
         assert fast.sets == ref
+
+
+def test_max_level_excess_is_attained_by_full_subset_sums():
+    # (1, 2, 4) reaches 2^3 - 1 sums past 0, (1, 1, 1) reaches sigma = 3,
+    # and 70 ones reach sigma = 70 (where 2^70 - 1 does not fit in int64)
+    groups = ((1, 2, 4), (1, 1, 1), (5,), (1,) * 70, (), (300, 700))
+    family = GroupFamily(groups, (0, 0, 2, 0, None, 8), 5)
+    assert colorcoding._max_level_excess(family) == 7 + 3 + 1 + 70 + 0 + 3
+    assert colorcoding._max_level_excess(family) == sum(len(subset_sums(g)) - 1 for g in groups)
+
+
+def test_budget_that_cannot_trip_takes_unbudgeted_path(monkeypatch):
+    # uniform w=3, t=1560, n=2340 at budget_mult=1e-9: the tail lies below
+    # sigma(D) but above every level's possible excess (all groups are
+    # singletons), so no repetition can trip and the unbudgeted path must
+    # run; the budgeted one runs all 61 repetitions here (~6 s)
+    w, t, n = 3, 1560, 2340
+    rng = np.random.default_rng(1)
+    items = [w, *(int(v) for v in rng.integers(1, w + 1, size=n - 1))]
+    config = SolverConfig(seed=1, budget_mult=1e-9)
+    q = config.q_for(n, t)
+    family = partition_groups(items, t, rng_stream(1, "phase1"))
+    params = color_params(n, t, w, q, config.c_ap, config.budget_mult)
+    assert colorcoding._max_level_excess(family) < params.tail <= sum(items)
+    ran = []
+    unbudgeted = colorcoding._unbudgeted_sumsets
+    monkeypatch.setattr(
+        colorcoding, "_unbudgeted_sumsets", lambda *a: ran.append(1) or unbudgeted(*a)
+    )
+    got = build_group_sumsets(
+        family, t, w, n, q, config.c_ap, rng_stream(1, "p2"), budget_mult=config.budget_mult
+    )
+    assert ran == [1]
+    assert got == colorcoding._budgeted_sumsets(family, params, rng_stream(1, "p2"))
 
 
 def test_trip_signal_bookkeeping_consistency():

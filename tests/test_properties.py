@@ -66,23 +66,24 @@ def test_dense_sumset_and_cap_match_oracle(case, bounds):
 
 @given(
     w=st.sampled_from([2, 3, 4]),
-    stretch=st.floats(0.0, 0.2),
+    stretch=st.floats(0.0, 1.0),
     budget_mult=st.sampled_from([1.0, 1e-9]),
+    eta_mult=st.sampled_from([1.0, 1e-12]),
     data_seed=st.integers(0, 2**32 - 1),
     solve_seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=40, deadline=None)
-def test_solve_pipeline_sized(w, stretch, budget_mult, data_seed, solve_seed):
-    # t from the small-target gate up to 20% above it, sigma ~ 3t.  Higher
-    # t at w=3, 4 with budget_mult=1e-9 runs budgeted colour coding that
-    # never trips, ~7 s a solve, too slow for this test.
+def test_solve_pipeline_sized(w, stretch, budget_mult, eta_mult, data_seed, solve_seed):
+    # t from the small-target gate up to twice it, sigma ~ 3t; eta_mult=1e-12
+    # narrows the merge caps until they remove values
     gate = 100 * w * ceil_log2(w) ** 2
     t = int(gate * (1 + stretch))
     assert not small_target_gate(t, w)
     n = round(3 * t / ((w + 1) / 2))
     rng = np.random.default_rng(data_seed)
     items = (w, *(int(v) for v in rng.integers(1, w + 1, size=n - 1)))
-    out = solve(Instance(items, t), SolverConfig(seed=solve_seed, budget_mult=budget_mult))
+    config = SolverConfig(seed=solve_seed, budget_mult=budget_mult, eta_mult=eta_mult)
+    out = solve(Instance(items, t), config)
     assert out.branch in ("sparse", "dense")
     if out.branch == "sparse" and out.decision:
         assert fallback_dp(items, t), "certified-path false positive"

@@ -7,7 +7,9 @@ from subsetsum.solver import bounded_subset_sums
 from subsetsum.sumset import (
     HULL_FFT_LIMIT,
     DenseSignal,
+    Level,
     _fft_values,
+    _pair_level,
     _sum_values,
     cap,
     dense_sumset,
@@ -186,3 +188,85 @@ def test_sum_if_sparse_contract_fuzz():
         else:
             assert [s.values for s in res] == full
             assert total < budget
+
+
+def _random_level_sets(rng):
+    """Operand sets for one level, pairs in random order: pairs with an
+    empty operand, pairs the level enumerates (|A|*|B| <= 16, values in
+    [0, 8] so that sums collide), pairs it convolves (hull <= 121) and
+    pairs whose hull (>= 201) exceeds the limit the level test patches in."""
+
+    def draw(size, hi, ends=False):
+        vals = {int(v) for v in rng.integers(0, hi + 1, size=size)}
+        return tuple(sorted(vals | ({0, hi} if ends else set())))
+
+    pairs = [((), draw(3, 50)), (draw(2, 50), ()), ((), ())]
+    pairs += [(draw(int(rng.integers(1, 5)), 8), draw(int(rng.integers(1, 5)), 8)) for _ in range(3)]
+    pairs += [(draw(int(rng.integers(6, 13)), 60), draw(int(rng.integers(6, 13)), 60)) for _ in range(3)]
+    pairs += [(draw(8, 200, ends=True), draw(int(rng.integers(6, 11)), 200, ends=True)) for _ in range(2)]
+    order = rng.permutation(len(pairs))
+    return [s for i in order for s in pairs[i]]
+
+
+def _left_to_right_level(sets, budget):
+    out, total = [], 0
+    for i in range(len(sets) // 2):
+        x, y = sets[2 * i], sets[2 * i + 1]
+        out.append(tuple(pairwise_sumset(x, y)) if x and y else ())
+        total += len(out[-1])
+        if total >= budget:
+            return out, DenseSignal(total, budget, i + 1)
+    return out, None
+
+
+@pytest.mark.parametrize("chunk", [sumset.LEVEL_CHUNK_VALUES, 7])
+def test_pair_level_matches_left_to_right_reference(monkeypatch, chunk):
+    # every kernel path of the level, every budget from 1 to total + 1,
+    # and (chunk=7) a level split into many node-order chunks, which
+    # bounds the values computed past the budget
+    monkeypatch.setattr(sumset, "HULL_FFT_LIMIT", 128)
+    monkeypatch.setattr(sumset, "PAIRWISE_LIMIT", 16)
+    monkeypatch.setattr(sumset, "LEVEL_CHUNK_VALUES", chunk)
+    calls = {"_pairwise_rows": 0, "_fft_rows": 0, "_sum_values": 0, "_level_chunk": 0}
+    computed = [0]
+    for attr in calls:
+        kernel = getattr(sumset, attr)
+
+        def spy(*args, _kernel=kernel, _attr=attr):
+            calls[_attr] += 1
+            out = _kernel(*args)
+            if _attr == "_level_chunk":
+                computed[0] += len(out[1])
+            return out
+
+        monkeypatch.setattr(sumset, attr, spy)
+    rng = np.random.default_rng(17)
+    for _ in range(2):
+        sets = _random_level_sets(rng)
+        level = Level.of(sets)
+        full, _ = _left_to_right_level(sets, float("inf"))
+        total = sum(map(len, full))
+        # the largest output-size bound of one pair
+        pair_bound = max(
+            min(len(a) * len(b), a[-1] - a[0] + b[-1] - b[0] + 1)
+            for a, b in zip(sets[0::2], sets[1::2])
+            if a and b
+        )
+        for budget in range(1, total + 2):
+            computed[0] = 0
+            out, signal = _pair_level(level, budget)
+            expected, expected_signal = _left_to_right_level(sets, budget)
+            assert signal == expected_signal
+            assert [tuple(z.tolist()) for z in out] == expected
+            if signal is not None:
+                assert computed[0] <= budget + chunk + pair_bound
+    assert all(calls.values()), calls
+
+
+def test_level_cap_matches_per_node_cap():
+    rng = np.random.default_rng(23)
+    sets = _random_level_sets(rng)
+    level = Level.of(sets)
+    for lo, hi in ((-5, 400), (0, 0), (30, 60), (61, 59), (199, 1 << 70)):
+        got = [tuple(z.tolist()) for z in level.cap(lo, hi)]
+        assert got == [tuple(v for v in s if lo <= v <= hi) for s in sets]
