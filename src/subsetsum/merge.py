@@ -13,7 +13,9 @@ caller cares about; caps are widened by one on each side to absorb
 integer rounding.
 
 Each level is one flat `sumset.Level` (every node's sorted int64 values
-back to back) and goes through the level kernel `_pair_level` whole;
+back to back) and goes through the level kernel `_pair_level` whole,
+in units of the leaf level's common step (the gcd of its values, which
+every sum and cap above it keeps as a divisor, so it is computed once);
 the interval cap, the per-node weights and subtree sums, the checked-mode
 bounds and the evidence sizes and maxima are all computed level-wide
 from its offsets.  The root becomes a SumSet only when it is returned.
@@ -39,7 +41,7 @@ import numpy as np
 
 from .core import InternalConsistencyError, SumSet, ceil_div, ceil_log2, target_window
 from .colorcoding import DenseTripSignal, GroupFamily, GroupSumsets
-from .sumset import Level, _pair_level
+from .sumset import Level, _pair_level, common_step
 
 
 @dataclass
@@ -190,6 +192,7 @@ def merge_group_sumsets(
     perm = [int(i) for i in rng.permutation(ell)]
     cur = Level.of([sets0[p].values for p in perm])
     f = cur.vals[cur.offs[1:] - 1]  # every stage-two set holds 0, so none is empty
+    step = common_step(cur.vals)
     sig = family.group_sums()[perm]
 
     eta = math.ceil(eta_mult * 2304 * math.sqrt(w * t) * lgw**2 * math.log2(2 * n / q) ** 3)
@@ -207,7 +210,7 @@ def merge_group_sumsets(
         budget = ell_h + tail
         f = f[0::2] + f[1::2]
         sig = sig[0::2] + sig[1::2]
-        out, signal = _pair_level(cur, budget)
+        out, signal = _pair_level(cur, budget, step)
         sizes = out.sizes()
         filled = np.flatnonzero(sizes)
         tops = out.vals[out.offs[filled + 1] - 1]

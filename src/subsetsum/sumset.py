@@ -20,10 +20,21 @@ compute a sum.
 The merge tree (phase 3) and `sum_if_sparse` hold a level as one
 `Level`: every node's sorted int64 values back to back, with offsets.
 The level kernel `_pair_level` sums the pairs (2i, 2i+1) of a whole
-level in a few numpy passes: pairs with an empty operand give an empty
-output, pairs with |A|*|B| <= LEVEL_PAIRWISE_LIMIT are enumerated in one
-batch, the rest are convolved in row batches of equal FFT length, and a
-pair whose hull exceeds HULL_FFT_LIMIT goes to `_sum_values`.  Its
+level in a few numpy passes, in units of the level's common step g (a
+divisor of every value; 2 when all items are even).  Each node is split
+into maximal runs of step g, and each pair with an empty operand gives
+an empty output; otherwise it takes one of two kernels:
+
+  * runs: when A and B have r_a * r_b <= max(RUN_PAIRS_MIN,
+    (hull / g) / RUN_HULL_RATIO), every run of A plus every run of B is
+    one run, and the overlapping or adjacent ones are merged.  A set of
+    k scattered values is k runs of one value, so small pairs are plain
+    enumeration; dense merge levels are intervals (runs of g), which
+    this sums in time linear in their output.
+  * FFT: the rest, convolved in row batches of equal FFT length; a pair
+    whose hull exceeds HULL_FFT_LIMIT goes to `_sum_values` instead.
+
+Pairwise enumeration thus applies only to single pairs.  The level's
 budget stop is exact: the level is computed in node-order chunks, and
 the first pair at which the running output size reaches the budget ends
 the level with the same prefix and signal as summing the pairs one at a
@@ -47,13 +58,19 @@ from .core import OVERFLOW_LIMIT, SumSet, next_pow2
 
 PAIRWISE_LIMIT = 2048
 HULL_FFT_LIMIT = 1 << 22
-# Level pairs with |A|*|B| at most this are enumerated in one batch and
-# the rest convolved.  Batched enumeration sorts |A|*|B| keys per pair.
-# Measured on the 16 merge levels of a uniform w=16, t=120k instance
-# (2-core x86 VM, numpy 2.4): 0.59 / 0.50 / 0.54 / 0.60 / 0.97 s at
-# 4 / 16 / 64 / 256 / 2048, the single-pair crossover, where the fourth
-# level alone took 0.47 s.
-LEVEL_PAIRWISE_LIMIT = 16
+# A level pair goes to the run kernel when its r_a * r_b run pairs (runs
+# of the level's common step g) number at most max(RUN_PAIRS_MIN,
+# (hull / g) / RUN_HULL_RATIO), and otherwise to the FFT.  Measured on
+# the merge levels of `sparse-ladder` and `grouped` (seed 7; 2-core x86
+# VM, numpy 2.4): kernel totals of 0.32-0.35 s and 0.16-0.17 s for
+# RUN_PAIRS_MIN in {16, 64, 256} and RUN_HULL_RATIO in {1, 2, 4}, against
+# 0.39 s on `sparse-ladder` at RUN_PAIRS_MIN = 4 and 0.20 s on `grouped`
+# at RUN_HULL_RATIO = 8.
+RUN_PAIRS_MIN = 16
+RUN_HULL_RATIO = 4
+# One run-kernel batch enumerates at most this many run pairs; a pair with
+# more runs alone.
+RUN_BATCH_PAIRS = 1 << 18
 # One FFT row batch holds at most this many floats per operand; a row
 # longer than that runs alone.  2^16 to 2^20 ran within 6% of each other
 # on the same levels; this keeps a batch's arrays at a few MB.
@@ -151,10 +168,18 @@ def sum_if_sparse(sets: Sequence[SumSet], budget_k: int) -> Union[list[SumSet], 
             raise ValueError("empty operand")
     if budget_k <= ell // 2:
         return DenseSignal(0, budget_k, 0)
-    out, signal = _pair_level(Level.of([s.values for s in sets]), budget_k)
+    level = Level.of([s.values for s in sets])
+    out, signal = _pair_level(level, budget_k, common_step(level.vals))
     if signal is not None:
         return signal
     return [SumSet(tuple(z.tolist())) for z in out]
+
+
+def common_step(vals: np.ndarray) -> int:
+    """The gcd of the values (1 if there are none or all are 0): every sum
+    and every subset of them keeps it as a divisor, so one level's step
+    serves every level merged from it."""
+    return max(int(np.gcd.reduce(vals)), 1)
 
 
 def cap(a: SumSet, lo: int, hi: int) -> SumSet:
@@ -170,7 +195,7 @@ def cap(a: SumSet, lo: int, hi: int) -> SumSet:
 # ---------------------------------------------------------------------------
 
 
-def _pair_level(level: Level, budget_k: int) -> tuple[Level, Optional[DenseSignal]]:
+def _pair_level(level: Level, budget_k: int, step: int) -> tuple[Level, Optional[DenseSignal]]:
     """One level of pairwise sums level[2i] + level[2i+1] with an exact
     left-to-right budget stop.
 
@@ -179,6 +204,7 @@ def _pair_level(level: Level, budget_k: int) -> tuple[Level, Optional[DenseSigna
     output size at the first pair i where it reaches budget_k, and
     computed holds outputs 0..i.  An empty operand yields an empty output
     (size 0): in the merge phase, interval capping can empty a node.
+    step must divide every value of the level (1 always does).
     """
     m = len(level) // 2
     operand = level.sizes()
@@ -194,7 +220,7 @@ def _pair_level(level: Level, budget_k: int) -> tuple[Level, Optional[DenseSigna
         room = max(budget_k - total, LEVEL_CHUNK_VALUES)
         done = int(cum_bound[j0 - 1]) if j0 else 0
         j1 = min(int(np.searchsorted(cum_bound, done + room)) + 1, m)
-        chunk_sizes, chunk_vals = _level_chunk(level, j0, j1, hull)
+        chunk_sizes, chunk_vals = _level_chunk(level, j0, j1, hull, step)
         running = total + np.cumsum(chunk_sizes)
         hit = int(np.searchsorted(running, budget_k))
         if hit < len(running):
@@ -208,30 +234,34 @@ def _pair_level(level: Level, budget_k: int) -> tuple[Level, Optional[DenseSigna
     return Level(np.concatenate(vals), _offsets(np.concatenate(sizes))), signal
 
 
-def _level_chunk(level: Level, j0: int, j1: int, hull: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _level_chunk(
+    level: Level, j0: int, j1: int, hull: np.ndarray, step: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Output sizes and values of pairs j0..j1-1 (see `_pair_level`)."""
-    operand = level.sizes()[2 * j0 : 2 * j1]
+    starts, ends, run_offs = _node_runs(level, 2 * j0, 2 * j1, step)
+    nruns = np.diff(run_offs)
+    run_pairs = nruns[0::2] * nruns[1::2]
     hull = hull[j0:j1]
     live = hull > 0
-    small = live & (operand[0::2] * operand[1::2] <= LEVEL_PAIRWISE_LIMIT)
-    wide = live & ~small & (hull > HULL_FFT_LIMIT)
-    conv = live & ~small & ~wide
+    runs = live & (run_pairs <= np.maximum(RUN_PAIRS_MIN, ((hull - 1) // step + 1) // RUN_HULL_RATIO))
+    conv = live & ~runs & (hull <= HULL_FFT_LIMIT)
+    wide = live & ~runs & ~conv
 
     pieces = []  # (pair indices relative to j0, output sizes, outputs back to back)
-    pairs = np.flatnonzero(small)
+    pairs = np.flatnonzero(runs)
     if pairs.size:
-        pieces.append((pairs, *_pairwise_rows(level, pairs + j0)))
+        pieces.append((pairs, *_run_rows(starts, ends, run_offs, pairs, step)))
     pairs = np.flatnonzero(conv)
     if pairs.size:
         nfft = 1 << np.frexp(hull[pairs] - 1)[1]  # next_pow2 of each hull
         order = np.argsort(nfft, kind="stable")
         pairs, nfft = pairs[order], nfft[order]
-        starts = np.flatnonzero(np.append(True, nfft[1:] != nfft[:-1]))
-        for s, e in zip(starts.tolist(), [*starts[1:].tolist(), len(pairs)]):
+        groups = np.flatnonzero(np.append(True, nfft[1:] != nfft[:-1]))
+        for s, e in zip(groups.tolist(), [*groups[1:].tolist(), len(pairs)]):
             n = int(nfft[s])
-            step = max(1, FFT_BATCH_FLOATS // n)
-            for b in range(s, e, step):
-                batch = pairs[b : min(b + step, e)]
+            rows = max(1, FFT_BATCH_FLOATS // n)
+            for b in range(s, e, rows):
+                batch = pairs[b : min(b + rows, e)]
                 pieces.append((batch, *_fft_rows(level, batch + j0, n)))
     for p in np.flatnonzero(wide).tolist():
         x, y = level[2 * (p + j0)], level[2 * (p + j0) + 1]
@@ -241,6 +271,8 @@ def _level_chunk(level: Level, j0: int, j1: int, hull: np.ndarray) -> tuple[np.n
     sizes = np.zeros(j1 - j0, dtype=np.int64)
     for pairs, counts, _ in pieces:
         sizes[pairs] = counts
+    if len(pieces) == 1:  # one kernel took every live pair, in pair order
+        return sizes, pieces[0][2]
     offs = _offsets(sizes)
     out = np.empty(int(offs[-1]), dtype=np.int64)
     for pairs, counts, values in pieces:
@@ -260,22 +292,73 @@ def _pair_hulls(level: Level) -> np.ndarray:
     return hull
 
 
-def _pairwise_rows(level: Level, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sumsets of the given pairs by enumerating every |A|*|B| sum in one
-    batch, sorting by (pair, value) and dropping equal neighbours."""
-    sizes = level.sizes()
-    nb = sizes[2 * pairs + 1]
-    prod = sizes[2 * pairs] * nb
-    row = np.repeat(np.arange(len(pairs)), prod)
-    k = np.arange(len(row)) - np.repeat(_offsets(prod)[:-1], prod)
-    ai = k // nb[row]
-    bi = k - ai * nb[row]
-    s = level.vals[level.offs[2 * pairs][row] + ai] + level.vals[level.offs[2 * pairs + 1][row] + bi]
-    order = np.lexsort((s, row))
-    s, row = s[order], row[order]
-    keep = np.ones(len(s), dtype=bool)
-    keep[1:] = (s[1:] != s[:-1]) | (row[1:] != row[:-1])
-    return np.bincount(row[keep], minlength=len(pairs)), s[keep]
+def _node_runs(level: Level, n0: int, n1: int, step: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximal runs of step `step` of nodes n0..n1-1, in units of step.
+
+    Returns (starts, ends, run_offs): node n0 + i is the union of the runs
+    [starts[k], ends[k]] (times step) for run_offs[i] <= k < run_offs[i + 1].
+    """
+    offs = level.offs[n0 : n1 + 1] - level.offs[n0]
+    u = level.vals[level.offs[n0] : level.offs[n1]]
+    if step > 1:
+        u = u // step
+    first = np.ones(len(u), dtype=bool)
+    np.not_equal(np.diff(u), 1, out=first[1:])
+    first[offs[:-1][offs[:-1] < offs[1:]]] = True  # a node's first value starts a run
+    begin = np.flatnonzero(first)
+    # run index of each run's first value; an empty node's runs start
+    # where the next non-empty node's do
+    run_index = np.zeros(len(u) + 1, dtype=np.int64)
+    run_index[begin] = np.arange(len(begin))
+    run_index[-1] = len(begin)
+    return u[begin], np.concatenate((u[begin[1:] - 1], u[-1:])), run_index[offs]
+
+
+def _run_rows(
+    starts: np.ndarray, ends: np.ndarray, run_offs: np.ndarray, pairs: np.ndarray, step: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sumsets of the given pairs from their runs (see `_node_runs`).
+
+    Every run of A plus every run of B is one run [s_a + s_b, e_a + e_b].
+    Each pair's runs are moved to a coordinate range of their own, so one
+    sort orders them by (pair, start) and one running max of ends merges
+    the overlapping or adjacent ones; the merged runs are expanded back
+    to values times step.  Returns each pair's output size and the
+    outputs back to back, each sorted.
+    """
+    a0, b0, b1 = run_offs[2 * pairs], run_offs[2 * pairs + 1], run_offs[2 * pairs + 2]
+    na, nb = b0 - a0, b1 - b0
+    base = starts[a0] + starts[b0]
+    span = ends[b0 - 1] + ends[b1 - 1] - base
+    # pair i's coordinates are [room[i], room[i] + span[i]], two below the
+    # next pair's; halve a batch whose coordinates could overflow int64 or
+    # whose run pairs would take too much memory
+    too_wide = np.sum(span, dtype=float) + 2.0 * len(span) >= 2.0**62
+    if len(pairs) > 1 and (too_wide or int(np.dot(na, nb)) > RUN_BATCH_PAIRS):
+        half = len(pairs) // 2
+        head = _run_rows(starts, ends, run_offs, pairs[:half], step)
+        tail = _run_rows(starts, ends, run_offs, pairs[half:], step)
+        return np.concatenate((head[0], tail[0])), np.concatenate((head[1], tail[1]))
+    room = _offsets(span + 2)[:-1]
+    shift = room - base
+    # run pair (i, j) for every run i of A and j of B, pair by pair
+    nb_of_i = np.repeat(nb, na)
+    i = _segment_index(a0, na)
+    j = _segment_index(np.repeat(b0, na), nb_of_i)
+    shift_i = np.repeat(shift, na)
+    lo = np.repeat(starts[i] + shift_i, nb_of_i) + starts[j]
+    hi = np.repeat(ends[i] + shift_i, nb_of_i) + ends[j]
+    order = np.argsort(lo)
+    lo = lo[order]
+    reach = np.maximum.accumulate(hi[order])
+    first = np.flatnonzero(np.append(True, lo[1:] > reach[:-1] + 1))
+    lo, hi = lo[first], reach[np.append(first[1:], len(reach)) - 1]
+    # pair i's merged runs are those starting in [room[i], room[i + 1])
+    bounds = np.append(np.searchsorted(lo, room), len(lo))
+    length = hi - lo + 1
+    counts = np.diff(_offsets(length)[bounds])
+    values = _segment_index(lo - np.repeat(shift, np.diff(bounds)), length)
+    return counts, values * step if step > 1 else values
 
 
 def _fft_rows(level: Level, pairs: np.ndarray, nfft: int) -> tuple[np.ndarray, np.ndarray]:

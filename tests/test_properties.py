@@ -1,5 +1,6 @@
 """Hypothesis property tests: the sumset kernels against the pairwise
-oracle on every dispatch path, and `solve` on pipeline-sized instances."""
+oracle on every dispatch path, the level kernel on levels built from
+runs, and `solve` on pipeline-sized instances."""
 
 from unittest import mock
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from subsetsum import sumset
 from subsetsum.core import Instance, SolverConfig, SumSet, ceil_log2
 from subsetsum.solver import fallback_dp, small_target_gate, solve
-from subsetsum.sumset import PAIRWISE_LIMIT, cap, dense_sumset
+from subsetsum.sumset import PAIRWISE_LIMIT, DenseSignal, Level, _pair_level, cap, dense_sumset
 
 from oracles import pairwise_sumset
 
@@ -62,6 +63,40 @@ def test_dense_sumset_and_cap_match_oracle(case, bounds):
         assert len(calls) >= 3 and all(h <= limit for h in hulls)
     lo, hi = min(bounds), max(bounds)
     assert cap(got, lo, hi).values == tuple(v for v in expected if lo <= v <= hi)
+
+
+@st.composite
+def _run_level(draw):
+    """(sets, step): an even number of nodes, each the union of up to four
+    runs of step `step`; a node is empty, near 0, near 2**62 or spans
+    both, so pair sums stay below 2**63 while pairs of wide nodes have
+    hulls near 2**63."""
+    step = draw(st.sampled_from([1, 2, 3, 40]))  # the overflow risk is in units of step
+    top = (1 << 62) // step - 7  # largest run start, in units of step
+    sets = []
+    for _ in range(2 * draw(st.integers(1, 5))):
+        ends = draw(st.sampled_from([(), (0,), (top,), (0, top), (0, top)]))
+        units = set()
+        for end in ends:
+            for _ in range(draw(st.integers(1, 2))):
+                lo = end + draw(st.integers(0, 300)) * (1 if end == 0 else -1)
+                units.update(range(lo, lo + draw(st.integers(1, 6))))
+        sets.append(tuple(step * u for u in sorted(units)))
+    return sets, step
+
+
+@given(level=_run_level(), budget_frac=st.floats(0.0, 1.1))
+@settings(max_examples=150, deadline=None)
+def test_pair_level_matches_oracle_on_runs(level, budget_frac):
+    sets, step = level
+    full = [tuple(pairwise_sumset(x, y)) if x and y else () for x, y in zip(sets[0::2], sets[1::2])]
+    sizes = np.cumsum([len(z) for z in full])
+    budget = max(1, int(budget_frac * int(sizes[-1])))
+    stop = int(np.searchsorted(sizes, budget))  # first pair whose running size reaches budget
+    expected_signal = DenseSignal(int(sizes[stop]), budget, stop + 1) if stop < len(full) else None
+    out, signal = _pair_level(Level.of(sets), budget, step)
+    assert signal == expected_signal
+    assert [tuple(z.tolist()) for z in out] == full[: stop + 1]
 
 
 @given(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from subsetsum import sumset
+from subsetsum import merge, sumset
 from subsetsum.cli import generate_instance
 from subsetsum.core import Instance, OracleBudgetError, SolverConfig, SumSet, rng_stream
 from subsetsum.merge import DenseEvidence
@@ -214,17 +214,35 @@ def test_solve_deterministic_given_seed():
 
 
 def test_solve_unchanged_when_hull_split(monkeypatch, fft_hulls):
-    # a lowered FFT hull limit sends the merge tree's wide nodes through
-    # the split path; every answer and report must stay the same
-    inst = generate_instance("uniform", 10_588, 16, seed=5, t=30_000)
+    # a lowered FFT hull limit sends the merge tree's wide pairs with many
+    # runs through the split path; every answer and report must stay the
+    # same.  Items from the top eighth of [1, 16] keep the merge's sums
+    # sparse for several levels, so its pairs are not yet runs.
+    inst = generate_instance("sparse-window", 4000, 16, seed=5)
     cfg = SolverConfig(seed=5)
+    in_merge, merge_splits = [False], [0]
+    pair_level, sum_values = merge._pair_level, sumset._sum_values
+
+    def level_spy(*args):
+        in_merge[0] = True
+        try:
+            return pair_level(*args)
+        finally:
+            in_merge[0] = False
+
+    def split_spy(a, b):
+        merge_splits[0] += in_merge[0]
+        return sum_values(a, b)
+
+    monkeypatch.setattr(merge, "_pair_level", level_spy)
+    monkeypatch.setattr(sumset, "_sum_values", split_spy)
     full = solve(inst, cfg)
-    limit = 1 << 16
-    assert full.branch == "sparse" and max(fft_hulls) > limit
+    limit = 1 << 9
+    assert full.branch == "sparse" and max(fft_hulls) > limit and merge_splits[0] == 0
     fft_hulls.clear()
     monkeypatch.setattr(sumset, "HULL_FFT_LIMIT", limit)
     split = solve(inst, cfg)
-    assert max(fft_hulls) <= limit
+    assert max(fft_hulls) <= limit and merge_splits[0] > 0
     assert (split.decision, split.candidate_set_size, split.report) == (
         full.decision,
         full.candidate_set_size,

@@ -190,22 +190,43 @@ def test_sum_if_sparse_contract_fuzz():
             assert total < budget
 
 
+# two runs per operand, and a hull (133) above the limit the level test
+# patches in (128)
+WIDE_RUNS = ((0, 1, 2, 100, 101), (0, 1, 30, 31))
+
+
 def _random_level_sets(rng):
     """Operand sets for one level, pairs in random order: pairs with an
-    empty operand, pairs the level enumerates (|A|*|B| <= 16, values in
-    [0, 8] so that sums collide), pairs it convolves (hull <= 121) and
-    pairs whose hull (>= 201) exceeds the limit the level test patches in."""
+    empty operand; pairs of intervals, of step-3 progressions, of unions
+    of a few intervals and of small scattered sets (values in [0, 8], so
+    that sums collide); scattered pairs with hull <= 121 and many runs
+    (convolved); WIDE_RUNS, and a scattered pair with hull 161 and many
+    runs, which is returned with the level's sets."""
 
     def draw(size, hi, ends=False):
         vals = {int(v) for v in rng.integers(0, hi + 1, size=size)}
         return tuple(sorted(vals | ({0, hi} if ends else set())))
 
+    def interval(n, step=1):
+        lo = int(rng.integers(0, 20))
+        return tuple(range(lo, lo + step * n, step))
+
+    def runs(k, hi):
+        out = set()
+        for lo in rng.integers(0, hi, size=k).tolist():
+            out.update(range(lo, min(lo + int(rng.integers(1, 6)), hi + 1)))
+        return tuple(sorted(out))
+
+    wide_split = (draw(12, 100, ends=True), draw(10, 60, ends=True))
     pairs = [((), draw(3, 50)), (draw(2, 50), ()), ((), ())]
+    pairs += [(interval(int(rng.integers(1, 30))), interval(int(rng.integers(1, 30)))) for _ in range(2)]
+    pairs += [(interval(int(rng.integers(1, 8)), 3), interval(int(rng.integers(1, 8)), 3)) for _ in range(2)]
+    pairs += [(runs(3, 60), runs(2, 60)) for _ in range(2)]
     pairs += [(draw(int(rng.integers(1, 5)), 8), draw(int(rng.integers(1, 5)), 8)) for _ in range(3)]
-    pairs += [(draw(int(rng.integers(6, 13)), 60), draw(int(rng.integers(6, 13)), 60)) for _ in range(3)]
-    pairs += [(draw(8, 200, ends=True), draw(int(rng.integers(6, 11)), 200, ends=True)) for _ in range(2)]
+    pairs += [(draw(int(rng.integers(9, 14)), 60), draw(int(rng.integers(9, 14)), 60)) for _ in range(3)]
+    pairs += [WIDE_RUNS, wide_split]
     order = rng.permutation(len(pairs))
-    return [s for i in order for s in pairs[i]]
+    return [s for i in order for s in pairs[i]], wide_split
 
 
 def _left_to_right_level(sets, budget):
@@ -221,14 +242,14 @@ def _left_to_right_level(sets, budget):
 
 @pytest.mark.parametrize("chunk", [sumset.LEVEL_CHUNK_VALUES, 7])
 def test_pair_level_matches_left_to_right_reference(monkeypatch, chunk):
-    # every kernel path of the level, every budget from 1 to total + 1,
-    # and (chunk=7) a level split into many node-order chunks, which
-    # bounds the values computed past the budget
-    monkeypatch.setattr(sumset, "HULL_FFT_LIMIT", 128)
+    # every kernel path of the level (runs, FFT, split), every budget from
+    # 1 to total + 1, levels in units of 1 and of 3, and (chunk=7) a level
+    # split into many node-order chunks, which bounds the values computed
+    # past the budget
     monkeypatch.setattr(sumset, "PAIRWISE_LIMIT", 16)
     monkeypatch.setattr(sumset, "LEVEL_CHUNK_VALUES", chunk)
-    calls = {"_pairwise_rows": 0, "_fft_rows": 0, "_sum_values": 0, "_level_chunk": 0}
-    computed = [0]
+    calls = {"_run_rows": 0, "_fft_rows": 0, "_sum_values": 0, "_level_chunk": 0}
+    computed, run_outputs, split_operands = [0], set(), set()
     for attr in calls:
         kernel = getattr(sumset, attr)
 
@@ -237,12 +258,20 @@ def test_pair_level_matches_left_to_right_reference(monkeypatch, chunk):
             out = _kernel(*args)
             if _attr == "_level_chunk":
                 computed[0] += len(out[1])
+            elif _attr == "_run_rows":
+                run_outputs.update(tuple(z.tolist()) for z in np.split(out[1], np.cumsum(out[0])[:-1]))
+            elif _attr == "_sum_values":
+                split_operands.add(args)
             return out
 
         monkeypatch.setattr(sumset, attr, spy)
     rng = np.random.default_rng(17)
-    for _ in range(2):
-        sets = _random_level_sets(rng)
+    for scale in (1, 3):
+        monkeypatch.setattr(sumset, "HULL_FFT_LIMIT", 128 * scale)
+        sets, wide_split = _random_level_sets(rng)
+        sets = [tuple(scale * v for v in s) for s in sets]
+        wide_runs = [tuple(scale * v for v in s) for s in WIDE_RUNS]
+        wide_split = tuple(tuple(scale * v for v in s) for s in wide_split)
         level = Level.of(sets)
         full, _ = _left_to_right_level(sets, float("inf"))
         total = sum(map(len, full))
@@ -254,18 +283,22 @@ def test_pair_level_matches_left_to_right_reference(monkeypatch, chunk):
         )
         for budget in range(1, total + 2):
             computed[0] = 0
-            out, signal = _pair_level(level, budget)
+            out, signal = _pair_level(level, budget, scale)
             expected, expected_signal = _left_to_right_level(sets, budget)
             assert signal == expected_signal
             assert [tuple(z.tolist()) for z in out] == expected
             if signal is not None:
                 assert computed[0] <= budget + chunk + pair_bound
+        # wide pairs: few runs take the run kernel, many runs the split
+        assert tuple(pairwise_sumset(*wide_runs)) in run_outputs
+        assert tuple(wide_runs) not in split_operands
+        assert wide_split in split_operands
     assert all(calls.values()), calls
 
 
 def test_level_cap_matches_per_node_cap():
     rng = np.random.default_rng(23)
-    sets = _random_level_sets(rng)
+    sets, _ = _random_level_sets(rng)
     level = Level.of(sets)
     for lo, hi in ((-5, 400), (0, 0), (30, 60), (61, 59), (199, 1 << 70)):
         got = [tuple(z.tolist()) for z in level.cap(lo, hi)]
