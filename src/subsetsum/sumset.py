@@ -25,12 +25,13 @@ divisor of every value; 2 when all items are even).  Each node is split
 into maximal runs of step g, and each pair with an empty operand gives
 an empty output; otherwise it takes one of two kernels:
 
-  * runs: when A and B have r_a * r_b <= max(RUN_PAIRS_MIN,
-    (hull / g) / RUN_HULL_RATIO), every run of A plus every run of B is
-    one run, and the overlapping or adjacent ones are merged.  A set of
-    k scattered values is k runs of one value, so small pairs are plain
-    enumeration; dense merge levels are intervals (runs of g), which
-    this sums in time linear in their output.
+  * runs: when A and B have r_a * r_b run pairs, at most (hull / g) /
+    RUN_HULL_RATIO clipped to [RUN_PAIRS_MIN, RUN_PAIRS_MAX], every run
+    of A plus every run of B is one run, and the overlapping or adjacent
+    ones are merged.  A set of k scattered values is k runs of one
+    value, so small pairs are plain enumeration; dense merge levels are
+    intervals (runs of g), which this sums in time linear in their
+    output.
   * FFT: the rest, convolved in row batches of equal FFT length; a pair
     whose hull exceeds HULL_FFT_LIMIT goes to `_sum_values` instead.
 
@@ -59,18 +60,20 @@ from .core import OVERFLOW_LIMIT, SumSet, next_pow2
 PAIRWISE_LIMIT = 2048
 HULL_FFT_LIMIT = 1 << 22
 # A level pair goes to the run kernel when its r_a * r_b run pairs (runs
-# of the level's common step g) number at most max(RUN_PAIRS_MIN,
-# (hull / g) / RUN_HULL_RATIO), and otherwise to the FFT.  Measured on
-# the merge levels of `sparse-ladder` and `grouped` (seed 7; 2-core x86
-# VM, numpy 2.4): kernel totals of 0.32-0.35 s and 0.16-0.17 s for
-# RUN_PAIRS_MIN in {16, 64, 256} and RUN_HULL_RATIO in {1, 2, 4}, against
-# 0.39 s on `sparse-ladder` at RUN_PAIRS_MIN = 4 and 0.20 s on `grouped`
-# at RUN_HULL_RATIO = 8.
+# of the level's common step g) number at most (hull / g) / RUN_HULL_RATIO
+# clipped to [RUN_PAIRS_MIN, RUN_PAIRS_MAX], and otherwise to the FFT or,
+# above HULL_FFT_LIMIT, the split.  Measured on the merge levels of
+# `sparse-ladder` and `grouped` (seed 7; 2-core x86 VM, numpy 2.4): kernel
+# totals of 0.32-0.35 s and 0.16-0.17 s for RUN_PAIRS_MIN in {16, 64, 256}
+# and RUN_HULL_RATIO in {1, 2, 4}, against 0.39 s on `sparse-ladder` at
+# RUN_PAIRS_MIN = 4 and 0.20 s on `grouped` at RUN_HULL_RATIO = 8.
 RUN_PAIRS_MIN = 16
 RUN_HULL_RATIO = 4
-# One run-kernel batch enumerates at most this many run pairs; a pair with
-# more runs alone.
-RUN_BATCH_PAIRS = 1 << 18
+# One run-kernel batch enumerates at most this many run pairs, at about
+# 70 bytes each; a pair with more goes to the FFT or the split.  No merge
+# pair of `sparse-ladder`, `grouped` or `wide-root` (seed 1) has more
+# than 391.
+RUN_PAIRS_MAX = 1 << 18
 # One FFT row batch holds at most this many floats per operand; a row
 # longer than that runs alone.  2^16 to 2^20 ran within 6% of each other
 # on the same levels; this keeps a batch's arrays at a few MB.
@@ -178,7 +181,11 @@ def sum_if_sparse(sets: Sequence[SumSet], budget_k: int) -> Union[list[SumSet], 
 def common_step(vals: np.ndarray) -> int:
     """The gcd of the values (1 if there are none or all are 0): every sum
     and every subset of them keeps it as a divisor, so one level's step
-    serves every level merged from it."""
+    serves every level merged from it.  The merge computes it once, from
+    its leaf level: computing it for every level cost 49 ms over the five
+    `sparse-ladder` solves of seed 7 (about 5% of their solve time) and
+    made that workload's `wall_dp_ratio` 11% worse over 8 alternating
+    benchmark pairs (2-core x86 VM, numpy 2.4)."""
     return max(int(np.gcd.reduce(vals)), 1)
 
 
@@ -243,7 +250,8 @@ def _level_chunk(
     run_pairs = nruns[0::2] * nruns[1::2]
     hull = hull[j0:j1]
     live = hull > 0
-    runs = live & (run_pairs <= np.maximum(RUN_PAIRS_MIN, ((hull - 1) // step + 1) // RUN_HULL_RATIO))
+    most = np.clip(((hull - 1) // step + 1) // RUN_HULL_RATIO, RUN_PAIRS_MIN, RUN_PAIRS_MAX)
+    runs = live & (run_pairs <= most)
     conv = live & ~runs & (hull <= HULL_FFT_LIMIT)
     wide = live & ~runs & ~conv
 
@@ -271,7 +279,10 @@ def _level_chunk(
     sizes = np.zeros(j1 - j0, dtype=np.int64)
     for pairs, counts, _ in pieces:
         sizes[pairs] = counts
-    if len(pieces) == 1:  # one kernel took every live pair, in pair order
+    # one kernel took every live pair, in pair order: skipping the scatter
+    # took the kernel on the merge levels of seed 7 from 0.52 to 0.39 s
+    # (`sparse-ladder`) and from 0.27 to 0.19 s (`grouped`)
+    if len(pieces) == 1:
         return sizes, pieces[0][2]
     offs = _offsets(sizes)
     out = np.empty(int(offs[-1]), dtype=np.int64)
@@ -332,9 +343,9 @@ def _run_rows(
     span = ends[b0 - 1] + ends[b1 - 1] - base
     # pair i's coordinates are [room[i], room[i] + span[i]], two below the
     # next pair's; halve a batch whose coordinates could overflow int64 or
-    # whose run pairs would take too much memory
+    # that holds more than RUN_PAIRS_MAX run pairs (no one pair does)
     too_wide = np.sum(span, dtype=float) + 2.0 * len(span) >= 2.0**62
-    if len(pairs) > 1 and (too_wide or int(np.dot(na, nb)) > RUN_BATCH_PAIRS):
+    if len(pairs) > 1 and (too_wide or int(np.dot(na, nb)) > RUN_PAIRS_MAX):
         half = len(pairs) // 2
         head = _run_rows(starts, ends, run_offs, pairs[:half], step)
         tail = _run_rows(starts, ends, run_offs, pairs[half:], step)

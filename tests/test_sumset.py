@@ -190,9 +190,11 @@ def test_sum_if_sparse_contract_fuzz():
             assert total < budget
 
 
-# two runs per operand, and a hull (133) above the limit the level test
-# patches in (128)
+# hulls above the limit the level test patches in (128): two runs per
+# operand; and five isolated values each, 25 run pairs, above the run
+# pairs the test patches in (24) though below a quarter of the hull (751)
 WIDE_RUNS = ((0, 1, 2, 100, 101), (0, 1, 30, 31))
+WIDE_CAPPED = ((0, 100, 200, 300, 400), (0, 50, 150, 250, 350))
 
 
 def _random_level_sets(rng):
@@ -200,8 +202,8 @@ def _random_level_sets(rng):
     empty operand; pairs of intervals, of step-3 progressions, of unions
     of a few intervals and of small scattered sets (values in [0, 8], so
     that sums collide); scattered pairs with hull <= 121 and many runs
-    (convolved); WIDE_RUNS, and a scattered pair with hull 161 and many
-    runs, which is returned with the level's sets."""
+    (convolved); WIDE_RUNS, WIDE_CAPPED, and a scattered pair with hull 161
+    and many runs, which is returned with the level's sets."""
 
     def draw(size, hi, ends=False):
         vals = {int(v) for v in rng.integers(0, hi + 1, size=size)}
@@ -224,7 +226,7 @@ def _random_level_sets(rng):
     pairs += [(runs(3, 60), runs(2, 60)) for _ in range(2)]
     pairs += [(draw(int(rng.integers(1, 5)), 8), draw(int(rng.integers(1, 5)), 8)) for _ in range(3)]
     pairs += [(draw(int(rng.integers(9, 14)), 60), draw(int(rng.integers(9, 14)), 60)) for _ in range(3)]
-    pairs += [WIDE_RUNS, wide_split]
+    pairs += [WIDE_RUNS, WIDE_CAPPED, wide_split]
     order = rng.permutation(len(pairs))
     return [s for i in order for s in pairs[i]], wide_split
 
@@ -243,10 +245,11 @@ def _left_to_right_level(sets, budget):
 @pytest.mark.parametrize("chunk", [sumset.LEVEL_CHUNK_VALUES, 7])
 def test_pair_level_matches_left_to_right_reference(monkeypatch, chunk):
     # every kernel path of the level (runs, FFT, split), every budget from
-    # 1 to total + 1, levels in units of 1 and of 3, and (chunk=7) a level
-    # split into many node-order chunks, which bounds the values computed
-    # past the budget
+    # 1 to total + 1, levels in units of 1 and of 3, run batches halved at
+    # 24 run pairs, and (chunk=7) a level split into many node-order
+    # chunks, which bounds the values computed past the budget
     monkeypatch.setattr(sumset, "PAIRWISE_LIMIT", 16)
+    monkeypatch.setattr(sumset, "RUN_PAIRS_MAX", 24)
     monkeypatch.setattr(sumset, "LEVEL_CHUNK_VALUES", chunk)
     calls = {"_run_rows": 0, "_fft_rows": 0, "_sum_values": 0, "_level_chunk": 0}
     computed, run_outputs, split_operands = [0], set(), set()
@@ -271,6 +274,7 @@ def test_pair_level_matches_left_to_right_reference(monkeypatch, chunk):
         sets, wide_split = _random_level_sets(rng)
         sets = [tuple(scale * v for v in s) for s in sets]
         wide_runs = [tuple(scale * v for v in s) for s in WIDE_RUNS]
+        wide_capped = tuple(tuple(scale * v for v in s) for s in WIDE_CAPPED)
         wide_split = tuple(tuple(scale * v for v in s) for s in wide_split)
         level = Level.of(sets)
         full, _ = _left_to_right_level(sets, float("inf"))
@@ -289,16 +293,22 @@ def test_pair_level_matches_left_to_right_reference(monkeypatch, chunk):
             assert [tuple(z.tolist()) for z in out] == expected
             if signal is not None:
                 assert computed[0] <= budget + chunk + pair_bound
-        # wide pairs: few runs take the run kernel, many runs the split
+        # wide pairs: few runs take the run kernel; many runs, or more run
+        # pairs than RUN_PAIRS_MAX, the split
         assert tuple(pairwise_sumset(*wide_runs)) in run_outputs
         assert tuple(wide_runs) not in split_operands
         assert wide_split in split_operands
+        assert wide_capped in split_operands
+        assert tuple(pairwise_sumset(*wide_capped)) not in run_outputs
     assert all(calls.values()), calls
 
 
 def test_level_cap_matches_per_node_cap():
     rng = np.random.default_rng(23)
     sets, _ = _random_level_sets(rng)
+    # values above 199, one near the top of int64, so that the cap whose hi
+    # lies above int64 keeps values
+    sets += [(150, 199, 200), (7, (1 << 63) - 2)]
     level = Level.of(sets)
     for lo, hi in ((-5, 400), (0, 0), (30, 60), (61, 59), (199, 1 << 70)):
         got = [tuple(z.tolist()) for z in level.cap(lo, hi)]
