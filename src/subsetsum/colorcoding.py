@@ -19,11 +19,19 @@ sizes, subtree maxima, subtree sums) suffices to build checkable dense
 evidence.  Otherwise the per-group roots, unioned over all repetitions,
 form the group sumsets.
 
-On the budgeted path empty parts are never materialized: a node whose
-subtree holds no element is exactly {0}, a sumset identity of size one,
-so the budget arithmetic can count such nodes without computing them.
-This keeps the cost proportional to the number of elements rather than
-to the g * ell virtual tree, with bit-identical results and trip points.
+The budgeted path never materializes the ell * g virtual forest.  A node
+whose subtree holds no element is exactly {0}, a sumset identity of size
+one, so it counts one toward the running total and is never computed.
+Each repetition's parts become sorted keys group * g + part, and key >> h
+is a node's global index at level h.  A level holds only the occupied
+nodes, as one flat `Level`; a missing sibling is filled with {0}, and the
+level kernel `_pair_level` sums the pairs in units of the elements'
+common step under the level's budget, counting the virtual nodes before
+each pair as that pair's gap.  The stop is therefore the one the
+materialized computation makes, and colour coding checks the gap after
+the last occupied node itself.  Phases 2 and 3 share that kernel and its
+budget stop, so a tripping level computes at most LEVEL_CHUNK_VALUES
+values plus one pair past its stop.
 
 The budget can never trip when its tail exceeds the sum over groups of
 min(sigma(G), 2^|G| - 1), a bound on any level's size excess over its
@@ -50,7 +58,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .core import SumSet, ceil_div, ceil_log2, next_pow2, target_window
-from .sumset import _sum_values
+from .sumset import Level, _offsets, _pair_level, _segment_index, _sum_values, common_step
 
 
 @dataclass(frozen=True)
@@ -277,24 +285,79 @@ def _max_level_excess(family: GroupFamily) -> int:
 def _budgeted_sumsets(
     family: GroupFamily, params: ColorCodingParams, rng: np.random.Generator
 ) -> Union[GroupSumsets, DenseTripSignal]:
-    """Every repetition through `_levels_with_budget`, until one trips."""
-    g = params.g
-    total_elems = sum(len(grp) for grp in family.groups)
-    acc: list[set[int]] = [{0} for _ in range(family.ell)]
+    """Every repetition as flat levels of the occupied nodes through
+    `_pair_level`, until one trips (see the module docstring)."""
+    g, ell = params.g, family.ell
+    sizes = family.group_sizes()
+    elems = np.fromiter(chain.from_iterable(family.groups), dtype=np.int64, count=int(sizes.sum()))
+    owner = np.repeat(np.arange(ell, dtype=np.int64), sizes)
+    step = common_step(elems)
+    roots_key, roots_val = [np.arange(ell, dtype=np.int64)], [np.zeros(ell, dtype=np.int64)]
     for rep in range(params.reps):
-        draws = rng.integers(0, g, size=total_elems) if total_elems else None
-        split: list[dict[int, list[int]]] = []
-        pos = 0
-        for grp in family.groups:
-            parts: dict[int, list[int]] = {}
-            for x, p in zip(grp, draws[pos : pos + len(grp)] if grp else ()):
-                parts.setdefault(int(p), []).append(x)
-            pos += len(grp)
-            split.append(parts)
-        signal = _levels_with_budget(split, params, rep, acc)
-        if signal is not None:
-            return signal
-    return GroupSumsets(tuple(SumSet(tuple(sorted(s))) for s in acc), params)
+        keys = owner * g + rng.integers(0, g, size=elems.size)
+        order = np.lexsort((elems, keys))
+        part_key, part_val = keys[order], elems[order]
+        # level 0: each occupied part is {0} plus its distinct elements
+        node_key, part_start = np.unique(part_key, return_index=True)
+        k, v = _distinct_pairs(
+            np.concatenate((part_key, node_key)), np.concatenate((part_val, np.zeros_like(node_key)))
+        )
+        cur = Level(v, np.append(np.searchsorted(k, node_key), v.size))
+        for h in range(1, ceil_log2(g) + 1):
+            num_nodes = ell * (g >> h)
+            budget = num_nodes + params.tail
+            # child i is operand slot[i] of the level; a missing sibling is {0}
+            child_key, child_sizes = node_key, cur.sizes()
+            node_key, pair = np.unique(child_key >> 1, return_inverse=True)
+            slot = 2 * pair + (child_key & 1)
+            slot_sizes = np.ones(2 * node_key.size, dtype=np.int64)
+            slot_sizes[slot] = child_sizes
+            offs = _offsets(slot_sizes)
+            vals = np.zeros(int(offs[-1]), dtype=np.int64)
+            vals[_segment_index(offs[slot], child_sizes)] = cur.vals
+            gaps = np.diff(node_key, prepend=-1) - 1
+            cur, signal = _pair_level(Level(vals, offs), budget, step, gaps)
+            extra = cur.vals.size - len(cur)  # sum of (size - 1) over computed nodes
+            if signal is None and num_nodes + extra < budget:
+                continue
+            # the running total after the last computed node is its global
+            # index + 1 + extra: the stop is on that node if this reaches the
+            # budget, else in a gap (before the next node or trailing)
+            after = int(node_key[len(cur) - 1]) + 1 if len(cur) else 0
+            on_node = after + extra >= budget
+            # the first part of each node, and each part's largest element
+            node_start = np.flatnonzero(np.diff(part_key[part_start] >> h, prepend=-1))
+            part_max = part_val[np.append(part_start[1:], part_key.size) - 1]
+            return DenseTripSignal(
+                level=h,
+                observed_total_size=budget if signal is None else signal.observed_total_size,
+                threshold=budget,
+                rho=params.rho,
+                u_prime=params.u_prime,
+                g=g,
+                num_nodes=num_nodes,
+                trivial_nodes=num_nodes - node_key.size,
+                trip_index=after if on_node else budget - extra,
+                repetition=rep,
+                node_sizes=cur.sizes().tolist() + [1] * (node_key.size - len(cur)),
+                node_f=np.add.reduceat(part_max, node_start).tolist(),
+                node_sigma=np.add.reduceat(part_val, part_start[node_start]).tolist(),
+            )
+        roots_key.append(np.repeat(node_key, cur.sizes()))
+        roots_val.append(cur.vals)
+    k, v = _distinct_pairs(np.concatenate(roots_key), np.concatenate(roots_val))
+    offs = np.searchsorted(k, np.arange(ell + 1)).tolist()
+    flat = v.tolist()
+    return GroupSumsets(tuple(SumSet(tuple(flat[offs[i] : offs[i + 1]])) for i in range(ell)), params)
+
+
+def _distinct_pairs(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (key, value) pairs, sorted by key and then value."""
+    order = np.lexsort((vals, keys))
+    keys, vals = keys[order], vals[order]
+    new = np.ones(keys.size, dtype=bool)
+    new[1:] = (keys[1:] != keys[:-1]) | (vals[1:] != vals[:-1])
+    return keys[new], vals[new]
 
 
 def _unbudgeted_sumsets(
@@ -351,119 +414,3 @@ def _unbudgeted_sumsets(
             full[grp] = SumSet(tuple(sorted(sums)))
         sets.append(full[grp])
     return tuple(sets)
-
-
-def _levels_with_budget(
-    split: list[dict[int, list[int]]],
-    params: ColorCodingParams,
-    rep: int,
-    acc: list[set[int]],
-) -> Optional[DenseTripSignal]:
-    """One repetition with exact per-level budget accounting.
-
-    Simulates the left-to-right budgeted level computation over the full
-    virtual forest (ell groups x g parts): nodes whose subtree is empty
-    are {0} and only count 1 toward the running total.  The trip point
-    is therefore exactly where the fully materialized computation would
-    stop.
-    """
-    g = params.g
-    ell = len(split)
-    levels = ceil_log2(g)
-    sets = [{j: tuple(sorted({0, *v})) for j, v in parts.items()} for parts in split]
-
-    for h in range(1, levels + 1):
-        nodes_per_group = g >> h
-        num_nodes = ell * nodes_per_group
-        budget = num_nodes + params.tail
-        extra = 0
-        computed: list[tuple[int, int]] = []  # (global index, size)
-        new_sets: list[dict[int, tuple]] = []
-        trip_at = None
-        observed = 0
-        for i in range(ell):
-            base = i * nodes_per_group
-            nd: dict[int, tuple] = {}
-            for j in sorted({jj >> 1 for jj in sets[i]}):
-                gidx = base + j
-                # would a run of {0} nodes before this one cross the budget?
-                if gidx + extra >= budget:
-                    trip_at = budget - extra
-                    observed = budget
-                    break
-                left = sets[i].get(2 * j)
-                right = sets[i].get(2 * j + 1)
-                if left is not None and right is not None:
-                    z = _sum_values(left, right)
-                else:
-                    z = left if left is not None else right
-                nd[j] = z
-                extra += len(z) - 1
-                computed.append((gidx, len(z)))
-                if gidx + 1 + extra >= budget:
-                    trip_at = gidx + 1
-                    observed = gidx + 1 + extra
-                    break
-            new_sets.append(nd)
-            if trip_at is not None:
-                break
-        if trip_at is None and num_nodes + extra >= budget:
-            trip_at = budget - extra
-            observed = budget
-        if trip_at is not None:
-            return _trip_signal(split, h, observed, budget, params, rep, num_nodes, trip_at, computed)
-        sets = new_sets
-
-    for i in range(ell):
-        root = sets[i].get(0, (0,))
-        acc[i].update(root)
-    return None
-
-
-def _trip_signal(
-    split: list[dict[int, list[int]]],
-    level: int,
-    observed: int,
-    budget: int,
-    params: ColorCodingParams,
-    rep: int,
-    num_nodes: int,
-    trip_index: int,
-    computed: list[tuple[int, int]],
-) -> DenseTripSignal:
-    """Signal for a trip at `level`, listing every non-{0} node in
-    (group, node) order.  Node j of a group gathers the parts p with
-    p >> level == j: its weight is the sum of their maxima and its
-    subtree sum the sum of their elements."""
-    computed_size = dict(computed)
-    nodes_per_group = params.g >> level
-    sizes: list[int] = []
-    f: list[int] = []
-    sg: list[int] = []
-    for i, parts in enumerate(split):
-        node_f: dict[int, int] = {}
-        node_s: dict[int, int] = {}
-        for p, v in parts.items():
-            j = p >> level
-            node_f[j] = node_f.get(j, 0) + max(v)
-            node_s[j] = node_s.get(j, 0) + sum(v)
-        base = i * nodes_per_group
-        for j in sorted(node_f):
-            sizes.append(computed_size.get(base + j, 1))
-            f.append(node_f[j])
-            sg.append(node_s[j])
-    return DenseTripSignal(
-        level=level,
-        observed_total_size=observed,
-        threshold=budget,
-        rho=params.rho,
-        u_prime=params.u_prime,
-        g=params.g,
-        num_nodes=num_nodes,
-        trivial_nodes=num_nodes - len(sizes),
-        trip_index=trip_index,
-        repetition=rep,
-        node_sizes=sizes,
-        node_f=f,
-        node_sigma=sg,
-    )

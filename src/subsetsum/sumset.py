@@ -1,9 +1,10 @@
 """Sumset kernels: one pair dispatcher, one level kernel, an interval cap.
 
 The sumset of A and B is {x + y : x in A, y in B}.  `dense_sumset` is
-the public entry point for one pair.  It, colour coding (phase 2) and
-the solver's combine go through the pair dispatcher `_sum_values`, which
-picks one of two exact kernels:
+the public entry point for one pair.  It, colour coding's unbudgeted
+fold of groups that never split cleanly (phase 2) and the solver's
+combine go through the pair dispatcher `_sum_values`, which picks one of
+two exact kernels:
 
   * pairwise: direct enumeration, used whenever |A|*|B| <= PAIRWISE_LIMIT.
   * FFT: convolution of 0/1 indicator vectors shifted to a zero offset,
@@ -17,8 +18,9 @@ every FFT stays within HULL_FFT_LIMIT), and the two sorted outputs are
 merged.  The result is exact because only the two kernels above ever
 compute a sum.
 
-The merge tree (phase 3) and `sum_if_sparse` hold a level as one
-`Level`: every node's sorted int64 values back to back, with offsets.
+Colour coding's budgeted levels (phase 2), the merge tree (phase 3) and
+`sum_if_sparse` hold a level as one `Level`: every node's sorted int64
+values back to back, with offsets.
 The level kernel `_pair_level` sums the pairs (2i, 2i+1) of a whole
 level in a few numpy passes, in units of the level's common step g (a
 divisor of every value; 2 when all items are even).  Each node is split
@@ -39,8 +41,11 @@ Pairwise enumeration thus applies only to single pairs.  The level's
 budget stop is exact: the level is computed in node-order chunks, and
 the first pair at which the running output size reaches the budget ends
 the level with the same prefix and signal as summing the pairs one at a
-time.  A budget of at most half the number of input sets trips
-immediately in `sum_if_sparse` (each output has size >= 1).
+time.  Phase 2 also passes, per pair, the number of virtual {0} nodes
+(size one each, never computed) that come before it; they count toward
+the running total one at a time, so the stop may fall inside such a gap.
+A budget of at most half the number of input sets trips immediately in
+`sum_if_sparse` (each output has size >= 1).
 
 `cap` intersects a set with an interval; `Level.cap` does the same to
 every node of a level at once.
@@ -78,10 +83,10 @@ RUN_PAIRS_MAX = 1 << 18
 # longer than that runs alone.  2^16 to 2^20 ran within 6% of each other
 # on the same levels; this keeps a batch's arrays at a few MB.
 FFT_BATCH_FLOATS = 1 << 18
-# A level is computed in node-order chunks whose summed output-size bound
-# is at most max(remaining budget, LEVEL_CHUNK_VALUES) plus one pair, so a
-# level that trips computes at most LEVEL_CHUNK_VALUES values plus one
-# pair's output beyond its budget.
+# A level is computed in node-order chunks whose summed bound on the
+# running total (output sizes plus gaps) is at most max(remaining budget,
+# LEVEL_CHUNK_VALUES) plus one pair, so a level that trips computes at
+# most LEVEL_CHUNK_VALUES values plus one pair's output past its stop.
 LEVEL_CHUNK_VALUES = 1 << 16
 
 
@@ -138,9 +143,9 @@ class Level:
     def cap(self, lo: int, hi: int) -> "Level":
         """Every node intersected with [lo, hi]; nodes may become empty."""
         # node values lie in [0, 2**63), so clamping keeps the bounds in int64
-        keep = (self.vals >= max(lo, 0)) & (self.vals <= min(hi, OVERFLOW_LIMIT - 1))
-        node = np.repeat(np.arange(len(self)), self.sizes())
-        return Level(self.vals[keep], _offsets(np.bincount(node[keep], minlength=len(self))))
+        kept = np.flatnonzero((self.vals >= max(lo, 0)) & (self.vals <= min(hi, OVERFLOW_LIMIT - 1)))
+        # a node's new offset is the number of kept values before its old one
+        return Level(self.vals[kept], np.searchsorted(kept, self.offs))
 
 
 def dense_sumset(a: SumSet, b: SumSet) -> SumSet:
@@ -198,11 +203,13 @@ def cap(a: SumSet, lo: int, hi: int) -> SumSet:
 
 
 # ---------------------------------------------------------------------------
-# level kernel (phase 3 and sum_if_sparse)
+# level kernel (phases 2 and 3, and sum_if_sparse)
 # ---------------------------------------------------------------------------
 
 
-def _pair_level(level: Level, budget_k: int, step: int) -> tuple[Level, Optional[DenseSignal]]:
+def _pair_level(
+    level: Level, budget_k: int, step: int, gaps: Optional[np.ndarray] = None
+) -> tuple[Level, Optional[DenseSignal]]:
     """One level of pairwise sums level[2i] + level[2i+1] with an exact
     left-to-right budget stop.
 
@@ -212,12 +219,20 @@ def _pair_level(level: Level, budget_k: int, step: int) -> tuple[Level, Optional
     computed holds outputs 0..i.  An empty operand yields an empty output
     (size 0): in the merge phase, interval capping can empty a node.
     step must divide every value of the level (1 always does).
+
+    gaps[i], if given, is the number of virtual {0} nodes (size 1 each,
+    never computed) that come before pair i in the running total.  A stop
+    inside the gap before pair i reports observed_total_size = budget_k
+    and computed holds outputs 0..i-1 (last_index_computed = i).
     """
     m = len(level) // 2
+    if gaps is None:
+        gaps = np.zeros(m, dtype=np.int64)
     operand = level.sizes()
     hull = _pair_hulls(level)
-    # output-size bound of each pair (0 for an empty operand)
-    cum_bound = np.cumsum(np.minimum(operand[0::2] * operand[1::2], hull))
+    # running-total bound after each pair (a pair's output size is 0 for
+    # an empty operand)
+    cum_bound = np.cumsum(np.minimum(operand[0::2] * operand[1::2], hull) + gaps)
     sizes = [np.zeros(0, dtype=np.int64)]
     vals = [level.vals[:0]]
     total = 0
@@ -228,12 +243,19 @@ def _pair_level(level: Level, budget_k: int, step: int) -> tuple[Level, Optional
         done = int(cum_bound[j0 - 1]) if j0 else 0
         j1 = min(int(np.searchsorted(cum_bound, done + room)) + 1, m)
         chunk_sizes, chunk_vals = _level_chunk(level, j0, j1, hull, step)
-        running = total + np.cumsum(chunk_sizes)
+        running = total + np.cumsum(chunk_sizes + gaps[j0:j1])
         hit = int(np.searchsorted(running, budget_k))
         if hit < len(running):
-            signal = DenseSignal(int(running[hit]), budget_k, j0 + hit + 1)
-            chunk_sizes = chunk_sizes[: hit + 1]
-            chunk_vals = chunk_vals[: int(running[hit]) - total]
+            # running total after pair hit's gap; a stop inside the gap if
+            # the gap crossed budget_k
+            before = int(running[hit] - chunk_sizes[hit])
+            if before >= budget_k > before - int(gaps[j0 + hit]):
+                signal = DenseSignal(budget_k, budget_k, j0 + hit)
+            else:
+                signal = DenseSignal(int(running[hit]), budget_k, j0 + hit + 1)
+                hit += 1
+            chunk_vals = chunk_vals[: int(chunk_sizes[:hit].sum())]
+            chunk_sizes = chunk_sizes[:hit]
         sizes.append(chunk_sizes)
         vals.append(chunk_vals)
         total = int(running[-1])
@@ -408,7 +430,7 @@ def _segment_index(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# pair kernels on tuples (phase 2 and the combine)
+# pair kernels on tuples (unbudgeted phase 2, wide level pairs, the combine)
 # ---------------------------------------------------------------------------
 
 

@@ -35,6 +35,71 @@ def pairwise_sumset(a, b):
     return sorted({x + y for x in a for y in b})
 
 
+def materialized_stage_two(groups, g, reps, tail, rng):
+    """Colour coding's stage two with every part of every group a real set.
+
+    Each repetition draws every element's part (one rng.integers call over
+    all elements, in group order), adjoins 0 to every part and sums the
+    parts pairwise, level by level and left to right over all groups.  A
+    level stops at the first node where the running total size reaches
+    its budget, the level's node count plus tail.
+
+    Returns ("sets", per-group sorted tuples: the union of every
+    repetition's roots) when no repetition trips.  Otherwise returns
+    ("trip", fields, kind): fields holds the trip's level, running total,
+    budget, node counts, 1-based stop index, repetition, and the size
+    (computed, else 1), the summed part maxima and the element sum of
+    every node whose subtree holds an element; kind is "node" when the
+    stopping node holds an element, "gap" when it is {0} and a node after
+    it holds one, and "trailing" otherwise.
+    """
+    ell = len(groups)
+    acc = [{0} for _ in range(ell)]
+    for rep in range(reps):
+        draws = iter(rng.integers(0, g, size=sum(map(len, groups))).tolist())
+        parts = [[] for _ in range(ell * g)]
+        for i, grp in enumerate(groups):
+            for x in grp:
+                parts[i * g + next(draws)].append(x)
+        sets = [sorted({0, *p}) for p in parts]
+        f = [max(p, default=0) for p in parts]
+        sigma = [sum(p) for p in parts]
+        held = [bool(p) for p in parts]
+        level = 0
+        while len(sets) > ell:
+            level += 1
+            budget = len(sets) // 2 + tail
+            f = [a + b for a, b in zip(f[0::2], f[1::2])]
+            sigma = [a + b for a, b in zip(sigma[0::2], sigma[1::2])]
+            held = [a or b for a, b in zip(held[0::2], held[1::2])]
+            out, running = [], 0
+            for a, b in zip(sets[0::2], sets[1::2]):
+                out.append(pairwise_sumset(a, b))
+                running += len(out[-1])
+                if running < budget:
+                    continue
+                stop = len(out)
+                kept = [i for i, h in enumerate(held) if h]
+                fields = {
+                    "level": level,
+                    "observed_total_size": running,
+                    "threshold": budget,
+                    "num_nodes": len(held),
+                    "trivial_nodes": len(held) - len(kept),
+                    "trip_index": stop,
+                    "repetition": rep,
+                    "node_sizes": [len(out[i]) if i < stop else 1 for i in kept],
+                    "node_f": [f[i] for i in kept],
+                    "node_sigma": [sigma[i] for i in kept],
+                }
+                kind = "node" if held[stop - 1] else "gap" if any(held[stop:]) else "trailing"
+                return "trip", fields, kind
+            sets = out
+        for i in range(ell):
+            acc[i].update(sets[i])
+    return "sets", [tuple(sorted(s)) for s in acc]
+
+
 def residues_covered(items, b):
     """Residue classes mod b reachable by subset sums of items."""
     reach = {0}

@@ -3,20 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from subsetsum import colorcoding
+from subsetsum import colorcoding, sumset
 from subsetsum.core import SolverConfig, SumSet, next_pow2, rng_stream
 from subsetsum.colorcoding import (
     DenseTripSignal,
     GroupFamily,
+    GroupSumsets,
     build_group_sumsets,
     color_params,
     partition_groups,
     split_into_parts,
     verify_group_family,
 )
-from subsetsum.sumset import DenseSignal, sum_if_sparse
 
-from oracles import all_subsets, subset_sums
+from oracles import all_subsets, materialized_stage_two, subset_sums
 
 
 def test_partition_groups_hand_trace():
@@ -140,39 +140,14 @@ def test_witness_coverage_rate():
 
 
 def _naive_stage_two(family, t, w, n, q, c_ap, rng, budget_mult):
-    """Materialized reference: every part is a real set, every level goes
-    through the public budgeted operation."""
+    """Materialized reference (`materialized_stage_two`) as stage two's
+    result, and the kind of trip (None without one)."""
     params = color_params(n, t, w, q, c_ap, budget_mult)
-    g = params.g
-    ell = family.ell
-    total = sum(len(grp) for grp in family.groups)
-    acc = [{0} for _ in range(ell)]
-    for rep in range(params.reps):
-        draws = rng.integers(0, g, size=total) if total else None
-        pos = 0
-        level_sets = []
-        for grp in family.groups:
-            parts = [[] for _ in range(g)]
-            for x in grp:
-                parts[int(draws[pos])].append(x)
-                pos += 1
-            level_sets.extend(SumSet.of([0] + p) for p in parts)
-        h = 0
-        levels = int(math.log2(g))
-        tripped = None
-        while h < levels:
-            h += 1
-            budget = (ell * g >> h) + params.tail
-            res = sum_if_sparse(level_sets, budget)
-            if isinstance(res, DenseSignal):
-                tripped = (rep, h, res.observed_total_size, res.last_index_computed, budget)
-                break
-            level_sets = res
-        if tripped:
-            return tripped
-        for i in range(ell):
-            acc[i] |= set(level_sets[i].values)
-    return tuple(SumSet.of(s) for s in acc)
+    ref = materialized_stage_two(family.groups, params.g, params.reps, params.tail, rng)
+    if ref[0] == "sets":
+        return GroupSumsets(tuple(SumSet(s) for s in ref[1]), params), None
+    _, fields, kind = ref
+    return DenseTripSignal(rho=params.rho, u_prime=params.u_prime, g=params.g, **fields), kind
 
 
 def _first_clean_rep(family, g, reps, rng):
@@ -202,20 +177,27 @@ _LARGE_GROUPS = (
 
 
 @pytest.mark.parametrize(
-    "budget_mult,seed,case",
+    "budget_mult,seed,case,trip",
     [
-        pytest.param(1.0, 4, _SMALL_GROUPS, id="1.0-4"),
-        pytest.param(1e-9, 4, _SMALL_GROUPS, id="1e-09-4"),
-        pytest.param(1e-9, 9, _SMALL_GROUPS, id="1e-09-9"),
-        pytest.param(3e-9, 2, _SMALL_GROUPS, id="3e-09-2"),
-        pytest.param(1.0, 4, _LARGE_GROUPS, id="1.0-4-large"),
-        pytest.param(1.0, 9, _LARGE_GROUPS, id="1.0-9-large"),
+        pytest.param(1.0, 4, _SMALL_GROUPS, None, id="1.0-4"),
+        pytest.param(1e-9, 4, _SMALL_GROUPS, ("trailing", 1), id="1e-09-4"),
+        pytest.param(1e-9, 9, _SMALL_GROUPS, ("trailing", 1), id="1e-09-9"),
+        pytest.param(3e-9, 2, _SMALL_GROUPS, None, id="3e-09-2"),
+        pytest.param(1e-9, 3, _SMALL_GROUPS, ("gap", 1), id="1e-09-3"),
+        pytest.param(1.0, 4, _LARGE_GROUPS, None, id="1.0-4-large"),
+        pytest.param(1.0, 9, _LARGE_GROUPS, None, id="1.0-9-large"),
+        pytest.param(1e-9, 1, _LARGE_GROUPS, ("node", 1), id="1e-09-1-large"),
+        pytest.param(3e-6, 0, _LARGE_GROUPS, ("node", 3), id="3e-06-0-large"),
+        pytest.param(3e-6, 4, _LARGE_GROUPS, ("trailing", 3), id="3e-06-4-large"),
     ],
 )
-def test_virtual_levels_match_materialized_reference(budget_mult, seed, case):
+def test_virtual_levels_match_materialized_reference(budget_mult, seed, case, trip):
+    # trip: (where the stop falls, level), or None when no repetition
+    # trips; the stop falls on a node holding an element, in the {0} gap
+    # before one, or in the trailing gap after the last one
     family, n, q = case
     t, w = 10, 8
-    if case is _LARGE_GROUPS:
+    if case is _LARGE_GROUPS and trip is None:
         params = color_params(n, t, w, q, 1, budget_mult)
         first = _first_clean_rep(family, params.g, params.reps, rng_stream(seed, "p2"))
         assert any(r is not None and r > 0 for r in first), "no group completes late"
@@ -223,20 +205,50 @@ def test_virtual_levels_match_materialized_reference(budget_mult, seed, case):
     fast = build_group_sumsets(
         family, t, w, n, q, 1, rng_stream(seed, "p2"), budget_mult=budget_mult
     )
-    ref = _naive_stage_two(
-        family, t, w, n, q, 1, rng_stream(seed, "p2"), budget_mult
-    )
-    if isinstance(fast, DenseTripSignal):
-        assert isinstance(ref, tuple) and len(ref) == 5
-        rep, level, observed, last_index, budget = ref
-        assert fast.repetition == rep
-        assert fast.level == level
-        assert fast.observed_total_size == observed
-        assert fast.trip_index == last_index
-        assert fast.threshold == budget
+    ref, kind = _naive_stage_two(family, t, w, n, q, 1, rng_stream(seed, "p2"), budget_mult)
+    assert fast == ref
+    if trip is None:
+        assert kind is None
     else:
-        assert isinstance(ref, tuple) and all(isinstance(s, SumSet) for s in ref)
-        assert fast.sets == ref
+        assert (kind, ref.level) == trip
+
+
+@pytest.mark.parametrize("tail,level", [(100, 1), (1000, 4)])
+def test_tripping_level_computes_at_most_a_chunk_past_its_stop(monkeypatch, tail, level):
+    # 64 groups of ten elements at g = 64; with 16-value chunks a tripping
+    # level computes at most 16 values plus one pair's output past its
+    # stop, though the nodes after the stop hold more than that
+    monkeypatch.setattr(sumset, "LEVEL_CHUNK_VALUES", 16)
+    computed, calls = [0], []
+    level_chunk, pair_level = sumset._level_chunk, colorcoding._pair_level
+
+    def chunk_spy(*args):
+        out = level_chunk(*args)
+        computed[0] += len(out[1])
+        return out
+
+    def level_spy(pairs, budget, step, gaps):
+        computed[0] = 0
+        out = pair_level(pairs, budget, step, gaps)
+        calls.append((pairs, step, out[0], computed[0]))
+        return out
+
+    monkeypatch.setattr(sumset, "_level_chunk", chunk_spy)
+    monkeypatch.setattr(colorcoding, "_pair_level", level_spy)
+    rng = np.random.default_rng(5)
+    groups = tuple(tuple(int(v) for v in rng.integers(1, 9, size=10)) for _ in range(64))
+    family = GroupFamily(groups, (3,) * 64, 64)
+    budget_mult = tail / color_params(1, 10, 8, 0.9, 1).tail
+    sig = build_group_sumsets(family, 10, 8, 1, 0.9, 1, rng_stream(1, "p2"), budget_mult=budget_mult)
+    assert isinstance(sig, DenseTripSignal) and sig.level == level
+    pairs, step, prefix, values = calls[-1]
+    full, _ = pair_level(pairs, 1 << 62, step)
+    pair_bound = max(
+        min(len(a) * len(b), int(a[-1] - a[0] + b[-1] - b[0]) + 1)
+        for a, b in zip(list(pairs)[0::2], list(pairs)[1::2])
+    )
+    past = values - len(prefix.vals)
+    assert past <= 16 + pair_bound < len(full.vals) - len(prefix.vals)
 
 
 def test_max_level_excess_is_attained_by_full_subset_sums():
@@ -252,7 +264,7 @@ def test_budget_that_cannot_trip_takes_unbudgeted_path(monkeypatch):
     # uniform w=3, t=1560, n=2340 at budget_mult=1e-9: the tail lies below
     # sigma(D) but above every level's possible excess (all groups are
     # singletons), so no repetition can trip and the unbudgeted path must
-    # run; the budgeted one runs all 61 repetitions here (~6 s)
+    # run; the budgeted one runs all 61 repetitions here (~1 s)
     w, t, n = 3, 1560, 2340
     rng = np.random.default_rng(1)
     items = [w, *(int(v) for v in rng.integers(1, w + 1, size=n - 1))]

@@ -1,6 +1,7 @@
 """Hypothesis property tests: the sumset kernels against the pairwise
 oracle on every dispatch path, the level kernel on levels built from
-runs, and `solve` on pipeline-sized instances."""
+runs, colour coding's stage two against its materialized reference, and
+`solve` on pipeline-sized instances."""
 
 from unittest import mock
 
@@ -8,12 +9,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subsetsum import sumset
-from subsetsum.core import Instance, SolverConfig, SumSet, ceil_log2
+from subsetsum import colorcoding, sumset
+from subsetsum.colorcoding import DenseTripSignal, GroupFamily, GroupSumsets, build_group_sumsets, color_params
+from subsetsum.core import Instance, SolverConfig, SumSet, ceil_log2, rng_stream
 from subsetsum.solver import fallback_dp, small_target_gate, solve
 from subsetsum.sumset import PAIRWISE_LIMIT, DenseSignal, Level, _pair_level, cap, dense_sumset
 
-from oracles import pairwise_sumset
+from oracles import materialized_stage_two, pairwise_sumset
 
 
 def _values(draw, size):
@@ -97,6 +99,34 @@ def test_pair_level_matches_oracle_on_runs(level, budget_frac):
     out, signal = _pair_level(Level.of(sets), budget, step)
     assert signal == expected_signal
     assert [tuple(z.tolist()) for z in out] == full[: stop + 1]
+
+
+@st.composite
+def _small_family(draw):
+    """A power-of-two count of groups, each of up to six elements in
+    [1, 12] (a quarter of them multiples of 3), some of them empty."""
+    groups = []
+    for _ in range(draw(st.sampled_from([1, 2, 4, 8]))):
+        mult = draw(st.sampled_from([1, 1, 1, 3]))
+        groups.append(tuple(mult * x for x in draw(st.lists(st.integers(1, 12), max_size=6))))
+    layers = tuple(max(g).bit_length() - 1 if g else None for g in groups)
+    return GroupFamily(tuple(groups), layers, sum(1 for g in groups if g))
+
+
+@given(family=_small_family(), n=st.integers(1, 3), log_tail=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_stage_two_matches_materialized_reference(family, n, log_tail, seed):
+    # the budget tail log-uniform from 1 to past the largest possible level
+    # excess, so that trips fall at every level and some runs do not trip
+    excess = colorcoding._max_level_excess(family)
+    budget_mult = (excess + 2) ** log_tail / color_params(n, 10, 12, 0.9, 1).tail
+    params = color_params(n, 10, 12, 0.9, 1, budget_mult)
+    got = build_group_sumsets(family, 10, 12, n, 0.9, 1, rng_stream(seed, "p2"), budget_mult=budget_mult)
+    ref = materialized_stage_two(family.groups, params.g, params.reps, params.tail, rng_stream(seed, "p2"))
+    if ref[0] == "sets":
+        assert got == GroupSumsets(tuple(SumSet(s) for s in ref[1]), params)
+    else:
+        assert got == DenseTripSignal(rho=params.rho, u_prime=params.u_prime, g=params.g, **ref[1])
 
 
 @given(

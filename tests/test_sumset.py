@@ -231,9 +231,13 @@ def _random_level_sets(rng):
     return [s for i in order for s in pairs[i]], wide_split
 
 
-def _left_to_right_level(sets, budget):
+def _left_to_right_level(sets, budget, gaps=None):
     out, total = [], 0
     for i in range(len(sets) // 2):
+        for _ in range(0 if gaps is None else gaps[i]):  # virtual {0} nodes, one at a time
+            total += 1
+            if total >= budget:
+                return out, DenseSignal(total, budget, i)
         x, y = sets[2 * i], sets[2 * i + 1]
         out.append(tuple(pairwise_sumset(x, y)) if x and y else ())
         total += len(out[-1])
@@ -245,9 +249,10 @@ def _left_to_right_level(sets, budget):
 @pytest.mark.parametrize("chunk", [sumset.LEVEL_CHUNK_VALUES, 7])
 def test_pair_level_matches_left_to_right_reference(monkeypatch, chunk):
     # every kernel path of the level (runs, FFT, split), every budget from
-    # 1 to total + 1, levels in units of 1 and of 3, run batches halved at
-    # 24 run pairs, and (chunk=7) a level split into many node-order
-    # chunks, which bounds the values computed past the budget
+    # 1 to total + 1, levels in units of 1 and of 3, without and with
+    # virtual {0} nodes before pairs, run batches halved at 24 run pairs,
+    # and (chunk=7) a level split into many node-order chunks, which bounds
+    # the values computed past the budget and past the stop
     monkeypatch.setattr(sumset, "PAIRWISE_LIMIT", 16)
     monkeypatch.setattr(sumset, "RUN_PAIRS_MAX", 24)
     monkeypatch.setattr(sumset, "LEVEL_CHUNK_VALUES", chunk)
@@ -268,7 +273,7 @@ def test_pair_level_matches_left_to_right_reference(monkeypatch, chunk):
             return out
 
         monkeypatch.setattr(sumset, attr, spy)
-    rng = np.random.default_rng(17)
+    rng, gap_rng = np.random.default_rng(17), np.random.default_rng(29)
     for scale in (1, 3):
         monkeypatch.setattr(sumset, "HULL_FFT_LIMIT", 128 * scale)
         sets, wide_split = _random_level_sets(rng)
@@ -277,22 +282,27 @@ def test_pair_level_matches_left_to_right_reference(monkeypatch, chunk):
         wide_capped = tuple(tuple(scale * v for v in s) for s in WIDE_CAPPED)
         wide_split = tuple(tuple(scale * v for v in s) for s in wide_split)
         level = Level.of(sets)
-        full, _ = _left_to_right_level(sets, float("inf"))
-        total = sum(map(len, full))
         # the largest output-size bound of one pair
         pair_bound = max(
             min(len(a) * len(b), a[-1] - a[0] + b[-1] - b[0] + 1)
             for a, b in zip(sets[0::2], sets[1::2])
             if a and b
         )
-        for budget in range(1, total + 2):
-            computed[0] = 0
-            out, signal = _pair_level(level, budget, scale)
-            expected, expected_signal = _left_to_right_level(sets, budget)
-            assert signal == expected_signal
-            assert [tuple(z.tolist()) for z in out] == expected
-            if signal is not None:
-                assert computed[0] <= budget + chunk + pair_bound
+        # half the pairs follow a gap of 1 to 5 virtual nodes
+        m = len(sets) // 2
+        gaps = gap_rng.integers(1, 6, size=m) * (gap_rng.random(m) < 0.5)
+        full, _ = _left_to_right_level(sets, float("inf"))
+        for gap in (None, gaps):
+            total = sum(map(len, full)) + (0 if gap is None else int(gap.sum()))
+            for budget in range(1, total + 2):
+                computed[0] = 0
+                out, signal = _pair_level(level, budget, scale, gap)
+                expected, expected_signal = _left_to_right_level(sets, budget, gap)
+                assert signal == expected_signal
+                assert [tuple(z.tolist()) for z in out] == expected
+                if signal is not None:
+                    assert computed[0] <= budget + chunk + pair_bound
+                    assert computed[0] - sum(map(len, expected)) <= chunk + pair_bound
         # wide pairs: few runs take the run kernel; many runs, or more run
         # pairs than RUN_PAIRS_MAX, the split
         assert tuple(pairwise_sumset(*wide_runs)) in run_outputs
