@@ -4,7 +4,10 @@ Stage one (`partition_groups`) splits the bulk multiset into dyadic
 value layers [2^j, 2^(j+1)) and randomly partitions each layer into at
 most ceil(t / 2^(j-1)) non-empty groups (rebalancing moves elements
 into any empty group).  The group list is padded with empty groups to a
-power-of-two length.  Consequences: any subset with sum <= t meets each
+power-of-two length, and held as one `Level` over the sorted items: a
+layer's bucket ids are drawn at once and a stable argsort of them
+places its items; only the empty buckets need a loop, after which a
+second argsort places the moved items.  Consequences: any subset with sum <= t meets each
 group in few elements with high probability, and the group maxima carry
 a constant fraction of t in total without exceeding ~t log w.
 
@@ -17,7 +20,8 @@ were materialized and summed left to right.  Reaching the budget stops
 everything and yields a dense trip signal whose bookkeeping (per-node
 sizes, subtree maxima, subtree sums) suffices to build checkable dense
 evidence.  Otherwise the per-group roots, unioned over all repetitions,
-form the group sumsets.
+form the group sumsets: one `Level` whose node i holds group i's set,
+which the merge permutes with one gather.
 
 The budgeted path never materializes the ell * g virtual forest.  A node
 whose subtree holds no element is exactly {0}, a sumset identity of size
@@ -52,12 +56,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from .core import SumSet, ceil_div, ceil_log2, next_pow2, target_window
+from .core import ceil_div, ceil_log2, next_pow2, target_window
 from .sumset import Level, _offsets, _pair_level, _segment_index, _sum_values, common_step
 
 
@@ -65,29 +68,22 @@ from .sumset import Level, _offsets, _pair_level, _segment_index, _sum_values, c
 class GroupFamily:
     """Groups from stage one, padded to a power-of-two count.
 
-    layers[i] is the dyadic layer index j of group i (2^j <= max < 2^(j+1)),
-    or None for the empty padding groups.  raw_count is the group count
-    before padding.
+    Node i of groups holds group i's elements (a multiset, so values may
+    repeat), in ascending order as `partition_groups` builds them; stage
+    two does not depend on their order.  The padding groups after the
+    first raw_count are empty.
     """
 
-    groups: tuple[tuple[int, ...], ...]
-    layers: tuple[Optional[int], ...]
+    groups: Level
     raw_count: int
 
     @property
     def ell(self) -> int:
         return len(self.groups)
 
-    def group_sizes(self) -> np.ndarray:
-        return np.fromiter(map(len, self.groups), dtype=np.int64, count=self.ell)
-
     def group_sums(self) -> np.ndarray:
         """sigma of every group, in group order."""
-        sizes = self.group_sizes()
-        prefix = np.zeros(int(sizes.sum()) + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(chain.from_iterable(self.groups), dtype=np.int64), out=prefix[1:])
-        ends = np.cumsum(sizes)
-        return prefix[ends] - prefix[ends - sizes]
+        return np.diff(np.append(0, np.cumsum(self.groups.vals))[self.groups.offs])
 
 
 def partition_groups(d_part: Sequence[int], t: int, rng: np.random.Generator) -> GroupFamily:
@@ -96,64 +92,70 @@ def partition_groups(d_part: Sequence[int], t: int, rng: np.random.Generator) ->
     Requires sigma(d_part) >= 3t/2 (the solver gates on this); the group
     maxima bounds rely on it.
     """
-    items = sorted(d_part)
+    items = np.sort(np.asarray(d_part, dtype=np.int64))
     if t < 1:
         raise ValueError("t must be >= 1")
-    if 2 * sum(items) < 3 * t:
+    if 2 * int(items.sum()) < 3 * t:
         raise ValueError("caller must ensure mass: sigma < 3t/2")
-    by_layer: dict[int, list[int]] = {}
-    for x in items:
-        by_layer.setdefault(x.bit_length() - 1, []).append(x)
-
-    groups: list[tuple[int, ...]] = []
-    layers: list[Optional[int]] = []
-    for j in sorted(by_layer):
-        layer_items = by_layer[j]
-        size = len(layer_items)
+    top = int(items[-1]).bit_length()
+    # layer j holds the items in [2^j, 2^(j+1)): items[bounds[j]:bounds[j + 1]]
+    bounds = [0, *np.searchsorted(items, [1 << j for j in range(1, top)]).tolist(), items.size]
+    vals, sizes = [], []
+    for j in range(top):
+        layer = items[bounds[j] : bounds[j + 1]]
+        size = layer.size
+        if size == 0:
+            continue
         cap_j = 2 * t if j == 0 else ceil_div(t, 1 << (j - 1))
         alpha_j = min(cap_j, size)
         if alpha_j == size:
-            buckets = [[x] for x in layer_items]
-        else:
-            assignment = rng.integers(0, alpha_j, size=size)
-            buckets = [[] for _ in range(alpha_j)]
-            for x, b in zip(layer_items, assignment):
-                buckets[int(b)].append(x)
-            # rebalance: move one element from any crowded bucket into each empty one
-            donors = [i for i, b in enumerate(buckets) if len(b) >= 2]
-            for i, b in enumerate(buckets):
-                if b:
-                    continue
-                while donors and len(buckets[donors[-1]]) < 2:
+            vals.append(layer)
+            sizes.append(np.ones(size, dtype=np.int64))
+            continue
+        bucket = rng.integers(0, alpha_j, size=size)
+        order = np.argsort(bucket, kind="stable")
+        counts = np.bincount(bucket, minlength=alpha_j)
+        empty = np.flatnonzero(counts == 0).tolist()
+        if empty:
+            # rebalance: each empty bucket takes the last element of the
+            # highest-index bucket that still holds at least two
+            start = _offsets(counts)[:-1].tolist()
+            left = counts.tolist()
+            donors = np.flatnonzero(counts >= 2).tolist()
+            for e in empty:
+                while donors and left[donors[-1]] < 2:
                     donors.pop()
                 if not donors:
                     break
-                b.append(buckets[donors[-1]].pop())
-        for b in buckets:
-            groups.append(tuple(b))
-            layers.append(j)
+                k = donors[-1]
+                left[k] -= 1
+                bucket[order[start[k] + left[k]]] = e
+                left[e] = 1
+            order = np.argsort(bucket, kind="stable")
+            counts = np.asarray(left, dtype=np.int64)
+        vals.append(layer[order])
+        sizes.append(counts)
 
-    raw = len(groups)
-    ell = next_pow2(raw)
-    groups.extend(() for _ in range(ell - raw))
-    layers.extend(None for _ in range(ell - raw))
-    return GroupFamily(tuple(groups), tuple(layers), raw)
+    raw = sum(c.size for c in sizes)
+    sizes.append(np.zeros(next_pow2(raw) - raw, dtype=np.int64))
+    return GroupFamily(Level(np.concatenate(vals), _offsets(np.concatenate(sizes))), raw)
 
 
 def verify_group_family(family: GroupFamily, d_part: Sequence[int], t: int, w: int) -> None:
     """Invariant checks for stage one (tests and checked mode)."""
     ell = family.ell
     assert ell == next_pow2(ell), "group count must be a power of two"
-    merged = sorted(x for g in family.groups for x in g)
+    merged = sorted(family.groups.vals.tolist())
     assert merged == sorted(d_part), "groups must partition the input"
+    sizes = family.groups.sizes()
+    maxima = family.groups.vals[family.groups.offs[1:][sizes > 0] - 1].tolist()
     lgw = ceil_log2(max(w, 2))
     for j in range(lgw + 1):
         cap_j = 2 * t if j == 0 else ceil_div(t, 1 << (j - 1))
-        cnt = sum(1 for g in family.groups if g and (1 << j) <= max(g) < (1 << (j + 1)))
+        cnt = sum(1 for m in maxima if (1 << j) <= m < (1 << (j + 1)))
         assert cnt <= cap_j, f"layer {j} exceeds its group cap"
-    for g in family.groups[: family.raw_count]:
-        assert g, "pre-padding groups must be non-empty"
-    total_max = sum(max(g) for g in family.groups if g)
+    assert np.all(sizes[: family.raw_count] > 0), "pre-padding groups must be non-empty"
+    total_max = sum(maxima)
     sigma = sum(merged)
     if 2 * sigma >= 3 * t:
         assert 2 * total_max >= 3 * t, "group maxima must carry >= 3t/2"
@@ -195,10 +197,10 @@ def color_params(
 
 @dataclass(frozen=True)
 class GroupSumsets:
-    """Per-group achievable-sum sets S_i (each a subset of the true
-    subset sums of its group, always containing 0)."""
+    """Per-group achievable-sum sets: node i of sets holds S_i, a subset
+    of the true subset sums of group i that always contains 0."""
 
-    sets: tuple[SumSet, ...]
+    sets: Level
     params: ColorCodingParams
 
 
@@ -229,19 +231,6 @@ class DenseTripSignal:
     node_sizes: list[int]
     node_f: list[int]
     node_sigma: list[int]
-
-
-def split_into_parts(
-    elems: Sequence[int], g: int, rng: np.random.Generator
-) -> dict[int, list[int]]:
-    """Uniform random assignment of elements to g parts; only occupied
-    parts are returned."""
-    parts: dict[int, list[int]] = {}
-    if elems:
-        draws = rng.integers(0, g, size=len(elems))
-        for x, p in zip(elems, draws):
-            parts.setdefault(int(p), []).append(x)
-    return parts
 
 
 def build_group_sumsets(
@@ -275,7 +264,7 @@ def _max_level_excess(family: GroupFamily) -> int:
     over the groups bounds every level of every repetition.  While the
     budget tail exceeds this bound no level can trip.
     """
-    sums, sizes = family.group_sums(), family.group_sizes()
+    sums, sizes = family.group_sums(), family.groups.sizes()
     # for |G| >= 63, 2^|G| - 1 > sigma(G) (all sums are below 2^63)
     small = sizes < 63
     sums[small] = np.minimum(sums[small], (1 << sizes[small]) - 1)
@@ -288,9 +277,8 @@ def _budgeted_sumsets(
     """Every repetition as flat levels of the occupied nodes through
     `_pair_level`, until one trips (see the module docstring)."""
     g, ell = params.g, family.ell
-    sizes = family.group_sizes()
-    elems = np.fromiter(chain.from_iterable(family.groups), dtype=np.int64, count=int(sizes.sum()))
-    owner = np.repeat(np.arange(ell, dtype=np.int64), sizes)
+    elems = family.groups.vals
+    owner = np.repeat(np.arange(ell, dtype=np.int64), family.groups.sizes())
     step = common_step(elems)
     roots_key, roots_val = [np.arange(ell, dtype=np.int64)], [np.zeros(ell, dtype=np.int64)]
     for rep in range(params.reps):
@@ -299,10 +287,11 @@ def _budgeted_sumsets(
         part_key, part_val = keys[order], elems[order]
         # level 0: each occupied part is {0} plus its distinct elements
         node_key, part_start = np.unique(part_key, return_index=True)
-        k, v = _distinct_pairs(
-            np.concatenate((part_key, node_key)), np.concatenate((part_val, np.zeros_like(node_key)))
+        cur = _distinct_level(
+            np.concatenate((part_key, node_key)),
+            np.concatenate((part_val, np.zeros_like(node_key))),
+            node_key,
         )
-        cur = Level(v, np.append(np.searchsorted(k, node_key), v.size))
         for h in range(1, ceil_log2(g) + 1):
             num_nodes = ell * (g >> h)
             budget = num_nodes + params.tail
@@ -345,33 +334,32 @@ def _budgeted_sumsets(
             )
         roots_key.append(np.repeat(node_key, cur.sizes()))
         roots_val.append(cur.vals)
-    k, v = _distinct_pairs(np.concatenate(roots_key), np.concatenate(roots_val))
-    offs = np.searchsorted(k, np.arange(ell + 1)).tolist()
-    flat = v.tolist()
-    return GroupSumsets(tuple(SumSet(tuple(flat[offs[i] : offs[i + 1]])) for i in range(ell)), params)
+    sets = _distinct_level(np.concatenate(roots_key), np.concatenate(roots_val), np.arange(ell))
+    return GroupSumsets(sets, params)
 
 
-def _distinct_pairs(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct (key, value) pairs, sorted by key and then value."""
+def _distinct_level(keys: np.ndarray, vals: np.ndarray, nodes: np.ndarray) -> Level:
+    """The Level whose node i holds the distinct values paired with key
+    nodes[i], in ascending order; nodes is sorted and holds every key."""
     order = np.lexsort((vals, keys))
     keys, vals = keys[order], vals[order]
     new = np.ones(keys.size, dtype=bool)
     new[1:] = (keys[1:] != keys[:-1]) | (vals[1:] != vals[:-1])
-    return keys[new], vals[new]
+    return Level(vals[new], np.append(np.searchsorted(keys[new], nodes), np.count_nonzero(new)))
 
 
 def _unbudgeted_sumsets(
     family: GroupFamily, params: ColorCodingParams, rng: np.random.Generator
-) -> tuple[SumSet, ...]:
+) -> Level:
     """Per-group union of every repetition's root, without a budget.
 
     Draws repetitions only while some group is incomplete (see the module
     docstring).  Each repetition consumes the same draws as a budgeted one,
     so groups that never complete get the same parts and the same sets.
     """
-    g = params.g
-    sizes = np.array([len(grp) for grp in family.groups], dtype=np.int64)
-    owner = np.repeat(np.arange(family.ell, dtype=np.int64), sizes)
+    g, ell = params.g, family.ell
+    sizes = family.groups.sizes()
+    owner = np.repeat(np.arange(ell, dtype=np.int64), sizes)
     # flat element positions of the groups not yet complete, with the parts
     # they were drawn into in each repetition so far
     open_pos = np.flatnonzero(sizes[owner] >= 2)
@@ -381,14 +369,14 @@ def _unbudgeted_sumsets(
             break
         draws = rng.integers(0, g, size=owner.size)[open_pos]
         keys = np.sort(owner[open_pos] * g + draws)
-        shared = np.zeros(family.ell, dtype=bool)
+        shared = np.zeros(ell, dtype=bool)
         shared[keys[1:][keys[1:] == keys[:-1]] // g] = True
         still_open = shared[owner[open_pos]]
         open_pos = open_pos[still_open]
         records.append((open_pos, draws[still_open]))
 
+    flat = family.groups.vals.tolist()
     acc: dict[int, set[int]] = {}
-    flat = [x for grp in family.groups for x in grp] if open_pos.size else []
     for pos, drawn in records:
         keep = np.isin(pos, open_pos)
         split: dict[int, dict[int, list[int]]] = {}
@@ -400,17 +388,22 @@ def _unbudgeted_sumsets(
                 vals = _sum_values(vals, tuple(sorted({0, *plist})))
             acc.setdefault(i, {0}).update(vals)
 
-    # complete groups with equal contents share one (immutable) subset-sum set
-    full: dict[tuple[int, ...], SumSet] = {}
-    sets = []
-    for i, grp in enumerate(family.groups):
-        if i in acc:
-            sets.append(SumSet(tuple(sorted(acc[i]))))
-            continue
-        if grp not in full:
+    # every group holds 0 and each singleton its element; a group of two or
+    # more holds its fold or, once complete, all its subset sums
+    single = np.flatnonzero(sizes == 1)
+    keys = [np.arange(ell, dtype=np.int64), single]
+    vals = [np.zeros(ell, dtype=np.int64), family.groups.vals[family.groups.offs[single]]]
+    offs = family.groups.offs.tolist()
+    multi_key: list[int] = []
+    multi_val: list[int] = []
+    for i in np.flatnonzero(sizes >= 2).tolist():
+        sums = acc.get(i)
+        if sums is None:
             sums = {0}
-            for x in grp:
+            for x in flat[offs[i] : offs[i + 1]]:
                 sums |= {v + x for v in sums}
-            full[grp] = SumSet(tuple(sorted(sums)))
-        sets.append(full[grp])
-    return tuple(sets)
+        multi_key += [i] * len(sums)
+        multi_val += sums
+    keys.append(np.array(multi_key, dtype=np.int64))
+    vals.append(np.array(multi_val, dtype=np.int64))
+    return _distinct_level(np.concatenate(keys), np.concatenate(vals), np.arange(ell))

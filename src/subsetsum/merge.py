@@ -41,7 +41,7 @@ import numpy as np
 
 from .core import InternalConsistencyError, SumSet, ceil_div, ceil_log2, target_window
 from .colorcoding import DenseTripSignal, GroupFamily, GroupSumsets
-from .sumset import Level, _pair_level, common_step
+from .sumset import Level, _offsets, _pair_level, _segment_index, common_step
 
 
 @dataclass
@@ -189,8 +189,9 @@ def merge_group_sumsets(
     if window is None:
         window = target_window(w, t)
 
-    perm = [int(i) for i in rng.permutation(ell)]
-    cur = Level.of([sets0[p].values for p in perm])
+    perm = rng.permutation(ell)
+    sizes = sets0.sizes()[perm]
+    cur = Level(sets0.vals[_segment_index(sets0.offs[perm], sizes)], _offsets(sizes))
     f = cur.vals[cur.offs[1:] - 1]  # every stage-two set holds 0, so none is empty
     step = common_step(cur.vals)
     sig = family.group_sums()[perm]

@@ -17,12 +17,16 @@ The full split of an instance produces, for alpha = ceil(sqrt(t/w)):
 
 Every element of residue_part and dense_part is divisible by d, and
 (residue_part / d) generates all residues modulo every b up to alpha.
+
+The split works on one sorted int64 array.  An alpha-almost divisor
+divides one of any alpha + 1 elements, so only the prime factors of the
+alpha + 1 smallest are candidates, each checked with one `%` over the
+array; the parts are then taken from the array by position.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -85,32 +89,25 @@ def factorize_all(items: Sequence[int], w: Optional[int] = None) -> FactorTable:
     return FactorTable(factors, sorted(seen))
 
 
-def find_almost_divisor(
-    items: Sequence[int], alpha: int, table: Optional[FactorTable] = None
-) -> Optional[int]:
+def find_almost_divisor(items: Sequence[int], alpha: int) -> Optional[int]:
     """Some d > 1 dividing all but at most alpha items, or None.
 
     Only primes need checking: any composite almost divisor has a prime
-    factor that is at least as good.  Returns the smallest qualifying
+    factor that is at least as good.  Such a prime divides one of any
+    alpha + 1 items, so only the prime factors of the alpha + 1 smallest
+    are tried, in ascending order.  Returns the smallest qualifying
     prime.  When len(items) <= alpha every d > 1 qualifies vacuously and
     2 is returned.
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    items = list(items)
-    n = len(items)
-    if n == 0:
+    arr = np.sort(np.asarray(items, dtype=np.int64))
+    if arr.size == 0:
         return None
-    if n <= alpha:
+    if arr.size <= alpha:
         return 2
-    if table is None:
-        table = factorize_all(items)
-    counts: dict[int, int] = {}
-    for fd in table.factors:
-        for p in fd:
-            counts[p] = counts.get(p, 0) + 1
-    for p in table.primes:
-        if n - counts[p] <= alpha:
+    for p in factorize_all(arr[: alpha + 1].tolist()).primes:
+        if np.count_nonzero(arr % p) <= alpha:
             return p
     return None
 
@@ -124,32 +121,34 @@ def peel_divisors(items: Sequence[int], alpha: int) -> tuple[int, tuple[int, ...
     and divides the rest by at least 2, so there are at most about
     log2(w) steps and |leftovers| <= alpha * (log2(w) + 1).  For tiny
     multisets (at most alpha elements) every d > 1 qualifies and the
-    cascade may consume everything, leaving peeled empty.
+    cascade may consume everything, leaving peeled empty.  Both tuples
+    are sorted.
     """
+    d, peeled, leftovers = _peel(items, alpha)
+    return d, tuple(peeled.tolist()), tuple(leftovers.tolist())
+
+
+def _peel(items: Sequence[int], alpha: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """`peel_divisors` with sorted int64 arrays for outputs."""
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    current = sorted(items)
+    arr = np.sort(np.asarray(items, dtype=np.int64))
     d = 1
-    leftovers: list[int] = []
-    w = max(current, default=0)
-    max_iters = max(w, 1).bit_length() + 1
+    leftovers = [arr[:0]]
+    max_iters = max(int(arr[-1]) if arr.size else 0, 1).bit_length() + 1
     for _ in range(max_iters):
-        if not current:
+        if arr.size == 0:
             break
-        p = find_almost_divisor(current, alpha)
+        p = find_almost_divisor(arr, alpha)
         if p is None:
             break
-        stay = []
-        for x in current:
-            if x % p == 0:
-                stay.append(x // p)
-            else:
-                leftovers.append(x * d)
+        stay = arr % p == 0
+        leftovers.append(arr[~stay] * d)
+        arr = arr[stay] // p
         d *= p
-        current = stay
     else:
         raise AssertionError("divisor peeling failed to terminate")
-    return d, tuple(current), tuple(sorted(leftovers))
+    return d, arr, np.sort(np.concatenate(leftovers))
 
 
 def extract_residue_set(
@@ -164,36 +163,37 @@ def extract_residue_set(
     divisible by p.  The result has at least min(alpha, b) elements not
     divisible by b for every 1 < b <= alpha, hence subset sums of R
     cover all residues modulo b.  |R| <= 4 * alpha * log2(w) up to
-    rounding slack.
+    rounding slack.  R is returned sorted.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    sorted_items = sorted(items)
+    arr = np.sort(np.asarray(items, dtype=np.int64))
     if checked:
-        bad = find_almost_divisor(sorted_items, alpha)
+        bad = find_almost_divisor(arr, alpha)
         if bad is not None:
             raise ValueError(f"multiset has {alpha}-almost divisor {bad}")
-    n = len(sorted_items)
-    if n <= 2 * alpha:
-        return tuple(sorted_items)
-    chosen = set(range(2 * alpha))
+    return tuple(arr[_residue_mask(arr, alpha)].tolist())
+
+
+def _residue_mask(arr: np.ndarray, alpha: int) -> np.ndarray:
+    """Which positions of the sorted int64 array `extract_residue_set`
+    takes."""
+    if alpha < 0:
+        raise ValueError("alpha must be >= 0")
+    chosen = np.zeros(arr.size, dtype=bool)
+    chosen[: 2 * alpha] = True
+    if arr.size <= 2 * alpha:
+        return chosen
+    seed = arr[: 2 * alpha]
     # Primes worth checking must divide >= alpha seed elements.
-    seed = [sorted_items[i] for i in range(2 * alpha)]
-    candidates = [p for p in factorize_all(seed).primes if p <= alpha]
-    for p in sorted(candidates):
-        bad_in_seed = sum(1 for x in seed if x % p)
-        if bad_in_seed > alpha:
+    for p in factorize_all(seed.tolist()).primes:
+        if p > alpha:
+            break
+        if np.count_nonzero(seed % p) > alpha:
             continue
-        need = alpha
-        for i, x in enumerate(sorted_items):
-            if x % p:
-                chosen.add(i)
-                need -= 1
-                if need == 0:
-                    break
-        if need > 0:
+        adjoin = np.flatnonzero(arr % p)[:alpha]
+        if adjoin.size < alpha:
             raise ValueError(f"multiset has {alpha}-almost divisor {p}")
-    return tuple(sorted_items[i] for i in sorted(chosen))
+        chosen[adjoin] = True
+    return chosen
 
 
 @dataclass(frozen=True)
@@ -232,17 +232,14 @@ def partition_instance(instance: Instance) -> InstancePartition:
     if instance.target < 1 or instance.n == 0:
         raise ValueError("partition requires t >= 1 and non-empty items")
     alpha = alpha_for(instance.target, instance.w)
-    d, peeled, leftovers = peel_divisors(instance.items, alpha)
-    if not peeled:
+    d, peeled, left = _peel(instance.items, alpha)
+    leftovers = tuple(left.tolist())
+    if not peeled.size:
         return InstancePartition(d, leftovers, (), (), alpha)
-    r_reduced = extract_residue_set(peeled, alpha)
-    rest = Counter(peeled)
-    rest.subtract(Counter(r_reduced))
-    dense = []
-    for v, c in rest.items():
-        dense.extend([v] * c)
-    residue = tuple(sorted(x * d for x in r_reduced))
-    dense_part = tuple(sorted(x * d for x in dense))
+    # the residue set and the dense part, by position in the sorted array
+    chosen = _residue_mask(peeled, alpha)
+    residue = tuple((peeled[chosen] * d).tolist())
+    dense_part = tuple((peeled[~chosen] * d).tolist())
     return InstancePartition(d, leftovers, residue, dense_part, alpha)
 
 

@@ -110,7 +110,8 @@ class Level:
 
     Node i holds the strictly increasing int64 values
     vals[offs[i]:offs[i + 1]]; offs has one entry more than there are
-    nodes.  Indexing a node returns a view.
+    nodes.  Indexing a node returns a view.  Stage one's groups use the
+    same layout for multisets, whose nodes may repeat a value.
     """
 
     __slots__ = ("vals", "offs")
@@ -128,6 +129,10 @@ class Level:
 
     def __len__(self) -> int:
         return len(self.offs) - 1
+
+    def __eq__(self, other: object) -> bool:
+        same_nodes = isinstance(other, Level) and np.array_equal(self.offs, other.offs)
+        return same_nodes and np.array_equal(self.vals, other.vals)
 
     def __getitem__(self, i: int) -> np.ndarray:
         if i < 0:

@@ -2,10 +2,16 @@
 
 These deliberately use different machinery from the package (plain set
 DP and exhaustive enumeration, no bitsets, no FFT) so that agreement is
-meaningful.
+meaningful.  The per-item split and the list-based stage one are the
+package's earlier implementations, kept as references for its array
+versions.
 """
 
+import math
+from collections import Counter
 from itertools import combinations
+
+from subsetsum.structure import factorize_all
 
 
 def subset_sums(items, cap=None):
@@ -98,6 +104,100 @@ def materialized_stage_two(groups, g, reps, tail, rng):
         for i in range(ell):
             acc[i].update(sets[i])
     return "sets", [tuple(sorted(s)) for s in acc]
+
+
+def split_into_parts(elems, g, rng):
+    """Uniform random assignment of elements to g parts; only occupied
+    parts are returned."""
+    parts = {}
+    if elems:
+        draws = rng.integers(0, g, size=len(elems))
+        for x, p in zip(elems, draws):
+            parts.setdefault(int(p), []).append(x)
+    return parts
+
+
+def reference_almost_divisor(items, alpha):
+    """The smallest prime dividing all but at most alpha items, counted
+    from every item's factorization (2 when there are at most alpha)."""
+    n = len(items)
+    if n == 0:
+        return None
+    if n <= alpha:
+        return 2
+    table = factorize_all(items)
+    counts = Counter(p for fd in table.factors for p in fd)
+    for p in table.primes:
+        if n - counts[p] <= alpha:
+            return p
+    return None
+
+
+def reference_partition(items, t, w):
+    """(divisor, leftover, residue, dense, alpha) of `partition_instance`,
+    item by item: peel almost divisors, take the residue seed and the
+    adjoined non-multiples, and subtract them from the peeled multiset."""
+    alpha = max(math.isqrt(t // w), 1)
+    while alpha * alpha * w < t:
+        alpha += 1
+    current, d, leftovers = sorted(items), 1, []
+    for _ in range(max(w, 1).bit_length() + 1):
+        p = reference_almost_divisor(current, alpha) if current else None
+        if p is None:
+            break
+        leftovers += [x * d for x in current if x % p]
+        current = [x // p for x in current if x % p == 0]
+        d *= p
+    leftovers = tuple(sorted(leftovers))
+    if not current:
+        return d, leftovers, (), (), alpha
+    chosen = set(range(min(2 * alpha, len(current))))
+    if len(current) > 2 * alpha:
+        seed = current[: 2 * alpha]
+        for p in factorize_all(seed).primes:
+            if p <= alpha and sum(1 for x in seed if x % p) <= alpha:
+                chosen.update([i for i, x in enumerate(current) if x % p][:alpha])
+    residue = [current[i] for i in sorted(chosen)]
+    rest = Counter(current)
+    rest.subtract(Counter(residue))
+    dense = sorted(x * d for x in rest.elements())
+    return d, leftovers, tuple(x * d for x in residue), tuple(dense), alpha
+
+
+def reference_partition_groups(d_part, t, rng):
+    """(groups as tuples, raw_count, elements moved into empty buckets)
+    of stage one, bucket by bucket with the same draws."""
+    by_layer = {}
+    for x in sorted(d_part):
+        by_layer.setdefault(x.bit_length() - 1, []).append(x)
+    groups, moved = [], 0
+    for j in sorted(by_layer):
+        layer_items = by_layer[j]
+        size = len(layer_items)
+        cap_j = 2 * t if j == 0 else -(-t // (1 << (j - 1)))
+        alpha_j = min(cap_j, size)
+        if alpha_j == size:
+            buckets = [[x] for x in layer_items]
+        else:
+            assignment = rng.integers(0, alpha_j, size=size)
+            buckets = [[] for _ in range(alpha_j)]
+            for x, b in zip(layer_items, assignment):
+                buckets[int(b)].append(x)
+            # move one element from any crowded bucket into each empty one
+            donors = [i for i, b in enumerate(buckets) if len(b) >= 2]
+            for b in buckets:
+                if b:
+                    continue
+                while donors and len(buckets[donors[-1]]) < 2:
+                    donors.pop()
+                if not donors:
+                    break
+                b.append(buckets[donors[-1]].pop())
+                moved += 1
+        groups += [tuple(b) for b in buckets]
+    raw = len(groups)
+    ell = 1 << max(raw - 1, 0).bit_length()
+    return tuple(groups) + ((),) * (ell - raw), raw, moved
 
 
 def residues_covered(items, b):

@@ -13,12 +13,11 @@ import numpy as np
 
 from subsetsum.cli import BENCH_HEADER, bench_rows, main
 from subsetsum.core import Instance, SolverConfig, SumSet, next_pow2, rng_stream
-from subsetsum.colorcoding import split_into_parts
 from subsetsum.solver import fallback_dp, solve
 from subsetsum.structure import alpha_for, partition_instance
 from subsetsum.sumset import DenseSignal, dense_sumset, sum_if_sparse
 
-from oracles import loglog_fit, pairwise_sumset, residues_covered
+from oracles import loglog_fit, pairwise_sumset, residues_covered, split_into_parts
 
 
 def _report(num, text):

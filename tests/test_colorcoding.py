@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from subsetsum import colorcoding, sumset
-from subsetsum.core import SolverConfig, SumSet, next_pow2, rng_stream
+from subsetsum.core import SolverConfig, next_pow2, rng_stream
 from subsetsum.colorcoding import (
     DenseTripSignal,
     GroupFamily,
@@ -12,11 +12,11 @@ from subsetsum.colorcoding import (
     build_group_sumsets,
     color_params,
     partition_groups,
-    split_into_parts,
     verify_group_family,
 )
+from subsetsum.sumset import Level
 
-from oracles import all_subsets, materialized_stage_two, subset_sums
+from oracles import all_subsets, materialized_stage_two, split_into_parts, subset_sums
 
 
 def test_partition_groups_hand_trace():
@@ -24,10 +24,7 @@ def test_partition_groups_hand_trace():
     fam = partition_groups((1, 1, 2, 3, 5, 8), 10, rng)
     assert fam.raw_count == 6
     assert fam.ell == 8
-    assert fam.groups[:6] == ((1,), (1,), (2,), (3,), (5,), (8,))
-    assert fam.layers[:6] == (0, 0, 1, 1, 2, 3)
-    assert fam.groups[6:] == ((), ())
-    assert fam.layers[6:] == (None, None)
+    assert [g.tolist() for g in fam.groups] == [[1], [1], [2], [3], [5], [8], [], []]
 
 
 def test_partition_groups_requires_mass():
@@ -53,8 +50,7 @@ def test_partition_groups_nonempty_before_padding_even_with_random_split():
     items = [2] * 40  # layer 1, cap = ceil(t/1) = t
     t = 30  # sigma = 80 >= 45
     fam = partition_groups(items, t, rng_stream(3, "p1"))
-    for g in fam.groups[: fam.raw_count]:
-        assert len(g) >= 1
+    assert fam.groups.sizes()[: fam.raw_count].min() >= 1
     assert sum(len(g) for g in fam.groups) == 40
     assert fam.raw_count == 30
 
@@ -79,9 +75,9 @@ def test_singleton_groups_give_zero_and_element():
     out = build_group_sumsets(fam, 10, 8, 6, 0.3, 1, rng_stream(0, "p2"))
     for grp, s in zip(fam.groups, out.sets):
         if len(grp) == 1:
-            assert s.values == (0, grp[0])
-        elif not grp:
-            assert s.values == (0,)
+            assert s.tolist() == [0, grp[0]]
+        elif not len(grp):
+            assert s.tolist() == [0]
 
 
 def test_group_sumsets_are_true_subset_sums():
@@ -96,11 +92,12 @@ def test_group_sumsets_are_true_subset_sums():
         out = build_group_sumsets(fam, t, w, n, 0.2, 1, rng_stream(seed, "p2"))
         assert not isinstance(out, DenseTripSignal)
         for grp, s in zip(fam.groups, out.sets):
+            grp, s = grp.tolist(), s.tolist()
             achievable = set(subset_sums(grp))
             assert 0 in s
-            assert set(s.values) <= achievable
-            assert s.max() >= max(grp, default=0)
-            assert s.max() <= out.params.g * max(grp, default=0)
+            assert set(s) <= achievable
+            assert max(s) >= max(grp, default=0)
+            assert max(s) <= out.params.g * max(grp, default=0)
 
 
 def test_group_sumsets_deterministic():
@@ -124,9 +121,9 @@ def test_witness_coverage_rate():
         out = build_group_sumsets(fam, t, max(items), n, q, 1, rng_stream(seed, "p2"))
         group_of = {}
         for gi, grp in enumerate(fam.groups):
-            for x in grp:
+            for x in grp.tolist():
                 group_of[x] = gi
-        sets = [set(s.values) for s in out.sets]
+        sets = [set(s.tolist()) for s in out.sets]
         for z in targets:
             per_group = {}
             for x in z:
@@ -143,9 +140,10 @@ def _naive_stage_two(family, t, w, n, q, c_ap, rng, budget_mult):
     """Materialized reference (`materialized_stage_two`) as stage two's
     result, and the kind of trip (None without one)."""
     params = color_params(n, t, w, q, c_ap, budget_mult)
-    ref = materialized_stage_two(family.groups, params.g, params.reps, params.tail, rng)
+    groups = [g.tolist() for g in family.groups]
+    ref = materialized_stage_two(groups, params.g, params.reps, params.tail, rng)
     if ref[0] == "sets":
-        return GroupSumsets(tuple(SumSet(s) for s in ref[1]), params), None
+        return GroupSumsets(Level.of(ref[1]), params), None
     _, fields, kind = ref
     return DenseTripSignal(rho=params.rho, u_prime=params.u_prime, g=params.g, **fields), kind
 
@@ -166,11 +164,11 @@ def _first_clean_rep(family, g, reps, rng):
     return [first.get(i) for i, grp in enumerate(family.groups) if len(grp) >= 2]
 
 
-_SMALL_GROUPS = (GroupFamily(((3, 5), (6,), (7, 2), (4,)), (1, 2, 2, 2), 4), 4, 0.9)
+_SMALL_GROUPS = (GroupFamily(Level.of(((3, 5), (6,), (7, 2), (4,))), 4), 4, 0.9)
 # n=1 and q=0.9 give the smallest part count (g=64) and 6 repetitions: the
 # 10-item group splits cleanly only after a collision, the 40-item one never
 _LARGE_GROUPS = (
-    GroupFamily(((1, 2, 3, 4, 5, 6, 7, 8, 1, 2), (6,), tuple(range(1, 9)) * 5, ()), (3, 2, 3, None), 3),
+    GroupFamily(Level.of(((1, 2, 3, 4, 5, 6, 7, 8, 1, 2), (6,), tuple(range(1, 9)) * 5, ())), 3),
     1,
     0.9,
 )
@@ -237,7 +235,7 @@ def test_tripping_level_computes_at_most_a_chunk_past_its_stop(monkeypatch, tail
     monkeypatch.setattr(colorcoding, "_pair_level", level_spy)
     rng = np.random.default_rng(5)
     groups = tuple(tuple(int(v) for v in rng.integers(1, 9, size=10)) for _ in range(64))
-    family = GroupFamily(groups, (3,) * 64, 64)
+    family = GroupFamily(Level.of(groups), 64)
     budget_mult = tail / color_params(1, 10, 8, 0.9, 1).tail
     sig = build_group_sumsets(family, 10, 8, 1, 0.9, 1, rng_stream(1, "p2"), budget_mult=budget_mult)
     assert isinstance(sig, DenseTripSignal) and sig.level == level
@@ -255,7 +253,7 @@ def test_max_level_excess_is_attained_by_full_subset_sums():
     # (1, 2, 4) reaches 2^3 - 1 sums past 0, (1, 1, 1) reaches sigma = 3,
     # and 70 ones reach sigma = 70 (where 2^70 - 1 does not fit in int64)
     groups = ((1, 2, 4), (1, 1, 1), (5,), (1,) * 70, (), (300, 700))
-    family = GroupFamily(groups, (0, 0, 2, 0, None, 8), 5)
+    family = GroupFamily(Level.of(groups), 5)
     assert colorcoding._max_level_excess(family) == 7 + 3 + 1 + 70 + 0 + 3
     assert colorcoding._max_level_excess(family) == sum(len(subset_sums(g)) - 1 for g in groups)
 
@@ -286,7 +284,7 @@ def test_budget_that_cannot_trip_takes_unbudgeted_path(monkeypatch):
 
 
 def test_trip_signal_bookkeeping_consistency():
-    family = GroupFamily(((3, 5), (6,), (7, 2), (4,)), (1, 2, 2, 2), 4)
+    family = GroupFamily(Level.of(((3, 5), (6,), (7, 2), (4,))), 4)
     sig = build_group_sumsets(
         family, 10, 8, 4, 0.9, 1, rng_stream(9, "p2"), budget_mult=1e-9
     )
@@ -295,7 +293,7 @@ def test_trip_signal_bookkeeping_consistency():
     assert sig.trivial_nodes + len(sig.node_sizes) == sig.num_nodes
     # weights are subtree maxima sums: bounded by subtree element sums
     assert all(f <= s for f, s in zip(sig.node_f, sig.node_sigma))
-    assert sum(sig.node_f) >= sum(max(g) for g in family.groups if g)
+    assert sum(sig.node_f) >= sum(max(g) for g in family.groups if len(g))
     assert sum(sig.node_sigma) == sum(sum(g) for g in family.groups)
 
 

@@ -15,6 +15,7 @@ from subsetsum.merge import (
     select_ap_generators,
 )
 from subsetsum.colorcoding import GroupSumsets
+from subsetsum.sumset import Level
 
 from oracles import subset_sums
 
@@ -26,9 +27,9 @@ def _pipeline_inputs(items, t, w, n, q, seed, budget_mult=1.0):
 
 
 def test_single_pair_merge_keeps_joint_sum():
-    fam = GroupFamily(((3,), (5,)), (1, 2), 2)
+    fam = GroupFamily(Level.of(((3,), (5,))), 2)
     params = color_params(2, 5, 5, 0.5, 1)
-    gs = GroupSumsets((SumSet.of([0, 3]), SumSet.of([0, 5])), params)
+    gs = GroupSumsets(Level.of(((0, 3), (0, 5))), params)
     root = merge_group_sumsets(gs, fam, 5, 5, 2, 0.5, 1, rng_stream(1, "p3"))
     assert isinstance(root, SumSet)
     assert 8 in root  # both group maxima combined survive the capping

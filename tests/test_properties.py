@@ -1,7 +1,8 @@
 """Hypothesis property tests: the sumset kernels against the pairwise
 oracle on every dispatch path, the level kernel on levels built from
-runs, colour coding's stage two against its materialized reference, and
-`solve` on pipeline-sized instances."""
+runs, the split and stage one against their per-item references, colour
+coding's stage two against its materialized reference, and `solve` on
+pipeline-sized instances."""
 
 from unittest import mock
 
@@ -10,12 +11,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subsetsum import colorcoding, sumset
-from subsetsum.colorcoding import DenseTripSignal, GroupFamily, GroupSumsets, build_group_sumsets, color_params
+from subsetsum.colorcoding import (
+    DenseTripSignal,
+    GroupFamily,
+    GroupSumsets,
+    build_group_sumsets,
+    color_params,
+    partition_groups,
+)
 from subsetsum.core import Instance, SolverConfig, SumSet, ceil_log2, rng_stream
 from subsetsum.solver import fallback_dp, small_target_gate, solve
+from subsetsum.structure import partition_instance
 from subsetsum.sumset import PAIRWISE_LIMIT, DenseSignal, Level, _pair_level, cap, dense_sumset
 
-from oracles import materialized_stage_two, pairwise_sumset
+from oracles import (
+    materialized_stage_two,
+    pairwise_sumset,
+    reference_partition,
+    reference_partition_groups,
+)
 
 
 def _values(draw, size):
@@ -102,6 +116,54 @@ def test_pair_level_matches_oracle_on_runs(level, budget_frac):
 
 
 @st.composite
+def _divisor_instance(draw):
+    """Items that are mostly multiples of a divisor d (a product of small
+    primes, so peeling can take several steps), plus a few strays in
+    [1, w], with w up to 10**12; t anywhere in [1, sigma]."""
+    w = draw(st.one_of(st.integers(1, 200), st.integers(201, 10**12)))
+    d = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12, 30, 1024, 3**10]))
+    d = d if d <= w else 1
+    items = [d * m for m in draw(st.lists(st.integers(1, w // d), min_size=1, max_size=60))]
+    items += draw(st.lists(st.integers(1, w), max_size=4))
+    return Instance(items, draw(st.integers(1, sum(items))))
+
+
+@given(inst=_divisor_instance())
+@settings(max_examples=150, deadline=None)
+def test_partition_instance_matches_per_item_reference(inst):
+    part = partition_instance(inst)
+    got = (part.divisor, part.leftover_part, part.residue_part, part.dense_part, part.alpha)
+    assert got == reference_partition(inst.items, inst.target, inst.w)
+
+
+def test_partition_groups_matches_list_reference():
+    moved = []
+
+    @given(
+        items=st.lists(st.integers(1, 64), min_size=10, max_size=200),
+        per_bucket=st.floats(1.0, 2.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def check(items, per_bucket, seed):
+        # t gives the fullest layer j about per_bucket items per bucket (its
+        # cap is ceil(t / 2^(j-1)), or 2t for j = 0), so buckets come out
+        # empty; t stays below sigma / 2, inside the mass stage one requires
+        layers = [x.bit_length() - 1 for x in items]
+        j = max(set(layers), key=layers.count)
+        t = max(1, int(layers.count(j) / per_bucket * 2.0 ** (j - 1)))
+        family = partition_groups(items, t, rng_stream(seed, "p1"))
+        groups, raw, filled = reference_partition_groups(items, t, rng_stream(seed, "p1"))
+        assert [tuple(g.tolist()) for g in family.groups] == list(groups)
+        assert family.raw_count == raw
+        assert family.group_sums().tolist() == [sum(g) for g in groups]
+        moved.append(filled)
+
+    check()
+    assert any(moved), "no example moved an element into an empty bucket"
+
+
+@st.composite
 def _small_family(draw):
     """A power-of-two count of groups, each of up to six elements in
     [1, 12] (a quarter of them multiples of 3), some of them empty."""
@@ -109,8 +171,7 @@ def _small_family(draw):
     for _ in range(draw(st.sampled_from([1, 2, 4, 8]))):
         mult = draw(st.sampled_from([1, 1, 1, 3]))
         groups.append(tuple(mult * x for x in draw(st.lists(st.integers(1, 12), max_size=6))))
-    layers = tuple(max(g).bit_length() - 1 if g else None for g in groups)
-    return GroupFamily(tuple(groups), layers, sum(1 for g in groups if g))
+    return GroupFamily(Level.of(groups), sum(1 for g in groups if g))
 
 
 @given(family=_small_family(), n=st.integers(1, 3), log_tail=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
@@ -122,9 +183,10 @@ def test_stage_two_matches_materialized_reference(family, n, log_tail, seed):
     budget_mult = (excess + 2) ** log_tail / color_params(n, 10, 12, 0.9, 1).tail
     params = color_params(n, 10, 12, 0.9, 1, budget_mult)
     got = build_group_sumsets(family, 10, 12, n, 0.9, 1, rng_stream(seed, "p2"), budget_mult=budget_mult)
-    ref = materialized_stage_two(family.groups, params.g, params.reps, params.tail, rng_stream(seed, "p2"))
+    groups = [g.tolist() for g in family.groups]
+    ref = materialized_stage_two(groups, params.g, params.reps, params.tail, rng_stream(seed, "p2"))
     if ref[0] == "sets":
-        assert got == GroupSumsets(tuple(SumSet(s) for s in ref[1]), params)
+        assert got == GroupSumsets(Level.of(ref[1]), params)
     else:
         assert got == DenseTripSignal(rho=params.rho, u_prime=params.u_prime, g=params.g, **ref[1])
 

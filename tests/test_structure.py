@@ -49,10 +49,10 @@ def test_find_almost_divisor_examples():
 def test_find_almost_divisor_agrees_with_bruteforce():
     rng = np.random.default_rng(3)
     for _ in range(300):
-        n = int(rng.integers(1, 16))
+        n = int(rng.integers(1, 61))
         w = int(rng.integers(2, 60))
         items = [int(v) for v in rng.integers(1, w + 1, size=n)]
-        alpha = int(rng.integers(0, 5))
+        alpha = int(rng.integers(0, 9))
         truth = almost_divisors(items, alpha, max(items))
         got = find_almost_divisor(items, alpha)
         # 2 is an almost divisor of any multiset with n <= alpha even
@@ -60,8 +60,8 @@ def test_find_almost_divisor_agrees_with_bruteforce():
         if n <= alpha:
             assert got == 2
         elif truth:
-            assert got is not None
-            assert sum(1 for x in items if x % got) <= alpha
+            # the smallest almost divisor is prime, and it is the one returned
+            assert got == min(truth)
         else:
             assert got is None
 
