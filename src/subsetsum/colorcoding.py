@@ -4,7 +4,7 @@ Stage one (`partition_groups`) splits the bulk multiset into dyadic
 value layers [2^j, 2^(j+1)) and randomly partitions each layer into at
 most ceil(t / 2^(j-1)) non-empty groups (rebalancing moves elements
 into any empty group).  The group list is padded with empty groups to a
-power-of-two length, and held as one `Level` over the sorted items: a
+power-of-two length, and held as one `Flat` over the sorted items: a
 layer's bucket ids are drawn at once and a stable argsort of them
 places its items; only the empty buckets need a loop, after which a
 second argsort places the moved items.  Consequences: any subset with sum <= t meets each
@@ -20,7 +20,7 @@ were materialized and summed left to right.  Reaching the budget stops
 everything and yields a dense trip signal whose bookkeeping (per-node
 sizes, subtree maxima, subtree sums) suffices to build checkable dense
 evidence.  Otherwise the per-group roots, unioned over all repetitions,
-form the group sumsets: one `Level` whose node i holds group i's set,
+form the group sumsets: one `Flat` whose node i holds group i's values,
 which the merge permutes with one gather.
 
 The budgeted path never materializes the ell * g virtual forest.  A node
@@ -28,10 +28,12 @@ whose subtree holds no element is exactly {0}, a sumset identity of size
 one, so it counts one toward the running total and is never computed.
 Each repetition's parts become sorted keys group * g + part, and key >> h
 is a node's global index at level h.  A level holds only the occupied
-nodes, as one flat `Level`; a missing sibling is filled with {0}, and the
-level kernel `_pair_level` sums the pairs in units of the elements'
-common step under the level's budget, counting the virtual nodes before
-each pair as that pair's gap.  The stop is therefore the one the
+nodes, as one `Level` of runs in units of the elements' common step:
+level 0 is split into runs once per repetition, a missing sibling is
+the run [0, 0] ({0}), and the level kernel `_pair_level` sums the pairs
+under the level's budget and returns runs, counting the virtual nodes
+before each pair as that pair's gap; only each repetition's roots are
+expanded to values.  The stop is therefore the one the
 materialized computation makes, and colour coding checks the gap after
 the last occupied node itself.  Phases 2 and 3 share that kernel and its
 budget stop, so a tripping level computes at most LEVEL_CHUNK_VALUES
@@ -47,21 +49,24 @@ group's subset sums, and it equals them when no part holds two elements;
 later repetitions cannot add to a complete group.  Singletons and empty
 groups are complete without any draw.  Repetitions are drawn only until
 every group is complete, complete groups get their subset sums computed
-once, and only groups that never complete are merged part by part from
-their recorded draws.  The union over repetitions does not depend on
-order, so the sets are bit-identical to merging every repetition.
+once per distinct content (groups of equal size and sorted elements are
+found with one `np.unique` per size), and only groups that never
+complete are merged part by part from their recorded draws.  The union
+over repetitions does not depend on order, so the sets are bit-identical
+to merging every repetition.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence, Union
 
 import numpy as np
 
 from .core import ceil_div, ceil_log2, next_pow2, target_window
-from .sumset import Level, _offsets, _pair_level, _segment_index, _sum_values, common_step
+from .sumset import Flat, Level, _offsets, _pair_level, _segment_index, _sum_values, common_step
 
 
 @dataclass(frozen=True)
@@ -74,7 +79,7 @@ class GroupFamily:
     first raw_count are empty.
     """
 
-    groups: Level
+    groups: Flat
     raw_count: int
 
     @property
@@ -138,7 +143,7 @@ def partition_groups(d_part: Sequence[int], t: int, rng: np.random.Generator) ->
 
     raw = sum(c.size for c in sizes)
     sizes.append(np.zeros(next_pow2(raw) - raw, dtype=np.int64))
-    return GroupFamily(Level(np.concatenate(vals), _offsets(np.concatenate(sizes))), raw)
+    return GroupFamily(Flat(np.concatenate(vals), _offsets(np.concatenate(sizes))), raw)
 
 
 def verify_group_family(family: GroupFamily, d_part: Sequence[int], t: int, w: int) -> None:
@@ -200,7 +205,7 @@ class GroupSumsets:
     """Per-group achievable-sum sets: node i of sets holds S_i, a subset
     of the true subset sums of group i that always contains 0."""
 
-    sets: Level
+    sets: Flat
     params: ColorCodingParams
 
 
@@ -287,26 +292,31 @@ def _budgeted_sumsets(
         part_key, part_val = keys[order], elems[order]
         # level 0: each occupied part is {0} plus its distinct elements
         node_key, part_start = np.unique(part_key, return_index=True)
-        cur = _distinct_level(
+        parts = _distinct_level(
             np.concatenate((part_key, node_key)),
             np.concatenate((part_val, np.zeros_like(node_key))),
             node_key,
         )
+        cur = Level.from_values(parts.vals, parts.offs, step)
         for h in range(1, ceil_log2(g) + 1):
             num_nodes = ell * (g >> h)
             budget = num_nodes + params.tail
-            # child i is operand slot[i] of the level; a missing sibling is {0}
-            child_key, child_sizes = node_key, cur.sizes()
+            # child i is operand slot[i] of the level; a missing sibling is
+            # {0}, the run [0, 0]
+            child_key, child_runs = node_key, np.diff(cur.offs)
             node_key, pair = np.unique(child_key >> 1, return_inverse=True)
             slot = 2 * pair + (child_key & 1)
-            slot_sizes = np.ones(2 * node_key.size, dtype=np.int64)
-            slot_sizes[slot] = child_sizes
-            offs = _offsets(slot_sizes)
-            vals = np.zeros(int(offs[-1]), dtype=np.int64)
-            vals[_segment_index(offs[slot], child_sizes)] = cur.vals
+            slot_runs = np.ones(2 * node_key.size, dtype=np.int64)
+            slot_runs[slot] = child_runs
+            offs = _offsets(slot_runs)
+            at = _segment_index(offs[slot], child_runs)
+            starts = np.zeros(int(offs[-1]), dtype=np.int64)
+            ends = np.zeros_like(starts)
+            starts[at], ends[at] = cur.starts, cur.ends
             gaps = np.diff(node_key, prepend=-1) - 1
-            cur, signal = _pair_level(Level(vals, offs), budget, step, gaps)
-            extra = cur.vals.size - len(cur)  # sum of (size - 1) over computed nodes
+            cur, signal = _pair_level(Level(starts, ends, offs, step), budget, gaps)
+            sizes = cur.sizes()
+            extra = int(sizes.sum()) - len(cur)  # sum of (size - 1) over computed nodes
             if signal is None and num_nodes + extra < budget:
                 continue
             # the running total after the last computed node is its global
@@ -328,29 +338,29 @@ def _budgeted_sumsets(
                 trivial_nodes=num_nodes - node_key.size,
                 trip_index=after if on_node else budget - extra,
                 repetition=rep,
-                node_sizes=cur.sizes().tolist() + [1] * (node_key.size - len(cur)),
+                node_sizes=sizes.tolist() + [1] * (node_key.size - len(cur)),
                 node_f=np.add.reduceat(part_max, node_start).tolist(),
                 node_sigma=np.add.reduceat(part_val, part_start[node_start]).tolist(),
             )
         roots_key.append(np.repeat(node_key, cur.sizes()))
-        roots_val.append(cur.vals)
+        roots_val.append(cur.values())
     sets = _distinct_level(np.concatenate(roots_key), np.concatenate(roots_val), np.arange(ell))
     return GroupSumsets(sets, params)
 
 
-def _distinct_level(keys: np.ndarray, vals: np.ndarray, nodes: np.ndarray) -> Level:
-    """The Level whose node i holds the distinct values paired with key
+def _distinct_level(keys: np.ndarray, vals: np.ndarray, nodes: np.ndarray) -> Flat:
+    """The Flat whose node i holds the distinct values paired with key
     nodes[i], in ascending order; nodes is sorted and holds every key."""
     order = np.lexsort((vals, keys))
     keys, vals = keys[order], vals[order]
     new = np.ones(keys.size, dtype=bool)
     new[1:] = (keys[1:] != keys[:-1]) | (vals[1:] != vals[:-1])
-    return Level(vals[new], np.append(np.searchsorted(keys[new], nodes), np.count_nonzero(new)))
+    return Flat(vals[new], np.append(np.searchsorted(keys[new], nodes), np.count_nonzero(new)))
 
 
 def _unbudgeted_sumsets(
     family: GroupFamily, params: ColorCodingParams, rng: np.random.Generator
-) -> Level:
+) -> Flat:
     """Per-group union of every repetition's root, without a budget.
 
     Draws repetitions only while some group is incomplete (see the module
@@ -388,22 +398,36 @@ def _unbudgeted_sumsets(
                 vals = _sum_values(vals, tuple(sorted({0, *plist})))
             acc.setdefault(i, {0}).update(vals)
 
-    # every group holds 0 and each singleton its element; a group of two or
-    # more holds its fold or, once complete, all its subset sums
+    # every group holds 0 and each singleton its (positive) element; a group
+    # of two or more holds its fold or, once complete, all its subset sums,
+    # computed once per distinct content
+    elems, offs = family.groups.vals, family.groups.offs
+    out_sizes = np.minimum(sizes, 1) + 1
+    complete = np.flatnonzero(sizes >= 2)
+    complete = complete[~np.isin(complete, list(acc))]
+    content, sums = np.zeros(ell, dtype=np.int64), []
+    for k in np.unique(sizes[complete]).tolist():
+        grp = complete[sizes[complete] == k]
+        rows = np.sort(elems[offs[grp][:, None] + np.arange(k)], axis=1)
+        distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
+        content[grp] = len(sums) + inverse
+        for row in distinct.tolist():
+            reach = {0}
+            for x in row:
+                reach |= {v + x for v in reach}
+            sums.append(sorted(reach))
+    sums_offs = _offsets(np.fromiter(map(len, sums), dtype=np.int64, count=len(sums)))
+    count = np.diff(sums_offs)[content[complete]]
+    out_sizes[complete] = count
+    for i, reach in acc.items():
+        out_sizes[i] = len(reach)
+    out_offs = _offsets(out_sizes)
+    vals = np.zeros(int(out_offs[-1]), dtype=np.int64)
     single = np.flatnonzero(sizes == 1)
-    keys = [np.arange(ell, dtype=np.int64), single]
-    vals = [np.zeros(ell, dtype=np.int64), family.groups.vals[family.groups.offs[single]]]
-    offs = family.groups.offs.tolist()
-    multi_key: list[int] = []
-    multi_val: list[int] = []
-    for i in np.flatnonzero(sizes >= 2).tolist():
-        sums = acc.get(i)
-        if sums is None:
-            sums = {0}
-            for x in flat[offs[i] : offs[i + 1]]:
-                sums |= {v + x for v in sums}
-        multi_key += [i] * len(sums)
-        multi_val += sums
-    keys.append(np.array(multi_key, dtype=np.int64))
-    vals.append(np.array(multi_val, dtype=np.int64))
-    return _distinct_level(np.concatenate(keys), np.concatenate(vals), np.arange(ell))
+    vals[out_offs[single] + 1] = elems[offs[single]]
+    flat_sums = np.fromiter(chain.from_iterable(sums), dtype=np.int64)
+    at = _segment_index(sums_offs[content[complete]], count)
+    vals[_segment_index(out_offs[complete], count)] = flat_sums[at]
+    for i, reach in acc.items():
+        vals[out_offs[i] : out_offs[i + 1]] = sorted(reach)
+    return Flat(vals, out_offs)

@@ -12,13 +12,16 @@ combines a concentration term with the width of the target window the
 caller cares about; caps are widened by one on each side to absorb
 integer rounding.
 
-Each level is one flat `sumset.Level` (every node's sorted int64 values
-back to back) and goes through the level kernel `_pair_level` whole,
-in units of the leaf level's common step (the gcd of its values, which
-every sum and cap above it keeps as a divisor, so it is computed once);
-the interval cap, the per-node weights and subtree sums, the checked-mode
-bounds and the evidence sizes and maxima are all computed level-wide
-from its offsets.  The root becomes a SumSet only when it is returned.
+Each level is one `sumset.Level`: every node's maximal runs in units of
+the leaf level's common step (the gcd of its values, which every sum and
+cap above it keeps as a divisor, so it is computed once), back to back.
+The leaf level is split into runs once; each level goes through the
+level kernel `_pair_level` whole and comes back as runs, so no level is
+expanded to values.  The interval cap clips the runs, and the per-node
+weights and subtree sums, the checked-mode bounds and the evidence sizes
+(sums of run lengths) and maxima (last run ends) are all computed
+level-wide from the offsets.  Only the root is expanded, into the
+SumSet that is returned.
 
 A budget trip, here or in the color-coding stage, is converted into a
 DenseEvidence record: per-node set sizes, a weight f per node (the
@@ -34,14 +37,16 @@ concrete low-weight selection of generator sets.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import compress, repeat
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .core import InternalConsistencyError, SumSet, ceil_div, ceil_log2, target_window
 from .colorcoding import DenseTripSignal, GroupFamily, GroupSumsets
-from .sumset import Level, _offsets, _pair_level, _segment_index, common_step
+from .sumset import Level, _offsets, _pair_level, _segment_index
 
 
 @dataclass
@@ -115,12 +120,12 @@ def assemble_dense_evidence(
     if 2 * total_f > rho * t:
         raise InternalConsistencyError("weight sum above rho*t/2")
     if sigma_values is not None:
-        if any(f > s for f, s in zip(f_values, sigma_values)):
+        if any(map(operator.gt, f_values, sigma_values)):
             raise InternalConsistencyError("weight exceeds subtree sum")
     if max_values is not None:
-        for m, f in zip(max_values, f_values):
-            if m is not None and m > f:
-                raise InternalConsistencyError("set maximum exceeds weight")
+        known = list(map(operator.is_not, max_values, repeat(None)))
+        if any(map(operator.gt, compress(max_values, known), compress(f_values, known))):
+            raise InternalConsistencyError("set maximum exceeds weight")
     return DenseEvidence(
         source=source,
         t=t,
@@ -191,9 +196,9 @@ def merge_group_sumsets(
 
     perm = rng.permutation(ell)
     sizes = sets0.sizes()[perm]
-    cur = Level(sets0.vals[_segment_index(sets0.offs[perm], sizes)], _offsets(sizes))
-    f = cur.vals[cur.offs[1:] - 1]  # every stage-two set holds 0, so none is empty
-    step = common_step(cur.vals)
+    vals, offs = sets0.vals[_segment_index(sets0.offs[perm], sizes)], _offsets(sizes)
+    f = vals[offs[1:] - 1]  # every stage-two set holds 0, so none is empty
+    cur = Level.from_values(vals, offs)
     sig = family.group_sums()[perm]
 
     eta = math.ceil(eta_mult * 2304 * math.sqrt(w * t) * lgw**2 * math.log2(2 * n / q) ** 3)
@@ -211,10 +216,10 @@ def merge_group_sumsets(
         budget = ell_h + tail
         f = f[0::2] + f[1::2]
         sig = sig[0::2] + sig[1::2]
-        out, signal = _pair_level(cur, budget, step)
+        out, signal = _pair_level(cur, budget)
         sizes = out.sizes()
         filled = np.flatnonzero(sizes)
-        tops = out.vals[out.offs[filled + 1] - 1]
+        tops = out.ends[out.offs[filled + 1] - 1] * out.step
         if signal is not None:
             # nodes after the stop: size >= 1 unless an operand is empty
             rest = cur.sizes()[2 * len(out) :]
@@ -238,7 +243,7 @@ def merge_group_sumsets(
             raise InternalConsistencyError("merge weight bookkeeping broken")
         cur = out.cap(t // ell_h - eta - 1, ceil_div(t, ell_h) + eta + 1)
 
-    return SumSet(tuple(cur.vals.tolist()))
+    return SumSet(tuple(cur.values().tolist()))
 
 
 def select_ap_generators(

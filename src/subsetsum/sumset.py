@@ -19,23 +19,29 @@ merged.  The result is exact because only the two kernels above ever
 compute a sum.
 
 Colour coding's budgeted levels (phase 2), the merge tree (phase 3) and
-`sum_if_sparse` hold a level as one `Level`: every node's sorted int64
-values back to back, with offsets.
+`sum_if_sparse` hold a level as one `Level` in units of the level's
+common step g (a divisor of every value; 2 when all items are even):
+each node is its maximal runs of step g, each run a start and an end
+divided by g, back to back with per-node offsets.  Runs are derived
+from values once, at the first level of a merge or of a colour-coding
+repetition; every later level is computed from runs and returned as
+runs, and only a root is expanded back to values.  A node's size is the
+sum of its runs' lengths, so budgets, weights and evidence stay exact.
 The level kernel `_pair_level` sums the pairs (2i, 2i+1) of a whole
-level in a few numpy passes, in units of the level's common step g (a
-divisor of every value; 2 when all items are even).  Each node is split
-into maximal runs of step g, and each pair with an empty operand gives
-an empty output; otherwise it takes one of two kernels:
+level in a few numpy passes.  Each pair with an empty operand gives an
+empty output; otherwise it takes one of two kernels:
 
   * runs: when A and B have r_a * r_b run pairs, at most (hull / g) /
     RUN_HULL_RATIO clipped to [RUN_PAIRS_MIN, RUN_PAIRS_MAX], every run
     of A plus every run of B is one run, and the overlapping or adjacent
-    ones are merged.  A set of k scattered values is k runs of one
-    value, so small pairs are plain enumeration; dense merge levels are
-    intervals (runs of g), which this sums in time linear in their
-    output.
-  * FFT: the rest, convolved in row batches of equal FFT length; a pair
-    whose hull exceeds HULL_FFT_LIMIT goes to `_sum_values` instead.
+    ones are merged into the output's runs.  A set of k scattered values
+    is k runs of one value, so small pairs are plain enumeration; dense
+    merge levels are intervals (runs of g), which this sums in time
+    linear in their number of runs.
+  * FFT: the rest, convolved in units of g in row batches of equal FFT
+    length, each row's support read back as runs; a pair whose hull
+    exceeds HULL_FFT_LIMIT values is expanded and goes to `_sum_values`
+    instead.
 
 Pairwise enumeration thus applies only to single pairs.  The level's
 budget stop is exact: the level is computed in node-order chunks, and
@@ -48,7 +54,9 @@ A budget of at most half the number of input sets trips immediately in
 `sum_if_sparse` (each output has size >= 1).
 
 `cap` intersects a set with an interval; `Level.cap` does the same to
-every node of a level at once.
+every node of a level at once, by clipping its runs.  Stage one's groups
+and stage two's group sumsets are values back to back (`Flat`): groups
+are multisets, which runs cannot hold.
 """
 
 from __future__ import annotations
@@ -106,12 +114,79 @@ class DenseSignal:
 
 
 class Level:
-    """The node sets of one merge-tree level, back to back.
+    """The node sets of one merge-tree level, as maximal runs of a step.
 
-    Node i holds the strictly increasing int64 values
-    vals[offs[i]:offs[i + 1]]; offs has one entry more than there are
-    nodes.  Indexing a node returns a view.  Stage one's groups use the
-    same layout for multisets, whose nodes may repeat a value.
+    Every value of the level is a multiple of step.  Node i is the union
+    of the runs step * [starts[k], ends[k]] for offs[i] <= k < offs[i + 1]:
+    ascending and maximal (ends[k] + 1 < starts[k + 1] within a node), so a
+    set has exactly one such form.  offs has one entry more than there are
+    nodes.  A node's size is the sum of ends - starts + 1 over its runs;
+    indexing a node expands it to its strictly increasing int64 values.
+    """
+
+    __slots__ = ("starts", "ends", "offs", "step")
+
+    def __init__(self, starts: np.ndarray, ends: np.ndarray, offs: np.ndarray, step: int) -> None:
+        self.starts = starts
+        self.ends = ends
+        self.offs = offs
+        self.step = step
+
+    @classmethod
+    def of(cls, sets: Sequence[Sequence[int]], step: Optional[int] = None) -> "Level":
+        """The level of strictly increasing sets, in runs of step (which
+        must divide every value; by default their `common_step`)."""
+        flat = Flat.of(sets)
+        return cls.from_values(flat.vals, flat.offs, step)
+
+    @classmethod
+    def from_values(cls, vals: np.ndarray, offs: np.ndarray, step: Optional[int] = None) -> "Level":
+        """The level whose node i holds the strictly increasing
+        vals[offs[i]:offs[i + 1]] (offs[0] == 0); step as in `of`."""
+        if step is None:
+            step = common_step(vals)
+        return cls(*_node_runs(vals, offs, step), step)
+
+    def __len__(self) -> int:
+        return len(self.offs) - 1
+
+    def __eq__(self, other: object) -> bool:
+        same_sizes = isinstance(other, Level) and np.array_equal(self.sizes(), other.sizes())
+        return same_sizes and np.array_equal(self.values(), other.values())
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        if i < 0:
+            raise IndexError("negative node index")
+        lo, hi = self.offs[i], self.offs[i + 1]  # IndexError past the end
+        return _expand(self.starts[lo:hi], self.ends[lo:hi], self.step)
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return (self[i] for i in range(len(self)))
+
+    def sizes(self) -> np.ndarray:
+        return _run_sizes(self.starts, self.ends, self.offs)
+
+    def values(self) -> np.ndarray:
+        """Every node's values, back to back."""
+        return _expand(self.starts, self.ends, self.step)
+
+    def cap(self, lo: int, hi: int) -> "Level":
+        """Every node intersected with [lo, hi]; nodes may become empty."""
+        # node values lie in [0, 2**63), so clamping keeps the bounds in int64
+        lo, hi = -(-max(lo, 0) // self.step), min(hi, OVERFLOW_LIMIT - 1) // self.step
+        if lo > hi:
+            return Level(self.starts[:0], self.ends[:0], np.zeros_like(self.offs), self.step)
+        starts, ends = np.maximum(self.starts, lo), np.minimum(self.ends, hi)
+        kept = np.flatnonzero(starts <= ends)
+        # a node's new offset is the number of kept runs before its old one
+        return Level(starts[kept], ends[kept], np.searchsorted(kept, self.offs), self.step)
+
+
+class Flat:
+    """Node values back to back: node i holds vals[offs[i]:offs[i + 1]],
+    ascending; offs has one entry more than there are nodes.  Stage one's
+    groups (multisets, which may repeat a value) and stage two's group
+    sumsets use this layout.  Indexing a node returns a view.
     """
 
     __slots__ = ("vals", "offs")
@@ -121,7 +196,7 @@ class Level:
         self.offs = offs
 
     @classmethod
-    def of(cls, sets: Sequence[Sequence[int]]) -> "Level":
+    def of(cls, sets: Sequence[Sequence[int]]) -> "Flat":
         return cls(
             np.fromiter(chain.from_iterable(sets), dtype=np.int64),
             _offsets(np.fromiter((len(s) for s in sets), dtype=np.int64, count=len(sets))),
@@ -131,7 +206,7 @@ class Level:
         return len(self.offs) - 1
 
     def __eq__(self, other: object) -> bool:
-        same_nodes = isinstance(other, Level) and np.array_equal(self.offs, other.offs)
+        same_nodes = isinstance(other, Flat) and np.array_equal(self.offs, other.offs)
         return same_nodes and np.array_equal(self.vals, other.vals)
 
     def __getitem__(self, i: int) -> np.ndarray:
@@ -144,13 +219,6 @@ class Level:
 
     def sizes(self) -> np.ndarray:
         return np.diff(self.offs)
-
-    def cap(self, lo: int, hi: int) -> "Level":
-        """Every node intersected with [lo, hi]; nodes may become empty."""
-        # node values lie in [0, 2**63), so clamping keeps the bounds in int64
-        kept = np.flatnonzero((self.vals >= max(lo, 0)) & (self.vals <= min(hi, OVERFLOW_LIMIT - 1)))
-        # a node's new offset is the number of kept values before its old one
-        return Level(self.vals[kept], np.searchsorted(kept, self.offs))
 
 
 def dense_sumset(a: SumSet, b: SumSet) -> SumSet:
@@ -181,8 +249,7 @@ def sum_if_sparse(sets: Sequence[SumSet], budget_k: int) -> Union[list[SumSet], 
             raise ValueError("empty operand")
     if budget_k <= ell // 2:
         return DenseSignal(0, budget_k, 0)
-    level = Level.of([s.values for s in sets])
-    out, signal = _pair_level(level, budget_k, common_step(level.vals))
+    out, signal = _pair_level(Level.of([s.values for s in sets]), budget_k)
     if signal is not None:
         return signal
     return [SumSet(tuple(z.tolist())) for z in out]
@@ -213,17 +280,17 @@ def cap(a: SumSet, lo: int, hi: int) -> SumSet:
 
 
 def _pair_level(
-    level: Level, budget_k: int, step: int, gaps: Optional[np.ndarray] = None
+    level: Level, budget_k: int, gaps: Optional[np.ndarray] = None
 ) -> tuple[Level, Optional[DenseSignal]]:
     """One level of pairwise sums level[2i] + level[2i+1] with an exact
     left-to-right budget stop.
 
-    Returns (computed, signal).  Without a trip, computed holds every
-    output and signal is None.  Otherwise signal records the running
-    output size at the first pair i where it reaches budget_k, and
-    computed holds outputs 0..i.  An empty operand yields an empty output
-    (size 0): in the merge phase, interval capping can empty a node.
-    step must divide every value of the level (1 always does).
+    Returns (computed, signal), computed in runs of the level's step.
+    Without a trip, computed holds every output and signal is None.
+    Otherwise signal records the running output size at the first pair i
+    where it reaches budget_k, and computed holds outputs 0..i.  An empty
+    operand yields an empty output (size 0): in the merge phase, interval
+    capping can empty a node.
 
     gaps[i], if given, is the number of virtual {0} nodes (size 1 each,
     never computed) that come before pair i in the running total.  A stop
@@ -238,8 +305,7 @@ def _pair_level(
     # running-total bound after each pair (a pair's output size is 0 for
     # an empty operand)
     cum_bound = np.cumsum(np.minimum(operand[0::2] * operand[1::2], hull) + gaps)
-    sizes = [np.zeros(0, dtype=np.int64)]
-    vals = [level.vals[:0]]
+    runs, starts, ends = [np.zeros(0, dtype=np.int64)], [level.starts[:0]], [level.ends[:0]]
     total = 0
     signal = None
     j0 = 0
@@ -247,7 +313,7 @@ def _pair_level(
         room = max(budget_k - total, LEVEL_CHUNK_VALUES)
         done = int(cum_bound[j0 - 1]) if j0 else 0
         j1 = min(int(np.searchsorted(cum_bound, done + room)) + 1, m)
-        chunk_sizes, chunk_vals = _level_chunk(level, j0, j1, hull, step)
+        chunk_sizes, chunk_runs, chunk_starts, chunk_ends = _level_chunk(level, j0, j1, hull)
         running = total + np.cumsum(chunk_sizes + gaps[j0:j1])
         hit = int(np.searchsorted(running, budget_k))
         if hit < len(running):
@@ -259,33 +325,38 @@ def _pair_level(
             else:
                 signal = DenseSignal(int(running[hit]), budget_k, j0 + hit + 1)
                 hit += 1
-            chunk_vals = chunk_vals[: int(chunk_sizes[:hit].sum())]
-            chunk_sizes = chunk_sizes[:hit]
-        sizes.append(chunk_sizes)
-        vals.append(chunk_vals)
+            kept = int(chunk_runs[:hit].sum())
+            chunk_starts, chunk_ends = chunk_starts[:kept], chunk_ends[:kept]
+            chunk_runs = chunk_runs[:hit]
+        runs.append(chunk_runs)
+        starts.append(chunk_starts)
+        ends.append(chunk_ends)
         total = int(running[-1])
         j0 = j1
-    return Level(np.concatenate(vals), _offsets(np.concatenate(sizes))), signal
+    offs = _offsets(np.concatenate(runs))
+    return Level(np.concatenate(starts), np.concatenate(ends), offs, level.step), signal
 
 
 def _level_chunk(
-    level: Level, j0: int, j1: int, hull: np.ndarray, step: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Output sizes and values of pairs j0..j1-1 (see `_pair_level`)."""
-    starts, ends, run_offs = _node_runs(level, 2 * j0, 2 * j1, step)
-    nruns = np.diff(run_offs)
+    level: Level, j0: int, j1: int, hull: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Output sizes, run counts and runs (starts, ends) of pairs j0..j1-1,
+    in units of the level's step (see `_pair_level`)."""
+    step = level.step
+    nruns = np.diff(level.offs[2 * j0 : 2 * j1 + 1])
     run_pairs = nruns[0::2] * nruns[1::2]
     hull = hull[j0:j1]
     live = hull > 0
-    most = np.clip(((hull - 1) // step + 1) // RUN_HULL_RATIO, RUN_PAIRS_MIN, RUN_PAIRS_MAX)
+    most = np.clip(hull // RUN_HULL_RATIO, RUN_PAIRS_MIN, RUN_PAIRS_MAX)
     runs = live & (run_pairs <= most)
-    conv = live & ~runs & (hull <= HULL_FFT_LIMIT)
+    # a hull of h units spans (h - 1) * step + 1 values
+    conv = live & ~runs & (hull <= (HULL_FFT_LIMIT - 1) // step + 1)
     wide = live & ~runs & ~conv
 
-    pieces = []  # (pair indices relative to j0, output sizes, outputs back to back)
+    pieces = []  # (pair indices relative to j0, output sizes, run counts, starts, ends)
     pairs = np.flatnonzero(runs)
     if pairs.size:
-        pieces.append((pairs, *_run_rows(starts, ends, run_offs, pairs, step)))
+        pieces.append((pairs, *_run_rows(level.starts, level.ends, level.offs, pairs + j0)))
     pairs = np.flatnonzero(conv)
     if pairs.size:
         nfft = 1 << np.frexp(hull[pairs] - 1)[1]  # next_pow2 of each hull
@@ -301,45 +372,52 @@ def _level_chunk(
     for p in np.flatnonzero(wide).tolist():
         x, y = level[2 * (p + j0)], level[2 * (p + j0) + 1]
         z = np.asarray(_sum_values(tuple(x.tolist()), tuple(y.tolist())), dtype=np.int64)
-        pieces.append((np.array([p]), np.array([len(z)]), z))
+        lo, hi, _ = _node_runs(z, np.array([0, len(z)]), step)
+        pieces.append((np.array([p]), np.array([len(z)]), np.array([len(lo)]), lo, hi))
 
     sizes = np.zeros(j1 - j0, dtype=np.int64)
-    for pairs, counts, _ in pieces:
+    nruns = np.zeros(j1 - j0, dtype=np.int64)
+    for pairs, counts, piece_runs, _, _ in pieces:
         sizes[pairs] = counts
+        nruns[pairs] = piece_runs
     # one kernel took every live pair, in pair order: skipping the scatter
     # took the kernel on the merge levels of seed 7 from 0.52 to 0.39 s
     # (`sparse-ladder`) and from 0.27 to 0.19 s (`grouped`)
     if len(pieces) == 1:
-        return sizes, pieces[0][2]
-    offs = _offsets(sizes)
-    out = np.empty(int(offs[-1]), dtype=np.int64)
-    for pairs, counts, values in pieces:
-        out[_segment_index(offs[pairs], counts)] = values
-    return sizes, out
+        return sizes, nruns, pieces[0][3], pieces[0][4]
+    offs = _offsets(nruns)
+    starts = np.empty(int(offs[-1]), dtype=np.int64)
+    ends = np.empty_like(starts)
+    for pairs, _, piece_runs, lo, hi in pieces:
+        at = _segment_index(offs[pairs], piece_runs)
+        starts[at] = lo
+        ends[at] = hi
+    return sizes, nruns, starts, ends
 
 
 def _pair_hulls(level: Level) -> np.ndarray:
-    """Hull of each pair (2i, 2i+1); 0 where an operand is empty."""
-    sizes = level.sizes()
-    live = np.flatnonzero((sizes[0::2] > 0) & (sizes[1::2] > 0))
+    """Hull of each pair (2i, 2i+1) in units of the level's step; 0 where
+    an operand is empty."""
+    nruns = np.diff(level.offs)
+    live = np.flatnonzero((nruns[0::2] > 0) & (nruns[1::2] > 0))
     hull = np.zeros(len(level) // 2, dtype=np.int64)
-    lo, hi = level.offs[:-1], level.offs[1:] - 1
-    v = level.vals
+    first, last = level.offs[:-1], level.offs[1:] - 1
+    s, e = level.starts, level.ends
     a, b = 2 * live, 2 * live + 1
-    hull[live] = (v[hi[a]] - v[lo[a]]) + (v[hi[b]] - v[lo[b]]) + 1
+    hull[live] = (e[last[a]] - s[first[a]]) + (e[last[b]] - s[first[b]]) + 1
     return hull
 
 
-def _node_runs(level: Level, n0: int, n1: int, step: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Maximal runs of step `step` of nodes n0..n1-1, in units of step.
+def _node_runs(
+    vals: np.ndarray, offs: np.ndarray, step: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximal runs of step `step` of the nodes vals[offs[i]:offs[i + 1]],
+    in units of step (see `Level`).
 
-    Returns (starts, ends, run_offs): node n0 + i is the union of the runs
+    Returns (starts, ends, run_offs): node i is the union of the runs
     [starts[k], ends[k]] (times step) for run_offs[i] <= k < run_offs[i + 1].
     """
-    offs = level.offs[n0 : n1 + 1] - level.offs[n0]
-    u = level.vals[level.offs[n0] : level.offs[n1]]
-    if step > 1:
-        u = u // step
+    u = vals // step if step > 1 else vals
     first = np.ones(len(u), dtype=bool)
     np.not_equal(np.diff(u), 1, out=first[1:])
     first[offs[:-1][offs[:-1] < offs[1:]]] = True  # a node's first value starts a run
@@ -353,16 +431,16 @@ def _node_runs(level: Level, n0: int, n1: int, step: int) -> tuple[np.ndarray, n
 
 
 def _run_rows(
-    starts: np.ndarray, ends: np.ndarray, run_offs: np.ndarray, pairs: np.ndarray, step: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sumsets of the given pairs from their runs (see `_node_runs`).
+    starts: np.ndarray, ends: np.ndarray, run_offs: np.ndarray, pairs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sumsets of the given pairs from their runs (see `Level`).
 
     Every run of A plus every run of B is one run [s_a + s_b, e_a + e_b].
     Each pair's runs are moved to a coordinate range of their own, so one
     sort orders them by (pair, start) and one running max of ends merges
-    the overlapping or adjacent ones; the merged runs are expanded back
-    to values times step.  Returns each pair's output size and the
-    outputs back to back, each sorted.
+    the overlapping or adjacent ones, which are the output's maximal runs.
+    Returns each pair's output size and run count, and the runs' starts
+    and ends back to back.
     """
     a0, b0, b1 = run_offs[2 * pairs], run_offs[2 * pairs + 1], run_offs[2 * pairs + 2]
     na, nb = b0 - a0, b1 - b0
@@ -374,9 +452,9 @@ def _run_rows(
     too_wide = np.sum(span, dtype=float) + 2.0 * len(span) >= 2.0**62
     if len(pairs) > 1 and (too_wide or int(np.dot(na, nb)) > RUN_PAIRS_MAX):
         half = len(pairs) // 2
-        head = _run_rows(starts, ends, run_offs, pairs[:half], step)
-        tail = _run_rows(starts, ends, run_offs, pairs[half:], step)
-        return np.concatenate((head[0], tail[0])), np.concatenate((head[1], tail[1]))
+        head = _run_rows(starts, ends, run_offs, pairs[:half])
+        tail = _run_rows(starts, ends, run_offs, pairs[half:])
+        return tuple(np.concatenate(both) for both in zip(head, tail))
     room = _offsets(span + 2)[:-1]
     shift = room - base
     # run pair (i, j) for every run i of A and j of B, pair by pair
@@ -392,34 +470,44 @@ def _run_rows(
     first = np.flatnonzero(np.append(True, lo[1:] > reach[:-1] + 1))
     lo, hi = lo[first], reach[np.append(first[1:], len(reach)) - 1]
     # pair i's merged runs are those starting in [room[i], room[i + 1])
-    bounds = np.append(np.searchsorted(lo, room), len(lo))
-    length = hi - lo + 1
-    counts = np.diff(_offsets(length)[bounds])
-    values = _segment_index(lo - np.repeat(shift, np.diff(bounds)), length)
-    return counts, values * step if step > 1 else values
+    nruns = np.diff(np.append(np.searchsorted(lo, room), len(lo)))
+    back = np.repeat(shift, nruns)
+    lo -= back
+    hi -= back
+    return _run_sizes(lo, hi, _offsets(nruns)), nruns, lo, hi
 
 
-def _fft_rows(level: Level, pairs: np.ndarray, nfft: int) -> tuple[np.ndarray, np.ndarray]:
+def _fft_rows(
+    level: Level, pairs: np.ndarray, nfft: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Sumsets of the given pairs, one row each of a batched FFT of length
-    nfft (at least every pair's hull).  Returns each pair's output size
-    and the outputs back to back, each sorted."""
+    nfft (at least every pair's hull), in units of the level's step.
+    Returns each pair's output size and run count, and the runs' starts
+    and ends back to back."""
     spec, first = _indicator_spectra(level, 2 * pairs, nfft)
     spec_b, first_b = _indicator_spectra(level, 2 * pairs + 1, nfft)
     spec *= spec_b
     del spec_b  # freed before the inverse transform, which lowers the batch's peak memory
-    r, c = np.nonzero(np.fft.irfft(spec, nfft, axis=1) > 0.5)
-    c += (first + first_b)[r]
-    return np.bincount(r, minlength=len(pairs)), c
+    hit = np.fft.irfft(spec, nfft, axis=1) > 0.5
+    # a row's runs begin where it turns on and end before it turns off
+    r, c = np.nonzero(np.diff(hit, axis=1, prepend=False, append=False))
+    rows = r[0::2]
+    shift = (first + first_b)[rows]
+    lo, hi = c[0::2] + shift, c[1::2] - 1 + shift
+    nruns = np.bincount(rows, minlength=len(pairs))
+    return _run_sizes(lo, hi, _offsets(nruns)), nruns, lo, hi
 
 
 def _indicator_spectra(level: Level, nodes: np.ndarray, nfft: int) -> tuple[np.ndarray, np.ndarray]:
-    """rfft rows of the 0/1 indicators of the given nodes, each shifted to
-    start at zero, and the shifts."""
-    sizes = level.sizes()[nodes]
-    first = level.vals[level.offs[nodes]]
-    row = np.repeat(np.arange(len(nodes)), sizes)
+    """rfft rows of the 0/1 indicators of the given non-empty nodes, each
+    shifted to start at zero, and the shifts (in units of the step)."""
+    at, nruns = level.offs[nodes], level.offs[nodes + 1] - level.offs[nodes]
+    first = level.starts[at]
+    k = _segment_index(at, nruns)  # the nodes' runs, node by node
+    row = np.repeat(np.arange(len(nodes)), nruns)
+    length = level.ends[k] - level.starts[k] + 1
     ind = np.zeros((len(nodes), nfft))
-    ind.ravel()[row * nfft + level.vals[_segment_index(level.offs[nodes], sizes)] - first[row]] = 1.0
+    ind.ravel()[_segment_index(row * nfft + level.starts[k] - first[row], length)] = 1.0
     return np.fft.rfft(ind, axis=1), first
 
 
@@ -432,6 +520,18 @@ def _offsets(sizes: np.ndarray) -> np.ndarray:
 def _segment_index(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Indices starts[0] .. starts[0]+sizes[0]-1, starts[1] .., back to back."""
     return np.repeat(starts - _offsets(sizes)[:-1], sizes) + np.arange(int(sizes.sum()))
+
+
+def _run_sizes(starts: np.ndarray, ends: np.ndarray, offs: np.ndarray) -> np.ndarray:
+    """Values per node of the runs [starts[k], ends[k]], node i holding
+    runs offs[i] to offs[i + 1] - 1."""
+    return np.diff(_offsets(ends - starts + 1)[offs])
+
+
+def _expand(starts: np.ndarray, ends: np.ndarray, step: int) -> np.ndarray:
+    """The values step * [starts[k], ends[k]] of the runs, back to back."""
+    units = _segment_index(starts, ends - starts + 1)
+    return units * step if step > 1 else units
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +561,7 @@ def _sum_values(a: tuple, b: tuple) -> tuple:
 
 
 def _fft_values(a: tuple, b: tuple) -> tuple:
-    hull = (a[-1] - a[0]) + (b[-1] - b[0]) + 1
-    _, z = _fft_rows(Level.of((a, b)), np.zeros(1, dtype=np.int64), next_pow2(hull))
-    return tuple(z.tolist())
+    level = Level.of((a, b))
+    hull = ((a[-1] - a[0]) + (b[-1] - b[0])) // level.step + 1
+    _, _, lo, hi = _fft_rows(level, np.zeros(1, dtype=np.int64), next_pow2(hull))
+    return tuple(_expand(lo, hi, level.step).tolist())

@@ -106,6 +106,69 @@ def materialized_stage_two(groups, g, reps, tail, rng):
     return "sets", [tuple(sorted(s)) for s in acc]
 
 
+def merge_bounds(rho, g, t, w, n, q, c_ap, eta_mult, budget_mult, window):
+    """(eta, u_prime, budget tail) of the merge, by its formulas."""
+    lgw = math.log2(max(w, 2))
+    eta = math.ceil(eta_mult * 2304 * math.sqrt(w * t) * lgw**2 * math.log2(2 * n / q) ** 3) + window
+    u_prime = max(4 * eta + 9, 2 * g * w + 1)
+    tail = math.ceil(budget_mult * 4 * c_ap * rho * u_prime * (u_prime - 1).bit_length())
+    return eta, u_prime, tail
+
+
+def reference_merge(
+    group_sets, group_sums, rho, g, t, w, n, q, c_ap, rng, eta_mult, budget_mult, window
+):
+    """The merge tree on lists of values: `merge_group_sumsets` with every
+    pair summed by `pairwise_sumset`, every node capped one by one and the
+    running total size counted pair by pair, left to right.
+
+    group_sets are the groups' sorted sets, group_sums their element sums,
+    rho and g colour coding's parameters.  Returns ("root", the uncapped
+    root's values) or ("evidence", the fields of the phase-three
+    DenseEvidence of the first level whose running total reaches its
+    budget, the level's node count plus the tail).
+    """
+    order = rng.permutation(len(group_sets)).tolist()
+    sets = [list(group_sets[i]) for i in order]
+    f = [s[-1] for s in sets]
+    sigma = [group_sums[i] for i in order]
+    eta, u_prime, tail = merge_bounds(rho, g, t, w, n, q, c_ap, eta_mult, budget_mult, window)
+    level = 0
+    while len(sets) > 1:
+        level += 1
+        nodes = len(sets) // 2
+        budget = nodes + tail
+        f = [a + b for a, b in zip(f[0::2], f[1::2])]
+        sigma = [a + b for a, b in zip(sigma[0::2], sigma[1::2])]
+        out, running = [], 0
+        for a, b in zip(sets[0::2], sets[1::2]):
+            out.append(pairwise_sumset(a, b) if a and b else [])
+            running += len(out[-1])
+            if running < budget:
+                continue
+            rest = sets[2 * len(out) :]
+            rest_sizes = [int(bool(a and b)) for a, b in zip(rest[0::2], rest[1::2])]
+            return "evidence", {
+                "source": "phase-three",
+                "t": t,
+                "rho": rho,
+                "u_prime": u_prime,
+                "level": level,
+                "threshold": budget,
+                "observed_total_size": running,
+                "num_sets": nodes,
+                "trivial_sets": 0,
+                # a node after the stop has size >= 1 unless an operand is empty
+                "set_sizes": [len(z) for z in out] + rest_sizes,
+                "f_values": f,
+                "sigma_values": sigma,
+                "max_values": [z[-1] if z else 0 for z in out] + [None] * (nodes - len(out)),
+            }
+        lo, hi = t // nodes - eta - 1, -(-t // nodes) + eta + 1
+        sets = [[v for v in z if lo <= v <= hi] for z in out]
+    return "root", tuple(sets[0])
+
+
 def split_into_parts(elems, g, rng):
     """Uniform random assignment of elements to g parts; only occupied
     parts are returned."""

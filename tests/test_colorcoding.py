@@ -14,7 +14,7 @@ from subsetsum.colorcoding import (
     partition_groups,
     verify_group_family,
 )
-from subsetsum.sumset import Level
+from subsetsum.sumset import Flat
 
 from oracles import all_subsets, materialized_stage_two, split_into_parts, subset_sums
 
@@ -143,7 +143,7 @@ def _naive_stage_two(family, t, w, n, q, c_ap, rng, budget_mult):
     groups = [g.tolist() for g in family.groups]
     ref = materialized_stage_two(groups, params.g, params.reps, params.tail, rng)
     if ref[0] == "sets":
-        return GroupSumsets(Level.of(ref[1]), params), None
+        return GroupSumsets(Flat.of(ref[1]), params), None
     _, fields, kind = ref
     return DenseTripSignal(rho=params.rho, u_prime=params.u_prime, g=params.g, **fields), kind
 
@@ -164,11 +164,11 @@ def _first_clean_rep(family, g, reps, rng):
     return [first.get(i) for i, grp in enumerate(family.groups) if len(grp) >= 2]
 
 
-_SMALL_GROUPS = (GroupFamily(Level.of(((3, 5), (6,), (7, 2), (4,))), 4), 4, 0.9)
+_SMALL_GROUPS = (GroupFamily(Flat.of(((3, 5), (6,), (7, 2), (4,))), 4), 4, 0.9)
 # n=1 and q=0.9 give the smallest part count (g=64) and 6 repetitions: the
 # 10-item group splits cleanly only after a collision, the 40-item one never
 _LARGE_GROUPS = (
-    GroupFamily(Level.of(((1, 2, 3, 4, 5, 6, 7, 8, 1, 2), (6,), tuple(range(1, 9)) * 5, ())), 3),
+    GroupFamily(Flat.of(((1, 2, 3, 4, 5, 6, 7, 8, 1, 2), (6,), tuple(range(1, 9)) * 5, ())), 3),
     1,
     0.9,
 )
@@ -222,38 +222,38 @@ def test_tripping_level_computes_at_most_a_chunk_past_its_stop(monkeypatch, tail
 
     def chunk_spy(*args):
         out = level_chunk(*args)
-        computed[0] += len(out[1])
+        computed[0] += int(out[0].sum())
         return out
 
-    def level_spy(pairs, budget, step, gaps):
+    def level_spy(pairs, budget, gaps):
         computed[0] = 0
-        out = pair_level(pairs, budget, step, gaps)
-        calls.append((pairs, step, out[0], computed[0]))
+        out = pair_level(pairs, budget, gaps)
+        calls.append((pairs, out[0], computed[0]))
         return out
 
     monkeypatch.setattr(sumset, "_level_chunk", chunk_spy)
     monkeypatch.setattr(colorcoding, "_pair_level", level_spy)
     rng = np.random.default_rng(5)
     groups = tuple(tuple(int(v) for v in rng.integers(1, 9, size=10)) for _ in range(64))
-    family = GroupFamily(Level.of(groups), 64)
+    family = GroupFamily(Flat.of(groups), 64)
     budget_mult = tail / color_params(1, 10, 8, 0.9, 1).tail
     sig = build_group_sumsets(family, 10, 8, 1, 0.9, 1, rng_stream(1, "p2"), budget_mult=budget_mult)
     assert isinstance(sig, DenseTripSignal) and sig.level == level
-    pairs, step, prefix, values = calls[-1]
-    full, _ = pair_level(pairs, 1 << 62, step)
+    pairs, prefix, values = calls[-1]
+    full, _ = pair_level(pairs, 1 << 62)
     pair_bound = max(
         min(len(a) * len(b), int(a[-1] - a[0] + b[-1] - b[0]) + 1)
         for a, b in zip(list(pairs)[0::2], list(pairs)[1::2])
     )
-    past = values - len(prefix.vals)
-    assert past <= 16 + pair_bound < len(full.vals) - len(prefix.vals)
+    past = values - prefix.sizes().sum()
+    assert past <= 16 + pair_bound < full.sizes().sum() - prefix.sizes().sum()
 
 
 def test_max_level_excess_is_attained_by_full_subset_sums():
     # (1, 2, 4) reaches 2^3 - 1 sums past 0, (1, 1, 1) reaches sigma = 3,
     # and 70 ones reach sigma = 70 (where 2^70 - 1 does not fit in int64)
     groups = ((1, 2, 4), (1, 1, 1), (5,), (1,) * 70, (), (300, 700))
-    family = GroupFamily(Level.of(groups), 5)
+    family = GroupFamily(Flat.of(groups), 5)
     assert colorcoding._max_level_excess(family) == 7 + 3 + 1 + 70 + 0 + 3
     assert colorcoding._max_level_excess(family) == sum(len(subset_sums(g)) - 1 for g in groups)
 
@@ -284,7 +284,7 @@ def test_budget_that_cannot_trip_takes_unbudgeted_path(monkeypatch):
 
 
 def test_trip_signal_bookkeeping_consistency():
-    family = GroupFamily(Level.of(((3, 5), (6,), (7, 2), (4,))), 4)
+    family = GroupFamily(Flat.of(((3, 5), (6,), (7, 2), (4,))), 4)
     sig = build_group_sumsets(
         family, 10, 8, 4, 0.9, 1, rng_stream(9, "p2"), budget_mult=1e-9
     )

@@ -15,7 +15,7 @@ from subsetsum.merge import (
     select_ap_generators,
 )
 from subsetsum.colorcoding import GroupSumsets
-from subsetsum.sumset import Level
+from subsetsum.sumset import Flat
 
 from oracles import subset_sums
 
@@ -27,9 +27,9 @@ def _pipeline_inputs(items, t, w, n, q, seed, budget_mult=1.0):
 
 
 def test_single_pair_merge_keeps_joint_sum():
-    fam = GroupFamily(Level.of(((3,), (5,))), 2)
+    fam = GroupFamily(Flat.of(((3,), (5,))), 2)
     params = color_params(2, 5, 5, 0.5, 1)
-    gs = GroupSumsets(Level.of(((0, 3), (0, 5))), params)
+    gs = GroupSumsets(Flat.of(((0, 3), (0, 5))), params)
     root = merge_group_sumsets(gs, fam, 5, 5, 2, 0.5, 1, rng_stream(1, "p3"))
     assert isinstance(root, SumSet)
     assert 8 in root  # both group maxima combined survive the capping
@@ -118,6 +118,17 @@ def test_assemble_evidence_rejects_bad_bookkeeping():
             "phase-three", t=10, rho=1, u_prime=100, level=1, threshold=5,
             observed_total_size=5, set_sizes=[5, 5], f_values=[20, 20],
         )  # weight sum 40 above rho*t/2 = 5
+    # per-node conditions: f <= subtree sum, and a known maximum <= f
+    valid = dict(
+        source="phase-three", t=10, rho=4, u_prime=100, level=1, threshold=5,
+        observed_total_size=5, set_sizes=[5, 5], f_values=[10, 10],
+    )
+    with pytest.raises(InternalConsistencyError, match="weight exceeds subtree sum"):
+        assemble_dense_evidence(**valid, sigma_values=[10, 9])
+    with pytest.raises(InternalConsistencyError, match="set maximum exceeds weight"):
+        assemble_dense_evidence(**valid, sigma_values=[10, 10], max_values=[None, 11])
+    ev = assemble_dense_evidence(**valid, sigma_values=[10, 10], max_values=[None, 10])
+    assert ev.max_values == [None, 10]
 
 
 def test_select_generators_single_size():

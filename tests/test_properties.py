@@ -1,8 +1,9 @@
 """Hypothesis property tests: the sumset kernels against the pairwise
 oracle on every dispatch path, the level kernel on levels built from
-runs, the split and stage one against their per-item references, colour
-coding's stage two against its materialized reference, and `solve` on
-pipeline-sized instances."""
+runs, the run layout of `Level` (round trip and cap), the split and
+stage one against their per-item references, colour coding's stage two
+against its materialized reference, the merge tree against its
+values-level reference, and `solve` on pipeline-sized instances."""
 
 from unittest import mock
 
@@ -20,15 +21,19 @@ from subsetsum.colorcoding import (
     partition_groups,
 )
 from subsetsum.core import Instance, SolverConfig, SumSet, ceil_log2, rng_stream
+from subsetsum.merge import DenseEvidence, merge_group_sumsets
 from subsetsum.solver import fallback_dp, small_target_gate, solve
 from subsetsum.structure import partition_instance
-from subsetsum.sumset import PAIRWISE_LIMIT, DenseSignal, Level, _pair_level, cap, dense_sumset
+from subsetsum.sumset import PAIRWISE_LIMIT, DenseSignal, Flat, Level, _pair_level, cap, dense_sumset
 
 from oracles import (
     materialized_stage_two,
+    merge_bounds,
     pairwise_sumset,
+    reference_merge,
     reference_partition,
     reference_partition_groups,
+    subset_sums,
 )
 
 
@@ -110,9 +115,109 @@ def test_pair_level_matches_oracle_on_runs(level, budget_frac):
     budget = max(1, int(budget_frac * int(sizes[-1])))
     stop = int(np.searchsorted(sizes, budget))  # first pair whose running size reaches budget
     expected_signal = DenseSignal(int(sizes[stop]), budget, stop + 1) if stop < len(full) else None
-    out, signal = _pair_level(Level.of(sets), budget, step)
+    out, signal = _pair_level(Level.of(sets, step), budget)
     assert signal == expected_signal
     assert [tuple(z.tolist()) for z in out] == full[: stop + 1]
+
+
+@st.composite
+def _step_sets(draw):
+    """(sets, g): up to six nodes of multiples of g, some of them empty,
+    each a few short runs near 0, 2**62 or 2**63 - 2."""
+    g = draw(st.sampled_from([1, 2, 3, 40]))
+    top = ((1 << 63) - 2) // g  # the largest value in units of g
+    sets = []
+    for _ in range(draw(st.integers(0, 6))):
+        units = set()
+        for end in draw(st.lists(st.sampled_from([0, (1 << 62) // g, top]), max_size=3)):
+            for _ in range(draw(st.integers(1, 3))):
+                lo = end + draw(st.integers(-40, 40))
+                units.update(range(max(lo, 0), min(lo + draw(st.integers(1, 5)), top + 1)))
+        sets.append(tuple(g * u for u in sorted(units)))
+    return sets, g
+
+
+@given(case=_step_sets())
+@settings(max_examples=150, deadline=None)
+def test_level_round_trip(case):
+    sets, g = case
+    for level in (Level.of(sets), Level.of(sets, g)):
+        assert [tuple(z.tolist()) for z in level] == sets
+        assert level.sizes().tolist() == [len(s) for s in sets]
+        assert level.values().tolist() == [v for s in sets for v in s]
+        # runs are maximal: within a node, each starts past the previous end + 1
+        inner = np.ones(len(level.starts), dtype=bool)
+        inner[level.offs[:-1][level.offs[:-1] < len(inner)]] = False
+        assert np.all(level.starts[inner] > level.ends[np.flatnonzero(inner) - 1] + 1)
+    assert Level.of(sets, g) == Level.of(sets)
+
+
+_BOUND = st.builds(
+    lambda base, delta: base + delta,
+    st.sampled_from([0, 1 << 62, (1 << 63) - 2, 1 << 70]),
+    st.integers(-300, 300),
+)
+
+
+@given(case=_step_sets(), lo=_BOUND, hi=_BOUND)
+@settings(max_examples=150, deadline=None)
+def test_level_cap_on_runs_matches_per_node_cap(case, lo, hi):
+    sets, g = case
+    expected = [cap(SumSet(s), lo, hi).values if lo <= hi else () for s in sets]
+    for level in (Level.of(sets), Level.of(sets, g)):
+        assert [tuple(z.tolist()) for z in level.cap(lo, hi)] == expected
+
+
+def test_merge_matches_values_reference():
+    outcomes = []
+
+    @given(
+        w=st.sampled_from([2, 3, 4, 8]),
+        mult=st.sampled_from([1, 2, 2, 3]),
+        n=st.integers(4, 40),
+        t_frac=st.floats(0.05, 0.66),
+        eta_mult=st.sampled_from([1.0, 1e-12]),
+        log_tail=st.floats(0.5, 1.1),
+        window=st.sampled_from([0, 3, 40]),
+        checked=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def check(w, mult, n, t_frac, eta_mult, log_tail, window, checked, seed):
+        # mult = 2 makes every value even, so the merge runs in units of 2;
+        # eta_mult = 1e-12 narrows the caps until they remove values, and the
+        # budget tail is m^u for u in [0.5, 1.1] with m the values' range in
+        # units (a level's size excess over its node count is below m): most
+        # merges trip, some past level 1, and some do not trip
+        rng = np.random.default_rng(seed)
+        items = [mult * int(v) for v in rng.integers(1, w + 1, size=n)]
+        t = max(1, int(t_frac * sum(items)))
+        args = (t, mult * w, n, 0.3, 1)
+        family = partition_groups(items, t, rng_stream(seed, "p1"))
+        staged = build_group_sumsets(family, *args, rng_stream(seed, "p2"))
+        params = (staged.params.rho, staged.params.g, *args, eta_mult)
+        full_tail = merge_bounds(*params, 1.0, window)[2]
+        budget_mult = (sum(items) // mult + 2) ** log_tail / full_tail
+        got = merge_group_sumsets(
+            staged, family, *args, rng_stream(seed, "p3"),
+            eta_mult=eta_mult, budget_mult=budget_mult, window=window, checked=checked,
+        )
+        kind, ref = reference_merge(
+            [tuple(s.tolist()) for s in staged.sets], family.group_sums().tolist(),
+            staged.params.rho, staged.params.g, *args, rng_stream(seed, "p3"),
+            eta_mult, budget_mult, window,
+        )
+        if kind == "root":
+            assert got == SumSet(ref)
+            outcomes.append(("root", len(ref) < len(subset_sums(items))))
+        else:
+            assert got == DenseEvidence(**ref)
+            outcomes.append(("evidence", ref["level"]))
+
+    check()
+    assert ("root", True) in outcomes, "no example's caps removed a value"
+    trip_levels = {level for kind, level in outcomes if kind == "evidence"}
+    assert len(trip_levels) >= 2, "trips at fewer than two levels"
 
 
 @st.composite
@@ -171,7 +276,7 @@ def _small_family(draw):
     for _ in range(draw(st.sampled_from([1, 2, 4, 8]))):
         mult = draw(st.sampled_from([1, 1, 1, 3]))
         groups.append(tuple(mult * x for x in draw(st.lists(st.integers(1, 12), max_size=6))))
-    return GroupFamily(Level.of(groups), sum(1 for g in groups if g))
+    return GroupFamily(Flat.of(groups), sum(1 for g in groups if g))
 
 
 @given(family=_small_family(), n=st.integers(1, 3), log_tail=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
@@ -186,7 +291,7 @@ def test_stage_two_matches_materialized_reference(family, n, log_tail, seed):
     groups = [g.tolist() for g in family.groups]
     ref = materialized_stage_two(groups, params.g, params.reps, params.tail, rng_stream(seed, "p2"))
     if ref[0] == "sets":
-        assert got == GroupSumsets(Level.of(ref[1]), params)
+        assert got == GroupSumsets(Flat.of(ref[1]), params)
     else:
         assert got == DenseTripSignal(rho=params.rho, u_prime=params.u_prime, g=params.g, **ref[1])
 

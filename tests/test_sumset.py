@@ -257,7 +257,7 @@ def test_pair_level_matches_left_to_right_reference(monkeypatch, chunk):
     monkeypatch.setattr(sumset, "RUN_PAIRS_MAX", 24)
     monkeypatch.setattr(sumset, "LEVEL_CHUNK_VALUES", chunk)
     calls = {"_run_rows": 0, "_fft_rows": 0, "_sum_values": 0, "_level_chunk": 0}
-    computed, run_outputs, split_operands = [0], set(), set()
+    computed, run_outputs, split_operands, step = [0], set(), set(), [1]
     for attr in calls:
         kernel = getattr(sumset, attr)
 
@@ -265,9 +265,10 @@ def test_pair_level_matches_left_to_right_reference(monkeypatch, chunk):
             calls[_attr] += 1
             out = _kernel(*args)
             if _attr == "_level_chunk":
-                computed[0] += len(out[1])
+                computed[0] += int(out[0].sum())
             elif _attr == "_run_rows":
-                run_outputs.update(tuple(z.tolist()) for z in np.split(out[1], np.cumsum(out[0])[:-1]))
+                runs = Level(out[2], out[3], sumset._offsets(out[1]), step[0])
+                run_outputs.update(tuple(z.tolist()) for z in runs)
             elif _attr == "_sum_values":
                 split_operands.add(args)
             return out
@@ -281,7 +282,7 @@ def test_pair_level_matches_left_to_right_reference(monkeypatch, chunk):
         wide_runs = [tuple(scale * v for v in s) for s in WIDE_RUNS]
         wide_capped = tuple(tuple(scale * v for v in s) for s in WIDE_CAPPED)
         wide_split = tuple(tuple(scale * v for v in s) for s in wide_split)
-        level = Level.of(sets)
+        level, step[0] = Level.of(sets, scale), scale
         # the largest output-size bound of one pair
         pair_bound = max(
             min(len(a) * len(b), a[-1] - a[0] + b[-1] - b[0] + 1)
@@ -296,10 +297,12 @@ def test_pair_level_matches_left_to_right_reference(monkeypatch, chunk):
             total = sum(map(len, full)) + (0 if gap is None else int(gap.sum()))
             for budget in range(1, total + 2):
                 computed[0] = 0
-                out, signal = _pair_level(level, budget, scale, gap)
+                out, signal = _pair_level(level, budget, gap)
                 expected, expected_signal = _left_to_right_level(sets, budget, gap)
                 assert signal == expected_signal
                 assert [tuple(z.tolist()) for z in out] == expected
+                # and no runs past the last node
+                assert out.values().tolist() == [v for z in expected for v in z]
                 if signal is not None:
                     assert computed[0] <= budget + chunk + pair_bound
                     assert computed[0] - sum(map(len, expected)) <= chunk + pair_bound
