@@ -1,35 +1,25 @@
-"""Sumset kernels: one pair dispatcher, one level kernel, an interval cap.
+"""Sumset kernels: one level kernel, its tuple adapter, an interval cap.
 
-The sumset of A and B is {x + y : x in A, y in B}.  `dense_sumset` is
-the public entry point for one pair.  It, colour coding's unbudgeted
-fold of groups that never split cleanly (phase 2) and the solver's
-combine go through the pair dispatcher `_sum_values`, which picks one of
-two exact kernels:
+The sumset of A and B is {x + y : x in A, y in B}.  One dispatcher, the
+level kernel `_pair_level`, computes every sumset: it sums the pairs
+(2i, 2i+1) of a whole level in a few numpy passes.  Colour coding's
+budgeted levels (phase 2), the merge tree (phase 3) and `sum_if_sparse`
+call it with a level.  `dense_sumset` (the public entry point for one
+pair), colour coding's unbudgeted fold of groups that never split
+cleanly (phase 2) and the solver's combine go through its tuple adapter
+`_sum_values`, which enumerates a pair directly when |A|*|B| <=
+PAIRWISE_LIMIT (far cheaper than the level's numpy passes for such tiny
+pairs) and otherwise sums it as a one-pair level.
 
-  * pairwise: direct enumeration, used whenever |A|*|B| <= PAIRWISE_LIMIT.
-  * FFT: convolution of 0/1 indicator vectors shifted to a zero offset,
-    with a 0.5 magnitude threshold to recover the support.  Runs in
-    O(u log u) for u the hull (A's diameter plus B's diameter plus one),
-    and is used whenever u <= HULL_FFT_LIMIT.
-
-A larger hull is split: the operand with the larger diameter is halved
-by value, both halves are summed with the other operand (recursively, so
-every FFT stays within HULL_FFT_LIMIT), and the two sorted outputs are
-merged.  The result is exact because only the two kernels above ever
-compute a sum.
-
-Colour coding's budgeted levels (phase 2), the merge tree (phase 3) and
-`sum_if_sparse` hold a level as one `Level` in units of the level's
-common step g (a divisor of every value; 2 when all items are even):
-each node is its maximal runs of step g, each run a start and an end
-divided by g, back to back with per-node offsets.  Runs are derived
-from values once, at the first level of a merge or of a colour-coding
-repetition; every later level is computed from runs and returned as
-runs, and only a root is expanded back to values.  A node's size is the
-sum of its runs' lengths, so budgets, weights and evidence stay exact.
-The level kernel `_pair_level` sums the pairs (2i, 2i+1) of a whole
-level in a few numpy passes.  Each pair with an empty operand gives an
-empty output; otherwise it takes one of two kernels:
+A level is one `Level` in units of its common step g (a divisor of every
+value; 2 when all items are even): each node is its maximal runs of step
+g, each run a start and an end divided by g, back to back with per-node
+offsets.  Runs are derived from values once, at the first level of a
+merge or of a colour-coding repetition; every later level is computed
+from runs and returned as runs, and only a root is expanded back to
+values.  A node's size is the sum of its runs' lengths, so budgets,
+weights and evidence stay exact.  Each pair with an empty operand gives
+an empty output; otherwise it takes one of three kernels:
 
   * runs: when A and B have r_a * r_b run pairs, at most (hull / g) /
     RUN_HULL_RATIO clipped to [RUN_PAIRS_MIN, RUN_PAIRS_MAX], every run
@@ -38,16 +28,23 @@ empty output; otherwise it takes one of two kernels:
     is k runs of one value, so small pairs are plain enumeration; dense
     merge levels are intervals (runs of g), which this sums in time
     linear in their number of runs.
-  * FFT: the rest, convolved in units of g in row batches of equal FFT
-    length, each row's support read back as runs; a pair whose hull
-    exceeds HULL_FFT_LIMIT values is expanded and goes to `_sum_values`
-    instead.
+  * FFT: the rest whose hull (A's diameter plus B's diameter plus one) is
+    at most HULL_FFT_LIMIT values: convolution of 0/1 indicator vectors
+    in units of g, shifted to a zero offset, in row batches of equal FFT
+    length, with a 0.5 magnitude threshold to recover each row's support
+    as runs.  Runs in O(u log u) for u the hull in units of g.
+  * split: the rest.  The operand with the larger diameter is halved by
+    value, both halves are summed with the other operand as a two-pair
+    level (recursively, so every FFT stays within HULL_FFT_LIMIT), and
+    the two outputs' runs are merged.
 
-Pairwise enumeration thus applies only to single pairs.  The level's
-budget stop is exact: the level is computed in node-order chunks, and
-the first pair at which the running output size reaches the budget ends
-the level with the same prefix and signal as summing the pairs one at a
-time.  Phase 2 also passes, per pair, the number of virtual {0} nodes
+The result is exact because only the run kernel, the FFT and the
+adapter's enumeration ever compute a sum.  The level's budget stop is
+exact: the level is computed in node-order chunks, and the first pair at
+which the running output size reaches the budget ends the level with the
+same prefix and signal as summing the pairs one at a time; a wide pair
+is split inside its chunk and counts toward the chunk's bound as one
+pair.  Phase 2 also passes, per pair, the number of virtual {0} nodes
 (size one each, never computed) that come before it; they count toward
 the running total one at a time, so the stop may fall inside such a gap.
 A budget of at most half the number of input sets trips immediately in
@@ -61,6 +58,7 @@ are multisets, which runs cannot hold.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain
@@ -68,7 +66,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import OVERFLOW_LIMIT, SumSet, next_pow2
+from .core import OVERFLOW_LIMIT, SumSet
 
 PAIRWISE_LIMIT = 2048
 HULL_FFT_LIMIT = 1 << 22
@@ -224,9 +222,10 @@ class Flat:
 def dense_sumset(a: SumSet, b: SumSet) -> SumSet:
     """Sumset of two non-empty SumSets.
 
-    Pairwise enumeration when |a|*|b| <= PAIRWISE_LIMIT, one FFT when the
-    hull is at most HULL_FFT_LIMIT, and otherwise the wider operand is
-    halved by value until every FFT fits that limit.
+    Pairwise enumeration when |a|*|b| <= PAIRWISE_LIMIT; otherwise the
+    pair is a one-pair level of the level kernel, which sums it by runs,
+    by one FFT when the hull is at most HULL_FFT_LIMIT, or by halving the
+    wider operand by value until every FFT fits that limit.
     """
     if a.is_empty or b.is_empty:
         raise ValueError("empty operand")
@@ -295,7 +294,8 @@ def _pair_level(
     gaps[i], if given, is the number of virtual {0} nodes (size 1 each,
     never computed) that come before pair i in the running total.  A stop
     inside the gap before pair i reports observed_total_size = budget_k
-    and computed holds outputs 0..i-1 (last_index_computed = i).
+    and computed holds outputs 0..i-1 (last_index_computed = i).  A
+    budget_k of math.inf computes every output.
     """
     m = len(level) // 2
     if gaps is None:
@@ -342,7 +342,6 @@ def _level_chunk(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Output sizes, run counts and runs (starts, ends) of pairs j0..j1-1,
     in units of the level's step (see `_pair_level`)."""
-    step = level.step
     nruns = np.diff(level.offs[2 * j0 : 2 * j1 + 1])
     run_pairs = nruns[0::2] * nruns[1::2]
     hull = hull[j0:j1]
@@ -350,7 +349,7 @@ def _level_chunk(
     most = np.clip(hull // RUN_HULL_RATIO, RUN_PAIRS_MIN, RUN_PAIRS_MAX)
     runs = live & (run_pairs <= most)
     # a hull of h units spans (h - 1) * step + 1 values
-    conv = live & ~runs & (hull <= (HULL_FFT_LIMIT - 1) // step + 1)
+    conv = live & ~runs & (hull <= (HULL_FFT_LIMIT - 1) // level.step + 1)
     wide = live & ~runs & ~conv
 
     pieces = []  # (pair indices relative to j0, output sizes, run counts, starts, ends)
@@ -370,10 +369,7 @@ def _level_chunk(
                 batch = pairs[b : min(b + rows, e)]
                 pieces.append((batch, *_fft_rows(level, batch + j0, n)))
     for p in np.flatnonzero(wide).tolist():
-        x, y = level[2 * (p + j0)], level[2 * (p + j0) + 1]
-        z = np.asarray(_sum_values(tuple(x.tolist()), tuple(y.tolist())), dtype=np.int64)
-        lo, hi, _ = _node_runs(z, np.array([0, len(z)]), step)
-        pieces.append((np.array([p]), np.array([len(z)]), np.array([len(lo)]), lo, hi))
+        pieces.append((np.array([p]), *_split_pair(level, p + j0)))
 
     sizes = np.zeros(j1 - j0, dtype=np.int64)
     nruns = np.zeros(j1 - j0, dtype=np.int64)
@@ -464,17 +460,24 @@ def _run_rows(
     shift_i = np.repeat(shift, na)
     lo = np.repeat(starts[i] + shift_i, nb_of_i) + starts[j]
     hi = np.repeat(ends[i] + shift_i, nb_of_i) + ends[j]
-    order = np.argsort(lo)
-    lo = lo[order]
-    reach = np.maximum.accumulate(hi[order])
-    first = np.flatnonzero(np.append(True, lo[1:] > reach[:-1] + 1))
-    lo, hi = lo[first], reach[np.append(first[1:], len(reach)) - 1]
+    lo, hi = _merge_runs(lo, hi)
     # pair i's merged runs are those starting in [room[i], room[i + 1])
     nruns = np.diff(np.append(np.searchsorted(lo, room), len(lo)))
     back = np.repeat(shift, nruns)
     lo -= back
     hi -= back
     return _run_sizes(lo, hi, _offsets(nruns)), nruns, lo, hi
+
+
+def _merge_runs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The maximal runs (starts, ends) of the union of the non-empty list
+    of runs [lo[k], hi[k]], given in any order: one sort by start, and one
+    running max of ends merges the overlapping or adjacent ones."""
+    order = np.argsort(lo)
+    lo = lo[order]
+    reach = np.maximum.accumulate(hi[order])
+    first = np.flatnonzero(np.append(True, lo[1:] > reach[:-1] + 1))
+    return lo[first], reach[np.append(first[1:], len(reach)) - 1]
 
 
 def _fft_rows(
@@ -511,6 +514,29 @@ def _indicator_spectra(level: Level, nodes: np.ndarray, nfft: int) -> tuple[np.n
     return np.fft.rfft(ind, axis=1), first
 
 
+def _split_pair(level: Level, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sumset of pair i, whose hull exceeds HULL_FFT_LIMIT and whose run
+    pairs are too many for the run kernel, in units of the level's step.
+
+    The operand with the larger diameter is halved by value, both halves
+    are summed with the other operand as one two-pair level (a half that
+    is still too wide splits again, so every FFT fits HULL_FFT_LIMIT), and
+    the two outputs' runs are merged.  Returns the pair's output size and
+    run count (one entry each) and its runs' starts and ends.
+    """
+    a, b = level[2 * i], level[2 * i + 1]
+    if a[-1] - a[0] < b[-1] - b[0]:
+        a, b = b, a
+    # a's diameter is at least (hull - 1) / 2 > 0, so both halves are
+    # non-empty and each half's hull is smaller
+    mid = int(np.searchsorted(a, a[0] + (a[-1] - a[0]) // 2, side="right"))
+    sizes = np.array([mid, len(b), len(a) - mid, len(b)])
+    halves = Level.from_values(np.concatenate((a[:mid], b, a[mid:], b)), _offsets(sizes), level.step)
+    out, _ = _pair_level(halves, math.inf)
+    lo, hi = _merge_runs(out.starts, out.ends)
+    return _run_sizes(lo, hi, np.array([0, len(lo)])), np.array([len(lo)]), lo, hi
+
+
 def _offsets(sizes: np.ndarray) -> np.ndarray:
     offs = np.zeros(len(sizes) + 1, dtype=np.int64)
     np.cumsum(sizes, out=offs[1:])
@@ -535,33 +561,19 @@ def _expand(starts: np.ndarray, ends: np.ndarray, step: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# pair kernels on tuples (unbudgeted phase 2, wide level pairs, the combine)
+# one pair of tuples (`dense_sumset`, colour coding's fold, the combine)
 # ---------------------------------------------------------------------------
 
 
 def _sum_values(a: tuple, b: tuple) -> tuple:
+    """Sumset of two non-empty strictly increasing tuples, as a tuple of
+    Python ints.  A pair with |a|*|b| <= PAIRWISE_LIMIT is enumerated:
+    1x55 and 10x10 pairs took 4-9 us enumerated and 0.21 ms as a level
+    (2-core x86 VM, numpy 2.4).  Any other pair is a one-pair level.
+    """
     if not a or not b:
         raise ValueError("empty operand")
     if len(a) * len(b) <= PAIRWISE_LIMIT:
         return tuple(sorted({x + y for x in a for y in b}))
-    hull = (a[-1] - a[0]) + (b[-1] - b[0]) + 1
-    if hull <= HULL_FFT_LIMIT:
-        return _fft_values(a, b)
-    # Halve the wider operand by value: its diameter is at least
-    # (hull - 1) / 2 > 0, so both halves are non-empty and each child's
-    # hull shrinks.
-    if a[-1] - a[0] < b[-1] - b[0]:
-        a, b = b, a
-    mid = bisect_right(a, (a[0] + a[-1]) // 2)
-    z = np.sort(np.concatenate([
-        np.asarray(_sum_values(a[:mid], b), dtype=np.int64),
-        np.asarray(_sum_values(a[mid:], b), dtype=np.int64),
-    ]))
-    return tuple(z[np.append(True, z[1:] != z[:-1])].tolist())
-
-
-def _fft_values(a: tuple, b: tuple) -> tuple:
-    level = Level.of((a, b))
-    hull = ((a[-1] - a[0]) + (b[-1] - b[0])) // level.step + 1
-    _, _, lo, hi = _fft_rows(level, np.zeros(1, dtype=np.int64), next_pow2(hull))
-    return tuple(_expand(lo, hi, level.step).tolist())
+    out, _ = _pair_level(Level.of((a, b)), math.inf)
+    return tuple(out.values().tolist())

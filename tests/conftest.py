@@ -5,8 +5,8 @@ from subsetsum import sumset
 
 @pytest.fixture
 def fft_hulls(monkeypatch):
-    """Hull of every FFT row the sumset kernels compute during the test, in
-    order: one per pair of a batched level FFT, one per single-pair FFT."""
+    """Hull of every FFT row the level kernel computes during the test, in
+    order: one per pair of each batched FFT."""
     hulls = []
     fft_rows = sumset._fft_rows
 

@@ -37,19 +37,25 @@ from oracles import (
 )
 
 
-def _values(draw, size):
-    return tuple(sorted(draw(st.lists(st.integers(0, 6000), min_size=size, max_size=size, unique=True))))
+def _values(draw, size, hi=6000):
+    return tuple(sorted(draw(st.lists(st.integers(0, hi), min_size=size, max_size=size, unique=True))))
 
 
 @st.composite
 def _kernel_case(draw):
     """(a, b, path, hull limit): sizes and limit chosen so that the
-    dispatcher takes `path`."""
-    path = draw(st.sampled_from(["pairwise", "fft", "split"]))
+    dispatcher takes `path`: enumeration, a one-pair level without a
+    split, or a level that splits."""
+    path = draw(st.sampled_from(["pairwise", "level", "split"]))
     if path == "pairwise":
         a, b = _values(draw, draw(st.integers(1, 40))), _values(draw, draw(st.integers(1, 40)))
-    else:
+    elif path == "level":
         a, b = _values(draw, draw(st.integers(50, 90))), _values(draw, draw(st.integers(50, 90)))
+    else:
+        # odd values are isolated runs in units of any common step, so the
+        # 2,500 or more run pairs exceed the run kernel's bound (a quarter
+        # of a hull of at most 8,001)
+        a, b = (tuple(2 * v + 1 for v in _values(draw, draw(st.integers(50, 90)), 2000)) for _ in "ab")
     hull = (a[-1] - a[0]) + (b[-1] - b[0]) + 1
     limit = sumset.HULL_FFT_LIMIT
     if path == "split":
@@ -61,27 +67,35 @@ def _kernel_case(draw):
 @settings(max_examples=60, deadline=None)
 def test_dense_sumset_and_cap_match_oracle(case, bounds):
     a, b, path, limit = case
-    calls, hulls = [], []
-    sum_values, fft = sumset._sum_values, sumset._fft_values
+    levels, splits, hulls = [], [], []
+    pair_level, split_pair, fft_rows = sumset._pair_level, sumset._split_pair, sumset._fft_rows
 
-    def sum_spy(x, y):
-        calls.append(1)
-        return sum_values(x, y)
+    def level_spy(level, budget_k):
+        levels.append(len(level))
+        return pair_level(level, budget_k)
 
-    def fft_spy(x, y):
-        hulls.append((x[-1] - x[0]) + (y[-1] - y[0]) + 1)
-        return fft(x, y)
+    def split_spy(level, i):
+        splits.append(i)
+        return split_pair(level, i)
 
-    with mock.patch.multiple(sumset, HULL_FFT_LIMIT=limit, _sum_values=sum_spy, _fft_values=fft_spy):
+    def fft_spy(level, pairs, nfft):
+        for i in pairs.tolist():
+            x, y = level[2 * i], level[2 * i + 1]
+            hulls.append(int(x[-1] - x[0]) + int(y[-1] - y[0]) + 1)
+        return fft_rows(level, pairs, nfft)
+
+    with mock.patch.multiple(
+        sumset, HULL_FFT_LIMIT=limit, _pair_level=level_spy, _split_pair=split_spy, _fft_rows=fft_spy
+    ):
         got = dense_sumset(SumSet(a), SumSet(b))
     expected = tuple(pairwise_sumset(a, b))
     assert got.values == expected
     if path == "pairwise":
-        assert len(a) * len(b) <= PAIRWISE_LIMIT and (len(calls), len(hulls)) == (1, 0)
-    elif path == "fft":
-        assert (len(calls), len(hulls)) == (1, 1)
+        assert len(a) * len(b) <= PAIRWISE_LIMIT and levels == []
+    elif path == "level":
+        assert (levels, splits) == ([2], [])
     else:
-        assert len(calls) >= 3 and all(h <= limit for h in hulls)
+        assert levels[0] == 2 and splits and all(h <= limit for h in hulls)
     lo, hi = min(bounds), max(bounds)
     assert cap(got, lo, hi).values == tuple(v for v in expected if lo <= v <= hi)
 

@@ -141,13 +141,13 @@ def test_solve_pipeline_yes_instance():
 
 def test_solve_pipeline_no_instance_all_even():
     # every item even, odd target: certified path must never answer yes
+    # (pipeline-sized: 10,000 items 2 * U[1, 8])
     rng = rng_stream(8, "even")
-    items = tuple(2 * int(v) for v in rng.integers(1, 2, size=400))
-    inst = Instance(items, 401)
+    items = tuple(2 * int(v) for v in rng.integers(1, 9, size=10_000))
+    inst = Instance(items, 30_001)
     for seed in range(10):
         out = solve(inst, SolverConfig(seed=seed, error_q=0.01))
-        assert not out.decision
-        assert out.branch in ("sparse", "fallback-dp")
+        assert out.branch == "sparse" and not out.decision
 
 
 def test_solve_d_window_subset_and_coverage():
@@ -221,7 +221,7 @@ def test_solve_unchanged_when_hull_split(monkeypatch, fft_hulls):
     inst = generate_instance("sparse-window", 4000, 16, seed=5)
     cfg = SolverConfig(seed=5)
     in_merge, merge_splits = [False], [0]
-    pair_level, sum_values = merge._pair_level, sumset._sum_values
+    pair_level, split_pair = merge._pair_level, sumset._split_pair
 
     def level_spy(*args):
         in_merge[0] = True
@@ -230,12 +230,12 @@ def test_solve_unchanged_when_hull_split(monkeypatch, fft_hulls):
         finally:
             in_merge[0] = False
 
-    def split_spy(a, b):
+    def split_spy(level, i):
         merge_splits[0] += in_merge[0]
-        return sum_values(a, b)
+        return split_pair(level, i)
 
     monkeypatch.setattr(merge, "_pair_level", level_spy)
-    monkeypatch.setattr(sumset, "_sum_values", split_spy)
+    monkeypatch.setattr(sumset, "_split_pair", split_spy)
     full = solve(inst, cfg)
     limit = 1 << 9
     assert full.branch == "sparse" and max(fft_hulls) > limit and merge_splits[0] == 0

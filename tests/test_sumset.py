@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from subsetsum.sumset import (
     HULL_FFT_LIMIT,
     DenseSignal,
     Level,
-    _fft_values,
     _pair_level,
     _sum_values,
     cap,
@@ -83,25 +84,40 @@ def test_split_exact_on_structured_collisions():
 
 
 @pytest.mark.parametrize("excess", [0, 1])
-def test_hull_limit_boundary(fft_hulls, excess):
-    # hull == HULL_FFT_LIMIT takes one FFT; one more splits the wider operand
+def test_hull_limit_boundary(monkeypatch, fft_hulls, excess):
+    # 600 scattered values per operand are ~360k run pairs, more than
+    # RUN_PAIRS_MAX: hull == HULL_FFT_LIMIT takes one FFT row and no
+    # split; one more splits the wider operand, and no FFT row exceeds
+    # the limit
+    splits, split_pair = [], sumset._split_pair
+
+    def split_spy(level, i):
+        splits.append(i)
+        return split_pair(level, i)
+
+    monkeypatch.setattr(sumset, "_split_pair", split_spy)
     rng = np.random.default_rng(40 + excess)
     hull = HULL_FFT_LIMIT + excess
     da = hull // 2
     db = hull - 1 - da
-    a = sorted({0, da, *(int(v) for v in rng.integers(0, da, size=200))})
-    b = sorted({0, db, *(int(v) for v in rng.integers(0, db, size=200))})
+    a = sorted({0, da, *(int(v) for v in rng.integers(0, da, size=600))})
+    b = sorted({0, db, *(int(v) for v in rng.integers(0, db, size=600))})
+    assert len(a) * len(b) > sumset.RUN_PAIRS_MAX
     got = dense_sumset(SumSet(tuple(a)), SumSet(tuple(b))).values
     assert got == tuple(pairwise_sumset(a, b))
-    assert max(fft_hulls) <= HULL_FFT_LIMIT
-    assert len(fft_hulls) == (1 if excess == 0 else 2)
+    if excess == 0:
+        assert fft_hulls == [HULL_FFT_LIMIT] and not splits
+    else:
+        assert splits and max(fft_hulls, default=0) <= HULL_FFT_LIMIT
 
 
-def test_fft_backend_matches_pairwise():
+def test_fft_backend_matches_pairwise(fft_hulls):
     rng = np.random.default_rng(4)
     a = tuple(sorted(set(int(v) for v in rng.integers(0, 3000, size=150))))
     b = tuple(sorted(set(int(v) for v in rng.integers(0, 3000, size=150))))
-    assert _fft_values(a, b) == tuple(pairwise_sumset(a, b))
+    out, signal = _pair_level(Level.of((a, b)), math.inf)
+    assert len(fft_hulls) == 1 and signal is None
+    assert tuple(out[0].tolist()) == tuple(pairwise_sumset(a, b))
 
 
 def test_kernels_return_python_ints(monkeypatch, fft_hulls):
@@ -253,24 +269,29 @@ def test_pair_level_matches_left_to_right_reference(monkeypatch, chunk):
     # virtual {0} nodes before pairs, run batches halved at 24 run pairs,
     # and (chunk=7) a level split into many node-order chunks, which bounds
     # the values computed past the budget and past the stop
-    monkeypatch.setattr(sumset, "PAIRWISE_LIMIT", 16)
     monkeypatch.setattr(sumset, "RUN_PAIRS_MAX", 24)
     monkeypatch.setattr(sumset, "LEVEL_CHUNK_VALUES", chunk)
-    calls = {"_run_rows": 0, "_fft_rows": 0, "_sum_values": 0, "_level_chunk": 0}
+    calls = {"_run_rows": 0, "_fft_rows": 0, "_split_pair": 0, "_level_chunk": 0, "_sum_values": 0}
     computed, run_outputs, split_operands, step = [0], set(), set(), [1]
+    splitting = [0]  # open `_split_pair` calls, whose inner levels count nothing
     for attr in calls:
         kernel = getattr(sumset, attr)
 
         def spy(*args, _kernel=kernel, _attr=attr):
             calls[_attr] += 1
-            out = _kernel(*args)
-            if _attr == "_level_chunk":
+            if _attr == "_split_pair":
+                level, i = args
+                split_operands.add((tuple(level[2 * i].tolist()), tuple(level[2 * i + 1].tolist())))
+                splitting[0] += 1
+            try:
+                out = _kernel(*args)
+            finally:
+                splitting[0] -= _attr == "_split_pair"
+            if _attr == "_level_chunk" and not splitting[0]:
                 computed[0] += int(out[0].sum())
             elif _attr == "_run_rows":
                 runs = Level(out[2], out[3], sumset._offsets(out[1]), step[0])
                 run_outputs.update(tuple(z.tolist()) for z in runs)
-            elif _attr == "_sum_values":
-                split_operands.add(args)
             return out
 
         monkeypatch.setattr(sumset, attr, spy)
@@ -313,7 +334,8 @@ def test_pair_level_matches_left_to_right_reference(monkeypatch, chunk):
         assert wide_split in split_operands
         assert wide_capped in split_operands
         assert tuple(pairwise_sumset(*wide_capped)) not in run_outputs
-    assert all(calls.values()), calls
+    # the level never leaves numpy for the tuple adapter
+    assert calls.pop("_sum_values") == 0 and all(calls.values()), calls
 
 
 def test_level_cap_matches_per_node_cap():
