@@ -54,6 +54,13 @@ found with one `np.unique` per size), and only groups that never
 complete are merged part by part from their recorded draws.  The union
 over repetitions does not depend on order, so the sets are bit-identical
 to merging every repetition.
+
+`GroupSumsets.exact` says whether every group completed, so that every
+set is its group's full subset sums (a group that never completes lacks
+at least its own sum).  The unbudgeted path knows this from its draws;
+the budgeted path marks a group complete in any repetition that puts its
+elements into parts of their own.  The merge folds its bottom levels
+from the items only when the flag is set.
 """
 
 from __future__ import annotations
@@ -203,10 +210,16 @@ def color_params(
 @dataclass(frozen=True)
 class GroupSumsets:
     """Per-group achievable-sum sets: node i of sets holds S_i, a subset
-    of the true subset sums of group i that always contains 0."""
+    of the true subset sums of group i that always contains 0.
+
+    exact is True only when every S_i equals group i's full subset sums
+    (the merge may then compute its bottom levels from the items); False
+    is always safe.
+    """
 
     sets: Flat
     params: ColorCodingParams
+    exact: bool = False
 
 
 @dataclass
@@ -255,7 +268,8 @@ def build_group_sumsets(
     """
     params = color_params(n, t, w, q, c_ap, budget_mult)
     if params.tail > _max_level_excess(family):
-        return GroupSumsets(_unbudgeted_sumsets(family, params, rng), params)
+        sets, exact = _unbudgeted_sumsets(family, params, rng)
+        return GroupSumsets(sets, params, exact)
     return _budgeted_sumsets(family, params, rng)
 
 
@@ -286,10 +300,14 @@ def _budgeted_sumsets(
     owner = np.repeat(np.arange(ell, dtype=np.int64), family.groups.sizes())
     step = common_step(elems)
     roots_key, roots_val = [np.arange(ell, dtype=np.int64)], [np.zeros(ell, dtype=np.int64)]
+    complete = np.zeros(ell, dtype=bool)
     for rep in range(params.reps):
         keys = owner * g + rng.integers(0, g, size=elems.size)
         order = np.lexsort((elems, keys))
         part_key, part_val = keys[order], elems[order]
+        shared = np.zeros(ell, dtype=bool)
+        shared[part_key[1:][part_key[1:] == part_key[:-1]] // g] = True
+        complete |= ~shared
         # level 0: each occupied part is {0} plus its distinct elements
         node_key, part_start = np.unique(part_key, return_index=True)
         parts = _distinct_level(
@@ -345,7 +363,7 @@ def _budgeted_sumsets(
         roots_key.append(np.repeat(node_key, cur.sizes()))
         roots_val.append(cur.values())
     sets = _distinct_level(np.concatenate(roots_key), np.concatenate(roots_val), np.arange(ell))
-    return GroupSumsets(sets, params)
+    return GroupSumsets(sets, params, bool(complete.all()))
 
 
 def _distinct_level(keys: np.ndarray, vals: np.ndarray, nodes: np.ndarray) -> Flat:
@@ -360,8 +378,10 @@ def _distinct_level(keys: np.ndarray, vals: np.ndarray, nodes: np.ndarray) -> Fl
 
 def _unbudgeted_sumsets(
     family: GroupFamily, params: ColorCodingParams, rng: np.random.Generator
-) -> Flat:
-    """Per-group union of every repetition's root, without a budget.
+) -> tuple[Flat, bool]:
+    """Per-group union of every repetition's root, without a budget, and
+    whether every group completed (so that every set is its group's full
+    subset sums).
 
     Draws repetitions only while some group is incomplete (see the module
     docstring).  Each repetition consumes the same draws as a budgeted one,
@@ -430,4 +450,4 @@ def _unbudgeted_sumsets(
     vals[_segment_index(out_offs[complete], count)] = flat_sums[at]
     for i, reach in acc.items():
         vals[out_offs[i] : out_offs[i + 1]] = sorted(reach)
-    return Flat(vals, out_offs)
+    return Flat(vals, out_offs), not acc

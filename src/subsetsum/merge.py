@@ -15,13 +15,25 @@ integer rounding.
 Each level is one `sumset.Level`: every node's maximal runs in units of
 the leaf level's common step (the gcd of its values, which every sum and
 cap above it keeps as a divisor, so it is computed once), back to back.
-The leaf level is split into runs once; each level goes through the
-level kernel `_pair_level` whole and comes back as runs, so no level is
-expanded to values.  The interval cap clips the runs, and the per-node
-weights and subtree sums, the checked-mode bounds and the evidence sizes
-(sums of run lengths) and maxima (last run ends) are all computed
-level-wide from the offsets.  Only the root is expanded, into the
+The leaf level, unless the fold below replaces it, is split into runs
+once; each level goes through the level kernel `_pair_level` whole and
+comes back as runs, so no level is expanded to values.  The interval cap
+clips the runs, and the per-node weights and subtree sums, the
+checked-mode bounds and the evidence sizes (sums of run lengths) and
+maxima (last run ends) are all computed level-wide from the offsets.  Only the root is expanded, into the
 SumSet that is returned.
+
+The bottom levels are a bounded subset-sum DP over a few small items per
+node, which a word-parallel bitset does in a few shifts per item
+(Pisinger, "Dynamic programming on the word RAM", 2003).  When stage two
+reports its sets exact (each its group's full subset sums) and the bottom
+L = min(FOLD_LEVELS, levels) levels can neither trip nor lose a value to
+a cap (`_fold_depth`), level L is the subset sums of each block of 2**L
+leaves' items: `sumset._fold_levels` computes it from the permuted items
+as uint64 rows and hands it over as runs, so neither the leaf level nor
+levels 1..L-1 are built.  The weights and subtree sums advance over the
+folded levels as over any other.  Checked mode also runs those levels
+through the kernel, with its per-level checks, and requires the same runs.
 
 A budget trip, here or in the color-coding stage, is converted into a
 DenseEvidence record: per-node set sizes, a weight f per node (the
@@ -46,7 +58,18 @@ import numpy as np
 
 from .core import InternalConsistencyError, SumSet, ceil_div, ceil_log2, target_window
 from .colorcoding import DenseTripSignal, GroupFamily, GroupSumsets
-from .sumset import Level, _offsets, _pair_level, _segment_index
+from .sumset import Level, _fold_levels, _offsets, _pair_level, _row_words, _segment_index, common_step
+
+# The merge computes its bottom min(FOLD_LEVELS, levels) levels by folding
+# each block of 2**FOLD_LEVELS leaves' items into uint64 rows
+# (`_fold_levels`) when that provably gives the kernel's levels (see
+# `_fold_depth`).  Summed solve times (best of 9, seed 3; 2-core x86 VM,
+# numpy 2.4) for FOLD_LEVELS = 0 (kernel only) / 3 / 4 / 5 / 6 / 7:
+# `sparse-ladder` 278 / 165 / 127 / 115 / 114 / 116 ms, `grouped` 166 /
+# 108 / 93 / 91 / 94 / 96 ms.  The fold itself took 3.6-7.0 ms at depths
+# 3-6 on yes-t120000, no-t120001 and `grouped` t30000 (seed 1), and up to
+# 10 ms at depth 8, where a row spans 256 leaves.
+FOLD_LEVELS = 5
 
 
 @dataclass
@@ -195,10 +218,7 @@ def merge_group_sumsets(
         window = target_window(w, t)
 
     perm = rng.permutation(ell)
-    sizes = sets0.sizes()[perm]
-    vals, offs = sets0.vals[_segment_index(sets0.offs[perm], sizes)], _offsets(sizes)
-    f = vals[offs[1:] - 1]  # every stage-two set holds 0, so none is empty
-    cur = Level.from_values(vals, offs)
+    f = sets0.vals[sets0.offs[1:][perm] - 1]  # every stage-two set holds 0, so none is empty
     sig = family.group_sums()[perm]
 
     eta = math.ceil(eta_mult * 2304 * math.sqrt(w * t) * lgw**2 * math.log2(2 * n / q) ** 3)
@@ -211,7 +231,23 @@ def merge_group_sumsets(
     tail = math.ceil(budget_mult * 4 * c_ap * rho * u_prime * ceil_log2(u_prime))
 
     levels = ceil_log2(ell)
-    for h in range(1, levels + 1):
+    depth, step = _fold_depth(group_sumsets, family, t, sig, eta, tail, levels)
+    if depth:
+        sizes = family.groups.sizes()[perm]
+        items = family.groups.vals[_segment_index(family.groups.offs[perm], sizes)]
+        folded = _fold_levels(items, _offsets(sizes), depth, step)
+    start = 1
+    if not depth or checked:
+        sizes = sets0.sizes()[perm]
+        vals, offs = sets0.vals[_segment_index(sets0.offs[perm], sizes)], _offsets(sizes)
+        cur = Level.from_values(vals, offs)
+    else:
+        cur, start = folded, depth + 1
+        for _ in range(depth):
+            f = f[0::2] + f[1::2]
+            sig = sig[0::2] + sig[1::2]
+
+    for h in range(start, levels + 1):
         ell_h = ell >> h
         budget = ell_h + tail
         f = f[0::2] + f[1::2]
@@ -242,8 +278,47 @@ def merge_group_sumsets(
         if checked and not (np.all(tops <= f[filled]) and np.all(f[filled] <= sig[filled])):
             raise InternalConsistencyError("merge weight bookkeeping broken")
         cur = out.cap(t // ell_h - eta - 1, ceil_div(t, ell_h) + eta + 1)
+        # equal values in the same step are the same maximal runs
+        if checked and h == depth and not (cur == folded and cur.step == folded.step):
+            raise InternalConsistencyError("word-parallel fold differs from the level kernel")
 
     return SumSet(tuple(cur.values().tolist()))
+
+
+def _fold_depth(
+    group_sumsets: GroupSumsets,
+    family: GroupFamily,
+    t: int,
+    sig: np.ndarray,
+    eta: int,
+    tail: int,
+    levels: int,
+) -> tuple[int, int]:
+    """(L, step): the merge computes its bottom L levels with `_fold_levels`
+    in runs of step, or L = 0 and every level goes through the kernel.
+
+    The fold gives the kernel's level L only if the leaves are their
+    groups' full subset sums and levels 1..L neither trip nor lose a value
+    to a cap.  A node's set lies in [0, sigma(node)], so a level's total
+    size is at most sigma(D) / step plus its node count, below its budget
+    when sigma(D) / step < tail.  The caps of levels 1..L keep [0, sigma]
+    of every node when eta + 1 >= t // ell_L (level L's lower bound is the
+    highest) and eta + 1 >= the largest sigma of a level-L node.  The fold
+    also runs only when its rows hold no more words than the leaf level
+    holds values.  sig holds the leaves' sigma in merge order.
+    """
+    depth = min(FOLD_LEVELS, levels)
+    if depth == 0 or not group_sumsets.exact:
+        return 0, 1
+    step = common_step(family.groups.vals)
+    blocks = len(sig) >> depth
+    top = int(sig.reshape(blocks, -1).sum(axis=1).max())
+    fits = (
+        int(sig.sum()) // step < tail
+        and eta + 1 >= max(t // blocks, top)
+        and blocks * _row_words(top // step) <= len(group_sumsets.sets.vals)
+    )
+    return (depth, step) if fits else (0, 1)
 
 
 def select_ap_generators(

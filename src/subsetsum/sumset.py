@@ -1,4 +1,5 @@
-"""Sumset kernels: one level kernel, its tuple adapter, an interval cap.
+"""Sumset kernels: one level kernel, its tuple adapter, the merge's
+word-parallel fold, an interval cap.
 
 The sumset of A and B is {x + y : x in A, y in B}.  One dispatcher, the
 level kernel `_pair_level`, computes every sumset: it sums the pairs
@@ -49,6 +50,11 @@ pair.  Phase 2 also passes, per pair, the number of virtual {0} nodes
 the running total one at a time, so the stop may fall inside such a gap.
 A budget of at most half the number of input sets trips immediately in
 `sum_if_sparse` (each output has size >= 1).
+
+The merge's bottom levels can skip the kernel: `_fold_levels` computes
+the level a few levels above leaves that are full subset-sum sets by
+folding each block's items into rows of uint64 words (row |= row << x
+per item, vectorised over blocks) and reads the rows back as runs.
 
 `cap` intersects a set with an interval; `Level.cap` does the same to
 every node of a level at once, by clipping its runs.  Stage one's groups
@@ -535,6 +541,76 @@ def _split_pair(level: Level, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     out, _ = _pair_level(halves, math.inf)
     lo, hi = _merge_runs(out.starts, out.ends)
     return _run_sizes(lo, hi, np.array([0, len(lo)])), np.array([len(lo)]), lo, hi
+
+
+# ---------------------------------------------------------------------------
+# word-parallel bottom levels of the merge (phase 3)
+# ---------------------------------------------------------------------------
+
+
+def _fold_levels(items: np.ndarray, item_offs: np.ndarray, depth: int, step: int) -> Level:
+    """The level `depth` levels above leaves that are complete subset-sum
+    sets, with no cap or budget stop in between: node b is the subset sums
+    of the items of leaves b * 2**depth .. (b + 1) * 2**depth - 1, in runs
+    of step (which must divide every item).
+
+    Leaf i's items are items[item_offs[i]:item_offs[i + 1]], and the leaf
+    count is a multiple of 2**depth.  Each block of leaves is one row of
+    `_row_words` uint64 words, bit v standing for the value v * step; the
+    loop runs over item slots, not nodes: for slot s every block with more
+    than s items sets row |= row << x, a word shift plus a bit shift, for
+    its s-th item x.  Blocks are ordered by item count, most first, so the
+    blocks of a slot are a prefix of the rows.  The rows are read back as
+    maximal runs from the bits where they turn on and off.
+    """
+    units = items // step if step > 1 else items
+    leaves = len(item_offs) - 1
+    nb = leaves >> depth
+    block = np.repeat(np.arange(leaves, dtype=np.int64) >> depth, np.diff(item_offs))
+    counts = np.bincount(block, minlength=nb)
+    first = _offsets(counts)
+    order = np.argsort(-counts, kind="stable")
+    rank = np.empty(nb, dtype=np.int64)
+    rank[order] = np.arange(nb)
+    # active[s] blocks have an item in slot s: ranks 0 .. active[s] - 1,
+    # whose slot-s items are by_slot[slot_offs[s]:slot_offs[s + 1]]
+    active = np.searchsorted(-counts[order], -np.arange(int(counts.max(initial=0))))
+    slot_offs = _offsets(active)
+    by_slot = np.empty_like(units)
+    by_slot[slot_offs[np.arange(len(units)) - first[block]] + rank[block]] = units
+    width = _row_words(int(np.diff(_offsets(units)[first]).max(initial=0)))
+    # `pad` zero words left of every row, so a word shift never leaves the row
+    pad = int(units.max(initial=0)) // 64 + 1
+    rows = np.zeros((nb, pad + width), dtype=np.uint64)
+    rows[:, pad] = 1  # every node holds 0
+    cols = pad + np.arange(width)
+    for s, n in enumerate(active.tolist()):
+        x = by_slot[slot_offs[s] : slot_offs[s + 1]]
+        r = (x & 63).astype(np.uint64)[:, None]
+        q = x >> 6
+        if q.any():
+            src = cols - q[:, None]
+            lo = np.take_along_axis(rows[:n], src, axis=1)
+            below = np.take_along_axis(rows[:n], src - 1, axis=1)
+        else:
+            lo, below = rows[:n, pad:], rows[:n, pad - 1 : -1]
+        # two shifts, so that r = 0 never shifts a word by 64
+        rows[:n, pad:] |= (lo << r) | ((below >> (np.uint64(63) - r)) >> np.uint64(1))
+    rows = rows[rank, pad - 1 :]
+    # bit v of turn is set where bit v of the row differs from bit v - 1
+    turn = (rows[:, 1:] ^ ((rows[:, 1:] << np.uint64(1)) | (rows[:, :-1] >> np.uint64(63)))).ravel()
+    words = np.flatnonzero(turn)
+    bits = np.flatnonzero(np.unpackbits(turn[words].astype("<u8").view(np.uint8), bitorder="little"))
+    node, col = np.divmod(words[bits >> 6], width)
+    at = col * 64 + (bits & 63)
+    nruns = np.bincount(node[0::2], minlength=nb)
+    return Level(at[0::2], at[1::2] - 1, _offsets(nruns), step)
+
+
+def _row_words(top: int) -> int:
+    """uint64 words in a fold row whose largest value is top units: bits
+    0 to top, and one clear bit above them where the last run ends."""
+    return (top + 1) // 64 + 1
 
 
 def _offsets(sizes: np.ndarray) -> np.ndarray:

@@ -106,6 +106,12 @@ def materialized_stage_two(groups, g, reps, tail, rng):
     return "sets", [tuple(sorted(s)) for s in acc]
 
 
+def full_subset_sums(groups, sets):
+    """Whether every set is its group's full subset sums: the exactness
+    flag stage two must report for these groups and final sets."""
+    return all(list(s) == subset_sums(g) for g, s in zip(groups, sets))
+
+
 def merge_bounds(rho, g, t, w, n, q, c_ap, eta_mult, budget_mult, window):
     """(eta, u_prime, budget tail) of the merge, by its formulas."""
     lgw = math.log2(max(w, 2))

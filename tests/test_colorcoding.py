@@ -16,7 +16,7 @@ from subsetsum.colorcoding import (
 )
 from subsetsum.sumset import Flat
 
-from oracles import all_subsets, materialized_stage_two, split_into_parts, subset_sums
+from oracles import all_subsets, full_subset_sums, materialized_stage_two, split_into_parts, subset_sums
 
 
 def test_partition_groups_hand_trace():
@@ -143,7 +143,7 @@ def _naive_stage_two(family, t, w, n, q, c_ap, rng, budget_mult):
     groups = [g.tolist() for g in family.groups]
     ref = materialized_stage_two(groups, params.g, params.reps, params.tail, rng)
     if ref[0] == "sets":
-        return GroupSumsets(Flat.of(ref[1]), params), None
+        return GroupSumsets(Flat.of(ref[1]), params, full_subset_sums(groups, ref[1])), None
     _, fields, kind = ref
     return DenseTripSignal(rho=params.rho, u_prime=params.u_prime, g=params.g, **fields), kind
 
@@ -260,9 +260,10 @@ def test_max_level_excess_is_attained_by_full_subset_sums():
 
 def test_budget_that_cannot_trip_takes_unbudgeted_path(monkeypatch):
     # uniform w=3, t=1560, n=2340 at budget_mult=1e-9: the tail lies below
-    # sigma(D) but above every level's possible excess (all groups are
-    # singletons), so no repetition can trip and the unbudgeted path must
-    # run; the budgeted one runs all 61 repetitions here (~1 s)
+    # sigma(D) but above every level's possible excess (2,298 singletons
+    # and 18 groups of two or three), so no repetition can trip and the
+    # unbudgeted path must run; the budgeted one runs all 61 repetitions
+    # here (~1 s) and must report the same sets and the same exactness
     w, t, n = 3, 1560, 2340
     rng = np.random.default_rng(1)
     items = [w, *(int(v) for v in rng.integers(1, w + 1, size=n - 1))]

@@ -14,10 +14,11 @@ from subsetsum.merge import (
     merge_group_sumsets,
     select_ap_generators,
 )
+from subsetsum import merge
 from subsetsum.colorcoding import GroupSumsets
 from subsetsum.sumset import Flat
 
-from oracles import subset_sums
+from oracles import merge_bounds, subset_sums
 
 
 def _pipeline_inputs(items, t, w, n, q, seed, budget_mult=1.0):
@@ -68,6 +69,31 @@ def test_merge_narrow_windows_can_empty_nodes():
     assert isinstance(root, SumSet)
     # capping to +-2 around t/ell_h prunes hard; whatever survives is real
     assert set(root.values) <= set(subset_sums(items))
+
+
+def test_fold_refuses_rows_larger_than_the_leaf_level(monkeypatch):
+    # ten singletons near 2**40 in 16 groups: the fold's one row would need
+    # ~2**37 words against 26 leaf values, so the merge must take the
+    # kernel although the trip and cap bounds allow the fold (checked
+    # below); the fold is never called, so no row is allocated
+    rng = np.random.default_rng(3)
+    items = [int(v) for v in rng.integers(2**40 - 2**20, 2**40, size=10)]
+    groups = [(x,) for x in items] + [()] * 6
+    w, n, q, t = 2**40, len(items), 0.3, sum(items) // 2
+    params = color_params(n, t, w, q, 1)
+    family = GroupFamily(Flat.of(groups), len(items))
+    sets = Flat.of([(0, *grp) for grp in groups])
+    eta, _, tail = merge_bounds(params.rho, params.g, t, w, n, q, 1, 1.0, 1.0, 0)
+    assert sum(items) < tail and eta + 1 >= max(t, sum(items))
+    calls = []
+    fold_levels = merge._fold_levels
+    monkeypatch.setattr(merge, "_fold_levels", lambda *a: calls.append(a) or fold_levels(*a))
+    roots = [
+        merge_group_sumsets(GroupSumsets(sets, params, exact), family, t, w, n, q, 1, rng_stream(4, "p3"), window=0)
+        for exact in (True, False)
+    ]
+    assert calls == []
+    assert roots[0] == roots[1] == SumSet(tuple(subset_sums(items)))
 
 
 def test_merge_budget_trip_produces_checked_evidence():

@@ -2,16 +2,18 @@
 oracle on every dispatch path, the level kernel on levels built from
 runs, the run layout of `Level` (round trip and cap), the split and
 stage one against their per-item references, colour coding's stage two
-against its materialized reference, the merge tree against its
-values-level reference, and `solve` on pipeline-sized instances."""
+against its materialized reference, the merge tree (with and without its
+word-parallel bottom levels) against its values-level reference, and
+`solve` on pipeline-sized instances."""
 
+import math
 from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subsetsum import colorcoding, sumset
+from subsetsum import colorcoding, merge, sumset
 from subsetsum.colorcoding import (
     DenseTripSignal,
     GroupFamily,
@@ -21,12 +23,13 @@ from subsetsum.colorcoding import (
     partition_groups,
 )
 from subsetsum.core import Instance, SolverConfig, SumSet, ceil_log2, rng_stream
-from subsetsum.merge import DenseEvidence, merge_group_sumsets
+from subsetsum.merge import FOLD_LEVELS, DenseEvidence, merge_group_sumsets
 from subsetsum.solver import fallback_dp, small_target_gate, solve
 from subsetsum.structure import partition_instance
 from subsetsum.sumset import PAIRWISE_LIMIT, DenseSignal, Flat, Level, _pair_level, cap, dense_sumset
 
 from oracles import (
+    full_subset_sums,
     materialized_stage_two,
     merge_bounds,
     pairwise_sumset,
@@ -234,6 +237,85 @@ def test_merge_matches_values_reference():
     assert len(trip_levels) >= 2, "trips at fewer than two levels"
 
 
+def test_merge_fold_matches_values_reference():
+    folds = []
+
+    @given(
+        log_ell=st.sampled_from([6, 6, 7, 8, 9]),
+        w=st.sampled_from([2, 3, 40]),
+        mult=st.sampled_from([1, 2]),
+        incomplete=st.booleans(),
+        eta_side=st.floats(0.5, 2.0),
+        tail_side=st.floats(0.5, 2.0),
+        t_frac=st.floats(0.05, 0.5),
+        checked=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def check(log_ell, w, mult, incomplete, eta_side, tail_side, t_frac, checked, seed):
+        # 64-512 groups (a tree deeper than the fold), each empty, one item or
+        # two or three (fewer at w = 40, where the sets are sparse), all even
+        # when mult = 2; with `incomplete` a group of two or more lacks its
+        # own sum, as a never-complete group does.  eta and the budget tail
+        # are drawn from half to twice what the fold's cap and trip bounds
+        # need, so both bounds hold in some examples and fail in others.  A
+        # fold that skipped a cap rarely changes the capped root, so the
+        # checked examples (which compare the fold's level with the kernel's)
+        # and the routing assertion carry most of the weight
+        rng = np.random.default_rng(seed)
+        ell = 1 << log_ell
+        groups = [
+            tuple(sorted(mult * int(v) for v in rng.integers(1, w + 1, size=k)))
+            for k in rng.choice([0, 1, 1, 1, 2, 3] if w < 40 else [0, 0, 0, 1, 2], size=ell)
+        ]
+        sets = [tuple(subset_sums(grp)) for grp in groups]
+        multi = [i for i, grp in enumerate(groups) if len(grp) >= 2]
+        if incomplete and multi:
+            sets[multi[0]] = sets[multi[0]][:-1]
+        exact = not (incomplete and multi)
+        n = max(1, sum(map(len, groups)))
+        sigma = sum(map(sum, groups))
+        step = max(math.gcd(*[x for grp in groups for x in grp]), 1)
+        t = max(1, int(t_frac * sigma))
+        q, c_ap = 0.3, 1
+        params = color_params(n, t, mult * w, q, c_ap)
+        family = GroupFamily(Flat.of(groups), sum(1 for grp in groups if grp))
+        staged = GroupSumsets(Flat.of(sets), params, exact)
+
+        depth = min(FOLD_LEVELS, log_ell)
+        blocks = ell >> depth
+        perm = rng_stream(seed, "p3").permutation(ell)
+        top = max(sum(sum(groups[i]) for i in block) for block in perm.reshape(blocks, -1).tolist())
+        need = max(t // blocks, top)  # bound (c): eta + 1 >= need
+        bounds = (params.rho, params.g, t, mult * w, n, q, c_ap)
+        eta_mult = eta_side * need / merge_bounds(*bounds, 1.0, 1.0, 0)[0]
+        budget_mult = tail_side * (sigma // step) / merge_bounds(*bounds, eta_mult, 1.0, 0)[2]
+        eta, _, tail = merge_bounds(*bounds, eta_mult, budget_mult, 0)
+        words = blocks * ((top // step + 1) // 64 + 1)
+        fits = exact and sigma // step < tail and eta + 1 >= need and words <= len(staged.sets.vals)
+
+        calls = []
+        with mock.patch.object(merge, "_fold_levels", lambda *a: calls.append(a[2]) or fold_levels(*a)):
+            got = merge_group_sumsets(
+                staged, family, t, mult * w, n, q, c_ap, rng_stream(seed, "p3"),
+                eta_mult=eta_mult, budget_mult=budget_mult, window=0, checked=checked,
+            )
+        assert calls == ([depth] if fits else [])
+        kind, ref = reference_merge(
+            list(sets), [sum(grp) for grp in groups], params.rho, params.g, t, mult * w, n, q, c_ap,
+            rng_stream(seed, "p3"), eta_mult, budget_mult, 0,
+        )
+        assert got == (SumSet(ref) if kind == "root" else DenseEvidence(**ref))
+        folds.append((bool(calls), exact, kind))
+
+    fold_levels = merge._fold_levels
+    check()
+    assert any(took for took, _, _ in folds), "no example took the fold"
+    assert any(exact and not took for took, exact, _ in folds), "no exact example refused the fold"
+    assert any(not exact for _, exact, _ in folds), "no example with a never-complete group"
+    assert any(kind == "evidence" for _, _, kind in folds), "no example tripped"
+
+
 @st.composite
 def _divisor_instance(draw):
     """Items that are mostly multiples of a divisor d (a product of small
@@ -305,7 +387,7 @@ def test_stage_two_matches_materialized_reference(family, n, log_tail, seed):
     groups = [g.tolist() for g in family.groups]
     ref = materialized_stage_two(groups, params.g, params.reps, params.tail, rng_stream(seed, "p2"))
     if ref[0] == "sets":
-        assert got == GroupSumsets(Flat.of(ref[1]), params)
+        assert got == GroupSumsets(Flat.of(ref[1]), params, full_subset_sums(groups, ref[1]))
     else:
         assert got == DenseTripSignal(rho=params.rho, u_prime=params.u_prime, g=params.g, **ref[1])
 

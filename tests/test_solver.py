@@ -287,3 +287,28 @@ def test_pipeline_regime_random_soundness_sweep():
                 assert truth, "certified-path false positive"
         assert out.decision == truth  # misses are possible but ~never at q=0.01
     assert sparse_seen >= 80
+
+
+def test_sparse_miss_rate_stays_under_five_q():
+    # the one-sided error contract at pipeline size with a large q: a
+    # sparse yes is never wrong, and yes-instances are missed at most at
+    # rate 5q, up to a one-sided binomial bound that a faithful solver
+    # exceeds with probability below 1e-6
+    q, trials, n, w, t = 0.1, 200, 2400, 4, 2000
+    assert not small_target_gate(t, w)
+    sparse = misses = 0
+    for seed in range(trials):
+        inst = generate_instance("uniform", n, w, seed, t=t)
+        assert fallback_dp(inst.items, inst.target), "not a yes-instance"
+        out = solve(inst, SolverConfig(seed=seed, error_q=q))
+        if out.branch == "sparse":
+            sparse += 1
+            misses += not out.decision
+    assert sparse >= 0.9 * trials, f"only {sparse} of {trials} solves took the sparse branch"
+    p = 5 * q
+
+    def tail(k):  # P[Bin(sparse, p) >= k]
+        return sum(math.comb(sparse, i) * p**i * (1 - p) ** (sparse - i) for i in range(k, sparse + 1))
+
+    bound = next(k for k in range(sparse + 2) if tail(k) <= 1e-6)
+    assert misses < bound, f"{misses} misses of {sparse} sparse solves"

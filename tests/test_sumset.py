@@ -10,6 +10,8 @@ from subsetsum.sumset import (
     HULL_FFT_LIMIT,
     DenseSignal,
     Level,
+    _fold_levels,
+    _offsets,
     _pair_level,
     _sum_values,
     cap,
@@ -17,7 +19,7 @@ from subsetsum.sumset import (
     sum_if_sparse,
 )
 
-from oracles import pairwise_sumset
+from oracles import pairwise_sumset, subset_sums
 
 
 def S(*vals):
@@ -348,3 +350,31 @@ def test_level_cap_matches_per_node_cap():
     for lo, hi in ((-5, 400), (0, 0), (30, 60), (61, 59), (199, 1 << 70)):
         got = [tuple(z.tolist()) for z in level.cap(lo, hi)]
         assert got == [tuple(v for v in s if lo <= v <= hi) for s in sets]
+
+
+@pytest.mark.parametrize(
+    "depth,step,w,seed",
+    [(0, 1, 16, 1), (1, 1, 16, 2), (3, 2, 16, 3), (4, 1, 100, 4), (5, 3, 300, 5), (4, 1, 5000, 6)],
+)
+def test_fold_levels_equal_kernel_levels(depth, step, w, seed):
+    # leaves that are their groups' full subset sums (empty groups, one
+    # item, or a few; items of w = 100 or more units need word shifts as
+    # well as bit shifts); the fold's level must equal `depth` kernel
+    # levels run from the leaf values, field by field
+    rng = np.random.default_rng(seed)
+    groups = [
+        [step * int(v) for v in rng.integers(1, w + 1, size=k)]
+        for k in rng.choice([0, 1, 1, 2, 3], size=(1 << depth) * 6)
+    ]
+    items = np.array([x for grp in groups for x in grp], dtype=np.int64)
+    sets = [subset_sums(grp) for grp in groups]
+    cur = Level.from_values(
+        np.array([v for s in sets for v in s], dtype=np.int64), _offsets(np.array([len(s) for s in sets])), step
+    )
+    for _ in range(depth):
+        cur, _ = _pair_level(cur, math.inf)
+    got = _fold_levels(items, _offsets(np.array([len(grp) for grp in groups])), depth, step)
+    for field in ("starts", "ends", "offs"):
+        assert getattr(got, field).dtype == getattr(cur, field).dtype
+        assert np.array_equal(getattr(got, field), getattr(cur, field)), field
+    assert got.step == cur.step
