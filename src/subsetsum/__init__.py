@@ -5,6 +5,11 @@ one-sided error: certified-path yes answers are always correct, and
 yes-instances are missed with small configurable probability.  Includes
 exact DP oracles, dense/sparse diagnostics, and a CLI with a benchmark
 harness (`subsetsum --help`).
+
+`SumSet.values` is a strictly increasing, read-only, 1-D int64 array (it
+used to be a tuple of Python ints).  `SumSet.of` still takes any
+iterable of integers, and iteration, `len`, `in`, `min`, `max` and `dm`
+still give Python ints and bools.
 """
 
 from .core import (

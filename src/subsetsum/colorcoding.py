@@ -413,10 +413,10 @@ def _unbudgeted_sumsets(
         for e, p in zip(pos[keep].tolist(), drawn[keep].tolist()):
             split.setdefault(int(owner[e]), {}).setdefault(p, []).append(flat[e])
         for i, parts in split.items():
-            vals: tuple = (0,)
+            vals = np.zeros(1, dtype=np.int64)
             for plist in parts.values():
-                vals = _sum_values(vals, tuple(sorted({0, *plist})))
-            acc.setdefault(i, {0}).update(vals)
+                vals = _sum_values(vals, np.unique([0, *plist]))
+            acc.setdefault(i, {0}).update(vals.tolist())
 
     # every group holds 0 and each singleton its (positive) element; a group
     # of two or more holds its fold or, once complete, all its subset sums,

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
@@ -112,58 +111,83 @@ class Instance:
         return cls(tuple(items), target)
 
 
-@dataclass(frozen=True)
-class SumSet:
-    """A strictly increasing tuple of non-negative integers.
+def _int64_vector(values: Iterable[int]) -> np.ndarray:
+    """values as a new 1-D int64 array; ValueError if that cannot hold them."""
+    if not isinstance(values, (np.ndarray, list, tuple)):
+        values = list(values)
+    try:
+        v = np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("SumSet values must lie in [0, 2**63)") from None
+    if v.ndim != 1:
+        raise ValueError("SumSet values must be one-dimensional")
+    return v
 
-    Represents a set of achievable sums.  The empty set is allowed and
-    means "no achievable sum"; by convention its max and min are 0 and
-    its diameter is 1.
+
+@dataclass(frozen=True, eq=False)
+class SumSet:
+    """A set of achievable sums: a strictly increasing, read-only, 1-D
+    int64 array of values in [0, 2**63).
+
+    The constructor takes a strictly increasing sequence or array and
+    stores a read-only copy, so a caller's array is never aliased; `of`
+    takes any iterable of integers.  Values outside int64, negative or
+    non-increasing values and arrays that are not 1-D raise ValueError.
+    Iteration, `len`, `in`, `min`, `max` and `dm` give Python ints and
+    bools.  Two SumSets are equal when they hold the same values, and hash
+    by them.  The empty set is allowed and means "no achievable sum"; by
+    convention its max and min are 0 and its diameter is 1.
     """
 
-    values: tuple[int, ...]
+    values: np.ndarray
 
     def __post_init__(self):
-        v = self.values
-        if not isinstance(v, tuple):
-            v = tuple(v)
-            object.__setattr__(self, "values", v)
-        if v:
-            if v[0] < 0:
-                raise ValueError("SumSet values must be non-negative")
-            prev = v[0]
-            for x in v[1:]:
-                if x <= prev:
-                    raise ValueError("SumSet values must be strictly increasing")
-                prev = x
+        v = _int64_vector(self.values)
+        if v.size and v[0] < 0:
+            raise ValueError("SumSet values must be non-negative")
+        if not (v[1:] > v[:-1]).all():
+            raise ValueError("SumSet values must be strictly increasing")
+        v.flags.writeable = False
+        object.__setattr__(self, "values", v)
 
     @classmethod
     def of(cls, values: Iterable[int]) -> "SumSet":
-        return cls(tuple(sorted(set(int(v) for v in values))))
+        return cls(np.unique(_int64_vector(values)))
 
     @classmethod
     def empty(cls) -> "SumSet":
         return cls(())
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SumSet):
+            return NotImplemented
+        return np.array_equal(self.values, other.values)
+
+    def __hash__(self) -> int:
+        return hash(self.values.tobytes())
+
     def __len__(self) -> int:
         return len(self.values)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.values)
+        return iter(self.values.tolist())
 
     def __contains__(self, x: int) -> bool:
-        i = bisect_left(self.values, x)
-        return i < len(self.values) and self.values[i] == x
+        v = self.values
+        # bounds first: searchsorted cannot take integers outside int64
+        if not v.size or not int(v[0]) <= x <= int(v[-1]):
+            return False
+        return bool(v[np.searchsorted(v, x)] == x)
 
     @property
     def is_empty(self) -> bool:
-        return not self.values
+        return not self.values.size
 
     def min(self) -> int:
-        return self.values[0] if self.values else 0
+        return int(self.values[0]) if self.values.size else 0
 
     def max(self) -> int:
-        return self.values[-1] if self.values else 0
+        return int(self.values[-1]) if self.values.size else 0
 
     def dm(self) -> int:
         """Diameter max - min + 1 (1 for the empty set)."""

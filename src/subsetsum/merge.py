@@ -20,8 +20,9 @@ once; each level goes through the level kernel `_pair_level` whole and
 comes back as runs, so no level is expanded to values.  The interval cap
 clips the runs, and the per-node weights and subtree sums, the
 checked-mode bounds and the evidence sizes (sums of run lengths) and
-maxima (last run ends) are all computed level-wide from the offsets.  Only the root is expanded, into the
-SumSet that is returned.
+maxima (last run ends) are all computed level-wide from the offsets.
+Only the root is expanded, to the int64 array that the returned SumSet
+holds; no value passes through a Python int on the way.
 
 The bottom levels are a bounded subset-sum DP over a few small items per
 node, which a word-parallel bitset does in a few shifts per item
@@ -282,7 +283,7 @@ def merge_group_sumsets(
         if checked and h == depth and not (cur == folded and cur.step == folded.step):
             raise InternalConsistencyError("word-parallel fold differs from the level kernel")
 
-    return SumSet(tuple(cur.values().tolist()))
+    return SumSet(cur.values())
 
 
 def _fold_depth(

@@ -80,13 +80,10 @@ class BranchReport:
     checked_disagreement: Optional[bool] = None
 
 
-def _bits_to_values(mask: int) -> tuple[int, ...]:
-    nbytes = (mask.bit_length() + 7) // 8
-    if nbytes == 0:
-        return ()
-    raw = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
-    bits = np.unpackbits(raw, bitorder="little")
-    return tuple(np.nonzero(bits)[0].tolist())
+def _bits_to_values(mask: int) -> np.ndarray:
+    """The positions of mask's set bits, ascending."""
+    raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
 
 
 def bounded_subset_sums(items: Sequence[int], cap_hi: int) -> SumSet:
@@ -195,7 +192,7 @@ def dense_interval_set(d: int, t: int, w: int) -> SumSet:
     width = int(math.sqrt(w * t) * math.log2(max(w, 2)))
     lo = max(t - width, 0)
     first = ((lo + d - 1) // d) * d
-    return SumSet(tuple(range(first, t + 1, d)))
+    return SumSet(np.arange(first, t + 1, d, dtype=np.int64))
 
 
 def solve_d_window(

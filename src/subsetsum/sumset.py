@@ -1,4 +1,4 @@
-"""Sumset kernels: one level kernel, its tuple adapter, the merge's
+"""Sumset kernels: one level kernel, its one-pair adapter, the merge's
 word-parallel fold, an interval cap.
 
 The sumset of A and B is {x + y : x in A, y in B}.  One dispatcher, the
@@ -6,11 +6,12 @@ level kernel `_pair_level`, computes every sumset: it sums the pairs
 (2i, 2i+1) of a whole level in a few numpy passes.  Colour coding's
 budgeted levels (phase 2), the merge tree (phase 3) and `sum_if_sparse`
 call it with a level.  `dense_sumset` (the public entry point for one
-pair), colour coding's unbudgeted fold of groups that never split
-cleanly (phase 2) and the solver's combine go through its tuple adapter
-`_sum_values`, which enumerates a pair directly when |A|*|B| <=
-PAIRWISE_LIMIT (far cheaper than the level's numpy passes for such tiny
-pairs) and otherwise sums it as a one-pair level.
+pair, which the solver's combine uses) and colour coding's unbudgeted
+fold of groups that never split cleanly (phase 2) go through its
+one-pair adapter `_sum_values`, which enumerates a pair directly when
+|A|*|B| <= PAIRWISE_LIMIT (far cheaper than the level's passes for such
+tiny pairs) and otherwise sums it as a one-pair level.  Both take and
+give int64 arrays, the layout of `SumSet.values`.
 
 A level is one `Level` in units of its common step g (a divisor of every
 value; 2 when all items are even): each node is its maximal runs of step
@@ -56,16 +57,15 @@ the level a few levels above leaves that are full subset-sum sets by
 folding each block's items into rows of uint64 words (row |= row << x
 per item, vectorised over blocks) and reads the rows back as runs.
 
-`cap` intersects a set with an interval; `Level.cap` does the same to
-every node of a level at once, by clipping its runs.  Stage one's groups
-and stage two's group sumsets are values back to back (`Flat`): groups
-are multisets, which runs cannot hold.
+`cap` intersects a set with an interval by two binary searches;
+`Level.cap` does the same to every node of a level at once, by clipping
+its runs.  Stage one's groups and stage two's group sumsets are values
+back to back (`Flat`): groups are multisets, which runs cannot hold.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, Optional, Sequence, Union
@@ -226,7 +226,8 @@ class Flat:
 
 
 def dense_sumset(a: SumSet, b: SumSet) -> SumSet:
-    """Sumset of two non-empty SumSets.
+    """Sumset of two non-empty SumSets whose maxima sum to below 2**63
+    (the int64 values of a SumSet cannot hold more; ValueError otherwise).
 
     Pairwise enumeration when |a|*|b| <= PAIRWISE_LIMIT; otherwise the
     pair is a one-pair level of the level kernel, which sums it by runs,
@@ -235,6 +236,8 @@ def dense_sumset(a: SumSet, b: SumSet) -> SumSet:
     """
     if a.is_empty or b.is_empty:
         raise ValueError("empty operand")
+    if a.max() + b.max() >= OVERFLOW_LIMIT:
+        raise ValueError("sumset values must stay below 2**63")
     return SumSet(_sum_values(a.values, b.values))
 
 
@@ -254,10 +257,12 @@ def sum_if_sparse(sets: Sequence[SumSet], budget_k: int) -> Union[list[SumSet], 
             raise ValueError("empty operand")
     if budget_k <= ell // 2:
         return DenseSignal(0, budget_k, 0)
-    out, signal = _pair_level(Level.of([s.values for s in sets]), budget_k)
+    sizes = np.array([len(s) for s in sets], dtype=np.int64)
+    level = Level.from_values(np.concatenate([s.values for s in sets]), _offsets(sizes))
+    out, signal = _pair_level(level, budget_k)
     if signal is not None:
         return signal
-    return [SumSet(tuple(z.tolist())) for z in out]
+    return [SumSet(z) for z in out]
 
 
 def common_step(vals: np.ndarray) -> int:
@@ -275,8 +280,12 @@ def cap(a: SumSet, lo: int, hi: int) -> SumSet:
     """a intersected with the integer interval [lo, hi]; may be empty."""
     if lo > hi:
         raise ValueError("lo > hi")
+    # values lie in [0, 2**63), so clamping keeps the bounds in int64
+    lo, hi = max(lo, 0), min(hi, OVERFLOW_LIMIT - 1)
+    if lo > hi:
+        return SumSet.empty()
     v = a.values
-    return SumSet(v[bisect_left(v, lo) : bisect_right(v, hi)])
+    return SumSet(v[np.searchsorted(v, lo) : np.searchsorted(v, hi, side="right")])
 
 
 # ---------------------------------------------------------------------------
@@ -637,19 +646,22 @@ def _expand(starts: np.ndarray, ends: np.ndarray, step: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# one pair of tuples (`dense_sumset`, colour coding's fold, the combine)
+# one pair (`dense_sumset` and the combine, colour coding's fold)
 # ---------------------------------------------------------------------------
 
 
-def _sum_values(a: tuple, b: tuple) -> tuple:
-    """Sumset of two non-empty strictly increasing tuples, as a tuple of
-    Python ints.  A pair with |a|*|b| <= PAIRWISE_LIMIT is enumerated:
-    1x55 and 10x10 pairs took 4-9 us enumerated and 0.21 ms as a level
-    (2-core x86 VM, numpy 2.4).  Any other pair is a one-pair level.
+def _sum_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sumset of two non-empty strictly increasing int64 arrays, as a new
+    int64 array.  A pair with |a|*|b| <= PAIRWISE_LIMIT is enumerated:
+    1x55, 10x10 and 40x50 pairs took 10, 11 and 35 us enumerated and 0.18,
+    0.23 and 0.27 ms as a level (2-core x86 VM, numpy 2.4).  Any other
+    pair is a one-pair level.
     """
-    if not a or not b:
+    if not len(a) or not len(b):
         raise ValueError("empty operand")
     if len(a) * len(b) <= PAIRWISE_LIMIT:
-        return tuple(sorted({x + y for x in a for y in b}))
-    out, _ = _pair_level(Level.of((a, b)), math.inf)
-    return tuple(out.values().tolist())
+        sums = np.sort(np.add.outer(a, b), axis=None)
+        return sums[np.append(True, sums[1:] != sums[:-1])]
+    vals = np.concatenate((a, b))
+    out, _ = _pair_level(Level.from_values(vals, np.array([0, len(a), len(vals)])), math.inf)
+    return out.values()

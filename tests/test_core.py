@@ -68,7 +68,7 @@ def test_sumset_validation():
         SumSet((3, 2))
     with pytest.raises(ValueError):
         SumSet((-1, 2))
-    assert SumSet.of([4, 2, 2, 9]).values == (2, 4, 9)
+    assert SumSet.of([4, 2, 2, 9]).values.tolist() == [2, 4, 9]
 
 
 def test_sumset_empty_conventions():

@@ -1,6 +1,7 @@
 """Hypothesis property tests: the sumset kernels against the pairwise
-oracle on every dispatch path, the level kernel on levels built from
-runs, the run layout of `Level` (round trip and cap), the split and
+oracle on every dispatch path, `SumSet` and `cap` against a set oracle,
+the level kernel on levels built from runs, the run layout of `Level`
+(round trip and cap), the split and
 stage one against their per-item references, colour coding's stage two
 against its materialized reference, the merge tree (with and without its
 word-parallel bottom levels) against its values-level reference, and
@@ -10,6 +11,7 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -92,7 +94,7 @@ def test_dense_sumset_and_cap_match_oracle(case, bounds):
     ):
         got = dense_sumset(SumSet(a), SumSet(b))
     expected = tuple(pairwise_sumset(a, b))
-    assert got.values == expected
+    assert tuple(got.values.tolist()) == expected
     if path == "pairwise":
         assert len(a) * len(b) <= PAIRWISE_LIMIT and levels == []
     elif path == "level":
@@ -100,7 +102,85 @@ def test_dense_sumset_and_cap_match_oracle(case, bounds):
     else:
         assert levels[0] == 2 and splits and all(h <= limit for h in hulls)
     lo, hi = min(bounds), max(bounds)
-    assert cap(got, lo, hi).values == tuple(v for v in expected if lo <= v <= hi)
+    assert tuple(cap(got, lo, hi).values.tolist()) == tuple(v for v in expected if lo <= v <= hi)
+
+
+# values near 0 and near 2**62, so that pair sums fall on both sides of
+# 2**63; probes and cap bounds also reach far outside int64
+_NEAR_0_OR_2_62 = st.one_of(st.integers(0, 5000), st.integers((1 << 62) - 60, (1 << 62) + 60))
+_PROBE = st.one_of(
+    _NEAR_0_OR_2_62,
+    st.integers(-(1 << 70), 1 << 70),
+    st.sampled_from([-1, (1 << 63) - 1, 1 << 63, 1 << 64]),
+)
+
+
+# a progression of up to 80 values, so that some pairs exceed
+# PAIRWISE_LIMIT and go through the level kernel
+_PROGRESSION = st.builds(
+    lambda start, count: list(range(start, start + 7 * count, 7)),
+    st.sampled_from([0, 1000, (1 << 62) - 1000]),
+    st.integers(0, 80),
+)
+
+
+@given(
+    xs=st.lists(_NEAR_0_OR_2_62, max_size=40),
+    ys=st.lists(_NEAR_0_OR_2_62, min_size=1, max_size=40),
+    runs=st.tuples(_PROGRESSION, _PROGRESSION),
+    probes=st.lists(_PROBE, max_size=8),
+    lo=_PROBE,
+    hi=_PROBE,
+)
+@settings(max_examples=150, deadline=None)
+def test_sumset_matches_set_oracle(xs, ys, runs, probes, lo, hi):
+    # xs may be empty, and both may repeat values
+    xs, ys = xs + runs[0], ys + runs[1]
+    a, b = SumSet.of(xs), SumSet.of(ys)
+    oracle = sorted(set(xs))
+    assert a.values.tolist() == list(a) == oracle and len(a) == len(oracle)
+    assert a == SumSet(oracle) == SumSet(tuple(oracle)) == SumSet(np.array(oracle, dtype=np.int64))
+    ends = (oracle[0], oracle[-1], oracle[-1] - oracle[0] + 1) if oracle else (0, 0, 1)
+    assert (a.min(), a.max(), a.dm(), a.is_empty) == (*ends, not oracle)
+    for x in probes + xs + ys:
+        assert (x in a) is (x in oracle)
+    if lo > hi:
+        with pytest.raises(ValueError):
+            cap(a, lo, hi)
+    else:
+        assert cap(a, lo, hi).values.tolist() == [v for v in oracle if lo <= v <= hi]
+    if a.is_empty:
+        with pytest.raises(ValueError, match="empty operand"):
+            dense_sumset(a, b)
+    elif a.max() + b.max() >= 1 << 63:
+        with pytest.raises(ValueError, match=r"2\*\*63"):
+            dense_sumset(a, b)
+    else:
+        assert dense_sumset(a, b).values.tolist() == pairwise_sumset(oracle, set(ys))
+
+
+@given(
+    xs=st.lists(st.one_of(st.integers(-3, 12), _NEAR_0_OR_2_62, st.integers(1 << 63, 1 << 65)), max_size=6),
+    two_d=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_sumset_rejects_what_it_cannot_hold(xs, two_d):
+    in_range = all(0 <= x < 1 << 63 for x in xs)
+    if in_range and two_d:
+        grid = np.array([xs], dtype=np.int64)
+        for build in (SumSet, SumSet.of):
+            with pytest.raises(ValueError, match="one-dimensional"):
+                build(grid)
+    elif in_range and all(x < y for x, y in zip(xs, xs[1:])):
+        assert SumSet(xs).values.tolist() == xs
+    else:
+        with pytest.raises(ValueError):
+            SumSet(xs)
+    if in_range:
+        assert SumSet.of(xs).values.tolist() == sorted(set(xs))
+    else:
+        with pytest.raises(ValueError):
+            SumSet.of(xs)
 
 
 @st.composite
@@ -180,7 +260,7 @@ _BOUND = st.builds(
 @settings(max_examples=150, deadline=None)
 def test_level_cap_on_runs_matches_per_node_cap(case, lo, hi):
     sets, g = case
-    expected = [cap(SumSet(s), lo, hi).values if lo <= hi else () for s in sets]
+    expected = [tuple(cap(SumSet(s), lo, hi).values.tolist()) if lo <= hi else () for s in sets]
     for level in (Level.of(sets), Level.of(sets, g)):
         assert [tuple(z.tolist()) for z in level.cap(lo, hi)] == expected
 

@@ -5,7 +5,7 @@ import pytest
 
 from subsetsum import sumset
 from subsetsum.core import SumSet
-from subsetsum.solver import bounded_subset_sums
+from subsetsum.solver import bounded_subset_sums, dense_interval_set
 from subsetsum.sumset import (
     HULL_FFT_LIMIT,
     DenseSignal,
@@ -27,18 +27,18 @@ def S(*vals):
 
 
 def test_dense_sumset_examples():
-    assert dense_sumset(S(0, 1), S(0, 2)).values == (0, 1, 2, 3)
-    assert dense_sumset(S(5), S(7)).values == (12,)
+    assert dense_sumset(S(0, 1), S(0, 2)).values.tolist() == [0, 1, 2, 3]
+    assert dense_sumset(S(5), S(7)).values.tolist() == [12]
     expected = tuple(pairwise_sumset([1, 3, 4], [0, 10]))
-    assert dense_sumset(S(1, 3, 4), S(0, 10)).values == expected
+    assert tuple(dense_sumset(S(1, 3, 4), S(0, 10)).values.tolist()) == expected
     assert expected == (1, 3, 4, 11, 13, 14)
 
 
 def test_sparse_sumset_examples():
     # sparse operands (wide hull, few values) go through the same entry point
-    assert dense_sumset(S(0, 1000000), S(0, 1)).values == (0, 1, 1000000, 1000001)
+    assert dense_sumset(S(0, 1000000), S(0, 1)).values.tolist() == [0, 1, 1000000, 1000001]
     b = S(3, 8, 19)
-    assert dense_sumset(S(0), b).values == b.values
+    assert dense_sumset(S(0), b).values.tolist() == b.values.tolist()
 
 
 def test_empty_operand_errors():
@@ -56,7 +56,7 @@ def test_kernels_agree_with_bruteforce():
         a = sorted(set(int(v) for v in rng.integers(0, hi, size=na)))
         b = sorted(set(int(v) for v in rng.integers(0, hi, size=nb)))
         expected = tuple(pairwise_sumset(a, b))
-        assert dense_sumset(SumSet(tuple(a)), SumSet(tuple(b))).values == expected
+        assert tuple(dense_sumset(SumSet(tuple(a)), SumSet(tuple(b))).values.tolist()) == expected
 
 
 def test_split_exact_on_wide_ranges():
@@ -65,12 +65,12 @@ def test_split_exact_on_wide_ranges():
     for trial in range(5):
         a = sorted(set(int(v) for v in rng.integers(0, 1 << 40, size=80)))
         b = sorted(set(int(v) for v in rng.integers(0, 1 << 40, size=70)))
-        got = dense_sumset(SumSet(tuple(a)), SumSet(tuple(b))).values
+        got = tuple(dense_sumset(SumSet(tuple(a)), SumSet(tuple(b))).values.tolist())
         assert got == tuple(pairwise_sumset(a, b))
     # a narrow left operand: only the right one can be halved
     a = [7, 8, 12]
     b = sorted(set(int(v) for v in rng.integers(0, 1 << 40, size=3000)))
-    got = dense_sumset(SumSet(tuple(a)), SumSet(tuple(b))).values
+    got = tuple(dense_sumset(SumSet(tuple(a)), SumSet(tuple(b))).values.tolist())
     assert got == tuple(pairwise_sumset(a, b))
 
 
@@ -82,7 +82,7 @@ def test_split_exact_on_structured_collisions():
     b = SumSet(tuple(range(0, 3000 * step, step)))
     assert (a.max() - a.min()) + (b.max() - b.min()) + 1 > HULL_FFT_LIMIT
     expected = tuple(range(big, big + (5000 + 3000 - 1) * step, step))
-    assert dense_sumset(a, b).values == expected
+    assert tuple(dense_sumset(a, b).values.tolist()) == expected
 
 
 @pytest.mark.parametrize("excess", [0, 1])
@@ -105,7 +105,7 @@ def test_hull_limit_boundary(monkeypatch, fft_hulls, excess):
     a = sorted({0, da, *(int(v) for v in rng.integers(0, da, size=600))})
     b = sorted({0, db, *(int(v) for v in rng.integers(0, db, size=600))})
     assert len(a) * len(b) > sumset.RUN_PAIRS_MAX
-    got = dense_sumset(SumSet(tuple(a)), SumSet(tuple(b))).values
+    got = tuple(dense_sumset(SumSet(tuple(a)), SumSet(tuple(b))).values.tolist())
     assert got == tuple(pairwise_sumset(a, b))
     if excess == 0:
         assert fft_hulls == [HULL_FFT_LIMIT] and not splits
@@ -122,18 +122,49 @@ def test_fft_backend_matches_pairwise(fft_hulls):
     assert tuple(out[0].tolist()) == tuple(pairwise_sumset(a, b))
 
 
-def test_kernels_return_python_ints(monkeypatch, fft_hulls):
-    # numpy scalars must not leak into the value tuples
-    a = tuple(range(0, 3000, 7))
-    b = tuple(range(5, 4000, 11))
-    outs = [_sum_values((1, 2, 3), (4, 10)), _sum_values(a, b)]
+def test_sumsets_are_read_only_int64_arrays(monkeypatch, fft_hulls):
+    # every producer gives a 1-D int64 array that cannot be written
+    a = SumSet(np.arange(0, 3000, 7))
+    b = SumSet(np.arange(5, 4000, 11))
+    outs = [dense_sumset(S(1, 2, 3), S(4, 10)), dense_sumset(a, b)]
     assert len(fft_hulls) == 1
     monkeypatch.setattr(sumset, "HULL_FFT_LIMIT", 1024)
-    outs.append(_sum_values(a, b))
+    outs.append(dense_sumset(a, b))
     assert len(fft_hulls) > 2
-    outs.append(bounded_subset_sums([3, 5, 9], 17).values)
+    outs += [bounded_subset_sums([3, 5, 9], 17), dense_interval_set(3, 100, 2), cap(a, 10, 100), S()]
+    outs += sum_if_sparse([S(0, 1), S(0, 2)], 100)
     for out in outs:
-        assert out and all(type(v) is int for v in out)
+        v = out.values
+        assert v.ndim == 1 and v.dtype == np.int64 and not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[:1] = 7
+    assert outs[1] == outs[2]
+    assert _sum_values(np.array([0, 4]), np.array([0, 1])).tolist() == [0, 1, 4, 5]
+    # the caller's writable array is copied, not aliased
+    mine = np.array([1, 4, 9], dtype=np.int64)
+    s = SumSet(mine)
+    mine[0] = 3
+    assert s.values.tolist() == [1, 4, 9] and not np.shares_memory(s.values, mine)
+    assert mine.flags.writeable
+    # scalar accessors give Python ints and bools
+    assert [type(x) for x in (s.min(), s.max(), s.dm(), len(s), *s)] == [int] * 7
+    assert type(4 in s) is bool and type(5 in s) is bool and type(s.is_empty) is bool
+    assert (4 in s, 5 in s, s.dm()) == (True, False, 9)
+    # tuple, list, array and `of` inputs give equal sets with equal hashes
+    forms = [SumSet((1, 4, 9)), SumSet([1, 4, 9]), SumSet(np.array([1, 4, 9])), SumSet.of((9, 1, 4, 4)), s]
+    assert all(f == s for f in forms) and len({hash(f) for f in forms}) == 1
+    assert len({f: None for f in forms}) == 1
+    assert s != SumSet((1, 4)) and s != (1, 4, 9)
+
+
+def test_membership_and_cap_outside_int64():
+    s = S(0, 5, 2**62)
+    for x in (2**63, 2**64 + 5, 2**100, -1, -(2**70)):
+        assert x not in s
+    assert 2**62 in s and 2**62 + 1 not in s and 2**63 not in S()
+    assert cap(s, -(2**70), 2**70) == s
+    assert cap(s, -(2**70), -1).is_empty and cap(s, 2**63, 2**70).is_empty
+    assert cap(s, 1, 2**64).values.tolist() == [5, 2**62]
 
 
 def test_sumset_commutative_associative():
@@ -149,7 +180,7 @@ def test_sumset_commutative_associative():
 
 
 def test_cap_examples():
-    assert cap(S(1, 5, 9), 4, 9).values == (5, 9)
+    assert cap(S(1, 5, 9), 4, 9).values.tolist() == [5, 9]
     assert cap(S(1, 2), 5, 6).is_empty
     nested = cap(cap(S(1, 5, 9, 12), 2, 11), 4, 9)
     assert nested == cap(S(1, 5, 9, 12), 4, 9)
@@ -160,7 +191,7 @@ def test_cap_examples():
 def test_sum_if_sparse_returns_levels():
     sets = [S(0, 1), S(0, 2), S(0, 4), S(0, 8)]
     out = sum_if_sparse(sets, 100)
-    assert [s.values for s in out] == [(0, 1, 2, 3), (0, 4, 8, 12)]
+    assert [s.values.tolist() for s in out] == [[0, 1, 2, 3], [0, 4, 8, 12]]
 
 
 def test_sum_if_sparse_small_budget_rule():
@@ -204,7 +235,7 @@ def test_sum_if_sparse_contract_fuzz():
         if isinstance(res, DenseSignal):
             assert budget <= ell // 2 or total >= budget
         else:
-            assert [s.values for s in res] == full
+            assert [tuple(s.values.tolist()) for s in res] == full
             assert total < budget
 
 
