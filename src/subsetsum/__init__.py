@@ -9,7 +9,9 @@ harness (`subsetsum --help`).
 `SumSet.values` is a strictly increasing, read-only, 1-D int64 array (it
 used to be a tuple of Python ints).  `SumSet.of` still takes any
 iterable of integers, and iteration, `len`, `in`, `min`, `max` and `dm`
-still give Python ints and bools.
+still give Python ints and bools.  Likewise the parts of an
+`InstancePartition` (`leftover_part`, `residue_part`, `dense_part`) are
+sorted, read-only, 1-D int64 arrays; they used to be tuples.
 """
 
 from .core import (

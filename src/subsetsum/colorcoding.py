@@ -29,15 +29,20 @@ one, so it counts one toward the running total and is never computed.
 Each repetition's parts become sorted keys group * g + part, and key >> h
 is a node's global index at level h.  A level holds only the occupied
 nodes, as one `Level` of runs in units of the elements' common step:
-level 0 is split into runs once per repetition, a missing sibling is
-the run [0, 0] ({0}), and the level kernel `_pair_level` sums the pairs
-under the level's budget and returns runs, counting the virtual nodes
-before each pair as that pair's gap; only each repetition's roots are
-expanded to values.  The stop is therefore the one the
-materialized computation makes, and colour coding checks the gap after
-the last occupied node itself.  Phases 2 and 3 share that kernel and its
-budget stop, so a tripping level computes at most LEVEL_CHUNK_VALUES
-values plus one pair past its stop.
+level 0 ({0} plus each part's distinct elements) is built from the
+sorted parts and split into runs once per repetition, and only each
+repetition's roots are expanded to values.  A node whose sibling is
+empty is {0} + X = X, so a node with one occupied child is that child's
+runs, unchanged and never summed; only the nodes with two occupied
+children go to the level kernel `_pair_level`, and a level that has none
+calls no kernel.  Nearly all of the g parts are empty, so at pipeline
+size the tripping level usually has none.  The kernel sums the pairs under the
+level's budget, counting as each pair's gap the known size before it:
+one for each virtual node, a child's size for each one-child node.  The
+stop is found on the one left-to-right running total of the level's
+sizes, so it is the one the materialized computation makes, and a
+tripping level computes at most LEVEL_CHUNK_VALUES values plus one
+pair past its stop.
 
 The budget can never trip when its tail exceeds the sum over groups of
 min(sigma(G), 2^|G| - 1), a bound on any level's size excess over its
@@ -293,8 +298,9 @@ def _max_level_excess(family: GroupFamily) -> int:
 def _budgeted_sumsets(
     family: GroupFamily, params: ColorCodingParams, rng: np.random.Generator
 ) -> Union[GroupSumsets, DenseTripSignal]:
-    """Every repetition as flat levels of the occupied nodes through
-    `_pair_level`, until one trips (see the module docstring)."""
+    """Every repetition as flat levels of the occupied nodes, summing only
+    nodes with two occupied children, until one trips (see the module
+    docstring)."""
     g, ell = params.g, family.ell
     elems = family.groups.vals
     owner = np.repeat(np.arange(ell, dtype=np.int64), family.groups.sizes())
@@ -308,62 +314,89 @@ def _budgeted_sumsets(
         shared = np.zeros(ell, dtype=bool)
         shared[part_key[1:][part_key[1:] == part_key[:-1]] // g] = True
         complete |= ~shared
-        # level 0: each occupied part is {0} plus its distinct elements
-        node_key, part_start = np.unique(part_key, return_index=True)
-        parts = _distinct_level(
-            np.concatenate((part_key, node_key)),
-            np.concatenate((part_val, np.zeros_like(node_key))),
-            node_key,
-        )
-        cur = Level.from_values(parts.vals, parts.offs, step)
+        part_first = np.diff(part_key, prepend=-1) != 0
+        part_start = np.flatnonzero(part_first)
+        node_key = part_key[part_start]
+        cur = _part_level(part_val, part_first, step)
+        sizes = cur.sizes()
         for h in range(1, ceil_log2(g) + 1):
             num_nodes = ell * (g >> h)
             budget = num_nodes + params.tail
-            # child i is operand slot[i] of the level; a missing sibling is
-            # {0}, the run [0, 0]
-            child_key, child_runs = node_key, np.diff(cur.offs)
-            node_key, pair = np.unique(child_key >> 1, return_inverse=True)
-            slot = 2 * pair + (child_key & 1)
-            slot_runs = np.ones(2 * node_key.size, dtype=np.int64)
-            slot_runs[slot] = child_runs
-            offs = _offsets(slot_runs)
-            at = _segment_index(offs[slot], child_runs)
-            starts = np.zeros(int(offs[-1]), dtype=np.int64)
-            ends = np.zeros_like(starts)
-            starts[at], ends[at] = cur.starts, cur.ends
-            gaps = np.diff(node_key, prepend=-1) - 1
-            cur, signal = _pair_level(Level(starts, ends, offs, step), budget, gaps)
-            sizes = cur.sizes()
-            extra = int(sizes.sum()) - len(cur)  # sum of (size - 1) over computed nodes
-            if signal is None and num_nodes + extra < budget:
+            # left[k] and left[k] + 1 are the children of a two-child node;
+            # every other node is its one child, unchanged
+            left = np.flatnonzero((node_key[1:] >> 1) == (node_key[:-1] >> 1))
+            if left.size:
+                kept = np.ones(node_key.size, dtype=bool)
+                kept[left + 1] = False
+                node_key = node_key[kept] >> 1
+                sizes = sizes[kept]
+                paired = left - np.arange(left.size)  # the two-child nodes
+                # known size before each pair: virtual {0} nodes count one
+                # each, one-child nodes their child's size
+                known = np.diff(node_key, prepend=-1) - 1 + sizes
+                known[paired] -= sizes[paired]
+                gaps = np.diff(np.cumsum(known)[paired], prepend=0)
+                out, _ = _pair_level(cur.take((left[:, None] + np.arange(2)).ravel()), budget, gaps)
+                # pairs after a stop are not computed, and their sizes are
+                # never read
+                sizes[paired[: len(out)]] = out.sizes()
+            else:
+                node_key = node_key >> 1
+            if num_nodes + int(sizes.sum()) - sizes.size < budget:
+                if left.size:
+                    # node i is its one child or, if it has two, their sum
+                    source = np.flatnonzero(kept)
+                    source[paired] = len(cur) + np.arange(left.size)
+                    cur = cur.concat(out).take(source)
                 continue
-            # the running total after the last computed node is its global
-            # index + 1 + extra: the stop is on that node if this reaches the
-            # budget, else in a gap (before the next node or trailing)
-            after = int(node_key[len(cur) - 1]) + 1 if len(cur) else 0
-            on_node = after + extra >= budget
+            # the running total after node i is its global index + 1 +
+            # extra[i]; the stop is on the first node where that reaches the
+            # budget, unless it was reached in the {0} gap before it (or in
+            # the trailing gap after the last node)
+            extra = np.cumsum(sizes - 1)
+            after = node_key + 1 + extra
+            i = int(np.searchsorted(after, budget))
+            if i < len(after) and after[i] - sizes[i] < budget:
+                observed, trip_index, computed = int(after[i]), int(node_key[i]) + 1, i + 1
+            else:
+                observed, trip_index, computed = budget, budget - (int(extra[i - 1]) if i else 0), i
             # the first part of each node, and each part's largest element
             node_start = np.flatnonzero(np.diff(part_key[part_start] >> h, prepend=-1))
             part_max = part_val[np.append(part_start[1:], part_key.size) - 1]
             return DenseTripSignal(
                 level=h,
-                observed_total_size=budget if signal is None else signal.observed_total_size,
+                observed_total_size=observed,
                 threshold=budget,
                 rho=params.rho,
                 u_prime=params.u_prime,
                 g=g,
                 num_nodes=num_nodes,
                 trivial_nodes=num_nodes - node_key.size,
-                trip_index=after if on_node else budget - extra,
+                trip_index=trip_index,
                 repetition=rep,
-                node_sizes=sizes.tolist() + [1] * (node_key.size - len(cur)),
+                node_sizes=sizes[:computed].tolist() + [1] * (node_key.size - computed),
                 node_f=np.add.reduceat(part_max, node_start).tolist(),
                 node_sigma=np.add.reduceat(part_val, part_start[node_start]).tolist(),
             )
-        roots_key.append(np.repeat(node_key, cur.sizes()))
+        roots_key.append(np.repeat(node_key, sizes))
         roots_val.append(cur.values())
     sets = _distinct_level(np.concatenate(roots_key), np.concatenate(roots_val), np.arange(ell))
     return GroupSumsets(sets, params, bool(complete.all()))
+
+
+def _part_level(part_val: np.ndarray, part_first: np.ndarray, step: int) -> Level:
+    """Level 0 of a repetition: node k is {0} plus the distinct elements of
+    the k-th occupied part.  part_val holds the parts' positive elements
+    back to back, each part ascending, and part_first marks each part's
+    first element."""
+    distinct = part_first.copy()
+    distinct[1:] |= part_val[1:] != part_val[:-1]
+    vals, first = part_val[distinct], part_first[distinct]
+    starts = np.flatnonzero(first)
+    # a part's 0 goes before its values, so part k's values move k + 1 places
+    out = np.zeros(vals.size + starts.size, dtype=np.int64)
+    out[np.arange(vals.size) + np.cumsum(first)] = vals
+    return Level.from_values(out, np.append(starts + np.arange(starts.size), out.size), step)
 
 
 def _distinct_level(keys: np.ndarray, vals: np.ndarray, nodes: np.ndarray) -> Flat:

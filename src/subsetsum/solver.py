@@ -86,6 +86,12 @@ def _bits_to_values(mask: int) -> np.ndarray:
     return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
 
 
+def _python_ints(items: Sequence[int]) -> Sequence[int]:
+    """items, with an array turned into Python ints: shifting a Python
+    int by an int64 raises OverflowError once the result leaves int64."""
+    return items.tolist() if isinstance(items, np.ndarray) else items
+
+
 def bounded_subset_sums(items: Sequence[int], cap_hi: int) -> SumSet:
     """Exact subset sums of items, restricted to [0, cap_hi].
 
@@ -97,7 +103,7 @@ def bounded_subset_sums(items: Sequence[int], cap_hi: int) -> SumSet:
         raise ValueError("cap_hi must be >= 0")
     limit = (1 << (cap_hi + 1)) - 1
     mask = 1
-    for x in items:
+    for x in _python_ints(items):
         if x <= cap_hi:
             mask |= (mask << x) & limit
     return SumSet(_bits_to_values(mask))
@@ -111,7 +117,7 @@ def fallback_dp(items: Sequence[int], t: int, max_bits: int = FALLBACK_MAX_BITS)
         raise OracleBudgetError(f"DP budget exceeded: t+1 = {t + 1} bits")
     limit = (1 << (t + 1)) - 1
     mask = 1
-    for x in items:
+    for x in _python_ints(items):
         if x <= t:
             mask |= (mask << x) & limit
             if (mask >> t) & 1:
@@ -282,9 +288,9 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveOut
         if config.checked_mode:
             verify_partition(part, inst)
         tick = _mark("partition", tick)
-        sigma_g = sum(part.leftover_part)
-        sigma_r = sum(part.residue_part)
-        sigma_d = sum(part.dense_part)
+        sigma_g = int(part.leftover_part.sum())
+        sigma_r = int(part.residue_part.sum())
+        sigma_d = int(part.dense_part.sum())
         if 2 * sigma_d < 3 * t:
             # Rounding slack in the split bounds can leave the dense part
             # short of the 3t/2 mass the merge stage needs; fall back.

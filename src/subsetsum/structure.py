@@ -196,20 +196,34 @@ def _residue_mask(arr: np.ndarray, alpha: int) -> np.ndarray:
     return chosen
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InstancePartition:
     """Three-way split of the items with a common divisor for the bulk.
 
     leftover_part + residue_part + dense_part equals the items as a
     multiset; every element of residue_part and dense_part is divisible
-    by divisor.
+    by divisor.  Each part is a sorted, read-only, 1-D int64 array.  Two
+    partitions are equal when their divisors, alphas and parts are, and
+    hash by them.
     """
 
     divisor: int
-    leftover_part: tuple[int, ...]
-    residue_part: tuple[int, ...]
-    dense_part: tuple[int, ...]
+    leftover_part: np.ndarray
+    residue_part: np.ndarray
+    dense_part: np.ndarray
     alpha: int
+
+    def _key(self) -> tuple:
+        parts = (self.leftover_part, self.residue_part, self.dense_part)
+        return (self.divisor, self.alpha, *(part.tobytes() for part in parts))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, InstancePartition):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def alpha_for(t: int, w: int) -> int:
@@ -233,29 +247,32 @@ def partition_instance(instance: Instance) -> InstancePartition:
         raise ValueError("partition requires t >= 1 and non-empty items")
     alpha = alpha_for(instance.target, instance.w)
     d, peeled, left = _peel(instance.items, alpha)
-    leftovers = tuple(left.tolist())
-    if not peeled.size:
-        return InstancePartition(d, leftovers, (), (), alpha)
     # the residue set and the dense part, by position in the sorted array
+    # (both empty when peeling consumed every item)
     chosen = _residue_mask(peeled, alpha)
-    residue = tuple((peeled[chosen] * d).tolist())
-    dense_part = tuple((peeled[~chosen] * d).tolist())
-    return InstancePartition(d, leftovers, residue, dense_part, alpha)
+    residue, dense_part = peeled[chosen] * d, peeled[~chosen] * d
+    return InstancePartition(d, _read_only(left), _read_only(residue), _read_only(dense_part), alpha)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def verify_partition(part: InstancePartition, instance: Instance) -> None:
     """Internal consistency checks for a partition (used by tests and
     checked mode).  Raises AssertionError on violation."""
-    merged = sorted(part.leftover_part + part.residue_part + part.dense_part)
+    leftover, residue, dense = (p.tolist() for p in (part.leftover_part, part.residue_part, part.dense_part))
+    merged = sorted(leftover + residue + dense)
     assert merged == sorted(instance.items), "partition must preserve the multiset"
     d = part.divisor
     assert d >= 1
-    assert all(x % d == 0 for x in part.residue_part + part.dense_part)
+    assert all(x % d == 0 for x in residue + dense)
     w, t = instance.w, instance.target
     lg = math.log2(w) if w >= 2 else 1.0
     sqwt = math.sqrt(w * t)
-    sigma_g = sum(part.leftover_part)
-    sigma_r = sum(part.residue_part)
+    sigma_g = sum(leftover)
+    sigma_r = sum(residue)
     # Ceiling slack on top of the sqrt(w*t)*log2(w)-scale bounds.
     assert sigma_g <= sqwt * lg + sqwt + w * (lg + 1), "leftover mass too large"
     assert sigma_r <= 4 * sqwt * lg + 4 * w * (lg + 1), "residue mass too large"

@@ -46,9 +46,11 @@ exact: the level is computed in node-order chunks, and the first pair at
 which the running output size reaches the budget ends the level with the
 same prefix and signal as summing the pairs one at a time; a wide pair
 is split inside its chunk and counts toward the chunk's bound as one
-pair.  Phase 2 also passes, per pair, the number of virtual {0} nodes
-(size one each, never computed) that come before it; they count toward
-the running total one at a time, so the stop may fall inside such a gap.
+pair.  Phase 2 sums only its nodes with two occupied children, and
+passes, per pair, the known size of the nodes between it and the pair
+before: one for each virtual {0} node and the child's size for each node
+with one occupied child (neither is computed).  That gap counts toward
+the running total before the pair, so the stop may fall inside it.
 A budget of at most half the number of input sets trips immediately in
 `sum_if_sparse` (each output has size >= 1).
 
@@ -173,6 +175,17 @@ class Level:
     def values(self) -> np.ndarray:
         """Every node's values, back to back."""
         return _expand(self.starts, self.ends, self.step)
+
+    def take(self, nodes: np.ndarray) -> "Level":
+        """The level of the given nodes, in the given order."""
+        nruns = np.diff(self.offs)[nodes]
+        at = _segment_index(self.offs[nodes], nruns)
+        return Level(self.starts[at], self.ends[at], _offsets(nruns), self.step)
+
+    def concat(self, other: "Level") -> "Level":
+        """This level's nodes followed by other's (of the same step)."""
+        offs = np.append(self.offs[:-1], self.offs[-1] + other.offs)
+        return Level(np.concatenate((self.starts, other.starts)), np.concatenate((self.ends, other.ends)), offs, self.step)
 
     def cap(self, lo: int, hi: int) -> "Level":
         """Every node intersected with [lo, hi]; nodes may become empty."""
@@ -306,11 +319,13 @@ def _pair_level(
     operand yields an empty output (size 0): in the merge phase, interval
     capping can empty a node.
 
-    gaps[i], if given, is the number of virtual {0} nodes (size 1 each,
-    never computed) that come before pair i in the running total.  A stop
-    inside the gap before pair i reports observed_total_size = budget_k
-    and computed holds outputs 0..i-1 (last_index_computed = i).  A
-    budget_k of math.inf computes every output.
+    gaps[i], if given, is the known size that comes before pair i in the
+    running total and is not computed here: colour coding passes one for
+    each virtual {0} node and the child's size for each node with one
+    occupied child between pair i - 1 and pair i.  A stop inside the gap
+    before pair i reports observed_total_size = budget_k and computed
+    holds outputs 0..i-1 (last_index_computed = i).  A budget_k of
+    math.inf computes every output.
     """
     m = len(level) // 2
     if gaps is None:

@@ -2,16 +2,21 @@
 
 These deliberately use different machinery from the package (plain set
 DP and exhaustive enumeration, no bitsets, no FFT) so that agreement is
-meaningful.  The per-item split and the list-based stage one are the
-package's earlier implementations, kept as references for its array
-versions.
+meaningful.  The per-item split, the list-based stage one and the
+slot-padded budgeted stage two are the package's earlier
+implementations, kept as references for its current versions.
 """
 
 import math
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
+
+from subsetsum.colorcoding import DenseTripSignal, GroupSumsets, _distinct_level
+from subsetsum.core import ceil_log2
 from subsetsum.structure import factorize_all
+from subsetsum.sumset import Level, _offsets, _pair_level, _segment_index, common_step
 
 
 def subset_sums(items, cap=None):
@@ -104,6 +109,87 @@ def materialized_stage_two(groups, g, reps, tail, rng):
         for i in range(ell):
             acc[i].update(sets[i])
     return "sets", [tuple(sorted(s)) for s in acc]
+
+
+def slot_stage_two(family, params, rng):
+    """Budgeted stage two with every occupied node summed: the package's
+    earlier `colorcoding._budgeted_sumsets`, which pads a missing sibling
+    with the run [0, 0] ({0}) and sums that pair through the level kernel
+    `_pair_level`, and builds level 0 with a second lexsort.
+
+    Takes the same draws and returns the same GroupSumsets or
+    DenseTripSignal as the package.  Unlike `materialized_stage_two` it
+    holds only the occupied parts, so it reaches pipeline-sized g.
+    """
+    g, ell = params.g, family.ell
+    elems = family.groups.vals
+    owner = np.repeat(np.arange(ell, dtype=np.int64), family.groups.sizes())
+    step = common_step(elems)
+    roots_key, roots_val = [np.arange(ell, dtype=np.int64)], [np.zeros(ell, dtype=np.int64)]
+    complete = np.zeros(ell, dtype=bool)
+    for rep in range(params.reps):
+        keys = owner * g + rng.integers(0, g, size=elems.size)
+        order = np.lexsort((elems, keys))
+        part_key, part_val = keys[order], elems[order]
+        shared = np.zeros(ell, dtype=bool)
+        shared[part_key[1:][part_key[1:] == part_key[:-1]] // g] = True
+        complete |= ~shared
+        # level 0: each occupied part is {0} plus its distinct elements
+        node_key, part_start = np.unique(part_key, return_index=True)
+        parts = _distinct_level(
+            np.concatenate((part_key, node_key)),
+            np.concatenate((part_val, np.zeros_like(node_key))),
+            node_key,
+        )
+        cur = Level.from_values(parts.vals, parts.offs, step)
+        for h in range(1, ceil_log2(g) + 1):
+            num_nodes = ell * (g >> h)
+            budget = num_nodes + params.tail
+            # child i is operand slot[i] of the level; a missing sibling is
+            # {0}, the run [0, 0]
+            child_key, child_runs = node_key, np.diff(cur.offs)
+            node_key, pair = np.unique(child_key >> 1, return_inverse=True)
+            slot = 2 * pair + (child_key & 1)
+            slot_runs = np.ones(2 * node_key.size, dtype=np.int64)
+            slot_runs[slot] = child_runs
+            offs = _offsets(slot_runs)
+            at = _segment_index(offs[slot], child_runs)
+            starts = np.zeros(int(offs[-1]), dtype=np.int64)
+            ends = np.zeros_like(starts)
+            starts[at], ends[at] = cur.starts, cur.ends
+            gaps = np.diff(node_key, prepend=-1) - 1
+            cur, signal = _pair_level(Level(starts, ends, offs, step), budget, gaps)
+            sizes = cur.sizes()
+            extra = int(sizes.sum()) - len(cur)  # sum of (size - 1) over computed nodes
+            if signal is None and num_nodes + extra < budget:
+                continue
+            # the running total after the last computed node is its global
+            # index + 1 + extra: the stop is on that node if this reaches the
+            # budget, else in a gap (before the next node or trailing)
+            after = int(node_key[len(cur) - 1]) + 1 if len(cur) else 0
+            on_node = after + extra >= budget
+            # the first part of each node, and each part's largest element
+            node_start = np.flatnonzero(np.diff(part_key[part_start] >> h, prepend=-1))
+            part_max = part_val[np.append(part_start[1:], part_key.size) - 1]
+            return DenseTripSignal(
+                level=h,
+                observed_total_size=budget if signal is None else signal.observed_total_size,
+                threshold=budget,
+                rho=params.rho,
+                u_prime=params.u_prime,
+                g=g,
+                num_nodes=num_nodes,
+                trivial_nodes=num_nodes - node_key.size,
+                trip_index=after if on_node else budget - extra,
+                repetition=rep,
+                node_sizes=sizes.tolist() + [1] * (node_key.size - len(cur)),
+                node_f=np.add.reduceat(part_max, node_start).tolist(),
+                node_sigma=np.add.reduceat(part_val, part_start[node_start]).tolist(),
+            )
+        roots_key.append(np.repeat(node_key, cur.sizes()))
+        roots_val.append(cur.values())
+    sets = _distinct_level(np.concatenate(roots_key), np.concatenate(roots_val), np.arange(ell))
+    return GroupSumsets(sets, params, bool(complete.all()))
 
 
 def full_subset_sums(groups, sets):

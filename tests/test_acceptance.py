@@ -145,18 +145,19 @@ def test_acceptance_4_partition_assertions():
         done += 1
         inst = Instance(items, t)
         part = partition_instance(inst)
-        merged = sorted(part.leftover_part + part.residue_part + part.dense_part)
+        leftover, residue, dense = (p.tolist() for p in (part.leftover_part, part.residue_part, part.dense_part))
+        merged = sorted(leftover + residue + dense)
         assert merged == sorted(items)
         d = part.divisor
-        assert all(x % d == 0 for x in part.residue_part + part.dense_part)
+        assert all(x % d == 0 for x in residue + dense)
         wv, tv = inst.w, inst.target
         lgw = math.log2(wv)
         sqwt = math.sqrt(wv * tv)
         slack_g = sqwt + wv * (lgw + 1)
         slack_r = 4 * wv * (lgw + 1)
-        assert sum(part.leftover_part) <= sqwt * lgw + slack_g
-        assert sum(part.residue_part) <= 4 * sqwt * lgw + slack_r
-        reduced = [x // d for x in part.residue_part]
+        assert sum(leftover) <= sqwt * lgw + slack_g
+        assert sum(residue) <= 4 * sqwt * lgw + slack_r
+        reduced = [x // d for x in residue]
         for b in range(2, alpha_for(tv, wv) + 1):
             assert residues_covered(reduced, b) == set(range(b))
     _report(4, "500 partitions: divisibility, mass bounds (+slack), residue coverage")

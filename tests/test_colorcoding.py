@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from subsetsum import colorcoding, sumset
-from subsetsum.core import SolverConfig, next_pow2, rng_stream
+from subsetsum.cli import generate_instance
+from subsetsum.core import SolverConfig, next_pow2, normalize, rng_stream
 from subsetsum.colorcoding import (
     DenseTripSignal,
     GroupFamily,
@@ -14,9 +15,18 @@ from subsetsum.colorcoding import (
     partition_groups,
     verify_group_family,
 )
+from subsetsum.merge import evidence_from_color_trip
+from subsetsum.structure import partition_instance
 from subsetsum.sumset import Flat
 
-from oracles import all_subsets, full_subset_sums, materialized_stage_two, split_into_parts, subset_sums
+from oracles import (
+    all_subsets,
+    full_subset_sums,
+    materialized_stage_two,
+    slot_stage_two,
+    split_into_parts,
+    subset_sums,
+)
 
 
 def test_partition_groups_hand_trace():
@@ -211,11 +221,39 @@ def test_virtual_levels_match_materialized_reference(budget_mult, seed, case, tr
         assert (kind, ref.level) == trip
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("n,w,budget_mult", [(4000, 2, 1e-12), (12000, 8, 1e-11), (4000, 3, 1e-9)])
+def test_budgeted_levels_match_slot_reference_at_pipeline_size(n, w, budget_mult, seed):
+    # g = 32,768 parts per group, far beyond what the materialized
+    # reference can hold.  The first two shapes are `dense-trip`'s, which
+    # trip at level 1; the third trips at the root level (seeds 1 and 2)
+    # or runs every repetition without a trip (seed 3).  The reference
+    # sums every occupied node with its sibling, the package only nodes
+    # with two occupied children
+    inst = normalize(generate_instance("dense", n, w, seed)).instance
+    t, config = inst.target, SolverConfig(seed=seed, budget_mult=budget_mult)
+    q = config.q_for(inst.n, t)
+    family = partition_groups(partition_instance(inst).dense_part, t, rng_stream(seed, "phase1"))
+    params = color_params(inst.n, t, inst.w, q, config.c_ap, budget_mult)
+    assert params.g == 1 << 15 and params.tail <= colorcoding._max_level_excess(family)
+    got = build_group_sumsets(
+        family, t, inst.w, inst.n, q, config.c_ap, rng_stream(seed, "phase2"), budget_mult=budget_mult
+    )
+    ref = slot_stage_two(family, params, rng_stream(seed, "phase2"))
+    assert got == ref
+    trip = (ref.level, ref.repetition) if isinstance(ref, DenseTripSignal) else None
+    assert trip == ((1, 0) if w != 3 else (15, 0) if seed < 3 else None)
+    if trip:
+        assert evidence_from_color_trip(got, t) == evidence_from_color_trip(ref, t)
+
+
 @pytest.mark.parametrize("tail,level", [(100, 1), (1000, 4)])
 def test_tripping_level_computes_at_most_a_chunk_past_its_stop(monkeypatch, tail, level):
     # 64 groups of ten elements at g = 64; with 16-value chunks a tripping
     # level computes at most 16 values plus one pair's output past its
-    # stop, though the nodes after the stop hold more than that
+    # stop, though the nodes after the stop hold more than that.  The
+    # kernel sees only nodes with two occupied children: every operand
+    # holds 0 and an element, never the {0} of a missing sibling
     monkeypatch.setattr(sumset, "LEVEL_CHUNK_VALUES", 16)
     computed, calls = [0], []
     level_chunk, pair_level = sumset._level_chunk, colorcoding._pair_level
@@ -226,9 +264,10 @@ def test_tripping_level_computes_at_most_a_chunk_past_its_stop(monkeypatch, tail
         return out
 
     def level_spy(pairs, budget, gaps):
+        assert pairs.sizes().min() >= 2, "a one-child node went to the kernel"
         computed[0] = 0
         out = pair_level(pairs, budget, gaps)
-        calls.append((pairs, out[0], computed[0]))
+        calls.append((pairs, budget, out[0], computed[0]))
         return out
 
     monkeypatch.setattr(sumset, "_level_chunk", chunk_spy)
@@ -239,7 +278,8 @@ def test_tripping_level_computes_at_most_a_chunk_past_its_stop(monkeypatch, tail
     budget_mult = tail / color_params(1, 10, 8, 0.9, 1).tail
     sig = build_group_sumsets(family, 10, 8, 1, 0.9, 1, rng_stream(1, "p2"), budget_mult=budget_mult)
     assert isinstance(sig, DenseTripSignal) and sig.level == level
-    pairs, prefix, values = calls[-1]
+    pairs, budget, prefix, values = calls[-1]
+    assert budget == sig.threshold, "the tripping level called no kernel"
     full, _ = pair_level(pairs, 1 << 62)
     pair_bound = max(
         min(len(a) * len(b), int(a[-1] - a[0] + b[-1] - b[0]) + 1)

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subsetsum import colorcoding, merge, sumset
@@ -413,7 +413,8 @@ def _divisor_instance(draw):
 @settings(max_examples=150, deadline=None)
 def test_partition_instance_matches_per_item_reference(inst):
     part = partition_instance(inst)
-    got = (part.divisor, part.leftover_part, part.residue_part, part.dense_part, part.alpha)
+    parts = (part.leftover_part, part.residue_part, part.dense_part)
+    got = (part.divisor, *(tuple(p.tolist()) for p in parts), part.alpha)
     assert got == reference_partition(inst.items, inst.target, inst.w)
 
 
@@ -455,21 +456,105 @@ def _small_family(draw):
     return GroupFamily(Flat.of(groups), sum(1 for g in groups if g))
 
 
-@given(family=_small_family(), n=st.integers(1, 3), log_tail=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_stage_two_matches_materialized_reference(family, n, log_tail, seed):
-    # the budget tail log-uniform from 1 to past the largest possible level
-    # excess, so that trips fall at every level and some runs do not trip
-    excess = colorcoding._max_level_excess(family)
-    budget_mult = (excess + 2) ** log_tail / color_params(n, 10, 12, 0.9, 1).tail
-    params = color_params(n, 10, 12, 0.9, 1, budget_mult)
-    got = build_group_sumsets(family, 10, 12, n, 0.9, 1, rng_stream(seed, "p2"), budget_mult=budget_mult)
-    groups = [g.tolist() for g in family.groups]
-    ref = materialized_stage_two(groups, params.g, params.reps, params.tail, rng_stream(seed, "p2"))
-    if ref[0] == "sets":
-        assert got == GroupSumsets(Flat.of(ref[1]), params, full_subset_sums(groups, ref[1]))
+class _DrawSpy:
+    """A generator whose `integers` draws are recorded."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, []
+
+    def integers(self, *args, **kwargs):
+        self.draws.append(self.rng.integers(*args, **kwargs))
+        return self.draws[-1]
+
+
+def _budgeted_shapes(family, g, draws, got):
+    """What budgeted stage two met on these draws: the kinds of its levels
+    and of its stop, and, in order, the level of every level up to the
+    stop that has a node with two occupied children."""
+    owner = np.repeat(np.arange(family.ell), family.groups.sizes())
+    seen, paired = set(), []
+    for rep, drawn in enumerate(draws):
+        keys = np.unique(owner * g + drawn)
+        trip = isinstance(got, DenseTripSignal) and got.repetition == rep
+        for h in range(1, (got.level if trip else ceil_log2(g)) + 1):
+            children = np.unique(keys >> (h - 1))
+            two = np.isin(children ^ 1, children)  # a child whose sibling is occupied
+            if not two.any():
+                seen.add("no two-child node")
+                continue
+            paired.append(h)
+            if not two.all():
+                seen.add("both kinds")
+        if trip:
+            node, parents = got.trip_index - 1, np.unique(keys >> got.level)
+            if node in parents:
+                both = np.isin([2 * node, 2 * node + 1], keys >> (got.level - 1)).all()
+                seen.add("stop on a two-child node" if both else "stop on a one-child node")
+            else:
+                seen.add("stop in a {0} gap" if (parents > node).any() else "trailing stop")
+            break
     else:
-        assert got == DenseTripSignal(rho=params.rho, u_prime=params.u_prime, g=params.g, **ref[1])
+        seen.add("no trip")
+    return seen, paired
+
+
+def test_stage_two_matches_materialized_reference():
+    # The draws are recorded so that the test can say which levels have
+    # nodes with two occupied children (the only ones summed) and where
+    # the stop fell; the kernel must be called at exactly those levels.
+    # The explicit examples stop on a one-child node, on a two-child node
+    # and in a {0} gap, and run without a trip: random examples miss each
+    # of these in some runs (no trip in about one run of six).  The last
+    # one puts a value twice into one part, whose node at level 0 must
+    # hold it once
+    seen = set()
+    one, four = GroupFamily(Flat.of(((2, 4, 6),)), 1), GroupFamily(Flat.of(((3, 5), (1, 2, 7), (), (4,))), 3)
+    twos = GroupFamily(Flat.of(((2,) * 6,)), 1)
+
+    @given(family=_small_family(), n=st.integers(1, 3), log_tail=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    @example(family=one, n=1, log_tail=0.3, seed=11)
+    @example(family=one, n=1, log_tail=0.7, seed=0)
+    @example(family=one, n=1, log_tail=0.85, seed=0)
+    @example(family=four, n=1, log_tail=0.3, seed=3)
+    @example(family=twos, n=1, log_tail=0.2, seed=0)
+    @settings(max_examples=60, deadline=None)
+    def check(family, n, log_tail, seed):
+        # the budget tail log-uniform from 1 to past the largest possible
+        # level excess, so that trips fall at every level and some runs do
+        # not trip
+        excess = colorcoding._max_level_excess(family)
+        budget_mult = (excess + 2) ** log_tail / color_params(n, 10, 12, 0.9, 1).tail
+        params = color_params(n, 10, 12, 0.9, 1, budget_mult)
+        rng, kernel_levels = _DrawSpy(rng_stream(seed, "p2")), []
+        pair_level = colorcoding._pair_level
+
+        def level_spy(level, budget, gaps):
+            kernel_levels.append(ceil_log2(family.ell * params.g // (budget - params.tail)))
+            return pair_level(level, budget, gaps)
+
+        with mock.patch.object(colorcoding, "_pair_level", level_spy):
+            got = build_group_sumsets(family, 10, 12, n, 0.9, 1, rng, budget_mult=budget_mult)
+        groups = [g.tolist() for g in family.groups]
+        ref = materialized_stage_two(groups, params.g, params.reps, params.tail, rng_stream(seed, "p2"))
+        if ref[0] == "sets":
+            assert got == GroupSumsets(Flat.of(ref[1]), params, full_subset_sums(groups, ref[1]))
+        else:
+            assert got == DenseTripSignal(rho=params.rho, u_prime=params.u_prime, g=params.g, **ref[1])
+        if params.tail <= excess:  # the budgeted path ran
+            shapes, paired = _budgeted_shapes(family, params.g, rng.draws, got)
+            assert kernel_levels == paired
+            seen.update(shapes)
+
+    check()
+    assert seen == {
+        "no two-child node",
+        "both kinds",
+        "stop on a two-child node",
+        "stop on a one-child node",
+        "stop in a {0} gap",
+        "trailing stop",
+        "no trip",
+    }
 
 
 @given(

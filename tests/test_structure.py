@@ -143,16 +143,30 @@ def test_partition_coprime_small():
     inst = Instance((3, 5, 7, 11), 13)
     part = partition_instance(inst)
     assert part.divisor == 1
-    assert part.leftover_part == ()
+    assert part.leftover_part.tolist() == []
     verify_partition(part, inst)
+
+
+def test_partition_parts_are_read_only_int64_arrays():
+    # (2, 4, ..., 40) peels the divisor 2; (1,) * 3 peels everything
+    for items, t in (((3, 5, 7, 11), 13), (tuple(range(2, 42, 2)), 60), ((1, 1, 1), 1)):
+        inst = Instance(items, t)
+        part = partition_instance(inst)
+        for p in (part.leftover_part, part.residue_part, part.dense_part):
+            assert isinstance(p, np.ndarray) and p.dtype == np.int64 and p.ndim == 1
+            assert not p.flags.writeable
+            assert np.all(p[1:] >= p[:-1])
+        again = partition_instance(inst)
+        assert again == part and hash(again) == hash(part)
+        assert again != partition_instance(Instance(items + (max(items),), t))
 
 
 def test_partition_structured_divisible():
     inst = Instance((6, 12, 18, 24, 30), 36)
     part = partition_instance(inst)
     assert part.divisor > 1
-    assert part.leftover_part == ()
-    assert all(x % part.divisor == 0 for x in part.residue_part + part.dense_part)
+    assert part.leftover_part.tolist() == []
+    assert all(x % part.divisor == 0 for x in part.residue_part.tolist() + part.dense_part.tolist())
     verify_partition(part, inst)
 
 
@@ -167,10 +181,10 @@ def test_partition_invariants_random_sweep():
         part = partition_instance(inst)
         verify_partition(part, inst)
         assert part.alpha == alpha_for(t, inst.w)
-        if part.residue_part or part.dense_part:
+        if part.residue_part.size or part.dense_part.size:
             # peeling left a bulk with no almost divisor, so the residue
             # part covers every small modulus
-            reduced = [x // part.divisor for x in part.residue_part]
+            reduced = [x // part.divisor for x in part.residue_part.tolist()]
             for b in range(2, part.alpha + 1):
                 assert residues_covered(reduced, b) == set(range(b))
 
@@ -192,7 +206,7 @@ def test_partition_coverage_in_solver_regime():
         inst = Instance(items, t)
         part = partition_instance(inst)
         verify_partition(part, inst)
-        assert part.residue_part or part.dense_part
-        reduced = [x // part.divisor for x in part.residue_part]
+        assert part.residue_part.size or part.dense_part.size
+        reduced = [x // part.divisor for x in part.residue_part.tolist()]
         for b in range(2, part.alpha + 1):
             assert residues_covered(reduced, b) == set(range(b))
