@@ -12,6 +12,10 @@ iterable of integers, and iteration, `len`, `in`, `min`, `max` and `dm`
 still give Python ints and bools.  Likewise the parts of an
 `InstancePartition` (`leftover_part`, `residue_part`, `dense_part`) are
 sorted, read-only, 1-D int64 arrays; they used to be tuples.
+`GroupSumsets` is no longer a dataclass: it is built and compared as
+before, but when every group completed its `sets` is computed on first
+read.  A `DenseTripSignal`'s `node_sizes`, `node_f` and `node_sigma` are
+int64 arrays (they used to be lists); `DenseEvidence` still holds lists.
 """
 
 from .core import (

@@ -5,9 +5,11 @@ value layers [2^j, 2^(j+1)) and randomly partitions each layer into at
 most ceil(t / 2^(j-1)) non-empty groups (rebalancing moves elements
 into any empty group).  The group list is padded with empty groups to a
 power-of-two length, and held as one `Flat` over the sorted items: a
-layer's bucket ids are drawn at once and a stable argsort of them
-places its items; only the empty buckets need a loop, after which a
-second argsort places the moved items.  Consequences: any subset with sum <= t meets each
+layer's bucket ids are drawn at once and one argsort places its items in
+bucket order.  The empty buckets are filled at once, in ascending order,
+with the last elements of the buckets that hold two or more (from the
+highest-index bucket down, each keeping one), and a second argsort places
+the moved items.  Consequences: any subset with sum <= t meets each
 group in few elements with high probability, and the group maxima carry
 a constant fraction of t in total without exceeding ~t log w.
 
@@ -53,27 +55,33 @@ picks at most one element per part, so it is always a subset of the
 group's subset sums, and it equals them when no part holds two elements;
 later repetitions cannot add to a complete group.  Singletons and empty
 groups are complete without any draw.  Repetitions are drawn only until
-every group is complete, complete groups get their subset sums computed
-once per distinct content (groups of equal size and sorted elements are
-found with one `np.unique` per size), and only groups that never
-complete are merged part by part from their recorded draws.  The union
-over repetitions does not depend on order, so the sets are bit-identical
-to merging every repetition.
+every group is complete.  If every group completes, the sets are every
+group's full subset sums and stage two builds none of them: it returns
+`GroupSumsets.complete`, whose sets are built on their first read
+(checked mode, a merge that does not fold, tests and tracing read them;
+a folding merge needs only each group's sum and its items).  Otherwise
+the complete groups get their subset sums computed once per distinct
+content (groups of equal size and sorted elements are found with one
+`np.unique` per size), and the groups that never complete are merged
+part by part from their recorded draws.  The union over repetitions
+does not depend on order, so the sets are bit-identical to merging
+every repetition.
 
 `GroupSumsets.exact` says whether every group completed, so that every
 set is its group's full subset sums (a group that never completes lacks
 at least its own sum).  The unbudgeted path knows this from its draws;
 the budgeted path marks a group complete in any repetition that puts its
 elements into parts of their own.  The merge folds its bottom levels
-from the items only when the flag is set.
+from the items, and takes each set's maximum to be its group's sum, only
+when the flag is set.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -130,26 +138,25 @@ def partition_groups(d_part: Sequence[int], t: int, rng: np.random.Generator) ->
             sizes.append(np.ones(size, dtype=np.int64))
             continue
         bucket = rng.integers(0, alpha_j, size=size)
-        order = np.argsort(bucket, kind="stable")
+        # the keys bucket * size + index are distinct, so their argsort is
+        # the stable order of the buckets, several times faster than a
+        # stable argsort of the int64 buckets
+        index = np.arange(size)
+        order = np.argsort(bucket * size + index)
         counts = np.bincount(bucket, minlength=alpha_j)
-        empty = np.flatnonzero(counts == 0).tolist()
-        if empty:
-            # rebalance: each empty bucket takes the last element of the
-            # highest-index bucket that still holds at least two
-            start = _offsets(counts)[:-1].tolist()
-            left = counts.tolist()
-            donors = np.flatnonzero(counts >= 2).tolist()
-            for e in empty:
-                while donors and left[donors[-1]] < 2:
-                    donors.pop()
-                if not donors:
-                    break
-                k = donors[-1]
-                left[k] -= 1
-                bucket[order[start[k] + left[k]]] = e
-                left[e] = 1
-            order = np.argsort(bucket, kind="stable")
-            counts = np.asarray(left, dtype=np.int64)
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            # rebalance: the empty buckets, in ascending order, take the last
+            # elements of the buckets that hold at least two, from the
+            # highest-index bucket down, each donor keeping one
+            donors = np.flatnonzero(counts >= 2)[::-1]
+            give = counts[donors] - 1
+            donors = donors[: int(np.searchsorted(np.cumsum(give), empty.size)) + 1]
+            last = _offsets(counts)[donors + 1] - 1
+            moved = order[-_segment_index(-last, give[: donors.size])[: empty.size]]
+            bucket[moved] = empty[: moved.size]
+            order = np.argsort(bucket * size + index)
+            counts = np.bincount(bucket, minlength=alpha_j)
         vals.append(layer[order])
         sizes.append(counts)
 
@@ -212,22 +219,47 @@ def color_params(
     return ColorCodingParams(k, g, reps, u_prime, rho, tail)
 
 
-@dataclass(frozen=True)
 class GroupSumsets:
     """Per-group achievable-sum sets: node i of sets holds S_i, a subset
     of the true subset sums of group i that always contains 0.
 
     exact is True only when every S_i equals group i's full subset sums
-    (the merge may then compute its bottom levels from the items); False
-    is always safe.
+    (the merge may then compute its bottom levels from the items and take
+    each set's maximum to be its group's sum); False is always safe.
+
+    `complete(family, params)` stands for every group's full subset sums
+    without computing them: sets is built from the family on its first
+    read (`_group_sets`) and kept.  GroupSumsets compare equal when their
+    sets, params and exact are.
     """
 
-    sets: Flat
-    params: ColorCodingParams
-    exact: bool = False
+    __slots__ = ("_sets", "_family", "params", "exact")
+
+    def __init__(self, sets: Flat, params: ColorCodingParams, exact: bool = False) -> None:
+        self._sets: Optional[Flat] = sets
+        self._family: Optional[GroupFamily] = None
+        self.params = params
+        self.exact = exact
+
+    @classmethod
+    def complete(cls, family: GroupFamily, params: ColorCodingParams) -> "GroupSumsets":
+        out = cls(None, params, True)
+        out._family = family
+        return out
+
+    @property
+    def sets(self) -> Flat:
+        if self._sets is None:
+            self._sets, self._family = _group_sets(self._family, {}), None
+        return self._sets
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GroupSumsets):
+            return NotImplemented
+        return (self.params, self.exact) == (other.params, other.exact) and self.sets == other.sets
 
 
-@dataclass
+@dataclass(eq=False)
 class DenseTripSignal:
     """Budget trip during stage two.
 
@@ -237,8 +269,9 @@ class DenseTripSignal:
     the exact size when the node was computed before the stop and a
     lower bound of 1 otherwise; node_f holds the exact subtree maxima
     sums (equal to each node's true maximum) and node_sigma the exact
-    subtree element sums.  threshold is the tripped budget (node count
-    plus the budget tail).
+    subtree element sums, each an int64 array in node order.  threshold
+    is the tripped budget (node count plus the budget tail).  Signals
+    compare equal field by field, the arrays by their values.
     """
 
     level: int
@@ -251,9 +284,14 @@ class DenseTripSignal:
     trivial_nodes: int
     trip_index: int
     repetition: int
-    node_sizes: list[int]
-    node_f: list[int]
-    node_sigma: list[int]
+    node_sizes: np.ndarray
+    node_f: np.ndarray
+    node_sigma: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DenseTripSignal):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, k.name), getattr(other, k.name)) for k in fields(self))
 
 
 def build_group_sumsets(
@@ -273,22 +311,23 @@ def build_group_sumsets(
     """
     params = color_params(n, t, w, q, c_ap, budget_mult)
     if params.tail > _max_level_excess(family):
-        sets, exact = _unbudgeted_sumsets(family, params, rng)
-        return GroupSumsets(sets, params, exact)
+        return _unbudgeted_sumsets(family, params, rng)
     return _budgeted_sumsets(family, params, rng)
 
 
-def _max_level_excess(family: GroupFamily) -> int:
+def _max_level_excess(family: GroupFamily, step: int = 1) -> int:
     """Upper bound on a level's total set size minus its node count.
 
-    A node's set lies in [0, sigma(node)] and holds at most 2^k sums of
-    its k elements, so its size minus one is at most
-    min(sigma(node), 2^k - 1).  Both terms are subadditive over the nodes
-    a group splits into at any level, so summing min(sigma(G), 2^|G| - 1)
-    over the groups bounds every level of every repetition.  While the
-    budget tail exceeds this bound no level can trip.
+    A node's set lies in [0, sigma(node)] in multiples of step (a divisor
+    of every element) and holds at most 2^k sums of its k elements, so its
+    size minus one is at most min(sigma(node) / step, 2^k - 1).  Both
+    terms are subadditive over the nodes a group splits into at any level,
+    so summing min(sigma(G) / step, 2^|G| - 1) over the groups bounds
+    every level of every repetition.  While the budget tail exceeds this
+    bound (at step 1) no level can trip.  It is attained by the full
+    subset sums of singletons and empty groups.
     """
-    sums, sizes = family.group_sums(), family.groups.sizes()
+    sums, sizes = family.group_sums() // step, family.groups.sizes()
     # for |G| >= 63, 2^|G| - 1 > sigma(G) (all sums are below 2^63)
     small = sizes < 63
     sums[small] = np.minimum(sums[small], (1 << sizes[small]) - 1)
@@ -374,9 +413,9 @@ def _budgeted_sumsets(
                 trivial_nodes=num_nodes - node_key.size,
                 trip_index=trip_index,
                 repetition=rep,
-                node_sizes=sizes[:computed].tolist() + [1] * (node_key.size - computed),
-                node_f=np.add.reduceat(part_max, node_start).tolist(),
-                node_sigma=np.add.reduceat(part_val, part_start[node_start]).tolist(),
+                node_sizes=np.append(sizes[:computed], np.ones(sizes.size - computed, dtype=np.int64)),
+                node_f=np.add.reduceat(part_max, node_start),
+                node_sigma=np.add.reduceat(part_val, part_start[node_start]),
             )
         roots_key.append(np.repeat(node_key, sizes))
         roots_val.append(cur.values())
@@ -411,14 +450,14 @@ def _distinct_level(keys: np.ndarray, vals: np.ndarray, nodes: np.ndarray) -> Fl
 
 def _unbudgeted_sumsets(
     family: GroupFamily, params: ColorCodingParams, rng: np.random.Generator
-) -> tuple[Flat, bool]:
-    """Per-group union of every repetition's root, without a budget, and
-    whether every group completed (so that every set is its group's full
-    subset sums).
+) -> GroupSumsets:
+    """Per-group union of every repetition's root, without a budget.
 
     Draws repetitions only while some group is incomplete (see the module
     docstring).  Each repetition consumes the same draws as a budgeted one,
     so groups that never complete get the same parts and the same sets.
+    When every group completes, every set is its group's full subset sums,
+    and none is built here (`GroupSumsets.complete`).
     """
     g, ell = params.g, family.ell
     sizes = family.groups.sizes()
@@ -437,6 +476,8 @@ def _unbudgeted_sumsets(
         still_open = shared[owner[open_pos]]
         open_pos = open_pos[still_open]
         records.append((open_pos, draws[still_open]))
+    if open_pos.size == 0:
+        return GroupSumsets.complete(family, params)
 
     flat = family.groups.vals.tolist()
     acc: dict[int, set[int]] = {}
@@ -450,7 +491,13 @@ def _unbudgeted_sumsets(
             for plist in parts.values():
                 vals = _sum_values(vals, np.unique([0, *plist]))
             acc.setdefault(i, {0}).update(vals.tolist())
+    return GroupSumsets(_group_sets(family, acc), params)
 
+
+def _group_sets(family: GroupFamily, acc: dict[int, set[int]]) -> Flat:
+    """The Flat whose node i holds acc[i] for the groups of acc (those
+    that never complete) and every other group's full subset sums."""
+    ell, sizes = family.ell, family.groups.sizes()
     # every group holds 0 and each singleton its (positive) element; a group
     # of two or more holds its fold or, once complete, all its subset sums,
     # computed once per distinct content
@@ -483,4 +530,4 @@ def _unbudgeted_sumsets(
     vals[_segment_index(out_offs[complete], count)] = flat_sums[at]
     for i, reach in acc.items():
         vals[out_offs[i] : out_offs[i + 1]] = sorted(reach)
-    return Flat(vals, out_offs), not acc
+    return Flat(vals, out_offs)

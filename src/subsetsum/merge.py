@@ -32,16 +32,23 @@ L = min(FOLD_LEVELS, levels) levels can neither trip nor lose a value to
 a cap (`_fold_depth`), level L is the subset sums of each block of 2**L
 leaves' items: `sumset._fold_levels` computes it from the permuted items
 as uint64 rows and hands it over as runs, so neither the leaf level nor
-levels 1..L-1 are built.  The weights and subtree sums advance over the
-folded levels as over any other.  Checked mode also runs those levels
-through the kernel, with its per-level checks, and requires the same runs.
+levels 1..L-1 are built.  An exact set's maximum is its group's sum, so
+the leaf weights are the groups' sums, and the fold's size bound comes
+from the sums and the group sizes (`_fold_depth`): a folding merge never
+reads the stage-two sets, which stage two then never builds (see
+`colorcoding.GroupSumsets`).  The weights and subtree sums advance over
+the folded levels as over any other.  Checked mode also reads the sets,
+requires each exact set's maximum to be its group's sum, runs the folded
+levels through the kernel, with its per-level checks, and requires the
+same runs.
 
 A budget trip, here or in the color-coding stage, is converted into a
 DenseEvidence record: per-node set sizes, a weight f per node (the
 permuted-order subtree sums of the original group maxima, an exact
 upper bound on each node's maximum and lower bound on its subtree
 element sum), and the tripped threshold.  The three numeric conditions
-checked in `assemble_dense_evidence` are exactly what the downstream
+checked in `assemble_dense_evidence` (on the int64 arrays the stages
+pass, which the record holds as lists) are exactly what the downstream
 interval decision relies on; `select_ap_generators` is a diagnostic
 that re-runs the counting argument behind that decision and exhibits a
 concrete low-weight selection of generator sets.
@@ -50,16 +57,14 @@ concrete low-weight selection of generator sets.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from itertools import compress, repeat
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .core import InternalConsistencyError, SumSet, ceil_div, ceil_log2, target_window
-from .colorcoding import DenseTripSignal, GroupFamily, GroupSumsets
-from .sumset import Level, _fold_levels, _offsets, _pair_level, _row_words, _segment_index, common_step
+from .colorcoding import DenseTripSignal, GroupFamily, GroupSumsets, _max_level_excess
+from .sumset import Flat, Level, _fold_levels, _offsets, _pair_level, _row_words, _segment_index, common_step
 
 # The merge computes its bottom min(FOLD_LEVELS, levels) levels by folding
 # each block of 2**FOLD_LEVELS leaves' items into uint64 rows
@@ -120,35 +125,42 @@ def assemble_dense_evidence(
     level: int,
     threshold: int,
     observed_total_size: int,
-    set_sizes: list[int],
-    f_values: list[int],
-    sigma_values: Optional[list[int]] = None,
+    set_sizes: Sequence[int],
+    f_values: Sequence[int],
+    sigma_values: Optional[Sequence[int]] = None,
     max_values: Optional[list[Optional[int]]] = None,
     trivial_sets: int = 0,
 ) -> DenseEvidence:
     """Build evidence from trip bookkeeping, asserting its conditions.
 
-    A violation here means the solver's own accounting is broken, so it
-    raises InternalConsistencyError rather than reporting bad input.
+    set_sizes, f_values and sigma_values may be lists or int64 arrays (the
+    stages pass arrays, so the checks run on them as they are); the
+    evidence holds them as lists.  A violation here means the solver's own
+    accounting is broken, so it raises InternalConsistencyError rather
+    than reporting bad input.
     """
     if rho < 1:
         raise InternalConsistencyError("evidence requires a positive density factor")
-    num_sets = trivial_sets + len(set_sizes)
-    if len(f_values) != len(set_sizes):
+    sizes, f = np.asarray(set_sizes, dtype=np.int64), np.asarray(f_values, dtype=np.int64)
+    num_sets = trivial_sets + len(sizes)
+    if len(f) != len(sizes):
         raise InternalConsistencyError("size/weight bookkeeping length mismatch")
-    if trivial_sets + sum(set_sizes) < threshold:
+    if trivial_sets + int(sizes.sum()) < threshold:
         raise InternalConsistencyError("trip recorded but sizes below threshold")
-    total_f = sum(f_values)
+    total_f = int(f.sum())
     if 2 * total_f < 3 * t:
         raise InternalConsistencyError("weight sum below 3t/2")
     if 2 * total_f > rho * t:
         raise InternalConsistencyError("weight sum above rho*t/2")
     if sigma_values is not None:
-        if any(map(operator.gt, f_values, sigma_values)):
+        sigma = np.asarray(sigma_values, dtype=np.int64)
+        if np.any(f > sigma):
             raise InternalConsistencyError("weight exceeds subtree sum")
+        sigma_values = sigma.tolist()
     if max_values is not None:
-        known = list(map(operator.is_not, max_values, repeat(None)))
-        if any(map(operator.gt, compress(max_values, known), compress(f_values, known))):
+        maxes = np.array(max_values, dtype=object)
+        known = np.not_equal(maxes, None)
+        if np.any(maxes[known].astype(np.int64) > f[known]):
             raise InternalConsistencyError("set maximum exceeds weight")
     return DenseEvidence(
         source=source,
@@ -160,8 +172,8 @@ def assemble_dense_evidence(
         observed_total_size=observed_total_size,
         num_sets=num_sets,
         trivial_sets=trivial_sets,
-        set_sizes=set_sizes,
-        f_values=f_values,
+        set_sizes=sizes.tolist(),
+        f_values=f.tolist(),
         sigma_values=sigma_values,
         max_values=max_values,
     )
@@ -210,8 +222,7 @@ def merge_group_sumsets(
     sigma(Z) in that window survives all the interval caps with
     probability at least 1 - 3q.  A budget trip returns DenseEvidence.
     """
-    sets0 = group_sumsets.sets
-    ell = len(sets0)
+    ell = family.ell
     params = group_sumsets.params
     g = params.g
     lgw = math.log2(max(w, 2))
@@ -219,8 +230,11 @@ def merge_group_sumsets(
         window = target_window(w, t)
 
     perm = rng.permutation(ell)
-    f = sets0.vals[sets0.offs[1:][perm] - 1]  # every stage-two set holds 0, so none is empty
     sig = family.group_sums()[perm]
+    # a group's full subset sums have maximum sigma(G); other sets are read
+    # (every stage-two set holds 0, so none is empty)
+    exact = group_sumsets.exact
+    f = sig if exact else _set_maxima(group_sumsets.sets, perm)
 
     eta = math.ceil(eta_mult * 2304 * math.sqrt(w * t) * lgw**2 * math.log2(2 * n / q) ** 3)
     eta += window
@@ -232,13 +246,16 @@ def merge_group_sumsets(
     tail = math.ceil(budget_mult * 4 * c_ap * rho * u_prime * ceil_log2(u_prime))
 
     levels = ceil_log2(ell)
-    depth, step = _fold_depth(group_sumsets, family, t, sig, eta, tail, levels)
+    depth, step = _fold_depth(exact, family, t, sig, eta, tail, levels)
     if depth:
         sizes = family.groups.sizes()[perm]
         items = family.groups.vals[_segment_index(family.groups.offs[perm], sizes)]
         folded = _fold_levels(items, _offsets(sizes), depth, step)
     start = 1
     if not depth or checked:
+        sets0 = group_sumsets.sets
+        if checked and exact and not np.array_equal(f, _set_maxima(sets0, perm)):
+            raise InternalConsistencyError("an exact set's maximum differs from its group's sum")
         sizes = sets0.sizes()[perm]
         vals, offs = sets0.vals[_segment_index(sets0.offs[perm], sizes)], _offsets(sizes)
         cur = Level.from_values(vals, offs)
@@ -270,9 +287,9 @@ def merge_group_sumsets(
                 h,
                 budget,
                 signal.observed_total_size,
-                sizes.tolist() + ((rest[0::2] > 0) & (rest[1::2] > 0)).astype(int).tolist(),
-                f.tolist(),
-                sig.tolist(),
+                np.append(sizes, (rest[0::2] > 0) & (rest[1::2] > 0)),
+                f,
+                sig,
                 maxes.tolist() + [None] * (ell_h - len(out)),
             )
 
@@ -287,7 +304,7 @@ def merge_group_sumsets(
 
 
 def _fold_depth(
-    group_sumsets: GroupSumsets,
+    exact: bool,
     family: GroupFamily,
     t: int,
     sig: np.ndarray,
@@ -299,17 +316,19 @@ def _fold_depth(
     in runs of step, or L = 0 and every level goes through the kernel.
 
     The fold gives the kernel's level L only if the leaves are their
-    groups' full subset sums and levels 1..L neither trip nor lose a value
-    to a cap.  A node's set lies in [0, sigma(node)], so a level's total
-    size is at most sigma(D) / step plus its node count, below its budget
-    when sigma(D) / step < tail.  The caps of levels 1..L keep [0, sigma]
-    of every node when eta + 1 >= t // ell_L (level L's lower bound is the
-    highest) and eta + 1 >= the largest sigma of a level-L node.  The fold
-    also runs only when its rows hold no more words than the leaf level
-    holds values.  sig holds the leaves' sigma in merge order.
+    groups' full subset sums (exact) and levels 1..L neither trip nor lose
+    a value to a cap.  A node's set lies in [0, sigma(node)], so a level's
+    total size is at most sigma(D) / step plus its node count, below its
+    budget when sigma(D) / step < tail.  The caps of levels 1..L keep
+    [0, sigma] of every node when eta + 1 >= t // ell_L (level L's lower
+    bound is the highest) and eta + 1 >= the largest sigma of a level-L
+    node.  The fold also runs only when its rows hold no more words than
+    the leaves could hold values as full subset sums (`_max_level_excess`
+    at step, plus one per leaf), a bound that reads no leaf set.  sig
+    holds the leaves' sigma in merge order.
     """
     depth = min(FOLD_LEVELS, levels)
-    if depth == 0 or not group_sumsets.exact:
+    if depth == 0 or not exact:
         return 0, 1
     step = common_step(family.groups.vals)
     blocks = len(sig) >> depth
@@ -317,9 +336,14 @@ def _fold_depth(
     fits = (
         int(sig.sum()) // step < tail
         and eta + 1 >= max(t // blocks, top)
-        and blocks * _row_words(top // step) <= len(group_sumsets.sets.vals)
+        and blocks * _row_words(top // step) <= _max_level_excess(family, step) + family.ell
     )
     return (depth, step) if fits else (0, 1)
+
+
+def _set_maxima(sets: Flat, perm: np.ndarray) -> np.ndarray:
+    """The largest value of every node of sets, in the order perm."""
+    return sets.vals[sets.offs[1:][perm] - 1]
 
 
 def select_ap_generators(

@@ -423,14 +423,17 @@ def _level_chunk(
 
 def _pair_hulls(level: Level) -> np.ndarray:
     """Hull of each pair (2i, 2i+1) in units of the level's step; 0 where
-    an operand is empty."""
+    an operand is empty.  A hull of 2**63 units (diameters summing to
+    2**63 - 1, which int64 holds) is given as 2**63 - 1, which sends the
+    pair to the split just the same."""
     nruns = np.diff(level.offs)
     live = np.flatnonzero((nruns[0::2] > 0) & (nruns[1::2] > 0))
     hull = np.zeros(len(level) // 2, dtype=np.int64)
     first, last = level.offs[:-1], level.offs[1:] - 1
     s, e = level.starts, level.ends
     a, b = 2 * live, 2 * live + 1
-    hull[live] = (e[last[a]] - s[first[a]]) + (e[last[b]] - s[first[b]]) + 1
+    diam = (e[last[a]] - s[first[a]]) + (e[last[b]] - s[first[b]])
+    hull[live] = np.minimum(diam, np.iinfo(np.int64).max - 1) + 1
     return hull
 
 

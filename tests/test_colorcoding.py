@@ -298,6 +298,24 @@ def test_max_level_excess_is_attained_by_full_subset_sums():
     assert colorcoding._max_level_excess(family) == sum(len(subset_sums(g)) - 1 for g in groups)
 
 
+def test_complete_group_sumsets_equal_their_built_form(monkeypatch):
+    # both multi-element groups complete (each element in a part of its
+    # own), so stage two returns sets that are built on their first read
+    family = GroupFamily(Flat.of(((3, 5), (6,), (7, 2, 2), (), (4,), (), (), ())), 5)
+    params = color_params(6, 10, 8, 0.3, 1)
+    built = []
+    group_sets = colorcoding._group_sets
+    monkeypatch.setattr(colorcoding, "_group_sets", lambda *a: built.append(a) or group_sets(*a))
+    lazy = build_group_sumsets(family, 10, 8, 6, 0.3, 1, rng_stream(2, "p2"))
+    assert lazy.exact and built == []
+    eager = GroupSumsets(Flat.of([subset_sums(g.tolist()) for g in family.groups]), params, True)
+    assert lazy == eager and eager == lazy and len(built) == 1
+    assert lazy == GroupSumsets.complete(family, params) == eager
+    assert lazy.sets == eager.sets and len(built) == 2  # built once per object
+    assert lazy != GroupSumsets(eager.sets, params, False)
+    assert lazy != GroupSumsets(Flat.of([[0]] * family.ell), params, True)
+
+
 def test_budget_that_cannot_trip_takes_unbudgeted_path(monkeypatch):
     # uniform w=3, t=1560, n=2340 at budget_mult=1e-9: the tail lies below
     # sigma(D) but above every level's possible excess (2,298 singletons

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from subsetsum.core import InternalConsistencyError, SumSet, rng_stream
+from subsetsum import colorcoding, merge, solver
+from subsetsum.cli import generate_instance
+from subsetsum.core import InternalConsistencyError, SolverConfig, SumSet, rng_stream
 from subsetsum.colorcoding import (
     GroupFamily,
     build_group_sumsets,
@@ -9,13 +11,14 @@ from subsetsum.colorcoding import (
     partition_groups,
 )
 from subsetsum.merge import (
+    FOLD_LEVELS,
     DenseEvidence,
     assemble_dense_evidence,
     merge_group_sumsets,
     select_ap_generators,
 )
-from subsetsum import merge
 from subsetsum.colorcoding import GroupSumsets
+from subsetsum.solver import solve
 from subsetsum.sumset import Flat
 
 from oracles import merge_bounds, subset_sums
@@ -72,28 +75,36 @@ def test_merge_narrow_windows_can_empty_nodes():
 
 
 def test_fold_refuses_rows_larger_than_the_leaf_level(monkeypatch):
-    # ten singletons near 2**40 in 16 groups: the fold's one row would need
-    # ~2**37 words against 26 leaf values, so the merge must take the
-    # kernel although the trip and cap bounds allow the fold (checked
-    # below); the fold is never called, so no row is allocated
-    rng = np.random.default_rng(3)
-    items = [int(v) for v in rng.integers(2**40 - 2**20, 2**40, size=10)]
-    groups = [(x,) for x in items] + [()] * 6
-    w, n, q, t = 2**40, len(items), 0.3, sum(items) // 2
-    params = color_params(n, t, w, q, 1)
-    family = GroupFamily(Flat.of(groups), len(items))
-    sets = Flat.of([(0, *grp) for grp in groups])
-    eta, _, tail = merge_bounds(params.rho, params.g, t, w, n, q, 1, 1.0, 1.0, 0)
-    assert sum(items) < tail and eta + 1 >= max(t, sum(items))
+    # the merge must take the kernel although the trip and cap bounds allow
+    # the fold (checked below); the fold is never called, so no row is
+    # allocated
     calls = []
     fold_levels = merge._fold_levels
     monkeypatch.setattr(merge, "_fold_levels", lambda *a: calls.append(a) or fold_levels(*a))
-    roots = [
-        merge_group_sumsets(GroupSumsets(sets, params, exact), family, t, w, n, q, 1, rng_stream(4, "p3"), window=0)
-        for exact in (True, False)
-    ]
-    assert calls == []
-    assert roots[0] == roots[1] == SumSet(tuple(subset_sums(items)))
+    far = [int(v) for v in np.random.default_rng(3).integers(2**40 - 2**20, 2**40, size=10)]
+    for groups in (
+        # ten singletons near 2**40 in 16 groups: the fold's one row would
+        # need ~2**37 words against 26 leaf values
+        [(x,) for x in far] + [()] * 6,
+        # 31 groups (2, 2) and one singleton 12676, all in units of the step
+        # 2: the row needs 101 words, and the leaves hold 31 * 3 + 2 = 95
+        # values, which is the bound counted in units of the step; counted
+        # in units of 1 it would be 31 * 4 + 2 = 126 and let the fold run
+        [(2, 2)] * 31 + [(12676,)],
+    ):
+        items = [x for grp in groups for x in grp]
+        w, n, q, t = 1 << max(items).bit_length(), len(items), 0.3, sum(items) // 2
+        params = color_params(n, t, w, q, 1)
+        family = GroupFamily(Flat.of(groups), sum(1 for grp in groups if grp))
+        sets = Flat.of([subset_sums(grp) for grp in groups])
+        eta, _, tail = merge_bounds(params.rho, params.g, t, w, n, q, 1, 1.0, 1.0, 0)
+        assert sum(items) < tail and eta + 1 >= max(t, sum(items))
+        roots = [
+            merge_group_sumsets(GroupSumsets(sets, params, exact), family, t, w, n, q, 1, rng_stream(4, "p3"), window=0)
+            for exact in (True, False)
+        ]
+        assert calls == []
+        assert roots[0] == roots[1] == SumSet(tuple(subset_sums(items)))
 
 
 def test_merge_budget_trip_produces_checked_evidence():
@@ -155,6 +166,79 @@ def test_assemble_evidence_rejects_bad_bookkeeping():
         assemble_dense_evidence(**valid, sigma_values=[10, 10], max_values=[None, 11])
     ev = assemble_dense_evidence(**valid, sigma_values=[10, 10], max_values=[None, 10])
     assert ev.max_values == [None, 10]
+    # the stages pass int64 arrays; the evidence holds the same lists
+    arrays = {k: np.asarray(v) if isinstance(v, list) else v for k, v in valid.items()}
+    got = assemble_dense_evidence(**arrays, sigma_values=np.array([10, 10]), max_values=[None, 10])
+    assert got == ev and type(got.set_sizes[0]) is type(got.f_values[0]) is type(got.sigma_values[0]) is int
+    with pytest.raises(InternalConsistencyError, match="weight exceeds subtree sum"):
+        assemble_dense_evidence(**arrays, sigma_values=np.array([10, 9]))
+
+
+def test_checked_merge_rejects_an_exact_set_without_its_group_sum():
+    # the merge takes an exact set's maximum to be its group's sum without
+    # reading the set; checked mode reads the sets and compares
+    groups = ((3, 5), (6,), (7, 2), (4,))
+    family = GroupFamily(Flat.of(groups), 4)
+    params = color_params(6, 10, 8, 0.3, 1)
+    sets = [subset_sums(g) for g in groups]
+    sets[2] = sets[2][:-1]  # lacks sigma = 9, as a never-complete group does
+    staged = GroupSumsets(Flat.of(sets), params, True)
+    with pytest.raises(InternalConsistencyError, match="maximum differs from its group's sum"):
+        merge_group_sumsets(staged, family, 10, 8, 6, 0.3, 1, rng_stream(1, "p3"), checked=True)
+    assert isinstance(merge_group_sumsets(staged, family, 10, 8, 6, 0.3, 1, rng_stream(1, "p3")), SumSet)
+    staged = GroupSumsets(Flat.of([subset_sums(g) for g in groups]), params, True)
+    assert isinstance(
+        merge_group_sumsets(staged, family, 10, 8, 6, 0.3, 1, rng_stream(1, "p3"), checked=True), SumSet
+    )
+
+
+def _grouped_instance():
+    # the `grouped` benchmark's t26000 shape: dense w=16, sigma ~ 10t, where
+    # about a fifth of the groups hold several items and every one of them
+    # completes, so stage two's sets are every group's full subset sums
+    return generate_instance("dense", 30_588, 16, 5, t=26_000)
+
+
+def _spy(monkeypatch, module, name, calls):
+    """Replace module.name by a wrapper that appends (args, result) to calls."""
+    fn = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append((args, fn(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(module, name, spy)
+
+
+def test_unchecked_fold_never_builds_the_group_sets(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the group sets were built")
+
+    monkeypatch.setattr(colorcoding, "_group_sets", refuse)
+    families, staged, folds = [], [], []
+    _spy(monkeypatch, solver, "partition_groups", families)
+    _spy(monkeypatch, solver, "build_group_sumsets", staged)
+    _spy(monkeypatch, merge, "_fold_levels", folds)
+    out = solve(_grouped_instance(), SolverConfig(seed=3))
+    assert out.branch == "sparse" and out.decision
+    ((_, family),) = families
+    assert np.count_nonzero(family.groups.sizes() >= 2) > 1000
+    ((_, gs),) = staged
+    assert gs.exact and [args[2] for args, _ in folds] == [FOLD_LEVELS]
+
+
+def test_checked_solve_builds_every_group_s_full_subset_sums(monkeypatch):
+    built = []
+    _spy(monkeypatch, colorcoding, "_group_sets", built)
+    inst = _grouped_instance()
+    checked = solve(inst, SolverConfig(seed=3, checked_mode=True))
+    (((family, acc), sets),) = built
+    assert acc == {}
+    assert [s.tolist() for s in sets] == [subset_sums(g.tolist()) for g in family.groups]
+    unchecked = solve(inst, SolverConfig(seed=3))
+    assert len(built) == 1
+    outputs = ("decision", "branch", "candidate_set_size", "report")
+    assert [getattr(checked, k) for k in outputs] == [getattr(unchecked, k) for k in outputs]
 
 
 def test_select_generators_single_size():

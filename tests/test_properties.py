@@ -132,6 +132,12 @@ _PROGRESSION = st.builds(
     lo=_PROBE,
     hi=_PROBE,
 )
+# sums reaching 2**63 - 1 from 0 + 0: a hull of 2**63 values, one more than
+# int64 holds, which the level kernel once read as an empty pair
+@example(
+    xs=[1, (1 << 62) - 60], ys=[(1 << 62) + 59], runs=(list(range(0, 273, 7)), list(range(0, 343, 7))),
+    probes=[], lo=0, hi=0,
+)
 @settings(max_examples=150, deadline=None)
 def test_sumset_matches_set_oracle(xs, ys, runs, probes, lo, hi):
     # xs may be empty, and both may repeat values
@@ -372,7 +378,9 @@ def test_merge_fold_matches_values_reference():
         budget_mult = tail_side * (sigma // step) / merge_bounds(*bounds, eta_mult, 1.0, 0)[2]
         eta, _, tail = merge_bounds(*bounds, eta_mult, budget_mult, 0)
         words = blocks * ((top // step + 1) // 64 + 1)
-        fits = exact and sigma // step < tail and eta + 1 >= need and words <= len(staged.sets.vals)
+        # bound (d): the most values the leaves could hold as full subset sums
+        leaf_bound = sum(min(sum(grp) // step, 2 ** len(grp) - 1) + 1 for grp in groups)
+        fits = exact and sigma // step < tail and eta + 1 >= need and words <= leaf_bound
 
         calls = []
         with mock.patch.object(merge, "_fold_levels", lambda *a: calls.append(a[2]) or fold_levels(*a)):
@@ -418,8 +426,19 @@ def test_partition_instance_matches_per_item_reference(inst):
     assert got == reference_partition(inst.items, inst.target, inst.w)
 
 
+def _partition_groups_against_reference(items, t, seed):
+    """Elements moved into empty buckets, after checking that stage one
+    matches its list reference on the same draws."""
+    family = partition_groups(items, t, rng_stream(seed, "p1"))
+    groups, raw, filled = reference_partition_groups(items, t, rng_stream(seed, "p1"))
+    assert [tuple(g.tolist()) for g in family.groups] == list(groups)
+    assert family.raw_count == raw
+    assert family.group_sums().tolist() == [sum(g) for g in groups]
+    return filled
+
+
 def test_partition_groups_matches_list_reference():
-    moved = []
+    moved, large = [], []
 
     @given(
         items=st.lists(st.integers(1, 64), min_size=10, max_size=200),
@@ -434,15 +453,25 @@ def test_partition_groups_matches_list_reference():
         layers = [x.bit_length() - 1 for x in items]
         j = max(set(layers), key=layers.count)
         t = max(1, int(layers.count(j) / per_bucket * 2.0 ** (j - 1)))
-        family = partition_groups(items, t, rng_stream(seed, "p1"))
-        groups, raw, filled = reference_partition_groups(items, t, rng_stream(seed, "p1"))
-        assert [tuple(g.tolist()) for g in family.groups] == list(groups)
-        assert family.raw_count == raw
-        assert family.group_sums().tolist() == [sum(g) for g in groups]
-        moved.append(filled)
+        moved.append(_partition_groups_against_reference(items, t, seed))
+
+    @given(
+        n=st.integers(11_000, 12_000),
+        per_bucket=st.floats(1.1, 1.3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=10, deadline=None)
+    def check_large(n, per_bucket, seed):
+        # `dense-trip`'s n=12000, w=2 shape: about n/2 twos in t buckets (the
+        # cap of their layer), over a thousand of them empty
+        items = np.random.default_rng(seed).integers(1, 3, size=n).tolist()
+        t = int(items.count(2) / per_bucket)
+        large.append(_partition_groups_against_reference(items, t, seed))
 
     check()
     assert any(moved), "no example moved an element into an empty bucket"
+    check_large()
+    assert min(large) > 1000, "a large example filled at most a thousand empty buckets"
 
 
 @st.composite
