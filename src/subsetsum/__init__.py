@@ -16,6 +16,8 @@ sorted, read-only, 1-D int64 arrays; they used to be tuples.
 before, but when every group completed its `sets` is computed on first
 read.  A `DenseTripSignal`'s `node_sizes`, `node_f` and `node_sigma` are
 int64 arrays (they used to be lists); `DenseEvidence` still holds lists.
+`GroupFamily.group_sums` is a read-only int64 array computed once per
+family (it used to be a method that recomputed it).
 """
 
 from .core import (

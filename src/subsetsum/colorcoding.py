@@ -60,12 +60,13 @@ group's full subset sums and stage two builds none of them: it returns
 `GroupSumsets.complete`, whose sets are built on their first read
 (checked mode, a merge that does not fold, tests and tracing read them;
 a folding merge needs only each group's sum and its items).  Otherwise
-the complete groups get their subset sums computed once per distinct
-content (groups of equal size and sorted elements are found with one
-`np.unique` per size), and the groups that never complete are merged
-part by part from their recorded draws.  The union over repetitions
-does not depend on order, so the sets are bit-identical to merging
-every repetition.
+the groups that never complete form a sub-family that goes through the
+same level loop on each repetition's recorded draws of its elements;
+the sub-family's excess is at most the family's, so no level can trip.
+A group's roots depend only on its own elements' parts, so the sets are
+bit-identical to merging every repetition of the whole family.  Every
+other group's full subset sums are the roots of one more pass of that
+loop, with a group's k-th element in part k.
 
 `GroupSumsets.exact` says whether every group completed, so that every
 set is its group's full subset sums (a group that never completes lacks
@@ -80,13 +81,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import chain
-from typing import Optional, Sequence, Union
+from functools import cached_property
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ceil_div, ceil_log2, next_pow2, target_window
-from .sumset import Flat, Level, _offsets, _pair_level, _segment_index, _sum_values, common_step
+from .core import InternalConsistencyError, ceil_div, ceil_log2, next_pow2, target_window
+from .sumset import Flat, Level, _offsets, _pair_level, _segment_index, common_step
+# imported only as the phase-2 kernel boundary that perfbench's tracer wraps
+from .sumset import _sum_values  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -106,9 +109,12 @@ class GroupFamily:
     def ell(self) -> int:
         return len(self.groups)
 
+    @cached_property
     def group_sums(self) -> np.ndarray:
-        """sigma of every group, in group order."""
-        return np.diff(np.append(0, np.cumsum(self.groups.vals))[self.groups.offs])
+        """sigma of every group, in group order (computed once, read-only)."""
+        sums = np.diff(np.append(0, np.cumsum(self.groups.vals))[self.groups.offs])
+        sums.flags.writeable = False
+        return sums
 
 
 def partition_groups(d_part: Sequence[int], t: int, rng: np.random.Generator) -> GroupFamily:
@@ -250,7 +256,10 @@ class GroupSumsets:
     @property
     def sets(self) -> Flat:
         if self._sets is None:
-            self._sets, self._family = _group_sets(self._family, {}), None
+            # every group completed: no group is open
+            none = np.zeros(0, dtype=np.int64)
+            self._sets = _group_sets(self._family, self.params, none, Flat.of(()))
+            self._family = None
         return self._sets
 
     def __eq__(self, other: object) -> bool:
@@ -312,7 +321,8 @@ def build_group_sumsets(
     params = color_params(n, t, w, q, c_ap, budget_mult)
     if params.tail > _max_level_excess(family):
         return _unbudgeted_sumsets(family, params, rng)
-    return _budgeted_sumsets(family, params, rng)
+    draws = (rng.integers(0, params.g, size=family.groups.vals.size) for _ in range(params.reps))
+    return _budgeted_sumsets(family.groups, params, draws)
 
 
 def _max_level_excess(family: GroupFamily, step: int = 1) -> int:
@@ -327,7 +337,7 @@ def _max_level_excess(family: GroupFamily, step: int = 1) -> int:
     bound (at step 1) no level can trip.  It is attained by the full
     subset sums of singletons and empty groups.
     """
-    sums, sizes = family.group_sums() // step, family.groups.sizes()
+    sums, sizes = family.group_sums // step, family.groups.sizes()
     # for |G| >= 63, 2^|G| - 1 > sigma(G) (all sums are below 2^63)
     small = sizes < 63
     sums[small] = np.minimum(sums[small], (1 << sizes[small]) - 1)
@@ -335,19 +345,20 @@ def _max_level_excess(family: GroupFamily, step: int = 1) -> int:
 
 
 def _budgeted_sumsets(
-    family: GroupFamily, params: ColorCodingParams, rng: np.random.Generator
+    groups: Flat, params: ColorCodingParams, draws: Iterable[np.ndarray]
 ) -> Union[GroupSumsets, DenseTripSignal]:
     """Every repetition as flat levels of the occupied nodes, summing only
     nodes with two occupied children, until one trips (see the module
-    docstring)."""
-    g, ell = params.g, family.ell
-    elems = family.groups.vals
-    owner = np.repeat(np.arange(ell, dtype=np.int64), family.groups.sizes())
+    docstring).  draws holds each repetition's parts of the elements of
+    groups, in element order."""
+    g, ell = params.g, len(groups)
+    elems = groups.vals
+    owner = np.repeat(np.arange(ell, dtype=np.int64), groups.sizes())
     step = common_step(elems)
     roots_key, roots_val = [np.arange(ell, dtype=np.int64)], [np.zeros(ell, dtype=np.int64)]
     complete = np.zeros(ell, dtype=bool)
-    for rep in range(params.reps):
-        keys = owner * g + rng.integers(0, g, size=elems.size)
+    for rep, drawn in enumerate(draws):
+        keys = owner * g + drawn
         order = np.lexsort((elems, keys))
         part_key, part_val = keys[order], elems[order]
         shared = np.zeros(ell, dtype=bool)
@@ -451,11 +462,13 @@ def _distinct_level(keys: np.ndarray, vals: np.ndarray, nodes: np.ndarray) -> Fl
 def _unbudgeted_sumsets(
     family: GroupFamily, params: ColorCodingParams, rng: np.random.Generator
 ) -> GroupSumsets:
-    """Per-group union of every repetition's root, without a budget.
+    """Per-group union of every repetition's root, under a budget that no
+    level can reach.
 
     Draws repetitions only while some group is incomplete (see the module
     docstring).  Each repetition consumes the same draws as a budgeted one,
-    so groups that never complete get the same parts and the same sets.
+    so groups that never complete get the same parts and the same sets:
+    their sub-family runs `_budgeted_sumsets` on their recorded draws.
     When every group completes, every set is its group's full subset sums,
     and none is built here (`GroupSumsets.complete`).
     """
@@ -478,56 +491,32 @@ def _unbudgeted_sumsets(
         records.append((open_pos, draws[still_open]))
     if open_pos.size == 0:
         return GroupSumsets.complete(family, params)
-
-    flat = family.groups.vals.tolist()
-    acc: dict[int, set[int]] = {}
-    for pos, drawn in records:
-        keep = np.isin(pos, open_pos)
-        split: dict[int, dict[int, list[int]]] = {}
-        for e, p in zip(pos[keep].tolist(), drawn[keep].tolist()):
-            split.setdefault(int(owner[e]), {}).setdefault(p, []).append(flat[e])
-        for i, parts in split.items():
-            vals = np.zeros(1, dtype=np.int64)
-            for plist in parts.values():
-                vals = _sum_values(vals, np.unique([0, *plist]))
-            acc.setdefault(i, {0}).update(vals.tolist())
-    return GroupSumsets(_group_sets(family, acc), params)
+    open_groups = np.unique(owner[open_pos])
+    draws = (drawn[np.isin(pos, open_pos)] for pos, drawn in records)
+    open_sets = _untripped_sets(family.groups.take(open_groups), params, draws)
+    return GroupSumsets(_group_sets(family, params, open_groups, open_sets), params)
 
 
-def _group_sets(family: GroupFamily, acc: dict[int, set[int]]) -> Flat:
-    """The Flat whose node i holds acc[i] for the groups of acc (those
-    that never complete) and every other group's full subset sums."""
-    ell, sizes = family.ell, family.groups.sizes()
-    # every group holds 0 and each singleton its (positive) element; a group
-    # of two or more holds its fold or, once complete, all its subset sums,
-    # computed once per distinct content
-    elems, offs = family.groups.vals, family.groups.offs
-    out_sizes = np.minimum(sizes, 1) + 1
-    complete = np.flatnonzero(sizes >= 2)
-    complete = complete[~np.isin(complete, list(acc))]
-    content, sums = np.zeros(ell, dtype=np.int64), []
-    for k in np.unique(sizes[complete]).tolist():
-        grp = complete[sizes[complete] == k]
-        rows = np.sort(elems[offs[grp][:, None] + np.arange(k)], axis=1)
-        distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
-        content[grp] = len(sums) + inverse
-        for row in distinct.tolist():
-            reach = {0}
-            for x in row:
-                reach |= {v + x for v in reach}
-            sums.append(sorted(reach))
-    sums_offs = _offsets(np.fromiter(map(len, sums), dtype=np.int64, count=len(sums)))
-    count = np.diff(sums_offs)[content[complete]]
-    out_sizes[complete] = count
-    for i, reach in acc.items():
-        out_sizes[i] = len(reach)
-    out_offs = _offsets(out_sizes)
-    vals = np.zeros(int(out_offs[-1]), dtype=np.int64)
-    single = np.flatnonzero(sizes == 1)
-    vals[out_offs[single] + 1] = elems[offs[single]]
-    flat_sums = np.fromiter(chain.from_iterable(sums), dtype=np.int64)
-    at = _segment_index(sums_offs[content[complete]], count)
-    vals[_segment_index(out_offs[complete], count)] = flat_sums[at]
-    for i, reach in acc.items():
-        vals[out_offs[i] : out_offs[i + 1]] = sorted(reach)
-    return Flat(vals, out_offs)
+def _untripped_sets(groups: Flat, params: ColorCodingParams, draws: Iterable[np.ndarray]) -> Flat:
+    """The sets of `_budgeted_sumsets` for groups whose `_max_level_excess`
+    is below params.tail, where no level can trip."""
+    out = _budgeted_sumsets(groups, params, draws)
+    if isinstance(out, DenseTripSignal):
+        raise InternalConsistencyError("stage two tripped a budget above every level's excess")
+    return out.sets
+
+
+def _group_sets(
+    family: GroupFamily, params: ColorCodingParams, open_groups: np.ndarray, open_sets: Flat
+) -> Flat:
+    """The Flat whose node open_groups[k] holds open_sets' node k, for the
+    groups that never complete (ascending), and every other group's full
+    subset sums.  Those are the roots of one repetition that puts a
+    group's k-th element into part k (a complete group holds at most g)."""
+    closed = np.setdiff1d(np.arange(family.ell), open_groups)
+    groups = family.groups.take(closed)
+    rank = np.arange(groups.vals.size) - np.repeat(groups.offs[:-1], groups.sizes())
+    full = _untripped_sets(groups, params, [rank])
+    sizes = np.concatenate((full.sizes(), open_sets.sizes()))
+    both = Flat(np.concatenate((full.vals, open_sets.vals)), _offsets(sizes))
+    return both.take(np.argsort(np.concatenate((closed, open_groups))))

@@ -64,7 +64,7 @@ import numpy as np
 
 from .core import InternalConsistencyError, SumSet, ceil_div, ceil_log2, target_window
 from .colorcoding import DenseTripSignal, GroupFamily, GroupSumsets, _max_level_excess
-from .sumset import Flat, Level, _fold_levels, _offsets, _pair_level, _row_words, _segment_index, common_step
+from .sumset import Flat, Level, _fold_levels, _pair_level, _row_words, common_step
 
 # The merge computes its bottom min(FOLD_LEVELS, levels) levels by folding
 # each block of 2**FOLD_LEVELS leaves' items into uint64 rows
@@ -230,7 +230,7 @@ def merge_group_sumsets(
         window = target_window(w, t)
 
     perm = rng.permutation(ell)
-    sig = family.group_sums()[perm]
+    sig = family.group_sums[perm]
     # a group's full subset sums have maximum sigma(G); other sets are read
     # (every stage-two set holds 0, so none is empty)
     exact = group_sumsets.exact
@@ -248,17 +248,15 @@ def merge_group_sumsets(
     levels = ceil_log2(ell)
     depth, step = _fold_depth(exact, family, t, sig, eta, tail, levels)
     if depth:
-        sizes = family.groups.sizes()[perm]
-        items = family.groups.vals[_segment_index(family.groups.offs[perm], sizes)]
-        folded = _fold_levels(items, _offsets(sizes), depth, step)
+        leaves = family.groups.take(perm)
+        folded = _fold_levels(leaves.vals, leaves.offs, depth, step)
     start = 1
     if not depth or checked:
         sets0 = group_sumsets.sets
         if checked and exact and not np.array_equal(f, _set_maxima(sets0, perm)):
             raise InternalConsistencyError("an exact set's maximum differs from its group's sum")
-        sizes = sets0.sizes()[perm]
-        vals, offs = sets0.vals[_segment_index(sets0.offs[perm], sizes)], _offsets(sizes)
-        cur = Level.from_values(vals, offs)
+        leaves = sets0.take(perm)
+        cur = Level.from_values(leaves.vals, leaves.offs)
     else:
         cur, start = folded, depth + 1
         for _ in range(depth):

@@ -4,10 +4,9 @@ word-parallel fold, an interval cap.
 The sumset of A and B is {x + y : x in A, y in B}.  One dispatcher, the
 level kernel `_pair_level`, computes every sumset: it sums the pairs
 (2i, 2i+1) of a whole level in a few numpy passes.  Colour coding's
-budgeted levels (phase 2), the merge tree (phase 3) and `sum_if_sparse`
-call it with a level.  `dense_sumset` (the public entry point for one
-pair, which the solver's combine uses) and colour coding's unbudgeted
-fold of groups that never split cleanly (phase 2) go through its
+levels (phase 2, under a budget or not), the merge tree (phase 3) and
+`sum_if_sparse` call it with a level.  `dense_sumset` (the public entry
+point for one pair, which the solver's combine uses) goes through its
 one-pair adapter `_sum_values`, which enumerates a pair directly when
 |A|*|B| <= PAIRWISE_LIMIT (far cheaper than the level's passes for such
 tiny pairs) and otherwise sums it as a one-pair level.  Both take and
@@ -236,6 +235,11 @@ class Flat:
 
     def sizes(self) -> np.ndarray:
         return np.diff(self.offs)
+
+    def take(self, nodes: np.ndarray) -> "Flat":
+        """The given nodes, in the given order."""
+        sizes = np.diff(self.offs)[nodes]
+        return Flat(self.vals[_segment_index(self.offs[nodes], sizes)], _offsets(sizes))
 
 
 def dense_sumset(a: SumSet, b: SumSet) -> SumSet:
@@ -664,7 +668,7 @@ def _expand(starts: np.ndarray, ends: np.ndarray, step: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# one pair (`dense_sumset` and the combine, colour coding's fold)
+# one pair (`dense_sumset` and the combine)
 # ---------------------------------------------------------------------------
 
 

@@ -339,7 +339,34 @@ def test_budget_that_cannot_trip_takes_unbudgeted_path(monkeypatch):
         family, t, w, n, q, config.c_ap, rng_stream(1, "p2"), budget_mult=config.budget_mult
     )
     assert ran == [1]
-    assert got == colorcoding._budgeted_sumsets(family, params, rng_stream(1, "p2"))
+    rng = rng_stream(1, "p2")
+    draws = (rng.integers(0, params.g, size=family.groups.vals.size) for _ in range(params.reps))
+    assert got == colorcoding._budgeted_sumsets(family.groups, params, draws)
+
+
+def test_never_complete_groups_match_slot_reference_at_pipeline_size():
+    # n=50 and q=0.5 give g = 4,096 parts and 21 repetitions, beyond what
+    # the materialized reference can hold.  200 groups of 250-300 elements
+    # never split cleanly (each repetition does with probability below
+    # 1e-3), among groups of two to five that complete, singletons and
+    # padding; the tail lies far above every level's possible excess, so
+    # the unbudgeted path runs, and its sets must be the union of every
+    # repetition's roots that the slot reference builds from the same draws
+    rng = np.random.default_rng(3)
+    sizes = [*rng.integers(250, 301, size=200), *rng.integers(2, 6, size=150), *[1] * 50]
+    rng.shuffle(sizes)
+    groups = [tuple(sorted(int(v) for v in rng.integers(1, 3, size=k))) for k in sizes]
+    family = GroupFamily(Flat.of(groups + [()] * (512 - len(groups))), len(groups))
+    t, w, n, q = 4000, 2, 50, 0.5
+    params = color_params(n, t, w, q, 1)
+    assert (params.g, params.reps) == (4096, 21)
+    assert params.tail > colorcoding._max_level_excess(family)
+    got = build_group_sumsets(family, t, w, n, q, 1, rng_stream(8, "p2"))
+    assert got == slot_stage_two(family, params, rng_stream(8, "p2"))
+    assert not got.exact
+    # a group that never completes lacks at least its own sum
+    lacking = np.flatnonzero(np.array([s[-1] for s in got.sets]) < family.group_sums)
+    assert lacking.size >= 190 and np.all(family.groups.sizes()[lacking] >= 250)
 
 
 def test_trip_signal_bookkeeping_consistency():

@@ -232,8 +232,8 @@ def test_checked_solve_builds_every_group_s_full_subset_sums(monkeypatch):
     _spy(monkeypatch, colorcoding, "_group_sets", built)
     inst = _grouped_instance()
     checked = solve(inst, SolverConfig(seed=3, checked_mode=True))
-    (((family, acc), sets),) = built
-    assert acc == {}
+    (((family, _, open_groups, _), sets),) = built
+    assert open_groups.size == 0
     assert [s.tolist() for s in sets] == [subset_sums(g.tolist()) for g in family.groups]
     unchecked = solve(inst, SolverConfig(seed=3))
     assert len(built) == 1

@@ -306,7 +306,7 @@ def test_merge_matches_values_reference():
             eta_mult=eta_mult, budget_mult=budget_mult, window=window, checked=checked,
         )
         kind, ref = reference_merge(
-            [tuple(s.tolist()) for s in staged.sets], family.group_sums().tolist(),
+            [tuple(s.tolist()) for s in staged.sets], family.group_sums.tolist(),
             staged.params.rho, staged.params.g, *args, rng_stream(seed, "p3"),
             eta_mult, budget_mult, window,
         )
@@ -433,7 +433,7 @@ def _partition_groups_against_reference(items, t, seed):
     groups, raw, filled = reference_partition_groups(items, t, rng_stream(seed, "p1"))
     assert [tuple(g.tolist()) for g in family.groups] == list(groups)
     assert family.raw_count == raw
-    assert family.group_sums().tolist() == [sum(g) for g in groups]
+    assert family.group_sums.tolist() == [sum(g) for g in groups]
     return filled
 
 
