@@ -17,7 +17,8 @@ before, but when every group completed its `sets` is computed on first
 read.  A `DenseTripSignal`'s `node_sizes`, `node_f` and `node_sigma` are
 int64 arrays (they used to be lists); `DenseEvidence` still holds lists.
 `GroupFamily.group_sums` is a read-only int64 array computed once per
-family (it used to be a method that recomputed it).
+family (it used to be a method that recomputed it).  The diagnostic
+`select_ap_generators`, which no solve called, is deleted.
 """
 
 from .core import (
@@ -43,7 +44,7 @@ from .structure import (
     peel_divisors,
 )
 from .colorcoding import GroupFamily, GroupSumsets, build_group_sumsets, partition_groups
-from .merge import DenseEvidence, assemble_dense_evidence, merge_group_sumsets, select_ap_generators
+from .merge import DenseEvidence, assemble_dense_evidence, merge_group_sumsets
 from .solver import (
     BranchReport,
     bounded_subset_sums,
@@ -83,7 +84,6 @@ __all__ = [
     "DenseEvidence",
     "assemble_dense_evidence",
     "merge_group_sumsets",
-    "select_ap_generators",
     "BranchReport",
     "bounded_subset_sums",
     "fallback_dp",

@@ -28,19 +28,29 @@ The bottom levels are a bounded subset-sum DP over a few small items per
 node, which a word-parallel bitset does in a few shifts per item
 (Pisinger, "Dynamic programming on the word RAM", 2003).  When stage two
 reports its sets exact (each its group's full subset sums) and the bottom
-L = min(FOLD_LEVELS, levels) levels can neither trip nor lose a value to
-a cap (`_fold_depth`), level L is the subset sums of each block of 2**L
-leaves' items: `sumset._fold_levels` computes it from the permuted items
-as uint64 rows and hands it over as runs, so neither the leaf level nor
-levels 1..L-1 are built.  An exact set's maximum is its group's sum, so
-the leaf weights are the groups' sums, and the fold's size bound comes
-from the sums and the group sizes (`_fold_depth`): a folding merge never
-reads the stage-two sets, which stage two then never builds (see
-`colorcoding.GroupSumsets`).  The weights and subtree sums advance over
-the folded levels as over any other.  Checked mode also reads the sets,
-requires each exact set's maximum to be its group's sum, runs the folded
-levels through the kernel, with its per-level checks, and requires the
-same runs.
+L levels can neither trip nor lose a value to a cap (`_fold_depth`),
+level L is the subset sums of each block of 2**L leaves' items:
+`sumset._fold_levels` computes it as uint64 rows and hands it over as
+runs, so neither the leaf level nor levels 1..L-1 are built.  An exact
+set's maximum is its group's sum, so the leaf weights are the groups'
+sums, and the fold's size bound comes from the sums and the item count
+(`_fold_depth`): a folding merge never reads the stage-two sets, which
+stage two then never builds (see `colorcoding.GroupSumsets`).
+
+When no level at all can trip or cap (eta + 1 >= max(t, sigma(D)), which
+the paper's constants give whenever stage two is exact), the merge
+collapses: L is the whole tree, and the root is every subset sum of the
+dense part D, in whatever order the leaves come.  One fold over D's items,
+each value's multiplicity split into powers of two (the bounded-to-0/1
+reduction, as in Koiliaris and Xu, SODA 2017), computes it; the
+permutation is not drawn (the phase-3 stream feeds nothing else), and no
+level, weight or cap is computed.  Otherwise L = min(FOLD_LEVELS, levels)
+when the permuted blocks allow it, and the weights and subtree sums
+advance over the folded levels as over any other.  Checked mode draws the
+permutation, also reads the sets, requires each exact set's maximum to be
+its group's sum, runs the folded levels through the kernel, with its
+per-level checks, and requires the same runs (for a collapse, the same
+root).
 
 A budget trip, here or in the color-coding stage, is converted into a
 DenseEvidence record: per-node set sizes, a weight f per node (the
@@ -49,9 +59,7 @@ upper bound on each node's maximum and lower bound on its subtree
 element sum), and the tripped threshold.  The three numeric conditions
 checked in `assemble_dense_evidence` (on the int64 arrays the stages
 pass, which the record holds as lists) are exactly what the downstream
-interval decision relies on; `select_ap_generators` is a diagnostic
-that re-runs the counting argument behind that decision and exhibits a
-concrete low-weight selection of generator sets.
+interval decision relies on.
 """
 
 from __future__ import annotations
@@ -63,18 +71,19 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .core import InternalConsistencyError, SumSet, ceil_div, ceil_log2, target_window
-from .colorcoding import DenseTripSignal, GroupFamily, GroupSumsets, _max_level_excess
+from .colorcoding import DenseTripSignal, GroupFamily, GroupSumsets
 from .sumset import Flat, Level, _fold_levels, _pair_level, _row_words, common_step
 
-# The merge computes its bottom min(FOLD_LEVELS, levels) levels by folding
-# each block of 2**FOLD_LEVELS leaves' items into uint64 rows
-# (`_fold_levels`) when that provably gives the kernel's levels (see
-# `_fold_depth`).  Summed solve times (best of 9, seed 3; 2-core x86 VM,
-# numpy 2.4) for FOLD_LEVELS = 0 (kernel only) / 3 / 4 / 5 / 6 / 7:
-# `sparse-ladder` 278 / 165 / 127 / 115 / 114 / 116 ms, `grouped` 166 /
-# 108 / 93 / 91 / 94 / 96 ms.  The fold itself took 3.6-7.0 ms at depths
-# 3-6 on yes-t120000, no-t120001 and `grouped` t30000 (seed 1), and up to
-# 10 ms at depth 8, where a row spans 256 leaves.
+# When the merge cannot collapse (caps narrowed by eta_mult) it still
+# computes its bottom min(FOLD_LEVELS, levels) levels by folding each block
+# of 2**FOLD_LEVELS leaves' items into uint64 rows (`_fold_levels`) when
+# that provably gives the kernel's levels (see `_fold_depth`).  Summed
+# solve times (best of 9, seed 3; 2-core x86 VM, numpy 2.4) for
+# FOLD_LEVELS = 0 (kernel only) / 3 / 4 / 5 / 6 / 7: `sparse-ladder` 278 /
+# 165 / 127 / 115 / 114 / 116 ms, `grouped` 166 / 108 / 93 / 91 / 94 / 96
+# ms.  With the collapse, at eta_mult 1e-9 and 1e-12, `sparse-ladder` and
+# `grouped` (seed 1, summed best of 5) took 114-156 ms at FOLD_LEVELS = 5
+# and 703-831 ms with the kernel only.
 FOLD_LEVELS = 5
 
 
@@ -229,13 +238,7 @@ def merge_group_sumsets(
     if window is None:
         window = target_window(w, t)
 
-    perm = rng.permutation(ell)
-    sig = family.group_sums[perm]
-    # a group's full subset sums have maximum sigma(G); other sets are read
-    # (every stage-two set holds 0, so none is empty)
     exact = group_sumsets.exact
-    f = sig if exact else _set_maxima(group_sumsets.sets, perm)
-
     eta = math.ceil(eta_mult * 2304 * math.sqrt(w * t) * lgw**2 * math.log2(2 * n / q) ** 3)
     eta += window
     # u' covers the largest possible diameter at any level: children are
@@ -246,7 +249,19 @@ def merge_group_sumsets(
     tail = math.ceil(budget_mult * 4 * c_ap * rho * u_prime * ceil_log2(u_prime))
 
     levels = ceil_log2(ell)
-    depth, step = _fold_depth(exact, family, t, sig, eta, tail, levels)
+    depth, step = _fold_depth(exact, family, t, eta, tail, levels)
+    if depth and not checked:
+        # no level caps or trips: the root is every subset sum of the items,
+        # in whatever order the leaves come
+        return SumSet(_fold_levels(family.groups.vals, family.groups.offs, depth, step).values())
+
+    perm = rng.permutation(ell)
+    sig = family.group_sums[perm]
+    # a group's full subset sums have maximum sigma(G); other sets are read
+    # (every stage-two set holds 0, so none is empty)
+    f = sig if exact else _set_maxima(group_sumsets.sets, perm)
+    if not depth:
+        depth, step = _fold_depth(exact, family, t, eta, tail, levels, sig)
     if depth:
         leaves = family.groups.take(perm)
         folded = _fold_levels(leaves.vals, leaves.offs, depth, step)
@@ -305,10 +320,10 @@ def _fold_depth(
     exact: bool,
     family: GroupFamily,
     t: int,
-    sig: np.ndarray,
     eta: int,
     tail: int,
     levels: int,
+    sig: Optional[np.ndarray] = None,
 ) -> tuple[int, int]:
     """(L, step): the merge computes its bottom L levels with `_fold_levels`
     in runs of step, or L = 0 and every level goes through the kernel.
@@ -321,21 +336,29 @@ def _fold_depth(
     [0, sigma] of every node when eta + 1 >= t // ell_L (level L's lower
     bound is the highest) and eta + 1 >= the largest sigma of a level-L
     node.  The fold also runs only when its rows hold no more words than
-    the leaves could hold values as full subset sums (`_max_level_excess`
-    at step, plus one per leaf), a bound that reads no leaf set.  sig
-    holds the leaves' sigma in merge order.
+    the leaf level holds values, at least |D| + ell (a group's sorted
+    prefix sums are |G| + 1 distinct subset sums), a bound that reads no
+    leaf set.
+
+    L = levels (the whole tree, one row) when eta + 1 >= max(t, sigma(D)),
+    which needs no leaf order.  Otherwise sig, the leaves' sigma in merge
+    order, decides L = min(FOLD_LEVELS, levels); without sig L is 0.
     """
-    depth = min(FOLD_LEVELS, levels)
-    if depth == 0 or not exact:
+    if levels == 0 or not exact:
         return 0, 1
     step = common_step(family.groups.vals)
+    sigma = int(family.group_sums.sum())
+    room = len(family.groups.vals) + family.ell
+    if sigma // step >= tail:
+        return 0, 1
+    if eta + 1 >= max(t, sigma) and _row_words(sigma // step) <= room:
+        return levels, step
+    if sig is None:
+        return 0, 1
+    depth = min(FOLD_LEVELS, levels)
     blocks = len(sig) >> depth
     top = int(sig.reshape(blocks, -1).sum(axis=1).max())
-    fits = (
-        int(sig.sum()) // step < tail
-        and eta + 1 >= max(t // blocks, top)
-        and blocks * _row_words(top // step) <= _max_level_excess(family, step) + family.ell
-    )
+    fits = eta + 1 >= max(t // blocks, top) and blocks * _row_words(top // step) <= room
     return (depth, step) if fits else (0, 1)
 
 
@@ -343,42 +366,3 @@ def _set_maxima(sets: Flat, perm: np.ndarray) -> np.ndarray:
     """The largest value of every node of sets, in the order perm."""
     return sets.vals[sets.offs[1:][perm] - 1]
 
-
-def select_ap_generators(
-    sets: Sequence[SumSet],
-    f_values: Sequence[int],
-    rho: int,
-    u_prime: int,
-    c_ap: int,
-) -> list[int]:
-    """Diagnostic selection of low-weight generator sets.
-
-    When the sizes meet the dense threshold, some k in [2, u] has at
-    least 2 * c_ap * rho * u_prime / k sets of size >= k.  Greedily pick
-    the ceil(c_ap * u_prime / k) of them with the smallest weights; the
-    selection's weight is at most a 1/rho fraction of the total, which
-    is what caps the largest generated term.  Raises if no k qualifies,
-    i.e. the threshold was not actually met.
-    """
-    sizes = [len(s) for s in sets]
-    u = max((s.dm() for s in sets), default=1)
-    best_k = None
-    for k in sorted(set(sizes), reverse=True):
-        if k < 2 or k > u:
-            continue
-        count = sum(1 for s in sizes if s >= k)
-        if count * k >= 2 * c_ap * rho * u_prime:
-            best_k = k
-            break
-    if best_k is None:
-        raise ValueError("threshold not actually met")
-    need = ceil_div(c_ap * u_prime, best_k)
-    eligible = sorted(
-        (i for i, s in enumerate(sizes) if s >= best_k),
-        key=lambda i: (f_values[i], i),
-    )
-    chosen = sorted(eligible[:need])
-    total_f = sum(f_values)
-    if rho * sum(f_values[i] for i in chosen) > total_f:
-        raise InternalConsistencyError("selected weight exceeds its 1/rho share")
-    return chosen

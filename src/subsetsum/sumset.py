@@ -53,10 +53,12 @@ the running total before the pair, so the stop may fall inside it.
 A budget of at most half the number of input sets trips immediately in
 `sum_if_sparse` (each output has size >= 1).
 
-The merge's bottom levels can skip the kernel: `_fold_levels` computes
-the level a few levels above leaves that are full subset-sum sets by
-folding each block's items into rows of uint64 words (row |= row << x
-per item, vectorised over blocks) and reads the rows back as runs.
+The merge's levels can skip the kernel: `_fold_levels` computes the
+level a few levels above leaves that are full subset-sum sets, or the
+root of the whole tree, by folding each block's items into rows of
+uint64 words (row |= row << x per item, vectorised over blocks, with a
+value's c copies split into O(log c) items) and reads the rows back as
+runs.
 
 `cap` intersects a set with an interval by two binary searches;
 `Level.cap` does the same to every node of a level at once, by clipping
@@ -586,18 +588,44 @@ def _fold_levels(items: np.ndarray, item_offs: np.ndarray, depth: int, step: int
     of step (which must divide every item).
 
     Leaf i's items are items[item_offs[i]:item_offs[i + 1]], and the leaf
-    count is a multiple of 2**depth.  Each block of leaves is one row of
-    `_row_words` uint64 words, bit v standing for the value v * step; the
-    loop runs over item slots, not nodes: for slot s every block with more
-    than s items sets row |= row << x, a word shift plus a bit shift, for
-    its s-th item x.  Blocks are ordered by item count, most first, so the
-    blocks of a slot are a prefix of the rows.  The rows are read back as
-    maximal runs from the bits where they turn on and off.
+    count is a multiple of 2**depth; depth may be the whole tree (one
+    block).  A block's c copies of a value v become the items v, 2v, 4v, ..
+    and the rest of c times v, whose subsets sum to the same multiples
+    0 .. c of v (the reduction of bounded to 0/1 items), so a block of many
+    equal values costs O(log c) items per value.  Each block of leaves is
+    one row of `_row_words` uint64 words, bit v standing for the value
+    v * step; the loop runs over item slots, not nodes: for slot s every
+    block with more than s items sets row |= row << x, a word shift plus a
+    bit shift, for its s-th item x, over the words its items so far can
+    reach (by slices when every such block shifts by the same number of
+    words, as one row always does).  Blocks are ordered by item count, most
+    first, so the blocks of a slot are a prefix of the rows.  The rows are
+    read back as maximal runs from the bits where they turn on and off.
     """
     units = items // step if step > 1 else items
-    leaves = len(item_offs) - 1
-    nb = leaves >> depth
-    block = np.repeat(np.arange(leaves, dtype=np.int64) >> depth, np.diff(item_offs))
+    nb = (len(item_offs) - 1) >> depth
+    # items sorted by (block, value): the rows hold at least nb * m bits, so
+    # the keys stay far inside int64 (the steps below work in place where
+    # they can: a fresh array of this size costs more than a pass over it)
+    m = int(units.max(initial=0)) + 1
+    key = np.repeat(np.arange(nb, dtype=np.int64) * m, np.diff(item_offs[:: 1 << depth]))
+    key += units
+    key.sort()
+    new = np.empty(len(key), dtype=bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    first = np.flatnonzero(new)
+    run = np.cumsum(new) - 1
+    # copy i of a value's c copies in a block stands for min(2**i, c - 2**i + 1)
+    # copies: 1, 2, 4, .. while 2**(i+1) - 1 <= c, then what is left, if any
+    mult = np.arange(len(key)) - first[run]
+    np.left_shift(1, np.minimum(mult, 61, out=mult), out=mult)
+    rest = np.diff(np.append(first, len(key)))[run]
+    rest -= mult - 1
+    np.minimum(mult, rest, out=mult)
+    kept = mult > 0
+    block, units = np.divmod(key[kept], m)
+    units *= mult[kept]
     counts = np.bincount(block, minlength=nb)
     first = _offsets(counts)
     order = np.argsort(-counts, kind="stable")
@@ -609,25 +637,38 @@ def _fold_levels(items: np.ndarray, item_offs: np.ndarray, depth: int, step: int
     slot_offs = _offsets(active)
     by_slot = np.empty_like(units)
     by_slot[slot_offs[np.arange(len(units)) - first[block]] + rank[block]] = units
-    width = _row_words(int(np.diff(_offsets(units)[first]).max(initial=0)))
-    # `pad` zero words left of every row, so a word shift never leaves the row
+    width = _row_words(int(np.add.reduceat(units, first[:-1][counts > 0]).max(initial=0)))
+    # `pad` zero words below every row, so a word shift never leaves the row
     pad = int(units.max(initial=0)) // 64 + 1
-    rows = np.zeros((nb, pad + width), dtype=np.uint64)
-    rows[:, pad] = 1  # every node holds 0
-    cols = pad + np.arange(width)
-    for s, n in enumerate(active.tolist()):
-        x = by_slot[slot_offs[s] : slot_offs[s + 1]]
-        r = (x & 63).astype(np.uint64)[:, None]
-        q = x >> 6
-        if q.any():
-            src = cols - q[:, None]
-            lo = np.take_along_axis(rows[:n], src, axis=1)
-            below = np.take_along_axis(rows[:n], src - 1, axis=1)
+    # word-major rows: rows[c, k] is word c of the row of rank k, so that a
+    # slot's rows 0 .. n-1 are one stretch of every word (and one row is
+    # one stretch of words)
+    rows = np.zeros((pad + width, nb), dtype=np.uint64)
+    rows[pad] = 1  # every node holds 0
+    spill, shifted = np.empty((2, width, nb), dtype=np.uint64)
+    q, r = by_slot >> 6, by_slot.astype(np.uint64)
+    r &= np.uint64(63)
+    # a slot whose blocks all shift by the same number of words is sliced
+    same = np.maximum.reduceat(q, slot_offs[:-1]) == np.minimum.reduceat(q, slot_offs[:-1])
+    # after slot s no row has a bit above the sum of the largest items of
+    # slots 0 .. s: the words up to ext[s] are all that slot s can change
+    ext = np.minimum(np.cumsum(np.maximum.reduceat(by_slot, slot_offs[:-1])) // 64 + 1, width)
+    slots = zip(active.tolist(), slot_offs[:-1].tolist(), slot_offs[1:].tolist(), same.tolist(), ext.tolist())
+    for n, a, b, sliced, e in slots:
+        if sliced:
+            at = pad - int(q[a])
+            lo, below = rows[at : at + e, :n], rows[at - 1 : at - 1 + e, :n]
         else:
-            lo, below = rows[:n, pad:], rows[:n, pad - 1 : -1]
-        # two shifts, so that r = 0 never shifts a word by 64
-        rows[:n, pad:] |= (lo << r) | ((below >> (np.uint64(63) - r)) >> np.uint64(1))
-    rows = rows[rank, pad - 1 :]
+            src = pad + np.arange(e)[:, None] - q[a:b]
+            lo = np.take_along_axis(rows[:, :n], src, axis=0)
+            below = np.take_along_axis(rows[:, :n], src - 1, axis=0)
+        # two shifts, so that r = 0 never shifts a word by 64; into buffers
+        # made once, since a fresh array per slot costs more than the shifts
+        carry = np.right_shift(below, np.uint64(63) - r[a:b], out=spill[:e, :n])
+        carry >>= np.uint64(1)
+        carry |= np.left_shift(lo, r[a:b], out=shifted[:e, :n])
+        rows[pad : pad + e, :n] |= carry
+    rows = np.ascontiguousarray(rows[pad - 1 :, rank].T)
     # bit v of turn is set where bit v of the row differs from bit v - 1
     turn = (rows[:, 1:] ^ ((rows[:, 1:] << np.uint64(1)) | (rows[:, :-1] >> np.uint64(63)))).ravel()
     words = np.flatnonzero(turn)

@@ -3,7 +3,7 @@ import pytest
 
 from subsetsum import colorcoding, merge, solver
 from subsetsum.cli import generate_instance
-from subsetsum.core import InternalConsistencyError, SolverConfig, SumSet, rng_stream
+from subsetsum.core import InternalConsistencyError, SolverConfig, SumSet, ceil_log2, rng_stream
 from subsetsum.colorcoding import (
     GroupFamily,
     build_group_sumsets,
@@ -15,7 +15,6 @@ from subsetsum.merge import (
     DenseEvidence,
     assemble_dense_evidence,
     merge_group_sumsets,
-    select_ap_generators,
 )
 from subsetsum.colorcoding import GroupSumsets
 from subsetsum.solver import solve
@@ -210,21 +209,43 @@ def _spy(monkeypatch, module, name, calls):
     monkeypatch.setattr(module, name, spy)
 
 
-def test_unchecked_fold_never_builds_the_group_sets(monkeypatch):
+def _refuse_group_sets(monkeypatch):
     def refuse(*args):
         raise AssertionError("the group sets were built")
 
     monkeypatch.setattr(colorcoding, "_group_sets", refuse)
+
+
+def test_unchecked_fold_never_builds_the_group_sets(monkeypatch):
+    # eta_mult = 1e-9 narrows the caps of the upper levels enough that the
+    # merge cannot compute its root as one bitset, but not those of its
+    # bottom levels, which it folds
+    _refuse_group_sets(monkeypatch)
     families, staged, folds = [], [], []
     _spy(monkeypatch, solver, "partition_groups", families)
     _spy(monkeypatch, solver, "build_group_sumsets", staged)
     _spy(monkeypatch, merge, "_fold_levels", folds)
-    out = solve(_grouped_instance(), SolverConfig(seed=3))
+    out = solve(_grouped_instance(), SolverConfig(seed=3, eta_mult=1e-9))
     assert out.branch == "sparse" and out.decision
     ((_, family),) = families
     assert np.count_nonzero(family.groups.sizes() >= 2) > 1000
     ((_, gs),) = staged
     assert gs.exact and [args[2] for args, _ in folds] == [FOLD_LEVELS]
+
+
+def test_default_sparse_solve_collapses_the_merge(monkeypatch):
+    # at the paper's constants no merge level can cap or trip, so the root
+    # is one fold over the whole tree: no level kernel, no group set
+    _refuse_group_sets(monkeypatch)
+    families, folds, levels = [], [], []
+    _spy(monkeypatch, solver, "partition_groups", families)
+    _spy(monkeypatch, merge, "_fold_levels", folds)
+    _spy(monkeypatch, merge, "_pair_level", levels)
+    out = solve(_grouped_instance(), SolverConfig(seed=3))
+    assert out.branch == "sparse" and out.decision
+    ((_, family),) = families
+    ((args, root),) = folds
+    assert args[2] == ceil_log2(family.ell) and len(root) == 1 and levels == []
 
 
 def test_checked_solve_builds_every_group_s_full_subset_sums(monkeypatch):
@@ -240,31 +261,3 @@ def test_checked_solve_builds_every_group_s_full_subset_sums(monkeypatch):
     outputs = ("decision", "branch", "candidate_set_size", "report")
     assert [getattr(checked, k) for k in outputs] == [getattr(unchecked, k) for k in outputs]
 
-
-def test_select_generators_single_size():
-    sets = [SumSet.of([0, 1, 2]) for _ in range(20)]
-    f = list(range(1, 21))
-    chosen = select_ap_generators(sets, f, rho=3, u_prime=10, c_ap=1)
-    assert chosen == [0, 1, 2, 3]  # ceil(10/3) = 4 smallest weights
-    assert sum(f[i] for i in chosen) * 3 <= sum(f)
-
-
-def test_select_generators_threshold_not_met():
-    sets = [SumSet.of([0, 1, 2]) for _ in range(2)]
-    with pytest.raises(ValueError, match="threshold"):
-        select_ap_generators(sets, [1, 2], rho=3, u_prime=10, c_ap=1)
-
-
-def test_select_generators_weight_share():
-    rng = np.random.default_rng(4)
-    sets = []
-    f = []
-    for _ in range(300):
-        size = int(rng.integers(2, 12))
-        sets.append(SumSet.of(range(size)))
-        f.append(int(rng.integers(1, 1000)))
-    rho = 5
-    # pick u_prime so some k qualifies: count(size>=2)=300, need 300*2 >= 2*rho*u'
-    chosen = select_ap_generators(sets, f, rho=rho, u_prime=50, c_ap=1)
-    assert rho * sum(f[i] for i in chosen) <= sum(f)
-    assert len(chosen) == len(set(chosen))

@@ -4,7 +4,8 @@ the level kernel on levels built from runs, the run layout of `Level`
 (round trip and cap), the split and
 stage one against their per-item references, colour coding's stage two
 against its materialized reference, the merge tree (with and without its
-word-parallel bottom levels) against its values-level reference, and
+word-parallel bottom levels, and collapsed to one fold or not) against
+its values-level reference, and
 `solve` on pipeline-sized instances."""
 
 import math
@@ -378,9 +379,14 @@ def test_merge_fold_matches_values_reference():
         budget_mult = tail_side * (sigma // step) / merge_bounds(*bounds, eta_mult, 1.0, 0)[2]
         eta, _, tail = merge_bounds(*bounds, eta_mult, budget_mult, 0)
         words = blocks * ((top // step + 1) // 64 + 1)
-        # bound (d): the most values the leaves could hold as full subset sums
-        leaf_bound = sum(min(sum(grp) // step, 2 ** len(grp) - 1) + 1 for grp in groups)
+        # bound (d): the leaf level holds at least |D| + ell values (a
+        # group's sorted prefix sums are |G| + 1 distinct subset sums)
+        leaf_bound = sum(map(len, groups)) + ell
         fits = exact and sigma // step < tail and eta + 1 >= need and words <= leaf_bound
+        # the whole tree in one row, whatever the leaf order: no cap can
+        # remove a value when eta + 1 >= max(t, sigma)
+        whole = exact and sigma // step < tail and eta + 1 >= max(t, sigma)
+        whole = whole and (sigma // step + 1) // 64 + 1 <= leaf_bound
 
         calls = []
         with mock.patch.object(merge, "_fold_levels", lambda *a: calls.append(a[2]) or fold_levels(*a)):
@@ -388,7 +394,7 @@ def test_merge_fold_matches_values_reference():
                 staged, family, t, mult * w, n, q, c_ap, rng_stream(seed, "p3"),
                 eta_mult=eta_mult, budget_mult=budget_mult, window=0, checked=checked,
             )
-        assert calls == ([depth] if fits else [])
+        assert calls == ([log_ell] if whole else [depth] if fits else [])
         kind, ref = reference_merge(
             list(sets), [sum(grp) for grp in groups], params.rho, params.g, t, mult * w, n, q, c_ap,
             rng_stream(seed, "p3"), eta_mult, budget_mult, 0,
@@ -402,6 +408,84 @@ def test_merge_fold_matches_values_reference():
     assert any(exact and not took for took, exact, _ in folds), "no exact example refused the fold"
     assert any(not exact for _, exact, _ in folds), "no example with a never-complete group"
     assert any(kind == "evidence" for _, _, kind in folds), "no example tripped"
+
+
+
+def test_merge_collapse_matches_values_reference():
+    # The merge collapses to one fold over every item when the sets are
+    # exact, sigma / step < tail (no level can trip), eta + 1 >= max(t,
+    # sigma) (no cap can remove a value) and the one row's words are at
+    # most the leaf level's |D| + ell values.  Each example is drawn so
+    # that all four hold, or all but the one named by `refuse`: the tail
+    # at sigma / step (`trip`), eta + 1 one below max(t, sigma) (`cap`;
+    # the others sit at it), a set lacking its group's sum (`exact`), or
+    # six items near 2**12 among up to 128 groups (`rows`).  Unchecked and
+    # checked merges must both equal the values-level reference, and only
+    # the examples that meet every condition may collapse.
+    seen = set()
+
+    @given(
+        log_ell=st.sampled_from([2, 3, 6, 7]),
+        refuse=st.sampled_from([None, "exact", "trip", "cap", "rows"]),
+        mult=st.sampled_from([1, 2]),
+        t_frac=st.floats(0.05, 0.66),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def check(log_ell, refuse, mult, t_frac, seed):
+        rng = np.random.default_rng(seed)
+        ell = 1 << log_ell
+        if refuse == "rows":
+            w, sizes = 1 << 12, np.bincount(rng.integers(0, ell, size=6), minlength=ell)
+        else:
+            w, sizes = 4, rng.choice([0, 1, 1, 2, 3], size=ell)
+        groups = [tuple(sorted(mult * int(v) for v in rng.integers(w // 2, w + 1, size=k))) for k in sizes]
+        sets = [tuple(subset_sums(grp)) for grp in groups]
+        multi = [i for i, grp in enumerate(groups) if len(grp) >= 2]
+        if refuse == "exact" and multi:
+            sets[multi[0]] = sets[multi[0]][:-1]
+        items = [x for grp in groups for x in grp]
+        n, sigma = max(1, len(items)), sum(items)
+        step = max(math.gcd(*items), 1)
+        t = max(1, int(t_frac * sigma))
+        q, c_ap, eta_mult = 0.3, 1, 1e-30
+        params = color_params(n, t, mult * w, q, c_ap)
+        family = GroupFamily(Flat.of(groups), sum(1 for grp in groups if grp))
+        staged = GroupSumsets(Flat.of(sets), params, refuse != "exact")
+        # eta_mult = 1e-30 makes eta = 1 + window exactly
+        window = max(t, sigma) - (3 if refuse == "cap" else 2)
+        bounds = (params.rho, params.g, t, mult * w, n, q, c_ap, eta_mult)
+        full_tail = merge_bounds(*bounds, 1.0, window)[2]
+        budget_mult = (sigma // step + (0 if refuse == "trip" else 1) - 0.5) / full_tail
+        eta, _, tail = merge_bounds(*bounds, budget_mult, window)
+        collapse = refuse != "exact" and sigma // step < tail and eta + 1 >= max(t, sigma)
+        collapse = collapse and (sigma // step + 1) // 64 + 1 <= len(items) + ell
+
+        args = (family, t, mult * w, n, q, c_ap)
+        kwargs = dict(eta_mult=eta_mult, budget_mult=budget_mult, window=window)
+        folds, kernel_levels = [], []
+        fold_levels, pair_level = merge._fold_levels, merge._pair_level
+        with mock.patch.multiple(
+            merge,
+            _fold_levels=lambda *a: folds.append(a[2]) or fold_levels(*a),
+            _pair_level=lambda *a: kernel_levels.append(a[1]) or pair_level(*a),
+        ):
+            got = merge_group_sumsets(staged, *args, rng_stream(seed, "p3"), **kwargs)
+        checked = merge_group_sumsets(staged, *args, rng_stream(seed, "p3"), checked=True, **kwargs)
+        kind, ref = reference_merge(
+            sets, [sum(grp) for grp in groups], params.rho, params.g, t, mult * w, n, q, c_ap,
+            rng_stream(seed, "p3"), eta_mult, budget_mult, window,
+        )
+        want = SumSet(ref) if kind == "root" else DenseEvidence(**ref)
+        assert got == want and checked == want
+        if collapse:
+            assert folds == [log_ell] and kernel_levels == []
+        else:
+            assert log_ell not in folds
+        seen.add((refuse, collapse))
+
+    check()
+    assert {(None, True), ("exact", False), ("trip", False), ("cap", False), ("rows", False)} <= seen
 
 
 @st.composite

@@ -217,9 +217,11 @@ def test_solve_unchanged_when_hull_split(monkeypatch, fft_hulls):
     # a lowered FFT hull limit sends the merge tree's wide pairs with many
     # runs through the split path; every answer and report must stay the
     # same.  Items from the top eighth of [1, 16] keep the merge's sums
-    # sparse for several levels, so its pairs are not yet runs.
+    # sparse for several levels, so its pairs are not yet runs.  Checked
+    # mode runs every merge level through the kernel: unchecked, this
+    # merge computes its root as one bitset and sums no pair.
     inst = generate_instance("sparse-window", 4000, 16, seed=5)
-    cfg = SolverConfig(seed=5)
+    cfg = SolverConfig(seed=5, checked_mode=True)
     in_merge, merge_splits = [False], [0]
     pair_level, split_pair = merge._pair_level, sumset._split_pair
 

@@ -409,3 +409,24 @@ def test_fold_levels_equal_kernel_levels(depth, step, w, seed):
         assert getattr(got, field).dtype == getattr(cur, field).dtype
         assert np.array_equal(getattr(got, field), getattr(cur, field)), field
     assert got.step == cur.step
+
+
+@pytest.mark.parametrize("blocks,depth", [(1, 10), (8, 4)])
+def test_fold_levels_split_repeated_values(blocks, depth):
+    # blocks of many leaves holding few distinct values, each repeated up to
+    # hundreds of times (split into 1, 2, 4, .. copies and the rest), plus a
+    # few items of up to 300 units (word shifts of different lengths in one
+    # slot); one block is the merge's collapsed root
+    rng = np.random.default_rng(blocks)
+    groups = [
+        [2 * int(v) for v in rng.integers(1, 4, size=k)]
+        for k in rng.choice([0, 1, 1, 2], size=blocks << depth)
+    ]
+    for grp in rng.choice(len(groups), size=4, replace=False).tolist():
+        groups[grp] = sorted(groups[grp] + [2 * int(rng.integers(100, 301))])
+    items = np.array([x for grp in groups for x in grp], dtype=np.int64)
+    got = _fold_levels(items, _offsets(np.array([len(grp) for grp in groups])), depth, 2)
+    assert len(got) == blocks and got.step == 2
+    for b in range(blocks):
+        block_items = [x for grp in groups[b << depth : (b + 1) << depth] for x in grp]
+        assert got[b].tolist() == subset_sums(block_items)

@@ -36,11 +36,15 @@ def test_traced_solves_feed_counters(tracing):
     tracer.install()
     try:
         branches = []
-        for w, t, budget_mult in ((3, 1300, 1.0), (2, 220, 1e-9)):
+        # eta_mult = 1e-9 narrows the merge caps until they can remove
+        # values, so the sparse solve's merge runs its upper levels through
+        # the level kernel instead of computing the root as one bitset
+        for w, t, budget_mult, eta_mult in ((3, 1300, 1.0, 1e-9), (2, 220, 1e-9, 1.0)):
             rng = np.random.default_rng(5)
             n = round(3 * t / ((w + 1) / 2))
             items = (w, *(int(v) for v in rng.integers(1, w + 1, size=n - 1)))
-            out = solve(Instance(items, t), SolverConfig(seed=1, budget_mult=budget_mult))
+            config = SolverConfig(seed=1, budget_mult=budget_mult, eta_mult=eta_mult)
+            out = solve(Instance(items, t), config)
             branches.append(out.branch)
     finally:
         tracer.uninstall()
