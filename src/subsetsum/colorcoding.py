@@ -58,8 +58,9 @@ groups are complete without any draw.  Repetitions are drawn only until
 every group is complete.  If every group completes, the sets are every
 group's full subset sums and stage two builds none of them: it returns
 `GroupSumsets.complete`, whose sets are built on their first read
-(checked mode, a merge that does not fold, tests and tracing read them;
-a folding merge needs only each group's sum and its items).  Otherwise
+(checked mode, a merge that neither collapses nor folds, tests and
+tracing read them; a collapsing or folding merge needs only each group's
+sum and its items).  Otherwise
 the groups that never complete form a sub-family that goes through the
 same level loop on each repetition's recorded draws of its elements;
 the sub-family's excess is at most the family's, so no level can trip.
@@ -72,9 +73,9 @@ loop, with a group's k-th element in part k.
 set is its group's full subset sums (a group that never completes lacks
 at least its own sum).  The unbudgeted path knows this from its draws;
 the budgeted path marks a group complete in any repetition that puts its
-elements into parts of their own.  The merge folds its bottom levels
-from the items, and takes each set's maximum to be its group's sum, only
-when the flag is set.
+elements into parts of their own.  The merge collapses or folds its
+bottom levels from the items, and takes each set's maximum to be its
+group's sum, only when the flag is set.
 """
 
 from __future__ import annotations

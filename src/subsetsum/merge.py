@@ -21,7 +21,8 @@ comes back as runs, so no level is expanded to values.  The interval cap
 clips the runs, and the per-node weights and subtree sums, the
 checked-mode bounds and the evidence sizes (sums of run lengths) and
 maxima (last run ends) are all computed level-wide from the offsets.
-Only the root is expanded, to the int64 array that the returned SumSet
+Only the root is expanded, after its runs are clipped to the target
+window [t - window, t], to the int64 array that the returned SumSet
 holds; no value passes through a Python int on the way.
 
 The bottom levels are a bounded subset-sum DP over a few small items per
@@ -39,18 +40,21 @@ stage two then never builds (see `colorcoding.GroupSumsets`).
 
 When no level at all can trip or cap (eta + 1 >= max(t, sigma(D)), which
 the paper's constants give whenever stage two is exact), the merge
-collapses: L is the whole tree, and the root is every subset sum of the
-dense part D, in whatever order the leaves come.  One fold over D's items,
-each value's multiplicity split into powers of two (the bounded-to-0/1
-reduction, as in Koiliaris and Xu, SODA 2017), computes it; the
-permutation is not drawn (the phase-3 stream feeds nothing else), and no
-level, weight or cap is computed.  Otherwise L = min(FOLD_LEVELS, levels)
-when the permuted blocks allow it, and the weights and subtree sums
-advance over the folded levels as over any other.  Checked mode draws the
-permutation, also reads the sets, requires each exact set's maximum to be
-its group's sum, runs the folded levels through the kernel, with its
-per-level checks, and requires the same runs (for a collapse, the same
-root).
+collapses: the root is every subset sum of the dense part D, in whatever
+order the leaves come, and only its values in the window are returned.
+`sumset.window_subset_sums` computes them with one shift-or DP on a
+Python int over D's items in units of the step, each value's
+multiplicity split into powers of two (the bounded-to-0/1 reduction, as
+in Koiliaris and Xu, SODA 2017), cut at t and read back only in the
+window; the permutation is not drawn (the phase-3 stream feeds nothing
+else), and no level, weight or cap is computed.  Otherwise
+L = min(FOLD_LEVELS, levels) when the permuted blocks allow it, and the
+weights and subtree sums advance over the folded levels as over any
+other.  Checked mode draws the permutation, also reads the sets,
+requires each exact set's maximum to be its group's sum, runs the
+folded levels (for a collapse, every level) through the kernel, with its
+per-level checks, and requires the same runs at level L (for a
+collapse, the same root in the window).
 
 A budget trip, here or in the color-coding stage, is converted into a
 DenseEvidence record: per-node set sizes, a weight f per node (the
@@ -72,7 +76,7 @@ import numpy as np
 
 from .core import InternalConsistencyError, SumSet, ceil_div, ceil_log2, target_window
 from .colorcoding import DenseTripSignal, GroupFamily, GroupSumsets
-from .sumset import Flat, Level, _fold_levels, _pair_level, _row_words, common_step
+from .sumset import Flat, Level, _fold_levels, _pair_level, _row_words, common_step, window_subset_sums
 
 # When the merge cannot collapse (caps narrowed by eta_mult) it still
 # computes its bottom min(FOLD_LEVELS, levels) levels by folding each block
@@ -226,8 +230,8 @@ def merge_group_sumsets(
 ) -> Union[SumSet, DenseEvidence]:
     """Merge the per-group sumsets into one set near the target.
 
-    On the sparse path returns the root set, which the caller still caps
-    to its target window [t - window, t].  Any subset Z of the bulk with
+    On the sparse path returns the root set intersected with the target
+    window [max(t - window, 0), t].  Any subset Z of the bulk with
     sigma(Z) in that window survives all the interval caps with
     probability at least 1 - 3q.  A budget trip returns DenseEvidence.
     """
@@ -249,18 +253,22 @@ def merge_group_sumsets(
     tail = math.ceil(budget_mult * 4 * c_ap * rho * u_prime * ceil_log2(u_prime))
 
     levels = ceil_log2(ell)
-    depth, step = _fold_depth(exact, family, t, eta, tail, levels)
-    if depth and not checked:
+    lo = max(t - window, 0)
+    whole, step = _fold_depth(exact, family, t, eta, tail, levels)
+    if whole:
         # no level caps or trips: the root is every subset sum of the items,
         # in whatever order the leaves come
-        return SumSet(_fold_levels(family.groups.vals, family.groups.offs, depth, step).values())
+        root = window_subset_sums(family.groups.vals, lo, t, step)
+        if not checked:
+            return root
 
     perm = rng.permutation(ell)
     sig = family.group_sums[perm]
     # a group's full subset sums have maximum sigma(G); other sets are read
     # (every stage-two set holds 0, so none is empty)
     f = sig if exact else _set_maxima(group_sumsets.sets, perm)
-    if not depth:
+    depth = 0
+    if not whole:
         depth, step = _fold_depth(exact, family, t, eta, tail, levels, sig)
     if depth:
         leaves = family.groups.take(perm)
@@ -313,7 +321,10 @@ def merge_group_sumsets(
         if checked and h == depth and not (cur == folded and cur.step == folded.step):
             raise InternalConsistencyError("word-parallel fold differs from the level kernel")
 
-    return SumSet(cur.values())
+    out = SumSet(cur.cap(lo, t).values())
+    if whole and out != root:
+        raise InternalConsistencyError("windowed subset-sum DP differs from the level kernel's root")
+    return out
 
 
 def _fold_depth(
@@ -325,24 +336,27 @@ def _fold_depth(
     levels: int,
     sig: Optional[np.ndarray] = None,
 ) -> tuple[int, int]:
-    """(L, step): the merge computes its bottom L levels with `_fold_levels`
-    in runs of step, or L = 0 and every level goes through the kernel.
+    """(L, step): L = levels when the merge collapses, 0 < L < levels when
+    it computes its bottom L levels with `_fold_levels` in runs of step,
+    and L = 0 when every level goes through the kernel.
 
-    The fold gives the kernel's level L only if the leaves are their
-    groups' full subset sums (exact) and levels 1..L neither trip nor lose
-    a value to a cap.  A node's set lies in [0, sigma(node)], so a level's
-    total size is at most sigma(D) / step plus its node count, below its
-    budget when sigma(D) / step < tail.  The caps of levels 1..L keep
-    [0, sigma] of every node when eta + 1 >= t // ell_L (level L's lower
-    bound is the highest) and eta + 1 >= the largest sigma of a level-L
-    node.  The fold also runs only when its rows hold no more words than
-    the leaf level holds values, at least |D| + ell (a group's sorted
-    prefix sums are |G| + 1 distinct subset sums), a bound that reads no
-    leaf set.
+    Level L is the subset sums of each block of 2**L leaves' items only if
+    the leaves are their groups' full subset sums (exact) and levels 1..L
+    neither trip nor lose a value to a cap.  A node's set lies in
+    [0, sigma(node)], so a level's total size is at most sigma(D) / step
+    plus its node count, below its budget when sigma(D) / step < tail.
+    The caps of levels 1..L keep [0, sigma] of every node when
+    eta + 1 >= t // ell_L (level L's lower bound is the highest) and
+    eta + 1 >= the largest sigma of a level-L node.  Either computation
+    also needs its rows (one row of sigma(D) / step bits for a collapse)
+    to hold no more words than the leaf level holds values, at least
+    |D| + ell (a group's sorted prefix sums are |G| + 1 distinct subset
+    sums), a bound that reads no leaf set.
 
-    L = levels (the whole tree, one row) when eta + 1 >= max(t, sigma(D)),
-    which needs no leaf order.  Otherwise sig, the leaves' sigma in merge
-    order, decides L = min(FOLD_LEVELS, levels); without sig L is 0.
+    L = levels when eta + 1 >= max(t, sigma(D)), which needs no leaf
+    order.  Otherwise sig, the leaves' sigma in merge order, decides
+    L = min(FOLD_LEVELS, levels), which is then below levels (with one
+    block, its test is the collapse's); without sig L is 0.
     """
     if levels == 0 or not exact:
         return 0, 1

@@ -54,7 +54,7 @@ from .colorcoding import (
 )
 from .merge import DenseEvidence, evidence_from_color_trip, merge_group_sumsets
 from .structure import partition_instance, verify_partition
-from .sumset import cap, dense_sumset
+from .sumset import cap, dense_sumset, window_subset_sums
 
 logger = logging.getLogger(__name__)
 
@@ -80,12 +80,6 @@ class BranchReport:
     checked_disagreement: Optional[bool] = None
 
 
-def _bits_to_values(mask: int) -> np.ndarray:
-    """The positions of mask's set bits, ascending."""
-    raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8)
-    return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
-
-
 def _python_ints(items: Sequence[int]) -> Sequence[int]:
     """items, with an array turned into Python ints: shifting a Python
     int by an int64 raises OverflowError once the result leaves int64."""
@@ -95,18 +89,13 @@ def _python_ints(items: Sequence[int]) -> Sequence[int]:
 def bounded_subset_sums(items: Sequence[int], cap_hi: int) -> SumSet:
     """Exact subset sums of items, restricted to [0, cap_hi].
 
-    Word-packed DP: a bitmask over [0, cap_hi] is shifted and OR-ed once
-    per item.  Complete and deterministic; meant for parts whose total
+    The package's shift-or DP (`sumset.window_subset_sums`) over
+    [0, cap_hi].  Complete and deterministic; meant for parts whose total
     sum is small.
     """
     if cap_hi < 0:
         raise ValueError("cap_hi must be >= 0")
-    limit = (1 << (cap_hi + 1)) - 1
-    mask = 1
-    for x in _python_ints(items):
-        if x <= cap_hi:
-            mask |= (mask << x) & limit
-    return SumSet(_bits_to_values(mask))
+    return window_subset_sums(items, 0, cap_hi)
 
 
 def fallback_dp(items: Sequence[int], t: int, max_bits: int = FALLBACK_MAX_BITS) -> bool:

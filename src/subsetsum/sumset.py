@@ -1,5 +1,5 @@
 """Sumset kernels: one level kernel, its one-pair adapter, the merge's
-word-parallel fold, an interval cap.
+word-parallel fold, one shift-or subset-sum DP, an interval cap.
 
 The sumset of A and B is {x + y : x in A, y in B}.  One dispatcher, the
 level kernel `_pair_level`, computes every sumset: it sums the pairs
@@ -54,11 +54,13 @@ A budget of at most half the number of input sets trips immediately in
 `sum_if_sparse` (each output has size >= 1).
 
 The merge's levels can skip the kernel: `_fold_levels` computes the
-level a few levels above leaves that are full subset-sum sets, or the
-root of the whole tree, by folding each block's items into rows of
-uint64 words (row |= row << x per item, vectorised over blocks, with a
-value's c copies split into O(log c) items) and reads the rows back as
-runs.
+level a few levels above leaves that are full subset-sum sets by
+folding each block's items into rows of uint64 words (row |= row << x
+per item, vectorised over blocks) and reads the rows back as runs.
+`window_subset_sums` is one such DP on a Python int, cut at the top of a
+window and read back only inside it: the solver's bounded sums over the
+small parts and the root of a merge that collapses (no level can cap or
+trip) are both its output.
 
 `cap` intersects a set with an interval by two binary searches;
 `Level.cap` does the same to every node of a level at once, by clipping
@@ -577,6 +579,50 @@ def _split_pair(level: Level, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 # ---------------------------------------------------------------------------
+# one shift-or DP (the solver's bounded sums and the merge's collapsed root)
+# ---------------------------------------------------------------------------
+
+
+def window_subset_sums(items: Sequence[int], lo: int, hi: int, step: int = 1) -> SumSet:
+    """The subset sums of the multiset items that lie in [lo, hi]; step
+    must divide every item.
+
+    One shift-or DP on a Python int, bit v standing for the value v * step
+    (Pisinger, "Dynamic programming on the word RAM", 2003).  A value's c
+    copies become the items v, 2v, 4v, .. and the rest of c times v, whose
+    subsets sum to the same multiples 0 .. c of v (the reduction of
+    bounded to 0/1 items, as in Koiliaris and Xu, SODA 2017), so the DP
+    does O(log c) shifts per distinct value.  The mask is cut at hi: a
+    shift only moves bits up, so the bits up to hi depend only on the bits
+    up to hi.  Only the bits in [lo, hi] are read back.
+    """
+    top, first = hi // step, -(-max(lo, 0) // step)
+    if first > top:
+        return SumSet.empty()
+    units = np.asarray(items, dtype=np.int64)
+    values, counts = np.unique(units // step if step > 1 else units, return_counts=True)
+    limit = (1 << (top + 1)) - 1
+    mask = 1
+    for v, c in zip(values.tolist(), counts.tolist()):
+        # once v * k passes top, the shifts so far reach every multiple of
+        # v up to top
+        k = 1
+        while c and v * k <= top:
+            k = min(k, c)
+            mask |= (mask << v * k) & limit
+            c -= k
+            k *= 2
+    units = _bits_to_values(mask >> first) + first
+    return SumSet(units * step if step > 1 else units)
+
+
+def _bits_to_values(mask: int) -> np.ndarray:
+    """The positions of mask's set bits, ascending."""
+    raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
+
+
+# ---------------------------------------------------------------------------
 # word-parallel bottom levels of the merge (phase 3)
 # ---------------------------------------------------------------------------
 
@@ -588,46 +634,21 @@ def _fold_levels(items: np.ndarray, item_offs: np.ndarray, depth: int, step: int
     of step (which must divide every item).
 
     Leaf i's items are items[item_offs[i]:item_offs[i + 1]], and the leaf
-    count is a multiple of 2**depth; depth may be the whole tree (one
-    block).  A block's c copies of a value v become the items v, 2v, 4v, ..
-    and the rest of c times v, whose subsets sum to the same multiples
-    0 .. c of v (the reduction of bounded to 0/1 items), so a block of many
-    equal values costs O(log c) items per value.  Each block of leaves is
-    one row of `_row_words` uint64 words, bit v standing for the value
-    v * step; the loop runs over item slots, not nodes: for slot s every
-    block with more than s items sets row |= row << x, a word shift plus a
-    bit shift, for its s-th item x, over the words its items so far can
-    reach (by slices when every such block shifts by the same number of
-    words, as one row always does).  Blocks are ordered by item count, most
-    first, so the blocks of a slot are a prefix of the rows.  The rows are
-    read back as maximal runs from the bits where they turn on and off.
+    count is a multiple of 2**depth.  Each block of leaves is one row of
+    `_row_words` uint64 words, bit v standing for the value v * step; the
+    loop runs over item slots, not nodes: for slot s every block with more
+    than s items sets row |= row << x, a word shift plus a bit shift, for
+    its s-th item x, over the words its items so far can reach (by slices
+    when every such block shifts by the same number of words, as one row
+    always does).  Blocks are ordered by item count, most first, so the
+    blocks of a slot are a prefix of the rows.  The rows are read back as
+    maximal runs from the bits where they turn on and off.
     """
     units = items // step if step > 1 else items
-    nb = (len(item_offs) - 1) >> depth
-    # items sorted by (block, value): the rows hold at least nb * m bits, so
-    # the keys stay far inside int64 (the steps below work in place where
-    # they can: a fresh array of this size costs more than a pass over it)
-    m = int(units.max(initial=0)) + 1
-    key = np.repeat(np.arange(nb, dtype=np.int64) * m, np.diff(item_offs[:: 1 << depth]))
-    key += units
-    key.sort()
-    new = np.empty(len(key), dtype=bool)
-    new[:1] = True
-    np.not_equal(key[1:], key[:-1], out=new[1:])
-    first = np.flatnonzero(new)
-    run = np.cumsum(new) - 1
-    # copy i of a value's c copies in a block stands for min(2**i, c - 2**i + 1)
-    # copies: 1, 2, 4, .. while 2**(i+1) - 1 <= c, then what is left, if any
-    mult = np.arange(len(key)) - first[run]
-    np.left_shift(1, np.minimum(mult, 61, out=mult), out=mult)
-    rest = np.diff(np.append(first, len(key)))[run]
-    rest -= mult - 1
-    np.minimum(mult, rest, out=mult)
-    kept = mult > 0
-    block, units = np.divmod(key[kept], m)
-    units *= mult[kept]
-    counts = np.bincount(block, minlength=nb)
-    first = _offsets(counts)
+    first = item_offs[:: 1 << depth]
+    counts = np.diff(first)
+    nb = len(counts)
+    block = np.repeat(np.arange(nb), counts)
     order = np.argsort(-counts, kind="stable")
     rank = np.empty(nb, dtype=np.int64)
     rank[order] = np.arange(nb)

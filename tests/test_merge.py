@@ -18,7 +18,7 @@ from subsetsum.merge import (
 )
 from subsetsum.colorcoding import GroupSumsets
 from subsetsum.solver import solve
-from subsetsum.sumset import Flat
+from subsetsum.sumset import Flat, _fold_levels as fold_levels, cap, common_step
 
 from oracles import merge_bounds, subset_sums
 
@@ -31,11 +31,13 @@ def _pipeline_inputs(items, t, w, n, q, seed, budget_mult=1.0):
 
 def test_single_pair_merge_keeps_joint_sum():
     fam = GroupFamily(Flat.of(((3,), (5,))), 2)
-    params = color_params(2, 5, 5, 0.5, 1)
+    params = color_params(2, 8, 5, 0.5, 1)
     gs = GroupSumsets(Flat.of(((0, 3), (0, 5))), params)
-    root = merge_group_sumsets(gs, fam, 5, 5, 2, 0.5, 1, rng_stream(1, "p3"))
+    root = merge_group_sumsets(gs, fam, 8, 5, 2, 0.5, 1, rng_stream(1, "p3"))
     assert isinstance(root, SumSet)
-    assert 8 in root  # both group maxima combined survive the capping
+    # both group maxima combined survive the capping; the root keeps only
+    # its values in [t - window, t]
+    assert root.values.tolist() == [0, 3, 5, 8]
 
 
 def test_merge_root_is_subset_of_true_sums():
@@ -75,11 +77,12 @@ def test_merge_narrow_windows_can_empty_nodes():
 
 def test_fold_refuses_rows_larger_than_the_leaf_level(monkeypatch):
     # the merge must take the kernel although the trip and cap bounds allow
-    # the fold (checked below); the fold is never called, so no row is
-    # allocated
+    # the fold and the collapse (checked below); neither the fold nor the
+    # collapse's DP is called, so no row is allocated
     calls = []
-    fold_levels = merge._fold_levels
-    monkeypatch.setattr(merge, "_fold_levels", lambda *a: calls.append(a) or fold_levels(*a))
+    for name in ("_fold_levels", "window_subset_sums"):
+        fn = getattr(merge, name)
+        monkeypatch.setattr(merge, name, lambda *a, fn=fn: calls.append(a) or fn(*a))
     far = [int(v) for v in np.random.default_rng(3).integers(2**40 - 2**20, 2**40, size=10)]
     for groups in (
         # ten singletons near 2**40 in 16 groups: the fold's one row would
@@ -96,14 +99,15 @@ def test_fold_refuses_rows_larger_than_the_leaf_level(monkeypatch):
         params = color_params(n, t, w, q, 1)
         family = GroupFamily(Flat.of(groups), sum(1 for grp in groups if grp))
         sets = Flat.of([subset_sums(grp) for grp in groups])
-        eta, _, tail = merge_bounds(params.rho, params.g, t, w, n, q, 1, 1.0, 1.0, 0)
+        # window = t: the root is returned on [0, t]
+        eta, _, tail = merge_bounds(params.rho, params.g, t, w, n, q, 1, 1.0, 1.0, t)
         assert sum(items) < tail and eta + 1 >= max(t, sum(items))
         roots = [
-            merge_group_sumsets(GroupSumsets(sets, params, exact), family, t, w, n, q, 1, rng_stream(4, "p3"), window=0)
+            merge_group_sumsets(GroupSumsets(sets, params, exact), family, t, w, n, q, 1, rng_stream(4, "p3"), window=t)
             for exact in (True, False)
         ]
         assert calls == []
-        assert roots[0] == roots[1] == SumSet(tuple(subset_sums(items)))
+        assert roots[0] == roots[1] == SumSet(tuple(subset_sums(items, t)))
 
 
 def test_merge_budget_trip_produces_checked_evidence():
@@ -191,6 +195,23 @@ def test_checked_merge_rejects_an_exact_set_without_its_group_sum():
     )
 
 
+def test_checked_merge_rejects_a_dp_root_unlike_the_kernel_s(monkeypatch):
+    # these groups collapse the merge; checked mode also runs every level
+    # through the kernel and compares the roots on the window
+    groups = ((3, 5), (6,), (7, 2), (4,))
+    family = GroupFamily(Flat.of(groups), 4)
+    params = color_params(6, 10, 8, 0.3, 1)
+    staged = GroupSumsets(Flat.of([subset_sums(g) for g in groups]), params, True)
+    args = (staged, family, 10, 8, 6, 0.3, 1)
+    root = SumSet(tuple(subset_sums(sum(groups, ()), 10)))
+    assert merge_group_sumsets(*args, rng_stream(1, "p3"), checked=True) == root
+    dp = merge.window_subset_sums
+    monkeypatch.setattr(merge, "window_subset_sums", lambda *a: SumSet(dp(*a).values[:-1]))
+    assert 10 not in merge_group_sumsets(*args, rng_stream(1, "p3"))
+    with pytest.raises(InternalConsistencyError, match="windowed subset-sum DP differs"):
+        merge_group_sumsets(*args, rng_stream(1, "p3"), checked=True)
+
+
 def _grouped_instance():
     # the `grouped` benchmark's t26000 shape: dense w=16, sigma ~ 10t, where
     # about a fifth of the groups hold several items and every one of them
@@ -235,17 +256,26 @@ def test_unchecked_fold_never_builds_the_group_sets(monkeypatch):
 
 def test_default_sparse_solve_collapses_the_merge(monkeypatch):
     # at the paper's constants no merge level can cap or trip, so the root
-    # is one fold over the whole tree: no level kernel, no group set
+    # is one windowed DP over the dense part's items: no fold, no level
+    # kernel, no group set
     _refuse_group_sets(monkeypatch)
-    families, folds, levels = [], [], []
+    families, dps, folds, levels = [], [], [], []
     _spy(monkeypatch, solver, "partition_groups", families)
+    _spy(monkeypatch, merge, "window_subset_sums", dps)
     _spy(monkeypatch, merge, "_fold_levels", folds)
     _spy(monkeypatch, merge, "_pair_level", levels)
-    out = solve(_grouped_instance(), SolverConfig(seed=3))
+    inst = _grouped_instance()
+    out = solve(inst, SolverConfig(seed=3))
     assert out.branch == "sparse" and out.decision
     ((_, family),) = families
-    ((args, root),) = folds
-    assert args[2] == ceil_log2(family.ell) and len(root) == 1 and levels == []
+    ((args, root),) = dps
+    t, lo = inst.target, max(inst.target - out.report.window, 0)
+    step = common_step(family.groups.vals)
+    assert args[0] is family.groups.vals and args[1:] == (lo, t, step)
+    assert folds == [] and levels == []
+    # the root in the window, against the whole tree folded into one row
+    whole = fold_levels(family.groups.vals, family.groups.offs, ceil_log2(family.ell), step)
+    assert root == cap(SumSet(whole.values()), lo, t) and len(root) > 0
 
 
 def test_checked_solve_builds_every_group_s_full_subset_sums(monkeypatch):

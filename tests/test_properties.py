@@ -4,8 +4,9 @@ the level kernel on levels built from runs, the run layout of `Level`
 (round trip and cap), the split and
 stage one against their per-item references, colour coding's stage two
 against its materialized reference, the merge tree (with and without its
-word-parallel bottom levels, and collapsed to one fold or not) against
-its values-level reference, and
+word-parallel bottom levels, and collapsed to one windowed DP or not)
+against its values-level reference, the windowed DP against brute-force
+subset sums, and
 `solve` on pipeline-sized instances."""
 
 import math
@@ -27,9 +28,18 @@ from subsetsum.colorcoding import (
 )
 from subsetsum.core import Instance, SolverConfig, SumSet, ceil_log2, rng_stream
 from subsetsum.merge import FOLD_LEVELS, DenseEvidence, merge_group_sumsets
-from subsetsum.solver import fallback_dp, small_target_gate, solve
+from subsetsum.solver import bounded_subset_sums, fallback_dp, small_target_gate, solve
 from subsetsum.structure import partition_instance
-from subsetsum.sumset import PAIRWISE_LIMIT, DenseSignal, Flat, Level, _pair_level, cap, dense_sumset
+from subsetsum.sumset import (
+    PAIRWISE_LIMIT,
+    DenseSignal,
+    Flat,
+    Level,
+    _pair_level,
+    cap,
+    dense_sumset,
+    window_subset_sums,
+)
 
 from oracles import (
     full_subset_sums,
@@ -191,6 +201,61 @@ def test_sumset_rejects_what_it_cannot_hold(xs, two_d):
 
 
 @st.composite
+def _window_dp_case(draw):
+    """(items, lo, hi, step): up to five distinct values in units of step,
+    a small one possibly repeated up to 1,000 times (so its copies split
+    into ten parts), and a window from one of the shapes the DP cuts at:
+    lo = 0, hi below the smallest item, hi >= sigma, lo above sigma, or
+    anywhere around [0, sigma]."""
+    step = draw(st.sampled_from([1, 2, 3, 7]))
+    pairs = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.integers(1, 40), st.integers(1, 30)),
+                st.tuples(st.integers(1, 4), st.integers(1, 1000)),
+            ),
+            max_size=5,
+            unique_by=lambda p: p[0],
+        )
+    )
+    items = [step * v for v, c in pairs for _ in range(c)]
+    draw(st.randoms()).shuffle(items)
+    sigma = sum(items)
+    shape = draw(st.sampled_from(["lo0", "below", "above-sigma", "beyond", "any"]))
+    if shape == "lo0":
+        lo, hi = 0, draw(st.integers(0, sigma + step))
+    elif shape == "below":
+        lo, hi = draw(st.integers(-5, 0)), draw(st.integers(0, max(min(items, default=1) - 1, 0)))
+    elif shape == "above-sigma":
+        lo = draw(st.integers(sigma + 1, sigma + 20))
+        hi = draw(st.integers(lo, lo + 20))
+    elif shape == "beyond":
+        lo, hi = draw(st.integers(-5, sigma)), draw(st.integers(sigma, sigma + 100))
+    else:
+        lo, hi = draw(st.integers(-5, sigma + 5)), draw(st.integers(-5, sigma + 5))
+    return items, lo, hi, step
+
+
+@given(case=_window_dp_case())
+@example(case=([], 0, 0, 1))
+@example(case=([], -3, 10, 2))
+@settings(max_examples=120, deadline=None)
+def test_window_subset_sums_match_per_copy_dp(case):
+    items, lo, hi, step = case
+    # the reference adds every copy as its own 0/1 item, with no split and
+    # no cut: a boolean row over [0, sigma]
+    reach = np.zeros(sum(items) + 1, dtype=bool)
+    reach[0] = True
+    for x in items:
+        reach[x:] = reach[x:] | reach[:-x]
+    want = [v for v in np.flatnonzero(reach).tolist() if lo <= v <= hi]
+    got = window_subset_sums(items, lo, hi, step)
+    assert isinstance(got, SumSet) and got.values.tolist() == want
+    if lo <= 0 <= hi:
+        assert bounded_subset_sums(items, hi).values.tolist() == want
+
+
+@st.composite
 def _run_level(draw):
     """(sets, step): an even number of nodes, each the union of up to four
     runs of step `step`; a node is empty, near 0, near 2**62 or spans
@@ -312,7 +377,8 @@ def test_merge_matches_values_reference():
             eta_mult, budget_mult, window,
         )
         if kind == "root":
-            assert got == SumSet(ref)
+            # the merge returns the root on the target window only
+            assert got == cap(SumSet(ref), max(t - window, 0), t)
             outcomes.append(("root", len(ref) < len(subset_sums(items))))
         else:
             assert got == DenseEvidence(**ref)
@@ -388,21 +454,27 @@ def test_merge_fold_matches_values_reference():
         whole = exact and sigma // step < tail and eta + 1 >= max(t, sigma)
         whole = whole and (sigma // step + 1) // 64 + 1 <= leaf_bound
 
-        calls = []
-        with mock.patch.object(merge, "_fold_levels", lambda *a: calls.append(a[2]) or fold_levels(*a)):
+        calls, dps = [], []
+        with mock.patch.multiple(
+            merge,
+            _fold_levels=lambda *a: calls.append(a[2]) or fold_levels(*a),
+            window_subset_sums=lambda *a: dps.append(a[1:]) or window_subset_sums(*a),
+        ):
             got = merge_group_sumsets(
                 staged, family, t, mult * w, n, q, c_ap, rng_stream(seed, "p3"),
                 eta_mult=eta_mult, budget_mult=budget_mult, window=0, checked=checked,
             )
-        assert calls == ([log_ell] if whole else [depth] if fits else [])
+        # a collapse is the windowed DP (window 0: [t, t]), never a fold
+        assert dps == ([(t, t, step)] if whole else [])
+        assert calls == ([depth] if fits and not whole else [])
         kind, ref = reference_merge(
             list(sets), [sum(grp) for grp in groups], params.rho, params.g, t, mult * w, n, q, c_ap,
             rng_stream(seed, "p3"), eta_mult, budget_mult, 0,
         )
-        assert got == (SumSet(ref) if kind == "root" else DenseEvidence(**ref))
-        folds.append((bool(calls), exact, kind))
+        assert got == (cap(SumSet(ref), t, t) if kind == "root" else DenseEvidence(**ref))
+        folds.append((bool(calls or dps), exact, kind))
 
-    fold_levels = merge._fold_levels
+    fold_levels, window_subset_sums = merge._fold_levels, merge.window_subset_sums
     check()
     assert any(took for took, _, _ in folds), "no example took the fold"
     assert any(exact and not took for took, exact, _ in folds), "no exact example refused the fold"
@@ -412,16 +484,17 @@ def test_merge_fold_matches_values_reference():
 
 
 def test_merge_collapse_matches_values_reference():
-    # The merge collapses to one fold over every item when the sets are
-    # exact, sigma / step < tail (no level can trip), eta + 1 >= max(t,
-    # sigma) (no cap can remove a value) and the one row's words are at
-    # most the leaf level's |D| + ell values.  Each example is drawn so
-    # that all four hold, or all but the one named by `refuse`: the tail
-    # at sigma / step (`trip`), eta + 1 one below max(t, sigma) (`cap`;
-    # the others sit at it), a set lacking its group's sum (`exact`), or
-    # six items near 2**12 among up to 128 groups (`rows`).  Unchecked and
-    # checked merges must both equal the values-level reference, and only
-    # the examples that meet every condition may collapse.
+    # The merge collapses to one windowed DP over every item when the sets
+    # are exact, sigma / step < tail (no level can trip), eta + 1 >= max(t,
+    # sigma) (no cap can remove a value) and one row of sigma / step bits
+    # has at most the leaf level's |D| + ell values in words.  Each example
+    # is drawn so that all four hold, or all but the one named by `refuse`:
+    # the tail at sigma / step (`trip`), eta + 1 one below max(t, sigma)
+    # (`cap`; the others sit at it), a set lacking its group's sum
+    # (`exact`), or six items near 2**12 among up to 128 groups (`rows`).
+    # Unchecked and checked merges must both equal the values-level
+    # reference's root on [t - window, t], and only the examples that meet
+    # every condition may collapse.
     seen = set()
 
     @given(
@@ -463,11 +536,13 @@ def test_merge_collapse_matches_values_reference():
 
         args = (family, t, mult * w, n, q, c_ap)
         kwargs = dict(eta_mult=eta_mult, budget_mult=budget_mult, window=window)
-        folds, kernel_levels = [], []
-        fold_levels, pair_level = merge._fold_levels, merge._pair_level
+        lo = max(t - window, 0)
+        folds, dps, kernel_levels = [], [], []
+        fold_levels, dp, pair_level = merge._fold_levels, merge.window_subset_sums, merge._pair_level
         with mock.patch.multiple(
             merge,
             _fold_levels=lambda *a: folds.append(a[2]) or fold_levels(*a),
+            window_subset_sums=lambda *a: dps.append(a[1:]) or dp(*a),
             _pair_level=lambda *a: kernel_levels.append(a[1]) or pair_level(*a),
         ):
             got = merge_group_sumsets(staged, *args, rng_stream(seed, "p3"), **kwargs)
@@ -476,12 +551,13 @@ def test_merge_collapse_matches_values_reference():
             sets, [sum(grp) for grp in groups], params.rho, params.g, t, mult * w, n, q, c_ap,
             rng_stream(seed, "p3"), eta_mult, budget_mult, window,
         )
-        want = SumSet(ref) if kind == "root" else DenseEvidence(**ref)
+        want = cap(SumSet(ref), lo, t) if kind == "root" else DenseEvidence(**ref)
         assert got == want and checked == want
+        assert log_ell not in folds
         if collapse:
-            assert folds == [log_ell] and kernel_levels == []
+            assert dps == [(lo, t, step)] and folds == kernel_levels == []
         else:
-            assert log_ell not in folds
+            assert dps == []
         seen.add((refuse, collapse))
 
     check()

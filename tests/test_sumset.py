@@ -414,9 +414,9 @@ def test_fold_levels_equal_kernel_levels(depth, step, w, seed):
 @pytest.mark.parametrize("blocks,depth", [(1, 10), (8, 4)])
 def test_fold_levels_split_repeated_values(blocks, depth):
     # blocks of many leaves holding few distinct values, each repeated up to
-    # hundreds of times (split into 1, 2, 4, .. copies and the rest), plus a
-    # few items of up to 300 units (word shifts of different lengths in one
-    # slot); one block is the merge's collapsed root
+    # hundreds of times, plus a few items of up to 300 units (word shifts of
+    # different lengths in one slot); one block is a whole tree of 1,024
+    # leaves in one row
     rng = np.random.default_rng(blocks)
     groups = [
         [2 * int(v) for v in rng.integers(1, 4, size=k)]
