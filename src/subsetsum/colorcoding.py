@@ -58,10 +58,9 @@ groups are complete without any draw.  Repetitions are drawn only until
 every group is complete.  If every group completes, the sets are every
 group's full subset sums and stage two builds none of them: it returns
 `GroupSumsets.complete`, whose sets are built on their first read
-(checked mode, a merge that neither collapses nor folds, tests and
-tracing read them; a collapsing or folding merge needs only each group's
-sum and its items).  Otherwise
-the groups that never complete form a sub-family that goes through the
+(checked mode, a merge that does not collapse, tests and tracing read
+them; a collapsing merge needs only each group's sum and its items).
+Otherwise the groups that never complete form a sub-family that goes through the
 same level loop on each repetition's recorded draws of its elements;
 the sub-family's excess is at most the family's, so no level can trip.
 A group's roots depend only on its own elements' parts, so the sets are
@@ -73,9 +72,8 @@ loop, with a group's k-th element in part k.
 set is its group's full subset sums (a group that never completes lacks
 at least its own sum).  The unbudgeted path knows this from its draws;
 the budgeted path marks a group complete in any repetition that puts its
-elements into parts of their own.  The merge collapses or folds its
-bottom levels from the items, and takes each set's maximum to be its
-group's sum, only when the flag is set.
+elements into parts of their own.  The merge collapses to one DP over
+the items only when the flag is set.
 """
 
 from __future__ import annotations
@@ -231,8 +229,8 @@ class GroupSumsets:
     of the true subset sums of group i that always contains 0.
 
     exact is True only when every S_i equals group i's full subset sums
-    (the merge may then compute its bottom levels from the items and take
-    each set's maximum to be its group's sum); False is always safe.
+    (the merge may then compute its root from the items); False is always
+    safe.
 
     `complete(family, params)` stands for every group's full subset sums
     without computing them: sets is built from the family on its first
@@ -326,19 +324,18 @@ def build_group_sumsets(
     return _budgeted_sumsets(family.groups, params, draws)
 
 
-def _max_level_excess(family: GroupFamily, step: int = 1) -> int:
+def _max_level_excess(family: GroupFamily) -> int:
     """Upper bound on a level's total set size minus its node count.
 
-    A node's set lies in [0, sigma(node)] in multiples of step (a divisor
-    of every element) and holds at most 2^k sums of its k elements, so its
-    size minus one is at most min(sigma(node) / step, 2^k - 1).  Both
-    terms are subadditive over the nodes a group splits into at any level,
-    so summing min(sigma(G) / step, 2^|G| - 1) over the groups bounds
-    every level of every repetition.  While the budget tail exceeds this
-    bound (at step 1) no level can trip.  It is attained by the full
-    subset sums of singletons and empty groups.
+    A node's set lies in [0, sigma(node)] and holds at most 2^k sums of
+    its k elements, so its size minus one is at most
+    min(sigma(node), 2^k - 1).  Both terms are subadditive over the nodes
+    a group splits into at any level, so summing min(sigma(G), 2^|G| - 1)
+    over the groups bounds every level of every repetition.  While the
+    budget tail exceeds this bound no level can trip.  It is attained by
+    the full subset sums of singletons and empty groups.
     """
-    sums, sizes = family.group_sums // step, family.groups.sizes()
+    sums, sizes = family.group_sums.copy(), family.groups.sizes()
     # for |G| >= 63, 2^|G| - 1 > sigma(G) (all sums are below 2^63)
     small = sizes < 63
     sums[small] = np.minimum(sums[small], (1 << sizes[small]) - 1)

@@ -15,46 +15,35 @@ integer rounding.
 Each level is one `sumset.Level`: every node's maximal runs in units of
 the leaf level's common step (the gcd of its values, which every sum and
 cap above it keeps as a divisor, so it is computed once), back to back.
-The leaf level, unless the fold below replaces it, is split into runs
-once; each level goes through the level kernel `_pair_level` whole and
-comes back as runs, so no level is expanded to values.  The interval cap
-clips the runs, and the per-node weights and subtree sums, the
-checked-mode bounds and the evidence sizes (sums of run lengths) and
-maxima (last run ends) are all computed level-wide from the offsets.
-Only the root is expanded, after its runs are clipped to the target
-window [t - window, t], to the int64 array that the returned SumSet
-holds; no value passes through a Python int on the way.
+The leaf level is split into runs once; each level goes through the
+level kernel `_pair_level` whole and comes back as runs, so no level is
+expanded to values.  The interval cap clips the runs, and the per-node
+weights and subtree sums, the checked-mode bounds and the evidence sizes
+(sums of run lengths) and maxima (last run ends) are all computed
+level-wide from the offsets.  Only the root is expanded, after its runs
+are clipped to the target window [t - window, t], to the int64 array
+that the returned SumSet holds; no value passes through a Python int on
+the way.
 
-The bottom levels are a bounded subset-sum DP over a few small items per
-node, which a word-parallel bitset does in a few shifts per item
-(Pisinger, "Dynamic programming on the word RAM", 2003).  When stage two
-reports its sets exact (each its group's full subset sums) and the bottom
-L levels can neither trip nor lose a value to a cap (`_fold_depth`),
-level L is the subset sums of each block of 2**L leaves' items:
-`sumset._fold_levels` computes it as uint64 rows and hands it over as
-runs, so neither the leaf level nor levels 1..L-1 are built.  An exact
-set's maximum is its group's sum, so the leaf weights are the groups'
-sums, and the fold's size bound comes from the sums and the item count
-(`_fold_depth`): a folding merge never reads the stage-two sets, which
-stage two then never builds (see `colorcoding.GroupSumsets`).
-
-When no level at all can trip or cap (eta + 1 >= max(t, sigma(D)), which
-the paper's constants give whenever stage two is exact), the merge
-collapses: the root is every subset sum of the dense part D, in whatever
-order the leaves come, and only its values in the window are returned.
+When stage two reports its sets exact (each its group's full subset
+sums) and no level can trip or cap (sigma(D) / step below the budget
+tail, and eta + 1 >= max(t, sigma(D)), which the paper's constants give
+whenever stage two is exact), the merge collapses: the root is every
+subset sum of the dense part D, in whatever order the leaves come, and
+only its values in the window are returned (`_collapse_step`).
 `sumset.window_subset_sums` computes them with one shift-or DP on a
-Python int over D's items in units of the step, each value's
-multiplicity split into powers of two (the bounded-to-0/1 reduction, as
-in Koiliaris and Xu, SODA 2017), cut at t and read back only in the
-window; the permutation is not drawn (the phase-3 stream feeds nothing
-else), and no level, weight or cap is computed.  Otherwise
-L = min(FOLD_LEVELS, levels) when the permuted blocks allow it, and the
-weights and subtree sums advance over the folded levels as over any
-other.  Checked mode draws the permutation, also reads the sets,
-requires each exact set's maximum to be its group's sum, runs the
-folded levels (for a collapse, every level) through the kernel, with its
-per-level checks, and requires the same runs at level L (for a
-collapse, the same root in the window).
+Python int over D's items in units of the step (Pisinger, "Dynamic
+programming on the word RAM", 2003), each value's multiplicity split
+into powers of two (the bounded-to-0/1 reduction, as in Koiliaris and
+Xu, SODA 2017), cut at t and read back only in the window.  The
+permutation is not drawn (the phase-3 stream feeds nothing else), no
+level, weight or cap is computed, and the stage-two sets are not read,
+so stage two never builds them (see `colorcoding.GroupSumsets`).
+Otherwise every level goes through the kernel.  Checked mode draws the
+permutation, also reads the sets, requires each exact set's maximum to
+be its group's sum, runs every level through the kernel with its
+per-level checks, and for a collapse requires the same root in the
+window.
 
 A budget trip, here or in the color-coding stage, is converted into a
 DenseEvidence record: per-node set sizes, a weight f per node (the
@@ -76,19 +65,7 @@ import numpy as np
 
 from .core import InternalConsistencyError, SumSet, ceil_div, ceil_log2, target_window
 from .colorcoding import DenseTripSignal, GroupFamily, GroupSumsets
-from .sumset import Flat, Level, _fold_levels, _pair_level, _row_words, common_step, window_subset_sums
-
-# When the merge cannot collapse (caps narrowed by eta_mult) it still
-# computes its bottom min(FOLD_LEVELS, levels) levels by folding each block
-# of 2**FOLD_LEVELS leaves' items into uint64 rows (`_fold_levels`) when
-# that provably gives the kernel's levels (see `_fold_depth`).  Summed
-# solve times (best of 9, seed 3; 2-core x86 VM, numpy 2.4) for
-# FOLD_LEVELS = 0 (kernel only) / 3 / 4 / 5 / 6 / 7: `sparse-ladder` 278 /
-# 165 / 127 / 115 / 114 / 116 ms, `grouped` 166 / 108 / 93 / 91 / 94 / 96
-# ms.  With the collapse, at eta_mult 1e-9 and 1e-12, `sparse-ladder` and
-# `grouped` (seed 1, summed best of 5) took 114-156 ms at FOLD_LEVELS = 5
-# and 703-831 ms with the kernel only.
-FOLD_LEVELS = 5
+from .sumset import Level, _pair_level, common_step, window_subset_sums
 
 
 @dataclass
@@ -254,8 +231,8 @@ def merge_group_sumsets(
 
     levels = ceil_log2(ell)
     lo = max(t - window, 0)
-    whole, step = _fold_depth(exact, family, t, eta, tail, levels)
-    if whole:
+    step = _collapse_step(exact, family, t, eta, tail, levels)
+    if step:
         # no level caps or trips: the root is every subset sum of the items,
         # in whatever order the leaves come
         root = window_subset_sums(family.groups.vals, lo, t, step)
@@ -264,29 +241,16 @@ def merge_group_sumsets(
 
     perm = rng.permutation(ell)
     sig = family.group_sums[perm]
-    # a group's full subset sums have maximum sigma(G); other sets are read
-    # (every stage-two set holds 0, so none is empty)
-    f = sig if exact else _set_maxima(group_sumsets.sets, perm)
-    depth = 0
-    if not whole:
-        depth, step = _fold_depth(exact, family, t, eta, tail, levels, sig)
-    if depth:
-        leaves = family.groups.take(perm)
-        folded = _fold_levels(leaves.vals, leaves.offs, depth, step)
-    start = 1
-    if not depth or checked:
-        sets0 = group_sumsets.sets
-        if checked and exact and not np.array_equal(f, _set_maxima(sets0, perm)):
-            raise InternalConsistencyError("an exact set's maximum differs from its group's sum")
-        leaves = sets0.take(perm)
-        cur = Level.from_values(leaves.vals, leaves.offs)
-    else:
-        cur, start = folded, depth + 1
-        for _ in range(depth):
-            f = f[0::2] + f[1::2]
-            sig = sig[0::2] + sig[1::2]
+    sets = group_sumsets.sets
+    # every stage-two set holds 0, so none is empty and its last value is
+    # its maximum
+    f = sets.vals[sets.offs[1:][perm] - 1]
+    if checked and exact and not np.array_equal(f, sig):
+        raise InternalConsistencyError("an exact set's maximum differs from its group's sum")
+    leaves = sets.take(perm)
+    cur = Level.from_values(leaves.vals, leaves.offs)
 
-    for h in range(start, levels + 1):
+    for h in range(1, levels + 1):
         ell_h = ell >> h
         budget = ell_h + tail
         f = f[0::2] + f[1::2]
@@ -317,66 +281,34 @@ def merge_group_sumsets(
         if checked and not (np.all(tops <= f[filled]) and np.all(f[filled] <= sig[filled])):
             raise InternalConsistencyError("merge weight bookkeeping broken")
         cur = out.cap(t // ell_h - eta - 1, ceil_div(t, ell_h) + eta + 1)
-        # equal values in the same step are the same maximal runs
-        if checked and h == depth and not (cur == folded and cur.step == folded.step):
-            raise InternalConsistencyError("word-parallel fold differs from the level kernel")
 
     out = SumSet(cur.cap(lo, t).values())
-    if whole and out != root:
+    if step and out != root:
         raise InternalConsistencyError("windowed subset-sum DP differs from the level kernel's root")
     return out
 
 
-def _fold_depth(
-    exact: bool,
-    family: GroupFamily,
-    t: int,
-    eta: int,
-    tail: int,
-    levels: int,
-    sig: Optional[np.ndarray] = None,
-) -> tuple[int, int]:
-    """(L, step): L = levels when the merge collapses, 0 < L < levels when
-    it computes its bottom L levels with `_fold_levels` in runs of step,
-    and L = 0 when every level goes through the kernel.
+def _collapse_step(exact: bool, family: GroupFamily, t: int, eta: int, tail: int, levels: int) -> int:
+    """The step (the items' common step) in which the merge collapses to
+    one windowed DP, or 0 when every level goes through the kernel.
 
-    Level L is the subset sums of each block of 2**L leaves' items only if
-    the leaves are their groups' full subset sums (exact) and levels 1..L
-    neither trip nor lose a value to a cap.  A node's set lies in
-    [0, sigma(node)], so a level's total size is at most sigma(D) / step
-    plus its node count, below its budget when sigma(D) / step < tail.
-    The caps of levels 1..L keep [0, sigma] of every node when
-    eta + 1 >= t // ell_L (level L's lower bound is the highest) and
-    eta + 1 >= the largest sigma of a level-L node.  Either computation
-    also needs its rows (one row of sigma(D) / step bits for a collapse)
-    to hold no more words than the leaf level holds values, at least
-    |D| + ell (a group's sorted prefix sums are |G| + 1 distinct subset
-    sums), a bound that reads no leaf set.
-
-    L = levels when eta + 1 >= max(t, sigma(D)), which needs no leaf
-    order.  Otherwise sig, the leaves' sigma in merge order, decides
-    L = min(FOLD_LEVELS, levels), which is then below levels (with one
-    block, its test is the collapse's); without sig L is 0.
+    The root is every subset sum of the items only if the leaves are their
+    groups' full subset sums (exact) and no level trips or loses a value
+    to a cap.  A node's set lies in [0, sigma(node)], so a level's total
+    size is at most sigma(D) / step plus its node count, below its budget
+    when sigma(D) / step < tail.  A level-h cap keeps [0, sigma] of every
+    node when eta + 1 >= t // ell_h and eta + 1 >= the largest sigma of a
+    level-h node, which holds at every level, whatever the leaf order,
+    when eta + 1 >= max(t, sigma(D)).  The DP's bits (a row of sigma(D) /
+    step bits in 64-bit words) must also number no more words than the
+    leaf level holds values, at least |D| + ell (a group's sorted prefix
+    sums are |G| + 1 distinct subset sums), a bound that reads no leaf set
+    and keeps a sparse D of huge items on the kernel.
     """
     if levels == 0 or not exact:
-        return 0, 1
+        return 0
     step = common_step(family.groups.vals)
     sigma = int(family.group_sums.sum())
     room = len(family.groups.vals) + family.ell
-    if sigma // step >= tail:
-        return 0, 1
-    if eta + 1 >= max(t, sigma) and _row_words(sigma // step) <= room:
-        return levels, step
-    if sig is None:
-        return 0, 1
-    depth = min(FOLD_LEVELS, levels)
-    blocks = len(sig) >> depth
-    top = int(sig.reshape(blocks, -1).sum(axis=1).max())
-    fits = eta + 1 >= max(t // blocks, top) and blocks * _row_words(top // step) <= room
-    return (depth, step) if fits else (0, 1)
-
-
-def _set_maxima(sets: Flat, perm: np.ndarray) -> np.ndarray:
-    """The largest value of every node of sets, in the order perm."""
-    return sets.vals[sets.offs[1:][perm] - 1]
-
+    fits = sigma // step < tail and eta + 1 >= max(t, sigma) and (sigma // step + 1) // 64 + 1 <= room
+    return step if fits else 0

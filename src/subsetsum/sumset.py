@@ -1,5 +1,5 @@
-"""Sumset kernels: one level kernel, its one-pair adapter, the merge's
-word-parallel fold, one shift-or subset-sum DP, an interval cap.
+"""Sumset kernels: one level kernel, its one-pair adapter, one shift-or
+subset-sum DP, an interval cap.
 
 The sumset of A and B is {x + y : x in A, y in B}.  One dispatcher, the
 level kernel `_pair_level`, computes every sumset: it sums the pairs
@@ -53,14 +53,10 @@ the running total before the pair, so the stop may fall inside it.
 A budget of at most half the number of input sets trips immediately in
 `sum_if_sparse` (each output has size >= 1).
 
-The merge's levels can skip the kernel: `_fold_levels` computes the
-level a few levels above leaves that are full subset-sum sets by
-folding each block's items into rows of uint64 words (row |= row << x
-per item, vectorised over blocks) and reads the rows back as runs.
-`window_subset_sums` is one such DP on a Python int, cut at the top of a
-window and read back only inside it: the solver's bounded sums over the
-small parts and the root of a merge that collapses (no level can cap or
-trip) are both its output.
+`window_subset_sums` is a word-parallel subset-sum DP on a Python int,
+cut at the top of a window and read back only inside it: the solver's
+bounded sums over the small parts and the root of a merge that collapses
+(no level can cap or trip) are both its output.
 
 `cap` intersects a set with an interval by two binary searches;
 `Level.cap` does the same to every node of a level at once, by clipping
@@ -620,90 +616,6 @@ def _bits_to_values(mask: int) -> np.ndarray:
     """The positions of mask's set bits, ascending."""
     raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8)
     return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
-
-
-# ---------------------------------------------------------------------------
-# word-parallel bottom levels of the merge (phase 3)
-# ---------------------------------------------------------------------------
-
-
-def _fold_levels(items: np.ndarray, item_offs: np.ndarray, depth: int, step: int) -> Level:
-    """The level `depth` levels above leaves that are complete subset-sum
-    sets, with no cap or budget stop in between: node b is the subset sums
-    of the items of leaves b * 2**depth .. (b + 1) * 2**depth - 1, in runs
-    of step (which must divide every item).
-
-    Leaf i's items are items[item_offs[i]:item_offs[i + 1]], and the leaf
-    count is a multiple of 2**depth.  Each block of leaves is one row of
-    `_row_words` uint64 words, bit v standing for the value v * step; the
-    loop runs over item slots, not nodes: for slot s every block with more
-    than s items sets row |= row << x, a word shift plus a bit shift, for
-    its s-th item x, over the words its items so far can reach (by slices
-    when every such block shifts by the same number of words, as one row
-    always does).  Blocks are ordered by item count, most first, so the
-    blocks of a slot are a prefix of the rows.  The rows are read back as
-    maximal runs from the bits where they turn on and off.
-    """
-    units = items // step if step > 1 else items
-    first = item_offs[:: 1 << depth]
-    counts = np.diff(first)
-    nb = len(counts)
-    block = np.repeat(np.arange(nb), counts)
-    order = np.argsort(-counts, kind="stable")
-    rank = np.empty(nb, dtype=np.int64)
-    rank[order] = np.arange(nb)
-    # active[s] blocks have an item in slot s: ranks 0 .. active[s] - 1,
-    # whose slot-s items are by_slot[slot_offs[s]:slot_offs[s + 1]]
-    active = np.searchsorted(-counts[order], -np.arange(int(counts.max(initial=0))))
-    slot_offs = _offsets(active)
-    by_slot = np.empty_like(units)
-    by_slot[slot_offs[np.arange(len(units)) - first[block]] + rank[block]] = units
-    width = _row_words(int(np.add.reduceat(units, first[:-1][counts > 0]).max(initial=0)))
-    # `pad` zero words below every row, so a word shift never leaves the row
-    pad = int(units.max(initial=0)) // 64 + 1
-    # word-major rows: rows[c, k] is word c of the row of rank k, so that a
-    # slot's rows 0 .. n-1 are one stretch of every word (and one row is
-    # one stretch of words)
-    rows = np.zeros((pad + width, nb), dtype=np.uint64)
-    rows[pad] = 1  # every node holds 0
-    spill, shifted = np.empty((2, width, nb), dtype=np.uint64)
-    q, r = by_slot >> 6, by_slot.astype(np.uint64)
-    r &= np.uint64(63)
-    # a slot whose blocks all shift by the same number of words is sliced
-    same = np.maximum.reduceat(q, slot_offs[:-1]) == np.minimum.reduceat(q, slot_offs[:-1])
-    # after slot s no row has a bit above the sum of the largest items of
-    # slots 0 .. s: the words up to ext[s] are all that slot s can change
-    ext = np.minimum(np.cumsum(np.maximum.reduceat(by_slot, slot_offs[:-1])) // 64 + 1, width)
-    slots = zip(active.tolist(), slot_offs[:-1].tolist(), slot_offs[1:].tolist(), same.tolist(), ext.tolist())
-    for n, a, b, sliced, e in slots:
-        if sliced:
-            at = pad - int(q[a])
-            lo, below = rows[at : at + e, :n], rows[at - 1 : at - 1 + e, :n]
-        else:
-            src = pad + np.arange(e)[:, None] - q[a:b]
-            lo = np.take_along_axis(rows[:, :n], src, axis=0)
-            below = np.take_along_axis(rows[:, :n], src - 1, axis=0)
-        # two shifts, so that r = 0 never shifts a word by 64; into buffers
-        # made once, since a fresh array per slot costs more than the shifts
-        carry = np.right_shift(below, np.uint64(63) - r[a:b], out=spill[:e, :n])
-        carry >>= np.uint64(1)
-        carry |= np.left_shift(lo, r[a:b], out=shifted[:e, :n])
-        rows[pad : pad + e, :n] |= carry
-    rows = np.ascontiguousarray(rows[pad - 1 :, rank].T)
-    # bit v of turn is set where bit v of the row differs from bit v - 1
-    turn = (rows[:, 1:] ^ ((rows[:, 1:] << np.uint64(1)) | (rows[:, :-1] >> np.uint64(63)))).ravel()
-    words = np.flatnonzero(turn)
-    bits = np.flatnonzero(np.unpackbits(turn[words].astype("<u8").view(np.uint8), bitorder="little"))
-    node, col = np.divmod(words[bits >> 6], width)
-    at = col * 64 + (bits & 63)
-    nruns = np.bincount(node[0::2], minlength=nb)
-    return Level(at[0::2], at[1::2] - 1, _offsets(nruns), step)
-
-
-def _row_words(top: int) -> int:
-    """uint64 words in a fold row whose largest value is top units: bits
-    0 to top, and one clear bit above them where the last run ends."""
-    return (top + 1) // 64 + 1
 
 
 def _offsets(sizes: np.ndarray) -> np.ndarray:

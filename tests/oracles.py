@@ -30,6 +30,18 @@ def subset_sums(items, cap=None):
     return sorted(sums)
 
 
+def per_copy_subset_sums(items, cap=None):
+    """All subset sums of the multiset items (optionally capped), sorted:
+    a boolean row over [0, sigma] (or [0, cap]) with every copy added as
+    its own 0/1 item, with no multiplicity split."""
+    reach = np.zeros((sum(items) if cap is None else cap) + 1, dtype=bool)
+    reach[0] = True
+    for x in items:
+        if 0 < x < len(reach):
+            reach[x:] |= reach[:-x].copy()
+    return np.flatnonzero(reach).tolist()
+
+
 def subset_sum_decision(items, t):
     if t < 0:
         return False

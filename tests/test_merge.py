@@ -11,16 +11,15 @@ from subsetsum.colorcoding import (
     partition_groups,
 )
 from subsetsum.merge import (
-    FOLD_LEVELS,
     DenseEvidence,
     assemble_dense_evidence,
     merge_group_sumsets,
 )
 from subsetsum.colorcoding import GroupSumsets
 from subsetsum.solver import solve
-from subsetsum.sumset import Flat, _fold_levels as fold_levels, cap, common_step
+from subsetsum.sumset import Flat, cap, common_step
 
-from oracles import merge_bounds, subset_sums
+from oracles import merge_bounds, per_copy_subset_sums, subset_sums
 
 
 def _pipeline_inputs(items, t, w, n, q, seed, budget_mult=1.0):
@@ -75,23 +74,21 @@ def test_merge_narrow_windows_can_empty_nodes():
     assert set(root.values) <= set(subset_sums(items))
 
 
-def test_fold_refuses_rows_larger_than_the_leaf_level(monkeypatch):
+def test_collapse_refuses_rows_larger_than_the_leaf_level(monkeypatch):
     # the merge must take the kernel although the trip and cap bounds allow
-    # the fold and the collapse (checked below); neither the fold nor the
-    # collapse's DP is called, so no row is allocated
+    # the collapse (checked below); the collapse's DP is not called, so no
+    # row is allocated
     calls = []
-    for name in ("_fold_levels", "window_subset_sums"):
-        fn = getattr(merge, name)
-        monkeypatch.setattr(merge, name, lambda *a, fn=fn: calls.append(a) or fn(*a))
+    _spy(monkeypatch, merge, "window_subset_sums", calls)
     far = [int(v) for v in np.random.default_rng(3).integers(2**40 - 2**20, 2**40, size=10)]
     for groups in (
-        # ten singletons near 2**40 in 16 groups: the fold's one row would
+        # ten singletons near 2**40 in 16 groups: the DP's one row would
         # need ~2**37 words against 26 leaf values
         [(x,) for x in far] + [()] * 6,
         # 31 groups (2, 2) and one singleton 12676, all in units of the step
         # 2: the row needs 101 words, and the leaves hold 31 * 3 + 2 = 95
         # values, which is the bound counted in units of the step; counted
-        # in units of 1 it would be 31 * 4 + 2 = 126 and let the fold run
+        # in units of 1 it would be 31 * 4 + 2 = 126 and let the DP run
         [(2, 2)] * 31 + [(12676,)],
     ):
         items = [x for grp in groups for x in grp]
@@ -237,32 +234,14 @@ def _refuse_group_sets(monkeypatch):
     monkeypatch.setattr(colorcoding, "_group_sets", refuse)
 
 
-def test_unchecked_fold_never_builds_the_group_sets(monkeypatch):
-    # eta_mult = 1e-9 narrows the caps of the upper levels enough that the
-    # merge cannot compute its root as one bitset, but not those of its
-    # bottom levels, which it folds
-    _refuse_group_sets(monkeypatch)
-    families, staged, folds = [], [], []
-    _spy(monkeypatch, solver, "partition_groups", families)
-    _spy(monkeypatch, solver, "build_group_sumsets", staged)
-    _spy(monkeypatch, merge, "_fold_levels", folds)
-    out = solve(_grouped_instance(), SolverConfig(seed=3, eta_mult=1e-9))
-    assert out.branch == "sparse" and out.decision
-    ((_, family),) = families
-    assert np.count_nonzero(family.groups.sizes() >= 2) > 1000
-    ((_, gs),) = staged
-    assert gs.exact and [args[2] for args, _ in folds] == [FOLD_LEVELS]
-
-
 def test_default_sparse_solve_collapses_the_merge(monkeypatch):
     # at the paper's constants no merge level can cap or trip, so the root
-    # is one windowed DP over the dense part's items: no fold, no level
-    # kernel, no group set
+    # is one windowed DP over the dense part's items: no level kernel, no
+    # group set
     _refuse_group_sets(monkeypatch)
-    families, dps, folds, levels = [], [], [], []
+    families, dps, levels = [], [], []
     _spy(monkeypatch, solver, "partition_groups", families)
     _spy(monkeypatch, merge, "window_subset_sums", dps)
-    _spy(monkeypatch, merge, "_fold_levels", folds)
     _spy(monkeypatch, merge, "_pair_level", levels)
     inst = _grouped_instance()
     out = solve(inst, SolverConfig(seed=3))
@@ -272,10 +251,28 @@ def test_default_sparse_solve_collapses_the_merge(monkeypatch):
     t, lo = inst.target, max(inst.target - out.report.window, 0)
     step = common_step(family.groups.vals)
     assert args[0] is family.groups.vals and args[1:] == (lo, t, step)
-    assert folds == [] and levels == []
-    # the root in the window, against the whole tree folded into one row
-    whole = fold_levels(family.groups.vals, family.groups.offs, ceil_log2(family.ell), step)
-    assert root == cap(SumSet(whole.values()), lo, t) and len(root) > 0
+    assert levels == []
+    # the root in the window, against every copy added as its own 0/1 item
+    whole = per_copy_subset_sums(family.groups.vals.tolist(), t)
+    assert root == cap(SumSet(whole), lo, t) and len(root) > 0
+
+
+def test_narrow_caps_send_every_merge_level_through_the_kernel(monkeypatch):
+    # eta_mult = 1e-9 narrows the caps of the upper levels, so the merge
+    # cannot collapse: every level, one kernel call each, goes through the
+    # kernel, and the windowed DP is not called from the merge
+    families, dps, levels = [], [], []
+    _spy(monkeypatch, solver, "partition_groups", families)
+    _spy(monkeypatch, merge, "window_subset_sums", dps)
+    _spy(monkeypatch, merge, "_pair_level", levels)
+    inst = _grouped_instance()
+    out = solve(inst, SolverConfig(seed=3, eta_mult=1e-9))
+    assert out.branch == "sparse" and out.decision
+    ((_, family),) = families
+    assert dps == [] and len(levels) == ceil_log2(family.ell)
+    checked = solve(inst, SolverConfig(seed=3, eta_mult=1e-9, checked_mode=True))
+    outputs = ("decision", "branch", "candidate_set_size", "report")
+    assert [getattr(checked, k) for k in outputs] == [getattr(out, k) for k in outputs]
 
 
 def test_checked_solve_builds_every_group_s_full_subset_sums(monkeypatch):

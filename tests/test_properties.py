@@ -1,13 +1,11 @@
 """Hypothesis property tests: the sumset kernels against the pairwise
 oracle on every dispatch path, `SumSet` and `cap` against a set oracle,
 the level kernel on levels built from runs, the run layout of `Level`
-(round trip and cap), the split and
-stage one against their per-item references, colour coding's stage two
-against its materialized reference, the merge tree (with and without its
-word-parallel bottom levels, and collapsed to one windowed DP or not)
-against its values-level reference, the windowed DP against brute-force
-subset sums, and
-`solve` on pipeline-sized instances."""
+(round trip and cap), the split and stage one against their per-item
+references, colour coding's stage two against its materialized
+reference, the merge tree (shallow and deep, collapsed to one windowed
+DP or not) against its values-level reference, the windowed DP against
+brute-force subset sums, and `solve` on pipeline-sized instances."""
 
 import math
 from unittest import mock
@@ -27,7 +25,7 @@ from subsetsum.colorcoding import (
     partition_groups,
 )
 from subsetsum.core import Instance, SolverConfig, SumSet, ceil_log2, rng_stream
-from subsetsum.merge import FOLD_LEVELS, DenseEvidence, merge_group_sumsets
+from subsetsum.merge import DenseEvidence, merge_group_sumsets
 from subsetsum.solver import bounded_subset_sums, fallback_dp, small_target_gate, solve
 from subsetsum.structure import partition_instance
 from subsetsum.sumset import (
@@ -46,6 +44,7 @@ from oracles import (
     materialized_stage_two,
     merge_bounds,
     pairwise_sumset,
+    per_copy_subset_sums,
     reference_merge,
     reference_partition,
     reference_partition_groups,
@@ -243,12 +242,8 @@ def _window_dp_case(draw):
 def test_window_subset_sums_match_per_copy_dp(case):
     items, lo, hi, step = case
     # the reference adds every copy as its own 0/1 item, with no split and
-    # no cut: a boolean row over [0, sigma]
-    reach = np.zeros(sum(items) + 1, dtype=bool)
-    reach[0] = True
-    for x in items:
-        reach[x:] = reach[x:] | reach[:-x]
-    want = [v for v in np.flatnonzero(reach).tolist() if lo <= v <= hi]
+    # no cut
+    want = [v for v in per_copy_subset_sums(items) if lo <= v <= hi]
     got = window_subset_sums(items, lo, hi, step)
     assert isinstance(got, SumSet) and got.values.tolist() == want
     if lo <= 0 <= hi:
@@ -390,31 +385,33 @@ def test_merge_matches_values_reference():
     assert len(trip_levels) >= 2, "trips at fewer than two levels"
 
 
-def test_merge_fold_matches_values_reference():
-    folds = []
+def test_deep_merge_matches_values_reference():
+    outcomes = []
 
     @given(
         log_ell=st.sampled_from([6, 6, 7, 8, 9]),
         w=st.sampled_from([2, 3, 40]),
         mult=st.sampled_from([1, 2]),
         incomplete=st.booleans(),
-        eta_side=st.floats(0.5, 2.0),
+        eta_side=st.one_of(st.floats(1.0, 2.0), st.floats(0.01, 1.0)),
         tail_side=st.floats(0.5, 2.0),
         t_frac=st.floats(0.05, 0.5),
         checked=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
+    # both bounds hold: the merge collapses, checked or not
+    @example(log_ell=6, w=3, mult=1, incomplete=False, eta_side=1.5, tail_side=1.5, t_frac=0.3, checked=False, seed=1)
+    @example(log_ell=7, w=40, mult=2, incomplete=False, eta_side=1.5, tail_side=1.5, t_frac=0.3, checked=True, seed=2)
     @settings(max_examples=60, deadline=None)
     def check(log_ell, w, mult, incomplete, eta_side, tail_side, t_frac, checked, seed):
-        # 64-512 groups (a tree deeper than the fold), each empty, one item or
-        # two or three (fewer at w = 40, where the sets are sparse), all even
-        # when mult = 2; with `incomplete` a group of two or more lacks its
-        # own sum, as a never-complete group does.  eta and the budget tail
-        # are drawn from half to twice what the fold's cap and trip bounds
-        # need, so both bounds hold in some examples and fail in others.  A
-        # fold that skipped a cap rarely changes the capped root, so the
-        # checked examples (which compare the fold's level with the kernel's)
-        # and the routing assertion carry most of the weight
+        # 64-512 groups (a deep tree), each empty, one item or two or three
+        # (fewer at w = 40, where the sets are sparse), all even when
+        # mult = 2; with `incomplete` a group of two or more lacks its own
+        # sum, as a never-complete group does.  The budget tail is drawn
+        # from half to twice sigma / step, and eta from 1% to twice
+        # max(t, sigma) (half the time from the upper half), so the
+        # collapse's trip and cap bounds hold in some examples and fail in
+        # others, where the kernel caps the inner levels or trips
         rng = np.random.default_rng(seed)
         ell = 1 << log_ell
         groups = [
@@ -426,61 +423,58 @@ def test_merge_fold_matches_values_reference():
         if incomplete and multi:
             sets[multi[0]] = sets[multi[0]][:-1]
         exact = not (incomplete and multi)
-        n = max(1, sum(map(len, groups)))
-        sigma = sum(map(sum, groups))
-        step = max(math.gcd(*[x for grp in groups for x in grp]), 1)
+        items = [x for grp in groups for x in grp]
+        n, sigma = max(1, len(items)), sum(items)
+        step = max(math.gcd(*items), 1)
         t = max(1, int(t_frac * sigma))
         q, c_ap = 0.3, 1
         params = color_params(n, t, mult * w, q, c_ap)
         family = GroupFamily(Flat.of(groups), sum(1 for grp in groups if grp))
         staged = GroupSumsets(Flat.of(sets), params, exact)
 
-        depth = min(FOLD_LEVELS, log_ell)
-        blocks = ell >> depth
-        perm = rng_stream(seed, "p3").permutation(ell)
-        top = max(sum(sum(groups[i]) for i in block) for block in perm.reshape(blocks, -1).tolist())
-        need = max(t // blocks, top)  # bound (c): eta + 1 >= need
         bounds = (params.rho, params.g, t, mult * w, n, q, c_ap)
-        eta_mult = eta_side * need / merge_bounds(*bounds, 1.0, 1.0, 0)[0]
+        eta_mult = eta_side * max(t, sigma) / merge_bounds(*bounds, 1.0, 1.0, 0)[0]
         budget_mult = tail_side * (sigma // step) / merge_bounds(*bounds, eta_mult, 1.0, 0)[2]
         eta, _, tail = merge_bounds(*bounds, eta_mult, budget_mult, 0)
-        words = blocks * ((top // step + 1) // 64 + 1)
-        # bound (d): the leaf level holds at least |D| + ell values (a
-        # group's sorted prefix sums are |G| + 1 distinct subset sums)
-        leaf_bound = sum(map(len, groups)) + ell
-        fits = exact and sigma // step < tail and eta + 1 >= need and words <= leaf_bound
-        # the whole tree in one row, whatever the leaf order: no cap can
-        # remove a value when eta + 1 >= max(t, sigma)
-        whole = exact and sigma // step < tail and eta + 1 >= max(t, sigma)
-        whole = whole and (sigma // step + 1) // 64 + 1 <= leaf_bound
+        # no level trips (sigma / step < tail) or caps a value (eta + 1 >=
+        # max(t, sigma)), and the DP's row has at most as many words as the
+        # leaf level has values, at least |D| + ell
+        collapse = exact and sigma // step < tail and eta + 1 >= max(t, sigma)
+        collapse = collapse and (sigma // step + 1) // 64 + 1 <= len(items) + ell
 
-        calls, dps = [], []
+        dps, kernel_levels = [], []
         with mock.patch.multiple(
             merge,
-            _fold_levels=lambda *a: calls.append(a[2]) or fold_levels(*a),
             window_subset_sums=lambda *a: dps.append(a[1:]) or window_subset_sums(*a),
+            _pair_level=lambda *a: kernel_levels.append(a[1]) or pair_level(*a),
         ):
             got = merge_group_sumsets(
                 staged, family, t, mult * w, n, q, c_ap, rng_stream(seed, "p3"),
                 eta_mult=eta_mult, budget_mult=budget_mult, window=0, checked=checked,
             )
-        # a collapse is the windowed DP (window 0: [t, t]), never a fold
-        assert dps == ([(t, t, step)] if whole else [])
-        assert calls == ([depth] if fits and not whole else [])
         kind, ref = reference_merge(
             list(sets), [sum(grp) for grp in groups], params.rho, params.g, t, mult * w, n, q, c_ap,
             rng_stream(seed, "p3"), eta_mult, budget_mult, 0,
         )
         assert got == (cap(SumSet(ref), t, t) if kind == "root" else DenseEvidence(**ref))
-        folds.append((bool(calls or dps), exact, kind))
+        # a collapse is the windowed DP (window 0: [t, t]) and, unchecked, no
+        # kernel level; otherwise the kernel runs every level up to the root
+        # or the trip
+        assert dps == ([(t, t, step)] if collapse else [])
+        if collapse and not checked:
+            assert kernel_levels == []
+        else:
+            assert len(kernel_levels) == (log_ell if kind == "root" else ref["level"])
+        capped = kind == "root" and len(ref) < len(per_copy_subset_sums(items))
+        outcomes.append((collapse, exact, kind, capped))
 
-    fold_levels, window_subset_sums = merge._fold_levels, merge.window_subset_sums
+    window_subset_sums, pair_level = merge.window_subset_sums, merge._pair_level
     check()
-    assert any(took for took, _, _ in folds), "no example took the fold"
-    assert any(exact and not took for took, exact, _ in folds), "no exact example refused the fold"
-    assert any(not exact for _, exact, _ in folds), "no example with a never-complete group"
-    assert any(kind == "evidence" for _, _, kind in folds), "no example tripped"
-
+    assert any(collapse for collapse, _, _, _ in outcomes), "no example collapsed"
+    assert any(exact and not collapse for collapse, exact, _, _ in outcomes), "no exact example refused the collapse"
+    assert any(not exact for _, exact, _, _ in outcomes), "no example with a never-complete group"
+    assert any(kind == "evidence" for _, _, kind, _ in outcomes), "no example tripped"
+    assert any(capped for _, _, _, capped in outcomes), "no example's caps removed a value"
 
 
 def test_merge_collapse_matches_values_reference():
@@ -537,11 +531,10 @@ def test_merge_collapse_matches_values_reference():
         args = (family, t, mult * w, n, q, c_ap)
         kwargs = dict(eta_mult=eta_mult, budget_mult=budget_mult, window=window)
         lo = max(t - window, 0)
-        folds, dps, kernel_levels = [], [], []
-        fold_levels, dp, pair_level = merge._fold_levels, merge.window_subset_sums, merge._pair_level
+        dps, kernel_levels = [], []
+        dp, pair_level = merge.window_subset_sums, merge._pair_level
         with mock.patch.multiple(
             merge,
-            _fold_levels=lambda *a: folds.append(a[2]) or fold_levels(*a),
             window_subset_sums=lambda *a: dps.append(a[1:]) or dp(*a),
             _pair_level=lambda *a: kernel_levels.append(a[1]) or pair_level(*a),
         ):
@@ -553,9 +546,8 @@ def test_merge_collapse_matches_values_reference():
         )
         want = cap(SumSet(ref), lo, t) if kind == "root" else DenseEvidence(**ref)
         assert got == want and checked == want
-        assert log_ell not in folds
         if collapse:
-            assert dps == [(lo, t, step)] and folds == kernel_levels == []
+            assert dps == [(lo, t, step)] and kernel_levels == []
         else:
             assert dps == []
         seen.add((refuse, collapse))

@@ -10,8 +10,6 @@ from subsetsum.sumset import (
     HULL_FFT_LIMIT,
     DenseSignal,
     Level,
-    _fold_levels,
-    _offsets,
     _pair_level,
     _sum_values,
     cap,
@@ -19,7 +17,7 @@ from subsetsum.sumset import (
     sum_if_sparse,
 )
 
-from oracles import pairwise_sumset, subset_sums
+from oracles import pairwise_sumset
 
 
 def S(*vals):
@@ -381,52 +379,3 @@ def test_level_cap_matches_per_node_cap():
     for lo, hi in ((-5, 400), (0, 0), (30, 60), (61, 59), (199, 1 << 70)):
         got = [tuple(z.tolist()) for z in level.cap(lo, hi)]
         assert got == [tuple(v for v in s if lo <= v <= hi) for s in sets]
-
-
-@pytest.mark.parametrize(
-    "depth,step,w,seed",
-    [(0, 1, 16, 1), (1, 1, 16, 2), (3, 2, 16, 3), (4, 1, 100, 4), (5, 3, 300, 5), (4, 1, 5000, 6)],
-)
-def test_fold_levels_equal_kernel_levels(depth, step, w, seed):
-    # leaves that are their groups' full subset sums (empty groups, one
-    # item, or a few; items of w = 100 or more units need word shifts as
-    # well as bit shifts); the fold's level must equal `depth` kernel
-    # levels run from the leaf values, field by field
-    rng = np.random.default_rng(seed)
-    groups = [
-        [step * int(v) for v in rng.integers(1, w + 1, size=k)]
-        for k in rng.choice([0, 1, 1, 2, 3], size=(1 << depth) * 6)
-    ]
-    items = np.array([x for grp in groups for x in grp], dtype=np.int64)
-    sets = [subset_sums(grp) for grp in groups]
-    cur = Level.from_values(
-        np.array([v for s in sets for v in s], dtype=np.int64), _offsets(np.array([len(s) for s in sets])), step
-    )
-    for _ in range(depth):
-        cur, _ = _pair_level(cur, math.inf)
-    got = _fold_levels(items, _offsets(np.array([len(grp) for grp in groups])), depth, step)
-    for field in ("starts", "ends", "offs"):
-        assert getattr(got, field).dtype == getattr(cur, field).dtype
-        assert np.array_equal(getattr(got, field), getattr(cur, field)), field
-    assert got.step == cur.step
-
-
-@pytest.mark.parametrize("blocks,depth", [(1, 10), (8, 4)])
-def test_fold_levels_split_repeated_values(blocks, depth):
-    # blocks of many leaves holding few distinct values, each repeated up to
-    # hundreds of times, plus a few items of up to 300 units (word shifts of
-    # different lengths in one slot); one block is a whole tree of 1,024
-    # leaves in one row
-    rng = np.random.default_rng(blocks)
-    groups = [
-        [2 * int(v) for v in rng.integers(1, 4, size=k)]
-        for k in rng.choice([0, 1, 1, 2], size=blocks << depth)
-    ]
-    for grp in rng.choice(len(groups), size=4, replace=False).tolist():
-        groups[grp] = sorted(groups[grp] + [2 * int(rng.integers(100, 301))])
-    items = np.array([x for grp in groups for x in grp], dtype=np.int64)
-    got = _fold_levels(items, _offsets(np.array([len(grp) for grp in groups])), depth, 2)
-    assert len(got) == blocks and got.step == 2
-    for b in range(blocks):
-        block_items = [x for grp in groups[b << depth : (b + 1) << depth] for x in grp]
-        assert got[b].tolist() == subset_sums(block_items)
