@@ -29,16 +29,22 @@ The budgeted path never materializes the ell * g virtual forest.  A node
 whose subtree holds no element is exactly {0}, a sumset identity of size
 one, so it counts one toward the running total and is never computed.
 Each repetition's parts become sorted keys group * g + part, and key >> h
-is a node's global index at level h.  A level holds only the occupied
-nodes, as one `Level` of runs in units of the elements' common step:
-level 0 ({0} plus each part's distinct elements) is built from the
-sorted parts and split into runs once per repetition, and only each
-repetition's roots are expanded to values.  A node whose sibling is
+is a node's global index at level h.  One stable sort of the keys puts
+the elements in part order, each part ascending because each group is
+(stage one builds them so; a family that is not is sorted within its
+groups once).  A level holds only the occupied nodes, as one `Level` of
+runs in units of the elements' common step.  Level 0 ({0} plus each
+part's distinct elements) starts as node sizes counted from the sorted
+parts; it is split into runs only at the first level that sums a pair,
+or to read the roots of a repetition that does not trip, since a level
+with no pairs leaves every node as it is.  Only each repetition's roots
+are expanded to values.  A node whose sibling is
 empty is {0} + X = X, so a node with one occupied child is that child's
 runs, unchanged and never summed; only the nodes with two occupied
 children go to the level kernel `_pair_level`, and a level that has none
 calls no kernel.  Nearly all of the g parts are empty, so at pipeline
-size the tripping level usually has none.  The kernel sums the pairs under the
+size the tripping level usually has none, and such a trip builds no runs
+at all.  The kernel sums the pairs under the
 level's budget, counting as each pair's gap the known size before it:
 one for each virtual node, a child's size for each one-child node.  The
 stop is found on the one left-to-right running total of the level's
@@ -49,7 +55,9 @@ pair past its stop.
 The budget can never trip when its tail exceeds the sum over groups of
 min(sigma(G), 2^|G| - 1), a bound on any level's size excess over its
 node count (see `_max_level_excess`); only then is the budgeted path
-skipped.  Without a budget, a group is complete once one repetition
+skipped.  Each non-empty group adds at least one to that bound, so a tail
+at most their count takes the budgeted path without computing it.
+Without a budget, a group is complete once one repetition
 puts each of its elements into a part of its own.  A repetition's root
 picks at most one element per part, so it is always a subset of the
 group's subset sums, and it equals them when no part holds two elements;
@@ -65,8 +73,9 @@ same level loop on each repetition's recorded draws of its elements;
 the sub-family's excess is at most the family's, so no level can trip.
 A group's roots depend only on its own elements' parts, so the sets are
 bit-identical to merging every repetition of the whole family.  Every
-other group's full subset sums are the roots of one more pass of that
-loop, with a group's k-th element in part k.
+other group's full subset sums are {0} for an empty group, {0, x} for a
+singleton, and for a larger group the roots of one more pass of that
+loop, with the group's k-th element in part k.
 
 `GroupSumsets.exact` says whether every group completed, so that every
 set is its group's full subset sums (a group that never completes lacks
@@ -86,7 +95,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .core import InternalConsistencyError, ceil_div, ceil_log2, next_pow2, target_window
-from .sumset import Flat, Level, _offsets, _pair_level, _segment_index, common_step
+from .sumset import Flat, Level, _offsets, _pair_level, _segment_index
 # imported only as the phase-2 kernel boundary that perfbench's tracer wraps
 from .sumset import _sum_values  # noqa: F401
 
@@ -96,9 +105,11 @@ class GroupFamily:
     """Groups from stage one, padded to a power-of-two count.
 
     Node i of groups holds group i's elements (a multiset, so values may
-    repeat), in ascending order as `partition_groups` builds them; stage
-    two does not depend on their order.  The padding groups after the
-    first raw_count are empty.
+    repeat), in ascending order as `partition_groups` builds them.  Stage
+    two's results do not depend on that order, but its speed does: it
+    finds each repetition's parts with one stable sort when every group is
+    ascending, and sorts within groups first when one is not.  The padding
+    groups after the first raw_count are empty.
     """
 
     groups: Flat
@@ -318,7 +329,10 @@ def build_group_sumsets(
     total size reaches the budget, returns a DenseTripSignal instead.
     """
     params = color_params(n, t, w, q, c_ap, budget_mult)
-    if params.tail > _max_level_excess(family):
+    # each non-empty group adds at least one to the excess, so a tail up to
+    # their count needs no scan: the budgeted path is certain
+    nonempty = np.count_nonzero(family.groups.sizes())
+    if params.tail > nonempty and params.tail > _max_level_excess(family):
         return _unbudgeted_sumsets(family, params, rng)
     draws = (rng.integers(0, params.g, size=family.groups.vals.size) for _ in range(params.reps))
     return _budgeted_sumsets(family.groups, params, draws)
@@ -335,11 +349,9 @@ def _max_level_excess(family: GroupFamily) -> int:
     budget tail exceeds this bound no level can trip.  It is attained by
     the full subset sums of singletons and empty groups.
     """
-    sums, sizes = family.group_sums.copy(), family.groups.sizes()
+    sums, sizes = family.group_sums, family.groups.sizes()
     # for |G| >= 63, 2^|G| - 1 > sigma(G) (all sums are below 2^63)
-    small = sizes < 63
-    sums[small] = np.minimum(sums[small], (1 << sizes[small]) - 1)
-    return int(sums.sum())
+    return int(np.where(sizes < 63, np.minimum(sums, (1 << np.minimum(sizes, 62)) - 1), sums).sum())
 
 
 def _budgeted_sumsets(
@@ -348,16 +360,24 @@ def _budgeted_sumsets(
     """Every repetition as flat levels of the occupied nodes, summing only
     nodes with two occupied children, until one trips (see the module
     docstring).  draws holds each repetition's parts of the elements of
-    groups, in element order."""
+    groups, in element order.
+
+    One stable sort by part keeps each part ascending when every group
+    is, as `partition_groups` builds them; a family with a group that is
+    not has its elements, and every repetition's draws, sorted within
+    their groups once, so the parts are the same either way."""
     g, ell = params.g, len(groups)
     elems = groups.vals
     owner = np.repeat(np.arange(ell, dtype=np.int64), groups.sizes())
-    step = common_step(elems)
+    within = None
+    if np.any((elems[1:] < elems[:-1]) & (owner[1:] == owner[:-1])):
+        within = np.lexsort((elems, owner))
+        elems = elems[within]
     roots_key, roots_val = [np.arange(ell, dtype=np.int64)], [np.zeros(ell, dtype=np.int64)]
     complete = np.zeros(ell, dtype=bool)
     for rep, drawn in enumerate(draws):
-        keys = owner * g + drawn
-        order = np.lexsort((elems, keys))
+        keys = owner * g + (drawn if within is None else drawn[within])
+        order = np.argsort(keys, kind="stable")
         part_key, part_val = keys[order], elems[order]
         shared = np.zeros(ell, dtype=bool)
         shared[part_key[1:][part_key[1:] == part_key[:-1]] // g] = True
@@ -365,8 +385,10 @@ def _budgeted_sumsets(
         part_first = np.diff(part_key, prepend=-1) != 0
         part_start = np.flatnonzero(part_first)
         node_key = part_key[part_start]
-        cur = _part_level(part_val, part_first, step)
-        sizes = cur.sizes()
+        sizes, distinct = _part_sizes(part_val, part_first, part_start)
+        # level 0's runs, built only when a level first sums a pair or the
+        # roots are read: until then every node is its part
+        cur = None
         for h in range(1, ceil_log2(g) + 1):
             num_nodes = ell * (g >> h)
             budget = num_nodes + params.tail
@@ -374,6 +396,8 @@ def _budgeted_sumsets(
             # every other node is its one child, unchanged
             left = np.flatnonzero((node_key[1:] >> 1) == (node_key[:-1] >> 1))
             if left.size:
+                if cur is None:
+                    cur = _part_level(part_val[distinct], part_first[distinct])
                 kept = np.ones(node_key.size, dtype=bool)
                 kept[left + 1] = False
                 node_key = node_key[kept] >> 1
@@ -426,25 +450,38 @@ def _budgeted_sumsets(
                 node_f=np.add.reduceat(part_max, node_start),
                 node_sigma=np.add.reduceat(part_val, part_start[node_start]),
             )
+        if cur is None:
+            cur = _part_level(part_val[distinct], part_first[distinct])
         roots_key.append(np.repeat(node_key, sizes))
         roots_val.append(cur.values())
     sets = _distinct_level(np.concatenate(roots_key), np.concatenate(roots_val), np.arange(ell))
     return GroupSumsets(sets, params, bool(complete.all()))
 
 
-def _part_level(part_val: np.ndarray, part_first: np.ndarray, step: int) -> Level:
-    """Level 0 of a repetition: node k is {0} plus the distinct elements of
-    the k-th occupied part.  part_val holds the parts' positive elements
-    back to back, each part ascending, and part_first marks each part's
-    first element."""
+def _part_sizes(
+    part_val: np.ndarray, part_first: np.ndarray, part_start: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Level 0's node sizes, from counts: node k is {0} plus the distinct
+    elements of the k-th occupied part, so its size is one more than their
+    count.  part_val holds the parts' elements back to back, each part
+    ascending; part_first marks, and part_start indexes, each part's first
+    element.  Also returns the mask of each part's distinct elements."""
     distinct = part_first.copy()
     distinct[1:] |= part_val[1:] != part_val[:-1]
-    vals, first = part_val[distinct], part_first[distinct]
+    # counted as int64: a bool result would OR the marks
+    return np.add.reduceat(distinct, part_start, dtype=np.int64) + 1, distinct
+
+
+def _part_level(vals: np.ndarray, first: np.ndarray) -> Level:
+    """Level 0 of a repetition as runs of the elements' common step: node k
+    is {0} plus the k-th occupied part's distinct elements.  vals holds
+    them back to back, each part ascending, and first marks each part's
+    first element."""
     starts = np.flatnonzero(first)
     # a part's 0 goes before its values, so part k's values move k + 1 places
     out = np.zeros(vals.size + starts.size, dtype=np.int64)
     out[np.arange(vals.size) + np.cumsum(first)] = vals
-    return Level.from_values(out, np.append(starts + np.arange(starts.size), out.size), step)
+    return Level.from_values(out, np.append(starts + np.arange(starts.size), out.size))
 
 
 def _distinct_level(keys: np.ndarray, vals: np.ndarray, nodes: np.ndarray) -> Flat:
@@ -509,12 +546,21 @@ def _group_sets(
 ) -> Flat:
     """The Flat whose node open_groups[k] holds open_sets' node k, for the
     groups that never complete (ascending), and every other group's full
-    subset sums.  Those are the roots of one repetition that puts a
-    group's k-th element into part k (a complete group holds at most g)."""
-    closed = np.setdiff1d(np.arange(family.ell), open_groups)
-    groups = family.groups.take(closed)
+    subset sums: {0} for an empty group, {0, x} for a singleton, and for a
+    larger group the roots of one repetition that puts its k-th element
+    into part k (a complete group holds at most g)."""
+    sizes = family.groups.sizes()
+    multi = np.setdiff1d(np.flatnonzero(sizes >= 2), open_groups)
+    groups = family.groups.take(multi)
     rank = np.arange(groups.vals.size) - np.repeat(groups.offs[:-1], groups.sizes())
     full = _untripped_sets(groups, params, [rank])
-    sizes = np.concatenate((full.sizes(), open_sets.sizes()))
-    both = Flat(np.concatenate((full.vals, open_sets.vals)), _offsets(sizes))
-    return both.take(np.argsort(np.concatenate((closed, open_groups))))
+    # a smaller group's set is 0, then its element if it has one
+    set_sizes = sizes + 1
+    set_sizes[multi], set_sizes[open_groups] = full.sizes(), open_sets.sizes()
+    offs = _offsets(set_sizes)
+    vals = np.zeros(offs[-1], dtype=np.int64)
+    single = np.flatnonzero(sizes == 1)
+    vals[offs[single] + 1] = family.groups.vals[family.groups.offs[single]]
+    for nodes, sets in ((multi, full), (open_groups, open_sets)):
+        vals[_segment_index(offs[nodes], sets.sizes())] = sets.vals
+    return Flat(vals, offs)

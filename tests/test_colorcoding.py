@@ -296,6 +296,78 @@ def test_max_level_excess_is_attained_by_full_subset_sums():
     family = GroupFamily(Flat.of(groups), 5)
     assert colorcoding._max_level_excess(family) == 7 + 3 + 1 + 70 + 0 + 3
     assert colorcoding._max_level_excess(family) == sum(len(subset_sums(g)) - 1 for g in groups)
+    # 64 copies of 2^56 (|G| >= 63) add sigma = 2^62, not 2^62 - 1
+    family = GroupFamily(Flat.of(((1 << 56,) * 64, (3,))), 2)
+    assert colorcoding._max_level_excess(family) == (1 << 62) + 1
+
+
+def test_level_one_trip_builds_no_runs(monkeypatch):
+    # the `dense-trip` n4000-w2 shape trips at level 1 of repetition 0,
+    # where no node has two occupied children: the trip reads only node
+    # sizes, so level 0 is never split into runs, no kernel runs, and the
+    # tail (below the non-empty group count) needs no excess scan
+    inst = normalize(generate_instance("dense", 4000, 2, 1)).instance
+    t, config = inst.target, SolverConfig(seed=1, budget_mult=1e-12)
+    q = config.q_for(inst.n, t)
+    family = partition_groups(partition_instance(inst).dense_part, t, rng_stream(1, "phase1"))
+    params = color_params(inst.n, t, inst.w, q, config.c_ap, config.budget_mult)
+    assert params.tail <= np.count_nonzero(family.groups.sizes())
+    calls = []
+    for name in ("_part_level", "_pair_level", "_max_level_excess"):
+        real = getattr(colorcoding, name)
+        monkeypatch.setattr(
+            colorcoding, name, lambda *a, name=name, real=real: calls.append(name) or real(*a)
+        )
+    got = build_group_sumsets(
+        family, t, inst.w, inst.n, q, config.c_ap, rng_stream(1, "phase2"),
+        budget_mult=config.budget_mult,
+    )
+    assert isinstance(got, DenseTripSignal) and (got.level, got.repetition) == (1, 0)
+    assert calls == []
+    assert got == slot_stage_two(family, params, rng_stream(1, "phase2"))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_part_sizes_from_counts_match_part_level(seed):
+    # level 0's sizes are counted from the sorted parts, without runs: one
+    # plus each part's distinct elements.  Parts hold repeated values and
+    # several distinct ones, so a count that ORs the distinct marks (every
+    # size 2) or counts repeats would differ
+    rng = np.random.default_rng(seed)
+    parts = [(2, 2, 2), (1, 3, 3, 5), (4,), (1, 2, 3, 4, 5, 6), (7, 7)]
+    parts += [tuple(np.sort(rng.integers(1, 6, size=rng.integers(1, 9))).tolist()) for _ in range(40)]
+    part_val = np.concatenate([np.array(p, dtype=np.int64) for p in parts])
+    part_first = np.zeros(part_val.size, dtype=bool)
+    part_first[np.cumsum([0, *(len(p) for p in parts[:-1])])] = True
+    sizes, distinct = colorcoding._part_sizes(part_val, part_first, np.flatnonzero(part_first))
+    level = colorcoding._part_level(part_val[distinct], part_first[distinct])
+    assert sizes.tolist() == level.sizes().tolist() == [1 + len(set(p)) for p in parts]
+    assert [x.tolist() for x in level] == [[0, *sorted(set(p))] for p in parts]
+
+
+@pytest.mark.parametrize(
+    "groups,open_groups",
+    [
+        pytest.param(((), (5,), (2, 2, 1), (7,), (3, 4), (), (9,), ()), (), id="mixed"),
+        pytest.param(((), (5,), (2, 2, 1), (7,), (3, 4, 4, 8), (), (9,), ()), (2,), id="mixed-open"),
+        pytest.param(((4,), (), (6,), (6,)), (), id="small-only"),
+        pytest.param(((1, 2), (3, 3, 3), (8, 1), (2, 5, 9, 11)), (1, 3), id="multi-only"),
+    ],
+)
+def test_group_sets_match_subset_sums(groups, open_groups):
+    # every group that is not open gets its full subset sums: {0} for an
+    # empty group and {0, x} for a singleton directly, a larger group
+    # through the level loop (here also unsorted ones); each open group
+    # keeps the set it is given, in its own place
+    family = GroupFamily(Flat.of(groups), len(groups))
+    params = color_params(6, 10, 16, 0.3, 1)
+    open_groups = np.array(open_groups, dtype=np.int64)
+    open_sets = [[0, int(k) + 100] for k in open_groups]
+    got = colorcoding._group_sets(family, params, open_groups, Flat.of(open_sets))
+    want = [subset_sums(g) for g in groups]
+    for k, s in zip(open_groups, open_sets):
+        want[k] = s
+    assert [s.tolist() for s in got] == want
 
 
 def test_complete_group_sumsets_equal_their_built_form(monkeypatch):
