@@ -2,9 +2,10 @@
 
 Decides whether a subset of positive integers sums to a target, with
 one-sided error: certified-path yes answers are always correct, and
-yes-instances are missed with small configurable probability.  Includes
-exact DP oracles, dense/sparse diagnostics, and a CLI with a benchmark
-harness (`subsetsum --help`).
+yes-instances are missed with small configurable probability.  Exports
+the pipeline's stages, the exact DPs it uses (`fallback_dp`,
+`bounded_subset_sums`), and a CLI with a benchmark harness
+(`subsetsum --help`).
 
 `SumSet.values` is a strictly increasing, read-only, 1-D int64 array (it
 used to be a tuple of Python ints).  `SumSet.of` still takes any
@@ -19,6 +20,13 @@ int64 arrays (they used to be lists); `DenseEvidence` still holds lists.
 `GroupFamily.group_sums` is a read-only int64 array computed once per
 family (it used to be a method that recomputed it).  The diagnostic
 `select_ap_generators`, which no solve called, is deleted.
+
+Names that no solve called are no longer defined or exported: the test
+oracles `brute_force` and `textbook_dp` (their copies live in the test
+suite; `subsetsum bench` lost its `dp` algorithm), the budgeted-level
+wrapper `sum_if_sparse`, the tuple wrapper `peel_divisors`, the per-item
+factor table `FactorTable` with `factorize_all`, and the helpers
+`core.ceil_sqrt`, `Instance.of` and `DenseEvidence.total_f`.
 """
 
 from .core import (
@@ -33,22 +41,13 @@ from .core import (
     normalize,
     rng_stream,
 )
-from .sumset import DenseSignal, cap, dense_sumset, sum_if_sparse
-from .structure import (
-    FactorTable,
-    InstancePartition,
-    extract_residue_set,
-    factorize_all,
-    find_almost_divisor,
-    partition_instance,
-    peel_divisors,
-)
+from .sumset import DenseSignal, cap, dense_sumset
+from .structure import InstancePartition, extract_residue_set, find_almost_divisor, partition_instance
 from .colorcoding import GroupFamily, GroupSumsets, build_group_sumsets, partition_groups
 from .merge import DenseEvidence, assemble_dense_evidence, merge_group_sumsets
 from .solver import (
     BranchReport,
     bounded_subset_sums,
-    brute_force,
     dense_interval_set,
     fallback_dp,
     solve,
@@ -68,12 +67,8 @@ __all__ = [
     "OracleBudgetError",
     "DenseSignal",
     "dense_sumset",
-    "sum_if_sparse",
     "cap",
-    "FactorTable",
-    "factorize_all",
     "find_almost_divisor",
-    "peel_divisors",
     "extract_residue_set",
     "InstancePartition",
     "partition_instance",
@@ -87,7 +82,6 @@ __all__ = [
     "BranchReport",
     "bounded_subset_sums",
     "fallback_dp",
-    "brute_force",
     "dense_interval_set",
     "solve_d_window",
     "solve",

@@ -25,11 +25,12 @@ import time
 from typing import Optional, Sequence
 
 from .core import Instance, InvalidInstanceError, OracleBudgetError, SolveOutcome, SolverConfig, rng_stream
-from .solver import bitset_dp_table, fallback_dp, solve, textbook_dp
+from .solver import bitset_dp_table, fallback_dp, solve
 
 BENCH_HEADER = "instance_id,n,w,t,algorithm,branch,decision,seed,wall_time_ns,candidate_set_size"
 
 PROFILES = ("uniform", "dense", "sparse-window", "divisor-structured")
+BENCH_ALGORITHMS = ("paper", "bitset-dp")
 
 
 def parse_instance_text(text: str, source: str = "<input>") -> Instance:
@@ -289,8 +290,12 @@ def bench_rows(
     The same generated instance is reused across algorithms and
     repetitions of a cell, so rows are comparable.  Each (cell,
     algorithm) pair runs `warmup` untimed iterations first, and the
-    garbage collector is paused around the timed ones.
+    garbage collector is paused around the timed ones.  An algorithm
+    outside BENCH_ALGORITHMS raises ValueError before anything runs.
     """
+    for algorithm in algorithms:
+        if algorithm not in BENCH_ALGORITHMS:
+            raise ValueError(f"unknown algorithm: {algorithm}")
     rows = []
     instance_id = 0
     gc_was_enabled = gc.isenabled()
@@ -311,15 +316,9 @@ def bench_rows(
                         decision = outcome.decision
                         branch = outcome.branch
                         candidate = outcome.candidate_set_size
-                    elif algorithm == "bitset-dp":
+                    else:
                         decision = bitset_dp_table(inst.items, inst.target)
                         elapsed = time.perf_counter_ns() - start
-                    elif algorithm == "dp":
-                        decision = textbook_dp(inst.items, inst.target)
-                        elapsed = time.perf_counter_ns() - start
-                    else:
-                        gc.enable()
-                        raise ValueError(f"unknown algorithm: {algorithm}")
                     gc.enable()
                     if rep < 0:
                         continue
@@ -413,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--n", required=True, help="comma-separated values")
     b.add_argument("--w", required=True, help="comma-separated values")
     b.add_argument("--t", required=True, help="comma-separated values")
-    b.add_argument("--algorithms", default="paper,bitset-dp")
+    b.add_argument("--algorithms", default="paper,bitset-dp", help=f"comma-separated, from: {', '.join(BENCH_ALGORITHMS)}")
     b.add_argument("--reps", type=int, default=1)
     b.add_argument("--profile", choices=PROFILES, default="uniform")
     b.add_argument("--seed", type=int, default=None)

@@ -58,14 +58,6 @@ def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def ceil_sqrt(x: int) -> int:
-    """Smallest integer s with s*s >= x."""
-    if x < 0:
-        raise ValueError("ceil_sqrt requires x >= 0")
-    s = math.isqrt(x)
-    return s if s * s == x else s + 1
-
-
 def target_window(w: int, t: int) -> int:
     """Width ceil(5 * sqrt(w*t) * log2 max(w, 2)) of the target window.
 
@@ -105,10 +97,6 @@ class Instance:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "sigma", sum(items))
-
-    @classmethod
-    def of(cls, items: Iterable[int], target: int) -> "Instance":
-        return cls(tuple(items), target)
 
 
 def _int64_vector(values: Iterable[int]) -> np.ndarray:

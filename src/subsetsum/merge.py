@@ -103,9 +103,6 @@ class DenseEvidence:
     def total_size(self) -> int:
         return self.trivial_sets + sum(self.set_sizes)
 
-    def total_f(self) -> int:
-        return sum(self.f_values)
-
 
 def assemble_dense_evidence(
     source: str,

@@ -135,39 +135,6 @@ def bitset_dp_table(items: Sequence[int], t: int, max_bits: int = 1 << 34) -> bo
     return (mask >> t) & 1 == 1
 
 
-def textbook_dp(items: Sequence[int], t: int) -> bool:
-    """Reachable-sum set DP, the O(n*t) textbook formulation."""
-    if t < 0:
-        return False
-    reach = {0}
-    for x in items:
-        reach |= {s + x for s in reach if s + x <= t}
-        if t in reach:
-            return True
-    return t in reach
-
-
-def brute_force(instance: Instance) -> bool:
-    """Exhaustive decision for n <= 25 (meet-in-the-middle above 20)."""
-    items, t = instance.items, instance.target
-    n = len(items)
-    if n > 25:
-        raise OracleBudgetError("brute force capped at n = 25")
-    if n <= 20:
-        sums = {0}
-        for x in items:
-            sums |= {s + x for s in sums}
-        return t in sums
-    half = n // 2
-    left = {0}
-    for x in items[:half]:
-        left |= {s + x for s in left}
-    right = {0}
-    for x in items[half:]:
-        right |= {s + x for s in right}
-    return any(t - s in right for s in left)
-
-
 def small_target_gate(t: int, w: int) -> bool:
     """True when t < 100 * w * ceil(log2 w)^2, the regime where the
     exact DP is at least as fast as the randomized pipeline."""

@@ -1,4 +1,4 @@
-"""Number-theoretic preprocessing: factorization, almost divisors, and
+"""Number-theoretic preprocessing: prime divisors, almost divisors, and
 the leftover/residue/dense three-way split.
 
 An integer d > 1 is an alpha-almost divisor of a multiset when at most
@@ -37,14 +37,6 @@ from .core import Instance, OracleBudgetError
 SIEVE_LIMIT = 1 << 26
 
 
-@dataclass
-class FactorTable:
-    """Prime factorization of every item plus the distinct primes seen."""
-
-    factors: list[dict[int, int]]
-    primes: list[int]
-
-
 def sieve_primes(limit: int) -> list[int]:
     """All primes <= limit."""
     if limit < 2:
@@ -59,34 +51,28 @@ def sieve_primes(limit: int) -> list[int]:
     return [int(p) for p in np.nonzero(flags)[0]]
 
 
-def factorize_all(items: Sequence[int], w: Optional[int] = None) -> FactorTable:
-    """Full prime factorization of every item.
+def distinct_primes(items: Sequence[int]) -> list[int]:
+    """The distinct primes that divide some item, ascending.
 
-    Sieves primes up to sqrt(w) and trial-divides; any cofactor left
-    after removing all sieved primes is itself prime.
+    Trial division of each distinct item by the sieved primes up to its
+    square root; what is left of the item after that is 1 or a prime.
     """
-    items = list(items)
-    if w is None:
-        w = max(items, default=0)
-    if any(x < 1 or x > w for x in items):
-        raise ValueError("item out of range [1, w]")
-    small = sieve_primes(math.isqrt(w)) if w >= 4 else []
-    factors = []
-    seen: set[int] = set()
-    for x in items:
-        fd: dict[int, int] = {}
-        rem = x
+    values = set(items)
+    if any(x < 1 for x in values):
+        raise ValueError("items must be >= 1")
+    small = sieve_primes(math.isqrt(max(values, default=1)))
+    primes = set()
+    for rem in values:
         for p in small:
             if p * p > rem:
                 break
-            while rem % p == 0:
-                fd[p] = fd.get(p, 0) + 1
-                rem //= p
+            if rem % p == 0:
+                primes.add(p)
+                while rem % p == 0:
+                    rem //= p
         if rem > 1:
-            fd[rem] = fd.get(rem, 0) + 1
-        factors.append(fd)
-        seen.update(fd)
-    return FactorTable(factors, sorted(seen))
+            primes.add(rem)
+    return sorted(primes)
 
 
 def find_almost_divisor(items: Sequence[int], alpha: int) -> Optional[int]:
@@ -106,30 +92,24 @@ def find_almost_divisor(items: Sequence[int], alpha: int) -> Optional[int]:
         return None
     if arr.size <= alpha:
         return 2
-    for p in factorize_all(arr[: alpha + 1].tolist()).primes:
+    for p in distinct_primes(arr[: alpha + 1].tolist()):
         if np.count_nonzero(arr % p) <= alpha:
             return p
     return None
 
 
-def peel_divisors(items: Sequence[int], alpha: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+def _peel(items: Sequence[int], alpha: int) -> tuple[int, np.ndarray, np.ndarray]:
     """Iteratively divide out almost divisors until none remains.
 
-    Returns (d, peeled, leftovers): peeled = X(d)/d has no alpha-almost
-    divisor, and leftovers collects the discarded non-divisible elements
-    at their original scale.  Each step removes at most alpha elements
-    and divides the rest by at least 2, so there are at most about
-    log2(w) steps and |leftovers| <= alpha * (log2(w) + 1).  For tiny
-    multisets (at most alpha elements) every d > 1 qualifies and the
-    cascade may consume everything, leaving peeled empty.  Both tuples
-    are sorted.
+    Returns (d, peeled, leftovers) as sorted int64 arrays: peeled =
+    X(d)/d has no alpha-almost divisor, and leftovers collects the
+    discarded non-divisible elements at their original scale.  Each step
+    removes at most alpha elements and divides the rest by at least 2, so
+    there are at most about log2(w) steps and |leftovers| <= alpha *
+    (log2(w) + 1).  For tiny multisets (at most alpha elements) every
+    d > 1 qualifies and the cascade may consume everything, leaving
+    peeled empty.
     """
-    d, peeled, leftovers = _peel(items, alpha)
-    return d, tuple(peeled.tolist()), tuple(leftovers.tolist())
-
-
-def _peel(items: Sequence[int], alpha: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """`peel_divisors` with sorted int64 arrays for outputs."""
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     arr = np.sort(np.asarray(items, dtype=np.int64))
@@ -184,7 +164,7 @@ def _residue_mask(arr: np.ndarray, alpha: int) -> np.ndarray:
         return chosen
     seed = arr[: 2 * alpha]
     # Primes worth checking must divide >= alpha seed elements.
-    for p in factorize_all(seed.tolist()).primes:
+    for p in distinct_primes(seed.tolist()):
         if p > alpha:
             break
         if np.count_nonzero(seed % p) > alpha:

@@ -4,10 +4,10 @@ subset-sum DP, an interval cap.
 The sumset of A and B is {x + y : x in A, y in B}.  One dispatcher, the
 level kernel `_pair_level`, computes every sumset: it sums the pairs
 (2i, 2i+1) of a whole level in a few numpy passes.  Colour coding's
-levels (phase 2, under a budget or not), the merge tree (phase 3) and
-`sum_if_sparse` call it with a level.  `dense_sumset` (the public entry
-point for one pair, which the solver's combine uses) goes through its
-one-pair adapter `_sum_values`, which enumerates a pair directly when
+levels (phase 2, under a budget or not) and the merge tree (phase 3)
+call it with a level.  `dense_sumset` (the public entry point for one
+pair, which the solver's combine uses) goes through its one-pair
+adapter `_sum_values`, which enumerates a pair directly when
 |A|*|B| <= PAIRWISE_LIMIT (far cheaper than the level's passes for such
 tiny pairs) and otherwise sums it as a one-pair level.  Both take and
 give int64 arrays, the layout of `SumSet.values`.
@@ -50,8 +50,6 @@ passes, per pair, the known size of the nodes between it and the pair
 before: one for each virtual {0} node and the child's size for each node
 with one occupied child (neither is computed).  That gap counts toward
 the running total before the pair, so the stop may fall inside it.
-A budget of at most half the number of input sets trips immediately in
-`sum_if_sparse` (each output has size >= 1).
 
 `window_subset_sums` is a word-parallel subset-sum DP on a Python int,
 cut at the top of a window and read back only inside it: the solver's
@@ -69,7 +67,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -107,8 +105,7 @@ LEVEL_CHUNK_VALUES = 1 << 16
 class DenseSignal:
     """Budget trip: the level's total size reached budget_k.
 
-    observed_total_size is the running total at the moment of the stop
-    (0 when the trip came from the small-budget rule).
+    observed_total_size is the running total at the moment of the stop.
     last_index_computed is the 1-based index of the last output set
     actually computed.
     """
@@ -258,30 +255,6 @@ def dense_sumset(a: SumSet, b: SumSet) -> SumSet:
     return SumSet(_sum_values(a.values, b.values))
 
 
-def sum_if_sparse(sets: Sequence[SumSet], budget_k: int) -> Union[list[SumSet], DenseSignal]:
-    """Compute pairwise sumsets B_i = sets[2i] + sets[2i+1] under a budget.
-
-    Stops once the accumulated size of B_0, B_1, ... reaches budget_k and
-    returns a DenseSignal; otherwise returns all B_i.  The total work is
-    bounded: at most budget_k + LEVEL_CHUNK_VALUES values plus one extra
-    set of size at most 2u + 1, where u is the largest input diameter.
-    """
-    ell = len(sets)
-    if ell % 2 != 0:
-        raise ValueError("number of sets must be even")
-    for s in sets:
-        if s.is_empty:
-            raise ValueError("empty operand")
-    if budget_k <= ell // 2:
-        return DenseSignal(0, budget_k, 0)
-    sizes = np.array([len(s) for s in sets], dtype=np.int64)
-    level = Level.from_values(np.concatenate([s.values for s in sets]), _offsets(sizes))
-    out, signal = _pair_level(level, budget_k)
-    if signal is not None:
-        return signal
-    return [SumSet(z) for z in out]
-
-
 def common_step(vals: np.ndarray) -> int:
     """The gcd of the values (1 if there are none or all are 0): every sum
     and every subset of them keeps it as a divisor, so one level's step
@@ -306,7 +279,7 @@ def cap(a: SumSet, lo: int, hi: int) -> SumSet:
 
 
 # ---------------------------------------------------------------------------
-# level kernel (phases 2 and 3, and sum_if_sparse)
+# level kernel (phases 2 and 3)
 # ---------------------------------------------------------------------------
 
 

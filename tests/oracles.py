@@ -4,7 +4,10 @@ These deliberately use different machinery from the package (plain set
 DP and exhaustive enumeration, no bitsets, no FFT) so that agreement is
 meaningful.  The per-item split, the list-based stage one and the
 slot-padded budgeted stage two are the package's earlier
-implementations, kept as references for its current versions.
+implementations, kept as references for its current versions.  The
+textbook set DP (`subset_sum_decision`) and the exhaustive `brute_force`
+were the package's exact oracles before it kept only the DPs a solve
+runs.
 """
 
 import math
@@ -14,8 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from subsetsum.colorcoding import DenseTripSignal, GroupSumsets, _distinct_level
-from subsetsum.core import ceil_log2
-from subsetsum.structure import factorize_all
+from subsetsum.core import OracleBudgetError, ceil_log2
 from subsetsum.sumset import Level, _offsets, _pair_level, _segment_index, common_step
 
 
@@ -43,6 +45,7 @@ def per_copy_subset_sums(items, cap=None):
 
 
 def subset_sum_decision(items, t):
+    """Reachable-sum set DP over [0, t], the O(n*t) textbook formulation."""
     if t < 0:
         return False
     sums = {0}
@@ -51,6 +54,27 @@ def subset_sum_decision(items, t):
         if t in sums:
             return True
     return t in sums
+
+
+def brute_force(instance):
+    """Exhaustive decision for n <= 25 (meet-in-the-middle above 20)."""
+    items, t = instance.items, instance.target
+    n = len(items)
+    if n > 25:
+        raise OracleBudgetError("brute force capped at n = 25")
+    if n <= 20:
+        sums = {0}
+        for x in items:
+            sums |= {s + x for s in sums}
+        return t in sums
+    half = n // 2
+    left = {0}
+    for x in items[:half]:
+        left |= {s + x for s in left}
+    right = {0}
+    for x in items[half:]:
+        right |= {s + x for s in right}
+    return any(t - s in right for s in left)
 
 
 def pairwise_sumset(a, b):
@@ -284,6 +308,23 @@ def split_into_parts(elems, g, rng):
     return parts
 
 
+def factorize(x):
+    """The prime factorization {p: exponent} of an integer x >= 1, by
+    trial division with 2 and the odd numbers up to the square root of
+    what is left."""
+    if x < 1:
+        raise ValueError("x must be >= 1")
+    factors, p = {}, 2
+    while p * p <= x:
+        while x % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            x //= p
+        p += 1 if p == 2 else 2
+    if x > 1:
+        factors[x] = factors.get(x, 0) + 1
+    return factors
+
+
 def reference_almost_divisor(items, alpha):
     """The smallest prime dividing all but at most alpha items, counted
     from every item's factorization (2 when there are at most alpha)."""
@@ -292,9 +333,8 @@ def reference_almost_divisor(items, alpha):
         return None
     if n <= alpha:
         return 2
-    table = factorize_all(items)
-    counts = Counter(p for fd in table.factors for p in fd)
-    for p in table.primes:
+    counts = Counter(p for x in items for p in factorize(x))
+    for p in sorted(counts):
         if n - counts[p] <= alpha:
             return p
     return None
@@ -321,7 +361,7 @@ def reference_partition(items, t, w):
     chosen = set(range(min(2 * alpha, len(current))))
     if len(current) > 2 * alpha:
         seed = current[: 2 * alpha]
-        for p in factorize_all(seed).primes:
+        for p in sorted({p for x in seed for p in factorize(x)}):
             if p <= alpha and sum(1 for x in seed if x % p) <= alpha:
                 chosen.update([i for i, x in enumerate(current) if x % p][:alpha])
     residue = [current[i] for i in sorted(chosen)]

@@ -15,7 +15,7 @@ from subsetsum.cli import BENCH_HEADER, bench_rows, main
 from subsetsum.core import Instance, SolverConfig, SumSet, next_pow2, rng_stream
 from subsetsum.solver import fallback_dp, solve
 from subsetsum.structure import alpha_for, partition_instance
-from subsetsum.sumset import DenseSignal, dense_sumset, sum_if_sparse
+from subsetsum.sumset import Level, _pair_level, dense_sumset
 
 from oracles import loglog_fit, pairwise_sumset, residues_covered, split_into_parts
 
@@ -233,20 +233,22 @@ def test_acceptance_7_budgeted_level_contract():
         ]
         total = sum(len(f) for f in full)
         budget = int(rng.integers(1, 2 * total + 6))
-        res = sum_if_sparse(sets, budget)
+        out, signal = _pair_level(Level.of([s.values for s in sets]), budget)
         u = max(s.dm() for s in sets)
-        if isinstance(res, DenseSignal):
+        if signal is not None:
             signals += 1
-            assert budget <= ell // 2 or total >= budget
-            if budget > ell // 2:
-                prefix = sum(len(f) for f in full[: res.last_index_computed])
-                assert prefix == res.observed_total_size
-                assert prefix >= budget
-                # work bound: at most one extra set beyond the budget
-                assert prefix <= budget + 2 * u + 1
+            # the stop is exact for every budget: the first pair whose
+            # output brings the running total to the budget
+            assert total >= budget
+            prefix = sum(len(f) for f in full[: signal.last_index_computed])
+            assert prefix == signal.observed_total_size
+            assert prefix >= budget
+            assert [tuple(z.tolist()) for z in out] == full[: signal.last_index_computed]
+            # work bound: at most one extra set beyond the budget
+            assert prefix <= budget + 2 * u + 1
         else:
             levels += 1
-            assert [tuple(s.values.tolist()) for s in res] == full
+            assert [tuple(z.tolist()) for z in out] == full
             assert total < budget
     assert signals and levels
     _report(7, f"400 fuzzed level computations: {levels} full levels, {signals} signals, all confirmed")

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from subsetsum import cli
 from subsetsum.cli import (
     BENCH_HEADER,
     bench_rows,
@@ -129,12 +130,12 @@ def test_cmd_verify_deterministic(capsys):
 
 
 def test_bench_rows_and_csv():
-    rows = bench_rows([(8, 16, 40)], ["paper", "dp", "bitset-dp"], reps=2, seed=11)
-    assert len(rows) == 6
+    rows = bench_rows([(8, 16, 40)], ["paper", "bitset-dp"], reps=2, seed=11)
+    assert len(rows) == 4
     csv = rows_to_csv(rows)
     lines = csv.strip().split("\n")
     assert lines[0] == BENCH_HEADER
-    assert len(lines) == 7
+    assert len(lines) == 5
     for row in rows:
         assert row["decision"] in ("yes", "no")
         assert row["wall_time_ns"] > 0
@@ -152,6 +153,20 @@ def test_cmd_bench_csv_output(tmp_path):
     lines = out_file.read_text().strip().split("\n")
     assert lines[0] == BENCH_HEADER
     assert len(lines) == 1 + 2 * 2 * 2
+
+
+def test_cmd_bench_rejects_unknown_algorithm_before_timing(tmp_path, capsys, monkeypatch):
+    solves = []
+    monkeypatch.setattr(cli, "solve", lambda *args: solves.append(args))
+    out_file = tmp_path / "bench.csv"
+    for algorithms in ("dp", "paper,dp"):
+        rc = main([
+            "bench", "--n", "8", "--w", "16", "--t", "30", "--algorithms", algorithms,
+            "--seed", "2", "--out", str(out_file),
+        ])
+        assert rc == 2
+        assert "unknown algorithm: dp" in capsys.readouterr().err
+    assert solves == [] and not out_file.exists()
 
 
 def test_gen_determinism_bytes(tmp_path):

@@ -120,8 +120,8 @@ def test_merge_budget_trip_produces_checked_evidence():
     assert res.total_size() >= res.threshold
     assert res.observed_total_size >= res.threshold
     # the weight recursion conserves the stage-two maxima sum
-    assert res.total_f() == sum(s.max() for s in gs.sets)
-    assert 2 * res.total_f() >= 3 * t
+    assert sum(res.f_values) == sum(s.max() for s in gs.sets)
+    assert 2 * sum(res.f_values) >= 3 * t
 
 
 def test_merge_trip_at_deeper_levels_keeps_f_sum():
@@ -135,7 +135,7 @@ def test_merge_trip_at_deeper_levels_keeps_f_sum():
         )
         if isinstance(res, DenseEvidence):
             seen_levels.add(res.level)
-            assert res.total_f() == sum(s.max() for s in gs.sets)
+            assert sum(res.f_values) == sum(s.max() for s in gs.sets)
     assert seen_levels, "expected at least one budget trip"
 
 

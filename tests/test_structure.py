@@ -3,41 +3,53 @@ import pytest
 
 from subsetsum.core import Instance
 from subsetsum.structure import (
+    _peel,
     alpha_for,
+    distinct_primes,
     extract_residue_set,
-    factorize_all,
     find_almost_divisor,
     partition_instance,
-    peel_divisors,
     verify_partition,
 )
 
-from oracles import almost_divisors, residues_covered
+from oracles import almost_divisors, factorize, residues_covered
 
 
 def test_factorize_examples():
-    table = factorize_all([12])
-    assert table.factors[0] == {2: 2, 3: 1}
-    assert factorize_all([1]).factors[0] == {}
+    assert factorize(12) == {2: 2, 3: 1}
+    assert factorize(1) == {}
     big = 97 * 89
-    assert factorize_all([big]).factors[0] == {89: 1, 97: 1}
+    assert factorize(big) == {89: 1, 97: 1}
 
 
 def test_factorize_reconstructs_and_is_prime():
     rng = np.random.default_rng(2)
     items = [int(v) for v in rng.integers(1, 10**6, size=120)]
-    table = factorize_all(items)
-    for x, fd in zip(items, table.factors):
+    for x in items:
         prod = 1
-        for p, e in fd.items():
+        for p, e in factorize(x).items():
             assert p >= 2 and all(p % q for q in range(2, min(p, 1000)) if q * q <= p)
             prod *= p**e
         assert prod == x
 
 
 def test_factorize_range_check():
-    with pytest.raises(ValueError):
-        factorize_all([5], w=4)
+    for bad in ([0], [5, 0, 7], [3, -2]):
+        with pytest.raises(ValueError, match="items must be >= 1"):
+            distinct_primes(bad)
+
+
+def test_distinct_primes_match_per_item_factorizations():
+    rng = np.random.default_rng(21)
+    w = 10**6
+    # 1, a prime square, a product of two primes and a prime above sqrt(w)
+    specials = [1, 997 * 997, 97 * 89, 999_983]
+    assert distinct_primes(specials) == [89, 97, 997, 999_983]
+    assert distinct_primes([]) == [] and distinct_primes([1, 1]) == []
+    for _ in range(40):
+        items = [int(v) for v in rng.integers(1, w + 1, size=int(rng.integers(0, 60)))] + specials
+        items = [int(x) for x in rng.permutation(items)]
+        assert distinct_primes(items) == sorted({p for x in items for p in factorize(x)})
 
 
 def test_find_almost_divisor_examples():
@@ -67,16 +79,18 @@ def test_find_almost_divisor_agrees_with_bruteforce():
 
 
 def test_peel_divisors_examples():
-    d, peeled, leftovers = peel_divisors([2, 4, 6, 8], 1)
-    assert (d, sorted(peeled), leftovers) == (2, [1, 2, 3, 4], ())
+    d, peeled, leftovers = _peel([2, 4, 6, 8], 1)
+    assert (d, peeled.tolist(), leftovers.tolist()) == (2, [1, 2, 3, 4], [])
     assert find_almost_divisor(peeled, 1) is None
 
-    d, peeled, leftovers = peel_divisors([3, 5, 7], 0)
-    assert (d, sorted(peeled), leftovers) == (1, [3, 5, 7], ())
+    d, peeled, leftovers = _peel([3, 5, 7], 0)
+    assert (d, peeled.tolist(), leftovers.tolist()) == (1, [3, 5, 7], [])
 
-    d, peeled, leftovers = peel_divisors([4, 8, 12, 5], 1)
+    d, peeled, leftovers = _peel([4, 8, 12, 5], 1)
     assert d % 2 == 0
     assert 5 in leftovers
+    for arr in (peeled, leftovers):
+        assert arr.dtype == np.int64 and np.all(np.diff(arr) >= 0)
 
 
 def test_peel_divisors_postconditions():
@@ -86,11 +100,11 @@ def test_peel_divisors_postconditions():
         w = int(rng.integers(2, 80))
         items = [int(v) for v in rng.integers(1, w + 1, size=n)]
         alpha = int(rng.integers(1, 4))
-        d, peeled, leftovers = peel_divisors(items, alpha)
-        if peeled:
+        d, peeled, leftovers = _peel(items, alpha)
+        if peeled.size:
             assert find_almost_divisor(peeled, alpha) is None
         # multiset identity at the original scale
-        rebuilt = sorted([x * d for x in peeled] + list(leftovers))
+        rebuilt = sorted([x * d for x in peeled.tolist()] + leftovers.tolist())
         assert rebuilt == sorted(items)
         assert len(leftovers) <= alpha * (max(items).bit_length() + 1)
 

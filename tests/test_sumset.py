@@ -14,7 +14,6 @@ from subsetsum.sumset import (
     _sum_values,
     cap,
     dense_sumset,
-    sum_if_sparse,
 )
 
 from oracles import pairwise_sumset
@@ -130,7 +129,6 @@ def test_sumsets_are_read_only_int64_arrays(monkeypatch, fft_hulls):
     outs.append(dense_sumset(a, b))
     assert len(fft_hulls) > 2
     outs += [bounded_subset_sums([3, 5, 9], 17), dense_interval_set(3, 100, 2), cap(a, 10, 100), S()]
-    outs += sum_if_sparse([S(0, 1), S(0, 2)], 100)
     for out in outs:
         v = out.values
         assert v.ndim == 1 and v.dtype == np.int64 and not v.flags.writeable
@@ -186,36 +184,27 @@ def test_cap_examples():
         cap(S(1), 3, 2)
 
 
-def test_sum_if_sparse_returns_levels():
-    sets = [S(0, 1), S(0, 2), S(0, 4), S(0, 8)]
-    out = sum_if_sparse(sets, 100)
-    assert [s.values.tolist() for s in out] == [[0, 1, 2, 3], [0, 4, 8, 12]]
+def test_pair_level_returns_level():
+    level = Level.of([[0, 1], [0, 2], [0, 4], [0, 8]])
+    out, signal = _pair_level(level, 100)
+    assert signal is None
+    assert [z.tolist() for z in out] == [[0, 1, 2, 3], [0, 4, 8, 12]]
 
 
-def test_sum_if_sparse_small_budget_rule():
-    sets = [S(0, 1), S(0, 2), S(0, 4), S(0, 8)]
-    sig = sum_if_sparse(sets, 2)
-    assert isinstance(sig, DenseSignal)
-    assert sig.last_index_computed == 0 and sig.observed_total_size == 0
-
-
-def test_sum_if_sparse_trips_midway():
-    sets = [S(0, 1), S(0, 2), S(0, 4), S(0, 8)]
-    sig = sum_if_sparse(sets, 5)
-    assert isinstance(sig, DenseSignal)
+def test_pair_level_trips_midway():
+    level = Level.of([[0, 1], [0, 2], [0, 4], [0, 8]])
+    out, signal = _pair_level(level, 5)
     # first output has size 4 < 5; the second pushes the total to 8
-    assert sig.last_index_computed == 2
-    assert sig.observed_total_size == 8
+    assert signal == DenseSignal(8, 5, 2)
+    assert [z.tolist() for z in out] == [[0, 1, 2, 3], [0, 4, 8, 12]]
+    # a budget no larger than the first output stops right after it
+    for budget in (1, 2, 4):
+        out, signal = _pair_level(level, budget)
+        assert signal == DenseSignal(4, budget, 1)
+        assert [z.tolist() for z in out] == [[0, 1, 2, 3]]
 
 
-def test_sum_if_sparse_rejects_odd_or_empty():
-    with pytest.raises(ValueError):
-        sum_if_sparse([S(0, 1)], 10)
-    with pytest.raises(ValueError, match="empty operand"):
-        sum_if_sparse([S(0, 1), SumSet.empty()], 10)
-
-
-def test_sum_if_sparse_contract_fuzz():
+def test_pair_level_contract_fuzz():
     rng = np.random.default_rng(9)
     for _ in range(120):
         ell = 2 * int(rng.integers(1, 9))
@@ -229,11 +218,14 @@ def test_sum_if_sparse_contract_fuzz():
         ]
         total = sum(len(f) for f in full)
         budget = int(rng.integers(1, total + 4))
-        res = sum_if_sparse(sets, budget)
-        if isinstance(res, DenseSignal):
-            assert budget <= ell // 2 or total >= budget
+        out, signal = _pair_level(Level.of([s.values for s in sets]), budget)
+        if signal is not None:
+            assert total >= budget
+            stop = signal.last_index_computed
+            assert signal.observed_total_size == sum(len(f) for f in full[:stop]) >= budget
+            assert [tuple(z.tolist()) for z in out] == full[:stop]
         else:
-            assert [tuple(s.values.tolist()) for s in res] == full
+            assert [tuple(z.tolist()) for z in out] == full
             assert total < budget
 
 
