@@ -412,7 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--n", required=True, help="comma-separated values")
     b.add_argument("--w", required=True, help="comma-separated values")
     b.add_argument("--t", required=True, help="comma-separated values")
-    b.add_argument("--algorithms", default="paper,bitset-dp", help=f"comma-separated, from: {', '.join(BENCH_ALGORITHMS)}")
+    b.add_argument(
+        "--algorithms", default="paper,bitset-dp", help=f"comma-separated, from: {', '.join(BENCH_ALGORITHMS)}"
+    )
     b.add_argument("--reps", type=int, default=1)
     b.add_argument("--profile", choices=PROFILES, default="uniform")
     b.add_argument("--seed", type=int, default=None)
