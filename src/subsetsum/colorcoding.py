@@ -55,9 +55,13 @@ pair past its stop.
 The budget can never trip when its tail exceeds the sum over groups of
 min(sigma(G), 2^|G| - 1), a bound on any level's size excess over its
 node count (see `_max_level_excess`); only then is the budgeted path
-skipped.  Each non-empty group adds at least one to that bound, so a tail
-at most their count takes the budgeted path without computing it.
-Without a budget, a group is complete once one repetition
+skipped.  That sum is at most sigma(D), so a tail above sigma(D) (one
+sum over the items) skips it without the scan: at the paper's constants
+the tail exceeds sigma(D) more than 6e8 times over on every
+`sparse-ladder` and `grouped` solve (workload seeds 1 and 2).  Each
+non-empty group adds at least one to the bound, so a tail at most their
+count takes the budgeted path without computing it; any other tail is
+decided by the scan.  Without a budget, a group is complete once one repetition
 puts each of its elements into a part of its own.  A repetition's root
 picks at most one element per part, so it is always a subset of the
 group's subset sums, and it equals them when no part holds two elements;
@@ -67,7 +71,7 @@ every group is complete.  If every group completes, the sets are every
 group's full subset sums and stage two builds none of them: it returns
 `GroupSumsets.complete`, whose sets are built on their first read
 (checked mode, a merge that does not collapse, tests and tracing read
-them; a collapsing merge needs only each group's sum and its items).
+them; a collapsing merge needs only the items).
 Otherwise the groups that never complete form a sub-family that goes through the
 same level loop on each repetition's recorded draws of its elements;
 the sub-family's excess is at most the family's, so no level can trip.
@@ -329,10 +333,12 @@ def build_group_sumsets(
     total size reaches the budget, returns a DenseTripSignal instead.
     """
     params = color_params(n, t, w, q, c_ap, budget_mult)
-    # each non-empty group adds at least one to the excess, so a tail up to
-    # their count needs no scan: the budgeted path is certain
-    nonempty = np.count_nonzero(family.groups.sizes())
-    if params.tail > nonempty and params.tail > _max_level_excess(family):
+    # sigma(D) bounds the excess, so a tail above it needs no scan; each
+    # non-empty group adds at least one to the excess, so a tail up to
+    # their count needs none either: the budgeted path is certain
+    if params.tail > int(family.groups.vals.sum()) or (
+        params.tail > np.count_nonzero(family.groups.sizes()) and params.tail > _max_level_excess(family)
+    ):
         return _unbudgeted_sumsets(family, params, rng)
     draws = (rng.integers(0, params.g, size=family.groups.vals.size) for _ in range(params.reps))
     return _budgeted_sumsets(family.groups, params, draws)

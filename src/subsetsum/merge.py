@@ -37,8 +37,9 @@ programming on the word RAM", 2003), each value's multiplicity split
 into powers of two (the bounded-to-0/1 reduction, as in Koiliaris and
 Xu, SODA 2017), cut at t and read back only in the window.  The
 permutation is not drawn (the phase-3 stream feeds nothing else), no
-level, weight or cap is computed, and the stage-two sets are not read,
-so stage two never builds them (see `colorcoding.GroupSumsets`).
+level, weight or cap is computed, and neither the stage-two sets nor
+the groups' sums are read (sigma(D) is one sum over the items), so
+stage two never builds the sets (see `colorcoding.GroupSumsets`).
 Otherwise every level goes through the kernel.  Checked mode draws the
 permutation, also reads the sets, requires each exact set's maximum to
 be its group's sum, runs every level through the kernel with its
@@ -305,7 +306,7 @@ def _collapse_step(exact: bool, family: GroupFamily, t: int, eta: int, tail: int
     if levels == 0 or not exact:
         return 0
     step = common_step(family.groups.vals)
-    sigma = int(family.group_sums.sum())
+    sigma = int(family.groups.vals.sum())
     room = len(family.groups.vals) + family.ell
     fits = sigma // step < tail and eta + 1 >= max(t, sigma) and (sigma // step + 1) // 64 + 1 <= room
     return step if fits else 0

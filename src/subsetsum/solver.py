@@ -21,6 +21,15 @@ the target window (sparse path) or dense evidence (dense path).
     threshold constant; checked_mode cross-verifies such answers with
     the exact DP on small instances and flags any disagreement.
 
+The combine computes no sumset of two sets.  S_G and S_R are complete
+subset sums, so S_G + S_R + X is X plus the subset sums of the leftover
+and residue items together: one shift-or DP (`window_subset_sums`)
+started from X's bits.  X lies in [t - window, t], and its bits are
+offset by X's minimum, so the mask spans at most the window plus the
+added items' sum, never t.  X is S_D on the sparse path, where the
+leftover and residue items are added; on the dense path it is the
+interval's d-multiples, and only the leftover items are added.
+
 All randomness is drawn from streams derived from the configured seed,
 so runs are reproducible bit for bit.
 """
@@ -54,7 +63,9 @@ from .colorcoding import (
 )
 from .merge import DenseEvidence, evidence_from_color_trip, merge_group_sumsets
 from .structure import partition_instance, verify_partition
-from .sumset import cap, dense_sumset, window_subset_sums
+from .sumset import cap, window_subset_sums
+# imported only as the combine kernel boundary that perfbench's tracer wraps
+from .sumset import dense_sumset  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -285,11 +296,13 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveOut
         sigma_d=sigma_d,
     )
 
+    # the combine (see the module docstring): one DP started from X, cut
+    # at t plus the added items' sum (X lies in [0, t])
     if isinstance(result, DenseEvidence):
         report.branch = "dense"
         s_rd = dense_interval_set(part.divisor, t, w)
         report.s_rd_size = len(s_rd)
-        candidates = dense_sumset(s_g, s_rd) if not s_rd.is_empty else SumSet.empty()
+        candidates = window_subset_sums(part.leftover_part, 0, t + sigma_g, start=s_rd)
         decision = t in candidates
         if config.checked_mode and n * (t + 1) <= CHECKED_ORACLE_BUDGET:
             oracle = fallback_dp(inst.items, t)
@@ -312,10 +325,8 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveOut
         )
 
     report.s_d_size = len(result)
-    if result.is_empty:
-        candidates = SumSet.empty()
-    else:
-        candidates = dense_sumset(dense_sumset(s_g, s_r), result)
+    small = np.concatenate((part.leftover_part, part.residue_part))
+    candidates = window_subset_sums(small, 0, t + sigma_g + sigma_r, start=result)
     decision = t in candidates
     _mark("combine", tick)
     timings["total"] = time.perf_counter_ns() - t_start

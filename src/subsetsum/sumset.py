@@ -6,8 +6,8 @@ level kernel `_pair_level`, computes every sumset: it sums the pairs
 (2i, 2i+1) of a whole level in a few numpy passes.  Colour coding's
 levels (phase 2, under a budget or not) and the merge tree (phase 3)
 call it with a level.  `dense_sumset` (the public entry point for one
-pair, which the solver's combine uses) goes through its one-pair
-adapter `_sum_values`, which enumerates a pair directly when
+pair; no solve calls it) goes through its one-pair adapter
+`_sum_values`, which enumerates a pair directly when
 |A|*|B| <= PAIRWISE_LIMIT (far cheaper than the level's passes for such
 tiny pairs) and otherwise sums it as a one-pair level.  Both take and
 give int64 arrays, the layout of `SumSet.values`.
@@ -52,9 +52,11 @@ with one occupied child (neither is computed).  That gap counts toward
 the running total before the pair, so the stop may fall inside it.
 
 `window_subset_sums` is a word-parallel subset-sum DP on a Python int,
-cut at the top of a window and read back only inside it: the solver's
-bounded sums over the small parts and the root of a merge that collapses
-(no level can cap or trip) are both its output.
+started from {0} or from a given set, cut at the top of a window and
+read back only inside it: the solver's bounded sums over the small
+parts, the root of a merge that collapses (no level can cap or trip)
+and the solver's combine (the small parts' subset sums added to the
+dense part's window or to the dense interval) are all its output.
 
 `cap` intersects a set with an interval by two binary searches;
 `Level.cap` does the same to every node of a level at once, by clipping
@@ -548,30 +550,44 @@ def _split_pair(level: Level, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# one shift-or DP (the solver's bounded sums and the merge's collapsed root)
+# one shift-or DP (the solver's bounded sums and combine, the merge's
+# collapsed root)
 # ---------------------------------------------------------------------------
 
 
-def window_subset_sums(items: Sequence[int], lo: int, hi: int, step: int = 1) -> SumSet:
-    """The subset sums of the multiset items that lie in [lo, hi]; step
-    must divide every item.
+def window_subset_sums(
+    items: Sequence[int], lo: int, hi: int, step: int = 1, start: Optional[SumSet] = None
+) -> SumSet:
+    """The sums a + s, for a in start (default {0}) and s a subset sum of
+    the multiset items, that lie in [lo, hi]; step must divide every item
+    and every difference of two start values.  An empty start gives the
+    empty set.
 
-    One shift-or DP on a Python int, bit v standing for the value v * step
-    (Pisinger, "Dynamic programming on the word RAM", 2003).  A value's c
-    copies become the items v, 2v, 4v, .. and the rest of c times v, whose
-    subsets sum to the same multiples 0 .. c of v (the reduction of
-    bounded to 0/1 items, as in Koiliaris and Xu, SODA 2017), so the DP
-    does O(log c) shifts per distinct value.  The mask is cut at hi: a
-    shift only moves bits up, so the bits up to hi depend only on the bits
-    up to hi.  Only the bits in [lo, hi] are read back.
+    One shift-or DP on a Python int, bit v standing for the value
+    base + v * step, where base is start's minimum (Pisinger, "Dynamic
+    programming on the word RAM", 2003): the mask starts as start's bits.
+    A value's c copies become the items v, 2v, 4v, .. and the rest of c
+    times v, whose subsets sum to the same multiples 0 .. c of v (the
+    reduction of bounded to 0/1 items, as in Koiliaris and Xu, SODA 2017),
+    so the DP does O(log c) shifts per distinct value.  The mask is cut at
+    hi: a shift only moves bits up, so the bits up to hi depend only on
+    the bits up to hi.  Only the bits in [lo, hi] are read back.
     """
-    top, first = hi // step, -(-max(lo, 0) // step)
+    if start is None:
+        base, mask = 0, 1
+    elif start.is_empty:
+        return SumSet.empty()
+    else:
+        base = start.min()
+    top, first = (hi - base) // step, -(-max(lo - base, 0) // step)
     if first > top:
         return SumSet.empty()
+    if start is not None:
+        kept = start.values[: np.searchsorted(start.values, base + top * step, side="right")]
+        mask = _values_to_bits((kept - base) // step if step > 1 else kept - base)
     units = np.asarray(items, dtype=np.int64)
     values, counts = np.unique(units // step if step > 1 else units, return_counts=True)
     limit = (1 << (top + 1)) - 1
-    mask = 1
     for v, c in zip(values.tolist(), counts.tolist()):
         # once v * k passes top, the shifts so far reach every multiple of
         # v up to top
@@ -582,13 +598,21 @@ def window_subset_sums(items: Sequence[int], lo: int, hi: int, step: int = 1) ->
             c -= k
             k *= 2
     units = _bits_to_values(mask >> first) + first
-    return SumSet(units * step if step > 1 else units)
+    return SumSet(base + (units * step if step > 1 else units))
 
 
 def _bits_to_values(mask: int) -> np.ndarray:
     """The positions of mask's set bits, ascending."""
     raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8)
     return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
+
+
+def _values_to_bits(positions: np.ndarray) -> int:
+    """The int whose set bits are the given non-empty, ascending,
+    non-negative positions."""
+    bits = np.zeros(int(positions[-1]) + 1, dtype=bool)
+    bits[positions] = True
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def _offsets(sizes: np.ndarray) -> np.ndarray:
@@ -615,7 +639,7 @@ def _expand(starts: np.ndarray, ends: np.ndarray, step: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# one pair (`dense_sumset` and the combine)
+# one pair (`dense_sumset`)
 # ---------------------------------------------------------------------------
 
 

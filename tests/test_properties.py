@@ -4,8 +4,10 @@ the level kernel on levels built from runs, the run layout of `Level`
 (round trip and cap), the split and stage one against their per-item
 references, colour coding's stage two against its materialized
 reference, the merge tree (shallow and deep, collapsed to one windowed
-DP or not) against its values-level reference, the windowed DP against
-brute-force subset sums, and `solve` on pipeline-sized instances."""
+DP or not) against its values-level reference, the windowed DP (from
+{0} or from a start set) against brute-force subset sums, sigma(D) as a
+bound on stage two's level excess, and `solve` on pipeline-sized
+instances."""
 
 import math
 from unittest import mock
@@ -248,6 +250,66 @@ def test_window_subset_sums_match_per_copy_dp(case):
     assert isinstance(got, SumSet) and got.values.tolist() == want
     if lo <= 0 <= hi:
         assert bounded_subset_sums(items, hi).values.tolist() == want
+
+
+@st.composite
+def _started_window_case(draw):
+    """(items, lo, hi, step, start): the items and step of
+    `_window_dp_case`, and a start set of up to 30 values in one residue
+    class mod step, based at 0, at a few hundred or near 2**62 (possibly
+    empty); lo and hi fall anywhere around [min(start), max(start) +
+    sigma], so they may cut both ends."""
+    items, _, _, step = draw(_window_dp_case())
+    base = draw(st.just(0) | st.integers(1, 500) | st.integers((1 << 62) - 1000, 1 << 62))
+    start = [base + step * k for k in sorted(draw(st.lists(st.integers(0, 60), max_size=30, unique=True)))]
+    top = (start[-1] if start else base) + sum(items)
+    lo, hi = draw(st.integers(base - 5, top + 5)), draw(st.integers(base - 5, top + 5))
+    if draw(st.booleans()):
+        lo, hi = min(lo, hi), max(lo, hi)
+    return items, lo, hi, step, start
+
+
+@given(case=_started_window_case())
+@example(case=([3, 3, 5], -2, 40, 1, []))
+@example(case=([2, 2, 2, 6], 7, 12, 2, [1, 5, 9]))
+@example(case=([1] * 40 + [9], (1 << 62) + 3, (1 << 62) + 30, 1, [(1 << 62) + k for k in (0, 2, 50)]))
+@settings(max_examples=120, deadline=None)
+def test_window_subset_sums_from_a_start_match_per_copy_dp(case):
+    items, lo, hi, step, start = case
+    # {a + s : a in start, s a subset sum of items} from the per-copy
+    # reference, cut to [lo, hi]
+    sums = np.add.outer(np.array(start, dtype=np.int64), np.array(per_copy_subset_sums(items), dtype=np.int64))
+    want = [v for v in np.unique(sums).tolist() if lo <= v <= hi]
+    got = window_subset_sums(items, lo, hi, step, start=SumSet(start))
+    assert isinstance(got, SumSet) and got.values.tolist() == want
+    if start == [0]:
+        assert got == window_subset_sums(items, lo, hi, step)
+
+
+@st.composite
+def _shortcut_family(draw):
+    """A `partition_groups` family of positive items, or a hand-built one
+    of positive groups of up to 100 elements (so |G| >= 63 occurs), values
+    up to 2**50, padded with empty groups to a power-of-two count."""
+    if draw(st.booleans()):
+        items = draw(st.lists(st.integers(1, 64), min_size=2, max_size=300))
+        t = draw(st.integers(1, 2 * sum(items) // 3))
+        return partition_groups(items, t, rng_stream(draw(st.integers(0, 99)), "phase1"))
+    value = st.integers(1, 8) | st.integers(1, 1 << 50)
+    groups = draw(st.lists(st.lists(value, min_size=1, max_size=100).map(sorted), min_size=1, max_size=12))
+    ell = 1 << ceil_log2(len(groups))
+    return GroupFamily(Flat.of(groups + [[]] * (ell - len(groups))), len(groups))
+
+
+@given(family=_shortcut_family(), above=st.integers(1, 1000))
+@settings(max_examples=150, deadline=None)
+def test_tail_above_sigma_d_needs_no_excess_scan(family, above):
+    # stage two takes the unbudgeted path at once when tail > sigma(D):
+    # sound only if such a tail also exceeds the level excess bound and the
+    # count of non-empty groups, the two checks it skips
+    tail = int(family.groups.vals.sum()) + above
+    assert colorcoding._max_level_excess(family) < tail
+    assert np.count_nonzero(family.groups.sizes()) < tail
 
 
 @st.composite

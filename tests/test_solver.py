@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from subsetsum import merge, sumset
+from subsetsum import colorcoding, merge, sumset
 from subsetsum.cli import generate_instance
-from subsetsum.core import Instance, OracleBudgetError, SolverConfig, SumSet, rng_stream
+from subsetsum.colorcoding import GroupFamily
+from subsetsum.core import Instance, OracleBudgetError, SolverConfig, SumSet, normalize, rng_stream
 from subsetsum.merge import DenseEvidence
+from subsetsum.structure import partition_instance
 from subsetsum.solver import (
     bitset_dp_table,
     bounded_subset_sums,
@@ -16,6 +18,7 @@ from subsetsum.solver import (
     solve,
     solve_d_window,
 )
+from subsetsum.sumset import dense_sumset
 
 from oracles import brute_force, subset_sum_decision, subset_sums
 
@@ -144,6 +147,56 @@ def test_solve_pipeline_no_instance_all_even():
     for seed in range(10):
         out = solve(inst, SolverConfig(seed=seed, error_q=0.01))
         assert out.branch == "sparse" and not out.decision
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize(
+    "profile,n,w,t,budget_mult,branch",
+    [
+        ("uniform", 10_588, 16, 30_000, 1.0, "sparse"),
+        ("dense", 12_000, 8, None, 1e-11, "dense"),
+        ("divisor-structured", 10_000, 16, 30_001, 1.0, "sparse"),
+        ("divisor-structured", 12_000, 8, None, 1e-11, "dense"),
+    ],
+)
+def test_combine_matches_the_sumset_chain_at_pipeline_size(profile, n, w, t, budget_mult, branch, seed):
+    # the `sparse-ladder` yes-t30000 and `dense-trip` n12000-w8 shapes, whose
+    # leftover part is empty, and the same sizes with two items off the
+    # divisor 6, which form a leftover part: the combine's one DP, started
+    # from S_D or from the dense interval, gives the candidate set of the
+    # pairwise sumset chain over the parts
+    inst = generate_instance(profile, n, w, seed, t=t)
+    config = SolverConfig(seed=seed, budget_mult=budget_mult)
+    out = solve(inst, config)
+    assert out.branch == branch
+    assert (out.report.sigma_g > 0) == (profile == "divisor-structured")
+    inst = normalize(inst).instance
+    t, w, part = inst.target, inst.w, partition_instance(inst)
+    s_g = bounded_subset_sums(part.leftover_part, int(part.leftover_part.sum()))
+    if branch == "dense":
+        chain = dense_sumset(s_g, dense_interval_set(part.divisor, t, w))
+    else:
+        s_r = bounded_subset_sums(part.residue_part, int(part.residue_part.sum()))
+        s_d = solve_d_window(part.dense_part, t, w, inst.n, config, out.report.window)
+        chain = dense_sumset(dense_sumset(s_g, s_r), s_d)
+    assert out.candidate_set_size == len(chain) > 0
+    assert out.decision == (t in chain)
+
+
+def test_collapsing_solve_reads_no_excess_and_no_group_sums(monkeypatch):
+    # the `sparse-ladder` yes-t30000 shape: the budget tail exceeds
+    # sigma(D), so stage two takes the unbudgeted path with no excess scan,
+    # and the collapsing merge takes sigma(D) from the items, so no group's
+    # sum is ever built
+    calls = []
+    excess, unbudgeted = colorcoding._max_level_excess, colorcoding._unbudgeted_sumsets
+    group_sums = GroupFamily.__dict__["group_sums"].func
+    monkeypatch.setattr(colorcoding, "_max_level_excess", lambda *a: calls.append("excess") or excess(*a))
+    monkeypatch.setattr(colorcoding, "_unbudgeted_sumsets", lambda *a: calls.append("unbudgeted") or unbudgeted(*a))
+    monkeypatch.setattr(GroupFamily, "group_sums", property(lambda f: calls.append("group_sums") or group_sums(f)))
+    out = solve(generate_instance("uniform", 10_588, 16, 1, t=30_000), SolverConfig(seed=1))
+    assert out.branch == "sparse" and out.decision
+    assert calls == ["unbudgeted"]
 
 
 def test_solve_d_window_subset_and_coverage():

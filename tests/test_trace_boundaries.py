@@ -53,4 +53,5 @@ def test_traced_solves_feed_counters(tracing):
     c = tracer.counts
     assert c["merge.root_values"] > 0 and c["sumset.phase3.calls"] > 0
     assert c["colorcoding.trips"] == 1 and c["merge.evidence"] == 1
-    assert tracer.times["solver.combine"] > 0 and tracer.times["sumset.combine"] > 0
+    # the combine is one windowed DP, which no kernel boundary wraps
+    assert tracer.times["solver.combine"] > 0
