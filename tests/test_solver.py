@@ -191,12 +191,12 @@ def test_collapsing_solve_reads_no_excess_and_no_group_sums(monkeypatch):
     calls = []
     excess, unbudgeted = colorcoding._max_level_excess, colorcoding._unbudgeted_sumsets
     group_sums = GroupFamily.__dict__["group_sums"].func
-    monkeypatch.setattr(colorcoding, "_max_level_excess", lambda *a: calls.append("excess") or excess(*a))
-    monkeypatch.setattr(colorcoding, "_unbudgeted_sumsets", lambda *a: calls.append("unbudgeted") or unbudgeted(*a))
+    for name, real in (("_max_level_excess", excess), ("_unbudgeted_sumsets", unbudgeted)):
+        monkeypatch.setattr(colorcoding, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
     monkeypatch.setattr(GroupFamily, "group_sums", property(lambda f: calls.append("group_sums") or group_sums(f)))
     out = solve(generate_instance("uniform", 10_588, 16, 1, t=30_000), SolverConfig(seed=1))
     assert out.branch == "sparse" and out.decision
-    assert calls == ["unbudgeted"]
+    assert calls == ["_unbudgeted_sumsets"]
 
 
 def test_solve_d_window_subset_and_coverage():
