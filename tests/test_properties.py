@@ -271,6 +271,8 @@ def _started_window_case(draw):
 
 @given(case=_started_window_case())
 @example(case=([3, 3, 5], -2, 40, 1, []))
+@example(case=([], 3, 40, 2, [1, 5, 9]))
+@example(case=([], 10, 4, 1, [5, 7]))
 @example(case=([2, 2, 2, 6], 7, 12, 2, [1, 5, 9]))
 @example(case=([1] * 40 + [9], (1 << 62) + 3, (1 << 62) + 30, 1, [(1 << 62) + k for k in (0, 2, 50)]))
 @settings(max_examples=120, deadline=None)
