@@ -61,12 +61,12 @@ the tail exceeds sigma(D) more than 6e8 times over on every
 `sparse-ladder` and `grouped` solve (workload seeds 1 and 2).  Each
 non-empty group adds at least one to the bound, so a tail at most their
 count takes the budgeted path without computing it; any other tail is
-decided by the scan.  Without a budget, a group is complete once one repetition
-puts each of its elements into a part of its own.  A repetition's root
-picks at most one element per part, so it is always a subset of the
-group's subset sums, and it equals them when no part holds two elements;
-later repetitions cannot add to a complete group.  Singletons and empty
-groups are complete without any draw.  Repetitions are drawn only until
+decided by the scan.  Without a budget, a group is complete once one
+repetition puts each of its elements into a part of its own.  A
+repetition's root picks at most one element per part, so it is always a
+subset of the group's subset sums, and it equals them when no part holds
+two elements; later repetitions cannot add to a complete group.
+Singletons and empty groups are complete without any draw.  Repetitions are drawn only until
 every group is complete.  If every group completes, the sets are every
 group's full subset sums and stage two builds none of them: it returns
 `GroupSumsets.complete`, whose sets are built on their first read

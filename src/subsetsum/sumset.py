@@ -561,7 +561,7 @@ def window_subset_sums(
     """The sums a + s, for a in start (default {0}) and s a subset sum of
     the multiset items, that lie in [lo, hi]; step must divide every item
     and every difference of two start values.  An empty start gives the
-    empty set.
+    empty set, and no items give start's values in [lo, hi].
 
     One shift-or DP on a Python int, bit v standing for the value
     base + v * step, where base is start's minimum (Pisinger, "Dynamic
