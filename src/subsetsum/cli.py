@@ -58,7 +58,7 @@ def parse_instance_text(text: str, source: str = "<input>") -> Instance:
         raise InvalidInstanceError(
             f"{source}: declared {n} items but found {len(items)}"
         )
-    return Instance(tuple(items), t)
+    return Instance(items, t)
 
 
 def format_instance_text(instance: Instance, comment: Optional[str] = None) -> str:
@@ -96,21 +96,25 @@ def generate_instance(
         raise ValueError("n and w must be >= 1")
     rng = rng_stream(seed, f"gen:{profile}:{n}:{w}")
     if profile == "uniform":
-        items = [int(v) for v in rng.integers(1, w + 1, size=n)]
+        items = rng.integers(1, w + 1, size=n).tolist()
         default_t = sum(items) // 2
     elif profile == "dense":
-        items = [int(v) for v in rng.integers(1, w + 1, size=n)]
+        items = rng.integers(1, w + 1, size=n).tolist()
         default_t = sum(items) // 4
     elif profile == "sparse-window":
         lo = max(1, w - max(w // 8, 1))
-        items = [int(v) for v in rng.integers(lo, w + 1, size=n)]
+        items = rng.integers(lo, w + 1, size=n).tolist()
         pick = rng.random(n) < 0.5
         default_t = int(sum(x for x, p in zip(items, pick) if p))
     else:  # divisor-structured
         if divisor < 2 or divisor > w:
             raise ValueError("divisor must be in [2, w]")
         tail = min(tail, n)
-        base = [int(v) * divisor for v in rng.integers(1, w // divisor + 1, size=n - tail)]
+        # multiplied in place and rebound to the list, so that no second
+        # item-sized array is made and none outlives the draw
+        base = rng.integers(1, w // divisor + 1, size=n - tail)
+        base *= divisor
+        base = base.tolist()
         stray = []
         while len(stray) < tail:
             v = int(rng.integers(1, w + 1))
@@ -120,7 +124,7 @@ def generate_instance(
         default_t = sum(items) // 2
     if t is None:
         t = int(t_ratio * sum(items)) if t_ratio is not None else default_t
-    return Instance(tuple(items), max(t, 0))
+    return Instance(items, max(t, 0))
 
 
 def outcome_to_dict(outcome: SolveOutcome, timings: bool = False) -> dict:
@@ -225,7 +229,7 @@ def verify_summary(
     for i in range(count):
         n = int(rng.integers(n_range[0], n_range[1] + 1))
         w = int(rng.integers(w_range[0], w_range[1] + 1))
-        items = tuple(int(v) for v in rng.integers(1, w + 1, size=n))
+        items = rng.integers(1, w + 1, size=n).tolist()
         sigma = sum(items)
         t = int(rng.integers(0, sigma + 1))
         inst = Instance(items, t)

@@ -9,6 +9,9 @@ Conventions used throughout the package:
   * All sums fit in 64 bits.  This is enforced at instance construction
     (n * w < 2**63), so plain Python ints never silently overflow numpy
     intermediates.
+  * An instance reads its items into int64 once, at construction, and
+    keeps them as sorted distinct values with their counts
+    (`Instance.multiset`); no later stage converts its Python ints again.
   * Randomness is never global.  Every randomized routine takes an
     explicit stream obtained from :func:`rng_stream`, so a fixed seed
     reproduces a run bit-for-bit.
@@ -71,8 +74,14 @@ def target_window(w: int, t: int) -> int:
 class Instance:
     """A subset-sum instance: positive integer items and a target.
 
-    `n`, `w` and `sigma` are derived on construction; `w` is the maximum
-    item (0 for an empty item list) and `sigma` the sum of all items.
+    The constructor reads the items once into an int64 array and checks
+    them there.  `items` is the tuple of the items as Python ints, in
+    input order; `n`, `w` and `sigma` are derived from the array; `w` is
+    the maximum item (0 for an empty item list) and `sigma` the sum of
+    all items.  `multiset` is the items as their sorted distinct values
+    and the count of each, two read-only int64 arrays, which the split
+    reads instead of the items; it takes no part in `==`, `hash` or
+    `repr`.
     """
 
     items: tuple[int, ...]
@@ -80,23 +89,39 @@ class Instance:
     n: int = field(init=False)
     w: int = field(init=False)
     sigma: int = field(init=False)
+    multiset: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        items = tuple(int(x) for x in self.items)
-        object.__setattr__(self, "items", items)
-        object.__setattr__(self, "target", int(self.target))
-        if any(x < 1 for x in items):
-            raise InvalidInstanceError("all items must be >= 1")
-        if self.target < 0:
+        items = self.items if isinstance(self.items, (list, tuple)) else list(self.items)
+        try:
+            arr = np.fromiter(items, dtype=np.int64, count=len(items))
+        except OverflowError:
+            arr = None
+        target = int(self.target)
+        object.__setattr__(self, "target", target)
+        if arr is None or arr.size and arr.min() < 1:
+            # an item below 1, or outside int64 (which raised, or wrapped
+            # below 1 where numpy casts a numpy scalar): check Python ints
+            ints = [int(x) for x in items]
+            if min(ints) < 1:
+                raise InvalidInstanceError("all items must be >= 1")
+            w = max(ints)  # at least 2**63, so the guard below fails
+        else:
+            w = int(arr.max()) if arr.size else 0
+        if target < 0:
             raise InvalidInstanceError("target must be >= 0")
-        w = max(items, default=0)
         n = len(items)
         # Overflow guard: all subset sums must stay below 2**63.
-        if n * max(w, 1) >= OVERFLOW_LIMIT or self.target >= OVERFLOW_LIMIT:
+        if n * max(w, 1) >= OVERFLOW_LIMIT or target >= OVERFLOW_LIMIT:
             raise InvalidInstanceError("instance exceeds 64-bit sum guard (n*w < 2**63)")
+        values, counts = np.unique(arr, return_counts=True)
+        counts = counts.astype(np.int64, copy=False)
+        values.flags.writeable = counts.flags.writeable = False
+        object.__setattr__(self, "items", tuple(arr.tolist()))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "w", w)
-        object.__setattr__(self, "sigma", sum(items))
+        object.__setattr__(self, "sigma", int(arr.sum()))
+        object.__setattr__(self, "multiset", (values, counts))
 
 
 def _int64_vector(values: Iterable[int]) -> np.ndarray:

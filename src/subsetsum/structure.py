@@ -18,10 +18,13 @@ The full split of an instance produces, for alpha = ceil(sqrt(t/w)):
 Every element of residue_part and dense_part is divisible by d, and
 (residue_part / d) generates all residues modulo every b up to alpha.
 
-The split works on one sorted int64 array.  An alpha-almost divisor
-divides one of any alpha + 1 elements, so only the prime factors of the
-alpha + 1 smallest are candidates, each checked with one `%` over the
-array; the parts are then taken from the array by position.
+The split works on one sorted int64 array, rebuilt with one `np.repeat`
+from the instance's distinct values and counts (`Instance.multiset`), so
+it never reads a Python int.  An alpha-almost divisor divides one of any
+alpha + 1 elements, so only the prime factors of the alpha + 1 smallest
+are candidates, each checked with one `%` over the array; dividing the
+array by one keeps it sorted.  The parts are then taken from the array
+by position.
 """
 
 from __future__ import annotations
@@ -87,7 +90,11 @@ def find_almost_divisor(items: Sequence[int], alpha: int) -> Optional[int]:
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    arr = np.sort(np.asarray(items, dtype=np.int64))
+    return _almost_divisor(np.sort(np.asarray(items, dtype=np.int64)), alpha)
+
+
+def _almost_divisor(arr: np.ndarray, alpha: int) -> Optional[int]:
+    """`find_almost_divisor` of a sorted int64 array."""
     if arr.size == 0:
         return None
     if arr.size <= alpha:
@@ -98,8 +105,9 @@ def find_almost_divisor(items: Sequence[int], alpha: int) -> Optional[int]:
     return None
 
 
-def _peel(items: Sequence[int], alpha: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """Iteratively divide out almost divisors until none remains.
+def _peel(arr: np.ndarray, alpha: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Iteratively divide out almost divisors of the sorted int64 array
+    arr until none remains.
 
     Returns (d, peeled, leftovers) as sorted int64 arrays: peeled =
     X(d)/d has no alpha-almost divisor, and leftovers collects the
@@ -112,14 +120,14 @@ def _peel(items: Sequence[int], alpha: int) -> tuple[int, np.ndarray, np.ndarray
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    arr = np.sort(np.asarray(items, dtype=np.int64))
     d = 1
     leftovers = [arr[:0]]
     max_iters = max(int(arr[-1]) if arr.size else 0, 1).bit_length() + 1
     for _ in range(max_iters):
         if arr.size == 0:
             break
-        p = find_almost_divisor(arr, alpha)
+        # dividing by p keeps the array sorted
+        p = _almost_divisor(arr, alpha)
         if p is None:
             break
         stay = arr % p == 0
@@ -226,7 +234,8 @@ def partition_instance(instance: Instance) -> InstancePartition:
     if instance.target < 1 or instance.n == 0:
         raise ValueError("partition requires t >= 1 and non-empty items")
     alpha = alpha_for(instance.target, instance.w)
-    d, peeled, left = _peel(instance.items, alpha)
+    values, counts = instance.multiset
+    d, peeled, left = _peel(np.repeat(values, counts), alpha)
     # the residue set and the dense part, by position in the sorted array
     # (both empty when peeling consumed every item)
     chosen = _residue_mask(peeled, alpha)

@@ -137,16 +137,10 @@ class Level:
         self.step = step
 
     @classmethod
-    def of(cls, sets: Sequence[Sequence[int]], step: Optional[int] = None) -> "Level":
-        """The level of strictly increasing sets, in runs of step (which
-        must divide every value; by default their `common_step`)."""
-        flat = Flat.of(sets)
-        return cls.from_values(flat.vals, flat.offs, step)
-
-    @classmethod
     def from_values(cls, vals: np.ndarray, offs: np.ndarray, step: Optional[int] = None) -> "Level":
         """The level whose node i holds the strictly increasing
-        vals[offs[i]:offs[i + 1]] (offs[0] == 0); step as in `of`."""
+        vals[offs[i]:offs[i + 1]] (offs[0] == 0), in runs of step (which
+        must divide every value; by default their `common_step`)."""
         if step is None:
             step = common_step(vals)
         return cls(*_node_runs(vals, offs, step), step)

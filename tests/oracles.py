@@ -7,7 +7,8 @@ slot-padded budgeted stage two are the package's earlier
 implementations, kept as references for its current versions.  The
 textbook set DP (`subset_sum_decision`) and the exhaustive `brute_force`
 were the package's exact oracles before it kept only the DPs a solve
-runs.
+runs.  `reference_instance` is the `Instance` constructor's validation
+before the constructor read the items into an int64 array.
 """
 
 import math
@@ -17,8 +18,8 @@ from itertools import combinations
 import numpy as np
 
 from subsetsum.colorcoding import DenseTripSignal, GroupSumsets, _distinct_level
-from subsetsum.core import OracleBudgetError, ceil_log2
-from subsetsum.sumset import Level, _offsets, _pair_level, _segment_index, common_step
+from subsetsum.core import OVERFLOW_LIMIT, InvalidInstanceError, OracleBudgetError, ceil_log2
+from subsetsum.sumset import Flat, Level, _offsets, _pair_level, _segment_index, common_step
 
 
 def subset_sums(items, cap=None):
@@ -77,9 +78,35 @@ def brute_force(instance):
     return any(t - s in right for s in left)
 
 
+def reference_instance(items, target):
+    """(items, target, n, w, sigma) as the per-item `Instance` constructor
+    derived them, or the error it raised."""
+    items = tuple(int(x) for x in items)
+    target = int(target)
+    if any(x < 1 for x in items):
+        raise InvalidInstanceError("all items must be >= 1")
+    if target < 0:
+        raise InvalidInstanceError("target must be >= 0")
+    w = max(items, default=0)
+    n = len(items)
+    # Overflow guard: all subset sums must stay below 2**63.
+    if n * max(w, 1) >= OVERFLOW_LIMIT or target >= OVERFLOW_LIMIT:
+        raise InvalidInstanceError("instance exceeds 64-bit sum guard (n*w < 2**63)")
+    return items, target, n, w, sum(items)
+
+
 def pairwise_sumset(a, b):
     """Brute-force sumset of two iterables, sorted and deduplicated."""
     return sorted({x + y for x in a for y in b})
+
+
+def level_of(sets, step=None):
+    """The `Level` of strictly increasing sets, in runs of step (which
+    must divide every value; by default their `common_step`).  The
+    package builds its levels from values already back to back, so only
+    the tests start from a list of sets."""
+    flat = Flat.of(sets)
+    return Level.from_values(flat.vals, flat.offs, step)
 
 
 def materialized_stage_two(groups, g, reps, tail, rng):

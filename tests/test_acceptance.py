@@ -15,9 +15,9 @@ from subsetsum.cli import BENCH_HEADER, bench_rows, main
 from subsetsum.core import Instance, SolverConfig, SumSet, next_pow2, rng_stream
 from subsetsum.solver import fallback_dp, solve
 from subsetsum.structure import alpha_for, partition_instance
-from subsetsum.sumset import Level, _pair_level, dense_sumset
+from subsetsum.sumset import _pair_level, dense_sumset
 
-from oracles import loglog_fit, pairwise_sumset, residues_covered, split_into_parts
+from oracles import level_of, loglog_fit, pairwise_sumset, residues_covered, split_into_parts
 
 
 def _report(num, text):
@@ -233,7 +233,7 @@ def test_acceptance_7_budgeted_level_contract():
         ]
         total = sum(len(f) for f in full)
         budget = int(rng.integers(1, 2 * total + 6))
-        out, signal = _pair_level(Level.of([s.values for s in sets]), budget)
+        out, signal = _pair_level(level_of([s.values for s in sets]), budget)
         u = max(s.dm() for s in sets)
         if signal is not None:
             signals += 1

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subsetsum.core import (
     Instance,
@@ -9,6 +11,8 @@ from subsetsum.core import (
     normalize,
     rng_stream,
 )
+
+from oracles import reference_instance
 
 
 def test_instance_derives_bounds():
@@ -29,6 +33,80 @@ def test_instance_overflow_guard():
     with pytest.raises(InvalidInstanceError):
         Instance((2**62, 2**62), 5)
     Instance((2**61,), 5)  # n*w = 2**61 is fine
+
+
+_NEAR = st.builds(
+    lambda base, delta: base + delta,
+    st.sampled_from([0, 1, 1 << 62, 1 << 63, -(1 << 70)]),
+    st.integers(-3, 3),
+)
+_KINDS = ("tuple", "list", "generator", "ndarray", "bools", "numpy-scalars")
+
+
+def _as_kind(values, kind):
+    """A fresh input of the given kind holding values: an int64 or uint64
+    array when one holds them all (else a tuple); bools are the values'
+    parities; numpy scalars are int64 or uint64 where one holds the
+    value, and Python ints otherwise."""
+    fits = {
+        dtype: all(np.iinfo(dtype).min <= v <= np.iinfo(dtype).max for v in values)
+        for dtype in (np.int64, np.uint64)
+    }
+    if kind == "tuple":
+        return tuple(values)
+    if kind == "list":
+        return list(values)
+    if kind == "generator":
+        return (v for v in values)
+    if kind == "ndarray":
+        dtype = next((d for d, ok in fits.items() if ok), None)
+        return np.array(values, dtype=dtype) if dtype else tuple(values)
+    if kind == "bools":
+        return [bool(v & 1) for v in values]
+    return [np.int64(v) if -(1 << 63) <= v < 1 << 63 else np.uint64(v) if 0 <= v < 1 << 64 else v for v in values]
+
+
+def _outcome(build):
+    try:
+        return build(), None
+    except Exception as exc:
+        return None, (type(exc), str(exc))
+
+
+@given(
+    values=st.lists(st.one_of(_NEAR, st.integers(1, 1000)), max_size=6),
+    kind=st.sampled_from(_KINDS),
+    target=st.one_of(_NEAR, st.integers(0, 10**6)),
+)
+@settings(max_examples=400, deadline=None)
+def test_instance_matches_per_item_constructor(values, kind, target):
+    got, error = _outcome(lambda: Instance(_as_kind(values, kind), target))
+    ref, ref_error = _outcome(lambda: reference_instance(_as_kind(values, kind), target))
+    assert error == ref_error
+    if ref is None:
+        return
+    items, target, n, w, sigma = ref
+    assert (got.items, got.target, got.n, got.w, got.sigma) == ref
+    assert all(type(x) is int for x in got.items) and type(got.target) is int
+    assert got == Instance(items, target) and hash(got) == hash(ref)
+    assert repr(got) == f"Instance(items={items!r}, target={target!r}, n={n!r}, w={w!r}, sigma={sigma!r})"
+    want = np.unique(np.array(items, dtype=np.int64), return_counts=True)
+    for arr, expected in zip(got.multiset, want):
+        assert arr.dtype == np.int64 and arr.ndim == 1 and not arr.flags.writeable
+        assert np.array_equal(arr, expected)
+
+
+def test_instance_errors_outside_int64():
+    for items, target, message in (
+        ((-(1 << 70),), 1, "all items must be >= 1"),
+        ((1 << 63,), 1, "instance exceeds 64-bit sum guard"),
+        ((1 << 63,), -1, "target must be >= 0"),
+        ((1 << 63, 0), 1, "all items must be >= 1"),
+        ((0,), 1, "all items must be >= 1"),
+        ((1 << 62, 1 << 62), 1, "instance exceeds 64-bit sum guard"),
+    ):
+        with pytest.raises(InvalidInstanceError, match=message):
+            Instance(items, target)
 
 
 def test_normalize_complements_large_targets():

@@ -34,7 +34,6 @@ from subsetsum.sumset import (
     PAIRWISE_LIMIT,
     DenseSignal,
     Flat,
-    Level,
     _pair_level,
     cap,
     dense_sumset,
@@ -43,6 +42,7 @@ from subsetsum.sumset import (
 
 from oracles import (
     full_subset_sums,
+    level_of,
     materialized_stage_two,
     merge_bounds,
     pairwise_sumset,
@@ -343,7 +343,7 @@ def test_pair_level_matches_oracle_on_runs(level, budget_frac):
     budget = max(1, int(budget_frac * int(sizes[-1])))
     stop = int(np.searchsorted(sizes, budget))  # first pair whose running size reaches budget
     expected_signal = DenseSignal(int(sizes[stop]), budget, stop + 1) if stop < len(full) else None
-    out, signal = _pair_level(Level.of(sets, step), budget)
+    out, signal = _pair_level(level_of(sets, step), budget)
     assert signal == expected_signal
     assert [tuple(z.tolist()) for z in out] == full[: stop + 1]
 
@@ -369,7 +369,7 @@ def _step_sets(draw):
 @settings(max_examples=150, deadline=None)
 def test_level_round_trip(case):
     sets, g = case
-    for level in (Level.of(sets), Level.of(sets, g)):
+    for level in (level_of(sets), level_of(sets, g)):
         assert [tuple(z.tolist()) for z in level] == sets
         assert level.sizes().tolist() == [len(s) for s in sets]
         assert level.values().tolist() == [v for s in sets for v in s]
@@ -377,7 +377,7 @@ def test_level_round_trip(case):
         inner = np.ones(len(level.starts), dtype=bool)
         inner[level.offs[:-1][level.offs[:-1] < len(inner)]] = False
         assert np.all(level.starts[inner] > level.ends[np.flatnonzero(inner) - 1] + 1)
-    assert Level.of(sets, g) == Level.of(sets)
+    assert level_of(sets, g) == level_of(sets)
 
 
 _BOUND = st.builds(
@@ -392,7 +392,7 @@ _BOUND = st.builds(
 def test_level_cap_on_runs_matches_per_node_cap(case, lo, hi):
     sets, g = case
     expected = [tuple(cap(SumSet(s), lo, hi).values.tolist()) if lo <= hi else () for s in sets]
-    for level in (Level.of(sets), Level.of(sets, g)):
+    for level in (level_of(sets), level_of(sets, g)):
         assert [tuple(z.tolist()) for z in level.cap(lo, hi)] == expected
 
 
@@ -410,6 +410,10 @@ def test_merge_matches_values_reference():
         checked=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
+    # the caps remove a value from the root; trips at levels 1 and 2
+    @example(w=8, mult=2, n=26, t_frac=0.49, eta_mult=1e-12, log_tail=1.06, window=3, checked=False, seed=81)
+    @example(w=8, mult=2, n=22, t_frac=0.07, eta_mult=1.0, log_tail=0.51, window=0, checked=True, seed=64)
+    @example(w=4, mult=1, n=18, t_frac=0.07, eta_mult=1e-12, log_tail=0.94, window=40, checked=False, seed=8)
     @settings(max_examples=80, deadline=None)
     def check(w, mult, n, t_frac, eta_mult, log_tail, window, checked, seed):
         # mult = 2 makes every value even, so the merge runs in units of 2;
@@ -562,15 +566,25 @@ def test_merge_collapse_matches_values_reference():
         t_frac=st.floats(0.05, 0.66),
         seed=st.integers(0, 2**32 - 1),
     )
+    # first draws with four empty groups, and with one group {2} under `cap`
+    @example(log_ell=2, refuse="trip", mult=1, t_frac=0.5, seed=833595568)
+    @example(log_ell=2, refuse="cap", mult=1, t_frac=0.5, seed=20731)
     @settings(max_examples=60, deadline=None)
     def check(log_ell, refuse, mult, t_frac, seed):
         rng = np.random.default_rng(seed)
         ell = 1 << log_ell
-        if refuse == "rows":
-            w, sizes = 1 << 12, np.bincount(rng.integers(0, ell, size=6), minlength=ell)
-        else:
-            w, sizes = 4, rng.choice([0, 1, 1, 2, 3], size=ell)
-        groups = [tuple(sorted(mult * int(v) for v in rng.integers(w // 2, w + 1, size=k))) for k in sizes]
+        # A family is redrawn when sigma = 0, which breaks the merge's
+        # precondition 2 * sigma >= 3t (the solver never merges it), or when
+        # `cap` has sigma = 2, whose window max(t, sigma) - 3 is negative;
+        # every other family is the first draw.
+        while True:
+            if refuse == "rows":
+                w, sizes = 1 << 12, np.bincount(rng.integers(0, ell, size=6), minlength=ell)
+            else:
+                w, sizes = 4, rng.choice([0, 1, 1, 2, 3], size=ell)
+            groups = [tuple(sorted(mult * int(v) for v in rng.integers(w // 2, w + 1, size=k))) for k in sizes]
+            if sum(map(sum, groups)) >= (3 if refuse == "cap" else 1):
+                break
         sets = [tuple(subset_sums(grp)) for grp in groups]
         multi = [i for i, grp in enumerate(groups) if len(grp) >= 2]
         if refuse == "exact" and multi:

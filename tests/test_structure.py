@@ -79,14 +79,14 @@ def test_find_almost_divisor_agrees_with_bruteforce():
 
 
 def test_peel_divisors_examples():
-    d, peeled, leftovers = _peel([2, 4, 6, 8], 1)
+    d, peeled, leftovers = _peel(np.array([2, 4, 6, 8]), 1)
     assert (d, peeled.tolist(), leftovers.tolist()) == (2, [1, 2, 3, 4], [])
     assert find_almost_divisor(peeled, 1) is None
 
-    d, peeled, leftovers = _peel([3, 5, 7], 0)
+    d, peeled, leftovers = _peel(np.array([3, 5, 7]), 0)
     assert (d, peeled.tolist(), leftovers.tolist()) == (1, [3, 5, 7], [])
 
-    d, peeled, leftovers = _peel([4, 8, 12, 5], 1)
+    d, peeled, leftovers = _peel(np.array([4, 5, 8, 12]), 1)
     assert d % 2 == 0
     assert 5 in leftovers
     for arr in (peeled, leftovers):
@@ -100,7 +100,7 @@ def test_peel_divisors_postconditions():
         w = int(rng.integers(2, 80))
         items = [int(v) for v in rng.integers(1, w + 1, size=n)]
         alpha = int(rng.integers(1, 4))
-        d, peeled, leftovers = _peel(items, alpha)
+        d, peeled, leftovers = _peel(np.sort(items), alpha)
         if peeled.size:
             assert find_almost_divisor(peeled, alpha) is None
         # multiset identity at the original scale
@@ -224,3 +224,19 @@ def test_partition_coverage_in_solver_regime():
         reduced = [x // part.divisor for x in part.residue_part.tolist()]
         for b in range(2, part.alpha + 1):
             assert residues_covered(reduced, b) == set(range(b))
+
+
+def test_partition_does_not_depend_on_item_order():
+    # the split reads the instance's distinct values and counts, so the
+    # same multiset in any order gives the same partition
+    rng = np.random.default_rng(8)
+    for _ in range(80):
+        w = int(rng.integers(2, 60))
+        d = int(rng.choice([1, 2, 6]))
+        items = [d * v for v in rng.integers(1, w + 1, size=int(rng.integers(1, 80))).tolist()]
+        items += rng.integers(1, d * w + 1, size=int(rng.integers(0, 4))).tolist()
+        t = int(rng.integers(1, sum(items) + 1))
+        part = partition_instance(Instance(items, t))
+        for order in (items[::-1], rng.permutation(items).tolist()):
+            again = partition_instance(Instance(order, t))
+            assert again == part and hash(again) == hash(part)

@@ -16,7 +16,7 @@ from subsetsum.sumset import (
     dense_sumset,
 )
 
-from oracles import pairwise_sumset
+from oracles import level_of, pairwise_sumset
 
 
 def S(*vals):
@@ -114,7 +114,7 @@ def test_fft_backend_matches_pairwise(fft_hulls):
     rng = np.random.default_rng(4)
     a = tuple(sorted(set(int(v) for v in rng.integers(0, 3000, size=150))))
     b = tuple(sorted(set(int(v) for v in rng.integers(0, 3000, size=150))))
-    out, signal = _pair_level(Level.of((a, b)), math.inf)
+    out, signal = _pair_level(level_of((a, b)), math.inf)
     assert len(fft_hulls) == 1 and signal is None
     assert tuple(out[0].tolist()) == tuple(pairwise_sumset(a, b))
 
@@ -185,14 +185,14 @@ def test_cap_examples():
 
 
 def test_pair_level_returns_level():
-    level = Level.of([[0, 1], [0, 2], [0, 4], [0, 8]])
+    level = level_of([[0, 1], [0, 2], [0, 4], [0, 8]])
     out, signal = _pair_level(level, 100)
     assert signal is None
     assert [z.tolist() for z in out] == [[0, 1, 2, 3], [0, 4, 8, 12]]
 
 
 def test_pair_level_trips_midway():
-    level = Level.of([[0, 1], [0, 2], [0, 4], [0, 8]])
+    level = level_of([[0, 1], [0, 2], [0, 4], [0, 8]])
     out, signal = _pair_level(level, 5)
     # first output has size 4 < 5; the second pushes the total to 8
     assert signal == DenseSignal(8, 5, 2)
@@ -218,7 +218,7 @@ def test_pair_level_contract_fuzz():
         ]
         total = sum(len(f) for f in full)
         budget = int(rng.integers(1, total + 4))
-        out, signal = _pair_level(Level.of([s.values for s in sets]), budget)
+        out, signal = _pair_level(level_of([s.values for s in sets]), budget)
         if signal is not None:
             assert total >= budget
             stop = signal.last_index_computed
@@ -326,7 +326,7 @@ def test_pair_level_matches_left_to_right_reference(monkeypatch, chunk):
         wide_runs = [tuple(scale * v for v in s) for s in WIDE_RUNS]
         wide_capped = tuple(tuple(scale * v for v in s) for s in WIDE_CAPPED)
         wide_split = tuple(tuple(scale * v for v in s) for s in wide_split)
-        level, step[0] = Level.of(sets, scale), scale
+        level, step[0] = level_of(sets, scale), scale
         # the largest output-size bound of one pair
         pair_bound = max(
             min(len(a) * len(b), a[-1] - a[0] + b[-1] - b[0] + 1)
@@ -367,7 +367,7 @@ def test_level_cap_matches_per_node_cap():
     # values above 199, one near the top of int64, so that the cap whose hi
     # lies above int64 keeps values
     sets += [(150, 199, 200), (7, (1 << 63) - 2)]
-    level = Level.of(sets)
+    level = level_of(sets)
     for lo, hi in ((-5, 400), (0, 0), (30, 60), (61, 59), (199, 1 << 70)):
         got = [tuple(z.tolist()) for z in level.cap(lo, hi)]
         assert got == [tuple(v for v in s if lo <= v <= hi) for s in sets]
