@@ -9,9 +9,12 @@ layer's bucket ids are drawn at once and one argsort places its items in
 bucket order.  The empty buckets are filled at once, in ascending order,
 with the last elements of the buckets that hold two or more (from the
 highest-index bucket down, each keeping one), and a second argsort places
-the moved items.  Consequences: any subset with sum <= t meets each
-group in few elements with high probability, and the group maxima carry
-a constant fraction of t in total without exceeding ~t log w.
+the moved items.  A layer with no more items than its cap is not drawn:
+each item is a group of its own, and when no layer is drawn (every
+`sparse-ladder` solve) the family's values are the sorted input
+itself.  Consequences: any subset with sum <= t meets each group in few
+elements with high probability, and the group maxima carry a constant
+fraction of t in total without exceeding ~t log w.
 
 Stage two (`build_group_sumsets`) runs color coding over every group
 simultaneously: each group is split uniformly into g random parts, 0 is
@@ -66,10 +69,12 @@ repetition puts each of its elements into a part of its own.  A
 repetition's root picks at most one element per part, so it is always a
 subset of the group's subset sums, and it equals them when no part holds
 two elements; later repetitions cannot add to a complete group.
-Singletons and empty groups are complete without any draw.  Repetitions are drawn only until
-every group is complete.  If every group completes, the sets are every
-group's full subset sums and stage two builds none of them: it returns
-`GroupSumsets.complete`, whose sets are built on their first read
+Singletons and empty groups are complete without any draw, so a family
+whose largest group (recorded by stage one) has one element returns at
+once, before any item-sized array is built.  Repetitions are drawn only
+until every group is complete.  If every group completes, the sets are
+every group's full subset sums and stage two builds none of them: it
+returns `GroupSumsets.complete`, whose sets are built on their first read
 (checked mode, a merge that does not collapse, tests and tracing read
 them; a collapsing merge needs only the items).
 Otherwise the groups that never complete form a sub-family that goes through the
@@ -114,10 +119,21 @@ class GroupFamily:
     finds each repetition's parts with one stable sort when every group is
     ascending, and sorts within groups first when one is not.  The padding
     groups after the first raw_count are empty.
+
+    largest is the size of the largest group.  `partition_groups` records
+    it from its per-layer counts; left out, it is computed from the
+    groups' sizes.  Stage two reads it to skip its draws, and every
+    item-sized array, when no group holds two elements.
     """
 
     groups: Flat
     raw_count: int
+    largest: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.largest is None:
+            sizes = self.groups.sizes()
+            object.__setattr__(self, "largest", int(sizes.max()) if sizes.size else 0)
 
     @property
     def ell(self) -> int:
@@ -135,9 +151,19 @@ def partition_groups(d_part: Sequence[int], t: int, rng: np.random.Generator) ->
     """Stage one: layered random partition of the bulk multiset.
 
     Requires sigma(d_part) >= 3t/2 (the solver gates on this); the group
-    maxima bounds rely on it.
+    maxima bounds rely on it.  d_part may come in any order; an int64
+    array that is already sorted is read without a sorted copy, and the
+    groups are filled into one values array and one offsets array, layer
+    by layer.  When no layer is drawn (each of its items is a group of its
+    own), the values are the sorted items themselves: a read-only d_part
+    (the solver's dense part is one) is then aliased as the family's
+    values, and any other input is copied, so a caller's writable array is
+    never shared.  The family is the same for every order of d_part.
     """
-    items = np.sort(np.asarray(d_part, dtype=np.int64))
+    items = np.asarray(d_part, dtype=np.int64)
+    owned = items is not d_part
+    if not (items[1:] >= items[:-1]).all():
+        items, owned = np.sort(items), True
     if t < 1:
         raise ValueError("t must be >= 1")
     if 2 * int(items.sum()) < 3 * t:
@@ -145,17 +171,22 @@ def partition_groups(d_part: Sequence[int], t: int, rng: np.random.Generator) ->
     top = int(items[-1]).bit_length()
     # layer j holds the items in [2^j, 2^(j+1)): items[bounds[j]:bounds[j + 1]]
     bounds = [0, *np.searchsorted(items, [1 << j for j in range(1, top)]).tolist(), items.size]
-    vals, sizes = [], []
+    # a layer's groups: its cap, or one per item when it holds fewer
+    caps = [min(2 * t if j == 0 else ceil_div(t, 1 << (j - 1)), bounds[j + 1] - bounds[j]) for j in range(top)]
+    raw = sum(caps)
+    # group k holds vals[offs[k]:offs[k + 1]]; the padding groups are empty
+    offs = np.full(next_pow2(raw) + 1, items.size, dtype=np.int64)
+    vals = items if owned or not items.flags.writeable else items.copy()
+    largest, first = 1, 0
     for j in range(top):
-        layer = items[bounds[j] : bounds[j + 1]]
-        size = layer.size
-        if size == 0:
-            continue
-        cap_j = 2 * t if j == 0 else ceil_div(t, 1 << (j - 1))
-        alpha_j = min(cap_j, size)
+        lo, size, alpha_j = bounds[j], bounds[j + 1] - bounds[j], caps[j]
+        # the layer's groups start at lo, lo + counts[0], ..
+        out = offs[first : first + alpha_j]
+        first += alpha_j
         if alpha_j == size:
-            vals.append(layer)
-            sizes.append(np.ones(size, dtype=np.int64))
+            # every item its own group
+            np.cumsum(np.broadcast_to(np.int64(1), size), out=out)
+            out += lo - 1
             continue
         bucket = rng.integers(0, alpha_j, size=size)
         # the keys bucket * size + index are distinct, so their argsort is
@@ -177,12 +208,14 @@ def partition_groups(d_part: Sequence[int], t: int, rng: np.random.Generator) ->
             bucket[moved] = empty[: moved.size]
             order = np.argsort(bucket * size + index)
             counts = np.bincount(bucket, minlength=alpha_j)
-        vals.append(layer[order])
-        sizes.append(counts)
-
-    raw = sum(c.size for c in sizes)
-    sizes.append(np.zeros(next_pow2(raw) - raw, dtype=np.int64))
-    return GroupFamily(Flat(np.concatenate(vals), _offsets(np.concatenate(sizes))), raw)
+        if vals is items and not owned:
+            vals = items.copy()
+        vals[lo : lo + size] = items[lo : lo + size][order]
+        largest = max(largest, int(counts.max()))
+        out[0] = 0
+        np.cumsum(counts[:-1], out=out[1:])
+        out += lo
+    return GroupFamily(Flat(vals, offs), raw, largest)
 
 
 def verify_group_family(family: GroupFamily, d_part: Sequence[int], t: int, w: int) -> None:
@@ -513,6 +546,9 @@ def _unbudgeted_sumsets(
     When every group completes, every set is its group's full subset sums,
     and none is built here (`GroupSumsets.complete`).
     """
+    if family.largest < 2:
+        # singletons and empty groups are complete without any draw
+        return GroupSumsets.complete(family, params)
     g, ell = params.g, family.ell
     sizes = family.groups.sizes()
     owner = np.repeat(np.arange(ell, dtype=np.int64), sizes)

@@ -66,7 +66,7 @@ import numpy as np
 
 from .core import InternalConsistencyError, SumSet, ceil_div, ceil_log2, target_window
 from .colorcoding import DenseTripSignal, GroupFamily, GroupSumsets
-from .sumset import Level, _pair_level, common_step, window_subset_sums
+from .sumset import Level, _pair_level, _sorted_runs, common_step, window_subset_sums
 
 
 @dataclass
@@ -305,8 +305,12 @@ def _collapse_step(exact: bool, family: GroupFamily, t: int, eta: int, tail: int
     """
     if levels == 0 or not exact:
         return 0
-    step = common_step(family.groups.vals)
-    sigma = int(family.groups.vals.sum())
-    room = len(family.groups.vals) + family.ell
+    vals = family.groups.vals
+    # on sorted items (stage one's, when no layer is drawn) the gcd of the
+    # distinct values (~0.2 ms over 42k items, a few us over 16 values)
+    runs = _sorted_runs(vals)
+    step = common_step(vals if runs is None else vals[runs])
+    sigma = int(vals.sum())
+    room = len(vals) + family.ell
     fits = sigma // step < tail and eta + 1 >= max(t, sigma) and (sigma // step + 1) // 64 + 1 <= room
     return step if fits else 0

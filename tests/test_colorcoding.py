@@ -72,6 +72,27 @@ def test_partition_groups_deterministic():
     assert a == b
 
 
+def test_partition_groups_reads_any_order_and_aliases_only_read_only_input():
+    # a layer that is drawn (36 twos in 30 buckets) and one that is not
+    # (eight 4s and 5s); the family is the same for every form of input
+    items = np.array([1] * 3 + [2] * 36 + [4] * 4 + [5] * 4, dtype=np.int64)
+    shuffled = np.random.default_rng(4).permutation(items)
+    frozen = items.copy()
+    frozen.flags.writeable = False
+    forms = (frozen, shuffled, items.tolist(), items)
+    fams = [partition_groups(x, 30, rng_stream(6, "p1")) for x in forms]
+    assert all(f == fams[0] for f in fams) and fams[0].largest >= 2
+    for x, fam in zip(forms, fams):
+        assert not np.shares_memory(fam.groups.vals, x)
+    # no layer drawn: the values are the sorted items, aliased only when
+    # they cannot be written
+    kept = [partition_groups(x, 40, rng_stream(6, "p1")) for x in forms]
+    assert all(f == kept[0] for f in kept) and kept[0].largest == 1
+    assert kept[0].groups.vals is frozen
+    assert [np.shares_memory(f.groups.vals, x) for x, f in zip(forms, kept)] == [True, False, False, False]
+    assert items.flags.writeable and shuffled.tolist() != items.tolist()
+
+
 def test_color_params_shapes():
     p = color_params(n=400, t=200, w=2, q=0.01, c_ap=1)
     assert p.g == next_pow2(p.k * p.k)
@@ -386,6 +407,33 @@ def test_complete_group_sumsets_equal_their_built_form(monkeypatch):
     assert lazy.sets == eager.sets and len(built) == 2  # built once per object
     assert lazy != GroupSumsets(eager.sets, params, False)
     assert lazy != GroupSumsets(Flat.of([[0]] * family.ell), params, True)
+
+
+def test_all_singleton_family_draws_nothing_and_builds_no_item_array(monkeypatch):
+    # no group holds two elements: stage two returns the complete sets at
+    # once, with no draw and no item-sized array
+    family = partition_groups([1, 2, 3, 5, 8, 13, 21], 10, rng_stream(0, "p1"))
+    assert family.largest == 1
+    params = color_params(7, 10, 32, 0.3, 1)
+    monkeypatch.setattr(colorcoding.np, "repeat", lambda *a, **k: pytest.fail("item-sized array built"))
+    rng = rng_stream(5, "p2")
+    got = colorcoding._unbudgeted_sumsets(family, params, rng)
+    monkeypatch.undo()
+    assert rng.integers(0, 1 << 62) == rng_stream(5, "p2").integers(0, 1 << 62)
+    want = GroupSumsets(Flat.of([subset_sums(g.tolist()) for g in family.groups]), params, True)
+    assert got == want and got.exact
+
+
+def test_two_element_group_is_drawn_whatever_the_empty_groups():
+    # an empty group before raw_count and one two-element group: as many
+    # elements as raw_count, yet a group of two, so repetitions are drawn
+    family = GroupFamily(Flat.of(((), (3, 5))), 2)
+    assert family.largest == 2 and family.groups.vals.size == family.raw_count
+    params = color_params(2, 5, 8, 0.3, 1)
+    rng = rng_stream(5, "p2")
+    got = colorcoding._unbudgeted_sumsets(family, params, rng)
+    assert rng.integers(0, 1 << 62) != rng_stream(5, "p2").integers(0, 1 << 62)
+    assert got.exact and got.sets == Flat.of([[0], [0, 3, 5, 8]])
 
 
 def test_budget_that_cannot_trip_takes_unbudgeted_path(monkeypatch):

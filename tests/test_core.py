@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subsetsum import core
 from subsetsum.core import (
     Instance,
     InvalidInstanceError,
@@ -113,6 +114,22 @@ def test_normalize_complements_large_targets():
     res = normalize(Instance((3, 5), 7))
     assert res.complemented and res.trivial is None
     assert res.instance.target == 1
+
+
+def test_complemented_instance_equals_a_fresh_one(monkeypatch):
+    # built from the parent's fields and arrays, not by reading the items
+    # again, yet equal to the instance constructed with the new target
+    items = np.random.default_rng(3).integers(1, 17, size=500).tolist()
+    inst = Instance(items, 3000)
+    monkeypatch.setattr(core.np, "fromiter", lambda *a, **k: pytest.fail("items read again"))
+    res = normalize(inst)
+    monkeypatch.undo()
+    fresh = Instance(items, inst.sigma - 3000)
+    assert res.complemented and res.instance == fresh
+    assert hash(res.instance) == hash(fresh) and repr(res.instance) == repr(fresh)
+    assert (res.instance.n, res.instance.w, res.instance.sigma) == (fresh.n, fresh.w, fresh.sigma)
+    for got, want in zip(res.instance.multiset, fresh.multiset):
+        assert np.array_equal(got, want) and got.dtype == want.dtype and not got.flags.writeable
 
 
 def test_normalize_keeps_half_targets():

@@ -5,9 +5,9 @@ the level kernel on levels built from runs, the run layout of `Level`
 references, colour coding's stage two against its materialized
 reference, the merge tree (shallow and deep, collapsed to one windowed
 DP or not) against its values-level reference, the windowed DP (from
-{0} or from a start set) against brute-force subset sums, sigma(D) as a
-bound on stage two's level excess, and `solve` on pipeline-sized
-instances."""
+{0} or from a start set, its interval step included) against
+brute-force subset sums, sigma(D) as a bound on stage two's level
+excess, and `solve` on pipeline-sized instances."""
 
 import math
 from unittest import mock
@@ -286,6 +286,64 @@ def test_window_subset_sums_from_a_start_match_per_copy_dp(case):
     assert isinstance(got, SumSet) and got.values.tolist() == want
     if start == [0]:
         assert got == window_subset_sums(items, lo, hi, step)
+
+
+@st.composite
+def _interval_dp_case(draw):
+    """(items, lo, hi, step, start, form) for the DP's interval step:
+    items in units of step with or without 1, small values that an
+    interval [0, reach] absorbs and larger ones past reach + 1 that need
+    the shifts; start None ({0}), an interval, or scattered values (which
+    the items may fill into an interval); lo and hi anywhere around the
+    sums, so they cut inside the first interval and past its reach; and
+    items handed over as a sorted or shuffled list or int64 array."""
+    step = draw(st.sampled_from([1, 2, 3]))
+    pairs = [(1, draw(st.integers(1, 12)))] if draw(st.booleans()) else []
+    # values an interval absorbs, then values past its reach
+    for least, largest, copies, most in ((2, 8, 6, 4), (9, 60, 4, 3)):
+        pair = st.tuples(st.integers(least, largest), st.integers(1, copies))
+        pairs += draw(st.lists(pair, max_size=most, unique_by=lambda p: p[0]))
+    items = sorted(step * v for v, c in dict(pairs).items() for _ in range(c))
+    form = draw(st.sampled_from(["sorted-array", "sorted-list", "shuffled-array", "shuffled-list"]))
+    if form.startswith("shuffled"):
+        draw(st.randoms()).shuffle(items)
+    shape = draw(st.sampled_from(["none", "interval", "scattered"]))
+    base = 0 if shape == "none" else draw(st.just(0) | st.integers(1, 500) | st.just((1 << 62) - 1000))
+    if shape == "none":
+        start = None
+    elif shape == "interval":
+        start = [base + step * k for k in range(draw(st.integers(1, 12)))]
+    else:
+        offsets = draw(st.lists(st.integers(0, 30), min_size=1, max_size=8, unique=True))
+        start = [base + step * k for k in sorted(offsets)]
+    top = (start[-1] if start else 0) + sum(items)
+    lo, hi = draw(st.integers(base - 5, top + 5)), draw(st.integers(base - 5, top + 5))
+    lo, hi = min(lo, hi), max(lo, hi)
+    return items, lo, hi, step, start, form
+
+
+@given(case=_interval_dp_case())
+# {0, 1} filled by three 1s to [0, 3], then 4s to [0, 11]; 20 is past the
+# reach and needs the shifts; the cut at 9 falls inside the interval
+@example(case=([1, 1, 1, 4, 4, 20], 0, 9, 1, None, "sorted-array"))
+@example(case=([1, 1, 1, 4, 4, 20], 2, 40, 1, None, "sorted-array"))
+# no 1: the shifts from the first value on, and no interval afterwards
+@example(case=([4, 4, 6, 10], 0, 30, 2, None, "shuffled-list"))
+# a scattered start {0, 2, 4} that the 1s fill to [0, 6] (shifts, then the
+# check finds an interval), 3 stepped to [0, 9], 20 shifted past it
+@example(case=([1, 1, 3, 20], 0, 40, 1, [0, 2, 4], "sorted-list"))
+# an interval start stepped to hi: the rest cannot change it
+@example(case=([3, 3, 6, 9, 300], 100, 118, 3, [100 + 3 * k for k in range(6)], "shuffled-array"))
+@settings(max_examples=200, deadline=None)
+def test_window_subset_sums_interval_step_matches_per_copy_dp(case):
+    items, lo, hi, step, start, form = case
+    sums = np.array(per_copy_subset_sums(items), dtype=np.int64)
+    if start is not None:
+        sums = np.unique(np.add.outer(np.array(start, dtype=np.int64), sums))
+    want = [v for v in sums.tolist() if lo <= v <= hi]
+    arg = np.array(items, dtype=np.int64) if form.endswith("array") else items
+    got = window_subset_sums(arg, lo, hi, step, start=None if start is None else SumSet(start))
+    assert isinstance(got, SumSet) and got.values.tolist() == want
 
 
 @st.composite
@@ -663,6 +721,7 @@ def _partition_groups_against_reference(items, t, seed):
     groups, raw, filled = reference_partition_groups(items, t, rng_stream(seed, "p1"))
     assert [tuple(g.tolist()) for g in family.groups] == list(groups)
     assert family.raw_count == raw
+    assert family.largest == max(map(len, groups)) and family == GroupFamily(family.groups, raw)
     assert family.group_sums.tolist() == [sum(g) for g in groups]
     return filled
 
