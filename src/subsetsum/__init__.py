@@ -4,8 +4,7 @@ Decides whether a subset of positive integers sums to a target, with
 one-sided error: certified-path yes answers are always correct, and
 yes-instances are missed with small configurable probability.  Exports
 the pipeline's stages, the exact DPs it uses (`fallback_dp`,
-`bounded_subset_sums`), and a CLI with a benchmark harness
-(`subsetsum --help`).
+`bounded_subset_sums`), and a CLI (`subsetsum --help`).
 
 `SumSet.values` is a strictly increasing, read-only, 1-D int64 array (it
 used to be a tuple of Python ints).  `SumSet.of` still takes any
@@ -23,10 +22,14 @@ family (it used to be a method that recomputed it).  The diagnostic
 
 Names that no solve called are no longer defined or exported: the test
 oracles `brute_force` and `textbook_dp` (their copies live in the test
-suite; `subsetsum bench` lost its `dp` algorithm), the budgeted-level
-wrapper `sum_if_sparse`, the tuple wrapper `peel_divisors`, the per-item
-factor table `FactorTable` with `factorize_all`, and the helpers
-`core.ceil_sqrt`, `Instance.of` and `DenseEvidence.total_f`.
+suite), the budgeted-level wrapper `sum_if_sparse`, the tuple wrapper
+`peel_divisors`, the per-item factor table `FactorTable` with
+`factorize_all`, and the helpers `core.ceil_sqrt`, `Instance.of` and
+`DenseEvidence.total_f`.  The `subsetsum bench` command is gone too,
+with its helpers `cli.bench_rows`, `cli.rows_to_csv`,
+`cli.BENCH_HEADER` and `cli.BENCH_ALGORITHMS` and its baseline
+`solver.bitset_dp_table`; the benchmark is `perfbench/` in the source
+tree.
 """
 
 from .core import (

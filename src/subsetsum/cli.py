@@ -1,4 +1,4 @@
-"""Command-line front end: generate, solve, verify, bench.
+"""Command-line front end: generate, solve, verify.
 
 Instance files: first non-comment line is "n t", the following
 non-comment lines hold n whitespace-separated positive integers.
@@ -17,20 +17,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import gc
 import json
 import secrets
 import sys
-import time
 from typing import Optional, Sequence
 
 from .core import Instance, InvalidInstanceError, OracleBudgetError, SolveOutcome, SolverConfig, rng_stream
-from .solver import bitset_dp_table, fallback_dp, solve
-
-BENCH_HEADER = "instance_id,n,w,t,algorithm,branch,decision,seed,wall_time_ns,candidate_set_size"
+from .solver import fallback_dp, solve
 
 PROFILES = ("uniform", "dense", "sparse-window", "divisor-structured")
-BENCH_ALGORITHMS = ("paper", "bitset-dp")
 
 
 def parse_instance_text(text: str, source: str = "<input>") -> Instance:
@@ -153,15 +148,20 @@ def outcome_to_dict(outcome: SolveOutcome, timings: bool = False) -> dict:
     return d
 
 
+def _seed_from_args(args) -> int:
+    """--seed, or a seed drawn from entropy and printed on stderr."""
+    if args.seed is not None:
+        return args.seed
+    seed = secrets.randbits(63)
+    print(f"# seed {seed}", file=sys.stderr)
+    return seed
+
+
 def _config_from_args(args) -> SolverConfig:
-    seed = args.seed
-    if seed is None:
-        seed = secrets.randbits(63)
-        print(f"# seed {seed}", file=sys.stderr)
     return SolverConfig(
         c_ap=args.c_ap,
         error_q=args.q,
-        seed=seed,
+        seed=_seed_from_args(args),
         checked_mode=args.checked,
         fallback_only=getattr(args, "fallback_only", False),
         eta_mult=args.eta_mult,
@@ -178,10 +178,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def cmd_gen(args) -> int:
-    seed = args.seed
-    if seed is None:
-        seed = secrets.randbits(63)
-        print(f"# seed {seed}", file=sys.stderr)
+    seed = _seed_from_args(args)
     inst = generate_instance(
         args.profile, args.n, args.w, seed,
         t=args.t, t_ratio=args.t_ratio, divisor=args.d, tail=args.tail,
@@ -261,113 +258,17 @@ def verify_summary(
 
 
 def cmd_verify(args) -> int:
-    seed = args.seed
-    if seed is None:
-        seed = secrets.randbits(63)
-        print(f"# seed {seed}", file=sys.stderr)
-    config = SolverConfig(
-        c_ap=args.c_ap, error_q=args.q, seed=seed,
-        checked_mode=args.checked, eta_mult=args.eta_mult, budget_mult=args.budget_mult,
-    )
+    config = _config_from_args(args)
     summary = verify_summary(
-        args.count, (args.n_min, args.n_max), (args.w_min, args.w_max), seed, config
+        args.count, (args.n_min, args.n_max), (args.w_min, args.w_max), config.seed, config
     )
-    summary["seed"] = seed
+    summary["seed"] = config.seed
     if args.format == "json":
         _emit(json.dumps(summary, indent=2) + "\n", args.out)
     else:
         lines = [f"{k}: {v}" for k, v in summary.items()]
         _emit("\n".join(lines) + "\n", args.out)
     return 3 if summary["sparse_false_positives"] else 0
-
-
-def bench_rows(
-    cells: Sequence[tuple[int, int, int]],
-    algorithms: Sequence[str],
-    reps: int,
-    seed: int,
-    profile: str = "uniform",
-    warmup: int = 1,
-) -> list[dict]:
-    """Timing rows for each (n, w, t) cell, algorithm and repetition.
-
-    The same generated instance is reused across algorithms and
-    repetitions of a cell, so rows are comparable.  Each (cell,
-    algorithm) pair runs `warmup` untimed iterations first, and the
-    garbage collector is paused around the timed ones.  An algorithm
-    outside BENCH_ALGORITHMS raises ValueError before anything runs.
-    """
-    for algorithm in algorithms:
-        if algorithm not in BENCH_ALGORITHMS:
-            raise ValueError(f"unknown algorithm: {algorithm}")
-    rows = []
-    instance_id = 0
-    gc_was_enabled = gc.isenabled()
-    try:
-        for n, w, t in cells:
-            inst = generate_instance(profile, n, w, seed, t=t)
-            for algorithm in algorithms:
-                for rep in range(-warmup, reps):
-                    cfg = SolverConfig(seed=seed + max(rep, 0))
-                    branch = "oracle"
-                    candidate = 0
-                    gc.collect()
-                    gc.disable()
-                    start = time.perf_counter_ns()
-                    if algorithm == "paper":
-                        outcome = solve(inst, cfg)
-                        elapsed = time.perf_counter_ns() - start
-                        decision = outcome.decision
-                        branch = outcome.branch
-                        candidate = outcome.candidate_set_size
-                    else:
-                        decision = bitset_dp_table(inst.items, inst.target)
-                        elapsed = time.perf_counter_ns() - start
-                    gc.enable()
-                    if rep < 0:
-                        continue
-                    rows.append(
-                        {
-                            "instance_id": instance_id,
-                            "n": n,
-                            "w": w,
-                            "t": t,
-                            "algorithm": algorithm,
-                            "branch": branch,
-                            "decision": "yes" if decision else "no",
-                            "seed": seed + rep,
-                            "wall_time_ns": elapsed,
-                            "candidate_set_size": candidate,
-                        }
-                    )
-            instance_id += 1
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return rows
-
-
-def rows_to_csv(rows: Sequence[dict]) -> str:
-    lines = [BENCH_HEADER]
-    cols = BENCH_HEADER.split(",")
-    for row in rows:
-        lines.append(",".join(str(row[c]) for c in cols))
-    return "\n".join(lines) + "\n"
-
-
-def cmd_bench(args) -> int:
-    seed = args.seed
-    if seed is None:
-        seed = secrets.randbits(63)
-        print(f"# seed {seed}", file=sys.stderr)
-    ns = [int(x) for x in args.n.split(",")]
-    ws = [int(x) for x in args.w.split(",")]
-    ts = [int(x) for x in args.t.split(",")]
-    cells = [(n, w, t) for n in ns for w in ws for t in ts]
-    algorithms = args.algorithms.split(",")
-    rows = bench_rows(cells, algorithms, args.reps, seed, profile=args.profile)
-    _emit(rows_to_csv(rows), args.out)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,19 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--w-max", dest="w_max", type=int, default=40)
     add_solver_flags(v)
     v.set_defaults(func=cmd_verify)
-
-    b = sub.add_parser("bench", help="timing matrix as CSV")
-    b.add_argument("--n", required=True, help="comma-separated values")
-    b.add_argument("--w", required=True, help="comma-separated values")
-    b.add_argument("--t", required=True, help="comma-separated values")
-    b.add_argument(
-        "--algorithms", default="paper,bitset-dp", help=f"comma-separated, from: {', '.join(BENCH_ALGORITHMS)}"
-    )
-    b.add_argument("--reps", type=int, default=1)
-    b.add_argument("--profile", choices=PROFILES, default="uniform")
-    b.add_argument("--seed", type=int, default=None)
-    b.add_argument("--out", default=None)
-    b.set_defaults(func=cmd_bench)
 
     return parser
 

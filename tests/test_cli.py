@@ -4,15 +4,12 @@ import pytest
 
 from subsetsum import cli
 from subsetsum.cli import (
-    BENCH_HEADER,
-    bench_rows,
     format_instance_text,
     generate_instance,
     main,
     parse_instance_text,
-    rows_to_csv,
 )
-from subsetsum.core import Instance, InvalidInstanceError
+from subsetsum.core import Instance, InvalidInstanceError, SolverConfig
 
 
 def test_instance_text_roundtrip():
@@ -83,6 +80,11 @@ def test_cmd_solve_exit_codes(tmp_path, capsys):
     assert main(["solve", str(bad), "--seed", "0"]) == 2
     assert main(["solve", str(tmp_path / "missing.txt"), "--seed", "0"]) == 2
     capsys.readouterr()
+    # the deleted bench subcommand is a usage error, not a traceback
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--n", "8", "--w", "16", "--t", "30"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 def test_cmd_solve_json_schema(tmp_path, capsys):
@@ -129,44 +131,47 @@ def test_cmd_verify_deterministic(capsys):
     assert first == second
 
 
-def test_bench_rows_and_csv():
-    rows = bench_rows([(8, 16, 40)], ["paper", "bitset-dp"], reps=2, seed=11)
-    assert len(rows) == 4
-    csv = rows_to_csv(rows)
-    lines = csv.strip().split("\n")
-    assert lines[0] == BENCH_HEADER
-    assert len(lines) == 5
-    for row in rows:
-        assert row["decision"] in ("yes", "no")
-        assert row["wall_time_ns"] > 0
-        if row["algorithm"] != "paper":
-            assert row["branch"] == "oracle"
+@pytest.mark.parametrize("command", ["gen", "solve", "verify"])
+def test_omitted_seed_is_drawn_printed_and_replayable(command, tmp_path, capsys):
+    # with --seed omitted the command draws a seed and prints it once on
+    # stderr; passing that seed back reproduces stdout byte for byte
+    path = tmp_path / "inst.txt"
+    path.write_text("5 9\n2 3 4 5 7\n")
+    args = {
+        "gen": ["gen", "--n", "10", "--w", "20"],
+        "solve": ["solve", str(path), "--format", "json"],
+        "verify": ["verify", "--count", "10", "--n-min", "1", "--n-max", "6",
+                   "--w-min", "1", "--w-max", "10"],
+    }[command]
+    main(args)
+    drawn = capsys.readouterr()
+    lines = [line for line in drawn.err.splitlines() if line.startswith("# seed ")]
+    assert len(lines) == 1
+    seed = int(lines[0].split()[-1])
+    main(args + ["--seed", str(seed)])
+    replay = capsys.readouterr()
+    assert replay.out == drawn.out
+    assert "# seed" not in replay.err
 
 
-def test_cmd_bench_csv_output(tmp_path):
-    out_file = tmp_path / "bench.csv"
+def test_cmd_verify_takes_solver_flags(monkeypatch, capsys):
+    # verify builds the same SolverConfig that solve builds from its flags
+    calls = []
+    real = cli.verify_summary
+    monkeypatch.setattr(cli, "verify_summary", lambda *args: calls.append(args) or real(*args))
     rc = main([
-        "bench", "--n", "8", "--w", "16", "--t", "30,60", "--reps", "2",
-        "--algorithms", "paper,bitset-dp", "--seed", "2", "--out", str(out_file),
+        "verify", "--count", "5", "--n-min", "1", "--n-max", "6", "--w-min", "1",
+        "--w-max", "10", "--seed", "7", "--q", "0.05", "--c-ap", "2", "--checked",
+        "--eta-mult", "1.5", "--budget-mult", "0.5", "--format", "json",
     ])
     assert rc == 0
-    lines = out_file.read_text().strip().split("\n")
-    assert lines[0] == BENCH_HEADER
-    assert len(lines) == 1 + 2 * 2 * 2
-
-
-def test_cmd_bench_rejects_unknown_algorithm_before_timing(tmp_path, capsys, monkeypatch):
-    solves = []
-    monkeypatch.setattr(cli, "solve", lambda *args: solves.append(args))
-    out_file = tmp_path / "bench.csv"
-    for algorithms in ("dp", "paper,dp"):
-        rc = main([
-            "bench", "--n", "8", "--w", "16", "--t", "30", "--algorithms", algorithms,
-            "--seed", "2", "--out", str(out_file),
-        ])
-        assert rc == 2
-        assert "unknown algorithm: dp" in capsys.readouterr().err
-    assert solves == [] and not out_file.exists()
+    (count, n_range, w_range, seed, config), = calls
+    assert (count, n_range, w_range, seed) == (5, (1, 6), (1, 10), 7)
+    assert config == SolverConfig(
+        c_ap=2, error_q=0.05, seed=7, checked_mode=True, fallback_only=False,
+        eta_mult=1.5, budget_mult=0.5,
+    )
+    assert json.loads(capsys.readouterr().out)["seed"] == 7
 
 
 def test_gen_determinism_bytes(tmp_path):

@@ -10,7 +10,6 @@ from subsetsum.core import Instance, OracleBudgetError, SolverConfig, SumSet, no
 from subsetsum.merge import DenseEvidence
 from subsetsum.structure import partition_instance
 from subsetsum.solver import (
-    bitset_dp_table,
     bounded_subset_sums,
     dense_interval_set,
     fallback_dp,
@@ -20,7 +19,7 @@ from subsetsum.solver import (
 )
 from subsetsum.sumset import dense_sumset
 
-from oracles import brute_force, subset_sum_decision, subset_sums
+from oracles import bitset_dp_table, brute_force, subset_sum_decision, subset_sums
 
 
 def test_bounded_subset_sums_examples():
@@ -233,6 +232,28 @@ def test_solve_dense_branch_checked_agreement():
     assert isinstance(out.dense_evidence, DenseEvidence)
     assert out.report.checked_disagreement is False
     assert out.decision == fallback_dp(inst.items, inst.target)
+
+
+def test_solve_outcome_follows_the_branch_taken():
+    # both branches share one combine: the outcome's branch, its dense
+    # evidence and the report's start-set size follow the branch taken
+    sparse_inst = _pipeline_instance(31)
+    rng = rng_stream(9, "dense-profile")
+    items = tuple(int(v) for v in rng.integers(1, 3, size=1200))
+    dense_inst = Instance(items, max(sum(items) // 4, 201))
+    sparse = solve(sparse_inst, SolverConfig(seed=3, error_q=0.01, checked_mode=True))
+    dense = solve(dense_inst, SolverConfig(seed=11, error_q=0.01, budget_mult=1e-12))
+    assert sparse.branch == sparse.report.branch == "sparse"
+    assert sparse.dense_evidence is None
+    assert sparse.report.s_d_size >= 1 and sparse.report.s_rd_size == 0
+    assert sparse.report.checked_disagreement is None
+    assert dense.branch == dense.report.branch == "dense"
+    assert isinstance(dense.dense_evidence, DenseEvidence)
+    assert dense.report.s_rd_size >= 1 and dense.report.s_d_size == 0
+    assert dense.report.checked_disagreement is None
+    for inst, out in ((sparse_inst, sparse), (dense_inst, dense)):
+        assert out.candidate_set_size >= 1
+        assert out.decision == fallback_dp(inst.items, inst.target)
 
 
 def test_solve_dense_branch_interval_is_achievable():
