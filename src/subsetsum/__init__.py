@@ -30,6 +30,12 @@ with its helpers `cli.bench_rows`, `cli.rows_to_csv`,
 `cli.BENCH_HEADER` and `cli.BENCH_ALGORITHMS` and its baseline
 `solver.bitset_dp_table`; the benchmark is `perfbench/` in the source
 tree.
+
+Settings that no caller needed are gone: `SolverConfig.c_ap` with
+`--c-ap` (the dense threshold's constant c_ap is 1, and budget_mult is
+its one scale, so `--c-ap c --budget-mult m` becomes `--budget-mult c*m`),
+`gen --t-ratio` with `generate_instance(t_ratio=)`, and
+`fallback_dp(max_bits=)`, whose budget is always `FALLBACK_MAX_BITS`.
 """
 
 from .core import (

@@ -71,7 +71,6 @@ def generate_instance(
     w: int,
     seed: int,
     t: Optional[int] = None,
-    t_ratio: Optional[float] = None,
     divisor: int = 6,
     tail: int = 2,
 ) -> Instance:
@@ -117,9 +116,7 @@ def generate_instance(
                 stray.append(v)
         items = base + stray
         default_t = sum(items) // 2
-    if t is None:
-        t = int(t_ratio * sum(items)) if t_ratio is not None else default_t
-    return Instance(items, max(t, 0))
+    return Instance(items, max(default_t if t is None else t, 0))
 
 
 def outcome_to_dict(outcome: SolveOutcome, timings: bool = False) -> dict:
@@ -159,7 +156,6 @@ def _seed_from_args(args) -> int:
 
 def _config_from_args(args) -> SolverConfig:
     return SolverConfig(
-        c_ap=args.c_ap,
         error_q=args.q,
         seed=_seed_from_args(args),
         checked_mode=args.checked,
@@ -181,7 +177,7 @@ def cmd_gen(args) -> int:
     seed = _seed_from_args(args)
     inst = generate_instance(
         args.profile, args.n, args.w, seed,
-        t=args.t, t_ratio=args.t_ratio, divisor=args.d, tail=args.tail,
+        t=args.t, divisor=args.d, tail=args.tail,
     )
     comment = f"profile={args.profile} n={args.n} w={args.w} seed={seed}"
     _emit(format_instance_text(inst, comment), args.out)
@@ -278,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_solver_flags(p):
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--q", type=float, default=None, help="error parameter in (0,1)")
-        p.add_argument("--c-ap", dest="c_ap", type=int, default=1)
         p.add_argument("--checked", action="store_true")
         p.add_argument("--eta-mult", dest="eta_mult", type=float, default=1.0)
         p.add_argument("--budget-mult", dest="budget_mult", type=float, default=1.0)
@@ -290,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--w", type=int, required=True)
     g.add_argument("--t", type=int, default=None)
-    g.add_argument("--t-ratio", dest="t_ratio", type=float, default=None)
     g.add_argument("--d", type=int, default=6, help="planted divisor (divisor-structured)")
     g.add_argument("--tail", type=int, default=2, help="non-divisible items (divisor-structured)")
     g.add_argument("--seed", type=int, default=None)

@@ -247,7 +247,8 @@ class ColorCodingParams:
     k bounds the witness elements per group (w.h.p.), g = k^2 rounded to
     a power of two is the parts-per-group count, reps the number of
     independent repetitions, and tail the budget term added to the node
-    count at every level (scaled by budget_mult when diagnosing).
+    count at every level (`_budget_tail`: the paper's constant c_ap is 1,
+    and budget_mult is the one scale).
     """
 
     k: int
@@ -258,18 +259,32 @@ class ColorCodingParams:
     tail: int
 
 
-def color_params(
-    n: int, t: int, w: int, q: float, c_ap: int, budget_mult: float = 1.0
-) -> ColorCodingParams:
+def color_params(n: int, t: int, w: int, q: float, budget_mult: float = 1.0) -> ColorCodingParams:
     if not (0.0 < q < 1.0):
         raise ValueError("q must be in (0, 1)")
-    k = math.ceil(6 * math.log2(2 * n / q))
+    try:
+        k = math.ceil(6 * math.log2(2 * n / q))
+        reps = math.ceil(math.log(4 * n / q) / math.log(4 / 3))
+    except OverflowError:
+        raise ValueError(f"q = {q} is too small: k or reps overflows a float") from None
     g = next_pow2(k * k)
     u_prime = max(g * w + 1, target_window(w, t))
     rho = 10 * g * ceil_log2(max(w, 1))
-    reps = math.ceil(math.log(4 * n / q) / math.log(4 / 3))
-    tail = math.ceil(budget_mult * 4 * c_ap * rho * u_prime * ceil_log2(u_prime))
-    return ColorCodingParams(k, g, reps, u_prime, rho, tail)
+    return ColorCodingParams(k, g, reps, u_prime, rho, _budget_tail(rho, u_prime, budget_mult))
+
+
+def _budget_tail(rho: int, u_prime: int, budget_mult: float) -> int:
+    """The budget tail ceil(budget_mult * 4 * c_ap * rho * u' * ceil(log2 u'))
+    of stage two and the merge, with the paper's non-constructive
+    arithmetic-progression constant c_ap taken as 1: budget_mult is the
+    one scale of the dense-trip threshold."""
+    try:
+        return math.ceil(budget_mult * 4 * rho * u_prime * ceil_log2(u_prime))
+    except OverflowError:
+        raise ValueError(
+            f"the budget tail overflows a float at budget_mult = {budget_mult} and"
+            f" u' < 2**{u_prime.bit_length()}: lower budget_mult or eta_mult"
+        ) from None
 
 
 class GroupSumsets:
@@ -356,7 +371,6 @@ def build_group_sumsets(
     w: int,
     n: int,
     q: float,
-    c_ap: int,
     rng: np.random.Generator,
     budget_mult: float = 1.0,
 ) -> Union[GroupSumsets, DenseTripSignal]:
@@ -365,7 +379,7 @@ def build_group_sumsets(
     Returns GroupSumsets on the sparse path.  Whenever a level's running
     total size reaches the budget, returns a DenseTripSignal instead.
     """
-    params = color_params(n, t, w, q, c_ap, budget_mult)
+    params = color_params(n, t, w, q, budget_mult)
     # sigma(D) bounds the excess, so a tail above it needs no scan; each
     # non-empty group adds at least one to the excess, so a tail up to
     # their count needs none either: the budgeted path is certain

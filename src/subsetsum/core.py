@@ -211,19 +211,19 @@ class SumSet:
 class SolverConfig:
     """Tunables for the randomized solver.
 
-    c_ap stands in for the (non-constructive) arithmetic-progression
-    constant in the dense-evidence threshold; it trades confidence in the
-    dense branch against how early budget trips can happen.  error_q is
-    the per-phase error parameter; None means min(0.01, 1/(n+t)) chosen
-    per instance.  checked_mode re-verifies dense-branch yes answers with
-    the exact DP on small instances and enables extra internal
-    assertions.  eta_mult scales the concentration constant in the merge
-    windows, and budget_mult scales the dense-trip budget term; both
-    default to 1.0, the faithful setting.  budget_mult < 1 is a
-    diagnostic device to make dense trips reachable on desk-scale inputs.
+    error_q is the per-phase error parameter; None means
+    min(0.01, 1/(n+t)) chosen per instance.  checked_mode re-verifies
+    dense-branch yes answers with the exact DP on small instances and
+    enables extra internal assertions.  eta_mult scales the concentration
+    constant in the merge windows, and budget_mult scales the budget tail
+    4 * c_ap * rho * u' * ceil(log2 u') of the dense-trip threshold, whose
+    non-constructive arithmetic-progression constant c_ap is taken as 1
+    (`colorcoding._budget_tail`), so budget_mult is its one scale.  Both
+    multipliers default to 1.0, the faithful setting, and must be finite
+    and positive.  budget_mult < 1 is a diagnostic device to make dense
+    trips reachable on desk-scale inputs.
     """
 
-    c_ap: int = 1
     error_q: Optional[float] = None
     seed: int = 0
     checked_mode: bool = False
@@ -232,12 +232,12 @@ class SolverConfig:
     budget_mult: float = 1.0
 
     def __post_init__(self):
-        if self.c_ap < 1:
-            raise ValueError("c_ap must be >= 1")
         if self.error_q is not None and not (0.0 < self.error_q < 1.0):
             raise ValueError("error_q must be in (0, 1)")
-        if self.eta_mult <= 0 or self.budget_mult <= 0:
-            raise ValueError("multipliers must be positive")
+        for name in ("eta_mult", "budget_mult"):
+            # written so that nan fails too
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
     def q_for(self, n: int, t: int) -> float:
         if self.error_q is not None:

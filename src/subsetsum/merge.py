@@ -65,7 +65,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .core import InternalConsistencyError, SumSet, ceil_div, ceil_log2, target_window
-from .colorcoding import DenseTripSignal, GroupFamily, GroupSumsets
+from .colorcoding import DenseTripSignal, GroupFamily, GroupSumsets, _budget_tail
 from .sumset import Level, _pair_level, _sorted_runs, common_step, window_subset_sums
 
 
@@ -81,8 +81,9 @@ class DenseEvidence:
     three conditions (checked on assembly):
 
       (i)   total size >= threshold, with threshold = number of sets
-            plus the budget tail 4 * c_ap * rho * u_prime * ceil(log2 u_prime)
-            (scaled by any diagnostic budget multiplier in force);
+            plus the budget tail 4 * c_ap * rho * u_prime * ceil(log2 u_prime),
+            with the paper's constant c_ap taken as 1 and the tail scaled
+            by budget_mult, its one scale (`colorcoding._budget_tail`);
       (ii)  max(S_i) <= f(S_i) <= sigma(D_i) for every retained set;
       (iii) 3t/2 <= total weight <= rho * t / 2.
     """
@@ -196,7 +197,6 @@ def merge_group_sumsets(
     w: int,
     n: int,
     q: float,
-    c_ap: int,
     rng: np.random.Generator,
     eta_mult: float = 1.0,
     budget_mult: float = 1.0,
@@ -218,14 +218,17 @@ def merge_group_sumsets(
         window = target_window(w, t)
 
     exact = group_sumsets.exact
-    eta = math.ceil(eta_mult * 2304 * math.sqrt(w * t) * lgw**2 * math.log2(2 * n / q) ** 3)
+    try:
+        eta = math.ceil(eta_mult * 2304 * math.sqrt(w * t) * lgw**2 * math.log2(2 * n / q) ** 3)
+    except OverflowError:
+        raise ValueError(f"eta_mult = {eta_mult} is too large: eta overflows a float") from None
     eta += window
     # u' covers the largest possible diameter at any level: children are
     # either capped nodes (span <= 2*eta+4) or the uncapped stage-two
     # roots (diameter <= g*w + 1).
     u_prime = max(4 * eta + 9, 2 * g * w + 1)
     rho = params.rho
-    tail = math.ceil(budget_mult * 4 * c_ap * rho * u_prime * ceil_log2(u_prime))
+    tail = _budget_tail(rho, u_prime, budget_mult)
 
     levels = ceil_log2(ell)
     lo = max(t - window, 0)

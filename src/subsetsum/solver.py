@@ -109,11 +109,11 @@ def bounded_subset_sums(items: Sequence[int], cap_hi: int) -> SumSet:
     return window_subset_sums(items, 0, cap_hi)
 
 
-def fallback_dp(items: Sequence[int], t: int, max_bits: int = FALLBACK_MAX_BITS) -> bool:
-    """Exact decision by bitset DP over [0, t]."""
+def fallback_dp(items: Sequence[int], t: int) -> bool:
+    """Exact decision by bitset DP over [0, t], within FALLBACK_MAX_BITS bits."""
     if t < 0:
         return False
-    if t + 1 > max_bits:
+    if t + 1 > FALLBACK_MAX_BITS:
         raise OracleBudgetError(f"DP budget exceeded: t+1 = {t + 1} bits")
     limit = (1 << (t + 1)) - 1
     mask = 1
@@ -170,14 +170,12 @@ def solve_d_window(
     if config.checked_mode:
         verify_group_family(family, d_part, t, w)
     staged = build_group_sumsets(
-        family, t, w, n, q, config.c_ap,
-        rng_stream(config.seed, "phase2"),
-        budget_mult=config.budget_mult,
+        family, t, w, n, q, rng_stream(config.seed, "phase2"), budget_mult=config.budget_mult
     )
     if isinstance(staged, DenseTripSignal):
         return evidence_from_color_trip(staged, t)
     merged = merge_group_sumsets(
-        staged, family, t, w, n, q, config.c_ap,
+        staged, family, t, w, n, q,
         rng_stream(config.seed, "phase3"),
         eta_mult=config.eta_mult,
         budget_mult=config.budget_mult,
@@ -186,6 +184,9 @@ def solve_d_window(
     )
     if isinstance(merged, DenseEvidence):
         return merged
+    # a no-op: the merge already returns its root within [t - window, t];
+    # kept so that the combine boundary `cap`, which perfbench's tracer
+    # wraps as `solver.cap`, is still called
     return cap(merged, max(t - window, 0), t)
 
 
@@ -209,22 +210,13 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveOut
 
     norm = normalize(instance)
     tick = _mark("normalize", t_start)
-    if norm.trivial is not None:
-        timings["total"] = time.perf_counter_ns() - t_start
-        return SolveOutcome(
-            decision=norm.trivial == "yes",
-            branch="trivial",
-            candidate_set_size=0,
-            dense_evidence=None,
-            seed=config.seed,
-            timings=timings,
-            report=BranchReport(branch="trivial", gate_reason=f"trivially {norm.trivial}"),
-        )
-
     inst = norm.instance
     t, w, n = inst.target, inst.w, inst.n
+    candidate_set_size, evidence = 0, None
 
-    if config.fallback_only:
+    if norm.trivial is not None:
+        reason = f"trivially {norm.trivial}"
+    elif config.fallback_only:
         reason = "fallback_only"
     elif small_target_gate(t, w):
         reason = "small target"
@@ -242,68 +234,63 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveOut
             # short of the 3t/2 mass the merge stage needs; fall back.
             reason = "dense part below 3t/2"
 
-    if reason is not None:
+    if norm.trivial is not None:
+        decision = norm.trivial == "yes"
+        report = BranchReport(branch="trivial", gate_reason=reason)
+    elif reason is not None:
         decision = fallback_dp(inst.items, t)
         _mark("fallback_dp", tick)
-        timings["total"] = time.perf_counter_ns() - t_start
-        return SolveOutcome(
-            decision=decision,
-            branch="fallback-dp",
-            candidate_set_size=0,
-            dense_evidence=None,
-            seed=config.seed,
-            timings=timings,
-            report=BranchReport(branch="fallback-dp", gate_reason=reason),
+        report = BranchReport(branch="fallback-dp", gate_reason=reason)
+    else:
+        s_g = bounded_subset_sums(part.leftover_part, sigma_g)
+        s_r = bounded_subset_sums(part.residue_part, sigma_r)
+        tick = _mark("bounded_sums", tick)
+
+        window = max(target_window(w, t), sigma_g + sigma_r)
+        result = solve_d_window(part.dense_part, t, w, n, config, window)
+        tick = _mark("d_window", tick)
+
+        report = BranchReport(
+            branch="sparse",
+            divisor=part.divisor,
+            window=window,
+            s_g_size=len(s_g),
+            s_r_size=len(s_r),
+            sigma_g=sigma_g,
+            sigma_r=sigma_r,
+            sigma_d=sigma_d,
         )
 
-    s_g = bounded_subset_sums(part.leftover_part, sigma_g)
-    s_r = bounded_subset_sums(part.residue_part, sigma_r)
-    tick = _mark("bounded_sums", tick)
-
-    window = max(target_window(w, t), sigma_g + sigma_r)
-    result = solve_d_window(part.dense_part, t, w, n, config, window)
-    tick = _mark("d_window", tick)
-
-    report = BranchReport(
-        branch="sparse",
-        divisor=part.divisor,
-        window=window,
-        s_g_size=len(s_g),
-        s_r_size=len(s_r),
-        sigma_g=sigma_g,
-        sigma_r=sigma_r,
-        sigma_d=sigma_d,
-    )
-
-    # the combine (see the module docstring): one DP started from X, cut
-    # at t plus the added items' sum (X lies in [0, t])
-    evidence = result if isinstance(result, DenseEvidence) else None
-    if evidence is not None:
-        report.branch = "dense"
-        start = dense_interval_set(part.divisor, t, w)
-        report.s_rd_size = len(start)
-        added, sigma_added = part.leftover_part, sigma_g
-    else:
-        start = result
-        report.s_d_size = len(start)
-        added = np.concatenate((part.leftover_part, part.residue_part))
-        sigma_added = sigma_g + sigma_r
-    candidates = window_subset_sums(added, 0, t + sigma_added, start=start)
-    decision = t in candidates
-    if evidence is not None and config.checked_mode and n * (t + 1) <= CHECKED_ORACLE_BUDGET:
-        oracle = fallback_dp(inst.items, t)
-        report.checked_disagreement = decision != oracle
-        if report.checked_disagreement:
-            logger.error(
-                "dense-branch decision %s disagrees with exact DP %s "
-                "(seed=%d, n=%d, t=%d)", decision, oracle, config.seed, n, t,
-            )
-    _mark("combine", tick)
+        # the combine (see the module docstring): one DP started from X, cut
+        # at t plus the added items' sum (X lies in [0, t])
+        evidence = result if isinstance(result, DenseEvidence) else None
+        if evidence is not None:
+            report.branch = "dense"
+            start = dense_interval_set(part.divisor, t, w)
+            report.s_rd_size = len(start)
+            added, sigma_added = part.leftover_part, sigma_g
+        else:
+            start = result
+            report.s_d_size = len(start)
+            added = np.concatenate((part.leftover_part, part.residue_part))
+            sigma_added = sigma_g + sigma_r
+        candidates = window_subset_sums(added, 0, t + sigma_added, start=start)
+        candidate_set_size = len(candidates)
+        decision = t in candidates
+        if evidence is not None and config.checked_mode and n * (t + 1) <= CHECKED_ORACLE_BUDGET:
+            oracle = fallback_dp(inst.items, t)
+            report.checked_disagreement = decision != oracle
+            if report.checked_disagreement:
+                logger.error(
+                    "dense-branch decision %s disagrees with exact DP %s "
+                    "(seed=%d, n=%d, t=%d)", decision, oracle, config.seed, n, t,
+                )
+        _mark("combine", tick)
     timings["total"] = time.perf_counter_ns() - t_start
     return SolveOutcome(
         decision=decision,
         branch=report.branch,
-        candidate_set_size=len(candidates),
+        candidate_set_size=candidate_set_size,
         dense_evidence=evidence,
         seed=config.seed,
         timings=timings,

@@ -285,17 +285,17 @@ def full_subset_sums(groups, sets):
     return all(list(s) == subset_sums(g) for g, s in zip(groups, sets))
 
 
-def merge_bounds(rho, g, t, w, n, q, c_ap, eta_mult, budget_mult, window):
+def merge_bounds(rho, g, t, w, n, q, eta_mult, budget_mult, window):
     """(eta, u_prime, budget tail) of the merge, by its formulas."""
     lgw = math.log2(max(w, 2))
     eta = math.ceil(eta_mult * 2304 * math.sqrt(w * t) * lgw**2 * math.log2(2 * n / q) ** 3) + window
     u_prime = max(4 * eta + 9, 2 * g * w + 1)
-    tail = math.ceil(budget_mult * 4 * c_ap * rho * u_prime * (u_prime - 1).bit_length())
+    tail = math.ceil(budget_mult * 4 * rho * u_prime * (u_prime - 1).bit_length())
     return eta, u_prime, tail
 
 
 def reference_merge(
-    group_sets, group_sums, rho, g, t, w, n, q, c_ap, rng, eta_mult, budget_mult, window
+    group_sets, group_sums, rho, g, t, w, n, q, rng, eta_mult, budget_mult, window
 ):
     """The merge tree on lists of values: `merge_group_sumsets` with every
     pair summed by `pairwise_sumset`, every node capped one by one and the
@@ -311,7 +311,7 @@ def reference_merge(
     sets = [list(group_sets[i]) for i in order]
     f = [s[-1] for s in sets]
     sigma = [group_sums[i] for i in order]
-    eta, u_prime, tail = merge_bounds(rho, g, t, w, n, q, c_ap, eta_mult, budget_mult, window)
+    eta, u_prime, tail = merge_bounds(rho, g, t, w, n, q, eta_mult, budget_mult, window)
     level = 0
     while len(sets) > 1:
         level += 1

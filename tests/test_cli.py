@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -85,6 +86,32 @@ def test_cmd_solve_exit_codes(tmp_path, capsys):
         main(["bench", "--n", "8", "--w", "16", "--t", "30"])
     assert exc.value.code == 2
     assert "invalid choice: 'bench'" in capsys.readouterr().err
+    # so are the deleted settings --c-ap and gen --t-ratio
+    for args in (["solve", str(yes), "--c-ap", "2"], ["gen", "--n", "1", "--w", "1", "--t-ratio", "0.5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(args[-2:])}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", [
+    "--budget-mult=inf", "--budget-mult=1e300", "--budget-mult=nan",
+    "--eta-mult=inf", "--eta-mult=1e300", "--eta-mult=nan", "--q=5e-324",
+    # eta stays finite, but the merge's u' outgrows a float
+    "--eta-mult=1e296",
+])
+def test_cmd_solve_rejects_settings_that_overflow(setting, tmp_path, capsys):
+    # an instance that takes the sparse branch at the defaults, so that every
+    # derived constant (k, reps, eta, both budget tails) is computed; a
+    # setting that makes one of them non-finite is an error (exit status
+    # 2) that names the setting, never a traceback or a "no" (exit status 1)
+    path = tmp_path / "inst.txt"
+    main(["gen", "--profile", "uniform", "--n", "10588", "--w", "16", "--t", "30000",
+          "--seed", "1", "--out", str(path)])
+    assert main(["solve", str(path), "--seed", "1", setting]) == 2
+    err = capsys.readouterr().err
+    name = setting[2:].split("=")[0].replace("-", "_")
+    assert err.startswith("error: ") and re.search(rf"\b{name}\b", err) and "Traceback" not in err
 
 
 def test_cmd_solve_json_schema(tmp_path, capsys):
@@ -161,14 +188,14 @@ def test_cmd_verify_takes_solver_flags(monkeypatch, capsys):
     monkeypatch.setattr(cli, "verify_summary", lambda *args: calls.append(args) or real(*args))
     rc = main([
         "verify", "--count", "5", "--n-min", "1", "--n-max", "6", "--w-min", "1",
-        "--w-max", "10", "--seed", "7", "--q", "0.05", "--c-ap", "2", "--checked",
+        "--w-max", "10", "--seed", "7", "--q", "0.05", "--checked",
         "--eta-mult", "1.5", "--budget-mult", "0.5", "--format", "json",
     ])
     assert rc == 0
     (count, n_range, w_range, seed, config), = calls
     assert (count, n_range, w_range, seed) == (5, (1, 6), (1, 10), 7)
     assert config == SolverConfig(
-        c_ap=2, error_q=0.05, seed=7, checked_mode=True, fallback_only=False,
+        error_q=0.05, seed=7, checked_mode=True, fallback_only=False,
         eta_mult=1.5, budget_mult=0.5,
     )
     assert json.loads(capsys.readouterr().out)["seed"] == 7

@@ -94,16 +94,28 @@ def test_partition_groups_reads_any_order_and_aliases_only_read_only_input():
 
 
 def test_color_params_shapes():
-    p = color_params(n=400, t=200, w=2, q=0.01, c_ap=1)
-    assert p.g == next_pow2(p.k * p.k)
-    assert p.u_prime >= p.g * 2 + 1
-    assert p.rho == 10 * p.g * 1
-    assert p.tail >= 1
+    # stage two's constants against the paper's formulas, written out here:
+    # k = ceil(6 log(2n/q)), g = k^2 up to a power of two, reps =
+    # ceil(log_{4/3}(4n/q)), u' = max(g w + 1, ceil(5 sqrt(wt) log w)),
+    # rho = 10 g ceil(log w) and the budget tail
+    # ceil(budget_mult * 4 c_ap rho u' ceil(log u')) with c_ap = 1
+    c_ap = 1
+    for n, t, w, q in ((400, 200, 2, 0.01), (10_588, 30_000, 16, 1 / 40_588), (7, 10, 1000, 0.3)):
+        k = math.ceil(6 * math.log2(2 * n / q))
+        g = 1 << (k * k - 1).bit_length()
+        reps = math.ceil(math.log(4 * n / q) / math.log(4 / 3))
+        u_prime = max(g * w + 1, math.ceil(5 * math.sqrt(w * t) * math.log2(max(w, 2))))
+        rho = 10 * g * (w - 1).bit_length()
+        for budget_mult in (1.0, 0.3, 1e-12):
+            tail = math.ceil(budget_mult * 4 * c_ap * rho * u_prime * (u_prime - 1).bit_length())
+            p = color_params(n, t, w, q, budget_mult)
+            assert (p.k, p.g, p.reps, p.u_prime, p.rho, p.tail) == (k, g, reps, u_prime, rho, tail)
+            assert p.tail >= 1
 
 
 def test_singleton_groups_give_zero_and_element():
     fam = partition_groups((1, 1, 2, 3, 5, 8), 10, rng_stream(0, "p1"))
-    out = build_group_sumsets(fam, 10, 8, 6, 0.3, 1, rng_stream(0, "p2"))
+    out = build_group_sumsets(fam, 10, 8, 6, 0.3, rng_stream(0, "p2"))
     for grp, s in zip(fam.groups, out.sets):
         if len(grp) == 1:
             assert s.tolist() == [0, grp[0]]
@@ -120,7 +132,7 @@ def test_group_sumsets_are_true_subset_sums():
         t = max(1, (2 * sum(items)) // 4)
         seed = int(rng_data.integers(1 << 30))
         fam = partition_groups(items, t, rng_stream(seed, "p1"))
-        out = build_group_sumsets(fam, t, w, n, 0.2, 1, rng_stream(seed, "p2"))
+        out = build_group_sumsets(fam, t, w, n, 0.2, rng_stream(seed, "p2"))
         assert not isinstance(out, DenseTripSignal)
         for grp, s in zip(fam.groups, out.sets):
             grp, s = grp.tolist(), s.tolist()
@@ -133,8 +145,8 @@ def test_group_sumsets_are_true_subset_sums():
 
 def test_group_sumsets_deterministic():
     fam = partition_groups([3, 5, 6, 7, 2, 4], 10, rng_stream(5, "p1"))
-    a = build_group_sumsets(fam, 10, 8, 6, 0.3, 1, rng_stream(5, "p2"))
-    b = build_group_sumsets(fam, 10, 8, 6, 0.3, 1, rng_stream(5, "p2"))
+    a = build_group_sumsets(fam, 10, 8, 6, 0.3, rng_stream(5, "p2"))
+    b = build_group_sumsets(fam, 10, 8, 6, 0.3, rng_stream(5, "p2"))
     assert a.sets == b.sets
 
 
@@ -149,7 +161,7 @@ def test_witness_coverage_rate():
     seeds = 200
     for seed in range(seeds):
         fam = partition_groups(items, t, rng_stream(seed, "p1"))
-        out = build_group_sumsets(fam, t, max(items), n, q, 1, rng_stream(seed, "p2"))
+        out = build_group_sumsets(fam, t, max(items), n, q, rng_stream(seed, "p2"))
         group_of = {}
         for gi, grp in enumerate(fam.groups):
             for x in grp.tolist():
@@ -167,10 +179,10 @@ def test_witness_coverage_rate():
     assert worst <= q + 3 * stderr, f"worst miss rate {worst}"
 
 
-def _naive_stage_two(family, t, w, n, q, c_ap, rng, budget_mult):
+def _naive_stage_two(family, t, w, n, q, rng, budget_mult):
     """Materialized reference (`materialized_stage_two`) as stage two's
     result, and the kind of trip (None without one)."""
-    params = color_params(n, t, w, q, c_ap, budget_mult)
+    params = color_params(n, t, w, q, budget_mult)
     groups = [g.tolist() for g in family.groups]
     ref = materialized_stage_two(groups, params.g, params.reps, params.tail, rng)
     if ref[0] == "sets":
@@ -227,14 +239,14 @@ def test_virtual_levels_match_materialized_reference(budget_mult, seed, case, tr
     family, n, q = case
     t, w = 10, 8
     if case is _LARGE_GROUPS and trip is None:
-        params = color_params(n, t, w, q, 1, budget_mult)
+        params = color_params(n, t, w, q, budget_mult)
         first = _first_clean_rep(family, params.g, params.reps, rng_stream(seed, "p2"))
         assert any(r is not None and r > 0 for r in first), "no group completes late"
         assert None in first, "every group completes"
     fast = build_group_sumsets(
-        family, t, w, n, q, 1, rng_stream(seed, "p2"), budget_mult=budget_mult
+        family, t, w, n, q, rng_stream(seed, "p2"), budget_mult=budget_mult
     )
-    ref, kind = _naive_stage_two(family, t, w, n, q, 1, rng_stream(seed, "p2"), budget_mult)
+    ref, kind = _naive_stage_two(family, t, w, n, q, rng_stream(seed, "p2"), budget_mult)
     assert fast == ref
     if trip is None:
         assert kind is None
@@ -255,10 +267,10 @@ def test_budgeted_levels_match_slot_reference_at_pipeline_size(n, w, budget_mult
     t, config = inst.target, SolverConfig(seed=seed, budget_mult=budget_mult)
     q = config.q_for(inst.n, t)
     family = partition_groups(partition_instance(inst).dense_part, t, rng_stream(seed, "phase1"))
-    params = color_params(inst.n, t, inst.w, q, config.c_ap, budget_mult)
+    params = color_params(inst.n, t, inst.w, q, budget_mult)
     assert params.g == 1 << 15 and params.tail <= colorcoding._max_level_excess(family)
     got = build_group_sumsets(
-        family, t, inst.w, inst.n, q, config.c_ap, rng_stream(seed, "phase2"), budget_mult=budget_mult
+        family, t, inst.w, inst.n, q, rng_stream(seed, "phase2"), budget_mult=budget_mult
     )
     ref = slot_stage_two(family, params, rng_stream(seed, "phase2"))
     assert got == ref
@@ -296,8 +308,8 @@ def test_tripping_level_computes_at_most_a_chunk_past_its_stop(monkeypatch, tail
     rng = np.random.default_rng(5)
     groups = tuple(tuple(int(v) for v in rng.integers(1, 9, size=10)) for _ in range(64))
     family = GroupFamily(Flat.of(groups), 64)
-    budget_mult = tail / color_params(1, 10, 8, 0.9, 1).tail
-    sig = build_group_sumsets(family, 10, 8, 1, 0.9, 1, rng_stream(1, "p2"), budget_mult=budget_mult)
+    budget_mult = tail / color_params(1, 10, 8, 0.9).tail
+    sig = build_group_sumsets(family, 10, 8, 1, 0.9, rng_stream(1, "p2"), budget_mult=budget_mult)
     assert isinstance(sig, DenseTripSignal) and sig.level == level
     pairs, budget, prefix, values = calls[-1]
     assert budget == sig.threshold, "the tripping level called no kernel"
@@ -331,7 +343,7 @@ def test_level_one_trip_builds_no_runs(monkeypatch):
     t, config = inst.target, SolverConfig(seed=1, budget_mult=1e-12)
     q = config.q_for(inst.n, t)
     family = partition_groups(partition_instance(inst).dense_part, t, rng_stream(1, "phase1"))
-    params = color_params(inst.n, t, inst.w, q, config.c_ap, config.budget_mult)
+    params = color_params(inst.n, t, inst.w, q, config.budget_mult)
     assert params.tail <= np.count_nonzero(family.groups.sizes())
     calls = []
     for name in ("_part_level", "_pair_level", "_max_level_excess"):
@@ -340,7 +352,7 @@ def test_level_one_trip_builds_no_runs(monkeypatch):
             colorcoding, name, lambda *a, name=name, real=real: calls.append(name) or real(*a)
         )
     got = build_group_sumsets(
-        family, t, inst.w, inst.n, q, config.c_ap, rng_stream(1, "phase2"),
+        family, t, inst.w, inst.n, q, rng_stream(1, "phase2"),
         budget_mult=config.budget_mult,
     )
     assert isinstance(got, DenseTripSignal) and (got.level, got.repetition) == (1, 0)
@@ -381,7 +393,7 @@ def test_group_sets_match_subset_sums(groups, open_groups):
     # through the level loop (here also unsorted ones); each open group
     # keeps the set it is given, in its own place
     family = GroupFamily(Flat.of(groups), len(groups))
-    params = color_params(6, 10, 16, 0.3, 1)
+    params = color_params(6, 10, 16, 0.3)
     open_groups = np.array(open_groups, dtype=np.int64)
     open_sets = [[0, int(k) + 100] for k in open_groups]
     got = colorcoding._group_sets(family, params, open_groups, Flat.of(open_sets))
@@ -395,11 +407,11 @@ def test_complete_group_sumsets_equal_their_built_form(monkeypatch):
     # both multi-element groups complete (each element in a part of its
     # own), so stage two returns sets that are built on their first read
     family = GroupFamily(Flat.of(((3, 5), (6,), (7, 2, 2), (), (4,), (), (), ())), 5)
-    params = color_params(6, 10, 8, 0.3, 1)
+    params = color_params(6, 10, 8, 0.3)
     built = []
     group_sets = colorcoding._group_sets
     monkeypatch.setattr(colorcoding, "_group_sets", lambda *a: built.append(a) or group_sets(*a))
-    lazy = build_group_sumsets(family, 10, 8, 6, 0.3, 1, rng_stream(2, "p2"))
+    lazy = build_group_sumsets(family, 10, 8, 6, 0.3, rng_stream(2, "p2"))
     assert lazy.exact and built == []
     eager = GroupSumsets(Flat.of([subset_sums(g.tolist()) for g in family.groups]), params, True)
     assert lazy == eager and eager == lazy and len(built) == 1
@@ -414,7 +426,7 @@ def test_all_singleton_family_draws_nothing_and_builds_no_item_array(monkeypatch
     # once, with no draw and no item-sized array
     family = partition_groups([1, 2, 3, 5, 8, 13, 21], 10, rng_stream(0, "p1"))
     assert family.largest == 1
-    params = color_params(7, 10, 32, 0.3, 1)
+    params = color_params(7, 10, 32, 0.3)
     monkeypatch.setattr(colorcoding.np, "repeat", lambda *a, **k: pytest.fail("item-sized array built"))
     rng = rng_stream(5, "p2")
     got = colorcoding._unbudgeted_sumsets(family, params, rng)
@@ -429,7 +441,7 @@ def test_two_element_group_is_drawn_whatever_the_empty_groups():
     # elements as raw_count, yet a group of two, so repetitions are drawn
     family = GroupFamily(Flat.of(((), (3, 5))), 2)
     assert family.largest == 2 and family.groups.vals.size == family.raw_count
-    params = color_params(2, 5, 8, 0.3, 1)
+    params = color_params(2, 5, 8, 0.3)
     rng = rng_stream(5, "p2")
     got = colorcoding._unbudgeted_sumsets(family, params, rng)
     assert rng.integers(0, 1 << 62) != rng_stream(5, "p2").integers(0, 1 << 62)
@@ -448,7 +460,7 @@ def test_budget_that_cannot_trip_takes_unbudgeted_path(monkeypatch):
     config = SolverConfig(seed=1, budget_mult=1e-9)
     q = config.q_for(n, t)
     family = partition_groups(items, t, rng_stream(1, "phase1"))
-    params = color_params(n, t, w, q, config.c_ap, config.budget_mult)
+    params = color_params(n, t, w, q, config.budget_mult)
     assert colorcoding._max_level_excess(family) < params.tail <= sum(items)
     ran = []
     unbudgeted = colorcoding._unbudgeted_sumsets
@@ -456,7 +468,7 @@ def test_budget_that_cannot_trip_takes_unbudgeted_path(monkeypatch):
         colorcoding, "_unbudgeted_sumsets", lambda *a: ran.append(1) or unbudgeted(*a)
     )
     got = build_group_sumsets(
-        family, t, w, n, q, config.c_ap, rng_stream(1, "p2"), budget_mult=config.budget_mult
+        family, t, w, n, q, rng_stream(1, "p2"), budget_mult=config.budget_mult
     )
     assert ran == [1]
     rng = rng_stream(1, "p2")
@@ -478,10 +490,10 @@ def test_never_complete_groups_match_slot_reference_at_pipeline_size():
     groups = [tuple(sorted(int(v) for v in rng.integers(1, 3, size=k))) for k in sizes]
     family = GroupFamily(Flat.of(groups + [()] * (512 - len(groups))), len(groups))
     t, w, n, q = 4000, 2, 50, 0.5
-    params = color_params(n, t, w, q, 1)
+    params = color_params(n, t, w, q)
     assert (params.g, params.reps) == (4096, 21)
     assert params.tail > colorcoding._max_level_excess(family)
-    got = build_group_sumsets(family, t, w, n, q, 1, rng_stream(8, "p2"))
+    got = build_group_sumsets(family, t, w, n, q, rng_stream(8, "p2"))
     assert got == slot_stage_two(family, params, rng_stream(8, "p2"))
     assert not got.exact
     # a group that never completes lacks at least its own sum
@@ -492,7 +504,7 @@ def test_never_complete_groups_match_slot_reference_at_pipeline_size():
 def test_trip_signal_bookkeeping_consistency():
     family = GroupFamily(Flat.of(((3, 5), (6,), (7, 2), (4,))), 4)
     sig = build_group_sumsets(
-        family, 10, 8, 4, 0.9, 1, rng_stream(9, "p2"), budget_mult=1e-9
+        family, 10, 8, 4, 0.9, rng_stream(9, "p2"), budget_mult=1e-9
     )
     assert isinstance(sig, DenseTripSignal)
     assert sig.observed_total_size >= sig.threshold

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -179,10 +181,16 @@ def test_sumset_membership_and_diameter():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(c_ap=0)
+    # c_ap is no longer a setting: the dense threshold's constant is 1
+    with pytest.raises(TypeError):
+        SolverConfig(c_ap=1)
     with pytest.raises(ValueError):
         SolverConfig(error_q=1.0)
+    for bad in (math.nan, math.inf, -math.inf, 0.0):
+        with pytest.raises(ValueError, match="^eta_mult must be finite and positive"):
+            SolverConfig(eta_mult=bad)
+        with pytest.raises(ValueError, match="^budget_mult must be finite and positive"):
+            SolverConfig(budget_mult=bad)
     cfg = SolverConfig()
     assert cfg.q_for(100, 1000) == pytest.approx(1 / 1100)
     assert cfg.q_for(2, 3) == pytest.approx(0.01)

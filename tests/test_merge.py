@@ -24,15 +24,15 @@ from oracles import merge_bounds, per_copy_subset_sums, subset_sums
 
 def _pipeline_inputs(items, t, w, n, q, seed, budget_mult=1.0):
     fam = partition_groups(items, t, rng_stream(seed, "p1"))
-    gs = build_group_sumsets(fam, t, w, n, q, 1, rng_stream(seed, "p2"), budget_mult=budget_mult)
+    gs = build_group_sumsets(fam, t, w, n, q, rng_stream(seed, "p2"), budget_mult=budget_mult)
     return fam, gs
 
 
 def test_single_pair_merge_keeps_joint_sum():
     fam = GroupFamily(Flat.of(((3,), (5,))), 2)
-    params = color_params(2, 8, 5, 0.5, 1)
+    params = color_params(2, 8, 5, 0.5)
     gs = GroupSumsets(Flat.of(((0, 3), (0, 5))), params)
-    root = merge_group_sumsets(gs, fam, 8, 5, 2, 0.5, 1, rng_stream(1, "p3"))
+    root = merge_group_sumsets(gs, fam, 8, 5, 2, 0.5, rng_stream(1, "p3"))
     assert isinstance(root, SumSet)
     # both group maxima combined survive the capping; the root keeps only
     # its values in [t - window, t]
@@ -49,7 +49,7 @@ def test_merge_root_is_subset_of_true_sums():
         seed = int(rng_data.integers(1 << 30))
         fam, gs = _pipeline_inputs(items, t, w, n, 0.25, seed)
         root = merge_group_sumsets(
-            gs, fam, t, w, n, 0.25, 1, rng_stream(seed, "p3")
+            gs, fam, t, w, n, 0.25, rng_stream(seed, "p3")
         )
         assert isinstance(root, SumSet)
         assert set(root.values) <= set(subset_sums(items))
@@ -58,8 +58,8 @@ def test_merge_root_is_subset_of_true_sums():
 def test_merge_deterministic():
     items = [3, 5, 6, 7, 2, 4]
     fam, gs = _pipeline_inputs(items, 10, 8, 6, 0.3, 21)
-    a = merge_group_sumsets(gs, fam, 10, 8, 6, 0.3, 1, rng_stream(21, "p3"))
-    b = merge_group_sumsets(gs, fam, 10, 8, 6, 0.3, 1, rng_stream(21, "p3"))
+    a = merge_group_sumsets(gs, fam, 10, 8, 6, 0.3, rng_stream(21, "p3"))
+    b = merge_group_sumsets(gs, fam, 10, 8, 6, 0.3, rng_stream(21, "p3"))
     assert a == b
 
 
@@ -67,7 +67,7 @@ def test_merge_narrow_windows_can_empty_nodes():
     items = [3, 5, 6, 7, 2, 4]
     fam, gs = _pipeline_inputs(items, 10, 8, 6, 0.3, 2)
     root = merge_group_sumsets(
-        gs, fam, 10, 8, 6, 0.3, 1, rng_stream(2, "p3"), window=0, eta_mult=1e-12
+        gs, fam, 10, 8, 6, 0.3, rng_stream(2, "p3"), window=0, eta_mult=1e-12
     )
     assert isinstance(root, SumSet)
     # capping to +-2 around t/ell_h prunes hard; whatever survives is real
@@ -93,14 +93,14 @@ def test_collapse_refuses_rows_larger_than_the_leaf_level(monkeypatch):
     ):
         items = [x for grp in groups for x in grp]
         w, n, q, t = 1 << max(items).bit_length(), len(items), 0.3, sum(items) // 2
-        params = color_params(n, t, w, q, 1)
+        params = color_params(n, t, w, q)
         family = GroupFamily(Flat.of(groups), sum(1 for grp in groups if grp))
         sets = Flat.of([subset_sums(grp) for grp in groups])
         # window = t: the root is returned on [0, t]
-        eta, _, tail = merge_bounds(params.rho, params.g, t, w, n, q, 1, 1.0, 1.0, t)
+        eta, _, tail = merge_bounds(params.rho, params.g, t, w, n, q, 1.0, 1.0, t)
         assert sum(items) < tail and eta + 1 >= max(t, sum(items))
         roots = [
-            merge_group_sumsets(GroupSumsets(sets, params, exact), family, t, w, n, q, 1, rng_stream(4, "p3"), window=t)
+            merge_group_sumsets(GroupSumsets(sets, params, exact), family, t, w, n, q, rng_stream(4, "p3"), window=t)
             for exact in (True, False)
         ]
         assert calls == []
@@ -113,7 +113,7 @@ def test_merge_budget_trip_produces_checked_evidence():
     t = 40
     fam, gs = _pipeline_inputs(items, t, 2, len(items), 0.3, 5)
     res = merge_group_sumsets(
-        gs, fam, t, 2, len(items), 0.3, 1, rng_stream(5, "p3"), budget_mult=1e-13
+        gs, fam, t, 2, len(items), 0.3, rng_stream(5, "p3"), budget_mult=1e-13
     )
     assert isinstance(res, DenseEvidence)
     assert res.source == "phase-three"
@@ -131,7 +131,7 @@ def test_merge_trip_at_deeper_levels_keeps_f_sum():
     seen_levels = set()
     for mult in (1e-14, 1e-13, 3e-13, 5e-13):
         res = merge_group_sumsets(
-            gs, fam, t, 2, len(items), 0.3, 1, rng_stream(6, "p3"), budget_mult=mult
+            gs, fam, t, 2, len(items), 0.3, rng_stream(6, "p3"), budget_mult=mult
         )
         if isinstance(res, DenseEvidence):
             seen_levels.add(res.level)
@@ -179,16 +179,16 @@ def test_checked_merge_rejects_an_exact_set_without_its_group_sum():
     # reading the set; checked mode reads the sets and compares
     groups = ((3, 5), (6,), (7, 2), (4,))
     family = GroupFamily(Flat.of(groups), 4)
-    params = color_params(6, 10, 8, 0.3, 1)
+    params = color_params(6, 10, 8, 0.3)
     sets = [subset_sums(g) for g in groups]
     sets[2] = sets[2][:-1]  # lacks sigma = 9, as a never-complete group does
     staged = GroupSumsets(Flat.of(sets), params, True)
     with pytest.raises(InternalConsistencyError, match="maximum differs from its group's sum"):
-        merge_group_sumsets(staged, family, 10, 8, 6, 0.3, 1, rng_stream(1, "p3"), checked=True)
-    assert isinstance(merge_group_sumsets(staged, family, 10, 8, 6, 0.3, 1, rng_stream(1, "p3")), SumSet)
+        merge_group_sumsets(staged, family, 10, 8, 6, 0.3, rng_stream(1, "p3"), checked=True)
+    assert isinstance(merge_group_sumsets(staged, family, 10, 8, 6, 0.3, rng_stream(1, "p3")), SumSet)
     staged = GroupSumsets(Flat.of([subset_sums(g) for g in groups]), params, True)
     assert isinstance(
-        merge_group_sumsets(staged, family, 10, 8, 6, 0.3, 1, rng_stream(1, "p3"), checked=True), SumSet
+        merge_group_sumsets(staged, family, 10, 8, 6, 0.3, rng_stream(1, "p3"), checked=True), SumSet
     )
 
 
@@ -197,9 +197,9 @@ def test_checked_merge_rejects_a_dp_root_unlike_the_kernel_s(monkeypatch):
     # through the kernel and compares the roots on the window
     groups = ((3, 5), (6,), (7, 2), (4,))
     family = GroupFamily(Flat.of(groups), 4)
-    params = color_params(6, 10, 8, 0.3, 1)
+    params = color_params(6, 10, 8, 0.3)
     staged = GroupSumsets(Flat.of([subset_sums(g) for g in groups]), params, True)
-    args = (staged, family, 10, 8, 6, 0.3, 1)
+    args = (staged, family, 10, 8, 6, 0.3)
     root = SumSet(tuple(subset_sums(sum(groups, ()), 10)))
     assert merge_group_sumsets(*args, rng_stream(1, "p3"), checked=True) == root
     dp = merge.window_subset_sums

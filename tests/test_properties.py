@@ -482,7 +482,7 @@ def test_merge_matches_values_reference():
         rng = np.random.default_rng(seed)
         items = [mult * int(v) for v in rng.integers(1, w + 1, size=n)]
         t = max(1, int(t_frac * sum(items)))
-        args = (t, mult * w, n, 0.3, 1)
+        args = (t, mult * w, n, 0.3)
         family = partition_groups(items, t, rng_stream(seed, "p1"))
         staged = build_group_sumsets(family, *args, rng_stream(seed, "p2"))
         params = (staged.params.rho, staged.params.g, *args, eta_mult)
@@ -553,12 +553,12 @@ def test_deep_merge_matches_values_reference():
         n, sigma = max(1, len(items)), sum(items)
         step = max(math.gcd(*items), 1)
         t = max(1, int(t_frac * sigma))
-        q, c_ap = 0.3, 1
-        params = color_params(n, t, mult * w, q, c_ap)
+        q = 0.3
+        params = color_params(n, t, mult * w, q)
         family = GroupFamily(Flat.of(groups), sum(1 for grp in groups if grp))
         staged = GroupSumsets(Flat.of(sets), params, exact)
 
-        bounds = (params.rho, params.g, t, mult * w, n, q, c_ap)
+        bounds = (params.rho, params.g, t, mult * w, n, q)
         eta_mult = eta_side * max(t, sigma) / merge_bounds(*bounds, 1.0, 1.0, 0)[0]
         budget_mult = tail_side * (sigma // step) / merge_bounds(*bounds, eta_mult, 1.0, 0)[2]
         eta, _, tail = merge_bounds(*bounds, eta_mult, budget_mult, 0)
@@ -575,11 +575,11 @@ def test_deep_merge_matches_values_reference():
             _pair_level=lambda *a: kernel_levels.append(a[1]) or pair_level(*a),
         ):
             got = merge_group_sumsets(
-                staged, family, t, mult * w, n, q, c_ap, rng_stream(seed, "p3"),
+                staged, family, t, mult * w, n, q, rng_stream(seed, "p3"),
                 eta_mult=eta_mult, budget_mult=budget_mult, window=0, checked=checked,
             )
         kind, ref = reference_merge(
-            list(sets), [sum(grp) for grp in groups], params.rho, params.g, t, mult * w, n, q, c_ap,
+            list(sets), [sum(grp) for grp in groups], params.rho, params.g, t, mult * w, n, q,
             rng_stream(seed, "p3"), eta_mult, budget_mult, 0,
         )
         assert got == (cap(SumSet(ref), t, t) if kind == "root" else DenseEvidence(**ref))
@@ -651,20 +651,20 @@ def test_merge_collapse_matches_values_reference():
         n, sigma = max(1, len(items)), sum(items)
         step = max(math.gcd(*items), 1)
         t = max(1, int(t_frac * sigma))
-        q, c_ap, eta_mult = 0.3, 1, 1e-30
-        params = color_params(n, t, mult * w, q, c_ap)
+        q, eta_mult = 0.3, 1e-30
+        params = color_params(n, t, mult * w, q)
         family = GroupFamily(Flat.of(groups), sum(1 for grp in groups if grp))
         staged = GroupSumsets(Flat.of(sets), params, refuse != "exact")
         # eta_mult = 1e-30 makes eta = 1 + window exactly
         window = max(t, sigma) - (3 if refuse == "cap" else 2)
-        bounds = (params.rho, params.g, t, mult * w, n, q, c_ap, eta_mult)
+        bounds = (params.rho, params.g, t, mult * w, n, q, eta_mult)
         full_tail = merge_bounds(*bounds, 1.0, window)[2]
         budget_mult = (sigma // step + (0 if refuse == "trip" else 1) - 0.5) / full_tail
         eta, _, tail = merge_bounds(*bounds, budget_mult, window)
         collapse = refuse != "exact" and sigma // step < tail and eta + 1 >= max(t, sigma)
         collapse = collapse and (sigma // step + 1) // 64 + 1 <= len(items) + ell
 
-        args = (family, t, mult * w, n, q, c_ap)
+        args = (family, t, mult * w, n, q)
         kwargs = dict(eta_mult=eta_mult, budget_mult=budget_mult, window=window)
         lo = max(t - window, 0)
         dps, kernel_levels = [], []
@@ -677,7 +677,7 @@ def test_merge_collapse_matches_values_reference():
             got = merge_group_sumsets(staged, *args, rng_stream(seed, "p3"), **kwargs)
         checked = merge_group_sumsets(staged, *args, rng_stream(seed, "p3"), checked=True, **kwargs)
         kind, ref = reference_merge(
-            sets, [sum(grp) for grp in groups], params.rho, params.g, t, mult * w, n, q, c_ap,
+            sets, [sum(grp) for grp in groups], params.rho, params.g, t, mult * w, n, q,
             rng_stream(seed, "p3"), eta_mult, budget_mult, window,
         )
         want = cap(SumSet(ref), lo, t) if kind == "root" else DenseEvidence(**ref)
@@ -841,8 +841,8 @@ def test_stage_two_matches_materialized_reference():
         # level excess, so that trips fall at every level and some runs do
         # not trip
         excess = colorcoding._max_level_excess(family)
-        budget_mult = (excess + 2) ** log_tail / color_params(n, 10, 12, 0.9, 1).tail
-        params = color_params(n, 10, 12, 0.9, 1, budget_mult)
+        budget_mult = (excess + 2) ** log_tail / color_params(n, 10, 12, 0.9).tail
+        params = color_params(n, 10, 12, 0.9, budget_mult)
         rng, kernel_levels = _DrawSpy(rng_stream(seed, "p2")), []
         pair_level = colorcoding._pair_level
 
@@ -851,7 +851,7 @@ def test_stage_two_matches_materialized_reference():
             return pair_level(level, budget, gaps)
 
         with mock.patch.object(colorcoding, "_pair_level", level_spy):
-            got = build_group_sumsets(family, 10, 12, n, 0.9, 1, rng, budget_mult=budget_mult)
+            got = build_group_sumsets(family, 10, 12, n, 0.9, rng, budget_mult=budget_mult)
         groups = [g.tolist() for g in family.groups]
         ref = materialized_stage_two(groups, params.g, params.reps, params.tail, rng_stream(seed, "p2"))
         if ref[0] == "sets":

@@ -63,7 +63,7 @@ def test_brute_force_meet_in_middle_path():
 
 def test_oracle_budgets():
     with pytest.raises(OracleBudgetError):
-        fallback_dp((5,), 10**12, max_bits=1 << 20)
+        fallback_dp((5,), 10**12)
     with pytest.raises(OracleBudgetError):
         brute_force(Instance(tuple([1] * 26), 3))
 
