@@ -10,11 +10,14 @@ bucket order.  The empty buckets are filled at once, in ascending order,
 with the last elements of the buckets that hold two or more (from the
 highest-index bucket down, each keeping one), and a second argsort places
 the moved items.  A layer with no more items than its cap is not drawn:
-each item is a group of its own, and when no layer is drawn (every
-`sparse-ladder` solve) the family's values are the sorted input
-itself.  Consequences: any subset with sum <= t meets each group in few
-elements with high probability, and the group maxima carry a constant
-fraction of t in total without exceeding ~t log w.
+each item is a group of its own.  Stage one reads the bulk as a
+multiset (distinct values and counts; the solver passes the dense part
+so) and builds the items only when some layer is drawn; when none is
+(every `sparse-ladder` solve) the family is held as that multiset and
+its groups are built only when read.  Consequences: any subset with
+sum <= t meets each group in few elements with high probability, and
+the group maxima carry a constant fraction of t in total without
+exceeding ~t log w.
 
 Stage two (`build_group_sumsets`) runs color coding over every group
 simultaneously: each group is split uniformly into g random parts, 0 is
@@ -58,8 +61,8 @@ pair past its stop.
 The budget can never trip when its tail exceeds the sum over groups of
 min(sigma(G), 2^|G| - 1), a bound on any level's size excess over its
 node count (see `_max_level_excess`); only then is the budgeted path
-skipped.  That sum is at most sigma(D), so a tail above sigma(D) (one
-sum over the items) skips it without the scan: at the paper's constants
+skipped.  That sum is at most sigma(D), so a tail above sigma(D) (from
+the family's multiset) skips it without the scan: at the paper's constants
 the tail exceeds sigma(D) more than 6e8 times over on every
 `sparse-ladder` and `grouped` solve (workload seeds 1 and 2).  Each
 non-empty group adds at least one to the bound, so a tail at most their
@@ -76,7 +79,7 @@ until every group is complete.  If every group completes, the sets are
 every group's full subset sums and stage two builds none of them: it
 returns `GroupSumsets.complete`, whose sets are built on their first read
 (checked mode, a merge that does not collapse, tests and tracing read
-them; a collapsing merge needs only the items).
+them; a collapsing merge needs only the family's multiset).
 Otherwise the groups that never complete form a sub-family that goes through the
 same level loop on each repetition's recorded draws of its elements;
 the sub-family's excess is at most the family's, so no level can trip.
@@ -91,7 +94,7 @@ set is its group's full subset sums (a group that never completes lacks
 at least its own sum).  The unbudgeted path knows this from its draws;
 the budgeted path marks a group complete in any repetition that puts its
 elements into parts of their own.  The merge collapses to one DP over
-the items only when the flag is set.
+the family's multiset only when the flag is set.
 """
 
 from __future__ import annotations
@@ -104,12 +107,11 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .core import InternalConsistencyError, ceil_div, ceil_log2, next_pow2, target_window
-from .sumset import Flat, Level, _offsets, _pair_level, _segment_index
+from .sumset import Flat, Level, _offsets, _pair_level, _segment_index, _value_counts
 # imported only as the phase-2 kernel boundary that perfbench's tracer wraps
 from .sumset import _sum_values  # noqa: F401
 
 
-@dataclass(frozen=True)
 class GroupFamily:
     """Groups from stage one, padded to a power-of-two count.
 
@@ -124,20 +126,66 @@ class GroupFamily:
     it from its per-layer counts; left out, it is computed from the
     groups' sizes.  Stage two reads it to skip its draws, and every
     item-sized array, when no group holds two elements.
+
+    multiset is every element of the family, as sorted distinct values
+    and their int64 counts: `partition_groups` passes the one it built
+    the family from, and otherwise it is counted from the groups on first
+    read.
+    The merge's collapse and stage two's sigma(D) read it instead of the
+    groups.  A family of singletons (`GroupFamily.singletons`: every
+    element a group of its own, in ascending order, as stage one makes
+    when it draws no layer) is held as its multiset alone, and its groups
+    are built on their first read (checked mode, a merge that does not
+    collapse, tests and tracing read them).  Families compare equal when
+    their groups, raw_count and largest are.
     """
 
-    groups: Flat
-    raw_count: int
-    largest: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.largest is None:
+    def __init__(
+        self,
+        groups: Optional[Flat],
+        raw_count: int,
+        largest: Optional[int] = None,
+        multiset: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    ) -> None:
+        self._groups = groups
+        self._multiset = multiset
+        self.raw_count = raw_count
+        if largest is None:
             sizes = self.groups.sizes()
-            object.__setattr__(self, "largest", int(sizes.max()) if sizes.size else 0)
+            largest = int(sizes.max()) if sizes.size else 0
+        self.largest = largest
+
+    @classmethod
+    def singletons(cls, values: np.ndarray, counts: np.ndarray) -> "GroupFamily":
+        """The family whose groups are the elements of the multiset (sorted
+        distinct values, positive counts), one each in ascending order."""
+        return cls(None, int(counts.sum()), 1, (values, counts))
+
+    @property
+    def groups(self) -> Flat:
+        if self._groups is None:
+            vals = np.repeat(*self._multiset)
+            vals.flags.writeable = False
+            offs = np.full(next_pow2(vals.size) + 1, vals.size, dtype=np.int64)
+            offs[: vals.size] = np.arange(vals.size)
+            self._groups = Flat(vals, offs)
+        return self._groups
+
+    @property
+    def multiset(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._multiset is None:
+            self._multiset = _value_counts(self.groups.vals)
+        return self._multiset
 
     @property
     def ell(self) -> int:
-        return len(self.groups)
+        return next_pow2(self.raw_count) if self._groups is None else len(self._groups)
+
+    @cached_property
+    def sigma(self) -> int:
+        """sigma(D), the sum of every element."""
+        values, counts = self.multiset
+        return int(values @ counts)
 
     @cached_property
     def group_sums(self) -> np.ndarray:
@@ -146,37 +194,52 @@ class GroupFamily:
         sums.flags.writeable = False
         return sums
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GroupFamily):
+            return NotImplemented
+        same = (self.raw_count, self.largest) == (other.raw_count, other.largest)
+        return same and self.groups == other.groups
 
-def partition_groups(d_part: Sequence[int], t: int, rng: np.random.Generator) -> GroupFamily:
+
+def partition_groups(
+    d_part: Sequence[int], t: int, rng: np.random.Generator, counts: Optional[Sequence[int]] = None
+) -> GroupFamily:
     """Stage one: layered random partition of the bulk multiset.
 
     Requires sigma(d_part) >= 3t/2 (the solver gates on this); the group
-    maxima bounds rely on it.  d_part may come in any order; an int64
-    array that is already sorted is read without a sorted copy, and the
-    groups are filled into one values array and one offsets array, layer
-    by layer.  When no layer is drawn (each of its items is a group of its
-    own), the values are the sorted items themselves: a read-only d_part
-    (the solver's dense part is one) is then aliased as the family's
-    values, and any other input is copied, so a caller's writable array is
-    never shared.  The family is the same for every order of d_part.
+    maxima bounds rely on it.  d_part is the bulk's items in any order or,
+    with counts, a multiset's sorted distinct values, counts holding their
+    positive counts (the solver passes the dense part's
+    `InstancePartition.dense_multiset`); items are counted into that form
+    first, and the family carries it.  The layers' sizes and sigma come
+    from the counts.  When no layer is drawn (each of its items is a group
+    of its own) the family is `GroupFamily.singletons` of the multiset,
+    and no item-sized array is built; otherwise one `np.repeat` builds the
+    sorted items, into which the drawn layers are placed, with one offsets
+    array filled layer by layer.  The family is the same for every order
+    of the items, and its groups never share memory with the caller's
+    arrays.
     """
-    items = np.asarray(d_part, dtype=np.int64)
-    owned = items is not d_part
-    if not (items[1:] >= items[:-1]).all():
-        items, owned = np.sort(items), True
+    if counts is None:
+        d_part, counts = _value_counts(d_part)
+    multiset = values, counts = np.asarray(d_part, dtype=np.int64), np.asarray(counts, dtype=np.int64)
     if t < 1:
         raise ValueError("t must be >= 1")
-    if 2 * int(items.sum()) < 3 * t:
+    if 2 * int(values @ counts) < 3 * t:
         raise ValueError("caller must ensure mass: sigma < 3t/2")
-    top = int(items[-1]).bit_length()
+    top = int(values[-1]).bit_length()
     # layer j holds the items in [2^j, 2^(j+1)): items[bounds[j]:bounds[j + 1]]
-    bounds = [0, *np.searchsorted(items, [1 << j for j in range(1, top)]).tolist(), items.size]
+    at = np.searchsorted(values, [1 << j for j in range(1, top)])
+    bounds = _offsets(counts)[[0, *at.tolist(), values.size]].tolist()
     # a layer's groups: its cap, or one per item when it holds fewer
     caps = [min(2 * t if j == 0 else ceil_div(t, 1 << (j - 1)), bounds[j + 1] - bounds[j]) for j in range(top)]
     raw = sum(caps)
+    if raw == bounds[-1]:
+        # no layer is drawn: every item is a group of its own
+        return GroupFamily.singletons(*multiset)
+    items = np.repeat(*multiset)
     # group k holds vals[offs[k]:offs[k + 1]]; the padding groups are empty
     offs = np.full(next_pow2(raw) + 1, items.size, dtype=np.int64)
-    vals = items if owned or not items.flags.writeable else items.copy()
     largest, first = 1, 0
     for j in range(top):
         lo, size, alpha_j = bounds[j], bounds[j + 1] - bounds[j], caps[j]
@@ -208,14 +271,12 @@ def partition_groups(d_part: Sequence[int], t: int, rng: np.random.Generator) ->
             bucket[moved] = empty[: moved.size]
             order = np.argsort(bucket * size + index)
             counts = np.bincount(bucket, minlength=alpha_j)
-        if vals is items and not owned:
-            vals = items.copy()
-        vals[lo : lo + size] = items[lo : lo + size][order]
+        items[lo : lo + size] = items[lo : lo + size][order]
         largest = max(largest, int(counts.max()))
         out[0] = 0
         np.cumsum(counts[:-1], out=out[1:])
         out += lo
-    return GroupFamily(Flat(vals, offs), raw, largest)
+    return GroupFamily(Flat(items, offs), raw, largest, multiset)
 
 
 def verify_group_family(family: GroupFamily, d_part: Sequence[int], t: int, w: int) -> None:
@@ -383,7 +444,7 @@ def build_group_sumsets(
     # sigma(D) bounds the excess, so a tail above it needs no scan; each
     # non-empty group adds at least one to the excess, so a tail up to
     # their count needs none either: the budgeted path is certain
-    if params.tail > int(family.groups.vals.sum()) or (
+    if params.tail > family.sigma or (
         params.tail > np.count_nonzero(family.groups.sizes()) and params.tail > _max_level_excess(family)
     ):
         return _unbudgeted_sumsets(family, params, rng)

@@ -32,14 +32,16 @@ whenever stage two is exact), the merge collapses: the root is every
 subset sum of the dense part D, in whatever order the leaves come, and
 only its values in the window are returned (`_collapse_step`).
 `sumset.window_subset_sums` computes them with one shift-or DP on a
-Python int over D's items in units of the step (Pisinger, "Dynamic
-programming on the word RAM", 2003), each value's multiplicity split
-into powers of two (the bounded-to-0/1 reduction, as in Koiliaris and
-Xu, SODA 2017), cut at t and read back only in the window.  The
-permutation is not drawn (the phase-3 stream feeds nothing else), no
-level, weight or cap is computed, and neither the stage-two sets nor
-the groups' sums are read (sigma(D) is one sum over the items), so
-stage two never builds the sets (see `colorcoding.GroupSumsets`).
+Python int over D's multiset (the family's distinct values and their
+counts, so no item-sized array is read) in units of the step
+(Pisinger, "Dynamic programming on the word RAM", 2003), each value's
+multiplicity split into powers of two (the bounded-to-0/1 reduction, as
+in Koiliaris and Xu, SODA 2017), cut at t and read back only in the
+window.  The permutation is not drawn (the phase-3 stream is then never
+created), no level, weight or cap is computed, and neither the
+stage-two sets nor the groups' sums are read (the step, sigma(D) and
+|D| come from the multiset), so stage two never builds the sets (see
+`colorcoding.GroupSumsets`).
 Otherwise every level goes through the kernel.  Checked mode draws the
 permutation, also reads the sets, requires each exact set's maximum to
 be its group's sum, runs every level through the kernel with its
@@ -52,8 +54,8 @@ permuted-order subtree sums of the original group maxima, an exact
 upper bound on each node's maximum and lower bound on its subtree
 element sum), and the tripped threshold.  The three numeric conditions
 checked in `assemble_dense_evidence` (on the int64 arrays the stages
-pass, which the record holds as lists) are exactly what the downstream
-interval decision relies on.
+pass, which the record keeps and gives as lists on read) are exactly
+what the downstream interval decision relies on.
 """
 
 from __future__ import annotations
@@ -66,7 +68,35 @@ import numpy as np
 
 from .core import InternalConsistencyError, SumSet, ceil_div, ceil_log2, target_window
 from .colorcoding import DenseTripSignal, GroupFamily, GroupSumsets, _budget_tail
-from .sumset import Level, _pair_level, _sorted_runs, common_step, window_subset_sums
+from .sumset import Level, _pair_level, common_step, window_subset_sums
+
+
+class _ListOnRead:
+    """A `DenseEvidence` field that holds the int64 array (or list) it is
+    given and reads as a list of Python ints, converted on its first read:
+    the stages pass arrays, and a solve that reads no evidence field makes
+    no `tolist` (~7% of a `dense-trip` pass did).  Without a default the
+    field is required, and `dataclasses` sees no default because the class
+    read raises AttributeError; an optional field defaults to None."""
+
+    def __init__(self, required: bool = True) -> None:
+        self.required = required
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name, self.slot = name, "_" + name
+
+    def __get__(self, obj: object, owner: Optional[type] = None):
+        if obj is None:
+            if self.required:
+                raise AttributeError(self.name)
+            return None
+        value = obj.__dict__[self.slot]
+        if isinstance(value, np.ndarray):
+            value = obj.__dict__[self.slot] = value.tolist()
+        return value
+
+    def __set__(self, obj: object, value) -> None:
+        obj.__dict__[self.slot] = value
 
 
 @dataclass
@@ -78,6 +108,8 @@ class DenseEvidence:
     are carried as trivial_sets; the lists describe the remaining sets.
     set_sizes are exact for computed nodes and conservative lower bounds
     for nodes after the stop; f_values are exact for every node.  The
+    record keeps the int64 arrays the stages pass, and set_sizes, f_values
+    and sigma_values read as lists of Python ints.  The
     three conditions (checked on assembly):
 
       (i)   total size >= threshold, with threshold = number of sets
@@ -97,9 +129,9 @@ class DenseEvidence:
     observed_total_size: int
     num_sets: int
     trivial_sets: int
-    set_sizes: list[int]
-    f_values: list[int]
-    sigma_values: Optional[list[int]] = None
+    set_sizes: list[int] = _ListOnRead()
+    f_values: list[int] = _ListOnRead()
+    sigma_values: Optional[list[int]] = _ListOnRead(required=False)
     max_values: Optional[list[Optional[int]]] = None
 
     def total_size(self) -> int:
@@ -124,9 +156,9 @@ def assemble_dense_evidence(
 
     set_sizes, f_values and sigma_values may be lists or int64 arrays (the
     stages pass arrays, so the checks run on them as they are); the
-    evidence holds them as lists.  A violation here means the solver's own
-    accounting is broken, so it raises InternalConsistencyError rather
-    than reporting bad input.
+    evidence holds them as int64 arrays and gives lists on read.  A
+    violation here means the solver's own accounting is broken, so it
+    raises InternalConsistencyError rather than reporting bad input.
     """
     if rho < 1:
         raise InternalConsistencyError("evidence requires a positive density factor")
@@ -142,10 +174,9 @@ def assemble_dense_evidence(
     if 2 * total_f > rho * t:
         raise InternalConsistencyError("weight sum above rho*t/2")
     if sigma_values is not None:
-        sigma = np.asarray(sigma_values, dtype=np.int64)
-        if np.any(f > sigma):
+        sigma_values = np.asarray(sigma_values, dtype=np.int64)
+        if np.any(f > sigma_values):
             raise InternalConsistencyError("weight exceeds subtree sum")
-        sigma_values = sigma.tolist()
     if max_values is not None:
         maxes = np.array(max_values, dtype=object)
         known = np.not_equal(maxes, None)
@@ -161,8 +192,8 @@ def assemble_dense_evidence(
         observed_total_size=observed_total_size,
         num_sets=num_sets,
         trivial_sets=trivial_sets,
-        set_sizes=sizes.tolist(),
-        f_values=f.tolist(),
+        set_sizes=sizes,
+        f_values=f,
         sigma_values=sigma_values,
         max_values=max_values,
     )
@@ -236,7 +267,8 @@ def merge_group_sumsets(
     if step:
         # no level caps or trips: the root is every subset sum of the items,
         # in whatever order the leaves come
-        root = window_subset_sums(family.groups.vals, lo, t, step)
+        values, counts = family.multiset
+        root = window_subset_sums(values, lo, t, step, counts=counts)
         if not checked:
             return root
 
@@ -308,12 +340,11 @@ def _collapse_step(exact: bool, family: GroupFamily, t: int, eta: int, tail: int
     """
     if levels == 0 or not exact:
         return 0
-    vals = family.groups.vals
-    # on sorted items (stage one's, when no layer is drawn) the gcd of the
-    # distinct values (~0.2 ms over 42k items, a few us over 16 values)
-    runs = _sorted_runs(vals)
-    step = common_step(vals if runs is None else vals[runs])
-    sigma = int(vals.sum())
-    room = len(vals) + family.ell
+    # from the family's multiset: a few us over 16 distinct values, where
+    # the items took ~0.2 ms at 42k
+    values, counts = family.multiset
+    step = common_step(values)
+    sigma = family.sigma
+    room = int(counts.sum()) + family.ell
     fits = sigma // step < tail and eta + 1 >= max(t, sigma) and (sigma // step + 1) // 64 + 1 <= room
     return step if fits else 0

@@ -31,7 +31,8 @@ leftover and residue items are added; on the dense path it is the
 interval's d-multiples, and only the leftover items are added.
 
 All randomness is drawn from streams derived from the configured seed,
-so runs are reproducible bit for bit.
+so runs are reproducible bit for bit; each stage's stream is created on
+its first draw, so a stage that draws nothing creates none.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from .colorcoding import (
     verify_group_family,
 )
 from .merge import DenseEvidence, evidence_from_color_trip, merge_group_sumsets
-from .structure import partition_instance, verify_partition
+from .structure import _union, partition_instance, verify_partition
 from .sumset import cap, window_subset_sums
 # imported only as the combine kernel boundary that perfbench's tracer wraps
 from .sumset import dense_sumset  # noqa: F401
@@ -97,8 +98,11 @@ def _python_ints(items: Sequence[int]) -> Sequence[int]:
     return items.tolist() if isinstance(items, np.ndarray) else items
 
 
-def bounded_subset_sums(items: Sequence[int], cap_hi: int) -> SumSet:
-    """Exact subset sums of items, restricted to [0, cap_hi].
+def bounded_subset_sums(
+    items: Sequence[int], cap_hi: int, counts: Optional[Sequence[int]] = None
+) -> SumSet:
+    """Exact subset sums of items (counts[i] copies of items[i] when
+    counts is given), restricted to [0, cap_hi].
 
     The package's shift-or DP (`sumset.window_subset_sums`) over
     [0, cap_hi].  Complete and deterministic; meant for parts whose total
@@ -106,7 +110,7 @@ def bounded_subset_sums(items: Sequence[int], cap_hi: int) -> SumSet:
     """
     if cap_hi < 0:
         raise ValueError("cap_hi must be >= 0")
-    return window_subset_sums(items, 0, cap_hi)
+    return window_subset_sums(items, 0, cap_hi, counts=counts)
 
 
 def fallback_dp(items: Sequence[int], t: int) -> bool:
@@ -147,6 +151,24 @@ def dense_interval_set(d: int, t: int, w: int) -> SumSet:
     return SumSet(np.arange(first, t + 1, d, dtype=np.int64))
 
 
+class _Stream:
+    """`rng_stream(seed, label)`, created on its first draw, so a stage
+    that draws nothing costs no stream (~55 us each): on a solve whose
+    layers are not drawn, whose groups are singletons and whose merge
+    collapses, no stream is created.  Each stream has a label of its own,
+    so when one is created changes none of its draws."""
+
+    __slots__ = ("seed", "label", "rng")
+
+    def __init__(self, seed: int, label: str) -> None:
+        self.seed, self.label, self.rng = seed, label, None
+
+    def __getattr__(self, name: str):
+        if self.rng is None:
+            self.rng = rng_stream(self.seed, self.label)
+        return getattr(self.rng, name)
+
+
 def solve_d_window(
     d_part: Sequence[int],
     t: int,
@@ -154,6 +176,7 @@ def solve_d_window(
     n: int,
     config: SolverConfig,
     window: Optional[int] = None,
+    counts: Optional[Sequence[int]] = None,
 ) -> Union[SumSet, DenseEvidence]:
     """Run the grouping and merge stages on the dense part.
 
@@ -161,22 +184,25 @@ def solve_d_window(
     restricted to [t - window, t], containing any achievable value in
     that window with probability >= 1 - 3q - q.  Dense path: returns
     checkable DenseEvidence from whichever stage tripped its budget.
-    Requires sigma(d_part) >= 3t/2.
+    Requires sigma(d_part) >= 3t/2.  With counts, d_part is a multiset's
+    sorted distinct values and counts their positive counts (the solver
+    passes `InstancePartition.dense_multiset`).  Each stage's random
+    stream is created on its first draw.
     """
     q = config.q_for(n, t)
     if window is None:
         window = target_window(w, t)
-    family = partition_groups(d_part, t, rng_stream(config.seed, "phase1"))
+    family = partition_groups(d_part, t, _Stream(config.seed, "phase1"), counts=counts)
     if config.checked_mode:
-        verify_group_family(family, d_part, t, w)
+        verify_group_family(family, d_part if counts is None else np.repeat(d_part, counts), t, w)
     staged = build_group_sumsets(
-        family, t, w, n, q, rng_stream(config.seed, "phase2"), budget_mult=config.budget_mult
+        family, t, w, n, q, _Stream(config.seed, "phase2"), budget_mult=config.budget_mult
     )
     if isinstance(staged, DenseTripSignal):
         return evidence_from_color_trip(staged, t)
     merged = merge_group_sumsets(
         staged, family, t, w, n, q,
-        rng_stream(config.seed, "phase3"),
+        _Stream(config.seed, "phase3"),
         eta_mult=config.eta_mult,
         budget_mult=config.budget_mult,
         window=window,
@@ -226,9 +252,8 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveOut
         if config.checked_mode:
             verify_partition(part, inst)
         tick = _mark("partition", tick)
-        sigma_g = int(part.leftover_part.sum())
-        sigma_r = int(part.residue_part.sum())
-        sigma_d = int(part.dense_part.sum())
+        parts = (part.leftover_multiset, part.residue_multiset, part.dense_multiset)
+        sigma_g, sigma_r, sigma_d = (int(values @ counts) for values, counts in parts)
         if 2 * sigma_d < 3 * t:
             # Rounding slack in the split bounds can leave the dense part
             # short of the 3t/2 mass the merge stage needs; fall back.
@@ -242,12 +267,14 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveOut
         _mark("fallback_dp", tick)
         report = BranchReport(branch="fallback-dp", gate_reason=reason)
     else:
-        s_g = bounded_subset_sums(part.leftover_part, sigma_g)
-        s_r = bounded_subset_sums(part.residue_part, sigma_r)
+        (g_values, g_counts), (r_values, r_counts) = part.leftover_multiset, part.residue_multiset
+        s_g = bounded_subset_sums(g_values, sigma_g, g_counts)
+        s_r = bounded_subset_sums(r_values, sigma_r, r_counts)
         tick = _mark("bounded_sums", tick)
 
         window = max(target_window(w, t), sigma_g + sigma_r)
-        result = solve_d_window(part.dense_part, t, w, n, config, window)
+        values, counts = part.dense_multiset
+        result = solve_d_window(values, t, w, n, config, window, counts)
         tick = _mark("d_window", tick)
 
         report = BranchReport(
@@ -268,13 +295,14 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveOut
             report.branch = "dense"
             start = dense_interval_set(part.divisor, t, w)
             report.s_rd_size = len(start)
-            added, sigma_added = part.leftover_part, sigma_g
+            added, sigma_added = part.leftover_multiset, sigma_g
         else:
             start = result
             report.s_d_size = len(start)
-            added = np.concatenate((part.leftover_part, part.residue_part))
+            added = _union(part.leftover_multiset, part.residue_multiset)
             sigma_added = sigma_g + sigma_r
-        candidates = window_subset_sums(added, 0, t + sigma_added, start=start)
+        values, counts = added
+        candidates = window_subset_sums(values, 0, t + sigma_added, start=start, counts=counts)
         candidate_set_size = len(candidates)
         decision = t in candidates
         if evidence is not None and config.checked_mode and n * (t + 1) <= CHECKED_ORACLE_BUDGET:

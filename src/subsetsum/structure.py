@@ -18,24 +18,31 @@ The full split of an instance produces, for alpha = ceil(sqrt(t/w)):
 Every element of residue_part and dense_part is divisible by d, and
 (residue_part / d) generates all residues modulo every b up to alpha.
 
-The split works on one sorted int64 array, rebuilt with one `np.repeat`
-from the instance's distinct values and counts (`Instance.multiset`), so
-it never reads a Python int.  An alpha-almost divisor divides one of any
-alpha + 1 elements, so only the prime factors of the alpha + 1 smallest
-are candidates, each checked with one `%` over the array; dividing the
-array by one keeps it sorted.  The parts are then taken from the array
-by position.
+The split works on the instance's sorted distinct values and their
+int64 counts (`Instance.multiset`), so it never reads a Python int and
+makes no pass over the items: at w = 16 there are at most 16 values,
+however many items.  An alpha-almost divisor divides one of any
+alpha + 1 elements, so only the prime factors of the distinct values
+among the alpha + 1 smallest are candidates, each checked with one `%`
+over the values, weighted by their counts; dividing the values by one
+keeps them sorted.  The alpha-prefix and 2alpha-prefix of the sorted
+elements cut a value's count, so the residue set takes a prefix of each
+value's copies, and the parts are multisets too.  `InstancePartition`
+holds them as such and builds its sorted item arrays only when they are
+read (checked mode, tests and tracing).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import Instance, OracleBudgetError
+from .sumset import _value_counts
 
 SIEVE_LIMIT = 1 << 26
 
@@ -90,30 +97,40 @@ def find_almost_divisor(items: Sequence[int], alpha: int) -> Optional[int]:
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    return _almost_divisor(np.sort(np.asarray(items, dtype=np.int64)), alpha)
+    return _almost_divisor(*_value_counts(items), alpha)
 
 
-def _almost_divisor(arr: np.ndarray, alpha: int) -> Optional[int]:
-    """`find_almost_divisor` of a sorted int64 array."""
-    if arr.size == 0:
+def _almost_divisor(values: np.ndarray, counts: np.ndarray, alpha: int) -> Optional[int]:
+    """`find_almost_divisor` of the multiset with sorted distinct int64
+    values and positive counts."""
+    if values.size == 0:
         return None
-    if arr.size <= alpha:
+    smallest = _prefix(counts, alpha + 1)
+    if smallest.sum() <= alpha:
         return 2
-    for p in distinct_primes(arr[: alpha + 1].tolist()):
-        if np.count_nonzero(arr % p) <= alpha:
+    for p in distinct_primes(values[smallest > 0].tolist()):
+        if counts[values % p != 0].sum() <= alpha:
             return p
     return None
 
 
-def _peel(arr: np.ndarray, alpha: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """Iteratively divide out almost divisors of the sorted int64 array
-    arr until none remains.
+def _prefix(counts: np.ndarray, k: int) -> np.ndarray:
+    """How many copies of each value the k smallest elements of a multiset
+    take, given its counts in ascending order of value."""
+    return np.minimum(counts, np.maximum(k + counts - np.cumsum(counts), 0))
 
-    Returns (d, peeled, leftovers) as sorted int64 arrays: peeled =
-    X(d)/d has no alpha-almost divisor, and leftovers collects the
-    discarded non-divisible elements at their original scale.  Each step
-    removes at most alpha elements and divides the rest by at least 2, so
-    there are at most about log2(w) steps and |leftovers| <= alpha *
+
+def _peel(
+    values: np.ndarray, counts: np.ndarray, alpha: int
+) -> tuple[int, tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Iteratively divide out almost divisors of the multiset (sorted
+    distinct int64 values, positive counts) until none remains.
+
+    Returns (d, peeled, leftovers), each part a multiset of the same form:
+    peeled = X(d)/d has no alpha-almost divisor, and leftovers collects
+    the discarded non-divisible elements at their original scale.  Each
+    step removes at most alpha elements and divides the rest by at least
+    2, so there are at most about log2(w) steps and |leftovers| <= alpha *
     (log2(w) + 1).  For tiny multisets (at most alpha elements) every
     d > 1 qualifies and the cascade may consume everything, leaving
     peeled empty.
@@ -121,22 +138,33 @@ def _peel(arr: np.ndarray, alpha: int) -> tuple[int, np.ndarray, np.ndarray]:
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     d = 1
-    leftovers = [arr[:0]]
-    max_iters = max(int(arr[-1]) if arr.size else 0, 1).bit_length() + 1
+    leftovers = [(values[:0], counts[:0])]
+    max_iters = max(int(values[-1]) if values.size else 0, 1).bit_length() + 1
     for _ in range(max_iters):
-        if arr.size == 0:
+        if values.size == 0:
             break
-        # dividing by p keeps the array sorted
-        p = _almost_divisor(arr, alpha)
+        # dividing by p keeps the values sorted
+        p = _almost_divisor(values, counts, alpha)
         if p is None:
             break
-        stay = arr % p == 0
-        leftovers.append(arr[~stay] * d)
-        arr = arr[stay] // p
+        stay = values % p == 0
+        leftovers.append((values[~stay] * d, counts[~stay]))
+        values, counts = values[stay] // p, counts[stay]
         d *= p
     else:
         raise AssertionError("divisor peeling failed to terminate")
-    return d, arr, np.sort(np.concatenate(leftovers))
+    # one scale's leftovers are sorted already
+    return d, (values, counts), _union(*leftovers) if len(leftovers) > 2 else leftovers[-1]
+
+
+def _union(*multisets: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The union of multisets that share no value, as sorted distinct
+    values and their counts.  The split's parts share none: a leftover of
+    the scale d (not divisible by d * p) is no multiple of any later scale,
+    and the residue and dense values are multiples of the last one."""
+    values, counts = (np.concatenate(arrays) for arrays in zip(*multisets))
+    order = np.argsort(values, kind="stable")
+    return values[order], counts[order]
 
 
 def extract_residue_set(
@@ -153,34 +181,40 @@ def extract_residue_set(
     cover all residues modulo b.  |R| <= 4 * alpha * log2(w) up to
     rounding slack.  R is returned sorted.
     """
-    arr = np.sort(np.asarray(items, dtype=np.int64))
+    values, counts = _value_counts(items)
     if checked:
-        bad = find_almost_divisor(arr, alpha)
+        bad = _almost_divisor(values, counts, alpha)
         if bad is not None:
             raise ValueError(f"multiset has {alpha}-almost divisor {bad}")
-    return tuple(arr[_residue_mask(arr, alpha)].tolist())
+    return tuple(np.repeat(values, _residue_counts(values, counts, alpha)).tolist())
 
 
-def _residue_mask(arr: np.ndarray, alpha: int) -> np.ndarray:
-    """Which positions of the sorted int64 array `extract_residue_set`
-    takes."""
+def _residue_counts(values: np.ndarray, counts: np.ndarray, alpha: int) -> np.ndarray:
+    """How many copies of each value `extract_residue_set` takes from the
+    multiset (sorted distinct int64 values, positive counts).  Every
+    choice it makes (the first 2 * alpha elements, the first alpha not
+    divisible by a prime) takes a prefix of each value's copies, so their
+    union takes the longest."""
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    chosen = np.zeros(arr.size, dtype=bool)
-    chosen[: 2 * alpha] = True
-    if arr.size <= 2 * alpha:
-        return chosen
-    seed = arr[: 2 * alpha]
+    # the seed: the first 2 * alpha elements
+    seed = _prefix(counts, 2 * alpha)
+    if not values.size or seed[-1] == counts[-1]:
+        # at most 2 * alpha elements: the seed takes them all
+        return seed
+    chosen = seed.copy()
     # Primes worth checking must divide >= alpha seed elements.
-    for p in distinct_primes(seed.tolist()):
+    for p in distinct_primes(values[seed > 0].tolist()):
         if p > alpha:
             break
-        if np.count_nonzero(seed % p) > alpha:
+        off = values % p != 0
+        if seed[off].sum() > alpha:
             continue
-        adjoin = np.flatnonzero(arr % p)[:alpha]
-        if adjoin.size < alpha:
+        # adjoin the first alpha elements not divisible by p
+        adjoin = _prefix(counts[off], alpha)
+        if adjoin.sum() < alpha:
             raise ValueError(f"multiset has {alpha}-almost divisor {p}")
-        chosen[adjoin] = True
+        chosen[off] = np.maximum(chosen[off], adjoin)
     return chosen
 
 
@@ -193,13 +227,31 @@ class InstancePartition:
     by divisor.  Each part is a sorted, read-only, 1-D int64 array.  Two
     partitions are equal when their divisors, alphas and parts are, and
     hash by them.
+
+    The partition holds each part as a multiset, its sorted distinct
+    values and their positive counts (int64 arrays, the form of
+    `Instance.multiset`), which the solver reads; each part's array is
+    built from its multiset on its first read (checked mode, tests and
+    tracing read them).
     """
 
     divisor: int
-    leftover_part: np.ndarray
-    residue_part: np.ndarray
-    dense_part: np.ndarray
+    leftover_multiset: tuple[np.ndarray, np.ndarray]
+    residue_multiset: tuple[np.ndarray, np.ndarray]
+    dense_multiset: tuple[np.ndarray, np.ndarray]
     alpha: int
+
+    @cached_property
+    def leftover_part(self) -> np.ndarray:
+        return _items(self.leftover_multiset)
+
+    @cached_property
+    def residue_part(self) -> np.ndarray:
+        return _items(self.residue_multiset)
+
+    @cached_property
+    def dense_part(self) -> np.ndarray:
+        return _items(self.dense_multiset)
 
     def _key(self) -> tuple:
         parts = (self.leftover_part, self.residue_part, self.dense_part)
@@ -212,6 +264,11 @@ class InstancePartition:
 
     def __hash__(self) -> int:
         return hash(self._key())
+
+
+def _items(multiset: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The sorted, read-only int64 array of a multiset's elements."""
+    return _read_only(np.repeat(*multiset))
 
 
 def alpha_for(t: int, w: int) -> int:
@@ -229,18 +286,22 @@ def partition_instance(instance: Instance) -> InstancePartition:
 
     alpha = ceil(sqrt(t/w)); the divisor comes from peeling, the residue
     set from the peeled bulk, and everything else forms the dense part
-    (rescaled back to the original magnitudes).
+    (rescaled back to the original magnitudes).  Works on the instance's
+    multiset: each peeling step is linear in its distinct values.
     """
     if instance.target < 1 or instance.n == 0:
         raise ValueError("partition requires t >= 1 and non-empty items")
     alpha = alpha_for(instance.target, instance.w)
-    values, counts = instance.multiset
-    d, peeled, left = _peel(np.repeat(values, counts), alpha)
-    # the residue set and the dense part, by position in the sorted array
+    d, (values, counts), leftover = _peel(*instance.multiset, alpha)
+    # the residue set and the dense part, by copies of each peeled value
     # (both empty when peeling consumed every item)
-    chosen = _residue_mask(peeled, alpha)
-    residue, dense_part = peeled[chosen] * d, peeled[~chosen] * d
-    return InstancePartition(d, _read_only(left), _read_only(residue), _read_only(dense_part), alpha)
+    residue = _residue_counts(values, counts, alpha)
+    dense = counts - residue
+    values = values * d
+    kept_r, kept_d = residue > 0, dense > 0
+    return InstancePartition(
+        d, leftover, (values[kept_r], residue[kept_r]), (values[kept_d], dense[kept_d]), alpha
+    )
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -556,12 +556,22 @@ _WORD = (1 << 64) - 1
 
 
 def window_subset_sums(
-    items: Sequence[int], lo: int, hi: int, step: int = 1, start: Optional[SumSet] = None
+    items: Sequence[int],
+    lo: int,
+    hi: int,
+    step: int = 1,
+    start: Optional[SumSet] = None,
+    counts: Optional[Sequence[int]] = None,
 ) -> SumSet:
     """The sums a + s, for a in start (default {0}) and s a subset sum of
     the multiset items, that lie in [lo, hi]; step must divide every item
     and every difference of two start values.  An empty start gives the
-    empty set, and no items give start's values in [lo, hi].
+    empty set, and no items give start's values in [lo, hi].  With
+    counts, the multiset holds counts[i] copies of items[i] (the same
+    sums as `np.repeat(items, counts)`), and the items are read as they
+    come: distinct ascending values (a multiset such as
+    `Instance.multiset`) step intervals fastest, and no item-sized array
+    is built.
 
     One shift-or DP on a Python int, bit v standing for the value
     base + v * step, where base is start's minimum (Pisinger, "Dynamic
@@ -585,9 +595,7 @@ def window_subset_sums(
     checked again afterwards; once the interval reaches top no value can
     change it.  An interval start is read as its size alone (its bits,
     2^size - 1, are built only for a value that needs the shifts), and an
-    interval result is read back with one `np.arange`.  On sorted items the values
-    and counts come from one pass over equal neighbours, without the
-    sort of `np.unique`.
+    interval result is read back with one `np.arange`.
     """
     units = np.asarray(items, dtype=np.int64)
     if start is None:
@@ -611,7 +619,7 @@ def window_subset_sums(
         if int(kept[-1]) - base != (kept.size - 1) * step:
             mask = _values_to_bits((kept - base) // step if step > 1 else kept - base)
         reach = kept.size - 1
-    values, counts = _value_counts(units)
+    values, counts = _value_counts(units) if counts is None else (units, np.asarray(counts, dtype=np.int64))
     limit = (1 << (top + 1)) - 1
     for v, c in zip((values // step if step > 1 else values).tolist(), counts.tolist()):
         if mask is None:
@@ -639,32 +647,11 @@ def window_subset_sums(
     return SumSet(base + (units * step if step > 1 else units))
 
 
-def _value_counts(units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of an int64 array, ascending, and the count of
-    each: from the runs of a sorted array, through `np.unique` otherwise,
-    and with neither for no items (the empty leftover part of every
-    benchmark solve), which either would take ~8-16 us."""
-    if not units.size:
-        return units, units
-    at = _sorted_runs(units)
-    if at is None:
-        return np.unique(units, return_counts=True)
-    counts = np.empty_like(at)
-    np.subtract(at[1:], at[:-1], out=counts[:-1])
-    counts[-1] = units.size - at[-1]
-    return units[at], counts
-
-
-def _sorted_runs(units: np.ndarray) -> Optional[np.ndarray]:
-    """Where each run of equal values of an int64 array starts, or None
-    when it is not sorted.  One pass over equal neighbours: ~40 us at 42k
-    items in [1, 16] (2-core x86 VM, numpy 2.4), where `np.unique` sorts a
-    copy in ~160 us."""
-    if not (units[1:] >= units[:-1]).all():
-        return None
-    new = np.ones(units.size, dtype=bool)
-    np.not_equal(units[1:], units[:-1], out=new[1:])
-    return new.nonzero()[0]
+def _value_counts(items: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of items, ascending, and the count of each, as
+    int64 arrays: a multiset in the form of `Instance.multiset`."""
+    values, counts = np.unique(np.asarray(items, dtype=np.int64), return_counts=True)
+    return values, counts.astype(np.int64, copy=False)
 
 
 def _bits_to_values(mask: int) -> np.ndarray:

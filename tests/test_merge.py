@@ -203,7 +203,7 @@ def test_checked_merge_rejects_a_dp_root_unlike_the_kernel_s(monkeypatch):
     root = SumSet(tuple(subset_sums(sum(groups, ()), 10)))
     assert merge_group_sumsets(*args, rng_stream(1, "p3"), checked=True) == root
     dp = merge.window_subset_sums
-    monkeypatch.setattr(merge, "window_subset_sums", lambda *a: SumSet(dp(*a).values[:-1]))
+    monkeypatch.setattr(merge, "window_subset_sums", lambda *a, **k: SumSet(dp(*a, **k).values[:-1]))
     assert 10 not in merge_group_sumsets(*args, rng_stream(1, "p3"))
     with pytest.raises(InternalConsistencyError, match="windowed subset-sum DP differs"):
         merge_group_sumsets(*args, rng_stream(1, "p3"), checked=True)
@@ -236,7 +236,7 @@ def _refuse_group_sets(monkeypatch):
 
 def test_default_sparse_solve_collapses_the_merge(monkeypatch):
     # at the paper's constants no merge level can cap or trip, so the root
-    # is one windowed DP over the dense part's items: no level kernel, no
+    # is one windowed DP over the dense part's multiset: no level kernel, no
     # group set
     _refuse_group_sets(monkeypatch)
     families, dps, levels = [], [], []
@@ -250,7 +250,7 @@ def test_default_sparse_solve_collapses_the_merge(monkeypatch):
     ((args, root),) = dps
     t, lo = inst.target, max(inst.target - out.report.window, 0)
     step = common_step(family.groups.vals)
-    assert args[0] is family.groups.vals and args[1:] == (lo, t, step)
+    assert args[0] is family.multiset[0] and args[1:] == (lo, t, step)
     assert levels == []
     # the root in the window, against every copy added as its own 0/1 item
     whole = per_copy_subset_sums(family.groups.vals.tolist(), t)

@@ -346,6 +346,21 @@ def test_window_subset_sums_interval_step_matches_per_copy_dp(case):
     assert isinstance(got, SumSet) and got.values.tolist() == want
 
 
+@given(case=_started_window_case(), counts=st.lists(st.integers(1, 10**4), min_size=40, max_size=40), shuffle=st.randoms())
+@settings(max_examples=120, deadline=None)
+def test_window_subset_sums_of_counts_match_the_repeated_items(case, counts, shuffle):
+    # the items' distinct values, ascending or not, each with a count of
+    # its own: the same sums as the call on every copy
+    items, lo, hi, step, start = case
+    values = sorted(set(items))
+    if shuffle.random() < 0.5:
+        shuffle.shuffle(values)
+    values, counts = np.array(values, dtype=np.int64), np.array(counts[: len(values)], dtype=np.int64)
+    start = SumSet(start)
+    got = window_subset_sums(values, lo, hi, step, start, counts=counts)
+    assert got == window_subset_sums(np.repeat(values, counts), lo, hi, step, start)
+
+
 @st.composite
 def _shortcut_family(draw):
     """A `partition_groups` family of positive items, or a hand-built one
@@ -571,7 +586,7 @@ def test_deep_merge_matches_values_reference():
         dps, kernel_levels = [], []
         with mock.patch.multiple(
             merge,
-            window_subset_sums=lambda *a: dps.append(a[1:]) or window_subset_sums(*a),
+            window_subset_sums=lambda *a, **k: dps.append(a[1:]) or window_subset_sums(*a, **k),
             _pair_level=lambda *a: kernel_levels.append(a[1]) or pair_level(*a),
         ):
             got = merge_group_sumsets(
@@ -671,7 +686,7 @@ def test_merge_collapse_matches_values_reference():
         dp, pair_level = merge.window_subset_sums, merge._pair_level
         with mock.patch.multiple(
             merge,
-            window_subset_sums=lambda *a: dps.append(a[1:]) or dp(*a),
+            window_subset_sums=lambda *a, **k: dps.append(a[1:]) or dp(*a, **k),
             _pair_level=lambda *a: kernel_levels.append(a[1]) or pair_level(*a),
         ):
             got = merge_group_sumsets(staged, *args, rng_stream(seed, "p3"), **kwargs)
@@ -712,6 +727,35 @@ def test_partition_instance_matches_per_item_reference(inst):
     parts = (part.leftover_part, part.residue_part, part.dense_part)
     got = (part.divisor, *(tuple(p.tolist()) for p in parts), part.alpha)
     assert got == reference_partition(inst.items, inst.target, inst.w)
+
+
+@st.composite
+def _multiset_instance(draw):
+    """Few distinct values with counts up to 10**4: multiples of 2, 3 or 6
+    with a few strays of small count, or a tiny multiset of n <= alpha
+    items (t >= w * n**2), where every d > 1 is an almost divisor."""
+    d = draw(st.sampled_from([2, 3, 6]))
+    w = draw(st.integers(2 * d, 600))
+    values = draw(st.lists(st.integers(1, w // d), min_size=1, max_size=4, unique=True))
+    pairs = [(d * v, draw(st.integers(1, 10**4))) for v in values]
+    pairs += [(x, draw(st.integers(1, 3))) for x in draw(st.lists(st.integers(1, w), max_size=3))]
+    items = [x for x, c in pairs for _ in range(c)]
+    if draw(st.booleans()):
+        items = items[: draw(st.integers(1, 12))]
+        n, top = len(items), max(items)
+        return Instance(items, draw(st.integers(top * n * n, top * n * n + 100)))
+    return Instance(items, draw(st.integers(1, sum(items))))
+
+
+@given(inst=_multiset_instance())
+@settings(max_examples=40, deadline=None)
+def test_partition_of_large_counts_matches_per_item_reference(inst):
+    part = partition_instance(inst)
+    parts = (part.leftover_part, part.residue_part, part.dense_part)
+    got = (part.divisor, *(tuple(p.tolist()) for p in parts), part.alpha)
+    assert got == reference_partition(inst.items, inst.target, inst.w)
+    if part.alpha >= inst.n:
+        assert not part.dense_part.size
 
 
 def _partition_groups_against_reference(items, t, seed):

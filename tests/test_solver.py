@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from subsetsum import colorcoding, merge, sumset
+from subsetsum import colorcoding, merge, solver, sumset
 from subsetsum.cli import generate_instance
 from subsetsum.colorcoding import GroupFamily
 from subsetsum.core import Instance, OracleBudgetError, SolverConfig, SumSet, normalize, rng_stream
@@ -384,3 +384,80 @@ def test_sparse_miss_rate_stays_under_five_q():
 
     bound = next(k for k in range(sparse + 2) if tail(k) <= 1e-6)
     assert misses < bound, f"{misses} misses of {sparse} sparse solves"
+
+
+def _stage_peaks(monkeypatch, names):
+    """Wrap each of the solver's stage names so that every call appends
+    (name, traced peak bytes above the call's start, result) to the list
+    returned; tracemalloc must be running."""
+    import tracemalloc
+
+    peaks = []
+
+    def wrap(name, fn):
+        def traced(*args, **kwargs):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = fn(*args, **kwargs)
+            peaks.append((name, tracemalloc.get_traced_memory()[1] - start, result))
+            return result
+
+        return traced
+
+    for name in names:
+        monkeypatch.setattr(solver, name, wrap(name, getattr(solver, name)))
+    return peaks
+
+
+def _stream_labels(monkeypatch):
+    """The labels of the streams `solve` creates, in order."""
+    labels = []
+    make = solver.rng_stream
+    monkeypatch.setattr(solver, "rng_stream", lambda seed, label: labels.append(label) or make(seed, label))
+    return labels
+
+
+def test_sparse_ladder_solve_builds_no_item_sized_array_and_no_stream(monkeypatch):
+    # uniform w=16, t=120,000 (the largest `sparse-ladder` yes shape): no
+    # layer is drawn, every group is a singleton and the merge collapses,
+    # so after construction the solve works on the 16 distinct values.
+    # Each stage's traced peak stays below an int64 array of n/2 items;
+    # the merge and the combine's DP may also hold their windowed sets
+    # (at most window + 1 values each, ~27.7k here: a range, its SumSet
+    # copy and the copy's order check)
+    import tracemalloc
+
+    inst = generate_instance("uniform", 42_352, 16, 1, t=120_000)
+    config = SolverConfig(seed=1)
+    want = solve(inst, config)
+    labels = _stream_labels(monkeypatch)
+    stages = ("partition_instance", "bounded_subset_sums", "partition_groups", "build_group_sumsets")
+    windowed = ("merge_group_sumsets", "window_subset_sums")
+    peaks = _stage_peaks(monkeypatch, stages + windowed)
+    tracemalloc.start()
+    try:
+        out = solve(inst, config)
+    finally:
+        tracemalloc.stop()
+    assert (out.decision, out.branch, out.candidate_set_size, out.report) == (
+        want.decision, want.branch, want.candidate_set_size, want.report,
+    )
+    assert out.branch == "sparse" and labels == []
+    assert sorted({name for name, _, _ in peaks}) == sorted(stages + windowed)
+    items = 8 * (inst.n // 2)
+    for name, peak, result in peaks:
+        allowed = items + (3 * 8 * (out.report.window + 1) if name in windowed else 0)
+        assert peak < allowed, (name, peak, allowed)
+
+
+def test_drawn_solve_creates_the_phase_one_and_two_streams_in_order(monkeypatch):
+    # the `grouped` t26000 shape: stage one draws its layers and stage two
+    # its repetitions, and the merge collapses without drawing its
+    # permutation; checked mode draws it too
+    inst = generate_instance("dense", 30_588, 16, 5, t=26_000)
+    labels = _stream_labels(monkeypatch)
+    out = solve(inst, SolverConfig(seed=3))
+    assert out.branch == "sparse" and labels == ["phase1", "phase2"]
+    labels.clear()
+    solve(inst, SolverConfig(seed=3, checked_mode=True))
+    assert labels == ["phase1", "phase2", "phase3"]

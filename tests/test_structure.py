@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from subsetsum.core import Instance
+from subsetsum.sumset import _value_counts
 from subsetsum.structure import (
     _peel,
     alpha_for,
@@ -78,15 +79,21 @@ def test_find_almost_divisor_agrees_with_bruteforce():
             assert got is None
 
 
+def _peel_items(items, alpha):
+    """`_peel` of the items' multiset, with its parts as sorted item arrays."""
+    d, peeled, leftovers = _peel(*_value_counts(items), alpha)
+    return d, np.repeat(*peeled), np.repeat(*leftovers)
+
+
 def test_peel_divisors_examples():
-    d, peeled, leftovers = _peel(np.array([2, 4, 6, 8]), 1)
+    d, peeled, leftovers = _peel_items(np.array([2, 4, 6, 8]), 1)
     assert (d, peeled.tolist(), leftovers.tolist()) == (2, [1, 2, 3, 4], [])
     assert find_almost_divisor(peeled, 1) is None
 
-    d, peeled, leftovers = _peel(np.array([3, 5, 7]), 0)
+    d, peeled, leftovers = _peel_items(np.array([3, 5, 7]), 0)
     assert (d, peeled.tolist(), leftovers.tolist()) == (1, [3, 5, 7], [])
 
-    d, peeled, leftovers = _peel(np.array([4, 5, 8, 12]), 1)
+    d, peeled, leftovers = _peel_items(np.array([4, 5, 8, 12]), 1)
     assert d % 2 == 0
     assert 5 in leftovers
     for arr in (peeled, leftovers):
@@ -100,7 +107,7 @@ def test_peel_divisors_postconditions():
         w = int(rng.integers(2, 80))
         items = [int(v) for v in rng.integers(1, w + 1, size=n)]
         alpha = int(rng.integers(1, 4))
-        d, peeled, leftovers = _peel(np.sort(items), alpha)
+        d, peeled, leftovers = _peel_items(np.sort(items), alpha)
         if peeled.size:
             assert find_almost_divisor(peeled, alpha) is None
         # multiset identity at the original scale
