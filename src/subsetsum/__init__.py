@@ -36,6 +36,11 @@ Settings that no caller needed are gone: `SolverConfig.c_ap` with
 its one scale, so `--c-ap c --budget-mult m` becomes `--budget-mult c*m`),
 `gen --t-ratio` with `generate_instance(t_ratio=)`, and
 `fallback_dp(max_bits=)`, whose budget is always `FALLBACK_MAX_BITS`.
+
+`fallback_dp(items, t, counts=None)` is now the window DP
+(`window_subset_sums`) over a multiset, not a per-item shift loop, so
+checked mode and `verify` share their DP with the combine and the
+collapsed merge; the tests keep the per-item loop as their oracle.
 """
 
 from .core import (

@@ -228,7 +228,8 @@ def verify_summary(
         inst = Instance(items, t)
         cfg = dataclasses.replace(config_base, seed=(seed * 1_000_003 + i) & ((1 << 63) - 1))
         outcome = solve(inst, cfg)
-        truth = fallback_dp(items, t)
+        values, counts = inst.multiset
+        truth = fallback_dp(values, t, counts)
         tallies[outcome.branch] += 1
         if truth:
             yes_total += 1

@@ -9,7 +9,10 @@ textbook set DP (`subset_sum_decision`) and the exhaustive `brute_force`
 were the package's exact oracles before it kept only the DPs a solve
 runs.  The full-table bitset DP (`bitset_dp_table`) was the baseline of
 the package's deleted `subsetsum bench`; acceptance 8 times it against
-`solve`.  `reference_instance` is the `Instance` constructor's
+`solve`.  The per-item early-exit DP (`per_item_dp`) was the package's
+`fallback_dp` before that became the window DP over the multiset, which
+the combine and the collapsed merge share; the tests take it as the
+truth.  `reference_instance` is the `Instance` constructor's
 validation before the constructor read the items into an int64 array.
 """
 
@@ -22,6 +25,7 @@ import numpy as np
 
 from subsetsum.colorcoding import DenseTripSignal, GroupSumsets, _distinct_level
 from subsetsum.core import OVERFLOW_LIMIT, InvalidInstanceError, OracleBudgetError, ceil_log2
+from subsetsum.solver import FALLBACK_MAX_BITS
 from subsetsum.sumset import Flat, Level, _offsets, _pair_level, _segment_index, common_step
 
 
@@ -60,13 +64,37 @@ def subset_sum_decision(items, t):
     return t in sums
 
 
+def per_item_dp(items: Sequence[int], t: int) -> bool:
+    """Exact decision by bitset DP over [0, t], one shift per item, with
+    an early exit once bit t is set; within `FALLBACK_MAX_BITS` bits.
+
+    The package's `fallback_dp` before it became the multiplicity-splitting
+    window DP; kept as the independent oracle the tests check it and the
+    pipeline against."""
+    if t < 0:
+        return False
+    if t + 1 > FALLBACK_MAX_BITS:
+        raise OracleBudgetError(f"DP budget exceeded: t+1 = {t + 1} bits")
+    limit = (1 << (t + 1)) - 1
+    mask = 1
+    # Python ints: shifting a Python int by an int64 raises OverflowError
+    # once the result leaves int64
+    for x in items.tolist() if isinstance(items, np.ndarray) else items:
+        if x <= t:
+            mask |= (mask << x) & limit
+            if (mask >> t) & 1:
+                return True
+    return (mask >> t) & 1 == 1
+
+
 def bitset_dp_table(items: Sequence[int], t: int, max_bits: int = 1 << 34) -> bool:
     """Bitset DP that always fills the full [0, t] table.
 
     A sentinel bit above t keeps the mask at full width so every shift
     costs Theta(t / wordsize) regardless of the items, matching the
-    textbook cost model.  Used as the benchmark baseline; fallback_dp is
-    the faster early-exit variant used inside the solver.
+    textbook cost model.  Used as the benchmark baseline; `per_item_dp`
+    is the same DP with an early exit, and the package's `fallback_dp`
+    is its multiplicity-splitting window DP (`sumset.window_subset_sums`).
     """
     if t < 0:
         return False

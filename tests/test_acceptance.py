@@ -14,11 +14,11 @@ import numpy as np
 
 from subsetsum.cli import generate_instance, main
 from subsetsum.core import Instance, SolverConfig, SumSet, next_pow2, rng_stream
-from subsetsum.solver import fallback_dp, solve
+from subsetsum.solver import solve
 from subsetsum.structure import alpha_for, partition_instance
 from subsetsum.sumset import _pair_level, dense_sumset
 
-from oracles import bitset_dp_table, level_of, loglog_fit, pairwise_sumset, residues_covered, split_into_parts
+from oracles import bitset_dp_table, level_of, loglog_fit, pairwise_sumset, per_item_dp, residues_covered, split_into_parts
 
 
 def _report(num, text):
@@ -41,7 +41,7 @@ def test_acceptance_1_soundness_sweep():
         t = int(rng.integers(0, sum(items) + 1))
         cfg = SolverConfig(seed=i, checked_mode=True)
         out = solve(Instance(items, t), cfg)
-        truth = fallback_dp(items, t)
+        truth = per_item_dp(items, t)
         branches[out.branch] += 1
         if out.decision and not truth and out.branch != "dense":
             sparse_false_pos += 1

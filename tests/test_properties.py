@@ -10,6 +10,7 @@ brute-force subset sums, sigma(D) as a bound on stage two's level
 excess, and `solve` on pipeline-sized instances."""
 
 import math
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -47,6 +48,7 @@ from oracles import (
     merge_bounds,
     pairwise_sumset,
     per_copy_subset_sums,
+    per_item_dp,
     reference_merge,
     reference_partition,
     reference_partition_groups,
@@ -359,6 +361,51 @@ def test_window_subset_sums_of_counts_match_the_repeated_items(case, counts, shu
     start = SumSet(start)
     got = window_subset_sums(values, lo, hi, step, start, counts=counts)
     assert got == window_subset_sums(np.repeat(values, counts), lo, hi, step, start)
+
+
+@st.composite
+def _fallback_case(draw):
+    """(values, counts, t): up to three distinct multiples of a gcd g of
+    2, 3 or 6 (or of 1), each with 1 to 10**4 copies, and t on or off g,
+    0, negative, past sigma, or below a value added above it."""
+    g = draw(st.sampled_from([1, 2, 3, 6]))
+    count = st.integers(1, 10) | st.integers(1, 10**4)
+    copies = Counter({g * u: draw(count) for u in draw(st.sets(st.integers(1, 6), max_size=3))})
+    sigma = sum(v * c for v, c in copies.items())
+    kind = draw(st.sampled_from(["on g", "off g", "zero", "negative", "past sigma", "value above t"]))
+    if kind == "negative":
+        t = draw(st.integers(-100, -1))
+    elif kind == "zero":
+        t = 0
+    elif kind == "past sigma":
+        t = sigma + draw(st.integers(1, 2 * g))
+    else:
+        t = g * draw(st.integers(0, sigma // g))
+        if kind == "off g" and g > 1:
+            t += draw(st.integers(1, g - 1))
+        if kind == "value above t":
+            copies[g * (t // g + draw(st.integers(1, 20)))] += draw(st.integers(1, 3))
+    values = sorted(copies)
+    return values, [copies[v] for v in values], t
+
+
+@given(case=_fallback_case())
+# all even, t odd and inside [0, sigma]: a no that the gcd settles
+@example(case=([2, 4, 6], [10**4, 10**4, 10**4], 60001))
+# a value above t, and empty items at t = 0 and t > 0
+@example(case=([3, 9, 30], [5, 2, 1], 27))
+@example(case=([], [], 0))
+@example(case=([], [], 5))
+@settings(max_examples=100, deadline=None)
+def test_fallback_dp_matches_the_per_item_dp(case):
+    # the window DP over the multiset, with and without counts (the items
+    # then in descending order), decides as the per-item shift loop does
+    values, counts, t = case
+    items = [v for v, c in zip(values, counts) for _ in range(c)]
+    want = per_item_dp(items, t)
+    assert fallback_dp(items[::-1], t) == want
+    assert fallback_dp(np.array(values, dtype=np.int64), t, counts=np.array(counts, dtype=np.int64)) == want
+    assert fallback_dp(values, t, counts=counts) == want
 
 
 @st.composite
@@ -941,4 +988,4 @@ def test_solve_pipeline_sized(w, stretch, budget_mult, eta_mult, data_seed, solv
     out = solve(Instance(items, t), config)
     assert out.branch in ("sparse", "dense")
     if out.branch == "sparse" and out.decision:
-        assert fallback_dp(items, t), "certified-path false positive"
+        assert per_item_dp(items, t), "certified-path false positive"

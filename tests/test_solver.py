@@ -19,7 +19,7 @@ from subsetsum.solver import (
 )
 from subsetsum.sumset import dense_sumset
 
-from oracles import bitset_dp_table, brute_force, subset_sum_decision, subset_sums
+from oracles import bitset_dp_table, brute_force, per_item_dp, subset_sum_decision, subset_sums
 
 
 def test_bounded_subset_sums_examples():
@@ -50,6 +50,7 @@ def test_dp_variants_agree_with_bruteforce():
         t = int(rng.integers(0, sum(items) + 2))
         expected = brute_force(Instance(items, t))
         assert fallback_dp(items, t) == expected
+        assert per_item_dp(items, t) == expected
         assert bitset_dp_table(items, t) == expected
         assert subset_sum_decision(items, t) == expected
 
@@ -231,7 +232,7 @@ def test_solve_dense_branch_checked_agreement():
     assert out.branch == "dense"
     assert isinstance(out.dense_evidence, DenseEvidence)
     assert out.report.checked_disagreement is False
-    assert out.decision == fallback_dp(inst.items, inst.target)
+    assert out.decision == per_item_dp(inst.items, inst.target)
 
 
 def test_solve_outcome_follows_the_branch_taken():
@@ -253,7 +254,7 @@ def test_solve_outcome_follows_the_branch_taken():
     assert dense.report.checked_disagreement is None
     for inst, out in ((sparse_inst, sparse), (dense_inst, dense)):
         assert out.candidate_set_size >= 1
-        assert out.decision == fallback_dp(inst.items, inst.target)
+        assert out.decision == per_item_dp(inst.items, inst.target)
 
 
 def test_solve_dense_branch_interval_is_achievable():
@@ -352,7 +353,7 @@ def test_pipeline_regime_random_soundness_sweep():
             continue
         inst = Instance(items, t)
         out = solve(inst, SolverConfig(seed=i, error_q=0.01))
-        truth = fallback_dp(items, t)
+        truth = per_item_dp(items, t)
         if out.branch == "sparse":
             sparse_seen += 1
             if out.decision:
@@ -371,7 +372,7 @@ def test_sparse_miss_rate_stays_under_five_q():
     sparse = misses = 0
     for seed in range(trials):
         inst = generate_instance("uniform", n, w, seed, t=t)
-        assert fallback_dp(inst.items, inst.target), "not a yes-instance"
+        assert per_item_dp(inst.items, inst.target), "not a yes-instance"
         out = solve(inst, SolverConfig(seed=seed, error_q=q))
         if out.branch == "sparse":
             sparse += 1
