@@ -100,13 +100,13 @@ the family's multiset only when the flag is set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import InternalConsistencyError, ceil_div, ceil_log2, next_pow2, target_window
+from .core import InternalConsistencyError, array_fields_eq, ceil_div, ceil_log2, next_pow2, target_window
 from .sumset import Flat, Level, _offsets, _pair_level, _segment_index, _value_counts
 # imported only as the phase-2 kernel boundary that perfbench's tracer wraps
 from .sumset import _sum_values  # noqa: F401
@@ -420,10 +420,7 @@ class DenseTripSignal:
     node_f: np.ndarray
     node_sigma: np.ndarray
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DenseTripSignal):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, k.name), getattr(other, k.name)) for k in fields(self))
+    __eq__ = array_fields_eq
 
 
 def build_group_sumsets(

@@ -124,6 +124,14 @@ class Instance:
         object.__setattr__(self, "multiset", (values, counts))
 
 
+def array_fields_eq(self, other: object) -> bool:
+    """`__eq__` of a dataclass record that holds arrays: equal records have
+    the same type and every field equal by `np.array_equal`."""
+    if not isinstance(other, type(self)):
+        return NotImplemented
+    return all(np.array_equal(getattr(self, k.name), getattr(other, k.name)) for k in fields(self))
+
+
 def _int64_vector(values: Iterable[int]) -> np.ndarray:
     """values as a new 1-D int64 array; ValueError if that cannot hold them."""
     if not isinstance(values, (np.ndarray, list, tuple)):

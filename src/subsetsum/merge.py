@@ -52,10 +52,11 @@ A budget trip, here or in the color-coding stage, is converted into a
 DenseEvidence record: per-node set sizes, a weight f per node (the
 permuted-order subtree sums of the original group maxima, an exact
 upper bound on each node's maximum and lower bound on its subtree
-element sum), and the tripped threshold.  The three numeric conditions
-checked in `assemble_dense_evidence` (on the int64 arrays the stages
-pass, which the record keeps and gives as lists on read) are exactly
-what the downstream interval decision relies on.
+element sum), the tripped threshold and, for a trip here, the maxima of
+the nodes computed before the stop, each per-node field the int64 array
+the stage passes.  The three numeric conditions checked in
+`assemble_dense_evidence` are exactly what the downstream interval
+decision relies on.
 """
 
 from __future__ import annotations
@@ -66,51 +67,25 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import InternalConsistencyError, SumSet, ceil_div, ceil_log2, target_window
+from .core import InternalConsistencyError, SumSet, array_fields_eq, ceil_div, ceil_log2, target_window
 from .colorcoding import DenseTripSignal, GroupFamily, GroupSumsets, _budget_tail
 from .sumset import Level, _pair_level, common_step, window_subset_sums
 
 
-class _ListOnRead:
-    """A `DenseEvidence` field that holds the int64 array (or list) it is
-    given and reads as a list of Python ints, converted on its first read:
-    the stages pass arrays, and a solve that reads no evidence field makes
-    no `tolist` (~7% of a `dense-trip` pass did).  Without a default the
-    field is required, and `dataclasses` sees no default because the class
-    read raises AttributeError; an optional field defaults to None."""
-
-    def __init__(self, required: bool = True) -> None:
-        self.required = required
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name, self.slot = name, "_" + name
-
-    def __get__(self, obj: object, owner: Optional[type] = None):
-        if obj is None:
-            if self.required:
-                raise AttributeError(self.name)
-            return None
-        value = obj.__dict__[self.slot]
-        if isinstance(value, np.ndarray):
-            value = obj.__dict__[self.slot] = value.tolist()
-        return value
-
-    def __set__(self, obj: object, value) -> None:
-        obj.__dict__[self.slot] = value
-
-
-@dataclass
+@dataclass(eq=False)
 class DenseEvidence:
     """Numeric certificate that a budget trip really happened on a level
     whose total size crosses the structural threshold.
 
     Sets that are exactly {0} (size 1, zero weight, zero subtree sum)
-    are carried as trivial_sets; the lists describe the remaining sets.
-    set_sizes are exact for computed nodes and conservative lower bounds
-    for nodes after the stop; f_values are exact for every node.  The
-    record keeps the int64 arrays the stages pass, and set_sizes, f_values
-    and sigma_values read as lists of Python ints.  The
-    three conditions (checked on assembly):
+    are carried as trivial_sets; the per-node fields describe the
+    remaining sets, each an int64 array in node order.  set_sizes are
+    exact for computed nodes and conservative lower bounds for nodes
+    after the stop; f_values and sigma_values are exact for every node.
+    max_values is None (phase two, where f is each node's maximum) or the
+    maxima of the nodes computed before the stop (phase three), a prefix
+    of the node order.  Records compare equal field by field, the arrays
+    by their values.  The three conditions (checked on assembly):
 
       (i)   total size >= threshold, with threshold = number of sets
             plus the budget tail 4 * c_ap * rho * u_prime * ceil(log2 u_prime),
@@ -129,13 +104,12 @@ class DenseEvidence:
     observed_total_size: int
     num_sets: int
     trivial_sets: int
-    set_sizes: list[int] = _ListOnRead()
-    f_values: list[int] = _ListOnRead()
-    sigma_values: Optional[list[int]] = _ListOnRead(required=False)
-    max_values: Optional[list[Optional[int]]] = None
+    set_sizes: np.ndarray
+    f_values: np.ndarray
+    sigma_values: np.ndarray
+    max_values: Optional[np.ndarray] = None
 
-    def total_size(self) -> int:
-        return self.trivial_sets + sum(self.set_sizes)
+    __eq__ = array_fields_eq
 
 
 def assemble_dense_evidence(
@@ -148,21 +122,21 @@ def assemble_dense_evidence(
     observed_total_size: int,
     set_sizes: Sequence[int],
     f_values: Sequence[int],
-    sigma_values: Optional[Sequence[int]] = None,
-    max_values: Optional[list[Optional[int]]] = None,
+    sigma_values: Sequence[int],
+    max_values: Optional[Sequence[int]] = None,
     trivial_sets: int = 0,
 ) -> DenseEvidence:
     """Build evidence from trip bookkeeping, asserting its conditions.
 
-    set_sizes, f_values and sigma_values may be lists or int64 arrays (the
-    stages pass arrays, so the checks run on them as they are); the
-    evidence holds them as int64 arrays and gives lists on read.  A
+    The per-node fields may be lists or int64 arrays (the stages pass
+    arrays, which the checks and the evidence take as they are).  A
     violation here means the solver's own accounting is broken, so it
     raises InternalConsistencyError rather than reporting bad input.
     """
     if rho < 1:
         raise InternalConsistencyError("evidence requires a positive density factor")
     sizes, f = np.asarray(set_sizes, dtype=np.int64), np.asarray(f_values, dtype=np.int64)
+    sigma = np.asarray(sigma_values, dtype=np.int64)
     num_sets = trivial_sets + len(sizes)
     if len(f) != len(sizes):
         raise InternalConsistencyError("size/weight bookkeeping length mismatch")
@@ -173,14 +147,11 @@ def assemble_dense_evidence(
         raise InternalConsistencyError("weight sum below 3t/2")
     if 2 * total_f > rho * t:
         raise InternalConsistencyError("weight sum above rho*t/2")
-    if sigma_values is not None:
-        sigma_values = np.asarray(sigma_values, dtype=np.int64)
-        if np.any(f > sigma_values):
-            raise InternalConsistencyError("weight exceeds subtree sum")
+    if np.any(f > sigma):
+        raise InternalConsistencyError("weight exceeds subtree sum")
     if max_values is not None:
-        maxes = np.array(max_values, dtype=object)
-        known = np.not_equal(maxes, None)
-        if np.any(maxes[known].astype(np.int64) > f[known]):
+        max_values = np.asarray(max_values, dtype=np.int64)
+        if np.any(max_values > f[: len(max_values)]):
             raise InternalConsistencyError("set maximum exceeds weight")
     return DenseEvidence(
         source=source,
@@ -194,7 +165,7 @@ def assemble_dense_evidence(
         trivial_sets=trivial_sets,
         set_sizes=sizes,
         f_values=f,
-        sigma_values=sigma_values,
+        sigma_values=sigma,
         max_values=max_values,
     )
 
@@ -308,7 +279,7 @@ def merge_group_sumsets(
                 np.append(sizes, (rest[0::2] > 0) & (rest[1::2] > 0)),
                 f,
                 sig,
-                maxes.tolist() + [None] * (ell_h - len(out)),
+                maxes,
             )
 
         if checked and not (np.all(tops <= f[filled]) and np.all(f[filled] <= sig[filled])):

@@ -310,8 +310,9 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveOut
         candidates = window_subset_sums(values, 0, t + sigma_added, start=start, counts=counts)
         candidate_set_size = len(candidates)
         decision = t in candidates
-        if evidence is not None and config.checked_mode and n * (t + 1) <= CHECKED_ORACLE_BUDGET:
-            values, counts = inst.multiset
+        values, counts = inst.multiset
+        # the exact DP's cost: shifts of t + 1 bits, a few per distinct value
+        if evidence is not None and config.checked_mode and len(values) * (t + 1) <= CHECKED_ORACLE_BUDGET:
             oracle = fallback_dp(values, t, counts)
             report.checked_disagreement = decision != oracle
             if report.checked_disagreement:

@@ -369,7 +369,8 @@ def reference_merge(
                 "set_sizes": [len(z) for z in out] + rest_sizes,
                 "f_values": f,
                 "sigma_values": sigma,
-                "max_values": [z[-1] if z else 0 for z in out] + [None] * (nodes - len(out)),
+                # the maxima of the nodes computed before the stop
+                "max_values": [z[-1] if z else 0 for z in out],
             }
         lo, hi = t // nodes - eta - 1, -(-t // nodes) + eta + 1
         sets = [[v for v in z if lo <= v <= hi] for z in out]

@@ -117,7 +117,7 @@ def test_merge_budget_trip_produces_checked_evidence():
     )
     assert isinstance(res, DenseEvidence)
     assert res.source == "phase-three"
-    assert res.total_size() >= res.threshold
+    assert res.trivial_sets + res.set_sizes.sum() >= res.threshold
     assert res.observed_total_size >= res.threshold
     # the weight recursion conserves the stage-two maxima sum
     assert sum(res.f_values) == sum(s.max() for s in gs.sets)
@@ -143,19 +143,20 @@ def test_assemble_evidence_rejects_bad_bookkeeping():
     with pytest.raises(InternalConsistencyError):
         assemble_dense_evidence(
             "phase-three", t=10, rho=4, u_prime=100, level=1, threshold=50,
-            observed_total_size=50, set_sizes=[5, 5], f_values=[20, 20],
+            observed_total_size=50, set_sizes=[5, 5], f_values=[20, 20], sigma_values=[20, 20],
         )  # sizes sum 10 < threshold 50
     with pytest.raises(InternalConsistencyError):
         assemble_dense_evidence(
             "phase-three", t=10, rho=4, u_prime=100, level=1, threshold=5,
-            observed_total_size=5, set_sizes=[5, 5], f_values=[2, 2],
+            observed_total_size=5, set_sizes=[5, 5], f_values=[2, 2], sigma_values=[2, 2],
         )  # weight sum 4 below 3t/2
     with pytest.raises(InternalConsistencyError):
         assemble_dense_evidence(
             "phase-three", t=10, rho=1, u_prime=100, level=1, threshold=5,
-            observed_total_size=5, set_sizes=[5, 5], f_values=[20, 20],
+            observed_total_size=5, set_sizes=[5, 5], f_values=[20, 20], sigma_values=[20, 20],
         )  # weight sum 40 above rho*t/2 = 5
-    # per-node conditions: f <= subtree sum, and a known maximum <= f
+    # per-node conditions: f <= subtree sum, and a computed node's maximum
+    # <= f (the maxima cover a prefix of the nodes)
     valid = dict(
         source="phase-three", t=10, rho=4, u_prime=100, level=1, threshold=5,
         observed_total_size=5, set_sizes=[5, 5], f_values=[10, 10],
@@ -163,13 +164,18 @@ def test_assemble_evidence_rejects_bad_bookkeeping():
     with pytest.raises(InternalConsistencyError, match="weight exceeds subtree sum"):
         assemble_dense_evidence(**valid, sigma_values=[10, 9])
     with pytest.raises(InternalConsistencyError, match="set maximum exceeds weight"):
-        assemble_dense_evidence(**valid, sigma_values=[10, 10], max_values=[None, 11])
-    ev = assemble_dense_evidence(**valid, sigma_values=[10, 10], max_values=[None, 10])
-    assert ev.max_values == [None, 10]
-    # the stages pass int64 arrays; the evidence holds the same lists
+        assemble_dense_evidence(**valid, sigma_values=[10, 10], max_values=[11])
+    with pytest.raises(InternalConsistencyError, match="set maximum exceeds weight"):
+        assemble_dense_evidence(**valid, sigma_values=[10, 10], max_values=[10, 11])
+    ev = assemble_dense_evidence(**valid, sigma_values=[10, 10], max_values=[10])
+    assert np.array_equal(ev.max_values, [10])
+    # the stages pass int64 arrays, and the evidence holds them
     arrays = {k: np.asarray(v) if isinstance(v, list) else v for k, v in valid.items()}
-    got = assemble_dense_evidence(**arrays, sigma_values=np.array([10, 10]), max_values=[None, 10])
-    assert got == ev and type(got.set_sizes[0]) is type(got.f_values[0]) is type(got.sigma_values[0]) is int
+    got = assemble_dense_evidence(**arrays, sigma_values=np.array([10, 10]), max_values=np.array([10]))
+    assert got == ev
+    for values in (got.set_sizes, got.f_values, got.sigma_values, got.max_values):
+        assert values.dtype == np.int64
+    assert got != assemble_dense_evidence(**arrays, sigma_values=np.array([10, 10]))
     with pytest.raises(InternalConsistencyError, match="weight exceeds subtree sum"):
         assemble_dense_evidence(**arrays, sigma_values=np.array([10, 9]))
 

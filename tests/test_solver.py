@@ -235,6 +235,30 @@ def test_solve_dense_branch_checked_agreement():
     assert out.decision == per_item_dp(inst.items, inst.target)
 
 
+def test_checked_mode_cross_checks_a_dense_solve_above_n_times_t():
+    # n * (t + 1) is 1.6e8, over the oracle budget, but the exact DP pays
+    # per distinct value (8 here), so checked mode runs it
+    inst = generate_instance("dense", 12_000, 8, 1)
+    assert inst.n * (inst.target + 1) > solver.CHECKED_ORACLE_BUDGET
+    out = solve(inst, SolverConfig(seed=1, budget_mult=1e-11, checked_mode=True))
+    assert out.branch == "dense"
+    assert out.report.checked_disagreement is False
+
+
+def test_solve_trips_in_the_merge_with_checkable_evidence():
+    # caps narrowed by eta_mult and a budget that stage two stays under:
+    # the merge tree trips, and its evidence holds the computed nodes' maxima
+    inst = generate_instance("uniform", 10_588, 16, 1, t=30_000)
+    out = solve(inst, SolverConfig(seed=1, eta_mult=1e-12, budget_mult=5e-10, checked_mode=True))
+    ev = out.dense_evidence
+    assert out.branch == "dense" and ev.source == "phase-three"
+    for values in (ev.set_sizes, ev.f_values, ev.sigma_values, ev.max_values):
+        assert values.dtype == np.int64
+    assert len(ev.max_values) <= ev.num_sets == len(ev.set_sizes) + ev.trivial_sets
+    assert out.report.checked_disagreement is False
+    assert out.decision == per_item_dp(inst.items, inst.target)
+
+
 def test_solve_outcome_follows_the_branch_taken():
     # both branches share one combine: the outcome's branch, its dense
     # evidence and the report's start-set size follow the branch taken
