@@ -4,20 +4,23 @@ Stage one (`partition_groups`) splits the bulk multiset into dyadic
 value layers [2^j, 2^(j+1)) and randomly partitions each layer into at
 most ceil(t / 2^(j-1)) non-empty groups (rebalancing moves elements
 into any empty group).  The group list is padded with empty groups to a
-power-of-two length, and held as one `Flat` over the sorted items: a
-layer's bucket ids are drawn at once and one argsort places its items in
-bucket order.  The empty buckets are filled at once, in ascending order,
-with the last elements of the buckets that hold two or more (from the
-highest-index bucket down, each keeping one), and a second argsort places
-the moved items.  A layer with no more items than its cap is not drawn:
-each item is a group of its own.  Stage one reads the bulk as a
+power-of-two length.  A layer with no more items than its cap is not
+drawn: each item is a group of its own.  A drawn layer's bucket ids are
+drawn at once, and the empty buckets are filled at once, in ascending
+order, with the last elements of the buckets that hold two or more
+(from the highest-index bucket down, each keeping one).  Whether a group
+completes in stage two depends only on which elements share it, not on
+their values, so stage one computes only the group sizes, from the
+buckets' counts (a filled bucket holds one element, a donor what it
+kept), and builds no item-sized array but the drawn bucket ids.  The
+family places the elements (`_place`: one `Flat` over the sorted items,
+each drawn layer in bucket order by one stable sort) only when a stage
+reads its groups; an unchecked solve whose groups all complete and
+whose merge collapses never does.  Stage one reads the bulk as a
 multiset (distinct values and counts; the solver passes the dense part
-so) and builds the items only when some layer is drawn; when none is
-(every `sparse-ladder` solve) the family is held as that multiset and
-its groups are built only when read.  Consequences: any subset with
-sum <= t meets each group in few elements with high probability, and
-the group maxima carry a constant fraction of t in total without
-exceeding ~t log w.
+so).  Consequences: any subset with sum <= t meets each group in few
+elements with high probability, and the group maxima carry a constant
+fraction of t in total without exceeding ~t log w.
 
 Stage two (`build_group_sumsets`) runs color coding over every group
 simultaneously: each group is split uniformly into g random parts, 0 is
@@ -79,7 +82,8 @@ until every group is complete.  If every group completes, the sets are
 every group's full subset sums and stage two builds none of them: it
 returns `GroupSumsets.complete`, whose sets are built on their first read
 (checked mode, a merge that does not collapse, tests and tracing read
-them; a collapsing merge needs only the family's multiset).
+them; a collapsing merge needs only the family's multiset), each
+distinct group content's once.
 Otherwise the groups that never complete form a sub-family that goes through the
 same level loop on each repetition's recorded draws of its elements;
 the sub-family's excess is at most the family's, so no level can trip.
@@ -102,7 +106,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -110,6 +114,18 @@ from .core import InternalConsistencyError, array_fields_eq, ceil_div, ceil_log2
 from .sumset import Flat, Level, _offsets, _pair_level, _segment_index, _value_counts
 # imported only as the phase-2 kernel boundary that perfbench's tracer wraps
 from .sumset import _sum_values  # noqa: F401
+
+
+class _Layer(NamedTuple):
+    """A drawn layer of stage one: its groups start at group first and
+    its elements at element lo of the sorted items; bucket holds each
+    element's drawn bucket and counts the elements each bucket drew,
+    before any was moved."""
+
+    first: int
+    lo: int
+    bucket: np.ndarray
+    counts: np.ndarray
 
 
 class GroupFamily:
@@ -130,14 +146,18 @@ class GroupFamily:
     multiset is every element of the family, as sorted distinct values
     and their int64 counts: `partition_groups` passes the one it built
     the family from, and otherwise it is counted from the groups on first
-    read.
-    The merge's collapse and stage two's sigma(D) read it instead of the
-    groups.  A family of singletons (`GroupFamily.singletons`: every
-    element a group of its own, in ascending order, as stage one makes
-    when it draws no layer) is held as its multiset alone, and its groups
-    are built on their first read (checked mode, a merge that does not
-    collapse, tests and tracing read them).  Families compare equal when
-    their groups, raw_count and largest are.
+    read.  The merge's collapse and stage two's sigma(D) read it instead
+    of the groups.
+
+    Stage one passes no groups: it passes the multiset, the groups'
+    offsets offs and its drawn layers, and the elements are placed into
+    their groups (`_place`) only when groups is first read (the budgeted
+    path, groups that never complete, checked mode, a merge that does
+    not collapse, tests and tracing read them).  offs None stands for
+    one element per group in ascending order, as when no layer is drawn,
+    and is built on its first read.  sizes(), element_count, ell, largest,
+    multiset and sigma never place the elements.  Families compare equal
+    when their groups, raw_count and largest are.
     """
 
     def __init__(
@@ -146,30 +166,41 @@ class GroupFamily:
         raw_count: int,
         largest: Optional[int] = None,
         multiset: Optional[tuple[np.ndarray, np.ndarray]] = None,
+        offs: Optional[np.ndarray] = None,
+        layers: Sequence[_Layer] = (),
     ) -> None:
         self._groups = groups
         self._multiset = multiset
+        self._offs = offs if groups is None else groups.offs
+        self._layers = layers
         self.raw_count = raw_count
         if largest is None:
-            sizes = self.groups.sizes()
+            sizes = self.sizes()
             largest = int(sizes.max()) if sizes.size else 0
         self.largest = largest
-
-    @classmethod
-    def singletons(cls, values: np.ndarray, counts: np.ndarray) -> "GroupFamily":
-        """The family whose groups are the elements of the multiset (sorted
-        distinct values, positive counts), one each in ascending order."""
-        return cls(None, int(counts.sum()), 1, (values, counts))
 
     @property
     def groups(self) -> Flat:
         if self._groups is None:
-            vals = np.repeat(*self._multiset)
-            vals.flags.writeable = False
-            offs = np.full(next_pow2(vals.size) + 1, vals.size, dtype=np.int64)
-            offs[: vals.size] = np.arange(vals.size)
-            self._groups = Flat(vals, offs)
+            self._groups = _place(self._multiset, self.offs, self._layers)
+            self._layers = ()
         return self._groups
+
+    @property
+    def offs(self) -> np.ndarray:
+        """The groups' offsets: group i holds elements offs[i] to offs[i + 1] - 1."""
+        if self._offs is None:
+            n = self.element_count
+            self._offs = np.full(next_pow2(n) + 1, n, dtype=np.int64)
+            self._offs[:n] = np.arange(n)
+        return self._offs
+
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.offs)
+
+    @property
+    def element_count(self) -> int:
+        return int(self._multiset[1].sum()) if self._groups is None else self._groups.vals.size
 
     @property
     def multiset(self) -> tuple[np.ndarray, np.ndarray]:
@@ -179,7 +210,7 @@ class GroupFamily:
 
     @property
     def ell(self) -> int:
-        return next_pow2(self.raw_count) if self._groups is None else len(self._groups)
+        return next_pow2(self.raw_count) if self._offs is None else len(self._offs) - 1
 
     @cached_property
     def sigma(self) -> int:
@@ -212,13 +243,11 @@ def partition_groups(
     positive counts (the solver passes the dense part's
     `InstancePartition.dense_multiset`); items are counted into that form
     first, and the family carries it.  The layers' sizes and sigma come
-    from the counts.  When no layer is drawn (each of its items is a group
-    of its own) the family is `GroupFamily.singletons` of the multiset,
-    and no item-sized array is built; otherwise one `np.repeat` builds the
-    sorted items, into which the drawn layers are placed, with one offsets
-    array filled layer by layer.  The family is the same for every order
-    of the items, and its groups never share memory with the caller's
-    arrays.
+    from the counts.  A drawn layer's group sizes come from its buckets'
+    counts alone, so stage one builds no item-sized array but the drawn
+    bucket ids; the family places the items when its groups are first
+    read (`_place`).  The family is the same for every order of the
+    items, and its groups never share memory with the caller's arrays.
     """
     if counts is None:
         d_part, counts = _value_counts(d_part)
@@ -236,47 +265,87 @@ def partition_groups(
     raw = sum(caps)
     if raw == bounds[-1]:
         # no layer is drawn: every item is a group of its own
-        return GroupFamily.singletons(*multiset)
-    items = np.repeat(*multiset)
-    # group k holds vals[offs[k]:offs[k + 1]]; the padding groups are empty
-    offs = np.full(next_pow2(raw) + 1, items.size, dtype=np.int64)
-    largest, first = 1, 0
+        return GroupFamily(None, raw, 1, multiset)
+    sizes = np.ones(raw, dtype=np.int64)
+    layers, largest, first = [], 1, 0
     for j in range(top):
         lo, size, alpha_j = bounds[j], bounds[j + 1] - bounds[j], caps[j]
-        # the layer's groups start at lo, lo + counts[0], ..
-        out = offs[first : first + alpha_j]
+        if alpha_j < size:
+            bucket = rng.integers(0, alpha_j, size=size)
+            drawn = np.bincount(bucket, minlength=alpha_j)
+            layer_sizes = sizes[first : first + alpha_j]
+            layer_sizes[:] = drawn
+            empty, donors, give = _moves(drawn)
+            layer_sizes[donors] -= give
+            layer_sizes[empty] = 1
+            largest = max(largest, int(layer_sizes.max()))
+            layers.append(_Layer(first, lo, bucket, drawn))
         first += alpha_j
-        if alpha_j == size:
-            # every item its own group
-            np.cumsum(np.broadcast_to(np.int64(1), size), out=out)
-            out += lo - 1
-            continue
-        bucket = rng.integers(0, alpha_j, size=size)
-        # the keys bucket * size + index are distinct, so their argsort is
-        # the stable order of the buckets, several times faster than a
-        # stable argsort of the int64 buckets
-        index = np.arange(size)
-        order = np.argsort(bucket * size + index)
-        counts = np.bincount(bucket, minlength=alpha_j)
-        empty = np.flatnonzero(counts == 0)
+    # group k holds elements offs[k] to offs[k + 1] - 1; the padding groups are empty
+    offs = np.full(next_pow2(raw) + 1, bounds[-1], dtype=np.int64)
+    offs[0] = 0
+    np.cumsum(sizes, out=offs[1 : raw + 1])
+    return GroupFamily(None, raw, largest, multiset, offs, layers)
+
+
+def _moves(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rebalancing of a drawn layer whose buckets drew counts elements:
+    the empty buckets, ascending, each take one element from the buckets
+    that hold at least two, from the highest-index bucket down, each of
+    them keeping one.  Returns the empty buckets, those donors and how
+    many elements each gives (the last donor may give fewer than it
+    could).  A drawn layer holds more elements than buckets, so the
+    donors always fill every empty bucket."""
+    empty = np.flatnonzero(counts == 0)
+    if not empty.size:
+        return empty, empty, empty
+    donors = np.flatnonzero(counts >= 2)[::-1]
+    spare = np.cumsum(counts[donors] - 1)
+    k = int(np.searchsorted(spare, empty.size)) + 1
+    give = counts[donors[:k]] - 1
+    give[-1] -= spare[k - 1] - empty.size
+    return empty, donors[:k], give
+
+
+def _place(multiset: tuple[np.ndarray, np.ndarray], offs: np.ndarray, layers: Sequence[_Layer]) -> Flat:
+    """The groups of a `partition_groups` family: the sorted items, each
+    drawn layer's items in bucket order.
+
+    A layer's elements go into their drawn buckets by one stable sort, each
+    bucket ascending.  Rebalancing (`_moves`) takes the last elements of
+    the donors, each into an empty bucket, where it is alone: every other
+    element keeps its rank in its bucket, so the kept elements fill the
+    layer's non-empty groups in sort order, and each moved one goes to
+    its empty group's offset."""
+    vals = np.repeat(*multiset)
+    for first, lo, bucket, counts in layers:
+        size, alpha = bucket.size, counts.size
+        if alpha <= 1 << 16:
+            # a radix sort of 16-bit keys, several times faster than either
+            # form below
+            order = np.argsort(bucket.astype(np.uint16), kind="stable")
+        else:
+            # the keys bucket * size + index are distinct, so their argsort
+            # is the stable order of the buckets, faster than a stable
+            # argsort of the int64 buckets
+            order = np.argsort(bucket * size + np.arange(size))
+        empty, donors, give = _moves(counts)
         if empty.size:
-            # rebalance: the empty buckets, in ascending order, take the last
-            # elements of the buckets that hold at least two, from the
-            # highest-index bucket down, each donor keeping one
-            donors = np.flatnonzero(counts >= 2)[::-1]
-            give = counts[donors] - 1
-            donors = donors[: int(np.searchsorted(np.cumsum(give), empty.size)) + 1]
-            last = _offsets(counts)[donors + 1] - 1
-            moved = order[-_segment_index(-last, give[: donors.size])[: empty.size]]
-            bucket[moved] = empty[: moved.size]
-            order = np.argsort(bucket * size + index)
-            counts = np.bincount(bucket, minlength=alpha_j)
-        items[lo : lo + size] = items[lo : lo + size][order]
-        largest = max(largest, int(counts.max()))
-        out[0] = 0
-        np.cumsum(counts[:-1], out=out[1:])
-        out += lo
-    return GroupFamily(Flat(items, offs), raw, largest, multiset)
+            # the donors' last elements in sort order, the highest bucket's
+            # first, go to the empty buckets in ascending order
+            moved = -_segment_index(1 - _offsets(counts)[donors + 1], give)
+            slots = offs[first + empty] - lo
+            kept = np.ones(size, dtype=bool)
+            kept[moved] = False
+            free = np.ones(size, dtype=bool)
+            free[slots] = False
+            placed = np.empty_like(order)
+            placed[free] = order[kept]
+            placed[slots] = order[moved]
+            order = placed
+        vals[lo : lo + size] = vals[lo : lo + size][order]
+    vals.flags.writeable = False
+    return Flat(vals, offs)
 
 
 def verify_group_family(family: GroupFamily, d_part: Sequence[int], t: int, w: int) -> None:
@@ -442,10 +511,10 @@ def build_group_sumsets(
     # non-empty group adds at least one to the excess, so a tail up to
     # their count needs none either: the budgeted path is certain
     if params.tail > family.sigma or (
-        params.tail > np.count_nonzero(family.groups.sizes()) and params.tail > _max_level_excess(family)
+        params.tail > np.count_nonzero(family.sizes()) and params.tail > _max_level_excess(family)
     ):
         return _unbudgeted_sumsets(family, params, rng)
-    draws = (rng.integers(0, params.g, size=family.groups.vals.size) for _ in range(params.reps))
+    draws = (rng.integers(0, params.g, size=family.element_count) for _ in range(params.reps))
     return _budgeted_sumsets(family.groups, params, draws)
 
 
@@ -460,7 +529,7 @@ def _max_level_excess(family: GroupFamily) -> int:
     budget tail exceeds this bound no level can trip.  It is attained by
     the full subset sums of singletons and empty groups.
     """
-    sums, sizes = family.group_sums, family.groups.sizes()
+    sums, sizes = family.group_sums, family.sizes()
     # for |G| >= 63, 2^|G| - 1 > sigma(G) (all sums are below 2^63)
     return int(np.where(sizes < 63, np.minimum(sums, (1 << np.minimum(sizes, 62)) - 1), sums).sum())
 
@@ -622,7 +691,7 @@ def _unbudgeted_sumsets(
         # singletons and empty groups are complete without any draw
         return GroupSumsets.complete(family, params)
     g, ell = params.g, family.ell
-    sizes = family.groups.sizes()
+    sizes = family.sizes()
     owner = np.repeat(np.arange(ell, dtype=np.int64), sizes)
     # flat element positions of the groups not yet complete, with the parts
     # they were drawn into in each repetition so far
@@ -662,19 +731,46 @@ def _group_sets(
     groups that never complete (ascending), and every other group's full
     subset sums: {0} for an empty group, {0, x} for a singleton, and for a
     larger group the roots of one repetition that puts its k-th element
-    into part k (a complete group holds at most g)."""
-    sizes = family.groups.sizes()
+    into part k (a complete group holds at most g), computed once for each
+    distinct content (`_distinct_contents`)."""
+    groups = family.groups
+    sizes = groups.sizes()
     multi = np.setdiff1d(np.flatnonzero(sizes >= 2), open_groups)
-    groups = family.groups.take(multi)
-    rank = np.arange(groups.vals.size) - np.repeat(groups.offs[:-1], groups.sizes())
-    full = _untripped_sets(groups, params, [rank])
+    which, distinct = _distinct_contents(groups, multi)
+    firsts = groups.take(distinct)
+    rank = np.arange(firsts.vals.size) - np.repeat(firsts.offs[:-1], firsts.sizes())
+    full = _untripped_sets(firsts, params, [rank]).take(which)
     # a smaller group's set is 0, then its element if it has one
     set_sizes = sizes + 1
     set_sizes[multi], set_sizes[open_groups] = full.sizes(), open_sets.sizes()
     offs = _offsets(set_sizes)
     vals = np.zeros(offs[-1], dtype=np.int64)
     single = np.flatnonzero(sizes == 1)
-    vals[offs[single] + 1] = family.groups.vals[family.groups.offs[single]]
+    vals[offs[single] + 1] = groups.vals[groups.offs[single]]
     for nodes, sets in ((multi, full), (open_groups, open_sets)):
         vals[_segment_index(offs[nodes], sets.sizes())] = sets.vals
     return Flat(vals, offs)
+
+
+def _distinct_contents(groups: Flat, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each of the given nodes of groups, the index of its content (a
+    sequence of values) among the distinct contents, and the first of the
+    nodes to hold each distinct content.  Nodes of one size are compared
+    as the rows of one matrix, sorted by lexsort."""
+    sizes = np.diff(groups.offs)[nodes]
+    which = np.empty(nodes.size, dtype=np.int64)
+    distinct = [nodes[:0]]
+    found = 0
+    for size in np.unique(sizes).tolist():
+        at = np.flatnonzero(sizes == size)
+        rows = groups.vals[groups.offs[nodes[at], None] + np.arange(size)]
+        # the first column is lexsort's last, primary, key; equal rows keep
+        # their order
+        order = np.lexsort(rows.T[::-1])
+        rows = rows[order]
+        new = np.ones(at.size, dtype=bool)
+        new[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+        which[at[order]] = found + np.cumsum(new) - 1
+        distinct.append(nodes[at[order[new]]])
+        found += int(np.count_nonzero(new))
+    return which, np.concatenate(distinct)

@@ -385,6 +385,11 @@ def test_part_sizes_from_counts_match_part_level(seed):
         pytest.param(((), (5,), (2, 2, 1), (7,), (3, 4, 4, 8), (), (9,), ()), (2,), id="mixed-open"),
         pytest.param(((4,), (), (6,), (6,)), (), id="small-only"),
         pytest.param(((1, 2), (3, 3, 3), (8, 1), (2, 5, 9, 11)), (1, 3), id="multi-only"),
+        pytest.param(
+            ((2, 3), (1, 4), (2, 3), (3, 2), (5, 5, 1), (2, 3), (5, 5, 1), (1, 4, 4), (2, 3), (), (7,), (7,)),
+            (5,),
+            id="repeated-contents",
+        ),
     ],
 )
 def test_group_sets_match_subset_sums(groups, open_groups):

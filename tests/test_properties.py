@@ -810,6 +810,13 @@ def _partition_groups_against_reference(items, t, seed):
     matches its list reference on the same draws."""
     family = partition_groups(items, t, rng_stream(seed, "p1"))
     groups, raw, filled = reference_partition_groups(items, t, rng_stream(seed, "p1"))
+    # stage one's sizes, read before any item is placed
+    sizes = [len(g) for g in groups]
+    assert (family.largest, family.ell, family.sizes().tolist()) == (max(sizes), len(groups), sizes)
+    assert family.element_count == len(items)
+    counted = sorted(Counter(items).items())
+    assert [a.tolist() for a in family.multiset] == [[x for x, _ in counted], [c for _, c in counted]]
+    assert family._groups is None, "stage one placed the items"
     assert [tuple(g.tolist()) for g in family.groups] == list(groups)
     assert family.raw_count == raw
     assert family.largest == max(map(len, groups)) and family == GroupFamily(family.groups, raw)
@@ -852,6 +859,11 @@ def test_partition_groups_matches_list_reference():
     assert any(moved), "no example moved an element into an empty bucket"
     check_large()
     assert min(large) > 1000, "a large example filled at most a thousand empty buckets"
+    # a layer of more than 2^16 buckets, which placement sorts by distinct
+    # keys instead of 16-bit ones: 90,000 items in [16, 32), layer 4, whose
+    # cap at t = 600,000 is 75,000 buckets
+    items = np.random.default_rng(29).integers(16, 32, size=90_000).tolist()
+    assert _partition_groups_against_reference(items, 600_000, 29) > 10_000
 
 
 @st.composite

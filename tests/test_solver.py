@@ -486,3 +486,27 @@ def test_drawn_solve_creates_the_phase_one_and_two_streams_in_order(monkeypatch)
     labels.clear()
     solve(inst, SolverConfig(seed=3, checked_mode=True))
     assert labels == ["phase1", "phase2", "phase3"]
+
+
+def test_unchecked_grouped_solve_places_no_item(monkeypatch):
+    # the `grouped` t30000 shape: stage one draws its layers, every group
+    # completes and the merge collapses, so an unchecked solve reads only
+    # the family's sizes and multiset and never places the drawn items;
+    # checked mode verifies the groups, so it places them, and its report
+    # is the same
+    inst = generate_instance("dense", 35_294, 16, 1, t=30_000)
+    families = []
+    partition = solver.partition_groups
+    monkeypatch.setattr(solver, "partition_groups", lambda *a, **k: families.append(partition(*a, **k)) or families[-1])
+    place = colorcoding._place
+    monkeypatch.setattr(colorcoding, "_place", lambda *a: pytest.fail("an unchecked solve placed items"))
+    out = solve(inst, SolverConfig(seed=1))
+    (family,) = families
+    assert out.branch == "sparse" and family.largest > 1 and family._layers
+    placed = []
+    monkeypatch.setattr(colorcoding, "_place", lambda *a: placed.append(a) or place(*a))
+    checked = solve(inst, SolverConfig(seed=1, checked_mode=True))
+    assert len(placed) == 1
+    assert (out.decision, out.branch, out.candidate_set_size, out.report) == (
+        checked.decision, checked.branch, checked.candidate_set_size, checked.report,
+    )
