@@ -16,9 +16,10 @@ kept), and builds no item-sized array but the drawn bucket ids.  The
 family places the elements (`_place`: one `Flat` over the sorted items,
 each drawn layer in bucket order by one stable sort) only when a stage
 reads its groups; an unchecked solve whose groups all complete and
-whose merge collapses never does.  Stage one reads the bulk as a
-multiset (distinct values and counts; the solver passes the dense part
-so).  Consequences: any subset with sum <= t meets each group in few
+whose merge collapses never does, unless stage two's gate needs the
+level-excess scan (below), which reads every group's sum.  Stage one
+reads the bulk as a multiset (distinct values and counts; the solver
+passes the dense part so).  Consequences: any subset with sum <= t meets each group in few
 elements with high probability, and the group maxima carry a constant
 fraction of t in total without exceeding ~t log w.
 
@@ -156,7 +157,7 @@ class GroupFamily:
     not collapse, tests and tracing read them).  offs None stands for
     one element per group in ascending order, as when no layer is drawn,
     and is built on its first read.  sizes(), element_count, ell, largest,
-    multiset and sigma never place the elements.  Families compare equal
+    multiset and sigma never place the elements; group_sums does.  Families compare equal
     when their groups, raw_count and largest are.
     """
 
@@ -311,24 +312,17 @@ def _place(multiset: tuple[np.ndarray, np.ndarray], offs: np.ndarray, layers: Se
     """The groups of a `partition_groups` family: the sorted items, each
     drawn layer's items in bucket order.
 
-    A layer's elements go into their drawn buckets by one stable sort, each
-    bucket ascending.  Rebalancing (`_moves`) takes the last elements of
+    A layer's elements go into their drawn buckets by one argsort of the
+    distinct keys bucket * size + index, the stable order of the buckets,
+    so each bucket is ascending.  Rebalancing (`_moves`) takes the last elements of
     the donors, each into an empty bucket, where it is alone: every other
     element keeps its rank in its bucket, so the kept elements fill the
     layer's non-empty groups in sort order, and each moved one goes to
     its empty group's offset."""
     vals = np.repeat(*multiset)
     for first, lo, bucket, counts in layers:
-        size, alpha = bucket.size, counts.size
-        if alpha <= 1 << 16:
-            # a radix sort of 16-bit keys, several times faster than either
-            # form below
-            order = np.argsort(bucket.astype(np.uint16), kind="stable")
-        else:
-            # the keys bucket * size + index are distinct, so their argsort
-            # is the stable order of the buckets, faster than a stable
-            # argsort of the int64 buckets
-            order = np.argsort(bucket * size + np.arange(size))
+        size = bucket.size
+        order = np.argsort(bucket * size + np.arange(size))
         empty, donors, give = _moves(counts)
         if empty.size:
             # the donors' last elements in sort order, the highest bucket's
@@ -756,7 +750,7 @@ def _distinct_contents(groups: Flat, nodes: np.ndarray) -> tuple[np.ndarray, np.
     """For each of the given nodes of groups, the index of its content (a
     sequence of values) among the distinct contents, and the first of the
     nodes to hold each distinct content.  Nodes of one size are compared
-    as the rows of one matrix, sorted by lexsort."""
+    as the rows of one matrix."""
     sizes = np.diff(groups.offs)[nodes]
     which = np.empty(nodes.size, dtype=np.int64)
     distinct = [nodes[:0]]
@@ -764,13 +758,8 @@ def _distinct_contents(groups: Flat, nodes: np.ndarray) -> tuple[np.ndarray, np.
     for size in np.unique(sizes).tolist():
         at = np.flatnonzero(sizes == size)
         rows = groups.vals[groups.offs[nodes[at], None] + np.arange(size)]
-        # the first column is lexsort's last, primary, key; equal rows keep
-        # their order
-        order = np.lexsort(rows.T[::-1])
-        rows = rows[order]
-        new = np.ones(at.size, dtype=bool)
-        new[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-        which[at[order]] = found + np.cumsum(new) - 1
-        distinct.append(nodes[at[order[new]]])
-        found += int(np.count_nonzero(new))
+        _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+        which[at] = found + inverse
+        distinct.append(nodes[at[first]])
+        found += first.size
     return which, np.concatenate(distinct)

@@ -859,9 +859,8 @@ def test_partition_groups_matches_list_reference():
     assert any(moved), "no example moved an element into an empty bucket"
     check_large()
     assert min(large) > 1000, "a large example filled at most a thousand empty buckets"
-    # a layer of more than 2^16 buckets, which placement sorts by distinct
-    # keys instead of 16-bit ones: 90,000 items in [16, 32), layer 4, whose
-    # cap at t = 600,000 is 75,000 buckets
+    # a layer of more than 2^16 buckets: 90,000 items in [16, 32), layer 4,
+    # whose cap at t = 600,000 is 75,000 buckets
     items = np.random.default_rng(29).integers(16, 32, size=90_000).tolist()
     assert _partition_groups_against_reference(items, 600_000, 29) > 10_000
 
