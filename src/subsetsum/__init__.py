@@ -25,7 +25,7 @@ from .core import (
     normalize,
     rng_stream,
 )
-from .sumset import DenseSignal, cap, dense_sumset
+from .sumset import cap, dense_sumset
 from .structure import InstancePartition, extract_residue_set, find_almost_divisor, partition_instance
 from .colorcoding import GroupFamily, GroupSumsets, build_group_sumsets, partition_groups
 from .merge import DenseEvidence, assemble_dense_evidence, merge_group_sumsets
@@ -49,7 +49,6 @@ __all__ = [
     "InvalidInstanceError",
     "InternalConsistencyError",
     "OracleBudgetError",
-    "DenseSignal",
     "dense_sumset",
     "cap",
     "find_almost_divisor",

@@ -37,11 +37,13 @@ counts, so no item-sized array is read) in units of the step
 (Pisinger, "Dynamic programming on the word RAM", 2003), each value's
 multiplicity split into powers of two (the bounded-to-0/1 reduction, as
 in Koiliaris and Xu, SODA 2017), cut at t and read back only in the
-window.  The permutation is not drawn (the phase-3 stream is then never
-created), no level, weight or cap is computed, and neither the
-stage-two sets nor the groups' sums are read (the step, sigma(D) and
-|D| come from the multiset), so stage two never builds the sets (see
-`colorcoding.GroupSumsets`).
+window.  Its one size bound is memory: the DP's mask of t // step + 1
+bits must fit in `sumset.FALLBACK_MAX_BITS`, as the exact decision's
+must; a target past it stays on the kernel.  The permutation is not
+drawn (the phase-3 stream is then never created), no level, weight or
+cap is computed, and neither the stage-two sets nor the groups' sums
+are read (the step and sigma(D) come from the multiset), so stage two
+never builds the sets (see `colorcoding.GroupSumsets`).
 Otherwise every level goes through the kernel.  Checked mode draws the
 permutation, also reads the sets, requires each exact set's maximum to
 be its group's sum, runs every level through the kernel with its
@@ -69,7 +71,7 @@ import numpy as np
 
 from .core import InternalConsistencyError, SumSet, array_fields_eq, ceil_div, ceil_log2, target_window
 from .colorcoding import DenseTripSignal, GroupFamily, GroupSumsets, _budget_tail
-from .sumset import Level, _pair_level, common_step, window_subset_sums
+from .sumset import FALLBACK_MAX_BITS, Level, _pair_level, common_step, window_subset_sums
 
 
 @dataclass(eq=False)
@@ -234,7 +236,7 @@ def merge_group_sumsets(
 
     levels = ceil_log2(ell)
     lo = max(t - window, 0)
-    step = _collapse_step(exact, family, t, eta, tail, levels)
+    step = _collapse_step(exact, family, t, eta, tail)
     if step:
         # no level caps or trips: the root is every subset sum of the items,
         # in whatever order the leaves come
@@ -259,11 +261,11 @@ def merge_group_sumsets(
         budget = ell_h + tail
         f = f[0::2] + f[1::2]
         sig = sig[0::2] + sig[1::2]
-        out, signal = _pair_level(cur, budget)
+        out, observed = _pair_level(cur, budget)
         sizes = out.sizes()
         filled = np.flatnonzero(sizes)
         tops = out.ends[out.offs[filled + 1] - 1] * out.step
-        if signal is not None:
+        if observed is not None:
             # nodes after the stop: size >= 1 unless an operand is empty
             rest = cur.sizes()[2 * len(out) :]
             maxes = np.zeros(len(out), dtype=np.int64)
@@ -275,7 +277,7 @@ def merge_group_sumsets(
                 u_prime,
                 h,
                 budget,
-                signal.observed_total_size,
+                observed,
                 np.append(sizes, (rest[0::2] > 0) & (rest[1::2] > 0)),
                 f,
                 sig,
@@ -292,7 +294,7 @@ def merge_group_sumsets(
     return out
 
 
-def _collapse_step(exact: bool, family: GroupFamily, t: int, eta: int, tail: int, levels: int) -> int:
+def _collapse_step(exact: bool, family: GroupFamily, t: int, eta: int, tail: int) -> int:
     """The step (the items' common step) in which the merge collapses to
     one windowed DP, or 0 when every level goes through the kernel.
 
@@ -303,19 +305,15 @@ def _collapse_step(exact: bool, family: GroupFamily, t: int, eta: int, tail: int
     when sigma(D) / step < tail.  A level-h cap keeps [0, sigma] of every
     node when eta + 1 >= t // ell_h and eta + 1 >= the largest sigma of a
     level-h node, which holds at every level, whatever the leaf order,
-    when eta + 1 >= max(t, sigma(D)).  The DP's bits (a row of sigma(D) /
-    step bits in 64-bit words) must also number no more words than the
-    leaf level holds values, at least |D| + ell (a group's sorted prefix
-    sums are |G| + 1 distinct subset sums), a bound that reads no leaf set
-    and keeps a sparse D of huge items on the kernel.
+    when eta + 1 >= max(t, sigma(D)).  The DP's mask, cut at t, holds
+    t // step + 1 bits, which must fit in FALLBACK_MAX_BITS, as the exact
+    decision's must; past it the kernel runs.
     """
-    if levels == 0 or not exact:
+    if not exact:
         return 0
     # from the family's multiset: a few us over 16 distinct values, where
     # the items took ~0.2 ms at 42k
-    values, counts = family.multiset
-    step = common_step(values)
+    step = common_step(family.multiset[0])
     sigma = family.sigma
-    room = int(counts.sum()) + family.ell
-    fits = sigma // step < tail and eta + 1 >= max(t, sigma) and (sigma // step + 1) // 64 + 1 <= room
+    fits = sigma // step < tail and eta + 1 >= max(t, sigma) and t // step + 1 <= FALLBACK_MAX_BITS
     return step if fits else 0

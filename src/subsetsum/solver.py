@@ -65,13 +65,12 @@ from .colorcoding import (
 )
 from .merge import DenseEvidence, evidence_from_color_trip, merge_group_sumsets
 from .structure import _union, partition_instance, verify_partition
-from .sumset import cap, common_step, window_subset_sums
+from .sumset import FALLBACK_MAX_BITS, cap, common_step, window_subset_sums
 # imported only as the combine kernel boundary that perfbench's tracer wraps
 from .sumset import dense_sumset  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
-FALLBACK_MAX_BITS = 1 << 31
 CHECKED_ORACLE_BUDGET = 10**8
 
 
@@ -110,20 +109,24 @@ def bounded_subset_sums(
 
 def fallback_dp(items: Sequence[int], t: int, counts: Optional[Sequence[int]] = None) -> bool:
     """Exact decision: is t a subset sum of items (counts[i] copies of
-    items[i] when counts is given)?  Within FALLBACK_MAX_BITS bits; the
-    items must fit in int64, as an `Instance`'s do.
+    items[i] when counts is given)?  The items must fit in int64, as an
+    `Instance`'s do.
 
     The package's shift-or DP (`sumset.window_subset_sums`) cut at t, with
     only bit t read back, in units of the values' gcd: every subset sum
-    is a multiple of it, so a t it does not divide is a no.
+    is a multiple of it, so a t it does not divide is a no before any
+    budget.  Otherwise the DP's mask of t // gcd + 1 bits must fit in
+    FALLBACK_MAX_BITS, or OracleBudgetError is raised.
     """
     if t < 0:
         return False
-    if t + 1 > FALLBACK_MAX_BITS:
-        raise OracleBudgetError(f"DP budget exceeded: t+1 = {t + 1} bits")
     values = np.asarray(items, dtype=np.int64)
     step = common_step(values)
-    return t % step == 0 and not window_subset_sums(values, t, t, step, counts=counts).is_empty
+    if t % step:
+        return False
+    if t // step + 1 > FALLBACK_MAX_BITS:
+        raise OracleBudgetError(f"DP budget exceeded: t // {step} + 1 = {t // step + 1} bits")
+    return not window_subset_sums(values, t, t, step, counts=counts).is_empty
 
 
 def small_target_gate(t: int, w: int) -> bool:

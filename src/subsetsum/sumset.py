@@ -43,7 +43,7 @@ The result is exact because only the run kernel, the FFT and the
 adapter's enumeration ever compute a sum.  The level's budget stop is
 exact: the level is computed in node-order chunks, and the first pair at
 which the running output size reaches the budget ends the level with the
-same prefix and signal as summing the pairs one at a time; a wide pair
+same prefix and stop as summing the pairs one at a time; a wide pair
 is split inside its chunk and counts toward the chunk's bound as one
 pair.  Phase 2 sums only its nodes with two occupied children, and
 passes, per pair, the known size of the nodes between it and the pair
@@ -69,7 +69,6 @@ back to back (`Flat`): groups are multisets, which runs cannot hold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, Optional, Sequence
 
@@ -103,20 +102,6 @@ FFT_BATCH_FLOATS = 1 << 18
 # LEVEL_CHUNK_VALUES) plus one pair, so a level that trips computes at
 # most LEVEL_CHUNK_VALUES values plus one pair's output past its stop.
 LEVEL_CHUNK_VALUES = 1 << 16
-
-
-@dataclass(frozen=True)
-class DenseSignal:
-    """Budget trip: the level's total size reached budget_k.
-
-    observed_total_size is the running total at the moment of the stop.
-    last_index_computed is the 1-based index of the last output set
-    actually computed.
-    """
-
-    observed_total_size: int
-    budget_k: int
-    last_index_computed: int
 
 
 class Level:
@@ -283,13 +268,13 @@ def cap(a: SumSet, lo: int, hi: int) -> SumSet:
 
 def _pair_level(
     level: Level, budget_k: int, gaps: Optional[np.ndarray] = None
-) -> tuple[Level, Optional[DenseSignal]]:
+) -> tuple[Level, Optional[int]]:
     """One level of pairwise sums level[2i] + level[2i+1] with an exact
     left-to-right budget stop.
 
-    Returns (computed, signal), computed in runs of the level's step.
-    Without a trip, computed holds every output and signal is None.
-    Otherwise signal records the running output size at the first pair i
+    Returns (computed, observed), computed in runs of the level's step.
+    Without a trip, computed holds every output and observed is None.
+    Otherwise observed is the running output size at the first pair i
     where it reaches budget_k, and computed holds outputs 0..i.  An empty
     operand yields an empty output (size 0): in the merge phase, interval
     capping can empty a node.
@@ -298,9 +283,8 @@ def _pair_level(
     running total and is not computed here: colour coding passes one for
     each virtual {0} node and the child's size for each node with one
     occupied child between pair i - 1 and pair i.  A stop inside the gap
-    before pair i reports observed_total_size = budget_k and computed
-    holds outputs 0..i-1 (last_index_computed = i).  A budget_k of
-    math.inf computes every output.
+    before pair i reports observed = budget_k and computed holds outputs
+    0..i-1.  A budget_k of math.inf computes every output.
     """
     m = len(level) // 2
     if gaps is None:
@@ -312,9 +296,9 @@ def _pair_level(
     cum_bound = np.cumsum(np.minimum(operand[0::2] * operand[1::2], hull) + gaps)
     runs, starts, ends = [np.zeros(0, dtype=np.int64)], [level.starts[:0]], [level.ends[:0]]
     total = 0
-    signal = None
+    observed = None
     j0 = 0
-    while j0 < m and signal is None:
+    while j0 < m and observed is None:
         room = max(budget_k - total, LEVEL_CHUNK_VALUES)
         done = int(cum_bound[j0 - 1]) if j0 else 0
         j1 = min(int(np.searchsorted(cum_bound, done + room)) + 1, m)
@@ -326,9 +310,9 @@ def _pair_level(
             # the gap crossed budget_k
             before = int(running[hit] - chunk_sizes[hit])
             if before >= budget_k > before - int(gaps[j0 + hit]):
-                signal = DenseSignal(budget_k, budget_k, j0 + hit)
+                observed = budget_k
             else:
-                signal = DenseSignal(int(running[hit]), budget_k, j0 + hit + 1)
+                observed = int(running[hit])
                 hit += 1
             kept = int(chunk_runs[:hit].sum())
             chunk_starts, chunk_ends = chunk_starts[:kept], chunk_ends[:kept]
@@ -339,7 +323,7 @@ def _pair_level(
         total = int(running[-1])
         j0 = j1
     offs = _offsets(np.concatenate(runs))
-    return Level(np.concatenate(starts), np.concatenate(ends), offs, level.step), signal
+    return Level(np.concatenate(starts), np.concatenate(ends), offs, level.step), observed
 
 
 def _level_chunk(
@@ -551,6 +535,10 @@ def _split_pair(level: Level, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 # ---------------------------------------------------------------------------
 
 
+# the largest mask, in bits, that the exact decision (`solver.fallback_dp`)
+# and the merge's collapse build (256 MiB): past it the first raises
+# OracleBudgetError and the second leaves the merge to the level kernel
+FALLBACK_MAX_BITS = 1 << 31
 # the low 64 bits of a mask
 _WORD = (1 << 64) - 1
 

@@ -288,7 +288,7 @@ def slot_stage_two(family, params, rng):
             part_max = part_val[np.append(part_start[1:], part_key.size) - 1]
             return DenseTripSignal(
                 level=h,
-                observed_total_size=budget if signal is None else signal.observed_total_size,
+                observed_total_size=budget if signal is None else signal,
                 threshold=budget,
                 rho=params.rho,
                 u_prime=params.u_prime,

@@ -234,17 +234,18 @@ def test_acceptance_7_budgeted_level_contract():
         ]
         total = sum(len(f) for f in full)
         budget = int(rng.integers(1, 2 * total + 6))
-        out, signal = _pair_level(level_of([s.values for s in sets]), budget)
+        out, observed = _pair_level(level_of([s.values for s in sets]), budget)
         u = max(s.dm() for s in sets)
-        if signal is not None:
+        if observed is not None:
             signals += 1
             # the stop is exact for every budget: the first pair whose
             # output brings the running total to the budget
             assert total >= budget
-            prefix = sum(len(f) for f in full[: signal.last_index_computed])
-            assert prefix == signal.observed_total_size
+            stop = int(np.searchsorted(np.cumsum([len(f) for f in full]), budget)) + 1
+            prefix = sum(len(f) for f in full[:stop])
+            assert prefix == observed
             assert prefix >= budget
-            assert [tuple(z.tolist()) for z in out] == full[: signal.last_index_computed]
+            assert [tuple(z.tolist()) for z in out] == full[:stop]
             # work bound: at most one extra set beyond the budget
             assert prefix <= budget + 2 * u + 1
         else:

@@ -17,7 +17,7 @@ from subsetsum.merge import (
 )
 from subsetsum.colorcoding import GroupSumsets
 from subsetsum.solver import solve
-from subsetsum.sumset import Flat, cap, common_step
+from subsetsum.sumset import FALLBACK_MAX_BITS, Flat, cap, common_step
 
 from oracles import merge_bounds, per_copy_subset_sums, subset_sums
 
@@ -74,22 +74,22 @@ def test_merge_narrow_windows_can_empty_nodes():
     assert set(root.values) <= set(subset_sums(items))
 
 
-def test_collapse_refuses_rows_larger_than_the_leaf_level(monkeypatch):
-    # the merge must take the kernel although the trip and cap bounds allow
-    # the collapse (checked below); the collapse's DP is not called, so no
-    # row is allocated
+def test_collapse_is_bounded_by_the_dp_s_memory_cap(monkeypatch):
+    # the trip and cap bounds allow the collapse for both families (checked
+    # below), so exact sets collapse exactly when the DP's mask of
+    # t // step + 1 bits fits in FALLBACK_MAX_BITS; past it the DP is not
+    # called, so no mask is allocated.  Sets that are not exact take the
+    # kernel, and both roots are the same
     calls = []
     _spy(monkeypatch, merge, "window_subset_sums", calls)
     far = [int(v) for v in np.random.default_rng(3).integers(2**40 - 2**20, 2**40, size=10)]
-    for groups in (
-        # ten singletons near 2**40 in 16 groups: the DP's one row would
-        # need ~2**37 words against 26 leaf values
-        [(x,) for x in far] + [()] * 6,
-        # 31 groups (2, 2) and one singleton 12676, all in units of the step
-        # 2: the row needs 101 words, and the leaves hold 31 * 3 + 2 = 95
-        # values, which is the bound counted in units of the step; counted
-        # in units of 1 it would be 31 * 4 + 2 = 126 and let the DP run
-        [(2, 2)] * 31 + [(12676,)],
+    for groups, collapses in (
+        # ten singletons near 2**40 in 16 groups: t // step + 1 ~ 2**42 bits
+        ([(x,) for x in far] + [()] * 6, False),
+        # 31 groups (2, 2) and one singleton 12676, in units of the step 2:
+        # a mask of 3,201 bits, although its 101 words outnumber the leaf
+        # level's 95 values in units of the step
+        ([(2, 2)] * 31 + [(12676,)], True),
     ):
         items = [x for grp in groups for x in grp]
         w, n, q, t = 1 << max(items).bit_length(), len(items), 0.3, sum(items) // 2
@@ -99,11 +99,13 @@ def test_collapse_refuses_rows_larger_than_the_leaf_level(monkeypatch):
         # window = t: the root is returned on [0, t]
         eta, _, tail = merge_bounds(params.rho, params.g, t, w, n, q, 1.0, 1.0, t)
         assert sum(items) < tail and eta + 1 >= max(t, sum(items))
+        assert (t // common_step(np.array(items)) + 1 <= FALLBACK_MAX_BITS) == collapses
+        calls.clear()
         roots = [
             merge_group_sumsets(GroupSumsets(sets, params, exact), family, t, w, n, q, rng_stream(4, "p3"), window=t)
             for exact in (True, False)
         ]
-        assert calls == []
+        assert len(calls) == collapses
         assert roots[0] == roots[1] == SumSet(tuple(subset_sums(items, t)))
 
 
@@ -261,6 +263,27 @@ def test_default_sparse_solve_collapses_the_merge(monkeypatch):
     # the root in the window, against every copy added as its own 0/1 item
     whole = per_copy_subset_sums(family.groups.vals.tolist(), t)
     assert root == cap(SumSet(whole), lo, t) and len(root) > 0
+
+
+def test_sparse_window_solve_collapses_the_merge(monkeypatch):
+    # a `sparse-window` instance: a sparse D of large items, whose DP row of
+    # sigma(D) / step bits takes more words than the leaf level has values.
+    # No level can cap or trip, so the merge is still one windowed DP and no
+    # kernel level; checked mode also runs every level through the kernel
+    # and gives the same outputs
+    families, dps, levels = [], [], []
+    _spy(monkeypatch, solver, "partition_groups", families)
+    _spy(monkeypatch, merge, "window_subset_sums", dps)
+    _spy(monkeypatch, merge, "_pair_level", levels)
+    inst = generate_instance("sparse-window", 16340, 256, 1)
+    out = solve(inst, SolverConfig(seed=1))
+    assert out.branch == "sparse"
+    assert len(dps) == 1 and levels == []
+    checked = solve(inst, SolverConfig(seed=1, checked_mode=True))
+    ((_, family), _) = families
+    assert len(dps) == 2 and len(levels) == ceil_log2(family.ell)
+    outputs = ("decision", "branch", "candidate_set_size", "report")
+    assert [getattr(checked, k) for k in outputs] == [getattr(out, k) for k in outputs]
 
 
 def test_narrow_caps_send_every_merge_level_through_the_kernel(monkeypatch):

@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from subsetsum import colorcoding, merge, sumset
@@ -27,13 +27,12 @@ from subsetsum.colorcoding import (
     color_params,
     partition_groups,
 )
-from subsetsum.core import Instance, SolverConfig, SumSet, ceil_log2, rng_stream
+from subsetsum.core import Instance, SolverConfig, SumSet, ceil_log2, rng_stream, target_window
 from subsetsum.merge import DenseEvidence, merge_group_sumsets
 from subsetsum.solver import bounded_subset_sums, fallback_dp, small_target_gate, solve
 from subsetsum.structure import partition_instance
 from subsetsum.sumset import (
     PAIRWISE_LIMIT,
-    DenseSignal,
     Flat,
     _pair_level,
     cap,
@@ -462,9 +461,9 @@ def test_pair_level_matches_oracle_on_runs(level, budget_frac):
     sizes = np.cumsum([len(z) for z in full])
     budget = max(1, int(budget_frac * int(sizes[-1])))
     stop = int(np.searchsorted(sizes, budget))  # first pair whose running size reaches budget
-    expected_signal = DenseSignal(int(sizes[stop]), budget, stop + 1) if stop < len(full) else None
-    out, signal = _pair_level(level_of(sets, step), budget)
-    assert signal == expected_signal
+    expected_observed = int(sizes[stop]) if stop < len(full) else None
+    out, observed = _pair_level(level_of(sets, step), budget)
+    assert observed == expected_observed
     assert [tuple(z.tolist()) for z in out] == full[: stop + 1]
 
 
@@ -625,10 +624,8 @@ def test_deep_merge_matches_values_reference():
         budget_mult = tail_side * (sigma // step) / merge_bounds(*bounds, eta_mult, 1.0, 0)[2]
         eta, _, tail = merge_bounds(*bounds, eta_mult, budget_mult, 0)
         # no level trips (sigma / step < tail) or caps a value (eta + 1 >=
-        # max(t, sigma)), and the DP's row has at most as many words as the
-        # leaf level has values, at least |D| + ell
+        # max(t, sigma)); the DP's t // step + 1 bits are far below its cap
         collapse = exact and sigma // step < tail and eta + 1 >= max(t, sigma)
-        collapse = collapse and (sigma // step + 1) // 64 + 1 <= len(items) + ell
 
         dps, kernel_levels = [], []
         with mock.patch.multiple(
@@ -668,20 +665,20 @@ def test_deep_merge_matches_values_reference():
 def test_merge_collapse_matches_values_reference():
     # The merge collapses to one windowed DP over every item when the sets
     # are exact, sigma / step < tail (no level can trip), eta + 1 >= max(t,
-    # sigma) (no cap can remove a value) and one row of sigma / step bits
-    # has at most the leaf level's |D| + ell values in words.  Each example
-    # is drawn so that all four hold, or all but the one named by `refuse`:
-    # the tail at sigma / step (`trip`), eta + 1 one below max(t, sigma)
-    # (`cap`; the others sit at it), a set lacking its group's sum
-    # (`exact`), or six items near 2**12 among up to 128 groups (`rows`).
-    # Unchecked and checked merges must both equal the values-level
-    # reference's root on [t - window, t], and only the examples that meet
-    # every condition may collapse.
+    # sigma) (no cap can remove a value) and the DP's mask of t // step + 1
+    # bits fits in FALLBACK_MAX_BITS.  Each example is drawn so that all
+    # four hold, or all but the one named by `refuse`: the tail at sigma /
+    # step (`trip`), eta + 1 one below max(t, sigma) (`cap`; the others sit
+    # at it), a set lacking its group's sum (`exact`), or the memory cap
+    # patched to one bit below the mask (`bits`).  Unchecked and checked
+    # merges must both equal the values-level reference's root on
+    # [t - window, t], and only the examples that meet every condition may
+    # collapse.
     seen = set()
 
     @given(
         log_ell=st.sampled_from([2, 3, 6, 7]),
-        refuse=st.sampled_from([None, "exact", "trip", "cap", "rows"]),
+        refuse=st.sampled_from([None, "exact", "trip", "cap", "bits"]),
         mult=st.sampled_from([1, 2]),
         t_frac=st.floats(0.05, 0.66),
         seed=st.integers(0, 2**32 - 1),
@@ -698,10 +695,7 @@ def test_merge_collapse_matches_values_reference():
         # `cap` has sigma = 2, whose window max(t, sigma) - 3 is negative;
         # every other family is the first draw.
         while True:
-            if refuse == "rows":
-                w, sizes = 1 << 12, np.bincount(rng.integers(0, ell, size=6), minlength=ell)
-            else:
-                w, sizes = 4, rng.choice([0, 1, 1, 2, 3], size=ell)
+            w, sizes = 4, rng.choice([0, 1, 1, 2, 3], size=ell)
             groups = [tuple(sorted(mult * int(v) for v in rng.integers(w // 2, w + 1, size=k))) for k in sizes]
             if sum(map(sum, groups)) >= (3 if refuse == "cap" else 1):
                 break
@@ -723,21 +717,23 @@ def test_merge_collapse_matches_values_reference():
         full_tail = merge_bounds(*bounds, 1.0, window)[2]
         budget_mult = (sigma // step + (0 if refuse == "trip" else 1) - 0.5) / full_tail
         eta, _, tail = merge_bounds(*bounds, budget_mult, window)
+        max_bits = t // step if refuse == "bits" else merge.FALLBACK_MAX_BITS
         collapse = refuse != "exact" and sigma // step < tail and eta + 1 >= max(t, sigma)
-        collapse = collapse and (sigma // step + 1) // 64 + 1 <= len(items) + ell
+        collapse = collapse and t // step + 1 <= max_bits
 
         args = (family, t, mult * w, n, q)
         kwargs = dict(eta_mult=eta_mult, budget_mult=budget_mult, window=window)
         lo = max(t - window, 0)
         dps, kernel_levels = [], []
         dp, pair_level = merge.window_subset_sums, merge._pair_level
-        with mock.patch.multiple(
-            merge,
-            window_subset_sums=lambda *a, **k: dps.append(a[1:]) or dp(*a, **k),
-            _pair_level=lambda *a: kernel_levels.append(a[1]) or pair_level(*a),
-        ):
-            got = merge_group_sumsets(staged, *args, rng_stream(seed, "p3"), **kwargs)
-        checked = merge_group_sumsets(staged, *args, rng_stream(seed, "p3"), checked=True, **kwargs)
+        with mock.patch.object(merge, "FALLBACK_MAX_BITS", max_bits):
+            with mock.patch.multiple(
+                merge,
+                window_subset_sums=lambda *a, **k: dps.append(a[1:]) or dp(*a, **k),
+                _pair_level=lambda *a: kernel_levels.append(a[1]) or pair_level(*a),
+            ):
+                got = merge_group_sumsets(staged, *args, rng_stream(seed, "p3"), **kwargs)
+            checked = merge_group_sumsets(staged, *args, rng_stream(seed, "p3"), checked=True, **kwargs)
         kind, ref = reference_merge(
             sets, [sum(grp) for grp in groups], params.rho, params.g, t, mult * w, n, q,
             rng_stream(seed, "p3"), eta_mult, budget_mult, window,
@@ -751,7 +747,60 @@ def test_merge_collapse_matches_values_reference():
         seen.add((refuse, collapse))
 
     check()
-    assert {(None, True), ("exact", False), ("trip", False), ("cap", False), ("rows", False)} <= seen
+    assert {(None, True), ("exact", False), ("trip", False), ("cap", False), ("bits", False)} <= seen
+
+
+@given(
+    log_ell=st.sampled_from([0, 2, 3, 6, 7]),
+    mult=st.sampled_from([1, 2, 3]),
+    t_frac=st.floats(0.05, 0.66),
+    checked=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_merge_collapses_exact_families_of_large_items(log_ell, mult, t_frac, checked, seed):
+    # six to eight items near 2**12 (times the step mult) among 1 to 128
+    # groups: they average more than 64 steps, so a row of sigma / step
+    # bits takes more 64-bit words than the leaf level has values.  With
+    # exact sets and the paper's constants no level can trip or cap, so the
+    # merge is one windowed DP and, unchecked, no kernel level; its root on
+    # [t - window, t] is the values-level reference's
+    rng = np.random.default_rng(seed)
+    ell, w = 1 << log_ell, 1 << 12
+    sizes = np.bincount(rng.integers(0, ell, size=int(rng.integers(6, 9))), minlength=ell)
+    groups = [tuple(sorted(mult * int(v) for v in rng.integers(w // 2, w + 1, size=k))) for k in sizes]
+    sets = [tuple(subset_sums(grp)) for grp in groups]
+    items = [x for grp in groups for x in grp]
+    n, sigma = len(items), sum(items)
+    step = math.gcd(*items)
+    # false only when the items share a factor far above mult
+    assume(sigma > 64 * step * n and (sigma // step + 1) // 64 + 1 > n + ell)
+    t, q = max(1, int(t_frac * sigma)), 0.3
+    params = color_params(n, t, mult * w, q)
+    family = GroupFamily(Flat.of(groups), sum(1 for grp in groups if grp))
+    staged = GroupSumsets(Flat.of(sets), params, True)
+    window = target_window(mult * w, t)
+    eta, _, tail = merge_bounds(params.rho, params.g, t, mult * w, n, q, 1.0, 1.0, window)
+    assert sigma // step < tail and eta + 1 >= max(t, sigma)
+
+    lo = max(t - window, 0)
+    dps, kernel_levels = [], []
+    dp, pair_level = merge.window_subset_sums, merge._pair_level
+    with mock.patch.multiple(
+        merge,
+        window_subset_sums=lambda *a, **k: dps.append(a[1:]) or dp(*a, **k),
+        _pair_level=lambda *a: kernel_levels.append(a[1]) or pair_level(*a),
+    ):
+        got = merge_group_sumsets(
+            staged, family, t, mult * w, n, q, rng_stream(seed, "p3"), window=window, checked=checked
+        )
+    kind, ref = reference_merge(
+        sets, [sum(grp) for grp in groups], params.rho, params.g, t, mult * w, n, q,
+        rng_stream(seed, "p3"), 1.0, 1.0, window,
+    )
+    assert kind == "root" and got == cap(SumSet(ref), lo, t)
+    assert dps == [(lo, t, step)]
+    assert len(kernel_levels) == (log_ell if checked else 0)
 
 
 @st.composite

@@ -69,6 +69,19 @@ def test_oracle_budgets():
         brute_force(Instance(tuple([1] * 26), 3))
 
 
+def test_fallback_dp_decides_a_target_the_gcd_does_not_divide_before_its_budget():
+    # every item is even and t odd, so the gcd alone says no, although
+    # t + 1 is far past FALLBACK_MAX_BITS; the budget counts the mask's
+    # t // gcd + 1 bits
+    inst = Instance([2**32 + 2 * i for i in range(8)], 2**33 + 1)
+    assert fallback_dp(inst.multiset[0], inst.target, inst.multiset[1]) is False
+    out = solve(inst)
+    assert out.branch == "fallback-dp" and out.decision is False
+    # in units of the gcd 2 the mask is 2**32 + 1 bits, still past it
+    with pytest.raises(OracleBudgetError):
+        fallback_dp(inst.multiset[0], 2**33, inst.multiset[1])
+
+
 def test_solve_astronomical_target_refuses_cleanly():
     # any nontrivial target with 2**52-scale items is beyond every
     # pseudo-polynomial budget; the refusal must be a clear error

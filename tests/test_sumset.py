@@ -8,7 +8,6 @@ from subsetsum.core import SumSet
 from subsetsum.solver import bounded_subset_sums, dense_interval_set
 from subsetsum.sumset import (
     HULL_FFT_LIMIT,
-    DenseSignal,
     Level,
     _pair_level,
     _sum_values,
@@ -114,8 +113,8 @@ def test_fft_backend_matches_pairwise(fft_hulls):
     rng = np.random.default_rng(4)
     a = tuple(sorted(set(int(v) for v in rng.integers(0, 3000, size=150))))
     b = tuple(sorted(set(int(v) for v in rng.integers(0, 3000, size=150))))
-    out, signal = _pair_level(level_of((a, b)), math.inf)
-    assert len(fft_hulls) == 1 and signal is None
+    out, observed = _pair_level(level_of((a, b)), math.inf)
+    assert len(fft_hulls) == 1 and observed is None
     assert tuple(out[0].tolist()) == tuple(pairwise_sumset(a, b))
 
 
@@ -186,21 +185,21 @@ def test_cap_examples():
 
 def test_pair_level_returns_level():
     level = level_of([[0, 1], [0, 2], [0, 4], [0, 8]])
-    out, signal = _pair_level(level, 100)
-    assert signal is None
+    out, observed = _pair_level(level, 100)
+    assert observed is None
     assert [z.tolist() for z in out] == [[0, 1, 2, 3], [0, 4, 8, 12]]
 
 
 def test_pair_level_trips_midway():
     level = level_of([[0, 1], [0, 2], [0, 4], [0, 8]])
-    out, signal = _pair_level(level, 5)
+    out, observed = _pair_level(level, 5)
     # first output has size 4 < 5; the second pushes the total to 8
-    assert signal == DenseSignal(8, 5, 2)
+    assert observed == 8
     assert [z.tolist() for z in out] == [[0, 1, 2, 3], [0, 4, 8, 12]]
     # a budget no larger than the first output stops right after it
     for budget in (1, 2, 4):
-        out, signal = _pair_level(level, budget)
-        assert signal == DenseSignal(4, budget, 1)
+        out, observed = _pair_level(level, budget)
+        assert observed == 4
         assert [z.tolist() for z in out] == [[0, 1, 2, 3]]
 
 
@@ -218,11 +217,11 @@ def test_pair_level_contract_fuzz():
         ]
         total = sum(len(f) for f in full)
         budget = int(rng.integers(1, total + 4))
-        out, signal = _pair_level(level_of([s.values for s in sets]), budget)
-        if signal is not None:
+        out, observed = _pair_level(level_of([s.values for s in sets]), budget)
+        if observed is not None:
             assert total >= budget
-            stop = signal.last_index_computed
-            assert signal.observed_total_size == sum(len(f) for f in full[:stop]) >= budget
+            stop = len(out)
+            assert observed == sum(len(f) for f in full[:stop]) >= budget > sum(len(f) for f in full[: stop - 1])
             assert [tuple(z.tolist()) for z in out] == full[:stop]
         else:
             assert [tuple(z.tolist()) for z in out] == full
@@ -276,12 +275,12 @@ def _left_to_right_level(sets, budget, gaps=None):
         for _ in range(0 if gaps is None else gaps[i]):  # virtual {0} nodes, one at a time
             total += 1
             if total >= budget:
-                return out, DenseSignal(total, budget, i)
+                return out, total
         x, y = sets[2 * i], sets[2 * i + 1]
         out.append(tuple(pairwise_sumset(x, y)) if x and y else ())
         total += len(out[-1])
         if total >= budget:
-            return out, DenseSignal(total, budget, i + 1)
+            return out, total
     return out, None
 
 
@@ -341,13 +340,13 @@ def test_pair_level_matches_left_to_right_reference(monkeypatch, chunk):
             total = sum(map(len, full)) + (0 if gap is None else int(gap.sum()))
             for budget in range(1, total + 2):
                 computed[0] = 0
-                out, signal = _pair_level(level, budget, gap)
-                expected, expected_signal = _left_to_right_level(sets, budget, gap)
-                assert signal == expected_signal
+                out, observed = _pair_level(level, budget, gap)
+                expected, expected_observed = _left_to_right_level(sets, budget, gap)
+                assert observed == expected_observed
                 assert [tuple(z.tolist()) for z in out] == expected
                 # and no runs past the last node
                 assert out.values().tolist() == [v for z in expected for v in z]
-                if signal is not None:
+                if observed is not None:
                     assert computed[0] <= budget + chunk + pair_bound
                     assert computed[0] - sum(map(len, expected)) <= chunk + pair_bound
         # wide pairs: few runs take the run kernel; many runs, or more run
