@@ -26,7 +26,7 @@ from .core import (
     rng_stream,
 )
 from .sumset import cap, dense_sumset
-from .structure import InstancePartition, extract_residue_set, find_almost_divisor, partition_instance
+from .structure import InstancePartition, partition_instance
 from .colorcoding import GroupFamily, GroupSumsets, build_group_sumsets, partition_groups
 from .merge import DenseEvidence, assemble_dense_evidence, merge_group_sumsets
 from .solver import (
@@ -51,8 +51,6 @@ __all__ = [
     "OracleBudgetError",
     "dense_sumset",
     "cap",
-    "find_almost_divisor",
-    "extract_residue_set",
     "InstancePartition",
     "partition_instance",
     "GroupFamily",

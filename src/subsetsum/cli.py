@@ -228,8 +228,7 @@ def verify_summary(
         inst = Instance(items, t)
         cfg = dataclasses.replace(config_base, seed=(seed * 1_000_003 + i) & ((1 << 63) - 1))
         outcome = solve(inst, cfg)
-        values, counts = inst.multiset
-        truth = fallback_dp(values, t, counts)
+        truth = fallback_dp(inst.multiset, t)
         tallies[outcome.branch] += 1
         if truth:
             yes_total += 1

@@ -19,9 +19,11 @@ reads its groups; an unchecked solve whose groups all complete and
 whose merge collapses never does, unless stage two's gate needs the
 level-excess scan (below), which reads every group's sum.  Stage one
 reads the bulk as a multiset (distinct values and counts; the solver
-passes the dense part so).  Consequences: any subset with sum <= t meets each group in few
-elements with high probability, and the group maxima carry a constant
-fraction of t in total without exceeding ~t log w.
+passes the dense part so).
+
+Consequences: any subset with sum <= t meets each group in few elements
+with high probability, and the group maxima carry a constant fraction of
+t in total without exceeding ~t log w.
 
 Stage two (`build_group_sumsets`) runs color coding over every group
 simultaneously: each group is split uniformly into g random parts, 0 is
@@ -112,7 +114,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .core import InternalConsistencyError, array_fields_eq, ceil_div, ceil_log2, next_pow2, target_window
-from .sumset import Flat, Level, _offsets, _pair_level, _segment_index, _value_counts
+from .sumset import Flat, Level, _offsets, _pair_level, _segment_index
 # imported only as the phase-2 kernel boundary that perfbench's tracer wraps
 from .sumset import _sum_values  # noqa: F401
 
@@ -145,10 +147,10 @@ class GroupFamily:
     item-sized array, when no group holds two elements.
 
     multiset is every element of the family, as sorted distinct values
-    and their int64 counts: `partition_groups` passes the one it built
-    the family from, and otherwise it is counted from the groups on first
-    read.  The merge's collapse and stage two's sigma(D) read it instead
-    of the groups.
+    and their int64 counts: `partition_groups` passes the one it was
+    given, and otherwise it is counted from the groups on first read.
+    The merge's collapse and stage two's sigma(D) read it instead of the
+    groups.
 
     Stage one passes no groups: it passes the multiset, the groups'
     offsets offs and its drawn layers, and the elements are placed into
@@ -206,7 +208,8 @@ class GroupFamily:
     @property
     def multiset(self) -> tuple[np.ndarray, np.ndarray]:
         if self._multiset is None:
-            self._multiset = _value_counts(self.groups.vals)
+            values, counts = np.unique(self.groups.vals, return_counts=True)
+            self._multiset = values, counts.astype(np.int64, copy=False)
         return self._multiset
 
     @property
@@ -234,27 +237,26 @@ class GroupFamily:
 
 
 def partition_groups(
-    d_part: Sequence[int], t: int, rng: np.random.Generator, counts: Optional[Sequence[int]] = None
+    multiset: tuple[Sequence[int], Sequence[int]], t: int, rng: np.random.Generator
 ) -> GroupFamily:
     """Stage one: layered random partition of the bulk multiset.
 
-    Requires sigma(d_part) >= 3t/2 (the solver gates on this); the group
-    maxima bounds rely on it.  d_part is the bulk's items in any order or,
-    with counts, a multiset's sorted distinct values, counts holding their
-    positive counts (the solver passes the dense part's
-    `InstancePartition.dense_multiset`); items are counted into that form
-    first, and the family carries it.  The layers' sizes and sigma come
-    from the counts.  A drawn layer's group sizes come from its buckets'
-    counts alone, so stage one builds no item-sized array but the drawn
-    bucket ids; the family places the items when its groups are first
-    read (`_place`).  The family is the same for every order of the
-    items, and its groups never share memory with the caller's arrays.
+    The multiset is (values, counts): strictly increasing values and their
+    counts, each at least 1, in the form of `Instance.multiset` (the
+    solver passes the dense part's `InstancePartition.dense_multiset`);
+    any other pair of arrays raises ValueError.  The family carries it.
+    Requires a sum of at least 3t/2 (the solver gates on this); the group
+    maxima bounds rely on it.  The layers' sizes and sigma come from the
+    counts.  A drawn layer's group sizes come from its buckets' counts
+    alone, so stage one builds no item-sized array but the drawn bucket
+    ids; the family places the items when its groups are first read
+    (`_place`), in arrays that never share memory with the caller's.
     """
-    if counts is None:
-        d_part, counts = _value_counts(d_part)
-    multiset = values, counts = np.asarray(d_part, dtype=np.int64), np.asarray(counts, dtype=np.int64)
+    multiset = values, counts = tuple(np.asarray(a, dtype=np.int64) for a in multiset)
     if t < 1:
         raise ValueError("t must be >= 1")
+    if values.shape != counts.shape or (values[1:] <= values[:-1]).any() or (counts < 1).any():
+        raise ValueError("a multiset needs strictly increasing values, each with a count of at least 1")
     if 2 * int(values @ counts) < 3 * t:
         raise ValueError("caller must ensure mass: sigma < 3t/2")
     top = int(values[-1]).bit_length()

@@ -240,8 +240,7 @@ def merge_group_sumsets(
     if step:
         # no level caps or trips: the root is every subset sum of the items,
         # in whatever order the leaves come
-        values, counts = family.multiset
-        root = window_subset_sums(values, lo, t, step, counts=counts)
+        root = window_subset_sums(family.multiset, lo, t, step)
         if not checked:
             return root
 

@@ -92,11 +92,9 @@ class BranchReport:
     checked_disagreement: Optional[bool] = None
 
 
-def bounded_subset_sums(
-    items: Sequence[int], cap_hi: int, counts: Optional[Sequence[int]] = None
-) -> SumSet:
-    """Exact subset sums of items (counts[i] copies of items[i] when
-    counts is given), restricted to [0, cap_hi].
+def bounded_subset_sums(multiset: tuple[Sequence[int], Sequence[int]], cap_hi: int) -> SumSet:
+    """Exact subset sums of the multiset (values, counts), counts[i]
+    copies of values[i], restricted to [0, cap_hi].
 
     The package's shift-or DP (`sumset.window_subset_sums`) over
     [0, cap_hi].  Complete and deterministic; meant for parts whose total
@@ -104,12 +102,12 @@ def bounded_subset_sums(
     """
     if cap_hi < 0:
         raise ValueError("cap_hi must be >= 0")
-    return window_subset_sums(items, 0, cap_hi, counts=counts)
+    return window_subset_sums(multiset, 0, cap_hi)
 
 
-def fallback_dp(items: Sequence[int], t: int, counts: Optional[Sequence[int]] = None) -> bool:
-    """Exact decision: is t a subset sum of items (counts[i] copies of
-    items[i] when counts is given)?  The items must fit in int64, as an
+def fallback_dp(multiset: tuple[Sequence[int], Sequence[int]], t: int) -> bool:
+    """Exact decision: is t a subset sum of the multiset (values, counts),
+    counts[i] copies of values[i]?  The values must fit in int64, as an
     `Instance`'s do.
 
     The package's shift-or DP (`sumset.window_subset_sums`) cut at t, with
@@ -120,13 +118,12 @@ def fallback_dp(items: Sequence[int], t: int, counts: Optional[Sequence[int]] = 
     """
     if t < 0:
         return False
-    values = np.asarray(items, dtype=np.int64)
-    step = common_step(values)
+    step = common_step(np.asarray(multiset[0], dtype=np.int64))
     if t % step:
         return False
     if t // step + 1 > FALLBACK_MAX_BITS:
         raise OracleBudgetError(f"DP budget exceeded: t // {step} + 1 = {t // step + 1} bits")
-    return not window_subset_sums(values, t, t, step, counts=counts).is_empty
+    return not window_subset_sums(multiset, t, t, step).is_empty
 
 
 def small_target_gate(t: int, w: int) -> bool:
@@ -177,31 +174,31 @@ class _Stream:
 
 
 def solve_d_window(
-    d_part: Sequence[int],
+    multiset: tuple[Sequence[int], Sequence[int]],
     t: int,
     w: int,
     n: int,
     config: SolverConfig,
     window: Optional[int] = None,
-    counts: Optional[Sequence[int]] = None,
 ) -> Union[SumSet, DenseEvidence]:
-    """Run the grouping and merge stages on the dense part.
+    """Run the grouping and merge stages on the dense part, the multiset
+    of sorted distinct values and their positive counts that
+    `partition_groups` takes (the solver passes
+    `InstancePartition.dense_multiset`).
 
-    Sparse path: returns S, a subset of the true subset sums of d_part
-    restricted to [t - window, t], containing any achievable value in
-    that window with probability >= 1 - 3q - q.  Dense path: returns
-    checkable DenseEvidence from whichever stage tripped its budget.
-    Requires sigma(d_part) >= 3t/2.  With counts, d_part is a multiset's
-    sorted distinct values and counts their positive counts (the solver
-    passes `InstancePartition.dense_multiset`).  Each stage's random
-    stream is created on its first draw.
+    Sparse path: returns S, a subset of the true subset sums of the
+    multiset restricted to [t - window, t], containing any achievable
+    value in that window with probability >= 1 - 3q - q.  Dense path:
+    returns checkable DenseEvidence from whichever stage tripped its
+    budget.  Requires a sum of at least 3t/2.  Each stage's random stream
+    is created on its first draw.
     """
     q = config.q_for(n, t)
     if window is None:
         window = target_window(w, t)
-    family = partition_groups(d_part, t, _Stream(config.seed, "phase1"), counts=counts)
+    family = partition_groups(multiset, t, _Stream(config.seed, "phase1"))
     if config.checked_mode:
-        verify_group_family(family, d_part if counts is None else np.repeat(d_part, counts), t, w)
+        verify_group_family(family, np.repeat(*multiset), t, w)
     staged = build_group_sumsets(
         family, t, w, n, q, _Stream(config.seed, "phase2"), budget_mult=config.budget_mult
     )
@@ -270,19 +267,16 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveOut
         decision = norm.trivial == "yes"
         report = BranchReport(branch="trivial", gate_reason=reason)
     elif reason is not None:
-        values, counts = inst.multiset
-        decision = fallback_dp(values, t, counts)
+        decision = fallback_dp(inst.multiset, t)
         _mark("fallback_dp", tick)
         report = BranchReport(branch="fallback-dp", gate_reason=reason)
     else:
-        (g_values, g_counts), (r_values, r_counts) = part.leftover_multiset, part.residue_multiset
-        s_g = bounded_subset_sums(g_values, sigma_g, g_counts)
-        s_r = bounded_subset_sums(r_values, sigma_r, r_counts)
+        s_g = bounded_subset_sums(part.leftover_multiset, sigma_g)
+        s_r = bounded_subset_sums(part.residue_multiset, sigma_r)
         tick = _mark("bounded_sums", tick)
 
         window = max(target_window(w, t), sigma_g + sigma_r)
-        values, counts = part.dense_multiset
-        result = solve_d_window(values, t, w, n, config, window, counts)
+        result = solve_d_window(part.dense_multiset, t, w, n, config, window)
         tick = _mark("d_window", tick)
 
         report = BranchReport(
@@ -309,14 +303,12 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveOut
             report.s_d_size = len(start)
             added = _union(part.leftover_multiset, part.residue_multiset)
             sigma_added = sigma_g + sigma_r
-        values, counts = added
-        candidates = window_subset_sums(values, 0, t + sigma_added, start=start, counts=counts)
+        candidates = window_subset_sums(added, 0, t + sigma_added, start=start)
         candidate_set_size = len(candidates)
         decision = t in candidates
-        values, counts = inst.multiset
         # the exact DP's cost: shifts of t + 1 bits, a few per distinct value
-        if evidence is not None and config.checked_mode and len(values) * (t + 1) <= CHECKED_ORACLE_BUDGET:
-            oracle = fallback_dp(values, t, counts)
+        if evidence is not None and config.checked_mode and len(inst.multiset[0]) * (t + 1) <= CHECKED_ORACLE_BUDGET:
+            oracle = fallback_dp(inst.multiset, t)
             report.checked_disagreement = decision != oracle
             if report.checked_disagreement:
                 logger.error(

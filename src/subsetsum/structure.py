@@ -42,7 +42,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import Instance, OracleBudgetError
-from .sumset import _value_counts
 
 SIEVE_LIMIT = 1 << 26
 
@@ -85,24 +84,20 @@ def distinct_primes(items: Sequence[int]) -> list[int]:
     return sorted(primes)
 
 
-def find_almost_divisor(items: Sequence[int], alpha: int) -> Optional[int]:
-    """Some d > 1 dividing all but at most alpha items, or None.
+def _almost_divisor(values: np.ndarray, counts: np.ndarray, alpha: int) -> Optional[int]:
+    """Some d > 1 dividing all but at most alpha elements of the multiset
+    (sorted distinct int64 values, positive counts), or None.
 
     Only primes need checking: any composite almost divisor has a prime
     factor that is at least as good.  Such a prime divides one of any
-    alpha + 1 items, so only the prime factors of the alpha + 1 smallest
-    are tried, in ascending order.  Returns the smallest qualifying
-    prime.  When len(items) <= alpha every d > 1 qualifies vacuously and
-    2 is returned.
+    alpha + 1 elements, so only the prime factors of the alpha + 1
+    smallest are tried, in ascending order.  Returns the smallest
+    qualifying prime.  When the multiset holds at most alpha elements
+    every d > 1 qualifies vacuously and 2 is returned; an empty one gives
+    None.
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    return _almost_divisor(*_value_counts(items), alpha)
-
-
-def _almost_divisor(values: np.ndarray, counts: np.ndarray, alpha: int) -> Optional[int]:
-    """`find_almost_divisor` of the multiset with sorted distinct int64
-    values and positive counts."""
     if values.size == 0:
         return None
     smallest = _prefix(counts, alpha + 1)
@@ -167,34 +162,20 @@ def _union(*multisets: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.nd
     return values[order], counts[order]
 
 
-def extract_residue_set(
-    items: Sequence[int], alpha: int, checked: bool = False
-) -> tuple[int, ...]:
-    """Extract R subset of items covering residues modulo every b <= alpha.
-
-    Requires that items has no alpha-almost divisor (the caller's
-    obligation; verified when checked).  Construction: take the first
-    2*alpha elements as a seed; for every prime p <= alpha that divides
-    all but at most alpha of the seed, adjoin alpha elements not
-    divisible by p.  The result has at least min(alpha, b) elements not
-    divisible by b for every 1 < b <= alpha, hence subset sums of R
-    cover all residues modulo b.  |R| <= 4 * alpha * log2(w) up to
-    rounding slack.  R is returned sorted.
-    """
-    values, counts = _value_counts(items)
-    if checked:
-        bad = _almost_divisor(values, counts, alpha)
-        if bad is not None:
-            raise ValueError(f"multiset has {alpha}-almost divisor {bad}")
-    return tuple(np.repeat(values, _residue_counts(values, counts, alpha)).tolist())
-
-
 def _residue_counts(values: np.ndarray, counts: np.ndarray, alpha: int) -> np.ndarray:
-    """How many copies of each value `extract_residue_set` takes from the
-    multiset (sorted distinct int64 values, positive counts).  Every
-    choice it makes (the first 2 * alpha elements, the first alpha not
-    divisible by a prime) takes a prefix of each value's copies, so their
-    union takes the longest."""
+    """How many copies of each value the residue set R takes from the
+    multiset (sorted distinct int64 values, positive counts), which must
+    have no alpha-almost divisor; subset sums of R cover every residue
+    modulo every b <= alpha.
+
+    Construction: take the first 2*alpha elements as a seed; for every
+    prime p <= alpha that divides all but at most alpha of the seed,
+    adjoin the first alpha elements not divisible by p (ValueError when
+    there are fewer: p is then an alpha-almost divisor).  The result has
+    at least min(alpha, b) elements not divisible by b for every
+    1 < b <= alpha, hence subset sums of R cover all residues modulo b.
+    |R| <= 4 * alpha * log2(w) up to rounding slack.  Every choice takes a
+    prefix of each value's copies, so their union takes the longest."""
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     # the seed: the first 2 * alpha elements

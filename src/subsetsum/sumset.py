@@ -78,20 +78,32 @@ from .core import OVERFLOW_LIMIT, SumSet
 
 PAIRWISE_LIMIT = 2048
 HULL_FFT_LIMIT = 1 << 22
+# The kernel's tuning figures below (these constants, `common_step` and
+# the scatter in `_level_chunk`) were measured while every merge of the
+# benchmark workloads ran its levels through the kernel.  Those merges
+# now collapse to one windowed DP: over workload seeds 1, 2 and 7001 no
+# unchecked merge calls the kernel, and colour coding calls it once or
+# twice per 60 `dense-trip` solves.  What reaches the kernel now is the
+# budgeted stage two, groups that never complete, checked mode (whose
+# merge runs every level to compare with the collapsed root) and merges
+# that do not collapse (a level can cap or trip, or the DP's mask is past
+# FALLBACK_MAX_BITS); the constants were not re-measured on that traffic.
+#
 # A level pair goes to the run kernel when its r_a * r_b run pairs (runs
 # of the level's common step g) number at most (hull / g) / RUN_HULL_RATIO
 # clipped to [RUN_PAIRS_MIN, RUN_PAIRS_MAX], and otherwise to the FFT or,
 # above HULL_FFT_LIMIT, the split.  Measured on the merge levels of
-# `sparse-ladder` and `grouped` (seed 7; 2-core x86 VM, numpy 2.4): kernel
-# totals of 0.32-0.35 s and 0.16-0.17 s for RUN_PAIRS_MIN in {16, 64, 256}
-# and RUN_HULL_RATIO in {1, 2, 4}, against 0.39 s on `sparse-ladder` at
-# RUN_PAIRS_MIN = 4 and 0.20 s on `grouped` at RUN_HULL_RATIO = 8.
+# `sparse-ladder` and `grouped`, before they collapsed (seed 7; 2-core x86
+# VM, numpy 2.4): kernel totals of 0.32-0.35 s and 0.16-0.17 s for
+# RUN_PAIRS_MIN in {16, 64, 256} and RUN_HULL_RATIO in {1, 2, 4}, against
+# 0.39 s on `sparse-ladder` at RUN_PAIRS_MIN = 4 and 0.20 s on `grouped`
+# at RUN_HULL_RATIO = 8.
 RUN_PAIRS_MIN = 16
 RUN_HULL_RATIO = 4
 # One run-kernel batch enumerates at most this many run pairs, at about
 # 70 bytes each; a pair with more goes to the FFT or the split.  No merge
-# pair of `sparse-ladder`, `grouped` or `wide-root` (seed 1) has more
-# than 391.
+# pair of `sparse-ladder`, `grouped` or `wide-root` (seed 1) had more
+# than 391 when their merges still ran the kernel.
 RUN_PAIRS_MAX = 1 << 18
 # One FFT row batch holds at most this many floats per operand; a row
 # longer than that runs alone.  2^16 to 2^20 ran within 6% of each other
@@ -241,11 +253,13 @@ def dense_sumset(a: SumSet, b: SumSet) -> SumSet:
 def common_step(vals: np.ndarray) -> int:
     """The gcd of the values (1 if there are none or all are 0): every sum
     and every subset of them keeps it as a divisor, so one level's step
-    serves every level merged from it.  The merge computes it once, from
-    its leaf level: computing it for every level cost 49 ms over the five
-    `sparse-ladder` solves of seed 7 (about 5% of their solve time) and
-    made that workload's `wall_dp_ratio` 11% worse over 8 alternating
-    benchmark pairs (2-core x86 VM, numpy 2.4)."""
+    serves every level merged from it.  A merge that runs the kernel
+    computes it once, from its leaf level: while the five `sparse-ladder`
+    solves of seed 7 still did (before their merges collapsed), computing
+    it for every level cost 49 ms over them (about 5% of their solve time)
+    and made that workload's `wall_dp_ratio` 11% worse over 8 alternating
+    benchmark pairs (2-core x86 VM, numpy 2.4).  A collapsing merge takes
+    it from the family's distinct values."""
     return max(int(np.gcd.reduce(vals)), 1)
 
 
@@ -367,7 +381,9 @@ def _level_chunk(
         nruns[pairs] = piece_runs
     # one kernel took every live pair, in pair order: skipping the scatter
     # took the kernel on the merge levels of seed 7 from 0.52 to 0.39 s
-    # (`sparse-ladder`) and from 0.27 to 0.19 s (`grouped`)
+    # (`sparse-ladder`) and from 0.27 to 0.19 s (`grouped`), measured
+    # before those merges collapsed (see RUN_PAIRS_MIN for what reaches
+    # the kernel now)
     if len(pieces) == 1:
         return sizes, nruns, pieces[0][3], pieces[0][4]
     offs = _offsets(nruns)
@@ -544,22 +560,20 @@ _WORD = (1 << 64) - 1
 
 
 def window_subset_sums(
-    items: Sequence[int],
+    multiset: tuple[Sequence[int], Sequence[int]],
     lo: int,
     hi: int,
     step: int = 1,
     start: Optional[SumSet] = None,
-    counts: Optional[Sequence[int]] = None,
 ) -> SumSet:
     """The sums a + s, for a in start (default {0}) and s a subset sum of
-    the multiset items, that lie in [lo, hi]; step must divide every item
-    and every difference of two start values.  An empty start gives the
-    empty set, and no items give start's values in [lo, hi].  With
-    counts, the multiset holds counts[i] copies of items[i] (the same
-    sums as `np.repeat(items, counts)`), and the items are read as they
-    come: distinct ascending values (a multiset such as
-    `Instance.multiset`) step intervals fastest, and no item-sized array
-    is built.
+    the multiset (values, counts), which holds counts[i] copies of
+    values[i], that lie in [lo, hi]; step must divide every value and
+    every difference of two start values.  An empty start gives the empty
+    set, and no values give start's values in [lo, hi].  The values are
+    read as they come, in any order and possibly repeated: distinct
+    ascending values (the form of `Instance.multiset`) step intervals
+    fastest, and no item-sized array is built.
 
     One shift-or DP on a Python int, bit v standing for the value
     base + v * step, where base is start's minimum (Pisinger, "Dynamic
@@ -585,13 +599,13 @@ def window_subset_sums(
     2^size - 1, are built only for a value that needs the shifts), and an
     interval result is read back with one `np.arange`.
     """
-    units = np.asarray(items, dtype=np.int64)
+    values, counts = (np.asarray(a, dtype=np.int64) for a in multiset)
     if start is None:
         base = 0
     elif start.is_empty:
         return SumSet.empty()
-    elif not units.size and lo <= hi:
-        # no items: start's own values.  Every benchmark solve has an empty
+    elif not values.size and lo <= hi:
+        # no values: start's own values.  Every benchmark solve has an empty
         # leftover part, so its dense-branch combine lands here, in ~9-16 us
         # where the bits took ~30-42 us (2-core x86 VM, numpy 2.4)
         return cap(start, lo, hi)
@@ -607,7 +621,6 @@ def window_subset_sums(
         if int(kept[-1]) - base != (kept.size - 1) * step:
             mask = _values_to_bits((kept - base) // step if step > 1 else kept - base)
         reach = kept.size - 1
-    values, counts = _value_counts(units) if counts is None else (units, np.asarray(counts, dtype=np.int64))
     limit = (1 << (top + 1)) - 1
     for v, c in zip((values // step if step > 1 else values).tolist(), counts.tolist()):
         if mask is None:
@@ -633,13 +646,6 @@ def window_subset_sums(
         return SumSet(np.arange(base + first * step, base + reach * step + 1, step, dtype=np.int64))
     units = _bits_to_values(mask >> first) + first
     return SumSet(base + (units * step if step > 1 else units))
-
-
-def _value_counts(items: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of items, ascending, and the count of each, as
-    int64 arrays: a multiset in the form of `Instance.multiset`."""
-    values, counts = np.unique(np.asarray(items, dtype=np.int64), return_counts=True)
-    return values, counts.astype(np.int64, copy=False)
 
 
 def _bits_to_values(mask: int) -> np.ndarray:

@@ -29,6 +29,14 @@ from subsetsum.solver import FALLBACK_MAX_BITS
 from subsetsum.sumset import Flat, Level, _offsets, _pair_level, _segment_index, common_step
 
 
+def multiset(items):
+    """The items as the package's entry points take them: the distinct
+    values, ascending, and the count of each, as int64 arrays (the form of
+    `Instance.multiset`)."""
+    values, counts = np.unique(np.asarray(items, dtype=np.int64), return_counts=True)
+    return values, counts.astype(np.int64, copy=False)
+
+
 def subset_sums(items, cap=None):
     """All achievable subset sums (optionally capped), sorted."""
     sums = {0}

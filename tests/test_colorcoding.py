@@ -23,6 +23,7 @@ from oracles import (
     all_subsets,
     full_subset_sums,
     materialized_stage_two,
+    multiset,
     slot_stage_two,
     split_into_parts,
     subset_sums,
@@ -31,7 +32,7 @@ from oracles import (
 
 def test_partition_groups_hand_trace():
     rng = rng_stream(0, "phase1")
-    fam = partition_groups((1, 1, 2, 3, 5, 8), 10, rng)
+    fam = partition_groups(multiset((1, 1, 2, 3, 5, 8)), 10, rng)
     assert fam.raw_count == 6
     assert fam.ell == 8
     assert [g.tolist() for g in fam.groups] == [[1], [1], [2], [3], [5], [8], [], []]
@@ -39,7 +40,7 @@ def test_partition_groups_hand_trace():
 
 def test_partition_groups_requires_mass():
     with pytest.raises(ValueError, match="mass"):
-        partition_groups((1, 2), 10, rng_stream(0, "phase1"))
+        partition_groups(multiset((1, 2)), 10, rng_stream(0, "phase1"))
 
 
 def test_partition_groups_invariants_random():
@@ -51,7 +52,7 @@ def test_partition_groups_invariants_random():
         t = max(1, (2 * sum(items)) // (3 * int(rng_data.integers(2, 6))))
         if 2 * sum(items) < 3 * t:
             continue
-        fam = partition_groups(items, t, rng_stream(int(rng_data.integers(1 << 30)), "p1"))
+        fam = partition_groups(multiset(items), t, rng_stream(int(rng_data.integers(1 << 30)), "p1"))
         verify_group_family(fam, items, t, max(items))
 
 
@@ -59,7 +60,7 @@ def test_partition_groups_nonempty_before_padding_even_with_random_split():
     # force the random-assignment branch: one layer, fewer caps than items
     items = [2] * 40  # layer 1, cap = ceil(t/1) = t
     t = 30  # sigma = 80 >= 45
-    fam = partition_groups(items, t, rng_stream(3, "p1"))
+    fam = partition_groups(multiset(items), t, rng_stream(3, "p1"))
     assert fam.groups.sizes()[: fam.raw_count].min() >= 1
     assert sum(len(g) for g in fam.groups) == 40
     assert fam.raw_count == 30
@@ -67,20 +68,23 @@ def test_partition_groups_nonempty_before_padding_even_with_random_split():
 
 def test_partition_groups_deterministic():
     items = [2] * 40 + [1] * 9
-    a = partition_groups(items, 30, rng_stream(11, "p1"))
-    b = partition_groups(items, 30, rng_stream(11, "p1"))
+    a = partition_groups(multiset(items), 30, rng_stream(11, "p1"))
+    b = partition_groups(multiset(items), 30, rng_stream(11, "p1"))
     assert a == b
 
 
 def test_partition_groups_reads_any_order_and_never_aliases_its_input():
     # a layer that is drawn (36 twos in 30 buckets) and one that is not
-    # (eight 4s and 5s); the family is the same for every form of input,
-    # and shares no memory with it
+    # (eight 4s and 5s); the family is the same for the multiset of the
+    # items in any order, as read-only or writable arrays or lists, and
+    # shares no memory with them
     items = np.array([1] * 3 + [2] * 36 + [4] * 4 + [5] * 4, dtype=np.int64)
     shuffled = np.random.default_rng(4).permutation(items)
-    frozen = items.copy()
-    frozen.flags.writeable = False
-    forms = (frozen, shuffled, items.tolist(), items)
+    plain = multiset(items)
+    frozen = tuple(a.copy() for a in plain)
+    for a in frozen:
+        a.flags.writeable = False
+    forms = (frozen, multiset(shuffled), tuple(a.tolist() for a in plain), plain)
     fams = [partition_groups(x, 30, rng_stream(6, "p1")) for x in forms]
     assert all(f == fams[0] for f in fams) and fams[0].largest >= 2
     # no layer drawn: the groups are the sorted items, built from the
@@ -89,8 +93,26 @@ def test_partition_groups_reads_any_order_and_never_aliases_its_input():
     assert all(f == kept[0] for f in kept) and kept[0].largest == 1
     assert kept[0].groups.vals.tolist() == sorted(items.tolist())
     for x, fam, single in zip(forms, fams, kept):
-        assert not np.shares_memory(fam.groups.vals, x) and not np.shares_memory(single.groups.vals, x)
-    assert items.flags.writeable and shuffled.tolist() != items.tolist()
+        for a in x:
+            assert not np.shares_memory(fam.groups.vals, a) and not np.shares_memory(single.groups.vals, a)
+    assert all(a.flags.writeable for a in plain) and shuffled.tolist() != items.tolist()
+
+
+def test_partition_groups_rejects_a_malformed_multiset():
+    # values out of order once built a wrong family without an error: this
+    # one, sorted, gives 10,125 raw groups, and unsorted gave 6,000, whose
+    # layer 3 held more groups than its cap
+    values, counts, t = [1, 3, 9, 16], [9000, 8000, 7000, 5000], 3000
+    assert partition_groups((values, counts), t, rng_stream(1, "p1")).raw_count == 10_125
+    malformed = (
+        ([16, 3, 9, 1], [5000, 8000, 7000, 9000]),  # not increasing
+        ([1, 3, 3, 16], [9000, 8000, 7000, 5000]),  # a value repeated
+        ([1, 3, 9, 16], [9000, 0, 7000, 5000]),  # a count below 1
+        ([1, 3, 9, 16], [9000, 8000, 7000]),  # lengths differ
+    )
+    for bad in malformed:
+        with pytest.raises(ValueError, match="values"):
+            partition_groups(bad, t, rng_stream(1, "p1"))
 
 
 def test_color_params_shapes():
@@ -114,7 +136,7 @@ def test_color_params_shapes():
 
 
 def test_singleton_groups_give_zero_and_element():
-    fam = partition_groups((1, 1, 2, 3, 5, 8), 10, rng_stream(0, "p1"))
+    fam = partition_groups(multiset((1, 1, 2, 3, 5, 8)), 10, rng_stream(0, "p1"))
     out = build_group_sumsets(fam, 10, 8, 6, 0.3, rng_stream(0, "p2"))
     for grp, s in zip(fam.groups, out.sets):
         if len(grp) == 1:
@@ -131,7 +153,7 @@ def test_group_sumsets_are_true_subset_sums():
         items = [int(v) for v in rng_data.integers(1, w + 1, size=n)]
         t = max(1, (2 * sum(items)) // 4)
         seed = int(rng_data.integers(1 << 30))
-        fam = partition_groups(items, t, rng_stream(seed, "p1"))
+        fam = partition_groups(multiset(items), t, rng_stream(seed, "p1"))
         out = build_group_sumsets(fam, t, w, n, 0.2, rng_stream(seed, "p2"))
         assert not isinstance(out, DenseTripSignal)
         for grp, s in zip(fam.groups, out.sets):
@@ -144,7 +166,7 @@ def test_group_sumsets_are_true_subset_sums():
 
 
 def test_group_sumsets_deterministic():
-    fam = partition_groups([3, 5, 6, 7, 2, 4], 10, rng_stream(5, "p1"))
+    fam = partition_groups(multiset([3, 5, 6, 7, 2, 4]), 10, rng_stream(5, "p1"))
     a = build_group_sumsets(fam, 10, 8, 6, 0.3, rng_stream(5, "p2"))
     b = build_group_sumsets(fam, 10, 8, 6, 0.3, rng_stream(5, "p2"))
     assert a.sets == b.sets
@@ -160,7 +182,7 @@ def test_witness_coverage_rate():
     misses = {z: 0 for z in targets}
     seeds = 200
     for seed in range(seeds):
-        fam = partition_groups(items, t, rng_stream(seed, "p1"))
+        fam = partition_groups(multiset(items), t, rng_stream(seed, "p1"))
         out = build_group_sumsets(fam, t, max(items), n, q, rng_stream(seed, "p2"))
         group_of = {}
         for gi, grp in enumerate(fam.groups):
@@ -266,7 +288,7 @@ def test_budgeted_levels_match_slot_reference_at_pipeline_size(n, w, budget_mult
     inst = normalize(generate_instance("dense", n, w, seed)).instance
     t, config = inst.target, SolverConfig(seed=seed, budget_mult=budget_mult)
     q = config.q_for(inst.n, t)
-    family = partition_groups(partition_instance(inst).dense_part, t, rng_stream(seed, "phase1"))
+    family = partition_groups(partition_instance(inst).dense_multiset, t, rng_stream(seed, "phase1"))
     params = color_params(inst.n, t, inst.w, q, budget_mult)
     assert params.g == 1 << 15 and params.tail <= colorcoding._max_level_excess(family)
     got = build_group_sumsets(
@@ -342,7 +364,7 @@ def test_level_one_trip_builds_no_runs(monkeypatch):
     inst = normalize(generate_instance("dense", 4000, 2, 1)).instance
     t, config = inst.target, SolverConfig(seed=1, budget_mult=1e-12)
     q = config.q_for(inst.n, t)
-    family = partition_groups(partition_instance(inst).dense_part, t, rng_stream(1, "phase1"))
+    family = partition_groups(partition_instance(inst).dense_multiset, t, rng_stream(1, "phase1"))
     params = color_params(inst.n, t, inst.w, q, config.budget_mult)
     assert params.tail <= np.count_nonzero(family.groups.sizes())
     calls = []
@@ -429,7 +451,7 @@ def test_complete_group_sumsets_equal_their_built_form(monkeypatch):
 def test_all_singleton_family_draws_nothing_and_builds_no_item_array(monkeypatch):
     # no group holds two elements: stage two returns the complete sets at
     # once, with no draw and no item-sized array
-    family = partition_groups([1, 2, 3, 5, 8, 13, 21], 10, rng_stream(0, "p1"))
+    family = partition_groups(multiset([1, 2, 3, 5, 8, 13, 21]), 10, rng_stream(0, "p1"))
     assert family.largest == 1
     params = color_params(7, 10, 32, 0.3)
     monkeypatch.setattr(colorcoding.np, "repeat", lambda *a, **k: pytest.fail("item-sized array built"))
@@ -464,7 +486,7 @@ def test_budget_that_cannot_trip_takes_unbudgeted_path(monkeypatch):
     items = [w, *(int(v) for v in rng.integers(1, w + 1, size=n - 1))]
     config = SolverConfig(seed=1, budget_mult=1e-9)
     q = config.q_for(n, t)
-    family = partition_groups(items, t, rng_stream(1, "phase1"))
+    family = partition_groups(multiset(items), t, rng_stream(1, "phase1"))
     params = color_params(n, t, w, q, config.budget_mult)
     assert colorcoding._max_level_excess(family) < params.tail <= sum(items)
     ran = []

@@ -19,11 +19,11 @@ from subsetsum.colorcoding import GroupSumsets
 from subsetsum.solver import solve
 from subsetsum.sumset import FALLBACK_MAX_BITS, Flat, cap, common_step
 
-from oracles import merge_bounds, per_copy_subset_sums, subset_sums
+from oracles import merge_bounds, multiset, per_copy_subset_sums, subset_sums
 
 
 def _pipeline_inputs(items, t, w, n, q, seed, budget_mult=1.0):
-    fam = partition_groups(items, t, rng_stream(seed, "p1"))
+    fam = partition_groups(multiset(items), t, rng_stream(seed, "p1"))
     gs = build_group_sumsets(fam, t, w, n, q, rng_stream(seed, "p2"), budget_mult=budget_mult)
     return fam, gs
 
@@ -258,7 +258,7 @@ def test_default_sparse_solve_collapses_the_merge(monkeypatch):
     ((args, root),) = dps
     t, lo = inst.target, max(inst.target - out.report.window, 0)
     step = common_step(family.groups.vals)
-    assert args[0] is family.multiset[0] and args[1:] == (lo, t, step)
+    assert args[0] is family.multiset and args[1:] == (lo, t, step)
     assert levels == []
     # the root in the window, against every copy added as its own 0/1 item
     whole = per_copy_subset_sums(family.groups.vals.tolist(), t)

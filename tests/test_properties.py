@@ -45,6 +45,7 @@ from oracles import (
     level_of,
     materialized_stage_two,
     merge_bounds,
+    multiset,
     pairwise_sumset,
     per_copy_subset_sums,
     per_item_dp,
@@ -247,10 +248,10 @@ def test_window_subset_sums_match_per_copy_dp(case):
     # the reference adds every copy as its own 0/1 item, with no split and
     # no cut
     want = [v for v in per_copy_subset_sums(items) if lo <= v <= hi]
-    got = window_subset_sums(items, lo, hi, step)
+    got = window_subset_sums(multiset(items), lo, hi, step)
     assert isinstance(got, SumSet) and got.values.tolist() == want
     if lo <= 0 <= hi:
-        assert bounded_subset_sums(items, hi).values.tolist() == want
+        assert bounded_subset_sums(multiset(items), hi).values.tolist() == want
 
 
 @st.composite
@@ -283,10 +284,10 @@ def test_window_subset_sums_from_a_start_match_per_copy_dp(case):
     # reference, cut to [lo, hi]
     sums = np.add.outer(np.array(start, dtype=np.int64), np.array(per_copy_subset_sums(items), dtype=np.int64))
     want = [v for v in np.unique(sums).tolist() if lo <= v <= hi]
-    got = window_subset_sums(items, lo, hi, step, start=SumSet(start))
+    got = window_subset_sums(multiset(items), lo, hi, step, start=SumSet(start))
     assert isinstance(got, SumSet) and got.values.tolist() == want
     if start == [0]:
-        assert got == window_subset_sums(items, lo, hi, step)
+        assert got == window_subset_sums(multiset(items), lo, hi, step)
 
 
 @st.composite
@@ -297,7 +298,8 @@ def _interval_dp_case(draw):
     the shifts; start None ({0}), an interval, or scattered values (which
     the items may fill into an interval); lo and hi anywhere around the
     sums, so they cut inside the first interval and past its reach; and
-    items handed over as a sorted or shuffled list or int64 array."""
+    items sorted or shuffled, whose multiset is handed over as lists or
+    int64 arrays with its values in the order the items show them."""
     step = draw(st.sampled_from([1, 2, 3]))
     pairs = [(1, draw(st.integers(1, 12)))] if draw(st.booleans()) else []
     # values an interval absorbs, then values past its reach
@@ -342,24 +344,36 @@ def test_window_subset_sums_interval_step_matches_per_copy_dp(case):
     if start is not None:
         sums = np.unique(np.add.outer(np.array(start, dtype=np.int64), sums))
     want = [v for v in sums.tolist() if lo <= v <= hi]
-    arg = np.array(items, dtype=np.int64) if form.endswith("array") else items
+    # the distinct values in the order the items first show them
+    copies = Counter(items)
+    arg = (list(copies), list(copies.values()))
+    if form.endswith("array"):
+        arg = tuple(np.array(a, dtype=np.int64) for a in arg)
     got = window_subset_sums(arg, lo, hi, step, start=None if start is None else SumSet(start))
     assert isinstance(got, SumSet) and got.values.tolist() == want
 
 
-@given(case=_started_window_case(), counts=st.lists(st.integers(1, 10**4), min_size=40, max_size=40), shuffle=st.randoms())
+@given(case=_started_window_case(), counts=st.lists(st.integers(1, 3) | st.integers(1, 10**4), min_size=40, max_size=40), order=st.randoms())
 @settings(max_examples=120, deadline=None)
-def test_window_subset_sums_of_counts_match_the_repeated_items(case, counts, shuffle):
-    # the items' distinct values, ascending or not, each with a count of
-    # its own: the same sums as the call on every copy
+def test_window_subset_sums_of_counts_match_the_repeated_items(case, counts, order):
+    # the items' distinct values, each with a count of its own, in any
+    # order and with a value possibly repeated across entries, against the
+    # per-copy reference on every copy that can reach the window
     items, lo, hi, step, start = case
     values = sorted(set(items))
-    if shuffle.random() < 0.5:
-        shuffle.shuffle(values)
-    values, counts = np.array(values, dtype=np.int64), np.array(counts[: len(values)], dtype=np.int64)
-    start = SumSet(start)
-    got = window_subset_sums(values, lo, hi, step, start, counts=counts)
-    assert got == window_subset_sums(np.repeat(values, counts), lo, hi, step, start)
+    if values and order.random() < 0.5:
+        values.append(order.choice(values))
+    if order.random() < 0.5:
+        order.shuffle(values)
+    counts = counts[: len(values)]
+    # a subset with more than room // v copies of v sums past hi (an empty
+    # start has no sums)
+    room = max(hi - start[0], 0) if start else 0
+    copies = [v for v, c in zip(values, counts) for _ in range(min(c, room // v))]
+    sums = np.add.outer(np.array(start, dtype=np.int64), np.array(per_copy_subset_sums(copies, room), dtype=np.int64))
+    want = [v for v in np.unique(sums).tolist() if lo <= v <= hi]
+    got = window_subset_sums((np.array(values, dtype=np.int64), np.array(counts, dtype=np.int64)), lo, hi, step, SumSet(start))
+    assert got.values.tolist() == want
 
 
 @st.composite
@@ -397,14 +411,19 @@ def _fallback_case(draw):
 @example(case=([], [], 5))
 @settings(max_examples=100, deadline=None)
 def test_fallback_dp_matches_the_per_item_dp(case):
-    # the window DP over the multiset, with and without counts (the items
-    # then in descending order), decides as the per-item shift loop does
+    # the window DP over the multiset, as arrays or lists, its values
+    # ascending, descending or with each count split across two entries,
+    # decides as the per-item shift loop does
     values, counts, t = case
-    items = [v for v, c in zip(values, counts) for _ in range(c)]
-    want = per_item_dp(items, t)
-    assert fallback_dp(items[::-1], t) == want
-    assert fallback_dp(np.array(values, dtype=np.int64), t, counts=np.array(counts, dtype=np.int64)) == want
-    assert fallback_dp(values, t, counts=counts) == want
+    want = per_item_dp([v for v, c in zip(values, counts) for _ in range(c)], t)
+    split = [(v, k) for v, c in zip(values, counts) for k in (c // 2, c - c // 2) if k]
+    forms = (
+        (np.array(values, dtype=np.int64), np.array(counts, dtype=np.int64)),
+        (values[::-1], counts[::-1]),
+        tuple(map(list, zip(*split))) if split else ([], []),
+    )
+    for form in forms:
+        assert fallback_dp(form, t) == want
 
 
 @st.composite
@@ -415,7 +434,7 @@ def _shortcut_family(draw):
     if draw(st.booleans()):
         items = draw(st.lists(st.integers(1, 64), min_size=2, max_size=300))
         t = draw(st.integers(1, 2 * sum(items) // 3))
-        return partition_groups(items, t, rng_stream(draw(st.integers(0, 99)), "phase1"))
+        return partition_groups(multiset(items), t, rng_stream(draw(st.integers(0, 99)), "phase1"))
     value = st.integers(1, 8) | st.integers(1, 1 << 50)
     groups = draw(st.lists(st.lists(value, min_size=1, max_size=100).map(sorted), min_size=1, max_size=12))
     ell = 1 << ceil_log2(len(groups))
@@ -544,7 +563,7 @@ def test_merge_matches_values_reference():
         items = [mult * int(v) for v in rng.integers(1, w + 1, size=n)]
         t = max(1, int(t_frac * sum(items)))
         args = (t, mult * w, n, 0.3)
-        family = partition_groups(items, t, rng_stream(seed, "p1"))
+        family = partition_groups(multiset(items), t, rng_stream(seed, "p1"))
         staged = build_group_sumsets(family, *args, rng_stream(seed, "p2"))
         params = (staged.params.rho, staged.params.g, *args, eta_mult)
         full_tail = merge_bounds(*params, 1.0, window)[2]
@@ -857,7 +876,7 @@ def test_partition_of_large_counts_matches_per_item_reference(inst):
 def _partition_groups_against_reference(items, t, seed):
     """Elements moved into empty buckets, after checking that stage one
     matches its list reference on the same draws."""
-    family = partition_groups(items, t, rng_stream(seed, "p1"))
+    family = partition_groups(multiset(items), t, rng_stream(seed, "p1"))
     groups, raw, filled = reference_partition_groups(items, t, rng_stream(seed, "p1"))
     # stage one's sizes, read before any item is placed
     sizes = [len(g) for g in groups]

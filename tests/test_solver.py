@@ -19,13 +19,13 @@ from subsetsum.solver import (
 )
 from subsetsum.sumset import dense_sumset
 
-from oracles import bitset_dp_table, brute_force, per_item_dp, subset_sum_decision, subset_sums
+from oracles import bitset_dp_table, brute_force, multiset, per_item_dp, subset_sum_decision, subset_sums
 
 
 def test_bounded_subset_sums_examples():
-    assert bounded_subset_sums((3, 5, 8), 16).values.tolist() == [0, 3, 5, 8, 11, 13, 16]
-    assert bounded_subset_sums((), 10).values.tolist() == [0]
-    assert bounded_subset_sums((2, 2), 4).values.tolist() == [0, 2, 4]
+    assert bounded_subset_sums(multiset((3, 5, 8)), 16).values.tolist() == [0, 3, 5, 8, 11, 13, 16]
+    assert bounded_subset_sums(multiset(()), 10).values.tolist() == [0]
+    assert bounded_subset_sums(multiset((2, 2)), 4).values.tolist() == [0, 2, 4]
 
 
 def test_bounded_subset_sums_random_oracle():
@@ -34,12 +34,12 @@ def test_bounded_subset_sums_random_oracle():
         n = int(rng.integers(0, 14))
         items = [int(v) for v in rng.integers(1, 50, size=n)]
         cap = int(rng.integers(0, 200))
-        assert bounded_subset_sums(items, cap).values.tolist() == subset_sums(items, cap)
+        assert bounded_subset_sums(multiset(items), cap).values.tolist() == subset_sums(items, cap)
 
 
 def test_fallback_dp_examples():
-    assert not fallback_dp((1, 2, 5), 4)
-    assert fallback_dp((1, 2, 5), 8)
+    assert not fallback_dp(multiset((1, 2, 5)), 4)
+    assert fallback_dp(multiset((1, 2, 5)), 8)
 
 
 def test_dp_variants_agree_with_bruteforce():
@@ -49,7 +49,7 @@ def test_dp_variants_agree_with_bruteforce():
         items = tuple(int(v) for v in rng.integers(1, 60, size=n))
         t = int(rng.integers(0, sum(items) + 2))
         expected = brute_force(Instance(items, t))
-        assert fallback_dp(items, t) == expected
+        assert fallback_dp(multiset(items), t) == expected
         assert per_item_dp(items, t) == expected
         assert bitset_dp_table(items, t) == expected
         assert subset_sum_decision(items, t) == expected
@@ -64,7 +64,7 @@ def test_brute_force_meet_in_middle_path():
 
 def test_oracle_budgets():
     with pytest.raises(OracleBudgetError):
-        fallback_dp((5,), 10**12)
+        fallback_dp(multiset((5,)), 10**12)
     with pytest.raises(OracleBudgetError):
         brute_force(Instance(tuple([1] * 26), 3))
 
@@ -74,12 +74,12 @@ def test_fallback_dp_decides_a_target_the_gcd_does_not_divide_before_its_budget(
     # t + 1 is far past FALLBACK_MAX_BITS; the budget counts the mask's
     # t // gcd + 1 bits
     inst = Instance([2**32 + 2 * i for i in range(8)], 2**33 + 1)
-    assert fallback_dp(inst.multiset[0], inst.target, inst.multiset[1]) is False
+    assert fallback_dp(inst.multiset, inst.target) is False
     out = solve(inst)
     assert out.branch == "fallback-dp" and out.decision is False
     # in units of the gcd 2 the mask is 2**32 + 1 bits, still past it
     with pytest.raises(OracleBudgetError):
-        fallback_dp(inst.multiset[0], 2**33, inst.multiset[1])
+        fallback_dp(inst.multiset, 2**33)
 
 
 def test_solve_astronomical_target_refuses_cleanly():
@@ -185,12 +185,12 @@ def test_combine_matches_the_sumset_chain_at_pipeline_size(profile, n, w, t, bud
     assert (out.report.sigma_g > 0) == (profile == "divisor-structured")
     inst = normalize(inst).instance
     t, w, part = inst.target, inst.w, partition_instance(inst)
-    s_g = bounded_subset_sums(part.leftover_part, int(part.leftover_part.sum()))
+    s_g = bounded_subset_sums(part.leftover_multiset, int(part.leftover_part.sum()))
     if branch == "dense":
         chain = dense_sumset(s_g, dense_interval_set(part.divisor, t, w))
     else:
-        s_r = bounded_subset_sums(part.residue_part, int(part.residue_part.sum()))
-        s_d = solve_d_window(part.dense_part, t, w, inst.n, config, out.report.window)
+        s_r = bounded_subset_sums(part.residue_multiset, int(part.residue_part.sum()))
+        s_d = solve_d_window(part.dense_multiset, t, w, inst.n, config, out.report.window)
         chain = dense_sumset(dense_sumset(s_g, s_r), s_d)
     assert out.candidate_set_size == len(chain) > 0
     assert out.decision == (t in chain)
@@ -223,7 +223,7 @@ def test_solve_d_window_subset_and_coverage():
     seeds = 200
     for seed in range(seeds):
         cfg = SolverConfig(seed=seed, error_q=q)
-        res = solve_d_window(items, t, w, n, cfg, window)
+        res = solve_d_window(multiset(items), t, w, n, cfg, window)
         assert isinstance(res, SumSet)
         assert set(res.values) <= truth
         assert all(t - window <= v <= t for v in res.values)

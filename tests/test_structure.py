@@ -2,18 +2,17 @@ import numpy as np
 import pytest
 
 from subsetsum.core import Instance
-from subsetsum.sumset import _value_counts
 from subsetsum.structure import (
+    _almost_divisor,
     _peel,
+    _residue_counts,
     alpha_for,
     distinct_primes,
-    extract_residue_set,
-    find_almost_divisor,
     partition_instance,
     verify_partition,
 )
 
-from oracles import almost_divisors, factorize, residues_covered
+from oracles import almost_divisors, factorize, multiset, residues_covered
 
 
 def test_factorize_examples():
@@ -54,9 +53,9 @@ def test_distinct_primes_match_per_item_factorizations():
 
 
 def test_find_almost_divisor_examples():
-    assert find_almost_divisor([2, 4, 6, 3], 1) == 2
-    assert find_almost_divisor([2, 3, 5, 7], 0) is None
-    assert find_almost_divisor([4, 8, 12], 0) == 2
+    assert _almost_divisor(*multiset([2, 4, 6, 3]), 1) == 2
+    assert _almost_divisor(*multiset([2, 3, 5, 7]), 0) is None
+    assert _almost_divisor(*multiset([4, 8, 12]), 0) == 2
 
 
 def test_find_almost_divisor_agrees_with_bruteforce():
@@ -67,7 +66,7 @@ def test_find_almost_divisor_agrees_with_bruteforce():
         items = [int(v) for v in rng.integers(1, w + 1, size=n)]
         alpha = int(rng.integers(0, 9))
         truth = almost_divisors(items, alpha, max(items))
-        got = find_almost_divisor(items, alpha)
+        got = _almost_divisor(*multiset(items), alpha)
         # 2 is an almost divisor of any multiset with n <= alpha even
         # when it exceeds every item, so truth may miss it.
         if n <= alpha:
@@ -81,14 +80,14 @@ def test_find_almost_divisor_agrees_with_bruteforce():
 
 def _peel_items(items, alpha):
     """`_peel` of the items' multiset, with its parts as sorted item arrays."""
-    d, peeled, leftovers = _peel(*_value_counts(items), alpha)
+    d, peeled, leftovers = _peel(*multiset(items), alpha)
     return d, np.repeat(*peeled), np.repeat(*leftovers)
 
 
 def test_peel_divisors_examples():
     d, peeled, leftovers = _peel_items(np.array([2, 4, 6, 8]), 1)
     assert (d, peeled.tolist(), leftovers.tolist()) == (2, [1, 2, 3, 4], [])
-    assert find_almost_divisor(peeled, 1) is None
+    assert _almost_divisor(*multiset(peeled), 1) is None
 
     d, peeled, leftovers = _peel_items(np.array([3, 5, 7]), 0)
     assert (d, peeled.tolist(), leftovers.tolist()) == (1, [3, 5, 7], [])
@@ -109,24 +108,31 @@ def test_peel_divisors_postconditions():
         alpha = int(rng.integers(1, 4))
         d, peeled, leftovers = _peel_items(np.sort(items), alpha)
         if peeled.size:
-            assert find_almost_divisor(peeled, alpha) is None
+            assert _almost_divisor(*multiset(peeled), alpha) is None
         # multiset identity at the original scale
         rebuilt = sorted([x * d for x in peeled.tolist()] + leftovers.tolist())
         assert rebuilt == sorted(items)
         assert len(leftovers) <= alpha * (max(items).bit_length() + 1)
 
 
+def _residue_items(items, alpha):
+    """The residue set that `_residue_counts` takes from the items'
+    multiset, sorted."""
+    values, counts = multiset(items)
+    return np.repeat(values, _residue_counts(values, counts, alpha)).tolist()
+
+
 def test_extract_residue_set_alpha_one_keeps_seed():
     items = [3, 5, 7, 9, 11, 13, 15]
-    r = extract_residue_set(items, 1)
+    r = _residue_items(items, 1)
     assert list(r) == [3, 5]  # first 2*alpha in sorted order, no primes <= 1
 
 
 def test_extract_residue_set_covers_small_moduli():
     items = [1, 2, 3, 4, 5, 6, 7]
     alpha = 2
-    assert find_almost_divisor(items, alpha) is None
-    r = extract_residue_set(items, alpha)
+    assert _almost_divisor(*multiset(items), alpha) is None
+    r = _residue_items(items, alpha)
     assert sum(1 for x in r if x % 2) >= 2
     assert residues_covered(r, 2) == {0, 1}
 
@@ -139,18 +145,20 @@ def test_extract_residue_set_random_coverage():
         w = int(rng.integers(3, 100))
         items = [int(v) for v in rng.integers(1, w + 1, size=n)]
         alpha = int(rng.integers(1, 6))
-        if find_almost_divisor(items, alpha) is not None:
+        if _almost_divisor(*multiset(items), alpha) is not None:
             continue
         done += 1
-        r = extract_residue_set(items, alpha, checked=True)
+        r = _residue_items(items, alpha)
         assert sorted(r) == list(r)
         for b in range(2, alpha + 1):
             assert residues_covered(r, b) == set(range(b))
 
 
-def test_extract_residue_set_checked_rejects_bad_input():
-    with pytest.raises(ValueError, match="almost divisor"):
-        extract_residue_set([4, 8, 12, 16, 20, 24, 28, 32], 1, checked=True)
+def test_residue_counts_rejects_an_almost_divisor():
+    # every item is even and alpha = 2 >= 2: the seed's prime 2 has no
+    # alpha items off it to adjoin
+    with pytest.raises(ValueError, match="2-almost divisor 2"):
+        _residue_items([2, 4, 6, 8, 10, 12], 2)
 
 
 def test_alpha_for_is_ceiling_sqrt():

@@ -15,7 +15,7 @@ from subsetsum.sumset import (
     dense_sumset,
 )
 
-from oracles import level_of, pairwise_sumset
+from oracles import level_of, multiset, pairwise_sumset
 
 
 def S(*vals):
@@ -127,7 +127,7 @@ def test_sumsets_are_read_only_int64_arrays(monkeypatch, fft_hulls):
     monkeypatch.setattr(sumset, "HULL_FFT_LIMIT", 1024)
     outs.append(dense_sumset(a, b))
     assert len(fft_hulls) > 2
-    outs += [bounded_subset_sums([3, 5, 9], 17), dense_interval_set(3, 100, 2), cap(a, 10, 100), S()]
+    outs += [bounded_subset_sums(multiset([3, 5, 9]), 17), dense_interval_set(3, 100, 2), cap(a, 10, 100), S()]
     for out in outs:
         v = out.values
         assert v.ndim == 1 and v.dtype == np.int64 and not v.flags.writeable
