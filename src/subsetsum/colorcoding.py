@@ -43,10 +43,10 @@ one, so it counts one toward the running total and is never computed.
 Each repetition's parts become sorted keys group * g + part, and key >> h
 is a node's global index at level h.  One stable sort of the keys puts
 the elements in part order, each part ascending because each group is
-(stage one builds them so; a family that is not is sorted within its
-groups once).  A level holds only the occupied nodes, as one `Level` of
-runs in units of the elements' common step.  Level 0 ({0} plus each
-part's distinct elements) starts as node sizes counted from the sorted
+(stage one builds them so, and a family refuses groups that are not).
+A level holds only the occupied nodes, as one `Level` of runs in units
+of the elements' common step.  Level 0 ({0} plus each part's distinct
+elements) starts as node sizes counted from the sorted
 parts; it is split into runs only at the first level that sums a pair,
 or to read the roots of a repetition that does not trip, since a level
 with no pairs leaves every node as it is.  Only each repetition's roots
@@ -135,11 +135,10 @@ class GroupFamily:
     """Groups from stage one, padded to a power-of-two count.
 
     Node i of groups holds group i's elements (a multiset, so values may
-    repeat), in ascending order as `partition_groups` builds them.  Stage
-    two's results do not depend on that order, but its speed does: it
-    finds each repetition's parts with one stable sort when every group is
-    ascending, and sorts within groups first when one is not.  The padding
-    groups after the first raw_count are empty.
+    repeat), in ascending order: stage two finds each repetition's parts
+    with one stable sort, which keeps each part ascending only because
+    every group is.  The padding groups after the first raw_count are
+    empty.
 
     largest is the size of the largest group.  `partition_groups` records
     it from its per-layer counts; left out, it is computed from the
@@ -147,20 +146,22 @@ class GroupFamily:
     item-sized array, when no group holds two elements.
 
     multiset is every element of the family, as sorted distinct values
-    and their int64 counts: `partition_groups` passes the one it was
-    given, and otherwise it is counted from the groups on first read.
-    The merge's collapse and stage two's sigma(D) read it instead of the
-    groups.
+    and their int64 counts.  The merge's collapse and stage two's sigma(D)
+    read it instead of the groups.
 
-    Stage one passes no groups: it passes the multiset, the groups'
-    offsets offs and its drawn layers, and the elements are placed into
-    their groups (`_place`) only when groups is first read (the budgeted
-    path, groups that never complete, checked mode, a merge that does
-    not collapse, tests and tracing read them).  offs None stands for
-    one element per group in ascending order, as when no layer is drawn,
-    and is built on its first read.  sizes(), element_count, ell, largest,
-    multiset and sigma never place the elements; group_sums does.  Families compare equal
-    when their groups, raw_count and largest are.
+    A family is built in one of two forms.  Given explicit groups (as the
+    tests build families), it raises ValueError unless every group
+    ascends, and counts its multiset from the groups at once.  Stage one
+    passes no groups: it passes the multiset it was given, the
+    groups' offsets offs and its drawn layers, and the elements are
+    placed into their groups (`_place`) only when groups is first read
+    (the budgeted path, groups that never complete, checked mode, a merge
+    that does not collapse, tests and tracing read them).  offs None
+    stands for one element per group in ascending order, as when no layer
+    is drawn, and is built on its first read.  sizes(), element_count,
+    ell, largest, multiset and sigma never place the elements;
+    group_sums does.  Families compare equal when their groups,
+    raw_count and largest are.
     """
 
     def __init__(
@@ -172,9 +173,15 @@ class GroupFamily:
         offs: Optional[np.ndarray] = None,
         layers: Sequence[_Layer] = (),
     ) -> None:
+        if groups is not None:
+            # a descent is allowed only where a group starts
+            if not np.isin(np.flatnonzero(groups.vals[1:] < groups.vals[:-1]) + 1, groups.offs).all():
+                raise ValueError("every group must be ascending")
+            values, counts = np.unique(groups.vals, return_counts=True)
+            multiset, offs = (values, counts.astype(np.int64, copy=False)), groups.offs
         self._groups = groups
-        self._multiset = multiset
-        self._offs = offs if groups is None else groups.offs
+        self.multiset = multiset
+        self._offs = offs
         self._layers = layers
         self.raw_count = raw_count
         if largest is None:
@@ -185,7 +192,7 @@ class GroupFamily:
     @property
     def groups(self) -> Flat:
         if self._groups is None:
-            self._groups = _place(self._multiset, self.offs, self._layers)
+            self._groups = _place(self.multiset, self.offs, self._layers)
             self._layers = ()
         return self._groups
 
@@ -203,14 +210,7 @@ class GroupFamily:
 
     @property
     def element_count(self) -> int:
-        return int(self._multiset[1].sum()) if self._groups is None else self._groups.vals.size
-
-    @property
-    def multiset(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._multiset is None:
-            values, counts = np.unique(self.groups.vals, return_counts=True)
-            self._multiset = values, counts.astype(np.int64, copy=False)
-        return self._multiset
+        return int(self.multiset[1].sum())
 
     @property
     def ell(self) -> int:
@@ -536,23 +536,15 @@ def _budgeted_sumsets(
     """Every repetition as flat levels of the occupied nodes, summing only
     nodes with two occupied children, until one trips (see the module
     docstring).  draws holds each repetition's parts of the elements of
-    groups, in element order.
-
-    One stable sort by part keeps each part ascending when every group
-    is, as `partition_groups` builds them; a family with a group that is
-    not has its elements, and every repetition's draws, sorted within
-    their groups once, so the parts are the same either way."""
+    groups, in element order; one stable sort by part keeps each part
+    ascending because every group is (see `GroupFamily`)."""
     g, ell = params.g, len(groups)
     elems = groups.vals
     owner = np.repeat(np.arange(ell, dtype=np.int64), groups.sizes())
-    within = None
-    if np.any((elems[1:] < elems[:-1]) & (owner[1:] == owner[:-1])):
-        within = np.lexsort((elems, owner))
-        elems = elems[within]
     roots_key, roots_val = [np.arange(ell, dtype=np.int64)], [np.zeros(ell, dtype=np.int64)]
     complete = np.zeros(ell, dtype=bool)
     for rep, drawn in enumerate(draws):
-        keys = owner * g + (drawn if within is None else drawn[within])
+        keys = owner * g + drawn
         order = np.argsort(keys, kind="stable")
         part_key, part_val = keys[order], elems[order]
         shared = np.zeros(ell, dtype=bool)

@@ -75,13 +75,14 @@ class Instance:
     """A subset-sum instance: positive integer items and a target.
 
     The constructor reads the items once into an int64 array and checks
-    them there.  `items` is the tuple of the items as Python ints, in
-    input order; `n`, `w` and `sigma` are derived from the array; `w` is
-    the maximum item (0 for an empty item list) and `sigma` the sum of
-    all items.  `multiset` is the items as their sorted distinct values
-    and the count of each, two read-only int64 arrays, which the split
-    reads instead of the items; it takes no part in `==`, `hash` or
-    `repr`.
+    them there; an item or target that is not an integer (one that the
+    int64 reading would change, such as 1.5) raises InvalidInstanceError.
+    `items` is the tuple of the items as Python ints, in input order;
+    `n`, `w` and `sigma` are derived from the array; `w` is the maximum
+    item (0 for an empty item list) and `sigma` the sum of all items.
+    `multiset` is the items as their sorted distinct values and the count
+    of each, two read-only int64 arrays, which the split reads instead of
+    the items; it takes no part in `==`, `hash` or `repr`.
     """
 
     items: tuple[int, ...]
@@ -97,7 +98,11 @@ class Instance:
             arr = np.fromiter(items, dtype=np.int64, count=len(items))
         except OverflowError:
             arr = None
+        except (TypeError, ValueError):
+            raise InvalidInstanceError("items must be integers") from None
         target = int(self.target)
+        if target != self.target:
+            raise InvalidInstanceError("target must be an integer")
         object.__setattr__(self, "target", target)
         if arr is None or arr.size and arr.min() < 1:
             # an item below 1, or outside int64 (which raised, or wrapped
@@ -114,10 +119,15 @@ class Instance:
         # Overflow guard: all subset sums must stay below 2**63.
         if n * max(w, 1) >= OVERFLOW_LIMIT or target >= OVERFLOW_LIMIT:
             raise InvalidInstanceError("instance exceeds 64-bit sum guard (n*w < 2**63)")
+        # the int64 reading truncates a fraction, so a non-integer item
+        # reads back changed (compared as the input's own type, uncopied)
+        read = arr.tolist() if isinstance(items, list) else tuple(arr.tolist())
+        if read != items:
+            raise InvalidInstanceError("items must be integers")
         values, counts = np.unique(arr, return_counts=True)
         counts = counts.astype(np.int64, copy=False)
         values.flags.writeable = counts.flags.writeable = False
-        object.__setattr__(self, "items", tuple(arr.tolist()))
+        object.__setattr__(self, "items", tuple(read))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "sigma", int(arr.sum()))
@@ -133,7 +143,8 @@ def array_fields_eq(self, other: object) -> bool:
 
 
 def _int64_vector(values: Iterable[int]) -> np.ndarray:
-    """values as a new 1-D int64 array; ValueError if that cannot hold them."""
+    """values as a new 1-D int64 array; ValueError if that cannot hold them
+    exactly."""
     if not isinstance(values, (np.ndarray, list, tuple)):
         values = list(values)
     try:
@@ -142,6 +153,10 @@ def _int64_vector(values: Iterable[int]) -> np.ndarray:
         raise ValueError("SumSet values must lie in [0, 2**63)") from None
     if v.ndim != 1:
         raise ValueError("SumSet values must be one-dimensional")
+    # the cast truncates a fraction: anything but an integer array must
+    # read back unchanged
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu") and not np.array_equal(v, values):
+        raise ValueError("SumSet values must be integers")
     return v
 
 
@@ -152,8 +167,9 @@ class SumSet:
 
     The constructor takes a strictly increasing sequence or array and
     stores a read-only copy, so a caller's array is never aliased; `of`
-    takes any iterable of integers.  Values outside int64, negative or
-    non-increasing values and arrays that are not 1-D raise ValueError.
+    takes any iterable of integers.  Values outside int64, values that are
+    not integers, negative or non-increasing values and arrays that are
+    not 1-D raise ValueError.
     Iteration, `len`, `in`, `min`, `max` and `dm` give Python ints and
     bools.  Two SumSets are equal when they hold the same values, and hash
     by them.  The empty set is allowed and means "no achievable sum"; by

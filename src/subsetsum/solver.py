@@ -65,9 +65,9 @@ from .colorcoding import (
 )
 from .merge import DenseEvidence, evidence_from_color_trip, merge_group_sumsets
 from .structure import _union, partition_instance, verify_partition
-from .sumset import FALLBACK_MAX_BITS, cap, common_step, window_subset_sums
-# imported only as the combine kernel boundary that perfbench's tracer wraps
-from .sumset import dense_sumset  # noqa: F401
+from .sumset import FALLBACK_MAX_BITS, common_step, window_subset_sums
+# imported only as the combine boundaries that perfbench's tracer wraps
+from .sumset import cap, dense_sumset  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -204,7 +204,8 @@ def solve_d_window(
     )
     if isinstance(staged, DenseTripSignal):
         return evidence_from_color_trip(staged, t)
-    merged = merge_group_sumsets(
+    # a sparse root already lies within [max(t - window, 0), t]
+    return merge_group_sumsets(
         staged, family, t, w, n, q,
         _Stream(config.seed, "phase3"),
         eta_mult=config.eta_mult,
@@ -212,12 +213,6 @@ def solve_d_window(
         window=window,
         checked=config.checked_mode,
     )
-    if isinstance(merged, DenseEvidence):
-        return merged
-    # a no-op: the merge already returns its root within [t - window, t];
-    # kept so that the combine boundary `cap`, which perfbench's tracer
-    # wraps as `solver.cap`, is still called
-    return cap(merged, max(t - window, 0), t)
 
 
 def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveOutcome:

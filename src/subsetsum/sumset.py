@@ -7,9 +7,7 @@ level kernel `_pair_level`, computes every sumset: it sums the pairs
 levels (phase 2, under a budget or not) and the merge tree (phase 3)
 call it with a level.  `dense_sumset` (the public entry point for one
 pair; no solve calls it) goes through its one-pair adapter
-`_sum_values`, which enumerates a pair directly when
-|A|*|B| <= PAIRWISE_LIMIT (far cheaper than the level's passes for such
-tiny pairs) and otherwise sums it as a one-pair level.  Both take and
+`_sum_values`, which sums the pair as a one-pair level.  Both take and
 give int64 arrays, the layout of `SumSet.values`.
 
 A level is one `Level` in units of its common step g (a divisor of every
@@ -39,11 +37,11 @@ an empty output; otherwise it takes one of three kernels:
     level (recursively, so every FFT stays within HULL_FFT_LIMIT), and
     the two outputs' runs are merged.
 
-The result is exact because only the run kernel, the FFT and the
-adapter's enumeration ever compute a sum.  The level's budget stop is
-exact: the level is computed in node-order chunks, and the first pair at
-which the running output size reaches the budget ends the level with the
-same prefix and stop as summing the pairs one at a time; a wide pair
+The result is exact because only the run kernel and the FFT ever
+compute a sum.  The level's budget stop is exact: the level is computed
+in node-order chunks, and the first pair at which the running output
+size reaches the budget ends the level with the same prefix and stop as
+summing the pairs one at a time; a wide pair
 is split inside its chunk and counts toward the chunk's bound as one
 pair.  Phase 2 sums only its nodes with two occupied children, and
 passes, per pair, the known size of the nodes between it and the pair
@@ -76,7 +74,6 @@ import numpy as np
 
 from .core import OVERFLOW_LIMIT, SumSet
 
-PAIRWISE_LIMIT = 2048
 HULL_FFT_LIMIT = 1 << 22
 # The kernel's tuning figures below (these constants, `common_step` and
 # the scatter in `_level_chunk`) were measured while every merge of the
@@ -238,10 +235,9 @@ def dense_sumset(a: SumSet, b: SumSet) -> SumSet:
     """Sumset of two non-empty SumSets whose maxima sum to below 2**63
     (the int64 values of a SumSet cannot hold more; ValueError otherwise).
 
-    Pairwise enumeration when |a|*|b| <= PAIRWISE_LIMIT; otherwise the
-    pair is a one-pair level of the level kernel, which sums it by runs,
-    by one FFT when the hull is at most HULL_FFT_LIMIT, or by halving the
-    wider operand by value until every FFT fits that limit.
+    The pair is a one-pair level of the level kernel, which sums it by
+    runs, by one FFT when the hull is at most HULL_FFT_LIMIT, or by
+    halving the wider operand by value until every FFT fits that limit.
     """
     if a.is_empty or b.is_empty:
         raise ValueError("empty operand")
@@ -692,16 +688,9 @@ def _expand(starts: np.ndarray, ends: np.ndarray, step: int) -> np.ndarray:
 
 def _sum_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Sumset of two non-empty strictly increasing int64 arrays, as a new
-    int64 array.  A pair with |a|*|b| <= PAIRWISE_LIMIT is enumerated:
-    1x55, 10x10 and 40x50 pairs took 10, 11 and 35 us enumerated and 0.18,
-    0.23 and 0.27 ms as a level (2-core x86 VM, numpy 2.4).  Any other
-    pair is a one-pair level.
-    """
+    int64 array: the pair as a one-pair level."""
     if not len(a) or not len(b):
         raise ValueError("empty operand")
-    if len(a) * len(b) <= PAIRWISE_LIMIT:
-        sums = np.sort(np.add.outer(a, b), axis=None)
-        return sums[np.append(True, sums[1:] != sums[:-1])]
     vals = np.concatenate((a, b))
     out, _ = _pair_level(Level.from_values(vals, np.array([0, len(a), len(vals)])), math.inf)
     return out.values()

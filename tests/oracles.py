@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from subsetsum.colorcoding import DenseTripSignal, GroupSumsets, _distinct_level
+from subsetsum.colorcoding import DenseTripSignal, GroupFamily, GroupSumsets, _distinct_level
 from subsetsum.core import OVERFLOW_LIMIT, InvalidInstanceError, OracleBudgetError, ceil_log2
 from subsetsum.solver import FALLBACK_MAX_BITS
 from subsetsum.sumset import Flat, Level, _offsets, _pair_level, _segment_index, common_step
@@ -167,6 +167,13 @@ def level_of(sets, step=None):
     the tests start from a list of sets."""
     flat = Flat.of(sets)
     return Level.from_values(flat.vals, flat.offs, step)
+
+
+def ascending_family(groups, raw_count):
+    """The `GroupFamily` of the groups, each sorted first: a family refuses
+    a group that does not ascend, and the tests write groups in any
+    order."""
+    return GroupFamily(Flat.of([sorted(g) for g in groups]), raw_count)
 
 
 def materialized_stage_two(groups, g, reps, tail, rng):

@@ -21,6 +21,7 @@ from subsetsum.sumset import Flat
 
 from oracles import (
     all_subsets,
+    ascending_family,
     full_subset_sums,
     materialized_stage_two,
     multiset,
@@ -96,6 +97,18 @@ def test_partition_groups_reads_any_order_and_never_aliases_its_input():
         for a in x:
             assert not np.shares_memory(fam.groups.vals, a) and not np.shares_memory(single.groups.vals, a)
     assert all(a.flags.writeable for a in plain) and shuffled.tolist() != items.tolist()
+
+
+def test_family_refuses_a_group_that_does_not_ascend():
+    # stage two's one stable sort keeps each part ascending only because
+    # every group is
+    with pytest.raises(ValueError, match="ascending"):
+        GroupFamily(Flat.of(((3, 5), (7, 2))), 2)
+    # a descent where a group starts, past an empty one or not, is allowed;
+    # the multiset and the largest group are counted at construction
+    family = GroupFamily(Flat.of(((3, 5), (), (2, 2, 7), (1,))), 3)
+    assert [a.tolist() for a in family.multiset] == [[1, 2, 3, 5, 7], [1, 2, 1, 1, 1]]
+    assert (family.largest, family.element_count, family.sigma) == (3, 6, 20)
 
 
 def test_partition_groups_rejects_a_malformed_multiset():
@@ -229,11 +242,11 @@ def _first_clean_rep(family, g, reps, rng):
     return [first.get(i) for i, grp in enumerate(family.groups) if len(grp) >= 2]
 
 
-_SMALL_GROUPS = (GroupFamily(Flat.of(((3, 5), (6,), (7, 2), (4,))), 4), 4, 0.9)
+_SMALL_GROUPS = (ascending_family(((3, 5), (6,), (7, 2), (4,)), 4), 4, 0.9)
 # n=1 and q=0.9 give the smallest part count (g=64) and 6 repetitions: the
 # 10-item group splits cleanly only after a collision, the 40-item one never
 _LARGE_GROUPS = (
-    GroupFamily(Flat.of(((1, 2, 3, 4, 5, 6, 7, 8, 1, 2), (6,), tuple(range(1, 9)) * 5, ())), 3),
+    ascending_family(((1, 2, 3, 4, 5, 6, 7, 8, 1, 2), (6,), tuple(range(1, 9)) * 5, ()), 3),
     1,
     0.9,
 )
@@ -329,7 +342,7 @@ def test_tripping_level_computes_at_most_a_chunk_past_its_stop(monkeypatch, tail
     monkeypatch.setattr(colorcoding, "_pair_level", level_spy)
     rng = np.random.default_rng(5)
     groups = tuple(tuple(int(v) for v in rng.integers(1, 9, size=10)) for _ in range(64))
-    family = GroupFamily(Flat.of(groups), 64)
+    family = ascending_family(groups, 64)
     budget_mult = tail / color_params(1, 10, 8, 0.9).tail
     sig = build_group_sumsets(family, 10, 8, 1, 0.9, rng_stream(1, "p2"), budget_mult=budget_mult)
     assert isinstance(sig, DenseTripSignal) and sig.level == level
@@ -417,9 +430,10 @@ def test_part_sizes_from_counts_match_part_level(seed):
 def test_group_sets_match_subset_sums(groups, open_groups):
     # every group that is not open gets its full subset sums: {0} for an
     # empty group and {0, x} for a singleton directly, a larger group
-    # through the level loop (here also unsorted ones); each open group
-    # keeps the set it is given, in its own place
-    family = GroupFamily(Flat.of(groups), len(groups))
+    # through the level loop (written here in any order, then sorted by
+    # `ascending_family`); each open group keeps the set it is given, in
+    # its own place
+    family = ascending_family(groups, len(groups))
     params = color_params(6, 10, 16, 0.3)
     open_groups = np.array(open_groups, dtype=np.int64)
     open_sets = [[0, int(k) + 100] for k in open_groups]
@@ -433,7 +447,7 @@ def test_group_sets_match_subset_sums(groups, open_groups):
 def test_complete_group_sumsets_equal_their_built_form(monkeypatch):
     # both multi-element groups complete (each element in a part of its
     # own), so stage two returns sets that are built on their first read
-    family = GroupFamily(Flat.of(((3, 5), (6,), (7, 2, 2), (), (4,), (), (), ())), 5)
+    family = ascending_family(((3, 5), (6,), (7, 2, 2), (), (4,), (), (), ()), 5)
     params = color_params(6, 10, 8, 0.3)
     built = []
     group_sets = colorcoding._group_sets
@@ -529,7 +543,7 @@ def test_never_complete_groups_match_slot_reference_at_pipeline_size():
 
 
 def test_trip_signal_bookkeeping_consistency():
-    family = GroupFamily(Flat.of(((3, 5), (6,), (7, 2), (4,))), 4)
+    family = ascending_family(((3, 5), (6,), (7, 2), (4,)), 4)
     sig = build_group_sumsets(
         family, 10, 8, 4, 0.9, rng_stream(9, "p2"), budget_mult=1e-9
     )

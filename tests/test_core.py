@@ -112,6 +112,27 @@ def test_instance_errors_outside_int64():
             Instance(items, target)
 
 
+def test_non_integer_input_is_refused():
+    # the int64 reading truncates a fraction, which once solved another
+    # instance: (1.5, 2.7) read as (1, 2) and a target of 2.9 as 2
+    for items, target, message in (
+        ((1.5, 2.7), 2, "items must be integers"),
+        (np.array([2.0, 1.5]), 1, "items must be integers"),
+        ((float("nan"),), 1, "items must be integers"),
+        ((3, 4), 2.9, "target must be an integer"),
+    ):
+        with pytest.raises(InvalidInstanceError, match=message):
+            Instance(items, target)
+    # an integral value reads back unchanged, so it passes
+    assert Instance((2.0, np.int64(3)), 3.0) == Instance((2, 3), 3)
+    for values in ([0.5, 1.5], np.array([0.5, 1.5])):
+        with pytest.raises(ValueError, match="integers"):
+            SumSet(values)
+    with pytest.raises(ValueError, match="integers"):
+        SumSet.of([2.5])
+    assert SumSet([0.0, 1.0]) == SumSet((0, 1))
+
+
 def test_normalize_complements_large_targets():
     res = normalize(Instance((3, 5), 7))
     assert res.complemented and res.trivial is None

@@ -19,7 +19,7 @@ from subsetsum.colorcoding import GroupSumsets
 from subsetsum.solver import solve
 from subsetsum.sumset import FALLBACK_MAX_BITS, Flat, cap, common_step
 
-from oracles import merge_bounds, multiset, per_copy_subset_sums, subset_sums
+from oracles import ascending_family, merge_bounds, multiset, per_copy_subset_sums, subset_sums
 
 
 def _pipeline_inputs(items, t, w, n, q, seed, budget_mult=1.0):
@@ -186,7 +186,7 @@ def test_checked_merge_rejects_an_exact_set_without_its_group_sum():
     # the merge takes an exact set's maximum to be its group's sum without
     # reading the set; checked mode reads the sets and compares
     groups = ((3, 5), (6,), (7, 2), (4,))
-    family = GroupFamily(Flat.of(groups), 4)
+    family = ascending_family(groups, 4)
     params = color_params(6, 10, 8, 0.3)
     sets = [subset_sums(g) for g in groups]
     sets[2] = sets[2][:-1]  # lacks sigma = 9, as a never-complete group does
@@ -204,7 +204,7 @@ def test_checked_merge_rejects_a_dp_root_unlike_the_kernel_s(monkeypatch):
     # these groups collapse the merge; checked mode also runs every level
     # through the kernel and compares the roots on the window
     groups = ((3, 5), (6,), (7, 2), (4,))
-    family = GroupFamily(Flat.of(groups), 4)
+    family = ascending_family(groups, 4)
     params = color_params(6, 10, 8, 0.3)
     staged = GroupSumsets(Flat.of([subset_sums(g) for g in groups]), params, True)
     args = (staged, family, 10, 8, 6, 0.3)

@@ -6,8 +6,9 @@ references, colour coding's stage two against its materialized
 reference, the merge tree (shallow and deep, collapsed to one windowed
 DP or not) against its values-level reference, the windowed DP (from
 {0} or from a start set, its interval step included) against
-brute-force subset sums, sigma(D) as a bound on stage two's level
-excess, and `solve` on pipeline-sized instances."""
+brute-force subset sums, the sparse dense-part result inside its
+window, sigma(D) as a bound on stage two's level excess, and `solve` on
+pipeline-sized instances."""
 
 import math
 from collections import Counter
@@ -29,10 +30,9 @@ from subsetsum.colorcoding import (
 )
 from subsetsum.core import Instance, SolverConfig, SumSet, ceil_log2, rng_stream, target_window
 from subsetsum.merge import DenseEvidence, merge_group_sumsets
-from subsetsum.solver import bounded_subset_sums, fallback_dp, small_target_gate, solve
+from subsetsum.solver import bounded_subset_sums, fallback_dp, small_target_gate, solve, solve_d_window
 from subsetsum.structure import partition_instance
 from subsetsum.sumset import (
-    PAIRWISE_LIMIT,
     Flat,
     _pair_level,
     cap,
@@ -41,6 +41,7 @@ from subsetsum.sumset import (
 )
 
 from oracles import (
+    ascending_family,
     full_subset_sums,
     level_of,
     materialized_stage_two,
@@ -63,10 +64,11 @@ def _values(draw, size, hi=6000):
 @st.composite
 def _kernel_case(draw):
     """(a, b, path, hull limit): sizes and limit chosen so that the
-    dispatcher takes `path`: enumeration, a one-pair level without a
-    split, or a level that splits."""
-    path = draw(st.sampled_from(["pairwise", "level", "split"]))
-    if path == "pairwise":
+    dispatcher takes `path`: a one-pair level without a split, of tiny
+    operands (which `dense_sumset` once enumerated) or of larger ones, or
+    a level that splits."""
+    path = draw(st.sampled_from(["tiny", "level", "split"]))
+    if path == "tiny":
         a, b = _values(draw, draw(st.integers(1, 40))), _values(draw, draw(st.integers(1, 40)))
     elif path == "level":
         a, b = _values(draw, draw(st.integers(50, 90))), _values(draw, draw(st.integers(50, 90)))
@@ -109,9 +111,7 @@ def test_dense_sumset_and_cap_match_oracle(case, bounds):
         got = dense_sumset(SumSet(a), SumSet(b))
     expected = tuple(pairwise_sumset(a, b))
     assert tuple(got.values.tolist()) == expected
-    if path == "pairwise":
-        assert len(a) * len(b) <= PAIRWISE_LIMIT and levels == []
-    elif path == "level":
+    if path != "split":
         assert (levels, splits) == ([2], [])
     else:
         assert levels[0] == 2 and splits and all(h <= limit for h in hulls)
@@ -129,8 +129,8 @@ _PROBE = st.one_of(
 )
 
 
-# a progression of up to 80 values, so that some pairs exceed
-# PAIRWISE_LIMIT and go through the level kernel
+# a progression of up to 80 values: operands of many values in one run of
+# step 7
 _PROGRESSION = st.builds(
     lambda start, count: list(range(start, start + 7 * count, 7)),
     st.sampled_from([0, 1000, (1 << 62) - 1000]),
@@ -835,6 +835,36 @@ def _divisor_instance(draw):
     return Instance(items, draw(st.integers(1, sum(items))))
 
 
+@pytest.mark.parametrize("checked", [False, True], ids=["unchecked", "checked"])
+@pytest.mark.parametrize("eta_mult", [1.0, 1e-9], ids=["collapse", "kernel"])
+@given(
+    pairs=st.lists(st.tuples(st.integers(2, 16), st.integers(1, 6)), min_size=4, max_size=10),
+    t_frac=st.floats(0.05, 0.66),
+    w_frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 99),
+)
+@settings(max_examples=30, deadline=None)
+def test_sparse_d_window_lies_in_its_window(eta_mult, checked, pairs, t_frac, w_frac, seed):
+    # the sparse result lies in [max(t - window, 0), t] with no cap after
+    # the merge: a collapsing merge reads its DP back on the window, and
+    # the kernel's root is capped to it.  At eta_mult = 1e-9, eta + 1 is
+    # window + 2, below sigma(D) here, so no merge collapses; checked mode
+    # runs the kernel after the DP too
+    items = [v for v, c in pairs for _ in range(c)]
+    sigma = sum(items)
+    t = max(1, int(t_frac * sigma))  # at most 2 sigma / 3, as stage one needs
+    window = int(w_frac * t)
+    steps = []
+    collapse_step = merge._collapse_step
+    config = SolverConfig(seed=seed, eta_mult=eta_mult, checked_mode=checked)
+    with mock.patch.object(merge, "_collapse_step", lambda *a: steps.append(collapse_step(*a)) or steps[-1]):
+        got = solve_d_window(multiset(items), t, max(items), len(items), config, window)
+    assert isinstance(got, SumSet)
+    assert (steps[0] > 0) == (eta_mult == 1.0)
+    assert got.is_empty or max(t - window, 0) <= got.min() <= got.max() <= t
+    assert set(got) <= set(per_copy_subset_sums(items))
+
+
 @given(inst=_divisor_instance())
 @settings(max_examples=150, deadline=None)
 def test_partition_instance_matches_per_item_reference(inst):
@@ -941,7 +971,7 @@ def _small_family(draw):
     for _ in range(draw(st.sampled_from([1, 2, 4, 8]))):
         mult = draw(st.sampled_from([1, 1, 1, 3]))
         groups.append(tuple(mult * x for x in draw(st.lists(st.integers(1, 12), max_size=6))))
-    return GroupFamily(Flat.of(groups), sum(1 for g in groups if g))
+    return ascending_family(groups, sum(1 for g in groups if g))
 
 
 class _DrawSpy:
