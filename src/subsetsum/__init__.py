@@ -4,9 +4,10 @@ Decides whether a subset of positive integers sums to a target, with
 one-sided error: certified-path yes answers are always correct, and
 yes-instances are missed with small configurable probability.  Exports
 the instance and outcome types, the pipeline's stages (the structural
-split, the grouping stages, the merge and its dense-evidence check), the
-exact DPs a solve runs (`fallback_dp` and `bounded_subset_sums`, both
-the window DP over a multiset), and a CLI (`subsetsum --help`).
+split, the grouping stages, the merge and its self-checking dense
+evidence), the exact DPs a solve runs (`fallback_dp` and
+`bounded_subset_sums`, both the window DP over a multiset), and a CLI
+(`subsetsum --help`).
 
 Sets and records hold int64 arrays: `SumSet.values`, the parts of an
 `InstancePartition`, `GroupFamily.group_sums`, and the per-node fields
@@ -28,7 +29,7 @@ from .core import (
 from .sumset import cap, dense_sumset
 from .structure import InstancePartition, partition_instance
 from .colorcoding import GroupFamily, GroupSumsets, build_group_sumsets, partition_groups
-from .merge import DenseEvidence, assemble_dense_evidence, merge_group_sumsets
+from .merge import DenseEvidence, merge_group_sumsets
 from .solver import (
     BranchReport,
     bounded_subset_sums,
@@ -58,7 +59,6 @@ __all__ = [
     "partition_groups",
     "build_group_sumsets",
     "DenseEvidence",
-    "assemble_dense_evidence",
     "merge_group_sumsets",
     "BranchReport",
     "bounded_subset_sums",

@@ -56,16 +56,16 @@ permuted-order subtree sums of the original group maxima, an exact
 upper bound on each node's maximum and lower bound on its subtree
 element sum), the tripped threshold and, for a trip here, the maxima of
 the nodes computed before the stop, each per-node field the int64 array
-the stage passes.  The three numeric conditions checked in
-`assemble_dense_evidence` are exactly what the downstream interval
-decision relies on.
+the stage passes.  The record checks its three numeric conditions when
+it is constructed, so every DenseEvidence that exists meets them; they
+are exactly what the downstream interval decision relies on.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Optional, Union
 
 import numpy as np
 
@@ -81,13 +81,18 @@ class DenseEvidence:
 
     Sets that are exactly {0} (size 1, zero weight, zero subtree sum)
     are carried as trivial_sets; the per-node fields describe the
-    remaining sets, each an int64 array in node order.  set_sizes are
-    exact for computed nodes and conservative lower bounds for nodes
-    after the stop; f_values and sigma_values are exact for every node.
-    max_values is None (phase two, where f is each node's maximum) or the
-    maxima of the nodes computed before the stop (phase three), a prefix
-    of the node order.  Records compare equal field by field, the arrays
-    by their values.  The three conditions (checked on assembly):
+    remaining sets, each read into an int64 array in node order (an int64
+    array is held as it is).  set_sizes are exact for computed nodes and
+    conservative lower bounds for nodes after the stop; f_values and
+    sigma_values are exact for every node.  max_values is None (phase
+    two, where f is each node's maximum) or the maxima of the nodes
+    computed before the stop (phase three), a prefix of the node order.
+    num_sets, trivial_sets plus the retained sets, is derived.  Records
+    compare equal field by field, the arrays by their values.
+
+    Construction checks the three conditions, and that rho >= 1, that the
+    per-node fields have one entry per retained set (max_values at most
+    one) and that every maximum is at most its node's weight:
 
       (i)   total size >= threshold, with threshold = number of sets
             plus the budget tail 4 * c_ap * rho * u_prime * ceil(log2 u_prime),
@@ -95,6 +100,9 @@ class DenseEvidence:
             by budget_mult, its one scale (`colorcoding._budget_tail`);
       (ii)  max(S_i) <= f(S_i) <= sigma(D_i) for every retained set;
       (iii) 3t/2 <= total weight <= rho * t / 2.
+
+    A violation means the solver's own accounting is broken, so it raises
+    InternalConsistencyError rather than reporting bad input.
     """
 
     source: str  # 'phase-two' | 'phase-three'
@@ -104,7 +112,7 @@ class DenseEvidence:
     level: int
     threshold: int
     observed_total_size: int
-    num_sets: int
+    num_sets: int = field(init=False)
     trivial_sets: int
     set_sizes: np.ndarray
     f_values: np.ndarray
@@ -113,63 +121,28 @@ class DenseEvidence:
 
     __eq__ = array_fields_eq
 
-
-def assemble_dense_evidence(
-    source: str,
-    t: int,
-    rho: int,
-    u_prime: int,
-    level: int,
-    threshold: int,
-    observed_total_size: int,
-    set_sizes: Sequence[int],
-    f_values: Sequence[int],
-    sigma_values: Sequence[int],
-    max_values: Optional[Sequence[int]] = None,
-    trivial_sets: int = 0,
-) -> DenseEvidence:
-    """Build evidence from trip bookkeeping, asserting its conditions.
-
-    The per-node fields may be lists or int64 arrays (the stages pass
-    arrays, which the checks and the evidence take as they are).  A
-    violation here means the solver's own accounting is broken, so it
-    raises InternalConsistencyError rather than reporting bad input.
-    """
-    if rho < 1:
-        raise InternalConsistencyError("evidence requires a positive density factor")
-    sizes, f = np.asarray(set_sizes, dtype=np.int64), np.asarray(f_values, dtype=np.int64)
-    sigma = np.asarray(sigma_values, dtype=np.int64)
-    num_sets = trivial_sets + len(sizes)
-    if len(f) != len(sizes):
-        raise InternalConsistencyError("size/weight bookkeeping length mismatch")
-    if trivial_sets + int(sizes.sum()) < threshold:
-        raise InternalConsistencyError("trip recorded but sizes below threshold")
-    total_f = int(f.sum())
-    if 2 * total_f < 3 * t:
-        raise InternalConsistencyError("weight sum below 3t/2")
-    if 2 * total_f > rho * t:
-        raise InternalConsistencyError("weight sum above rho*t/2")
-    if np.any(f > sigma):
-        raise InternalConsistencyError("weight exceeds subtree sum")
-    if max_values is not None:
-        max_values = np.asarray(max_values, dtype=np.int64)
-        if np.any(max_values > f[: len(max_values)]):
+    def __post_init__(self) -> None:
+        if self.rho < 1:
+            raise InternalConsistencyError("evidence requires a positive density factor")
+        sizes, f, sigma = (
+            np.asarray(a, dtype=np.int64) for a in (self.set_sizes, self.f_values, self.sigma_values)
+        )
+        maxes = None if self.max_values is None else np.asarray(self.max_values, dtype=np.int64)
+        self.set_sizes, self.f_values, self.sigma_values, self.max_values = sizes, f, sigma, maxes
+        self.num_sets = self.trivial_sets + len(sizes)
+        if not len(sizes) == len(f) == len(sigma) or (maxes is not None and len(maxes) > len(f)):
+            raise InternalConsistencyError("size/weight bookkeeping length mismatch")
+        if self.trivial_sets + int(sizes.sum()) < self.threshold:
+            raise InternalConsistencyError("trip recorded but sizes below threshold")
+        total_f = int(f.sum())
+        if 2 * total_f < 3 * self.t:
+            raise InternalConsistencyError("weight sum below 3t/2")
+        if 2 * total_f > self.rho * self.t:
+            raise InternalConsistencyError("weight sum above rho*t/2")
+        if np.any(f > sigma):
+            raise InternalConsistencyError("weight exceeds subtree sum")
+        if maxes is not None and np.any(maxes > f[: len(maxes)]):
             raise InternalConsistencyError("set maximum exceeds weight")
-    return DenseEvidence(
-        source=source,
-        t=t,
-        rho=rho,
-        u_prime=u_prime,
-        level=level,
-        threshold=threshold,
-        observed_total_size=observed_total_size,
-        num_sets=num_sets,
-        trivial_sets=trivial_sets,
-        set_sizes=sizes,
-        f_values=f,
-        sigma_values=sigma,
-        max_values=max_values,
-    )
 
 
 def evidence_from_color_trip(signal: DenseTripSignal, t: int) -> DenseEvidence:
@@ -179,7 +152,7 @@ def evidence_from_color_trip(signal: DenseTripSignal, t: int) -> DenseEvidence:
     sum of its parts' maxima), so condition (ii) holds by construction
     and is re-checked against the recorded subtree sums.
     """
-    return assemble_dense_evidence(
+    return DenseEvidence(
         source="phase-two",
         t=t,
         rho=signal.rho,
@@ -187,10 +160,10 @@ def evidence_from_color_trip(signal: DenseTripSignal, t: int) -> DenseEvidence:
         level=signal.level,
         threshold=signal.threshold,
         observed_total_size=signal.observed_total_size,
+        trivial_sets=signal.trivial_nodes,
         set_sizes=signal.node_sizes,
         f_values=signal.node_f,
         sigma_values=signal.node_sigma,
-        trivial_sets=signal.trivial_nodes,
     )
 
 
@@ -269,7 +242,7 @@ def merge_group_sumsets(
             rest = cur.sizes()[2 * len(out) :]
             maxes = np.zeros(len(out), dtype=np.int64)
             maxes[filled] = tops
-            return assemble_dense_evidence(
+            return DenseEvidence(
                 "phase-three",
                 t,
                 rho,
@@ -277,6 +250,7 @@ def merge_group_sumsets(
                 h,
                 budget,
                 observed,
+                0,  # trivial_sets
                 np.append(sizes, (rest[0::2] > 0) & (rest[1::2] > 0)),
                 f,
                 sig,

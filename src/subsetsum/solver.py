@@ -113,15 +113,13 @@ def fallback_dp(multiset: tuple[Sequence[int], Sequence[int]], t: int) -> bool:
     The package's shift-or DP (`sumset.window_subset_sums`) cut at t, with
     only bit t read back, in units of the values' gcd: every subset sum
     is a multiple of it, so a t it does not divide is a no before any
-    budget.  Otherwise the DP's mask of t // gcd + 1 bits must fit in
-    FALLBACK_MAX_BITS, or OracleBudgetError is raised.
+    budget (for it, as for a negative t, the DP's window [t, t] holds no
+    multiple of the gcd and no mask is built, but the DP still refuses a
+    malformed multiset).  Otherwise the DP's mask of t // gcd + 1 bits
+    must fit in FALLBACK_MAX_BITS, or OracleBudgetError is raised.
     """
-    if t < 0:
-        return False
     step = common_step(np.asarray(multiset[0], dtype=np.int64))
-    if t % step:
-        return False
-    if t // step + 1 > FALLBACK_MAX_BITS:
+    if t % step == 0 and t // step + 1 > FALLBACK_MAX_BITS:
         raise OracleBudgetError(f"DP budget exceeded: t // {step} + 1 = {t // step + 1} bits")
     return not window_subset_sums(multiset, t, t, step).is_empty
 

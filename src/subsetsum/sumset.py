@@ -84,7 +84,8 @@ HULL_FFT_LIMIT = 1 << 22
 # budgeted stage two, groups that never complete, checked mode (whose
 # merge runs every level to compare with the collapsed root) and merges
 # that do not collapse (a level can cap or trip, or the DP's mask is past
-# FALLBACK_MAX_BITS); the constants were not re-measured on that traffic.
+# FALLBACK_MAX_BITS); the constants were not re-measured on that traffic,
+# the scatter skip was (see `_level_chunk`).
 #
 # A level pair goes to the run kernel when its r_a * r_b run pairs (runs
 # of the level's common step g) number at most (hull / g) / RUN_HULL_RATIO
@@ -375,11 +376,12 @@ def _level_chunk(
     for pairs, counts, piece_runs, _, _ in pieces:
         sizes[pairs] = counts
         nruns[pairs] = piece_runs
-    # one kernel took every live pair, in pair order: skipping the scatter
-    # took the kernel on the merge levels of seed 7 from 0.52 to 0.39 s
-    # (`sparse-ladder`) and from 0.27 to 0.19 s (`grouped`), measured
-    # before those merges collapsed (see RUN_PAIRS_MIN for what reaches
-    # the kernel now)
+    # one kernel took every live pair, in pair order: its runs are the
+    # chunk's.  On dense n=250,000, w=2, t=201 (seed 1, unchecked), whose
+    # stage two runs groups that never complete through the level loop,
+    # 1,481 of 1,492 chunks take this path, and skipping the scatter
+    # took the solve from 1,096 to 1,063 ms (medians of 5 alternating
+    # runs, best of 3 each; 2-core x86 VM, numpy 2.4)
     if len(pieces) == 1:
         return sizes, nruns, pieces[0][3], pieces[0][4]
     offs = _offsets(nruns)
@@ -551,8 +553,6 @@ def _split_pair(level: Level, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 # and the merge's collapse build (256 MiB): past it the first raises
 # OracleBudgetError and the second leaves the merge to the level kernel
 FALLBACK_MAX_BITS = 1 << 31
-# the low 64 bits of a mask
-_WORD = (1 << 64) - 1
 
 
 def window_subset_sums(
@@ -569,7 +569,8 @@ def window_subset_sums(
     set, and no values give start's values in [lo, hi].  The values are
     read as they come, in any order and possibly repeated: distinct
     ascending values (the form of `Instance.multiset`) step intervals
-    fastest, and no item-sized array is built.
+    fastest, and no item-sized array is built.  ValueError unless there is
+    one count per value and every value and count is at least 1.
 
     One shift-or DP on a Python int, bit v standing for the value
     base + v * step, where base is start's minimum (Pisinger, "Dynamic
@@ -589,18 +590,24 @@ def window_subset_sums(
     last bit kept.  The distinct values are taken in ascending order, so
     once the small ones have filled an interval, every larger value that
     the interval reaches costs O(1).  A value past reach + 1 (or a start
-    that is not an interval) goes through the shifts, and the mask is
-    checked again afterwards; once the interval reaches top no value can
-    change it.  An interval start is read as its size alone (its bits,
-    2^size - 1, are built only for a value that needs the shifts), and an
-    interval result is read back with one `np.arange`.
+    that is not an interval) goes through the shifts, and so does every
+    value after it: from an interval start with ascending values the
+    shifted value v leaves the gap (reach, v), which no later value can
+    fill, so the mask never becomes an interval again.  Once the interval
+    reaches top no value can change it.  An interval start is read as its
+    size alone (its bits, 2^size - 1, are built only for a value that
+    needs the shifts), and an interval result is read back with one
+    `np.arange`.
     """
     values, counts = (np.asarray(a, dtype=np.int64) for a in multiset)
+    units, copies = (values // step if step > 1 else values).tolist(), counts.tolist()
+    if len(units) != len(copies) or (units and (min(units) < 1 or min(copies) < 1)):
+        raise ValueError("a multiset needs one count per value, and every value and count >= 1")
     if start is None:
         base = 0
     elif start.is_empty:
         return SumSet.empty()
-    elif not values.size and lo <= hi:
+    elif not units and lo <= hi:
         # no values: start's own values.  Every benchmark solve has an empty
         # leftover part, so its dense-branch combine lands here, in ~9-16 us
         # where the bits took ~30-42 us (2-core x86 VM, numpy 2.4)
@@ -618,7 +625,7 @@ def window_subset_sums(
             mask = _values_to_bits((kept - base) // step if step > 1 else kept - base)
         reach = kept.size - 1
     limit = (1 << (top + 1)) - 1
-    for v, c in zip((values // step if step > 1 else values).tolist(), counts.tolist()):
+    for v, c in zip(units, copies):
         if mask is None:
             if reach == top:
                 break
@@ -634,10 +641,6 @@ def window_subset_sums(
             mask |= (mask << v * k) & limit
             c -= k
             k *= 2
-        # the low word first: a mask with a gap there is no interval
-        low = mask & _WORD
-        if low & (low + 1) == 0 and mask & (mask + 1) == 0:
-            mask, reach = None, mask.bit_length() - 1
     if mask is None:
         return SumSet(np.arange(base + first * step, base + reach * step + 1, step, dtype=np.int64))
     units = _bits_to_values(mask >> first) + first

@@ -378,7 +378,6 @@ def reference_merge(
                 "level": level,
                 "threshold": budget,
                 "observed_total_size": running,
-                "num_sets": nodes,
                 "trivial_sets": 0,
                 # a node after the stop has size >= 1 unless an operand is empty
                 "set_sizes": [len(z) for z in out] + rest_sizes,

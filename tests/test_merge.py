@@ -10,11 +10,7 @@ from subsetsum.colorcoding import (
     color_params,
     partition_groups,
 )
-from subsetsum.merge import (
-    DenseEvidence,
-    assemble_dense_evidence,
-    merge_group_sumsets,
-)
+from subsetsum.merge import DenseEvidence, merge_group_sumsets
 from subsetsum.colorcoding import GroupSumsets
 from subsetsum.solver import solve
 from subsetsum.sumset import FALLBACK_MAX_BITS, Flat, cap, common_step
@@ -141,45 +137,60 @@ def test_merge_trip_at_deeper_levels_keeps_f_sum():
     assert seen_levels, "expected at least one budget trip"
 
 
-def test_assemble_evidence_rejects_bad_bookkeeping():
-    with pytest.raises(InternalConsistencyError):
-        assemble_dense_evidence(
-            "phase-three", t=10, rho=4, u_prime=100, level=1, threshold=50,
-            observed_total_size=50, set_sizes=[5, 5], f_values=[20, 20], sigma_values=[20, 20],
+def test_evidence_rejects_bad_bookkeeping_on_construction():
+    # every DenseEvidence passes its checks when constructed
+    with pytest.raises(InternalConsistencyError, match="sizes below threshold"):
+        DenseEvidence(
+            "phase-three", t=10, rho=4, u_prime=100, level=1, threshold=50, observed_total_size=50,
+            trivial_sets=0, set_sizes=[5, 5], f_values=[20, 20], sigma_values=[20, 20],
         )  # sizes sum 10 < threshold 50
-    with pytest.raises(InternalConsistencyError):
-        assemble_dense_evidence(
-            "phase-three", t=10, rho=4, u_prime=100, level=1, threshold=5,
-            observed_total_size=5, set_sizes=[5, 5], f_values=[2, 2], sigma_values=[2, 2],
+    with pytest.raises(InternalConsistencyError, match="weight sum below 3t/2"):
+        DenseEvidence(
+            "phase-three", t=10, rho=4, u_prime=100, level=1, threshold=5, observed_total_size=5,
+            trivial_sets=0, set_sizes=[5, 5], f_values=[2, 2], sigma_values=[2, 2],
         )  # weight sum 4 below 3t/2
-    with pytest.raises(InternalConsistencyError):
-        assemble_dense_evidence(
-            "phase-three", t=10, rho=1, u_prime=100, level=1, threshold=5,
-            observed_total_size=5, set_sizes=[5, 5], f_values=[20, 20], sigma_values=[20, 20],
+    with pytest.raises(InternalConsistencyError, match="weight sum above rho"):
+        DenseEvidence(
+            "phase-three", t=10, rho=1, u_prime=100, level=1, threshold=5, observed_total_size=5,
+            trivial_sets=0, set_sizes=[5, 5], f_values=[20, 20], sigma_values=[20, 20],
         )  # weight sum 40 above rho*t/2 = 5
     # per-node conditions: f <= subtree sum, and a computed node's maximum
     # <= f (the maxima cover a prefix of the nodes)
     valid = dict(
         source="phase-three", t=10, rho=4, u_prime=100, level=1, threshold=5,
-        observed_total_size=5, set_sizes=[5, 5], f_values=[10, 10],
+        observed_total_size=5, trivial_sets=0, set_sizes=[5, 5], f_values=[10, 10],
     )
+    with pytest.raises(InternalConsistencyError, match="positive density factor"):
+        DenseEvidence(**{**valid, "rho": 0}, sigma_values=[10, 10])
+    for sigma, maxes in (([10], None), ([10, 10, 10], None), ([10, 10], [10, 10, 10])):
+        with pytest.raises(InternalConsistencyError, match="length mismatch"):
+            DenseEvidence(**valid, sigma_values=sigma, max_values=maxes)
+    with pytest.raises(InternalConsistencyError, match="length mismatch"):
+        DenseEvidence(**{**valid, "f_values": [10, 10, 0]}, sigma_values=[10, 10])
     with pytest.raises(InternalConsistencyError, match="weight exceeds subtree sum"):
-        assemble_dense_evidence(**valid, sigma_values=[10, 9])
+        DenseEvidence(**valid, sigma_values=[10, 9])
     with pytest.raises(InternalConsistencyError, match="set maximum exceeds weight"):
-        assemble_dense_evidence(**valid, sigma_values=[10, 10], max_values=[11])
+        DenseEvidence(**valid, sigma_values=[10, 10], max_values=[11])
     with pytest.raises(InternalConsistencyError, match="set maximum exceeds weight"):
-        assemble_dense_evidence(**valid, sigma_values=[10, 10], max_values=[10, 11])
-    ev = assemble_dense_evidence(**valid, sigma_values=[10, 10], max_values=[10])
+        DenseEvidence(**valid, sigma_values=[10, 10], max_values=[10, 11])
+    ev = DenseEvidence(**valid, sigma_values=[10, 10], max_values=[10])
     assert np.array_equal(ev.max_values, [10])
-    # the stages pass int64 arrays, and the evidence holds them
+    # num_sets is derived: the trivial sets plus the retained ones
+    assert ev.num_sets == 2
+    assert DenseEvidence(**{**valid, "trivial_sets": 3}, sigma_values=[10, 10]).num_sets == 5
+    with pytest.raises(TypeError):
+        DenseEvidence(**valid, sigma_values=[10, 10], num_sets=2)
+    # the stages pass int64 arrays, and the evidence holds them; lists are
+    # read into int64 arrays
     arrays = {k: np.asarray(v) if isinstance(v, list) else v for k, v in valid.items()}
-    got = assemble_dense_evidence(**arrays, sigma_values=np.array([10, 10]), max_values=np.array([10]))
+    got = DenseEvidence(**arrays, sigma_values=np.array([10, 10]), max_values=np.array([10]))
     assert got == ev
-    for values in (got.set_sizes, got.f_values, got.sigma_values, got.max_values):
-        assert values.dtype == np.int64
-    assert got != assemble_dense_evidence(**arrays, sigma_values=np.array([10, 10]))
+    for record in (got, ev):
+        for values in (record.set_sizes, record.f_values, record.sigma_values, record.max_values):
+            assert values.dtype == np.int64
+    assert got != DenseEvidence(**arrays, sigma_values=np.array([10, 10]))
     with pytest.raises(InternalConsistencyError, match="weight exceeds subtree sum"):
-        assemble_dense_evidence(**arrays, sigma_values=np.array([10, 9]))
+        DenseEvidence(**arrays, sigma_values=np.array([10, 9]))
 
 
 def test_checked_merge_rejects_an_exact_set_without_its_group_sum():

@@ -332,8 +332,8 @@ def _interval_dp_case(draw):
 @example(case=([1, 1, 1, 4, 4, 20], 2, 40, 1, None, "sorted-array"))
 # no 1: the shifts from the first value on, and no interval afterwards
 @example(case=([4, 4, 6, 10], 0, 30, 2, None, "shuffled-list"))
-# a scattered start {0, 2, 4} that the 1s fill to [0, 6] (shifts, then the
-# check finds an interval), 3 stepped to [0, 9], 20 shifted past it
+# a scattered start {0, 2, 4} that the 1s fill to [0, 6] through the shifts;
+# the DP stays on the mask for 3, which fills [0, 9], and for 20
 @example(case=([1, 1, 3, 20], 0, 40, 1, [0, 2, 4], "sorted-list"))
 # an interval start stepped to hi: the rest cannot change it
 @example(case=([3, 3, 6, 9, 300], 100, 118, 3, [100 + 3 * k for k in range(6)], "shuffled-array"))
@@ -583,6 +583,7 @@ def test_merge_matches_values_reference():
             outcomes.append(("root", len(ref) < len(subset_sums(items))))
         else:
             assert got == DenseEvidence(**ref)
+            assert got.num_sets == family.ell >> ref["level"]
             outcomes.append(("evidence", ref["level"]))
 
     check()
@@ -661,6 +662,7 @@ def test_deep_merge_matches_values_reference():
             rng_stream(seed, "p3"), eta_mult, budget_mult, 0,
         )
         assert got == (cap(SumSet(ref), t, t) if kind == "root" else DenseEvidence(**ref))
+        assert kind == "root" or got.num_sets == ell >> ref["level"]
         # a collapse is the windowed DP (window 0: [t, t]) and, unchecked, no
         # kernel level; otherwise the kernel runs every level up to the root
         # or the trip
@@ -759,6 +761,7 @@ def test_merge_collapse_matches_values_reference():
         )
         want = cap(SumSet(ref), lo, t) if kind == "root" else DenseEvidence(**ref)
         assert got == want and checked == want
+        assert kind == "root" or got.num_sets == ell >> ref["level"]
         if collapse:
             assert dps == [(lo, t, step)] and kernel_levels == []
         else:

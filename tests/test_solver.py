@@ -82,6 +82,31 @@ def test_fallback_dp_decides_a_target_the_gcd_does_not_divide_before_its_budget(
         fallback_dp(inst.multiset, 2**33)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ([1, 2, 4], [1]),  # one count for three values: read as {1}
+        ([-1], [1]),  # a negative value: read as no sums at all
+        ([0, 3], [1, 1]),
+        ([5], [-2]),  # a negative count: numpy's "negative shift count"
+        ([5], [0]),
+        ([], [1]),
+    ],
+)
+def test_the_window_dp_refuses_a_malformed_multiset(bad):
+    with pytest.raises(ValueError, match="one count per value"):
+        bounded_subset_sums(bad, 10)
+    with pytest.raises(ValueError, match="one count per value"):
+        sumset.window_subset_sums(bad, 0, 10, start=SumSet([0, 7]))
+    # neither a negative t nor a t that the values' gcd does not divide (7
+    # against 2 and 4, below) returns before the check
+    for t in (-1, 7, 10):
+        with pytest.raises(ValueError, match="one count per value"):
+            fallback_dp(bad, t)
+    with pytest.raises(ValueError, match="one count per value"):
+        fallback_dp(([2, 4], [1]), 7)
+
+
 def test_solve_astronomical_target_refuses_cleanly():
     # any nontrivial target with 2**52-scale items is beyond every
     # pseudo-polynomial budget; the refusal must be a clear error
