@@ -680,24 +680,29 @@ def _unbudgeted_sumsets(
         return GroupSumsets.complete(family, params)
     g, ell = params.g, family.ell
     sizes = family.sizes()
-    owner = np.repeat(np.arange(ell, dtype=np.int64), sizes)
-    # flat element positions of the groups not yet complete, with the parts
-    # they were drawn into in each repetition so far
-    open_pos = np.flatnonzero(sizes[owner] >= 2)
+    multi = np.flatnonzero(sizes >= 2)
+    # flat element positions of the groups not yet complete and their
+    # groups, group-major, with the parts they were drawn into in each
+    # repetition so far; singletons are never looked at
+    open_pos = _segment_index(family.offs[multi], sizes[multi])
+    open_owner = np.repeat(multi, sizes[multi])
     records: list[tuple[np.ndarray, np.ndarray]] = []
     for _ in range(params.reps):
         if open_pos.size == 0:
             break
-        draws = rng.integers(0, g, size=owner.size)[open_pos]
-        keys = np.sort(owner[open_pos] * g + draws)
+        draws = rng.integers(0, g, size=family.element_count)[open_pos]
+        # the default sort, not a stable one: on the first repetition's
+        # 14,791 keys of dense n=35,294, w=16, t=30,000 (seed 1) it took
+        # 75 us and timsort 97-100 us (x86 VM with AVX-512, numpy 2.4)
+        keys = np.sort(open_owner * g + draws)
         shared = np.zeros(ell, dtype=bool)
         shared[keys[1:][keys[1:] == keys[:-1]] // g] = True
-        still_open = shared[owner[open_pos]]
-        open_pos = open_pos[still_open]
+        still_open = shared[open_owner]
+        open_pos, open_owner = open_pos[still_open], open_owner[still_open]
         records.append((open_pos, draws[still_open]))
     if open_pos.size == 0:
         return GroupSumsets.complete(family, params)
-    open_groups = np.unique(owner[open_pos])
+    open_groups = np.unique(open_owner)
     draws = (drawn[np.isin(pos, open_pos)] for pos, drawn in records)
     open_sets = _untripped_sets(family.groups.take(open_groups), params, draws)
     return GroupSumsets(_group_sets(family, params, open_groups, open_sets), params)

@@ -169,7 +169,10 @@ class SumSet:
     stores a read-only copy, so a caller's array is never aliased; `of`
     takes any iterable of integers.  Values outside int64, values that are
     not integers, negative or non-increasing values and arrays that are
-    not 1-D raise ValueError.
+    not 1-D raise ValueError.  A set that the package builds in order
+    (the window DP's results, `sumset.cap`'s slices and the dense
+    interval) is held as built, read-only, without that copy and scan
+    (`_built_sumset`).
     Iteration, `len`, `in`, `min`, `max` and `dm` give Python ints and
     bools.  Two SumSets are equal when they hold the same values, and hash
     by them.  The empty set is allowed and means "no achievable sum"; by
@@ -229,6 +232,17 @@ class SumSet:
     def dm(self) -> int:
         """Diameter max - min + 1 (1 for the empty set)."""
         return self.max() - self.min() + 1
+
+
+def _built_sumset(values: np.ndarray) -> SumSet:
+    """The SumSet that holds values, a strictly increasing, non-negative,
+    1-D int64 array that the package built in that order and nobody else
+    holds writable (or a slice of a SumSet's values): marked read-only and
+    held as it is, neither copied nor scanned."""
+    values.flags.writeable = False
+    out = object.__new__(SumSet)
+    object.__setattr__(out, "values", values)
+    return out
 
 
 @dataclass(frozen=True)

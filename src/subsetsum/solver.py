@@ -29,7 +29,13 @@ started from X's bits.  X lies in [t - window, t], and its bits are
 offset by X's minimum, so the mask spans at most the window plus the
 added items' sum, never t.  X is S_D on the sparse path, where the
 leftover and residue items are added; on the dense path it is the
-interval's d-multiples, and only the leftover items are added.
+interval's d-multiples, and only the leftover items are added.  The DP
+runs in units of the gcd of X's step and the added values: X's step is
+the gcd of the dense part's distinct values on the sparse path (S_D is
+a set of subset sums of D) and d on the dense path, both read from a
+few distinct values, never from X.  So on the all-even no-instances
+the combine runs in units of 2, where S_D is an interval that the DP
+steps without a shift, instead of through a mask at step 1.
 
 All randomness is drawn from streams derived from the configured seed,
 so runs are reproducible bit for bit; each stage's stream is created on
@@ -52,6 +58,7 @@ from .core import (
     SolveOutcome,
     SolverConfig,
     SumSet,
+    _built_sumset,
     ceil_log2,
     normalize,
     rng_stream,
@@ -150,7 +157,8 @@ def dense_interval_set(d: int, t: int, w: int) -> SumSet:
     width = int(math.sqrt(w * t) * math.log2(max(w, 2)))
     lo = max(t - width, 0)
     first = ((lo + d - 1) // d) * d
-    return SumSet(np.arange(first, t + 1, d, dtype=np.int64))
+    # stop a whole step past the last multiple (see `window_subset_sums`)
+    return _built_sumset(np.arange(first, t - t % d + d, d, dtype=np.int64))
 
 
 class _Stream:
@@ -290,13 +298,17 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveOut
             report.branch = "dense"
             start = dense_interval_set(part.divisor, t, w)
             report.s_rd_size = len(start)
+            start_step = part.divisor
             added, sigma_added = part.leftover_multiset, sigma_g
         else:
             start = result
             report.s_d_size = len(start)
+            # S_D is a set of subset sums of D
+            start_step = common_step(part.dense_multiset[0])
             added = _union(part.leftover_multiset, part.residue_multiset)
             sigma_added = sigma_g + sigma_r
-        candidates = window_subset_sums(added, 0, t + sigma_added, start=start)
+        step = math.gcd(start_step, common_step(added[0]))
+        candidates = window_subset_sums(added, 0, t + sigma_added, step, start)
         candidate_set_size = len(candidates)
         decision = t in candidates
         # the exact DP's cost: shifts of t + 1 bits, a few per distinct value

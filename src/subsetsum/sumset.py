@@ -60,8 +60,11 @@ output.
 
 `cap` intersects a set with an interval by two binary searches;
 `Level.cap` does the same to every node of a level at once, by clipping
-its runs.  Stage one's groups and stage two's group sumsets are values
-back to back (`Flat`): groups are multisets, which runs cannot hold.
+its runs.  The DP's results and `cap`'s slices are built in order, so
+they become SumSets as they are, without the constructor's copy and
+scan (`core._built_sumset`).  Stage one's groups and stage two's group
+sumsets are values back to back (`Flat`): groups are multisets, which
+runs cannot hold.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import OVERFLOW_LIMIT, SumSet
+from .core import OVERFLOW_LIMIT, SumSet, _built_sumset
 
 HULL_FFT_LIMIT = 1 << 22
 # The kernel's tuning figures below (these constants, `common_step` and
@@ -269,7 +272,7 @@ def cap(a: SumSet, lo: int, hi: int) -> SumSet:
     if lo > hi:
         return SumSet.empty()
     v = a.values
-    return SumSet(v[np.searchsorted(v, lo) : np.searchsorted(v, hi, side="right")])
+    return _built_sumset(v[np.searchsorted(v, lo) : np.searchsorted(v, hi, side="right")])
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +573,11 @@ def window_subset_sums(
     read as they come, in any order and possibly repeated: distinct
     ascending values (the form of `Instance.multiset`) step intervals
     fastest, and no item-sized array is built.  ValueError unless there is
-    one count per value and every value and count is at least 1.
+    one count per value and every value and count is at least 1.  A hi
+    past 2**63 - 1 reads as 2**63 - 1, the largest value a SumSet holds, so
+    only the sums below 2**63 are returned.  The result holds the array
+    that the DP builds in order (or a slice of start's values), read-only,
+    never one of the multiset's arrays.
 
     One shift-or DP on a Python int, bit v standing for the value
     base + v * step, where base is start's minimum (Pisinger, "Dynamic
@@ -614,7 +621,9 @@ def window_subset_sums(
         return cap(start, lo, hi)
     else:
         base = start.min()
-    top, first = (hi - base) // step, -(-max(lo - base, 0) // step)
+    # sums lie in [0, 2**63): clamped, base + top * step stays in int64, so
+    # the values built below cannot wrap
+    top, first = (min(hi, OVERFLOW_LIMIT - 1) - base) // step, -(-max(lo - base, 0) // step)
     if first > top:
         return SumSet.empty()
     # the mask is the interval [0, reach] while mask is None
@@ -641,10 +650,15 @@ def window_subset_sums(
             mask |= (mask << v * k) & limit
             c -= k
             k *= 2
+    # both arrays are built ascending, in [max(lo, base), min(hi, 2**63 - 1)].
+    # arange's length is the ceiling of (stop - start) / step as a double,
+    # so stop is a whole step past the last value: with stop one past it,
+    # the quotient k + 1 / step rounds to k, and the last value is lost,
+    # once k * step passes about 2**53
     if mask is None:
-        return SumSet(np.arange(base + first * step, base + reach * step + 1, step, dtype=np.int64))
+        return _built_sumset(np.arange(base + first * step, base + (reach + 1) * step, step, dtype=np.int64))
     units = _bits_to_values(mask >> first) + first
-    return SumSet(base + (units * step if step > 1 else units))
+    return _built_sumset(base + (units * step if step > 1 else units))
 
 
 def _bits_to_values(mask: int) -> np.ndarray:

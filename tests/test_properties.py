@@ -6,7 +6,8 @@ references, colour coding's stage two against its materialized
 reference, the merge tree (shallow and deep, collapsed to one windowed
 DP or not) against its values-level reference, the windowed DP (from
 {0} or from a start set, its interval step included) against
-brute-force subset sums, the sparse dense-part result inside its
+brute-force subset sums, its results and `cap`'s as sets the constructor
+accepts, held without a copy, the sparse dense-part result inside its
 window, sigma(D) as a bound on stage two's level excess, and `solve` on
 pipeline-sized instances."""
 
@@ -374,6 +375,53 @@ def test_window_subset_sums_of_counts_match_the_repeated_items(case, counts, ord
     want = [v for v in np.unique(sums).tolist() if lo <= v <= hi]
     got = window_subset_sums((np.array(values, dtype=np.int64), np.array(counts, dtype=np.int64)), lo, hi, step, SumSet(start))
     assert got.values.tolist() == want
+
+
+def _held_as_built(got, *writable):
+    # a set the package builds is held without the constructor's copy and
+    # scan: it must still be one the constructor accepts, and read-only
+    v = got.values
+    assert v.ndim == 1 and v.dtype == np.int64 and not v.flags.writeable
+    assert got == SumSet(v)
+    assert not any(np.shares_memory(v, a) for a in writable)
+
+
+@given(case=_started_window_case(), from_zero=st.booleans())
+@example(case=([1 << 62] * 3, 0, 1 << 64, 1 << 60, [0]), from_zero=True)
+@example(case=([1 << 61] * 5, 0, 1 << 64, 1 << 61, [0]), from_zero=False)
+@settings(max_examples=120, deadline=None)
+def test_window_and_cap_results_are_held_as_built(case, from_zero):
+    # the DP's result and cap's slice are read-only int64 arrays that the
+    # public constructor accepts, built apart from the caller's writable
+    # multiset arrays (cap's slice may share start's read-only values)
+    items, lo, hi, step, start = case
+    copies = Counter(items)
+    values, counts = (np.array(a, dtype=np.int64) for a in (list(copies), list(copies.values())))
+    if from_zero:
+        # the window moved down by its lower end, so that it lies near the
+        # sums of {0} rather than those of the start
+        shift = max(min(lo, hi), 0)
+        got = window_subset_sums((values, counts), lo - shift, hi - shift, step)
+    else:
+        got = window_subset_sums((values, counts), lo, hi, step, SumSet(start))
+    _held_as_built(got, values, counts)
+    _held_as_built(cap(SumSet(start), min(lo, hi), max(lo, hi)), values, counts)
+
+
+@pytest.mark.parametrize(
+    "args,want",
+    [
+        ((([1 << 62], [3]), 0, 1 << 64, 1 << 60), [0, 1 << 62]),
+        ((([1 << 61], [5]), 0, 1 << 64, 1 << 61), [0, 1 << 61, 1 << 62, 3 << 61]),
+        ((([1 << 55], [3]), 0, (1 << 63) - 1, 1 << 55), [0, 1 << 55, 1 << 56, 3 << 55]),
+    ],
+)
+def test_window_subset_sums_of_huge_steps_give_every_int64_sum(args, want):
+    # hi reads as 2**63 - 1: the sums at or past 2**63 are left out, and no
+    # value wraps; an interval's last value is kept however large the step
+    got = window_subset_sums(*args)
+    assert got.values.tolist() == want
+    _held_as_built(got)
 
 
 @st.composite

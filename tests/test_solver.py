@@ -130,6 +130,9 @@ def test_dense_interval_set_examples():
     assert all(v % 3 == 0 for v in s3.values)
     assert s3.max() <= 100 and s3.min() >= 86
     assert dense_interval_set(7, 20, 4).values.tolist() == [7, 14]
+    # a divisor past 2**53 keeps the last multiple (the width here reaches 0)
+    d = 1 << 55
+    assert dense_interval_set(d, 3 * d + 5, 2 * d).values.tolist() == [0, d, 2 * d, 3 * d]
 
 
 def test_solve_trivial_examples():
@@ -195,18 +198,35 @@ def test_solve_pipeline_no_instance_all_even():
         ("dense", 12_000, 8, None, 1e-11, "dense"),
         ("divisor-structured", 10_000, 16, 30_001, 1.0, "sparse"),
         ("divisor-structured", 12_000, 8, None, 1e-11, "dense"),
+        ("all-even", 20_000, 16, 60_001, 1.0, "sparse"),
     ],
 )
-def test_combine_matches_the_sumset_chain_at_pipeline_size(profile, n, w, t, budget_mult, branch, seed):
+def test_combine_matches_the_sumset_chain_at_pipeline_size(monkeypatch, profile, n, w, t, budget_mult, branch, seed):
     # the `sparse-ladder` yes-t30000 and `dense-trip` n12000-w8 shapes, whose
     # leftover part is empty, and the same sizes with two items off the
     # divisor 6, which form a leftover part: the combine's one DP, started
     # from S_D or from the dense interval, gives the candidate set of the
-    # pairwise sumset chain over the parts
-    inst = generate_instance(profile, n, w, seed, t=t)
+    # pairwise sumset chain over the parts.  "all-even" is the
+    # `sparse-ladder` no-t60001 shape (divisor-structured with divisor 2
+    # and no strays), whose combine runs in units of 2
+    if profile == "all-even":
+        inst = generate_instance("divisor-structured", n, w, seed, t=t, divisor=2, tail=0)
+    else:
+        inst = generate_instance(profile, n, w, seed, t=t)
     config = SolverConfig(seed=seed, budget_mult=budget_mult)
+    steps = []
+    dp = solver.window_subset_sums
+
+    def spy(multiset, lo, hi, step=1, start=None):
+        if start is not None:
+            steps.append(step)
+        return dp(multiset, lo, hi, step, start)
+
+    monkeypatch.setattr(solver, "window_subset_sums", spy)
     out = solve(inst, config)
-    assert out.branch == branch
+    assert out.branch == branch and len(steps) == 1
+    if profile == "all-even":
+        assert steps == [2] and not out.decision
     assert (out.report.sigma_g > 0) == (profile == "divisor-structured")
     inst = normalize(inst).instance
     t, w, part = inst.target, inst.w, partition_instance(inst)
