@@ -33,17 +33,17 @@ subset sum of the dense part D, in whatever order the leaves come, and
 only its values in the window are returned (`_collapse_step`).
 `sumset.window_subset_sums` computes them with one shift-or DP on a
 Python int over D's multiset (the family's distinct values and their
-counts, so no item-sized array is read) in units of the step
-(Pisinger, "Dynamic programming on the word RAM", 2003), each value's
-multiplicity split into powers of two (the bounded-to-0/1 reduction, as
-in Koiliaris and Xu, SODA 2017), cut at t and read back only in the
-window.  Its one size bound is memory: the DP's mask of t // step + 1
-bits must fit in `sumset.FALLBACK_MAX_BITS`, as the exact decision's
-must; a target past it stays on the kernel.  The permutation is not
-drawn (the phase-3 stream is then never created), no level, weight or
-cap is computed, and neither the stage-two sets nor the groups' sums
-are read (the step and sigma(D) come from the multiset), so stage two
-never builds the sets (see `colorcoding.GroupSumsets`).
+counts, so no item-sized array is read) in units of their gcd, the
+step (Pisinger, "Dynamic programming on the word RAM", 2003), each
+value's multiplicity split into powers of two (the bounded-to-0/1
+reduction, as in Koiliaris and Xu, SODA 2017), cut at t and read back
+only in the window.  Its one size bound is memory: the DP raises
+OracleBudgetError past `sumset.FALLBACK_MAX_BITS` bits, so a target
+whose mask of t // step + 1 bits is past it stays on the kernel.  The
+permutation is not drawn (the phase-3 stream is then never created), no
+level, weight or cap is computed, and neither the stage-two sets nor the
+groups' sums are read (the step and sigma(D) come from the multiset), so
+stage two never builds the sets (see `colorcoding.GroupSumsets`).
 Otherwise every level goes through the kernel.  Checked mode draws the
 permutation, also reads the sets, requires each exact set's maximum to
 be its group's sum, runs every level through the kernel with its
@@ -213,7 +213,7 @@ def merge_group_sumsets(
     if step:
         # no level caps or trips: the root is every subset sum of the items,
         # in whatever order the leaves come
-        root = window_subset_sums(family.multiset, lo, t, step)
+        root = window_subset_sums(family.multiset, lo, t)
         if not checked:
             return root
 
@@ -278,9 +278,11 @@ def _collapse_step(exact: bool, family: GroupFamily, t: int, eta: int, tail: int
     when sigma(D) / step < tail.  A level-h cap keeps [0, sigma] of every
     node when eta + 1 >= t // ell_h and eta + 1 >= the largest sigma of a
     level-h node, which holds at every level, whatever the leaf order,
-    when eta + 1 >= max(t, sigma(D)).  The DP's mask, cut at t, holds
-    t // step + 1 bits, which must fit in FALLBACK_MAX_BITS, as the exact
-    decision's must; past it the kernel runs.
+    when eta + 1 >= max(t, sigma(D)).  The DP's mask, cut at t (or lower,
+    at sigma(D)), holds at most t // step + 1 bits.  This test is not a
+    guard: it chooses between the collapse and the kernel, which runs
+    where the DP's mask could pass FALLBACK_MAX_BITS and the DP would
+    raise OracleBudgetError.
     """
     if not exact:
         return 0

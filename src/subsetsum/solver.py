@@ -29,13 +29,14 @@ started from X's bits.  X lies in [t - window, t], and its bits are
 offset by X's minimum, so the mask spans at most the window plus the
 added items' sum, never t.  X is S_D on the sparse path, where the
 leftover and residue items are added; on the dense path it is the
-interval's d-multiples, and only the leftover items are added.  The DP
-runs in units of the gcd of X's step and the added values: X's step is
-the gcd of the dense part's distinct values on the sparse path (S_D is
-a set of subset sums of D) and d on the dense path, both read from a
-few distinct values, never from X.  So on the all-even no-instances
-the combine runs in units of 2, where S_D is an interval that the DP
-steps without a shift, instead of through a mask at step 1.
+interval's d-multiples, and only the leftover items are added.  The
+combine passes X's step, and the DP runs in units of the gcd of it and
+the added values (see `window_subset_sums`): X's step is the gcd of the
+dense part's distinct values on the sparse path (S_D is a set of subset
+sums of D) and d on the dense path, both read from a few distinct
+values, never from X.  So on the all-even no-instances the combine runs
+in units of 2, where S_D is an interval that the DP steps without a
+shift, instead of through a mask at step 1.
 
 All randomness is drawn from streams derived from the configured seed,
 so runs are reproducible bit for bit; each stage's stream is created on
@@ -54,7 +55,6 @@ import numpy as np
 
 from .core import (
     Instance,
-    OracleBudgetError,
     SolveOutcome,
     SolverConfig,
     SumSet,
@@ -72,7 +72,9 @@ from .colorcoding import (
 )
 from .merge import DenseEvidence, evidence_from_color_trip, merge_group_sumsets
 from .structure import _union, partition_instance, verify_partition
-from .sumset import FALLBACK_MAX_BITS, common_step, window_subset_sums
+from .sumset import common_step, window_subset_sums
+# `subsetsum.solver.FALLBACK_MAX_BITS` still names the window DP's bound
+from .sumset import FALLBACK_MAX_BITS  # noqa: F401
 # imported only as the combine boundaries that perfbench's tracer wraps
 from .sumset import cap, dense_sumset  # noqa: F401
 
@@ -117,18 +119,15 @@ def fallback_dp(multiset: tuple[Sequence[int], Sequence[int]], t: int) -> bool:
     counts[i] copies of values[i]?  The values must fit in int64, as an
     `Instance`'s do.
 
-    The package's shift-or DP (`sumset.window_subset_sums`) cut at t, with
-    only bit t read back, in units of the values' gcd: every subset sum
-    is a multiple of it, so a t it does not divide is a no before any
-    budget (for it, as for a negative t, the DP's window [t, t] holds no
-    multiple of the gcd and no mask is built, but the DP still refuses a
-    malformed multiset).  Otherwise the DP's mask of t // gcd + 1 bits
-    must fit in FALLBACK_MAX_BITS, or OracleBudgetError is raised.
+    The package's shift-or DP (`sumset.window_subset_sums`) read at t
+    alone.  It runs in units of the values' gcd and is cut at the lower
+    of t and the values' total, so a t that the gcd does not divide, a
+    negative t and a t above every subset sum are a no before any budget
+    (no mask is built, but a malformed multiset is still refused).
+    Otherwise the DP's mask of min(t, sigma) // gcd + 1 bits must fit in
+    FALLBACK_MAX_BITS, or OracleBudgetError is raised.
     """
-    step = common_step(np.asarray(multiset[0], dtype=np.int64))
-    if t % step == 0 and t // step + 1 > FALLBACK_MAX_BITS:
-        raise OracleBudgetError(f"DP budget exceeded: t // {step} + 1 = {t // step + 1} bits")
-    return not window_subset_sums(multiset, t, t, step).is_empty
+    return not window_subset_sums(multiset, t, t).is_empty
 
 
 def small_target_gate(t: int, w: int) -> bool:
@@ -298,16 +297,15 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveOut
             report.branch = "dense"
             start = dense_interval_set(part.divisor, t, w)
             report.s_rd_size = len(start)
-            start_step = part.divisor
+            step = part.divisor
             added, sigma_added = part.leftover_multiset, sigma_g
         else:
             start = result
             report.s_d_size = len(start)
             # S_D is a set of subset sums of D
-            start_step = common_step(part.dense_multiset[0])
+            step = common_step(part.dense_multiset[0])
             added = _union(part.leftover_multiset, part.residue_multiset)
             sigma_added = sigma_g + sigma_r
-        step = math.gcd(start_step, common_step(added[0]))
         candidates = window_subset_sums(added, 0, t + sigma_added, step, start)
         candidate_set_size = len(candidates)
         decision = t in candidates

@@ -50,8 +50,10 @@ with one occupied child (neither is computed).  That gap counts toward
 the running total before the pair, so the stop may fall inside it.
 
 `window_subset_sums` is a word-parallel subset-sum DP on a Python int,
-started from {0} or from a given set, cut at the top of a window and
-read back only inside it, and stepping an interval without a shift
+started from {0} or from a given set, in units of the values' gcd (and
+of the start's step), cut at the window's top or the largest reachable
+sum, whichever is lower, bounded in memory by FALLBACK_MAX_BITS, read
+back only inside the window, and stepping an interval without a shift
 while the items' distinct values fill it: the solver's bounded sums
 over the small parts, the root of a merge that collapses (no level can
 cap or trip) and the solver's combine (the small parts' subset sums
@@ -75,7 +77,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import OVERFLOW_LIMIT, SumSet, _built_sumset
+from .core import OVERFLOW_LIMIT, OracleBudgetError, SumSet, _built_sumset
 
 HULL_FFT_LIMIT = 1 << 22
 # The kernel's tuning figures below (these constants, `common_step` and
@@ -552,9 +554,9 @@ def _split_pair(level: Level, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 # ---------------------------------------------------------------------------
 
 
-# the largest mask, in bits, that the exact decision (`solver.fallback_dp`)
-# and the merge's collapse build (256 MiB): past it the first raises
-# OracleBudgetError and the second leaves the merge to the level kernel
+# the largest mask, in bits, that `window_subset_sums` builds (256 MiB):
+# past it the DP raises OracleBudgetError.  The merge reads it too, to
+# choose between its collapse (this DP) and the level kernel
 FALLBACK_MAX_BITS = 1 << 31
 
 
@@ -567,27 +569,34 @@ def window_subset_sums(
 ) -> SumSet:
     """The sums a + s, for a in start (default {0}) and s a subset sum of
     the multiset (values, counts), which holds counts[i] copies of
-    values[i], that lie in [lo, hi]; step must divide every value and
-    every difference of two start values.  An empty start gives the empty
-    set, and no values give start's values in [lo, hi].  The values are
-    read as they come, in any order and possibly repeated: distinct
-    ascending values (the form of `Instance.multiset`) step intervals
-    fastest, and no item-sized array is built.  ValueError unless there is
-    one count per value and every value and count is at least 1.  A hi
-    past 2**63 - 1 reads as 2**63 - 1, the largest value a SumSet holds, so
-    only the sums below 2**63 are returned.  The result holds the array
-    that the DP builds in order (or a slice of start's values), read-only,
-    never one of the multiset's arrays.
+    values[i], that lie in [lo, hi]; with a start, step must divide every
+    difference of two start values (without one, step is not read).  An
+    empty start gives the empty set, and no values give start's values in
+    [lo, hi].  The values are read as they come, in any order and possibly
+    repeated: distinct ascending values (the form of `Instance.multiset`)
+    step intervals fastest, and no item-sized array is built.  ValueError
+    unless there is one count per value and every value and count is at
+    least 1.  A hi past 2**63 - 1 reads as 2**63 - 1, the largest value a
+    SumSet holds, so only the sums below 2**63 are returned.  The result
+    holds the array that the DP builds in order (or a slice of start's
+    values), read-only, never one of the multiset's arrays.
 
     One shift-or DP on a Python int, bit v standing for the value
-    base + v * step, where base is start's minimum (Pisinger, "Dynamic
+    base + v * unit, where base is start's minimum (Pisinger, "Dynamic
     programming on the word RAM", 2003): the mask starts as start's bits.
+    The unit is the values' gcd, and with a start the gcd of it and step,
+    so every sum is base plus a multiple of it.
     A value's c copies become the items v, 2v, 4v, .. and the rest of c
     times v, whose subsets sum to the same multiples 0 .. c of v (the
     reduction of bounded to 0/1 items, as in Koiliaris and Xu, SODA 2017),
     so the DP does O(log c) shifts per distinct value.  The mask is cut at
-    hi: a shift only moves bits up, so the bits up to hi depend only on
-    the bits up to hi.  Only the bits in [lo, hi] are read back.
+    top, the lower of hi and the largest reachable sum (start's maximum
+    plus every copy of every value): a shift only moves bits up, so the
+    bits up to top depend only on the bits up to top, and no bit above
+    the reachable sum is ever set.  Only the bits in [lo, top] are read
+    back.  A window with no multiple of the unit in [lo, top] gives the
+    empty set at once; otherwise a mask of top + 1 bits past
+    FALLBACK_MAX_BITS raises OracleBudgetError before it is built.
 
     Many small items fill long intervals of sums (Galil and Margalit,
     "An almost linear-time algorithm for the dense subset-sum problem",
@@ -606,12 +615,16 @@ def window_subset_sums(
     needs the shifts), and an interval result is read back with one
     `np.arange`.
     """
-    values, counts = (np.asarray(a, dtype=np.int64) for a in multiset)
-    units, copies = (values // step if step > 1 else values).tolist(), counts.tolist()
+    values, copies = (np.asarray(a, dtype=np.int64).tolist() for a in multiset)
+    # on Python ints: over a solve's few distinct values math.gcd took
+    # 0.1-0.3 us a call where np.gcd.reduce took 1.1-1.7 us (2-core x86 VM,
+    # numpy 2.4)
+    unit = math.gcd(*values, 0 if start is None else step) or 1
+    units = [v // unit for v in values] if unit > 1 else values
     if len(units) != len(copies) or (units and (min(units) < 1 or min(copies) < 1)):
         raise ValueError("a multiset needs one count per value, and every value and count >= 1")
     if start is None:
-        base = 0
+        base, span = 0, 0
     elif start.is_empty:
         return SumSet.empty()
     elif not units and lo <= hi:
@@ -620,18 +633,21 @@ def window_subset_sums(
         # where the bits took ~30-42 us (2-core x86 VM, numpy 2.4)
         return cap(start, lo, hi)
     else:
-        base = start.min()
-    # sums lie in [0, 2**63): clamped, base + top * step stays in int64, so
+        base, span = start.min(), (start.max() - start.min()) // unit
+    # sums lie in [0, 2**63): clamped, base + top * unit stays in int64, so
     # the values built below cannot wrap
-    top, first = (min(hi, OVERFLOW_LIMIT - 1) - base) // step, -(-max(lo - base, 0) // step)
+    top = min((min(hi, OVERFLOW_LIMIT - 1) - base) // unit, span + sum(v * c for v, c in zip(units, copies)))
+    first = -(-max(lo - base, 0) // unit)
     if first > top:
         return SumSet.empty()
+    if top + 1 > FALLBACK_MAX_BITS:
+        raise OracleBudgetError(f"DP budget exceeded: a mask of {top + 1} bits")
     # the mask is the interval [0, reach] while mask is None
     mask, reach = None, 0
     if start is not None:
-        kept = start.values[: np.searchsorted(start.values, base + top * step, side="right")]
-        if int(kept[-1]) - base != (kept.size - 1) * step:
-            mask = _values_to_bits((kept - base) // step if step > 1 else kept - base)
+        kept = start.values[: np.searchsorted(start.values, base + top * unit, side="right")]
+        if int(kept[-1]) - base != (kept.size - 1) * unit:
+            mask = _values_to_bits((kept - base) // unit if unit > 1 else kept - base)
         reach = kept.size - 1
     limit = (1 << (top + 1)) - 1
     for v, c in zip(units, copies):
@@ -651,14 +667,14 @@ def window_subset_sums(
             c -= k
             k *= 2
     # both arrays are built ascending, in [max(lo, base), min(hi, 2**63 - 1)].
-    # arange's length is the ceiling of (stop - start) / step as a double,
-    # so stop is a whole step past the last value: with stop one past it,
-    # the quotient k + 1 / step rounds to k, and the last value is lost,
-    # once k * step passes about 2**53
+    # arange's length is the ceiling of (stop - start) / unit as a double,
+    # so stop is a whole unit past the last value: with stop one past it,
+    # the quotient k + 1 / unit rounds to k, and the last value is lost,
+    # once k * unit passes about 2**53
     if mask is None:
-        return _built_sumset(np.arange(base + first * step, base + (reach + 1) * step, step, dtype=np.int64))
+        return _built_sumset(np.arange(base + first * unit, base + (reach + 1) * unit, unit, dtype=np.int64))
     units = _bits_to_values(mask >> first) + first
-    return _built_sumset(base + (units * step if step > 1 else units))
+    return _built_sumset(base + (units * unit if unit > 1 else units))
 
 
 def _bits_to_values(mask: int) -> np.ndarray:

@@ -268,8 +268,7 @@ def test_default_sparse_solve_collapses_the_merge(monkeypatch):
     ((_, family),) = families
     ((args, root),) = dps
     t, lo = inst.target, max(inst.target - out.report.window, 0)
-    step = common_step(family.groups.vals)
-    assert args[0] is family.multiset and args[1:] == (lo, t, step)
+    assert args[0] is family.multiset and args[1:] == (lo, t)
     assert levels == []
     # the root in the window, against every copy added as its own 0/1 item
     whole = per_copy_subset_sums(family.groups.vals.tolist(), t)

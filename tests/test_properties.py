@@ -5,8 +5,8 @@ the level kernel on levels built from runs, the run layout of `Level`
 references, colour coding's stage two against its materialized
 reference, the merge tree (shallow and deep, collapsed to one windowed
 DP or not) against its values-level reference, the windowed DP (from
-{0} or from a start set, its interval step included) against
-brute-force subset sums, its results and `cap`'s as sets the constructor
+{0} or from a start set, its interval step included, windows above the
+reachable sums too) against brute-force subset sums, its results and `cap`'s as sets the constructor
 accepts, held without a copy, the sparse dense-part result inside its
 window, sigma(D) as a bound on stage two's level excess, and `solve` on
 pipeline-sized instances."""
@@ -377,6 +377,52 @@ def test_window_subset_sums_of_counts_match_the_repeated_items(case, counts, ord
     assert got.values.tolist() == want
 
 
+@st.composite
+def _window_above_sums_case(draw):
+    """(items, lo, hi, step, start): up to 12 items in units of a step of
+    1, 2 or 3 (possibly none), a start (None for {0}) of up to 8 values in
+    one residue class mod step, based at 0, at a few hundred or near
+    2**62, and a window partly or wholly above the largest reachable sum
+    top (start's maximum plus the items' sum): lo at most top and hi past
+    it, or lo past top, with hi up to 100 past top or anywhere up to
+    2**64."""
+    step = draw(st.sampled_from([1, 2, 3]))
+    items = [step * v for v in draw(st.lists(st.integers(1, 30), max_size=12))]
+    base = draw(st.just(0) | st.integers(1, 500) | st.integers((1 << 62) - 1000, 1 << 62))
+    start = None
+    if draw(st.booleans()):
+        start = [base + step * k for k in sorted(draw(st.lists(st.integers(0, 40), min_size=1, max_size=8, unique=True)))]
+    top = (start[-1] if start else 0) + sum(items)
+    past = st.integers(top + 1, top + 100) | st.integers(top + 1, 1 << 64)
+    if draw(st.booleans()):
+        lo, hi = draw(st.integers((start[0] if start else 0) - 5, top)), draw(past)
+    else:
+        lo = draw(past)
+        hi = draw(st.integers(lo, lo + 100) | st.integers(lo, max(lo, 1 << 64)))
+    return items, lo, hi, step, start
+
+
+@given(case=_window_above_sums_case())
+@example(case=([], 1 << 40, 1 << 40, 1, None))
+@example(case=([], (1 << 62) - 1101, (1 << 62) - 1101, 1, None))
+@example(case=([2, 4], 0, 1 << 64, 3, None))
+@example(case=([3, 3, 6], 5, 1 << 40, 3, [7, 10, 16]))
+@settings(max_examples=150, deadline=None)
+def test_window_subset_sums_above_the_reachable_sums_match_per_copy_dp(case):
+    # the mask is cut at the largest reachable sum, however far the window
+    # passes it, so the DP builds no bit above the sums; without a start
+    # step is not read
+    items, lo, hi, step, start = case
+    sums = np.array(per_copy_subset_sums(items), dtype=np.int64)
+    if start is not None:
+        sums = np.unique(np.add.outer(np.array(start, dtype=np.int64), sums))
+    want = [v for v in sums.tolist() if lo <= v <= hi]
+    got = window_subset_sums(multiset(items), lo, hi, step, None if start is None else SumSet(start))
+    assert got.values.tolist() == want
+    if start is None and lo <= 0:
+        assert bounded_subset_sums(multiset(items), hi) == got
+
+
 def _held_as_built(got, *writable):
     # a set the package builds is held without the constructor's copy and
     # scan: it must still be one the constructor accepts, and read-only
@@ -714,7 +760,7 @@ def test_deep_merge_matches_values_reference():
         # a collapse is the windowed DP (window 0: [t, t]) and, unchecked, no
         # kernel level; otherwise the kernel runs every level up to the root
         # or the trip
-        assert dps == ([(t, t, step)] if collapse else [])
+        assert dps == ([(t, t)] if collapse else [])
         if collapse and not checked:
             assert kernel_levels == []
         else:
@@ -811,7 +857,7 @@ def test_merge_collapse_matches_values_reference():
         assert got == want and checked == want
         assert kind == "root" or got.num_sets == ell >> ref["level"]
         if collapse:
-            assert dps == [(lo, t, step)] and kernel_levels == []
+            assert dps == [(lo, t)] and kernel_levels == []
         else:
             assert dps == []
         seen.add((refuse, collapse))
@@ -869,7 +915,7 @@ def test_merge_collapses_exact_families_of_large_items(log_ell, mult, t_frac, ch
         rng_stream(seed, "p3"), 1.0, 1.0, window,
     )
     assert kind == "root" and got == cap(SumSet(ref), lo, t)
-    assert dps == [(lo, t, step)]
+    assert dps == [(lo, t)]
     assert len(kernel_levels) == (log_ell if checked else 0)
 
 

@@ -63,10 +63,35 @@ def test_brute_force_meet_in_middle_path():
 
 
 def test_oracle_budgets():
+    # a target above every subset sum is a no before any budget: the DP's
+    # mask is cut at the sum of the values
+    assert fallback_dp(multiset((5,)), 10**12) is False
+    # sums that do pass the bound: a mask of 2**40 + 1 bits is refused
     with pytest.raises(OracleBudgetError):
-        fallback_dp(multiset((5,)), 10**12)
+        fallback_dp(([1, 2**40], [1, 1]), 2**40)
     with pytest.raises(OracleBudgetError):
         brute_force(Instance(tuple([1] * 26), 3))
+
+
+def test_the_window_dp_cuts_its_mask_at_the_reachable_sums():
+    # each window lies 2**40 bits or more above the largest reachable sum,
+    # which cuts the mask, so no bit of the window is built
+    assert bounded_subset_sums(([], []), 2**40).values.tolist() == [0]
+    assert sumset.window_subset_sums(([], []), 2**62 - 1101, 2**62 - 1101).is_empty
+    # a mask that the reachable sums do take past FALLBACK_MAX_BITS is
+    # refused before it is built
+    with pytest.raises(OracleBudgetError):
+        bounded_subset_sums(([1, 2**40], [1, 1]), 2**41)
+
+
+def test_the_window_dp_reads_step_only_with_a_start():
+    # without a start the unit is the values' gcd, whatever step is: 3
+    # divides neither value
+    assert sumset.window_subset_sums(([2, 4], [1, 1]), 0, 10, 3).values.tolist() == [0, 2, 4, 6]
+    # with one, the unit is the gcd of the values and step, which divides
+    # the start's differences
+    got = sumset.window_subset_sums(([2, 4], [1, 1]), 0, 20, 3, SumSet([1, 4]))
+    assert got.values.tolist() == [1, 3, 4, 5, 6, 7, 8, 10]
 
 
 def test_fallback_dp_decides_a_target_the_gcd_does_not_divide_before_its_budget():
