@@ -9,9 +9,11 @@ evidence), the exact DPs a solve runs (`fallback_dp` and
 `bounded_subset_sums`, both the window DP over a multiset), and a CLI
 (`subsetsum --help`).
 
-Sets and records hold int64 arrays: `SumSet.values`, the parts of an
-`InstancePartition`, `GroupFamily.group_sums`, and the per-node fields
-of a `DenseTripSignal` and of a `DenseEvidence`.
+A `SumSet` holds its maximal runs (one `sumset.Level` node) and gives
+its values as an int64 array, `SumSet.values`, built on first read.
+Records hold int64 arrays: the parts of an `InstancePartition`,
+`GroupFamily.group_sums`, and the per-node fields of a
+`DenseTripSignal` and of a `DenseEvidence`.
 """
 
 from .core import (
@@ -22,11 +24,10 @@ from .core import (
     OracleBudgetError,
     SolveOutcome,
     SolverConfig,
-    SumSet,
     normalize,
     rng_stream,
 )
-from .sumset import cap, dense_sumset
+from .sumset import SumSet, cap, dense_sumset
 from .structure import InstancePartition, partition_instance
 from .colorcoding import GroupFamily, GroupSumsets, build_group_sumsets, partition_groups
 from .merge import DenseEvidence, merge_group_sumsets

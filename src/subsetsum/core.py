@@ -12,6 +12,8 @@ Conventions used throughout the package:
   * An instance reads its items into int64 once, at construction, and
     keeps them as sorted distinct values with their counts
     (`Instance.multiset`); no later stage converts its Python ints again.
+  * Sets of sums are `sumset.SumSet`s, which live beside the `Level`
+    runs they are held in (`subsetsum.SumSet` names the class too).
   * Randomness is never global.  Every randomized routine takes an
     explicit stream obtained from :func:`rng_stream`, so a fixed seed
     reproduces a run bit-for-bit.
@@ -22,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -140,109 +142,6 @@ def array_fields_eq(self, other: object) -> bool:
     if not isinstance(other, type(self)):
         return NotImplemented
     return all(np.array_equal(getattr(self, k.name), getattr(other, k.name)) for k in fields(self))
-
-
-def _int64_vector(values: Iterable[int]) -> np.ndarray:
-    """values as a new 1-D int64 array; ValueError if that cannot hold them
-    exactly."""
-    if not isinstance(values, (np.ndarray, list, tuple)):
-        values = list(values)
-    try:
-        v = np.array(values, dtype=np.int64)
-    except OverflowError:
-        raise ValueError("SumSet values must lie in [0, 2**63)") from None
-    if v.ndim != 1:
-        raise ValueError("SumSet values must be one-dimensional")
-    # the cast truncates a fraction: anything but an integer array must
-    # read back unchanged
-    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu") and not np.array_equal(v, values):
-        raise ValueError("SumSet values must be integers")
-    return v
-
-
-@dataclass(frozen=True, eq=False)
-class SumSet:
-    """A set of achievable sums: a strictly increasing, read-only, 1-D
-    int64 array of values in [0, 2**63).
-
-    The constructor takes a strictly increasing sequence or array and
-    stores a read-only copy, so a caller's array is never aliased; `of`
-    takes any iterable of integers.  Values outside int64, values that are
-    not integers, negative or non-increasing values and arrays that are
-    not 1-D raise ValueError.  A set that the package builds in order
-    (the window DP's results, `sumset.cap`'s slices and the dense
-    interval) is held as built, read-only, without that copy and scan
-    (`_built_sumset`).
-    Iteration, `len`, `in`, `min`, `max` and `dm` give Python ints and
-    bools.  Two SumSets are equal when they hold the same values, and hash
-    by them.  The empty set is allowed and means "no achievable sum"; by
-    convention its max and min are 0 and its diameter is 1.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = _int64_vector(self.values)
-        if v.size and v[0] < 0:
-            raise ValueError("SumSet values must be non-negative")
-        if not (v[1:] > v[:-1]).all():
-            raise ValueError("SumSet values must be strictly increasing")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def of(cls, values: Iterable[int]) -> "SumSet":
-        return cls(np.unique(_int64_vector(values)))
-
-    @classmethod
-    def empty(cls) -> "SumSet":
-        return cls(())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SumSet):
-            return NotImplemented
-        return np.array_equal(self.values, other.values)
-
-    def __hash__(self) -> int:
-        return hash(self.values.tobytes())
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.values.tolist())
-
-    def __contains__(self, x: int) -> bool:
-        v = self.values
-        # bounds first: searchsorted cannot take integers outside int64
-        if not v.size or not int(v[0]) <= x <= int(v[-1]):
-            return False
-        return bool(v[np.searchsorted(v, x)] == x)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.values.size
-
-    def min(self) -> int:
-        return int(self.values[0]) if self.values.size else 0
-
-    def max(self) -> int:
-        return int(self.values[-1]) if self.values.size else 0
-
-    def dm(self) -> int:
-        """Diameter max - min + 1 (1 for the empty set)."""
-        return self.max() - self.min() + 1
-
-
-def _built_sumset(values: np.ndarray) -> SumSet:
-    """The SumSet that holds values, a strictly increasing, non-negative,
-    1-D int64 array that the package built in that order and nobody else
-    holds writable (or a slice of a SumSet's values): marked read-only and
-    held as it is, neither copied nor scanned."""
-    values.flags.writeable = False
-    out = object.__new__(SumSet)
-    object.__setattr__(out, "values", values)
-    return out
 
 
 @dataclass(frozen=True)

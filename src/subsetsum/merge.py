@@ -20,24 +20,23 @@ level kernel `_pair_level` whole and comes back as runs, so no level is
 expanded to values.  The interval cap clips the runs, and the per-node
 weights and subtree sums, the checked-mode bounds and the evidence sizes
 (sums of run lengths) and maxima (last run ends) are all computed
-level-wide from the offsets.  Only the root is expanded, after its runs
-are clipped to the target window [t - window, t], to the int64 array
-that the returned SumSet holds; no value passes through a Python int on
-the way.
+level-wide from the offsets.  The root's runs, clipped to the target
+window [t - window, t], are the returned SumSet as they are: no level,
+the root included, is expanded to values.
 
 When stage two reports its sets exact (each its group's full subset
 sums) and no level can trip or cap (sigma(D) / step below the budget
 tail, and eta + 1 >= max(t, sigma(D)), which the paper's constants give
 whenever stage two is exact), the merge collapses: the root is every
 subset sum of the dense part D, in whatever order the leaves come, and
-only its values in the window are returned (`_collapse_step`).
+only its values in the window are returned (`_collapses`).
 `sumset.window_subset_sums` computes them with one shift-or DP on a
 Python int over D's multiset (the family's distinct values and their
 counts, so no item-sized array is read) in units of their gcd, the
 step (Pisinger, "Dynamic programming on the word RAM", 2003), each
 value's multiplicity split into powers of two (the bounded-to-0/1
 reduction, as in Koiliaris and Xu, SODA 2017), cut at t and read back
-only in the window.  Its one size bound is memory: the DP raises
+as runs only in the window.  Its one size bound is memory: the DP raises
 OracleBudgetError past `sumset.FALLBACK_MAX_BITS` bits, so a target
 whose mask of t // step + 1 bits is past it stays on the kernel.  The
 permutation is not drawn (the phase-3 stream is then never created), no
@@ -69,9 +68,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import InternalConsistencyError, SumSet, array_fields_eq, ceil_div, ceil_log2, target_window
+from .core import InternalConsistencyError, array_fields_eq, ceil_div, ceil_log2, target_window
 from .colorcoding import DenseTripSignal, GroupFamily, GroupSumsets, _budget_tail
-from .sumset import FALLBACK_MAX_BITS, Level, _pair_level, common_step, window_subset_sums
+from .sumset import FALLBACK_MAX_BITS, Level, SumSet, _pair_level, common_step, window_subset_sums
 
 
 @dataclass(eq=False)
@@ -209,8 +208,8 @@ def merge_group_sumsets(
 
     levels = ceil_log2(ell)
     lo = max(t - window, 0)
-    step = _collapse_step(exact, family, t, eta, tail)
-    if step:
+    collapse = _collapses(exact, family, t, eta, tail)
+    if collapse:
         # no level caps or trips: the root is every subset sum of the items,
         # in whatever order the leaves come
         root = window_subset_sums(family.multiset, lo, t)
@@ -261,15 +260,15 @@ def merge_group_sumsets(
             raise InternalConsistencyError("merge weight bookkeeping broken")
         cur = out.cap(t // ell_h - eta - 1, ceil_div(t, ell_h) + eta + 1)
 
-    out = SumSet(cur.cap(lo, t).values())
-    if step and out != root:
+    out = SumSet._of_node(cur.cap(lo, t))
+    if collapse and out != root:
         raise InternalConsistencyError("windowed subset-sum DP differs from the level kernel's root")
     return out
 
 
-def _collapse_step(exact: bool, family: GroupFamily, t: int, eta: int, tail: int) -> int:
-    """The step (the items' common step) in which the merge collapses to
-    one windowed DP, or 0 when every level goes through the kernel.
+def _collapses(exact: bool, family: GroupFamily, t: int, eta: int, tail: int) -> bool:
+    """Whether the merge collapses to one windowed DP; if not, every level
+    goes through the kernel.  The conditions read the items' common step.
 
     The root is every subset sum of the items only if the leaves are their
     groups' full subset sums (exact) and no level trips or loses a value
@@ -284,11 +283,7 @@ def _collapse_step(exact: bool, family: GroupFamily, t: int, eta: int, tail: int
     where the DP's mask could pass FALLBACK_MAX_BITS and the DP would
     raise OracleBudgetError.
     """
-    if not exact:
-        return 0
     # from the family's multiset: a few us over 16 distinct values, where
     # the items took ~0.2 ms at 42k
-    step = common_step(family.multiset[0])
-    sigma = family.sigma
-    fits = sigma // step < tail and eta + 1 >= max(t, sigma) and t // step + 1 <= FALLBACK_MAX_BITS
-    return step if fits else 0
+    step, sigma = common_step(family.multiset[0]), family.sigma
+    return exact and sigma // step < tail and eta + 1 >= max(t, sigma) and t // step + 1 <= FALLBACK_MAX_BITS

@@ -25,18 +25,17 @@ the target window (sparse path) or dense evidence (dense path).
 The combine computes no sumset of two sets.  S_G and S_R are complete
 subset sums, so S_G + S_R + X is X plus the subset sums of the leftover
 and residue items together: one shift-or DP (`window_subset_sums`)
-started from X's bits.  X lies in [t - window, t], and its bits are
-offset by X's minimum, so the mask spans at most the window plus the
-added items' sum, never t.  X is S_D on the sparse path, where the
-leftover and residue items are added; on the dense path it is the
-interval's d-multiples, and only the leftover items are added.  The
-combine passes X's step, and the DP runs in units of the gcd of it and
-the added values (see `window_subset_sums`): X's step is the gcd of the
-dense part's distinct values on the sparse path (S_D is a set of subset
-sums of D) and d on the dense path, both read from a few distinct
-values, never from X.  So on the all-even no-instances the combine runs
-in units of 2, where S_D is an interval that the DP steps without a
-shift, instead of through a mask at step 1.
+started from X.  X lies in [t - window, t], and its bits are offset by
+X's minimum, so the mask spans at most the window plus the added items'
+sum, never t.  X is S_D on the sparse path, where the leftover and
+residue items are added; on the dense path it is the interval's
+d-multiples (one run), and only the leftover items are added.  The DP
+reads X's step from X itself and runs in units of the gcd of it and the
+added values (see `window_subset_sums`): S_D is the DP's or the merge
+kernel's runs, in a step that divides the dense part's values, and the
+interval's step is d.  So on the all-even no-instances the combine runs
+in units of 2, where S_D is one run that the DP steps without a shift,
+instead of through a mask at step 1.
 
 All randomness is drawn from streams derived from the configured seed,
 so runs are reproducible bit for bit; each stage's stream is created on
@@ -57,8 +56,6 @@ from .core import (
     Instance,
     SolveOutcome,
     SolverConfig,
-    SumSet,
-    _built_sumset,
     ceil_log2,
     normalize,
     rng_stream,
@@ -72,7 +69,7 @@ from .colorcoding import (
 )
 from .merge import DenseEvidence, evidence_from_color_trip, merge_group_sumsets
 from .structure import _union, partition_instance, verify_partition
-from .sumset import common_step, window_subset_sums
+from .sumset import Level, SumSet, window_subset_sums
 # `subsetsum.solver.FALLBACK_MAX_BITS` still names the window DP's bound
 from .sumset import FALLBACK_MAX_BITS  # noqa: F401
 # imported only as the combine boundaries that perfbench's tracer wraps
@@ -154,10 +151,10 @@ def dense_interval_set(d: int, t: int, w: int) -> SumSet:
     if d < 1:
         raise ValueError("divisor must be >= 1")
     width = int(math.sqrt(w * t) * math.log2(max(w, 2)))
-    lo = max(t - width, 0)
-    first = ((lo + d - 1) // d) * d
-    # stop a whole step past the last multiple (see `window_subset_sums`)
-    return _built_sumset(np.arange(first, t - t % d + d, d, dtype=np.int64))
+    first, last = -(-max(t - width, 0) // d), t // d
+    if first > last:
+        return SumSet.empty()
+    return SumSet._of_node(Level(np.array([first]), np.array([last]), np.array([0, 1]), d), last - first + 1)
 
 
 class _Stream:
@@ -297,16 +294,13 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveOut
             report.branch = "dense"
             start = dense_interval_set(part.divisor, t, w)
             report.s_rd_size = len(start)
-            step = part.divisor
             added, sigma_added = part.leftover_multiset, sigma_g
         else:
             start = result
             report.s_d_size = len(start)
-            # S_D is a set of subset sums of D
-            step = common_step(part.dense_multiset[0])
             added = _union(part.leftover_multiset, part.residue_multiset)
             sigma_added = sigma_g + sigma_r
-        candidates = window_subset_sums(added, 0, t + sigma_added, step, start)
+        candidates = window_subset_sums(added, 0, t + sigma_added, start=start)
         candidate_set_size = len(candidates)
         decision = t in candidates
         # the exact DP's cost: shifts of t + 1 bits, a few per distinct value

@@ -1,5 +1,5 @@
-"""Sumset kernels: one level kernel, its one-pair adapter, one shift-or
-subset-sum DP, an interval cap.
+"""Sets as runs, and the sumset kernels: one level kernel, its one-pair
+adapter, one shift-or subset-sum DP, an interval cap.
 
 The sumset of A and B is {x + y : x in A, y in B}.  One dispatcher, the
 level kernel `_pair_level`, computes every sumset: it sums the pairs
@@ -9,6 +9,10 @@ call it with a level.  `dense_sumset` (the public entry point for one
 pair; no solve calls it) goes through its one-pair adapter
 `_sum_values`, which sums the pair as a one-pair level.  Both take and
 give int64 arrays, the layout of `SumSet.values`.
+
+A set of sums has one form, the runs of a `Level`: a `SumSet` holds one
+`Level` node (its maximal runs in units of a step that divides every
+value) and its size, and builds its int64 values only when they are read.
 
 A level is one `Level` in units of its common step g (a divisor of every
 value; 2 when all items are even): each node is its maximal runs of step
@@ -51,33 +55,34 @@ the running total before the pair, so the stop may fall inside it.
 
 `window_subset_sums` is a word-parallel subset-sum DP on a Python int,
 started from {0} or from a given set, in units of the values' gcd (and
-of the start's step), cut at the window's top or the largest reachable
-sum, whichever is lower, bounded in memory by FALLBACK_MAX_BITS, read
-back only inside the window, and stepping an interval without a shift
-while the items' distinct values fill it: the solver's bounded sums
-over the small parts, the root of a merge that collapses (no level can
-cap or trip) and the solver's combine (the small parts' subset sums
-added to the dense part's window or to the dense interval) are all its
-output.
+of the start's own step), cut at the window's top or the largest
+reachable sum, whichever is lower, bounded in memory by
+FALLBACK_MAX_BITS, and stepping an interval without a shift while the
+items' distinct values fill it.  It reads a start from its runs and
+returns runs: an interval is one run, and a mask gives its runs from the
+edges of its bits inside the window and its size from `int.bit_count`.
+The solver's bounded sums over the small parts, the root of a merge that
+collapses (no level can cap or trip) and the solver's combine (the small
+parts' subset sums added to the dense part's window or to the dense
+interval) are all its output.
 
-`cap` intersects a set with an interval by two binary searches;
-`Level.cap` does the same to every node of a level at once, by clipping
-its runs.  The DP's results and `cap`'s slices are built in order, so
-they become SumSets as they are, without the constructor's copy and
-scan (`core._built_sumset`).  Stage one's groups and stage two's group
-sumsets are values back to back (`Flat`): groups are multisets, which
-runs cannot hold.
+`Level.cap` intersects every node of a level with an interval by
+clipping its runs, and `cap` is `Level.cap` on a set's one node, so the
+DP's results, `cap`'s, the merge's kernel root and the dense interval
+are all runs, and none of them is expanded to values on the way to the
+decision.  Stage one's groups and stage two's group sumsets are values
+back to back (`Flat`): groups are multisets, which runs cannot hold.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import chain
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import OVERFLOW_LIMIT, OracleBudgetError, SumSet, _built_sumset
+from .core import OVERFLOW_LIMIT, OracleBudgetError
 
 HULL_FFT_LIMIT = 1 << 22
 # The kernel's tuning figures below (these constants, `common_step` and
@@ -237,6 +242,123 @@ class Flat:
         return Flat(self.vals[_segment_index(self.offs[nodes], sizes)], _offsets(sizes))
 
 
+def _int64_vector(values: Iterable[int]) -> np.ndarray:
+    """values as a new 1-D int64 array; ValueError if that cannot hold them
+    exactly."""
+    if not isinstance(values, (np.ndarray, list, tuple)):
+        values = list(values)
+    try:
+        v = np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("SumSet values must lie in [0, 2**63)") from None
+    if v.ndim != 1:
+        raise ValueError("SumSet values must be one-dimensional")
+    # the cast truncates a fraction: anything but an integer array must
+    # read back unchanged
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu") and not np.array_equal(v, values):
+        raise ValueError("SumSet values must be integers")
+    return v
+
+
+class SumSet:
+    """A set of achievable sums in [0, 2**63), held as one `Level` node:
+    `node` holds the set's maximal runs step * [starts[k], ends[k]], in
+    units of a step that divides every value, and `size` the number of
+    values, a Python int.
+
+    The constructor takes a strictly increasing sequence or array of
+    integers and holds it in runs of the values' `common_step`; `of` takes
+    any iterable of integers.  Values outside int64, values that are not
+    integers, negative or non-increasing values and arrays that are not
+    1-D raise ValueError.  The sets that the package builds (the window
+    DP's results, `cap`'s, the merge's kernel root and the dense interval)
+    are made from runs, never from values.  `values` is the strictly
+    increasing, read-only, 1-D int64 array of the values: built from the
+    runs on its first read and then cached (the constructor keeps its own
+    copy of the input, so a caller's array is never aliased).  `len` reads
+    `size`, and `min`, `max` and `in` read the runs (`in` is one binary
+    search over the starts), so none of them builds the values.
+    Iteration, `len`, `in`, `min`, `max` and `dm` give Python ints and
+    bools.  Two SumSets are equal when they hold the same values, whatever
+    their steps, and equal sets hash equal.  The empty set is allowed and
+    means "no achievable sum"; by convention its max and min are 0 and its
+    diameter is 1.
+    """
+
+    __slots__ = ("node", "size", "_values")
+
+    def __init__(self, values: Iterable[int]) -> None:
+        v = _int64_vector(values)
+        if v.size and v[0] < 0:
+            raise ValueError("SumSet values must be non-negative")
+        if not (v[1:] > v[:-1]).all():
+            raise ValueError("SumSet values must be strictly increasing")
+        v.flags.writeable = False
+        self.node, self.size, self._values = Level.from_values(v, np.array([0, len(v)])), len(v), v
+
+    @classmethod
+    def _of_node(cls, node: Level, size: Optional[int] = None) -> SumSet:
+        """The set of a one-node level (its runs ascending and maximal),
+        held as it is; size, if given, must be its number of values."""
+        out = object.__new__(cls)
+        size = int((node.ends - node.starts).sum()) + len(node.starts) if size is None else size
+        out.node, out.size, out._values = node, size, None
+        return out
+
+    @classmethod
+    def of(cls, values: Iterable[int]) -> "SumSet":
+        return cls(np.unique(_int64_vector(values)))
+
+    @classmethod
+    def empty(cls) -> "SumSet":
+        return cls._of_node(Level(*[np.zeros(0, dtype=np.int64)] * 2, np.zeros(2, dtype=np.int64), 1), 0)
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = self.node.values()
+            self._values.flags.writeable = False
+        return self._values
+
+    def __repr__(self) -> str:
+        return f"SumSet({self.values.tolist()!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SumSet):
+            return NotImplemented
+        return self.size == other.size and np.array_equal(self.values, other.values)
+
+    def __hash__(self) -> int:
+        return hash((self.size, self.min(), self.max()))
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.values.tolist())
+
+    def __contains__(self, x: int) -> bool:
+        # bounds first: searchsorted cannot take integers outside int64
+        if not self.size or not self.min() <= x <= self.max():
+            return False
+        q, r = divmod(x, self.node.step)
+        return not r and bool(self.node.ends[np.searchsorted(self.node.starts, q, side="right") - 1] >= q)
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.size
+
+    def min(self) -> int:
+        return int(self.node.starts[0]) * self.node.step if self.size else 0
+
+    def max(self) -> int:
+        return int(self.node.ends[-1]) * self.node.step if self.size else 0
+
+    def dm(self) -> int:
+        """Diameter max - min + 1 (1 for the empty set)."""
+        return self.max() - self.min() + 1
+
+
 def dense_sumset(a: SumSet, b: SumSet) -> SumSet:
     """Sumset of two non-empty SumSets whose maxima sum to below 2**63
     (the int64 values of a SumSet cannot hold more; ValueError otherwise).
@@ -266,15 +388,11 @@ def common_step(vals: np.ndarray) -> int:
 
 
 def cap(a: SumSet, lo: int, hi: int) -> SumSet:
-    """a intersected with the integer interval [lo, hi]; may be empty."""
+    """a intersected with the integer interval [lo, hi]; may be empty.
+    `Level.cap` on a's runs."""
     if lo > hi:
         raise ValueError("lo > hi")
-    # values lie in [0, 2**63), so clamping keeps the bounds in int64
-    lo, hi = max(lo, 0), min(hi, OVERFLOW_LIMIT - 1)
-    if lo > hi:
-        return SumSet.empty()
-    v = a.values
-    return _built_sumset(v[np.searchsorted(v, lo) : np.searchsorted(v, hi, side="right")])
+    return SumSet._of_node(a.node.cap(lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -564,28 +682,27 @@ def window_subset_sums(
     multiset: tuple[Sequence[int], Sequence[int]],
     lo: int,
     hi: int,
-    step: int = 1,
     start: Optional[SumSet] = None,
 ) -> SumSet:
     """The sums a + s, for a in start (default {0}) and s a subset sum of
     the multiset (values, counts), which holds counts[i] copies of
-    values[i], that lie in [lo, hi]; with a start, step must divide every
-    difference of two start values (without one, step is not read).  An
-    empty start gives the empty set, and no values give start's values in
-    [lo, hi].  The values are read as they come, in any order and possibly
-    repeated: distinct ascending values (the form of `Instance.multiset`)
-    step intervals fastest, and no item-sized array is built.  ValueError
-    unless there is one count per value and every value and count is at
-    least 1.  A hi past 2**63 - 1 reads as 2**63 - 1, the largest value a
-    SumSet holds, so only the sums below 2**63 are returned.  The result
-    holds the array that the DP builds in order (or a slice of start's
-    values), read-only, never one of the multiset's arrays.
+    values[i], that lie in [lo, hi].  An empty start gives the empty set,
+    and no values give start's values in [lo, hi].  The values are
+    read as they come, in any order and possibly repeated: distinct
+    ascending values (the form of `Instance.multiset`) step intervals
+    fastest, and no item-sized array is built.  ValueError unless there is
+    one count per value and every value and count is at least 1.  A hi
+    past 2**63 - 1 reads as 2**63 - 1, the largest value a SumSet holds,
+    so only the sums below 2**63 are returned.  The result is held as its
+    runs (see `SumSet`), in units of the DP's unit; no array of its values
+    is built.
 
     One shift-or DP on a Python int, bit v standing for the value
     base + v * unit, where base is start's minimum (Pisinger, "Dynamic
     programming on the word RAM", 2003): the mask starts as start's bits.
-    The unit is the values' gcd, and with a start the gcd of it and step,
-    so every sum is base plus a multiple of it.
+    The unit is the values' gcd, and with a start other than {0} the gcd
+    of it and the start's own step (which divides every start value, base
+    included), so every sum is a multiple of it.
     A value's c copies become the items v, 2v, 4v, .. and the rest of c
     times v, whose subsets sum to the same multiples 0 .. c of v (the
     reduction of bounded to 0/1 items, as in Koiliaris and Xu, SODA 2017),
@@ -594,8 +711,10 @@ def window_subset_sums(
     plus every copy of every value): a shift only moves bits up, so the
     bits up to top depend only on the bits up to top, and no bit above
     the reachable sum is ever set.  Only the bits in [lo, top] are read
-    back.  A window with no multiple of the unit in [lo, top] gives the
-    empty set at once; otherwise a mask of top + 1 bits past
+    back, as runs: a run starts or has just ended at each bit that differs
+    from the bit below it, and the result's size is the mask's
+    `int.bit_count`.  A window with no multiple of the unit in [lo, top]
+    gives the empty set at once; otherwise a mask of top + 1 bits past
     FALLBACK_MAX_BITS raises OracleBudgetError before it is built.
 
     Many small items fill long intervals of sums (Galil and Margalit,
@@ -606,36 +725,27 @@ def window_subset_sums(
     last bit kept.  The distinct values are taken in ascending order, so
     once the small ones have filled an interval, every larger value that
     the interval reaches costs O(1).  A value past reach + 1 (or a start
-    that is not an interval) goes through the shifts, and so does every
-    value after it: from an interval start with ascending values the
-    shifted value v leaves the gap (reach, v), which no later value can
-    fill, so the mask never becomes an interval again.  Once the interval
-    reaches top no value can change it.  An interval start is read as its
-    size alone (its bits, 2^size - 1, are built only for a value that
-    needs the shifts), and an interval result is read back with one
-    `np.arange`.
+    that is not one run in the DP's unit) goes through the shifts, and so
+    does every value after it: from an interval start with ascending
+    values the shifted value v leaves the gap (reach, v), which no later
+    value can fill, so the mask never becomes an interval again.  Once the
+    interval reaches top no value can change it.  An interval start is
+    read as its one run (its bits, 2^size - 1, are built only for a value
+    that needs the shifts), and an interval result is one run.
     """
     values, copies = (np.asarray(a, dtype=np.int64).tolist() for a in multiset)
     # on Python ints: over a solve's few distinct values math.gcd took
     # 0.1-0.3 us a call where np.gcd.reduce took 1.1-1.7 us (2-core x86 VM,
-    # numpy 2.4)
-    unit = math.gcd(*values, 0 if start is None else step) or 1
+    # numpy 2.4); a start's step divides its values, and {0}'s says nothing
+    unit = math.gcd(*values, start.node.step if start is not None and start.max() else 0) or 1
     units = [v // unit for v in values] if unit > 1 else values
     if len(units) != len(copies) or (units and (min(units) < 1 or min(copies) < 1)):
         raise ValueError("a multiset needs one count per value, and every value and count >= 1")
-    if start is None:
-        base, span = 0, 0
-    elif start.is_empty:
+    if start is not None and start.is_empty:
         return SumSet.empty()
-    elif not units and lo <= hi:
-        # no values: start's own values.  Every benchmark solve has an empty
-        # leftover part, so its dense-branch combine lands here, in ~9-16 us
-        # where the bits took ~30-42 us (2-core x86 VM, numpy 2.4)
-        return cap(start, lo, hi)
-    else:
-        base, span = start.min(), (start.max() - start.min()) // unit
+    base, span = (0, 0) if start is None else (start.min(), (start.max() - start.min()) // unit)
     # sums lie in [0, 2**63): clamped, base + top * unit stays in int64, so
-    # the values built below cannot wrap
+    # the runs built below cannot wrap
     top = min((min(hi, OVERFLOW_LIMIT - 1) - base) // unit, span + sum(v * c for v, c in zip(units, copies)))
     first = -(-max(lo - base, 0) // unit)
     if first > top:
@@ -645,11 +755,13 @@ def window_subset_sums(
     # the mask is the interval [0, reach] while mask is None
     mask, reach = None, 0
     if start is not None:
-        kept = start.values[: np.searchsorted(start.values, base + top * unit, side="right")]
-        if int(kept[-1]) - base != (kept.size - 1) * unit:
-            mask = _values_to_bits((kept - base) // unit if unit > 1 else kept - base)
-        reach = kept.size - 1
-    limit = (1 << (top + 1)) - 1
+        if len(start.node.starts) == 1 and (start.node.step == unit or span == 0):
+            reach = min(span, top)
+        else:
+            mask = _runs_to_bits(start.node.cap(base, base + top * unit), start.node.step // unit)
+    # the cut's top + 1 ones are built for the first shift: an interval
+    # result never needs them (at top = 10**7 they are 1.25 MB, twice over)
+    limit = None
     for v, c in zip(units, copies):
         if mask is None:
             if reach == top:
@@ -660,35 +772,44 @@ def window_subset_sums(
             mask = (1 << (reach + 1)) - 1
         # once v * k passes top, the shifts so far reach every multiple of
         # v up to top
-        k = 1
+        k, limit = 1, limit or (1 << (top + 1)) - 1
         while c and v * k <= top:
             k = min(k, c)
             mask |= (mask << v * k) & limit
             c -= k
             k *= 2
-    # both arrays are built ascending, in [max(lo, base), min(hi, 2**63 - 1)].
-    # arange's length is the ceiling of (stop - start) / unit as a double,
-    # so stop is a whole unit past the last value: with stop one past it,
-    # the quotient k + 1 / unit rounds to k, and the last value is lost,
-    # once k * unit passes about 2**53
-    if mask is None:
-        return _built_sumset(np.arange(base + first * unit, base + (reach + 1) * unit, unit, dtype=np.int64))
-    units = _bits_to_values(mask >> first) + first
-    return _built_sumset(base + (units * unit if unit > 1 else units))
+    off = base // unit  # the runs count from 0: base is a multiple of unit
+    if mask is None and first <= reach:
+        starts, ends, size = np.array([off + first]), np.array([off + reach]), reach - first + 1
+    else:
+        # an interval below the window is the empty mask
+        mask = (mask or 0) >> first << first
+        (starts, ends), size = _bit_runs(mask, off), mask.bit_count()
+    return SumSet._of_node(Level(starts, ends, np.array([0, len(starts)]), unit), size)
 
 
-def _bits_to_values(mask: int) -> np.ndarray:
-    """The positions of mask's set bits, ascending."""
-    raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8)
-    return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
-
-
-def _values_to_bits(positions: np.ndarray) -> int:
-    """The int whose set bits are the given non-empty, ascending,
-    non-negative positions."""
-    bits = np.zeros(int(positions[-1]) + 1, dtype=bool)
-    bits[positions] = True
+def _runs_to_bits(node: Level, stride: int) -> int:
+    """The int whose bit stride * (u - u0) is set for each u in the runs
+    [starts[k], ends[k]] of the one-node level, u0 its first start: the
+    runs and the gaps between them, as one repeat of alternating ones and
+    zeros."""
+    edges = np.column_stack((node.starts, node.ends + 1)).ravel() - node.starts[0]
+    bits = np.zeros(int(edges[-1] - 1) * stride + 1, dtype=bool)
+    bits[::stride] = np.repeat(np.arange(len(edges) - 1) % 2 == 0, np.diff(edges))
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _bit_runs(mask: int, off: int) -> tuple[np.ndarray, np.ndarray]:
+    """The maximal runs [starts, ends] of mask's set bits, ascending, each
+    moved up by off: each bit that differs from the bit below it starts a
+    run or is the first past one.  Only the bytes that hold such an edge
+    are unpacked."""
+    edges = mask ^ (mask << 1)
+    raw = np.frombuffer(edges.to_bytes((edges.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+    at = np.flatnonzero(raw)
+    byte, bit = np.nonzero(np.unpackbits(raw[at, None], axis=1, bitorder="little"))
+    pos = at[byte] * 8 + bit + off
+    return pos[0::2], pos[1::2] - 1
 
 
 def _offsets(sizes: np.ndarray) -> np.ndarray:

@@ -13,10 +13,10 @@ import time
 import numpy as np
 
 from subsetsum.cli import generate_instance, main
-from subsetsum.core import Instance, SolverConfig, SumSet, next_pow2, rng_stream
+from subsetsum.core import Instance, SolverConfig, next_pow2, rng_stream
 from subsetsum.solver import solve
 from subsetsum.structure import alpha_for, partition_instance
-from subsetsum.sumset import _pair_level, dense_sumset
+from subsetsum.sumset import SumSet, _pair_level, dense_sumset
 
 from oracles import bitset_dp_table, level_of, loglog_fit, pairwise_sumset, per_item_dp, residues_covered, split_into_parts
 

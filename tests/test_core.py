@@ -10,10 +10,10 @@ from subsetsum.core import (
     Instance,
     InvalidInstanceError,
     SolverConfig,
-    SumSet,
     normalize,
     rng_stream,
 )
+from subsetsum.sumset import SumSet
 
 from oracles import reference_instance
 

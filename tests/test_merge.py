@@ -3,7 +3,7 @@ import pytest
 
 from subsetsum import colorcoding, merge, solver
 from subsetsum.cli import generate_instance
-from subsetsum.core import InternalConsistencyError, SolverConfig, SumSet, ceil_log2, rng_stream
+from subsetsum.core import InternalConsistencyError, SolverConfig, ceil_log2, rng_stream
 from subsetsum.colorcoding import (
     GroupFamily,
     build_group_sumsets,
@@ -13,7 +13,7 @@ from subsetsum.colorcoding import (
 from subsetsum.merge import DenseEvidence, merge_group_sumsets
 from subsetsum.colorcoding import GroupSumsets
 from subsetsum.solver import solve
-from subsetsum.sumset import FALLBACK_MAX_BITS, Flat, cap, common_step
+from subsetsum.sumset import FALLBACK_MAX_BITS, Flat, SumSet, cap, common_step
 
 from oracles import ascending_family, merge_bounds, multiset, per_copy_subset_sums, subset_sums
 

@@ -6,9 +6,11 @@ references, colour coding's stage two against its materialized
 reference, the merge tree (shallow and deep, collapsed to one windowed
 DP or not) against its values-level reference, the windowed DP (from
 {0} or from a start set, its interval step included, windows above the
-reachable sums too) against brute-force subset sums, its results and `cap`'s as sets the constructor
-accepts, held without a copy, the sparse dense-part result inside its
-window, sigma(D) as a bound on stage two's level excess, and `solve` on
+reachable sums too) against brute-force subset sums, its results and
+`cap`'s as sets the constructor accepts, every public `SumSet` operation
+on the sets the package builds as runs against the constructor's sets
+of the same values, the sparse dense-part result inside its window,
+sigma(D) as a bound on stage two's level excess, and `solve` on
 pipeline-sized instances."""
 
 import math
@@ -29,12 +31,13 @@ from subsetsum.colorcoding import (
     color_params,
     partition_groups,
 )
-from subsetsum.core import Instance, SolverConfig, SumSet, ceil_log2, rng_stream, target_window
+from subsetsum.core import Instance, SolverConfig, ceil_log2, rng_stream, target_window
 from subsetsum.merge import DenseEvidence, merge_group_sumsets
-from subsetsum.solver import bounded_subset_sums, fallback_dp, small_target_gate, solve, solve_d_window
+from subsetsum.solver import bounded_subset_sums, dense_interval_set, fallback_dp, small_target_gate, solve, solve_d_window
 from subsetsum.structure import partition_instance
 from subsetsum.sumset import (
     Flat,
+    SumSet,
     _pair_level,
     cap,
     dense_sumset,
@@ -249,7 +252,7 @@ def test_window_subset_sums_match_per_copy_dp(case):
     # the reference adds every copy as its own 0/1 item, with no split and
     # no cut
     want = [v for v in per_copy_subset_sums(items) if lo <= v <= hi]
-    got = window_subset_sums(multiset(items), lo, hi, step)
+    got = window_subset_sums(multiset(items), lo, hi)
     assert isinstance(got, SumSet) and got.values.tolist() == want
     if lo <= 0 <= hi:
         assert bounded_subset_sums(multiset(items), hi).values.tolist() == want
@@ -285,10 +288,10 @@ def test_window_subset_sums_from_a_start_match_per_copy_dp(case):
     # reference, cut to [lo, hi]
     sums = np.add.outer(np.array(start, dtype=np.int64), np.array(per_copy_subset_sums(items), dtype=np.int64))
     want = [v for v in np.unique(sums).tolist() if lo <= v <= hi]
-    got = window_subset_sums(multiset(items), lo, hi, step, start=SumSet(start))
+    got = window_subset_sums(multiset(items), lo, hi, start=SumSet(start))
     assert isinstance(got, SumSet) and got.values.tolist() == want
     if start == [0]:
-        assert got == window_subset_sums(multiset(items), lo, hi, step)
+        assert got == window_subset_sums(multiset(items), lo, hi)
 
 
 @st.composite
@@ -350,7 +353,7 @@ def test_window_subset_sums_interval_step_matches_per_copy_dp(case):
     arg = (list(copies), list(copies.values()))
     if form.endswith("array"):
         arg = tuple(np.array(a, dtype=np.int64) for a in arg)
-    got = window_subset_sums(arg, lo, hi, step, start=None if start is None else SumSet(start))
+    got = window_subset_sums(arg, lo, hi, start=None if start is None else SumSet(start))
     assert isinstance(got, SumSet) and got.values.tolist() == want
 
 
@@ -373,7 +376,7 @@ def test_window_subset_sums_of_counts_match_the_repeated_items(case, counts, ord
     copies = [v for v, c in zip(values, counts) for _ in range(min(c, room // v))]
     sums = np.add.outer(np.array(start, dtype=np.int64), np.array(per_copy_subset_sums(copies, room), dtype=np.int64))
     want = [v for v in np.unique(sums).tolist() if lo <= v <= hi]
-    got = window_subset_sums((np.array(values, dtype=np.int64), np.array(counts, dtype=np.int64)), lo, hi, step, SumSet(start))
+    got = window_subset_sums((np.array(values, dtype=np.int64), np.array(counts, dtype=np.int64)), lo, hi, SumSet(start))
     assert got.values.tolist() == want
 
 
@@ -410,22 +413,22 @@ def _window_above_sums_case(draw):
 @settings(max_examples=150, deadline=None)
 def test_window_subset_sums_above_the_reachable_sums_match_per_copy_dp(case):
     # the mask is cut at the largest reachable sum, however far the window
-    # passes it, so the DP builds no bit above the sums; without a start
-    # step is not read
+    # passes it, so the DP builds no bit above the sums
     items, lo, hi, step, start = case
     sums = np.array(per_copy_subset_sums(items), dtype=np.int64)
     if start is not None:
         sums = np.unique(np.add.outer(np.array(start, dtype=np.int64), sums))
     want = [v for v in sums.tolist() if lo <= v <= hi]
-    got = window_subset_sums(multiset(items), lo, hi, step, None if start is None else SumSet(start))
+    got = window_subset_sums(multiset(items), lo, hi, None if start is None else SumSet(start))
     assert got.values.tolist() == want
     if start is None and lo <= 0:
         assert bounded_subset_sums(multiset(items), hi) == got
 
 
 def _held_as_built(got, *writable):
-    # a set the package builds is held without the constructor's copy and
-    # scan: it must still be one the constructor accepts, and read-only
+    # a set the package builds is held as its runs, without the
+    # constructor's checks: its values, built on first read, must still be
+    # ones the constructor accepts, and read-only
     v = got.values
     assert v.ndim == 1 and v.dtype == np.int64 and not v.flags.writeable
     assert got == SumSet(v)
@@ -437,9 +440,9 @@ def _held_as_built(got, *writable):
 @example(case=([1 << 61] * 5, 0, 1 << 64, 1 << 61, [0]), from_zero=False)
 @settings(max_examples=120, deadline=None)
 def test_window_and_cap_results_are_held_as_built(case, from_zero):
-    # the DP's result and cap's slice are read-only int64 arrays that the
-    # public constructor accepts, built apart from the caller's writable
-    # multiset arrays (cap's slice may share start's read-only values)
+    # the values of the DP's result and of cap's are read-only int64
+    # arrays that the public constructor accepts, built apart from the
+    # caller's writable multiset arrays
     items, lo, hi, step, start = case
     copies = Counter(items)
     values, counts = (np.array(a, dtype=np.int64) for a in (list(copies), list(copies.values())))
@@ -447,9 +450,9 @@ def test_window_and_cap_results_are_held_as_built(case, from_zero):
         # the window moved down by its lower end, so that it lies near the
         # sums of {0} rather than those of the start
         shift = max(min(lo, hi), 0)
-        got = window_subset_sums((values, counts), lo - shift, hi - shift, step)
+        got = window_subset_sums((values, counts), lo - shift, hi - shift)
     else:
-        got = window_subset_sums((values, counts), lo, hi, step, SumSet(start))
+        got = window_subset_sums((values, counts), lo, hi, SumSet(start))
     _held_as_built(got, values, counts)
     _held_as_built(cap(SumSet(start), min(lo, hi), max(lo, hi)), values, counts)
 
@@ -457,9 +460,9 @@ def test_window_and_cap_results_are_held_as_built(case, from_zero):
 @pytest.mark.parametrize(
     "args,want",
     [
-        ((([1 << 62], [3]), 0, 1 << 64, 1 << 60), [0, 1 << 62]),
-        ((([1 << 61], [5]), 0, 1 << 64, 1 << 61), [0, 1 << 61, 1 << 62, 3 << 61]),
-        ((([1 << 55], [3]), 0, (1 << 63) - 1, 1 << 55), [0, 1 << 55, 1 << 56, 3 << 55]),
+        ((([1 << 62], [3]), 0, 1 << 64), [0, 1 << 62]),
+        ((([1 << 61], [5]), 0, 1 << 64), [0, 1 << 61, 1 << 62, 3 << 61]),
+        ((([1 << 55], [3]), 0, (1 << 63) - 1), [0, 1 << 55, 1 << 56, 3 << 55]),
     ],
 )
 def test_window_subset_sums_of_huge_steps_give_every_int64_sum(args, want):
@@ -468,6 +471,79 @@ def test_window_subset_sums_of_huge_steps_give_every_int64_sum(args, want):
     got = window_subset_sums(*args)
     assert got.values.tolist() == want
     _held_as_built(got)
+
+
+@st.composite
+def _built_set_case(draw):
+    """(kind, build): a set that the package builds from runs, and a
+    function that builds it afresh.  The kinds are the window DP's results
+    from {0} and from a start (`_started_window_case`), `cap`'s slices of a
+    DP result and of a constructor set, the merge's kernel root (stage two
+    exact, eta_mult 1e-9, so that no merge collapses) over items in units
+    of a step of 1, 2 or 3, and the dense interval."""
+    kind = draw(st.sampled_from(["dp", "dp-start", "cap-dp", "cap-start", "kernel-root", "dense-interval"]))
+    if kind == "kernel-root":
+        step = draw(st.sampled_from([1, 2, 3]))
+        pairs = draw(st.lists(st.tuples(st.integers(2, 16), st.integers(1, 6)), min_size=4, max_size=10))
+        items = [step * v for v, c in pairs for _ in range(c)]
+        t = max(1, int(draw(st.floats(0.05, 0.66)) * sum(items)))
+        window = int(draw(st.floats(0.0, 1.0)) * t)
+        config = SolverConfig(seed=draw(st.integers(0, 99)), eta_mult=1e-9)
+        return kind, lambda: solve_d_window(multiset(items), t, max(items), len(items), config, window)
+    if kind == "dense-interval":
+        d, t, w = draw(st.integers(1, 7)), draw(st.integers(0, 10**4)), draw(st.integers(1, 64))
+        return kind, lambda: dense_interval_set(d, t, w)
+    items, lo, hi, _, start = draw(_started_window_case())
+    cut = sorted(draw(st.lists(st.integers(min(lo, hi) - 5, max(lo, hi) + 5), min_size=2, max_size=2)))
+    builds = {
+        "dp": lambda: window_subset_sums(multiset(items), lo, hi),
+        "dp-start": lambda: window_subset_sums(multiset(items), lo, hi, SumSet(start)),
+        "cap-dp": lambda: cap(window_subset_sums(multiset(items), lo, hi, SumSet(start)), *cut),
+        "cap-start": lambda: cap(SumSet(start), *cut),
+    }
+    return kind, builds[kind]
+
+
+@given(case=_built_set_case(), data=st.data())
+@example(case=("dp", lambda: bounded_subset_sums(([1], [10**4]), 10**4)), data=None)
+@settings(max_examples=300, deadline=None)
+def test_built_sets_answer_as_constructor_sets(case, data):
+    # every public operation gives the same answer on a set the package
+    # builds (held as runs, in the step its builder chose) as on the
+    # constructor's set of the same values (in runs of their gcd) and as
+    # on a Python set of them; len, min, max, dm, in and hash build no
+    # array of the values
+    kind, build = case
+    got, ref = build(), SumSet(build().values)
+    assert isinstance(got, SumSet), kind
+    want = ref.values.tolist()
+    plain = set(want)
+    assert (len(got), got.is_empty, got.min(), got.max(), got.dm()) == (len(ref), ref.is_empty, ref.min(), ref.max(), ref.dm())
+    if want:
+        assert (got.min(), got.max(), got.dm()) == (want[0], want[-1], want[-1] - want[0] + 1)
+    # members, their neighbours (off the step where it is above 1), the
+    # hull's neighbours, and integers outside int64
+    probes = [want[i] + d for i in range(0, len(want), max(len(want) // 20, 1)) for d in (-1, 0, 1)]
+    probes += [got.min() - 1, got.max() + 1, -1, 0, 2**63 - 1, 2**63, 2**64 + 5, -(2**70)]
+    if data is not None:
+        probes += data.draw(st.lists(st.integers(got.min() - 3, got.max() + 3), max_size=20))
+    assert [x in got for x in probes] == [x in ref for x in probes] == [x in plain for x in probes]
+    assert hash(got) == hash(ref)
+    assert got._values is None, kind
+    bounds = [(-(2**70), 2**70), (got.min(), got.max()), (got.min() + 1, got.max() - 1), (2**63, 2**64)]
+    if data is not None:
+        bounds.append(tuple(sorted(data.draw(st.lists(st.integers(got.min() - 3, got.max() + 3), min_size=2, max_size=2)))))
+    for lo, hi in bounds:
+        if lo <= hi:
+            assert cap(got, lo, hi) == cap(ref, lo, hi) and list(cap(got, lo, hi)) == [v for v in want if lo <= v <= hi]
+    assert got == ref and ref == got and not got != ref
+    assert got != SumSet(want + [want[-1] + 1] if want else [0]) and got != tuple(want)
+    assert list(got) == want and [type(x) for x in got] == [int] * len(want)
+    v = got.values
+    assert v.ndim == 1 and v.dtype == np.int64 and not v.flags.writeable and v.tolist() == want
+    assert got.values is v
+    with pytest.raises(ValueError):
+        v[:1] = 7
 
 
 @st.composite
@@ -951,13 +1027,13 @@ def test_sparse_d_window_lies_in_its_window(eta_mult, checked, pairs, t_frac, w_
     sigma = sum(items)
     t = max(1, int(t_frac * sigma))  # at most 2 sigma / 3, as stage one needs
     window = int(w_frac * t)
-    steps = []
-    collapse_step = merge._collapse_step
+    flags = []
+    collapses = merge._collapses
     config = SolverConfig(seed=seed, eta_mult=eta_mult, checked_mode=checked)
-    with mock.patch.object(merge, "_collapse_step", lambda *a: steps.append(collapse_step(*a)) or steps[-1]):
+    with mock.patch.object(merge, "_collapses", lambda *a: flags.append(collapses(*a)) or flags[-1]):
         got = solve_d_window(multiset(items), t, max(items), len(items), config, window)
     assert isinstance(got, SumSet)
-    assert (steps[0] > 0) == (eta_mult == 1.0)
+    assert flags[0] == (eta_mult == 1.0)
     assert got.is_empty or max(t - window, 0) <= got.min() <= got.max() <= t
     assert set(got) <= set(per_copy_subset_sums(items))
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from subsetsum import colorcoding, merge, solver, sumset
 from subsetsum.cli import generate_instance
 from subsetsum.colorcoding import GroupFamily
-from subsetsum.core import Instance, OracleBudgetError, SolverConfig, SumSet, normalize, rng_stream
+from subsetsum.core import Instance, OracleBudgetError, SolverConfig, normalize, rng_stream
 from subsetsum.merge import DenseEvidence
 from subsetsum.structure import partition_instance
 from subsetsum.solver import (
@@ -17,7 +18,7 @@ from subsetsum.solver import (
     solve,
     solve_d_window,
 )
-from subsetsum.sumset import dense_sumset
+from subsetsum.sumset import SumSet, dense_sumset
 
 from oracles import bitset_dp_table, brute_force, multiset, per_item_dp, subset_sum_decision, subset_sums
 
@@ -84,14 +85,37 @@ def test_the_window_dp_cuts_its_mask_at_the_reachable_sums():
         bounded_subset_sums(([1, 2**40], [1, 1]), 2**41)
 
 
+def test_an_interval_of_sums_is_one_run():
+    # the sums of 10**7 ones are the interval [0, 10**7]: the DP returns it
+    # as one run, and neither it nor len or in builds an array of values
+    # (an int64 array of them is 80 MB)
+    tracemalloc.start()
+    try:
+        sums = bounded_subset_sums(([1], [10**7]), 10**7)
+        size, member = len(sums), 10**7 in sums
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert size == 10**7 + 1 and member and (sums.min(), sums.max()) == (0, 10**7)
+
+
 def test_the_window_dp_reads_step_only_with_a_start():
-    # without a start the unit is the values' gcd, whatever step is: 3
-    # divides neither value
-    assert sumset.window_subset_sums(([2, 4], [1, 1]), 0, 10, 3).values.tolist() == [0, 2, 4, 6]
-    # with one, the unit is the gcd of the values and step, which divides
-    # the start's differences
-    got = sumset.window_subset_sums(([2, 4], [1, 1]), 0, 20, 3, SumSet([1, 4]))
+    # without a start the unit is the values' gcd
+    assert sumset.window_subset_sums(([2, 4], [1, 1]), 0, 10).values.tolist() == [0, 2, 4, 6]
+    # with one, the unit is the gcd of the values and the start's own step,
+    # which divides every start value: {1, 4} has step 1, so the odd sums
+    # of 1 + {0, 2} and the even ones of 4 + {0, 2} are all kept (a step of
+    # 2 passed by hand used to give [1, 3, 5])
+    start = SumSet([1, 4])
+    assert start.node.step == 1
+    got = sumset.window_subset_sums(([2], [1]), 0, 20, start=start)
+    assert got.values.tolist() == [1, 3, 4, 6]
+    got = sumset.window_subset_sums(([2, 4], [1, 1]), 0, 20, start=start)
     assert got.values.tolist() == [1, 3, 4, 5, 6, 7, 8, 10]
+    # the step is no parameter any more
+    with pytest.raises(TypeError):
+        sumset.window_subset_sums(([2], [1]), 0, 20, step=2, start=start)
 
 
 def test_fallback_dp_decides_a_target_the_gcd_does_not_divide_before_its_budget():
@@ -233,7 +257,7 @@ def test_combine_matches_the_sumset_chain_at_pipeline_size(monkeypatch, profile,
     # from S_D or from the dense interval, gives the candidate set of the
     # pairwise sumset chain over the parts.  "all-even" is the
     # `sparse-ladder` no-t60001 shape (divisor-structured with divisor 2
-    # and no strays), whose combine runs in units of 2
+    # and no strays), whose combine starts from S_D in its own step 2
     if profile == "all-even":
         inst = generate_instance("divisor-structured", n, w, seed, t=t, divisor=2, tail=0)
     else:
@@ -242,10 +266,10 @@ def test_combine_matches_the_sumset_chain_at_pipeline_size(monkeypatch, profile,
     steps = []
     dp = solver.window_subset_sums
 
-    def spy(multiset, lo, hi, step=1, start=None):
+    def spy(multiset, lo, hi, start=None):
         if start is not None:
-            steps.append(step)
-        return dp(multiset, lo, hi, step, start)
+            steps.append(start.node.step)
+        return dp(multiset, lo, hi, start)
 
     monkeypatch.setattr(solver, "window_subset_sums", spy)
     out = solve(inst, config)

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from subsetsum import sumset
-from subsetsum.core import SumSet
 from subsetsum.solver import bounded_subset_sums, dense_interval_set
 from subsetsum.sumset import (
     HULL_FFT_LIMIT,
     Level,
+    SumSet,
     _pair_level,
     _sum_values,
     cap,
