@@ -46,23 +46,35 @@ the elements in part order, each part ascending because each group is
 (stage one builds them so, and a family refuses groups that are not).
 A level holds only the occupied nodes, as one `Level` of runs in units
 of the elements' common step.  Level 0 ({0} plus each part's distinct
-elements) starts as node sizes counted from the sorted
-parts; it is split into runs only at the first level that sums a pair,
-or to read the roots of a repetition that does not trip, since a level
-with no pairs leaves every node as it is.  Only each repetition's roots
-are expanded to values.  A node whose sibling is
-empty is {0} + X = X, so a node with one occupied child is that child's
-runs, unchanged and never summed; only the nodes with two occupied
-children go to the level kernel `_pair_level`, and a level that has none
-calls no kernel.  Nearly all of the g parts are empty, so at pipeline
-size the tripping level usually has none, and such a trip builds no runs
-at all.  The kernel sums the pairs under the
+elements) starts as node sizes counted from the sorted parts (a part's
+length plus one, less its rare repeated values); it is split into runs
+only at the first level that sums a pair, or to read the roots of a
+repetition that does not trip, since a level with no pairs leaves every
+node as it is.  Only each repetition's roots are expanded to values.  A
+node whose sibling is empty is {0} + X = X, so a node with one occupied
+child is that child's runs, unchanged and never summed; only the nodes
+with two occupied children go to the level kernel `_pair_level`, and a
+level that has none calls no kernel.  Nearly all of the g parts are
+empty, so at pipeline size the tripping level usually has none, and such
+a trip builds no runs at all.  The kernel sums the pairs under the
 level's budget, counting as each pair's gap the known size before it:
-one for each virtual node, a child's size for each one-child node.  The
-stop is found on the one left-to-right running total of the level's
-sizes, so it is the one the materialized computation makes, and a
-tripping level computes at most LEVEL_CHUNK_VALUES values plus one
-pair past its stop.
+one for each virtual node, a child's size for each one-child node, so a
+tripping level computes at most LEVEL_CHUNK_VALUES values plus one pair
+past its stop.
+
+The stop is the one the materialized computation makes: the first point
+where the left-to-right running total of the level's sizes reaches the
+budget.  The level's total is already summed for the budget check, and
+the running total after the last occupied node is that node's global
+index + 1 plus the level's excess; when this is still below the budget,
+the stop lies in the trailing {0} gap, every node is computed, and
+nothing is searched.  Only otherwise is the running total built and
+searched for the node the stop lies on, or the {0} gap before it.  A
+node's weight (its parts' maxima) and subtree sum are its element when
+it holds one, as at a level-1 trip nearly always, and otherwise are read
+from running sums at each node's last part.  A repetition that trips
+builds no roots and no completeness marks; only the repetitions that
+finish do.
 
 The budget can never trip when its tail exceeds the sum over groups of
 min(sigma(G), 2^|G| - 1), a bound on any level's size excess over its
@@ -123,12 +135,16 @@ class _Layer(NamedTuple):
     """A drawn layer of stage one: its groups start at group first and
     its elements at element lo of the sorted items; bucket holds each
     element's drawn bucket and counts the elements each bucket drew,
-    before any was moved."""
+    before any was moved.  empty, donors and give are its rebalancing
+    (`_moves`)."""
 
     first: int
     lo: int
     bucket: np.ndarray
     counts: np.ndarray
+    empty: np.ndarray
+    donors: np.ndarray
+    give: np.ndarray
 
 
 class GroupFamily:
@@ -206,7 +222,14 @@ class GroupFamily:
         return self._offs
 
     def sizes(self) -> np.ndarray:
-        return np.diff(self.offs)
+        """Each group's element count (computed once, read-only)."""
+        return self._sizes
+
+    @cached_property
+    def _sizes(self) -> np.ndarray:
+        sizes = np.diff(self.offs)
+        sizes.flags.writeable = False
+        return sizes
 
     @property
     def element_count(self) -> int:
@@ -282,7 +305,7 @@ def partition_groups(
             layer_sizes[donors] -= give
             layer_sizes[empty] = 1
             largest = max(largest, int(layer_sizes.max()))
-            layers.append(_Layer(first, lo, bucket, drawn))
+            layers.append(_Layer(first, lo, bucket, drawn, empty, donors, give))
         first += alpha_j
     # group k holds elements offs[k] to offs[k + 1] - 1; the padding groups are empty
     offs = np.full(next_pow2(raw) + 1, bounds[-1], dtype=np.int64)
@@ -314,18 +337,18 @@ def _place(multiset: tuple[np.ndarray, np.ndarray], offs: np.ndarray, layers: Se
     """The groups of a `partition_groups` family: the sorted items, each
     drawn layer's items in bucket order.
 
-    A layer's elements go into their drawn buckets by one argsort of the
-    distinct keys bucket * size + index, the stable order of the buckets,
-    so each bucket is ascending.  Rebalancing (`_moves`) takes the last elements of
-    the donors, each into an empty bucket, where it is alone: every other
-    element keeps its rank in its bucket, so the kept elements fill the
-    layer's non-empty groups in sort order, and each moved one goes to
-    its empty group's offset."""
+    A layer's elements go into their drawn buckets by one stable argsort
+    of the bucket ids, cast to the narrowest unsigned dtype that holds
+    them (numpy sorts 8- and 16-bit keys by radix), so each bucket is
+    ascending.  Rebalancing (`_moves`, computed by stage one) takes the
+    last elements of the donors, each into an empty bucket, where it is
+    alone: every other element keeps its rank in its bucket, so the kept
+    elements fill the layer's non-empty groups in sort order, and each
+    moved one goes to its empty group's offset."""
     vals = np.repeat(*multiset)
-    for first, lo, bucket, counts in layers:
+    for first, lo, bucket, counts, empty, donors, give in layers:
         size = bucket.size
-        order = np.argsort(bucket * size + np.arange(size))
-        empty, donors, give = _moves(counts)
+        order = np.argsort(bucket.astype(np.min_scalar_type(counts.size - 1)), kind="stable")
         if empty.size:
             # the donors' last elements in sort order, the highest bucket's
             # first, go to the empty buckets in ascending order
@@ -511,7 +534,7 @@ def build_group_sumsets(
     ):
         return _unbudgeted_sumsets(family, params, rng)
     draws = (rng.integers(0, params.g, size=family.element_count) for _ in range(params.reps))
-    return _budgeted_sumsets(family.groups, params, draws)
+    return _budgeted_sumsets(family.groups.vals, family.sizes(), params, draws)
 
 
 def _max_level_excess(family: GroupFamily) -> int:
@@ -531,44 +554,51 @@ def _max_level_excess(family: GroupFamily) -> int:
 
 
 def _budgeted_sumsets(
-    groups: Flat, params: ColorCodingParams, draws: Iterable[np.ndarray]
+    elems: np.ndarray, group_sizes: np.ndarray, params: ColorCodingParams, draws: Iterable[np.ndarray]
 ) -> Union[GroupSumsets, DenseTripSignal]:
     """Every repetition as flat levels of the occupied nodes, summing only
     nodes with two occupied children, until one trips (see the module
-    docstring).  draws holds each repetition's parts of the elements of
-    groups, in element order; one stable sort by part keeps each part
-    ascending because every group is (see `GroupFamily`)."""
-    g, ell = params.g, len(groups)
-    elems = groups.vals
-    owner = np.repeat(np.arange(ell, dtype=np.int64), groups.sizes())
-    roots_key, roots_val = [np.arange(ell, dtype=np.int64)], [np.zeros(ell, dtype=np.int64)]
-    complete = np.zeros(ell, dtype=bool)
+    docstring).  elems holds the groups' elements back to back, each
+    group ascending, and group_sizes each group's count.  draws holds at
+    least one repetition's parts of the elements, in element order; one
+    stable sort by part keeps each part ascending because every group is
+    (see `GroupFamily`).
+
+    A tripping level reads its stop from its total when that lies in the
+    trailing {0} gap and searches for it only otherwise.  When every node
+    holds one element, that element is the node's weight and sum;
+    otherwise both come from running sums at the nodes' last parts.  It
+    builds no roots or completeness marks: only a repetition that does not
+    trip builds those."""
+    g, ell = params.g, group_sizes.size
+    group_key = np.repeat(np.arange(0, ell * g, g, dtype=np.int64), group_sizes)
+    roots_key, roots_val, complete = [], [], None
     for rep, drawn in enumerate(draws):
-        keys = owner * g + drawn
+        keys = group_key + drawn
         order = np.argsort(keys, kind="stable")
         part_key, part_val = keys[order], elems[order]
-        shared = np.zeros(ell, dtype=bool)
-        shared[part_key[1:][part_key[1:] == part_key[:-1]] // g] = True
-        complete |= ~shared
-        part_first = np.diff(part_key, prepend=-1) != 0
+        part_first = np.empty(part_key.size, dtype=bool)
+        part_first[:1] = True
+        np.not_equal(part_key[1:], part_key[:-1], out=part_first[1:])
         part_start = np.flatnonzero(part_first)
-        node_key = part_key[part_start]
-        sizes, distinct = _part_sizes(part_val, part_first, part_start)
+        node_key = part_node = part_key[part_start]
+        sizes, repeats = _part_sizes(part_val, part_first, part_start)
         # level 0's runs, built only when a level first sums a pair or the
         # roots are read: until then every node is its part
         cur = None
         for h in range(1, ceil_log2(g) + 1):
             num_nodes = ell * (g >> h)
             budget = num_nodes + params.tail
+            parent = node_key >> 1
             # left[k] and left[k] + 1 are the children of a two-child node;
             # every other node is its one child, unchanged
-            left = np.flatnonzero((node_key[1:] >> 1) == (node_key[:-1] >> 1))
+            left = np.flatnonzero(parent[1:] == parent[:-1])
             if left.size:
                 if cur is None:
-                    cur = _part_level(part_val[distinct], part_first[distinct])
+                    cur = _part_level(np.delete(part_val, repeats), np.delete(part_first, repeats))
                 kept = np.ones(node_key.size, dtype=bool)
                 kept[left + 1] = False
-                node_key = node_key[kept] >> 1
+                node_key = parent[kept]
                 sizes = sizes[kept]
                 paired = left - np.arange(left.size)  # the two-child nodes
                 # known size before each pair: virtual {0} nodes count one
@@ -581,28 +611,41 @@ def _budgeted_sumsets(
                 # never read
                 sizes[paired[: len(out)]] = out.sizes()
             else:
-                node_key = node_key >> 1
-            if num_nodes + int(sizes.sum()) - sizes.size < budget:
+                node_key = parent
+            excess = int(sizes.sum()) - sizes.size
+            if num_nodes + excess < budget:
                 if left.size:
                     # node i is its one child or, if it has two, their sum
                     source = np.flatnonzero(kept)
                     source[paired] = len(cur) + np.arange(left.size)
                     cur = cur.concat(out).take(source)
                 continue
-            # the running total after node i is its global index + 1 +
-            # extra[i]; the stop is on the first node where that reaches the
-            # budget, unless it was reached in the {0} gap before it (or in
-            # the trailing gap after the last node)
-            extra = np.cumsum(sizes - 1)
-            after = node_key + 1 + extra
-            i = int(np.searchsorted(after, budget))
-            if i < len(after) and after[i] - sizes[i] < budget:
-                observed, trip_index, computed = int(after[i]), int(node_key[i]) + 1, i + 1
+            # the running total after node i is its global index + 1 + the
+            # excess of nodes 0..i: below the budget after the last node,
+            # the stop is in the trailing {0} gap; otherwise it is on the
+            # first node where the total reaches it, or in the gap before
+            if int(node_key[-1]) + 1 + excess < budget:
+                observed, trip_index, node_sizes = budget, budget - excess, sizes
             else:
-                observed, trip_index, computed = budget, budget - (int(extra[i - 1]) if i else 0), i
-            # the first part of each node, and each part's largest element
-            node_start = np.flatnonzero(np.diff(part_key[part_start] >> h, prepend=-1))
-            part_max = part_val[np.append(part_start[1:], part_key.size) - 1]
+                extra = np.cumsum(sizes - 1)
+                after = node_key + 1 + extra
+                i = int(np.searchsorted(after, budget))
+                if after[i] - sizes[i] < budget:
+                    observed, trip_index, computed = int(after[i]), int(node_key[i]) + 1, i + 1
+                else:
+                    observed, trip_index, computed = budget, budget - (int(extra[i - 1]) if i else 0), i
+                node_sizes = np.append(sizes[:computed], np.ones(sizes.size - computed, dtype=np.int64))
+            if node_key.size == part_val.size:
+                # every node holds one element: its weight and its sum
+                node_f = node_sigma = part_val
+            else:
+                # a node starts at the first part whose level-0 key lies in
+                # it; it weighs its parts' maxima and sums their elements,
+                # read from running sums at its last part
+                part_last = np.append(part_start[1:], part_key.size) - 1
+                node_last = np.append(np.searchsorted(part_node, node_key << h)[1:], part_start.size) - 1
+                node_f = np.diff(np.cumsum(part_val[part_last])[node_last], prepend=0)
+                node_sigma = np.diff(np.cumsum(part_val)[part_last[node_last]], prepend=0)
             return DenseTripSignal(
                 level=h,
                 observed_total_size=observed,
@@ -614,15 +657,24 @@ def _budgeted_sumsets(
                 trivial_nodes=num_nodes - node_key.size,
                 trip_index=trip_index,
                 repetition=rep,
-                node_sizes=np.append(sizes[:computed], np.ones(sizes.size - computed, dtype=np.int64)),
-                node_f=np.add.reduceat(part_max, node_start),
-                node_sigma=np.add.reduceat(part_val, part_start[node_start]),
+                node_sizes=node_sizes,
+                node_f=node_f,
+                node_sigma=node_sigma,
             )
         if cur is None:
-            cur = _part_level(part_val[distinct], part_first[distinct])
+            cur = _part_level(np.delete(part_val, repeats), np.delete(part_first, repeats))
         roots_key.append(np.repeat(node_key, sizes))
         roots_val.append(cur.values())
-    sets = _distinct_level(np.concatenate(roots_key), np.concatenate(roots_val), np.arange(ell))
+        # a group is complete once a repetition puts its elements into parts
+        # of their own
+        shared = np.zeros(ell, dtype=bool)
+        shared[part_key[~part_first] // g] = True
+        complete = ~shared if complete is None else complete | ~shared
+    sets = _distinct_level(
+        np.concatenate([np.arange(ell, dtype=np.int64), *roots_key]),
+        np.concatenate([np.zeros(ell, dtype=np.int64), *roots_val]),
+        np.arange(ell),
+    )
     return GroupSumsets(sets, params, bool(complete.all()))
 
 
@@ -630,14 +682,20 @@ def _part_sizes(
     part_val: np.ndarray, part_first: np.ndarray, part_start: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Level 0's node sizes, from counts: node k is {0} plus the distinct
-    elements of the k-th occupied part, so its size is one more than their
-    count.  part_val holds the parts' elements back to back, each part
-    ascending; part_first marks, and part_start indexes, each part's first
-    element.  Also returns the mask of each part's distinct elements."""
-    distinct = part_first.copy()
-    distinct[1:] |= part_val[1:] != part_val[:-1]
-    # counted as int64: a bool result would OR the marks
-    return np.add.reduceat(distinct, part_start, dtype=np.int64) + 1, distinct
+    elements of the k-th occupied part, so its size is its part's length
+    plus one, less the part's repeats.  A repeat is an element equal to
+    the one before it in the same part (each part ascends); repeats are
+    rare, so each is subtracted from its part one by one.  part_val holds
+    the parts' elements back to back; part_first marks, and part_start
+    indexes, each part's first element.  Also returns the repeats'
+    positions: without them, the parts hold their distinct elements."""
+    same = part_val[1:] == part_val[:-1]
+    same[part_first[1:]] = False  # a part's first element repeats nothing
+    repeats = np.flatnonzero(same) + 1
+    sizes = np.diff(part_start, append=part_val.size)
+    sizes += 1
+    np.subtract.at(sizes, np.searchsorted(part_start, repeats, side="right") - 1, 1)
+    return sizes, repeats
 
 
 def _part_level(vals: np.ndarray, first: np.ndarray) -> Level:
@@ -711,7 +769,7 @@ def _unbudgeted_sumsets(
 def _untripped_sets(groups: Flat, params: ColorCodingParams, draws: Iterable[np.ndarray]) -> Flat:
     """The sets of `_budgeted_sumsets` for groups whose `_max_level_excess`
     is below params.tail, where no level can trip."""
-    out = _budgeted_sumsets(groups, params, draws)
+    out = _budgeted_sumsets(groups.vals, groups.sizes(), params, draws)
     if isinstance(out, DenseTripSignal):
         raise InternalConsistencyError("stage two tripped a budget above every level's excess")
     return out.sets

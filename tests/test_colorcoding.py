@@ -290,14 +290,18 @@ def test_virtual_levels_match_materialized_reference(budget_mult, seed, case, tr
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("n,w,budget_mult", [(4000, 2, 1e-12), (12000, 8, 1e-11), (4000, 3, 1e-9)])
+@pytest.mark.parametrize(
+    "n,w,budget_mult", [(4000, 2, 1e-12), (12000, 2, 1e-12), (12000, 8, 1e-11), (4000, 3, 1e-9)]
+)
 def test_budgeted_levels_match_slot_reference_at_pipeline_size(n, w, budget_mult, seed):
     # g = 32,768 parts per group, far beyond what the materialized
-    # reference can hold.  The first two shapes are `dense-trip`'s, which
-    # trip at level 1; the third trips at the root level (seeds 1 and 2)
-    # or runs every repetition without a trip (seed 3).  The reference
-    # sums every occupied node with its sibling, the package only nodes
-    # with two occupied children
+    # reference can hold.  The first three shapes are `dense-trip`'s,
+    # which trip at level 1; (12000, 2) is the one whose stage one draws a
+    # layer and moves elements into over a thousand empty buckets.  The
+    # last trips at the root level (seeds 1 and 2) or runs every
+    # repetition without a trip (seed 3).  The reference sums every
+    # occupied node with its sibling, the package only nodes with two
+    # occupied children
     inst = normalize(generate_instance("dense", n, w, seed)).instance
     t, config = inst.target, SolverConfig(seed=seed, budget_mult=budget_mult)
     q = config.q_for(inst.n, t)
@@ -395,20 +399,31 @@ def test_level_one_trip_builds_no_runs(monkeypatch):
     assert got == slot_stage_two(family, params, rng_stream(1, "phase2"))
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_part_sizes_from_counts_match_part_level(seed):
+@pytest.mark.parametrize("case", [0, 1, 2, "repeats-at-ends", "no-repeats"])
+def test_part_sizes_from_counts_match_part_level(case):
     # level 0's sizes are counted from the sorted parts, without runs: one
     # plus each part's distinct elements.  Parts hold repeated values and
     # several distinct ones, so a count that ORs the distinct marks (every
-    # size 2) or counts repeats would differ
-    rng = np.random.default_rng(seed)
-    parts = [(2, 2, 2), (1, 3, 3, 5), (4,), (1, 2, 3, 4, 5, 6), (7, 7)]
-    parts += [tuple(np.sort(rng.integers(1, 6, size=rng.integers(1, 9))).tolist()) for _ in range(40)]
+    # size 2) or counts repeats would differ.  A part may repeat its first
+    # value or its last, and a part's first value may equal the previous
+    # part's last, which is no repeat; a level may hold no repeat at all
+    if case == "repeats-at-ends":
+        parts = [(3, 3, 4), (1, 2, 5, 5), (5, 5), (5, 6, 6), (6, 7, 7)]
+    elif case == "no-repeats":
+        parts = [(1, 2), (2, 3), (3,), (3, 4, 9), (9,)]
+    else:
+        rng = np.random.default_rng(case)
+        parts = [(2, 2, 2), (1, 3, 3, 5), (4,), (1, 2, 3, 4, 5, 6), (7, 7)]
+        parts += [tuple(np.sort(rng.integers(1, 6, size=rng.integers(1, 9))).tolist()) for _ in range(40)]
     part_val = np.concatenate([np.array(p, dtype=np.int64) for p in parts])
     part_first = np.zeros(part_val.size, dtype=bool)
     part_first[np.cumsum([0, *(len(p) for p in parts[:-1])])] = True
-    sizes, distinct = colorcoding._part_sizes(part_val, part_first, np.flatnonzero(part_first))
-    level = colorcoding._part_level(part_val[distinct], part_first[distinct])
+    sizes, repeats = colorcoding._part_sizes(part_val, part_first, np.flatnonzero(part_first))
+    at = np.cumsum([0, *(len(p) for p in parts)])
+    assert repeats.tolist() == [a + k for a, p in zip(at, parts) for k in range(1, len(p)) if p[k] == p[k - 1]]
+    if case == "no-repeats":
+        assert repeats.size == 0
+    level = colorcoding._part_level(np.delete(part_val, repeats), np.delete(part_first, repeats))
     assert sizes.tolist() == level.sizes().tolist() == [1 + len(set(p)) for p in parts]
     assert [x.tolist() for x in level] == [[0, *sorted(set(p))] for p in parts]
 
@@ -514,7 +529,7 @@ def test_budget_that_cannot_trip_takes_unbudgeted_path(monkeypatch):
     assert ran == [1]
     rng = rng_stream(1, "p2")
     draws = (rng.integers(0, params.g, size=family.groups.vals.size) for _ in range(params.reps))
-    assert got == colorcoding._budgeted_sumsets(family.groups, params, draws)
+    assert got == colorcoding._budgeted_sumsets(family.groups.vals, family.sizes(), params, draws)
 
 
 def test_never_complete_groups_match_slot_reference_at_pipeline_size():
