@@ -34,8 +34,9 @@ were materialized and summed left to right.  Reaching the budget stops
 everything and yields a dense trip signal whose bookkeeping (per-node
 sizes, subtree maxima, subtree sums) suffices to build checkable dense
 evidence.  Otherwise the per-group roots, unioned over all repetitions,
-form the group sumsets: one `Flat` whose node i holds group i's values,
-which the merge permutes with one gather.
+form the group sumsets: one `Level` whose node i holds group i's set as
+runs of the family's common step, which the merge permutes with one
+`take` and sums as its leaf level.
 
 The budgeted path never materializes the ell * g virtual forest.  A node
 whose subtree holds no element is exactly {0}, a sumset identity of size
@@ -45,13 +46,17 @@ is a node's global index at level h.  One stable sort of the keys puts
 the elements in part order, each part ascending because each group is
 (stage one builds them so, and a family refuses groups that are not).
 A level holds only the occupied nodes, as one `Level` of runs in units
-of the elements' common step.  Level 0 ({0} plus each part's distinct
-elements) starts as node sizes counted from the sorted parts (a part's
-length plus one, less its rare repeated values); it is split into runs
-only at the first level that sums a pair, or to read the roots of a
-repetition that does not trip, since a level with no pairs leaves every
-node as it is.  Only each repetition's roots are expanded to values.  A
-node whose sibling is empty is {0} + X = X, so a node with one occupied
+of a step that divides every element, taken once per call (for the
+family, `sumset.common_step` of its distinct values).  Level 0 ({0}
+plus each part's distinct elements) starts as node sizes counted from
+the sorted parts (a part's length plus one, less its rare repeated
+values); it is split into runs only at the first level that sums a
+pair, or to read the roots of a repetition that does not trip, since a
+level with no pairs leaves every node as it is.  Each finished
+repetition's roots stay runs; after the last repetition one union of
+runs (`sumset._node_union`, which the run kernel also uses) joins them
+with each group's {0} into the sets, so no root is expanded to values.
+A node whose sibling is empty is {0} + X = X, so a node with one occupied
 child is that child's runs, unchanged and never summed; only the nodes
 with two occupied children go to the level kernel `_pair_level`, and a
 level that has none calls no kernel.  Nearly all of the g parts are
@@ -106,7 +111,14 @@ A group's roots depend only on its own elements' parts, so the sets are
 bit-identical to merging every repetition of the whole family.  Every
 other group's full subset sums are {0} for an empty group, {0, x} for a
 singleton, and for a larger group the roots of one more pass of that
-loop, with the group's k-th element in part k.
+loop, with the group's k-th element in part k.  Each sub-family runs in
+its own elements' common step, a multiple of the family's (groups of
+one layer often share one: on dense w=2 the open groups hold only 2s,
+whose sets are intervals of step 2 and would be single values at step
+1).  The pieces are then held in the family's step (`Level.with_step`:
+past a factor of one each value is a run of its own, the form those
+values take in the family's step) and joined into one `Level` by
+`concat` and `take`.
 
 `GroupSumsets.exact` says whether every group completed, so that every
 set is its group's full subset sums (a group that never completes lacks
@@ -126,7 +138,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .core import InternalConsistencyError, array_fields_eq, ceil_div, ceil_log2, next_pow2, target_window
-from .sumset import Flat, Level, _offsets, _pair_level, _segment_index
+from .sumset import Flat, Level, _node_union, _offsets, _pair_level, _segment_index, common_step
 # imported only as the phase-2 kernel boundary that perfbench's tracer wraps
 from .sumset import _sum_values  # noqa: F401
 
@@ -437,23 +449,25 @@ def _budget_tail(rho: int, u_prime: int, budget_mult: float) -> int:
 
 
 class GroupSumsets:
-    """Per-group achievable-sum sets: node i of sets holds S_i, a subset
-    of the true subset sums of group i that always contains 0.
+    """Per-group achievable-sum sets: node i of sets, a `Level` of runs
+    of the family's common step, holds S_i, a subset of the true subset
+    sums of group i that always contains 0.
 
     exact is True only when every S_i equals group i's full subset sums
     (the merge may then compute its root from the items); False is always
     safe.
 
+    The constructor takes the sets as such a `Level`.
     `complete(family, params)` stands for every group's full subset sums
     without computing them: sets is built from the family on its first
     read (`_group_sets`) and kept.  GroupSumsets compare equal when their
-    sets, params and exact are.
+    sets (as values), params and exact are.
     """
 
     __slots__ = ("_sets", "_family", "params", "exact")
 
-    def __init__(self, sets: Flat, params: ColorCodingParams, exact: bool = False) -> None:
-        self._sets: Optional[Flat] = sets
+    def __init__(self, sets: Level, params: ColorCodingParams, exact: bool = False) -> None:
+        self._sets: Optional[Level] = sets
         self._family: Optional[GroupFamily] = None
         self.params = params
         self.exact = exact
@@ -465,11 +479,12 @@ class GroupSumsets:
         return out
 
     @property
-    def sets(self) -> Flat:
+    def sets(self) -> Level:
         if self._sets is None:
             # every group completed: no group is open
             none = np.zeros(0, dtype=np.int64)
-            self._sets = _group_sets(self._family, self.params, none, Flat.of(()))
+            no_sets = Level(none, none, np.zeros(1, dtype=np.int64), common_step(self._family.multiset[0]))
+            self._sets = _group_sets(self._family, self.params, none, no_sets)
             self._family = None
         return self._sets
 
@@ -534,7 +549,7 @@ def build_group_sumsets(
     ):
         return _unbudgeted_sumsets(family, params, rng)
     draws = (rng.integers(0, params.g, size=family.element_count) for _ in range(params.reps))
-    return _budgeted_sumsets(family.groups.vals, family.sizes(), params, draws)
+    return _budgeted_sumsets(family.groups.vals, family.sizes(), params, common_step(family.multiset[0]), draws)
 
 
 def _max_level_excess(family: GroupFamily) -> int:
@@ -554,13 +569,14 @@ def _max_level_excess(family: GroupFamily) -> int:
 
 
 def _budgeted_sumsets(
-    elems: np.ndarray, group_sizes: np.ndarray, params: ColorCodingParams, draws: Iterable[np.ndarray]
+    elems: np.ndarray, group_sizes: np.ndarray, params: ColorCodingParams, step: int, draws: Iterable[np.ndarray]
 ) -> Union[GroupSumsets, DenseTripSignal]:
     """Every repetition as flat levels of the occupied nodes, summing only
     nodes with two occupied children, until one trips (see the module
     docstring).  elems holds the groups' elements back to back, each
-    group ascending, and group_sizes each group's count.  draws holds at
-    least one repetition's parts of the elements, in element order; one
+    group ascending, and group_sizes each group's count; step divides
+    every element, and the levels and sets are in its units.  draws holds
+    at least one repetition's parts of the elements, in element order; one
     stable sort by part keeps each part ascending because every group is
     (see `GroupFamily`).
 
@@ -569,10 +585,12 @@ def _budgeted_sumsets(
     holds one element, that element is the node's weight and sum;
     otherwise both come from running sums at the nodes' last parts.  It
     builds no roots or completeness marks: only a repetition that does not
-    trip builds those."""
+    trip builds those.  A finished repetition's roots are kept as runs,
+    node k holding the k-th non-empty group's, and the sets join them all
+    with each group's {0} in one run union (`_node_union`)."""
     g, ell = params.g, group_sizes.size
     group_key = np.repeat(np.arange(0, ell * g, g, dtype=np.int64), group_sizes)
-    roots_key, roots_val, complete = [], [], None
+    roots, complete = [], None
     for rep, drawn in enumerate(draws):
         keys = group_key + drawn
         order = np.argsort(keys, kind="stable")
@@ -595,7 +613,7 @@ def _budgeted_sumsets(
             left = np.flatnonzero(parent[1:] == parent[:-1])
             if left.size:
                 if cur is None:
-                    cur = _part_level(np.delete(part_val, repeats), np.delete(part_first, repeats))
+                    cur = _part_level(np.delete(part_val, repeats), np.delete(part_first, repeats), step)
                 kept = np.ones(node_key.size, dtype=bool)
                 kept[left + 1] = False
                 node_key = parent[kept]
@@ -662,20 +680,21 @@ def _budgeted_sumsets(
                 node_sigma=node_sigma,
             )
         if cur is None:
-            cur = _part_level(np.delete(part_val, repeats), np.delete(part_first, repeats))
-        roots_key.append(np.repeat(node_key, sizes))
-        roots_val.append(cur.values())
+            cur = _part_level(np.delete(part_val, repeats), np.delete(part_first, repeats), step)
+        roots.append(cur)
         # a group is complete once a repetition puts its elements into parts
         # of their own
         shared = np.zeros(ell, dtype=bool)
         shared[part_key[~part_first] // g] = True
         complete = ~shared if complete is None else complete | ~shared
-    sets = _distinct_level(
-        np.concatenate([np.arange(ell, dtype=np.int64), *roots_key]),
-        np.concatenate([np.zeros(ell, dtype=np.int64), *roots_val]),
-        np.arange(ell),
-    )
-    return GroupSumsets(sets, params, bool(complete.all()))
+    # node i joins group i's {0} and its roots (a repetition's root k is the
+    # k-th non-empty group's); every node is given the largest span
+    zero = np.zeros(ell, dtype=np.int64)
+    node = np.concatenate([np.arange(ell), *(np.repeat(np.flatnonzero(group_sizes), np.diff(cur.offs)) for cur in roots)])
+    starts = np.concatenate([zero, *(cur.starts for cur in roots)])
+    ends = np.concatenate([zero, *(cur.ends for cur in roots)])
+    _, nruns, starts, ends = _node_union(starts, ends, node, zero, np.full(ell, ends.max(initial=0)))
+    return GroupSumsets(Level(starts, ends, _offsets(nruns), step), params, bool(complete.all()))
 
 
 def _part_sizes(
@@ -698,26 +717,16 @@ def _part_sizes(
     return sizes, repeats
 
 
-def _part_level(vals: np.ndarray, first: np.ndarray) -> Level:
-    """Level 0 of a repetition as runs of the elements' common step: node k
-    is {0} plus the k-th occupied part's distinct elements.  vals holds
-    them back to back, each part ascending, and first marks each part's
-    first element."""
+def _part_level(vals: np.ndarray, first: np.ndarray, step: int) -> Level:
+    """Level 0 of a repetition as runs of step, which divides every
+    element: node k is {0} plus the k-th occupied part's distinct
+    elements.  vals holds them back to back, each part ascending, and
+    first marks each part's first element."""
     starts = np.flatnonzero(first)
     # a part's 0 goes before its values, so part k's values move k + 1 places
     out = np.zeros(vals.size + starts.size, dtype=np.int64)
     out[np.arange(vals.size) + np.cumsum(first)] = vals
-    return Level.from_values(out, np.append(starts + np.arange(starts.size), out.size))
-
-
-def _distinct_level(keys: np.ndarray, vals: np.ndarray, nodes: np.ndarray) -> Flat:
-    """The Flat whose node i holds the distinct values paired with key
-    nodes[i], in ascending order; nodes is sorted and holds every key."""
-    order = np.lexsort((vals, keys))
-    keys, vals = keys[order], vals[order]
-    new = np.ones(keys.size, dtype=bool)
-    new[1:] = (keys[1:] != keys[:-1]) | (vals[1:] != vals[:-1])
-    return Flat(vals[new], np.append(np.searchsorted(keys[new], nodes), np.count_nonzero(new)))
+    return Level.from_values(out, np.append(starts + np.arange(starts.size), out.size), step)
 
 
 def _unbudgeted_sumsets(
@@ -766,41 +775,46 @@ def _unbudgeted_sumsets(
     return GroupSumsets(_group_sets(family, params, open_groups, open_sets), params)
 
 
-def _untripped_sets(groups: Flat, params: ColorCodingParams, draws: Iterable[np.ndarray]) -> Flat:
+def _untripped_sets(groups: Flat, params: ColorCodingParams, draws: Iterable[np.ndarray]) -> Level:
     """The sets of `_budgeted_sumsets` for groups whose `_max_level_excess`
-    is below params.tail, where no level can trip."""
-    out = _budgeted_sumsets(groups.vals, groups.sizes(), params, draws)
+    is below params.tail, where no level can trip, in runs of the groups'
+    own common step."""
+    # groups of one layer often share a step that the family's other
+    # values do not: on dense n=300,000, w=2, t=201 (seed 1) the open
+    # groups hold only 2s, and in units of the family's step 1 their
+    # levels went to the FFT for want of runs: the solve took 10.6 s, and
+    # 4.4 s in units of 2 (best of 2 each; 2-core x86 VM, numpy 2.4)
+    out = _budgeted_sumsets(groups.vals, groups.sizes(), params, common_step(groups.vals), draws)
     if isinstance(out, DenseTripSignal):
         raise InternalConsistencyError("stage two tripped a budget above every level's excess")
     return out.sets
 
 
-def _group_sets(
-    family: GroupFamily, params: ColorCodingParams, open_groups: np.ndarray, open_sets: Flat
-) -> Flat:
-    """The Flat whose node open_groups[k] holds open_sets' node k, for the
+def _group_sets(family: GroupFamily, params: ColorCodingParams, open_groups: np.ndarray, open_sets: Level) -> Level:
+    """The Level whose node open_groups[k] is open_sets' node k, for the
     groups that never complete (ascending), and every other group's full
     subset sums: {0} for an empty group, {0, x} for a singleton, and for a
     larger group the roots of one repetition that puts its k-th element
     into part k (a complete group holds at most g), computed once for each
-    distinct content (`_distinct_contents`)."""
+    distinct content (`_distinct_contents`).  Every node is in runs of
+    the family's common step; open_sets may be in runs of any multiple of
+    it."""
     groups = family.groups
     sizes = groups.sizes()
+    step = common_step(family.multiset[0])
     multi = np.setdiff1d(np.flatnonzero(sizes >= 2), open_groups)
     which, distinct = _distinct_contents(groups, multi)
     firsts = groups.take(distinct)
     rank = np.arange(firsts.vals.size) - np.repeat(firsts.offs[:-1], firsts.sizes())
-    full = _untripped_sets(firsts, params, [rank]).take(which)
+    full = _untripped_sets(firsts, params, [rank]).take(which).with_step(step)
     # a smaller group's set is 0, then its element if it has one
-    set_sizes = sizes + 1
-    set_sizes[multi], set_sizes[open_groups] = full.sizes(), open_sets.sizes()
-    offs = _offsets(set_sizes)
-    vals = np.zeros(offs[-1], dtype=np.int64)
-    single = np.flatnonzero(sizes == 1)
-    vals[offs[single] + 1] = groups.vals[groups.offs[single]]
-    for nodes, sets in ((multi, full), (open_groups, open_sets)):
-        vals[_segment_index(offs[nodes], sets.sizes())] = sets.vals
-    return Flat(vals, offs)
+    small = np.flatnonzero(sizes < 2)
+    lone = groups.take(small)
+    small_sets = Level.from_values(np.insert(lone.vals, lone.offs[:-1], 0), lone.offs + np.arange(small.size + 1), step)
+    # the joined nodes are the groups small, multi and open_groups in turn:
+    # three ascending runs, which one stable sort merges into group order
+    source = np.argsort(np.concatenate((small, multi, open_groups)), kind="stable")
+    return small_sets.concat(full).concat(open_sets.with_step(step)).take(source)
 
 
 def _distinct_contents(groups: Flat, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

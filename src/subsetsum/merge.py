@@ -13,11 +13,15 @@ caller cares about; caps are widened by one on each side to absorb
 integer rounding.
 
 Each level is one `sumset.Level`: every node's maximal runs in units of
-the leaf level's common step (the gcd of its values, which every sum and
-cap above it keeps as a divisor, so it is computed once), back to back.
-The leaf level is split into runs once; each level goes through the
-level kernel `_pair_level` whole and comes back as runs, so no level is
-expanded to values.  The interval cap clips the runs, and the per-node
+the family's common step (the gcd of its elements, which every sum and
+cap keeps as a divisor), back to back.  The leaf level is stage two's
+sets as they come (`GroupSumsets.sets`, a `Level` in that step),
+permuted by one `take`, and each leaf's maximum is its last run's end;
+each level goes through the level kernel `_pair_level` whole and comes
+back as runs, so no level is expanded to values.  Every stage-two set
+holds each element of its group, so the gcd of the leaves' values is
+the family's step: the step that a merge derived from its leaf values
+is the one it now takes.  The interval cap clips the runs, and the per-node
 weights and subtree sums, the checked-mode bounds and the evidence sizes
 (sums of run lengths) and maxima (last run ends) are all computed
 level-wide from the offsets.  The root's runs, clipped to the target
@@ -70,7 +74,7 @@ import numpy as np
 
 from .core import InternalConsistencyError, array_fields_eq, ceil_div, ceil_log2, target_window
 from .colorcoding import DenseTripSignal, GroupFamily, GroupSumsets, _budget_tail
-from .sumset import FALLBACK_MAX_BITS, Level, SumSet, _pair_level, common_step, window_subset_sums
+from .sumset import FALLBACK_MAX_BITS, SumSet, _pair_level, common_step, window_subset_sums
 
 
 @dataclass(eq=False)
@@ -218,14 +222,12 @@ def merge_group_sumsets(
 
     perm = rng.permutation(ell)
     sig = family.group_sums[perm]
-    sets = group_sumsets.sets
-    # every stage-two set holds 0, so none is empty and its last value is
-    # its maximum
-    f = sets.vals[sets.offs[1:][perm] - 1]
+    cur = group_sumsets.sets.take(perm)
+    # every stage-two set holds 0, so none is empty and its last run ends
+    # at its maximum
+    f = cur.ends[cur.offs[1:] - 1] * cur.step
     if checked and exact and not np.array_equal(f, sig):
         raise InternalConsistencyError("an exact set's maximum differs from its group's sum")
-    leaves = sets.take(perm)
-    cur = Level.from_values(leaves.vals, leaves.offs)
 
     for h in range(1, levels + 1):
         ell_h = ell >> h

@@ -17,9 +17,12 @@ value) and its size, and builds its int64 values only when they are read.
 A level is one `Level` in units of its common step g (a divisor of every
 value; 2 when all items are even): each node is its maximal runs of step
 g, each run a start and an end divided by g, back to back with per-node
-offsets.  Runs are derived from values once, at the first level of a
-merge or of a colour-coding repetition; every later level is computed
-from runs and returned as runs, and only a root is expanded back to
+offsets.  Runs are derived from values once, at level 0 of a
+colour-coding repetition (each part's elements and 0); every later
+level is computed from runs and returned as runs.  Stage two's group
+sumsets are one `Level` too: `_node_union`, the union the run kernel
+uses, joins each finished repetition's roots with each group's {0}, and
+the merge takes them as its leaf level, so no level is expanded back to
 values.  A node's size is the sum of its runs' lengths, so budgets,
 weights and evidence stay exact.  Each pair with an empty operand gives
 an empty output; otherwise it takes one of three kernels:
@@ -27,7 +30,8 @@ an empty output; otherwise it takes one of three kernels:
   * runs: when A and B have r_a * r_b run pairs, at most (hull / g) /
     RUN_HULL_RATIO clipped to [RUN_PAIRS_MIN, RUN_PAIRS_MAX], every run
     of A plus every run of B is one run, and the overlapping or adjacent
-    ones are merged into the output's runs.  A set of k scattered values
+    ones are merged into the output's runs (`_node_union`, one sort for
+    every pair of a batch).  A set of k scattered values
     is k runs of one value, so small pairs are plain enumeration; dense
     merge levels are intervals (runs of g), which this sums in time
     linear in their number of runs.
@@ -70,8 +74,8 @@ interval) are all its output.
 clipping its runs, and `cap` is `Level.cap` on a set's one node, so the
 DP's results, `cap`'s, the merge's kernel root and the dense interval
 are all runs, and none of them is expanded to values on the way to the
-decision.  Stage one's groups and stage two's group sumsets are values
-back to back (`Flat`): groups are multisets, which runs cannot hold.
+decision.  Only stage one's groups are values back to back (`Flat`):
+groups are multisets, which runs cannot hold.
 """
 
 from __future__ import annotations
@@ -125,7 +129,8 @@ LEVEL_CHUNK_VALUES = 1 << 16
 
 
 class Level:
-    """The node sets of one merge-tree level, as maximal runs of a step.
+    """The node sets of one level (of colour coding or of the merge, or
+    stage two's group sumsets), as maximal runs of a step.
 
     Every value of the level is a multiple of step.  Node i is the union
     of the runs step * [starts[k], ends[k]] for offs[i] <= k < offs[i + 1]:
@@ -166,7 +171,12 @@ class Level:
         return _expand(self.starts[lo:hi], self.ends[lo:hi], self.step)
 
     def __iter__(self) -> Iterator[np.ndarray]:
-        return (self[i] for i in range(len(self)))
+        # one expansion for every node: indexing node by node took the
+        # traced `grouped` and `sparse-ladder` runs' bookkeeping, which reads
+        # every stage-two set, from 0.15 and 0.23 s to 1.09 and 2.54 s a
+        # pass (seed 1; 2-core x86 VM, numpy 2.4)
+        vals, offs = self.values(), _offsets(self.sizes())
+        return (vals[offs[i] : offs[i + 1]] for i in range(len(self)))
 
     def sizes(self) -> np.ndarray:
         return _run_sizes(self.starts, self.ends, self.offs)
@@ -186,6 +196,15 @@ class Level:
         offs = np.append(self.offs[:-1], self.offs[-1] + other.offs)
         return Level(np.concatenate((self.starts, other.starts)), np.concatenate((self.ends, other.ends)), offs, self.step)
 
+    def with_step(self, step: int) -> "Level":
+        """The same nodes in runs of step, a divisor of this level's step.
+        Past a factor of one no two values are adjacent, so each value is
+        a run of its own."""
+        if step == self.step:
+            return self
+        units = _expand(self.starts, self.ends, self.step // step)
+        return Level(units, units, _offsets(self.sizes()), step)
+
     def cap(self, lo: int, hi: int) -> "Level":
         """Every node intersected with [lo, hi]; nodes may become empty."""
         # node values lie in [0, 2**63), so clamping keeps the bounds in int64
@@ -200,9 +219,9 @@ class Level:
 
 class Flat:
     """Node values back to back: node i holds vals[offs[i]:offs[i + 1]],
-    ascending; offs has one entry more than there are nodes.  Stage one's
-    groups (multisets, which may repeat a value) and stage two's group
-    sumsets use this layout.  Indexing a node returns a view.
+    ascending; offs has one entry more than there are nodes.  Only stage
+    one's groups (multisets, which may repeat a value) use this layout.
+    Indexing a node returns a view.
     """
 
     __slots__ = ("vals", "offs")
@@ -377,13 +396,16 @@ def dense_sumset(a: SumSet, b: SumSet) -> SumSet:
 def common_step(vals: np.ndarray) -> int:
     """The gcd of the values (1 if there are none or all are 0): every sum
     and every subset of them keeps it as a divisor, so one level's step
-    serves every level merged from it.  A merge that runs the kernel
-    computes it once, from its leaf level: while the five `sparse-ladder`
-    solves of seed 7 still did (before their merges collapsed), computing
-    it for every level cost 49 ms over them (about 5% of their solve time)
-    and made that workload's `wall_dp_ratio` 11% worse over 8 alternating
-    benchmark pairs (2-core x86 VM, numpy 2.4).  A collapsing merge takes
-    it from the family's distinct values."""
+    serves every level merged from it.  It is computed once per stage, not
+    per level: while the five `sparse-ladder` solves of seed 7 still ran
+    their merges through the kernel, computing it for every merge level
+    cost 49 ms over them (about 5% of their solve time) and made that
+    workload's `wall_dp_ratio` 11% worse over 8 alternating benchmark
+    pairs (2-core x86 VM, numpy 2.4).  Stage two takes it once per call,
+    from the family's distinct values (from the groups' elements for a
+    sub-family of groups), and its sets carry the family's step to the
+    merge, which keeps it; a collapsing merge takes it from the family's
+    distinct values too."""
     return max(int(np.gcd.reduce(vals)), 1)
 
 
@@ -560,53 +582,70 @@ def _run_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Sumsets of the given pairs from their runs (see `Level`).
 
-    Every run of A plus every run of B is one run [s_a + s_b, e_a + e_b].
-    Each pair's runs are moved to a coordinate range of their own, so one
-    sort orders them by (pair, start) and one running max of ends merges
-    the overlapping or adjacent ones, which are the output's maximal runs.
+    Every run of A plus every run of B is one run [s_a + s_b, e_a + e_b],
+    and each pair's output is the union of its runs (`_node_union`).
     Returns each pair's output size and run count, and the runs' starts
     and ends back to back.
     """
     a0, b0, b1 = run_offs[2 * pairs], run_offs[2 * pairs + 1], run_offs[2 * pairs + 2]
     na, nb = b0 - a0, b1 - b0
-    base = starts[a0] + starts[b0]
-    span = ends[b0 - 1] + ends[b1 - 1] - base
-    # pair i's coordinates are [room[i], room[i] + span[i]], two below the
-    # next pair's; halve a batch whose coordinates could overflow int64 or
-    # that holds more than RUN_PAIRS_MAX run pairs (no one pair does)
-    too_wide = np.sum(span, dtype=float) + 2.0 * len(span) >= 2.0**62
-    if len(pairs) > 1 and (too_wide or int(np.dot(na, nb)) > RUN_PAIRS_MAX):
+    # halve a batch that holds more than RUN_PAIRS_MAX run pairs (no one pair does)
+    if len(pairs) > 1 and int(np.dot(na, nb)) > RUN_PAIRS_MAX:
         half = len(pairs) // 2
         head = _run_rows(starts, ends, run_offs, pairs[:half])
         tail = _run_rows(starts, ends, run_offs, pairs[half:])
         return tuple(np.concatenate(both) for both in zip(head, tail))
-    room = _offsets(span + 2)[:-1]
-    shift = room - base
+    base = starts[a0] + starts[b0]
     # run pair (i, j) for every run i of A and j of B, pair by pair
     nb_of_i = np.repeat(nb, na)
     i = _segment_index(a0, na)
     j = _segment_index(np.repeat(b0, na), nb_of_i)
-    shift_i = np.repeat(shift, na)
-    lo = np.repeat(starts[i] + shift_i, nb_of_i) + starts[j]
-    hi = np.repeat(ends[i] + shift_i, nb_of_i) + ends[j]
-    lo, hi = _merge_runs(lo, hi)
-    # pair i's merged runs are those starting in [room[i], room[i + 1])
+    lo = np.repeat(starts[i], nb_of_i) + starts[j]
+    hi = np.repeat(ends[i], nb_of_i) + ends[j]
+    return _node_union(lo, hi, np.repeat(np.arange(len(pairs)), na * nb), base, ends[b0 - 1] + ends[b1 - 1] - base)
+
+
+def _node_union(
+    lo: np.ndarray, hi: np.ndarray, node: np.ndarray, base: np.ndarray, span: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each node's union of its runs: run k, [lo[k], hi[k]], belongs to
+    node node[k], and the runs come in any order.  Node i's runs lie in
+    [base[i], base[i] + span[i]]; a node may have none.  lo and hi are
+    overwritten: every caller passes arrays it built for the call.
+
+    Each node's runs are moved to a coordinate range of their own, two
+    below the next node's, so one sort orders them by (node, start), and
+    one running max of ends merges the overlapping or adjacent runs of
+    each node and none across nodes.  Returns each node's size and run
+    count, and its maximal runs' starts and ends back to back.
+    """
+    # node i's coordinates are [room[i], room[i] + span[i]]; halve the nodes
+    # whose coordinates could overflow int64 (no one node's do)
+    if len(span) > 1 and np.sum(span, dtype=float) + 2.0 * len(span) >= 2.0**62:
+        half = len(span) // 2
+        low = node < half
+        head = _node_union(lo[low], hi[low], node[low], base[:half], span[:half])
+        tail = _node_union(lo[~low], hi[~low], node[~low] - half, base[half:], span[half:])
+        return tuple(np.concatenate(both) for both in zip(head, tail))
+    room = _offsets(span + 2)[:-1]
+    shift = room - base
+    # in place: on the run-kernel batches of `grouped` at --eta-mult 1e-12
+    # new arrays cost 10-15% of the kernel (2-core x86 VM, numpy 2.4)
+    moved = shift[node]
+    lo += moved
+    hi += moved
+    order = np.argsort(lo)
+    lo = lo[order]
+    reach = np.maximum.accumulate(hi[order])
+    # a run starts a merged run when it starts past the reach before it + 1
+    first = np.flatnonzero(lo > np.append(lo[:1] - 1, reach[:-1] + 1))
+    lo, hi = lo[first], np.append(reach[first[1:] - 1], reach[-1:])
+    # node i's merged runs are those starting in [room[i], room[i + 1])
     nruns = np.diff(np.append(np.searchsorted(lo, room), len(lo)))
     back = np.repeat(shift, nruns)
     lo -= back
     hi -= back
     return _run_sizes(lo, hi, _offsets(nruns)), nruns, lo, hi
-
-
-def _merge_runs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The maximal runs (starts, ends) of the union of the non-empty list
-    of runs [lo[k], hi[k]], given in any order: one sort by start, and one
-    running max of ends merges the overlapping or adjacent ones."""
-    order = np.argsort(lo)
-    lo = lo[order]
-    reach = np.maximum.accumulate(hi[order])
-    first = np.flatnonzero(np.append(True, lo[1:] > reach[:-1] + 1))
-    return lo[first], reach[np.append(first[1:], len(reach)) - 1]
 
 
 def _fft_rows(
@@ -650,8 +689,9 @@ def _split_pair(level: Level, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     The operand with the larger diameter is halved by value, both halves
     are summed with the other operand as one two-pair level (a half that
     is still too wide splits again, so every FFT fits HULL_FFT_LIMIT), and
-    the two outputs' runs are merged.  Returns the pair's output size and
-    run count (one entry each) and its runs' starts and ends.
+    the two outputs' runs are joined as one node (`_node_union`).  Returns
+    the pair's output size and run count (one entry each) and its runs'
+    starts and ends.
     """
     a, b = level[2 * i], level[2 * i + 1]
     if a[-1] - a[0] < b[-1] - b[0]:
@@ -662,8 +702,8 @@ def _split_pair(level: Level, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     sizes = np.array([mid, len(b), len(a) - mid, len(b)])
     halves = Level.from_values(np.concatenate((a[:mid], b, a[mid:], b)), _offsets(sizes), level.step)
     out, _ = _pair_level(halves, math.inf)
-    lo, hi = _merge_runs(out.starts, out.ends)
-    return _run_sizes(lo, hi, np.array([0, len(lo)])), np.array([len(lo)]), lo, hi
+    # the upper half's output starts and ends above the lower half's
+    return _node_union(out.starts, out.ends, np.zeros_like(out.starts), out.starts[:1], out.ends[-1:] - out.starts[:1])
 
 
 # ---------------------------------------------------------------------------

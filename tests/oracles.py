@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from subsetsum.colorcoding import DenseTripSignal, GroupFamily, GroupSumsets, _distinct_level
+from subsetsum.colorcoding import DenseTripSignal, GroupFamily, GroupSumsets
 from subsetsum.core import OVERFLOW_LIMIT, InvalidInstanceError, OracleBudgetError, ceil_log2
 from subsetsum.solver import FALLBACK_MAX_BITS
 from subsetsum.sumset import Flat, Level, _offsets, _pair_level, _segment_index, common_step
@@ -245,11 +245,13 @@ def slot_stage_two(family, params, rng):
     """Budgeted stage two with every occupied node summed: the package's
     earlier `colorcoding._budgeted_sumsets`, which pads a missing sibling
     with the run [0, 0] ({0}) and sums that pair through the level kernel
-    `_pair_level`, and builds level 0 with a second lexsort.
+    `_pair_level`.
 
     Takes the same draws and returns the same GroupSumsets or
     DenseTripSignal as the package.  Unlike `materialized_stage_two` it
-    holds only the occupied parts, so it reaches pipeline-sized g.
+    holds only the occupied parts, so it reaches pipeline-sized g.  Level
+    0 and the final sets are unions of values (`distinct_by_key`), which
+    share no code with the package's union of runs.
     """
     g, ell = params.g, family.ell
     elems = family.groups.vals
@@ -266,12 +268,12 @@ def slot_stage_two(family, params, rng):
         complete |= ~shared
         # level 0: each occupied part is {0} plus its distinct elements
         node_key, part_start = np.unique(part_key, return_index=True)
-        parts = _distinct_level(
+        cur = distinct_by_key(
             np.concatenate((part_key, node_key)),
             np.concatenate((part_val, np.zeros_like(node_key))),
             node_key,
+            step,
         )
-        cur = Level.from_values(parts.vals, parts.offs, step)
         for h in range(1, ceil_log2(g) + 1):
             num_nodes = ell * (g >> h)
             budget = num_nodes + params.tail
@@ -318,8 +320,17 @@ def slot_stage_two(family, params, rng):
             )
         roots_key.append(np.repeat(node_key, cur.sizes()))
         roots_val.append(cur.values())
-    sets = _distinct_level(np.concatenate(roots_key), np.concatenate(roots_val), np.arange(ell))
+    sets = distinct_by_key(np.concatenate(roots_key), np.concatenate(roots_val), np.arange(ell), step)
     return GroupSumsets(sets, params, bool(complete.all()))
+
+
+def distinct_by_key(keys, vals, nodes, step):
+    """The `Level` (in runs of step) whose node i holds the distinct
+    values paired with key nodes[i]; nodes ascends and holds every key.
+    A plain union: `np.unique` over the (key, value) rows."""
+    rows = np.unique(np.column_stack((keys, vals)), axis=0)
+    offs = np.append(np.searchsorted(rows[:, 0], nodes), len(rows))
+    return Level.from_values(np.ascontiguousarray(rows[:, 1]), offs, step)
 
 
 def full_subset_sums(groups, sets):

@@ -17,12 +17,13 @@ from subsetsum.colorcoding import (
 )
 from subsetsum.merge import evidence_from_color_trip
 from subsetsum.structure import partition_instance
-from subsetsum.sumset import Flat
+from subsetsum.sumset import Flat, common_step
 
 from oracles import (
     all_subsets,
     ascending_family,
     full_subset_sums,
+    level_of,
     materialized_stage_two,
     multiset,
     slot_stage_two,
@@ -221,7 +222,7 @@ def _naive_stage_two(family, t, w, n, q, rng, budget_mult):
     groups = [g.tolist() for g in family.groups]
     ref = materialized_stage_two(groups, params.g, params.reps, params.tail, rng)
     if ref[0] == "sets":
-        return GroupSumsets(Flat.of(ref[1]), params, full_subset_sums(groups, ref[1])), None
+        return GroupSumsets(level_of(ref[1]), params, full_subset_sums(groups, ref[1])), None
     _, fields, kind = ref
     return DenseTripSignal(rho=params.rho, u_prime=params.u_prime, g=params.g, **fields), kind
 
@@ -423,7 +424,7 @@ def test_part_sizes_from_counts_match_part_level(case):
     assert repeats.tolist() == [a + k for a, p in zip(at, parts) for k in range(1, len(p)) if p[k] == p[k - 1]]
     if case == "no-repeats":
         assert repeats.size == 0
-    level = colorcoding._part_level(np.delete(part_val, repeats), np.delete(part_first, repeats))
+    level = colorcoding._part_level(np.delete(part_val, repeats), np.delete(part_first, repeats), 1)
     assert sizes.tolist() == level.sizes().tolist() == [1 + len(set(p)) for p in parts]
     assert [x.tolist() for x in level] == [[0, *sorted(set(p))] for p in parts]
 
@@ -452,11 +453,24 @@ def test_group_sets_match_subset_sums(groups, open_groups):
     params = color_params(6, 10, 16, 0.3)
     open_groups = np.array(open_groups, dtype=np.int64)
     open_sets = [[0, int(k) + 100] for k in open_groups]
-    got = colorcoding._group_sets(family, params, open_groups, Flat.of(open_sets))
+    got = colorcoding._group_sets(family, params, open_groups, level_of(open_sets))
     want = [subset_sums(g) for g in groups]
     for k, s in zip(open_groups, open_sets):
         want[k] = s
     assert [s.tolist() for s in got] == want
+
+
+def test_open_group_roots_that_touch_join_into_one_run():
+    # group (1, 1, 3, 3) shares a part in both repetitions: parts {1},
+    # {1}, {3, 3} give the root [0, 5], and parts {1, 1, 3}, {3} give
+    # {0, 1, 3, 4, 6}, whose run [6, 6] starts right after [0, 5] ends.
+    # The union is one maximal run [0, 6]; the empty group is {0}
+    params = color_params(4, 10, 3, 0.3)
+    draws = [np.array([0, 1, 2, 2]), np.array([0, 0, 0, 1])]
+    got = colorcoding._budgeted_sumsets(np.array([1, 1, 3, 3]), np.array([4, 0]), params, 1, draws)
+    assert not got.exact
+    sets = got.sets
+    assert (sets.starts.tolist(), sets.ends.tolist(), sets.offs.tolist()) == ([0, 0], [6, 0], [0, 1, 2])
 
 
 def test_complete_group_sumsets_equal_their_built_form(monkeypatch):
@@ -469,12 +483,12 @@ def test_complete_group_sumsets_equal_their_built_form(monkeypatch):
     monkeypatch.setattr(colorcoding, "_group_sets", lambda *a: built.append(a) or group_sets(*a))
     lazy = build_group_sumsets(family, 10, 8, 6, 0.3, rng_stream(2, "p2"))
     assert lazy.exact and built == []
-    eager = GroupSumsets(Flat.of([subset_sums(g.tolist()) for g in family.groups]), params, True)
+    eager = GroupSumsets(level_of([subset_sums(g.tolist()) for g in family.groups]), params, True)
     assert lazy == eager and eager == lazy and len(built) == 1
     assert lazy == GroupSumsets.complete(family, params) == eager
     assert lazy.sets == eager.sets and len(built) == 2  # built once per object
     assert lazy != GroupSumsets(eager.sets, params, False)
-    assert lazy != GroupSumsets(Flat.of([[0]] * family.ell), params, True)
+    assert lazy != GroupSumsets(level_of([[0]] * family.ell), params, True)
 
 
 def test_all_singleton_family_draws_nothing_and_builds_no_item_array(monkeypatch):
@@ -488,7 +502,7 @@ def test_all_singleton_family_draws_nothing_and_builds_no_item_array(monkeypatch
     got = colorcoding._unbudgeted_sumsets(family, params, rng)
     monkeypatch.undo()
     assert rng.integers(0, 1 << 62) == rng_stream(5, "p2").integers(0, 1 << 62)
-    want = GroupSumsets(Flat.of([subset_sums(g.tolist()) for g in family.groups]), params, True)
+    want = GroupSumsets(level_of([subset_sums(g.tolist()) for g in family.groups]), params, True)
     assert got == want and got.exact
 
 
@@ -501,7 +515,7 @@ def test_two_element_group_is_drawn_whatever_the_empty_groups():
     rng = rng_stream(5, "p2")
     got = colorcoding._unbudgeted_sumsets(family, params, rng)
     assert rng.integers(0, 1 << 62) != rng_stream(5, "p2").integers(0, 1 << 62)
-    assert got.exact and got.sets == Flat.of([[0], [0, 3, 5, 8]])
+    assert got.exact and got.sets == level_of([[0], [0, 3, 5, 8]])
 
 
 def test_budget_that_cannot_trip_takes_unbudgeted_path(monkeypatch):
@@ -529,7 +543,8 @@ def test_budget_that_cannot_trip_takes_unbudgeted_path(monkeypatch):
     assert ran == [1]
     rng = rng_stream(1, "p2")
     draws = (rng.integers(0, params.g, size=family.groups.vals.size) for _ in range(params.reps))
-    assert got == colorcoding._budgeted_sumsets(family.groups.vals, family.sizes(), params, draws)
+    step = common_step(family.multiset[0])
+    assert got == colorcoding._budgeted_sumsets(family.groups.vals, family.sizes(), params, step, draws)
 
 
 def test_never_complete_groups_match_slot_reference_at_pipeline_size():

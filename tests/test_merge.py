@@ -15,7 +15,7 @@ from subsetsum.colorcoding import GroupSumsets
 from subsetsum.solver import solve
 from subsetsum.sumset import FALLBACK_MAX_BITS, Flat, SumSet, cap, common_step
 
-from oracles import ascending_family, merge_bounds, multiset, per_copy_subset_sums, subset_sums
+from oracles import ascending_family, level_of, merge_bounds, multiset, per_copy_subset_sums, subset_sums
 
 
 def _pipeline_inputs(items, t, w, n, q, seed, budget_mult=1.0):
@@ -27,7 +27,7 @@ def _pipeline_inputs(items, t, w, n, q, seed, budget_mult=1.0):
 def test_single_pair_merge_keeps_joint_sum():
     fam = GroupFamily(Flat.of(((3,), (5,))), 2)
     params = color_params(2, 8, 5, 0.5)
-    gs = GroupSumsets(Flat.of(((0, 3), (0, 5))), params)
+    gs = GroupSumsets(level_of(((0, 3), (0, 5))), params)
     root = merge_group_sumsets(gs, fam, 8, 5, 2, 0.5, rng_stream(1, "p3"))
     assert isinstance(root, SumSet)
     # both group maxima combined survive the capping; the root keeps only
@@ -91,7 +91,7 @@ def test_collapse_is_bounded_by_the_dp_s_memory_cap(monkeypatch):
         w, n, q, t = 1 << max(items).bit_length(), len(items), 0.3, sum(items) // 2
         params = color_params(n, t, w, q)
         family = GroupFamily(Flat.of(groups), sum(1 for grp in groups if grp))
-        sets = Flat.of([subset_sums(grp) for grp in groups])
+        sets = level_of([subset_sums(grp) for grp in groups])
         # window = t: the root is returned on [0, t]
         eta, _, tail = merge_bounds(params.rho, params.g, t, w, n, q, 1.0, 1.0, t)
         assert sum(items) < tail and eta + 1 >= max(t, sum(items))
@@ -201,11 +201,11 @@ def test_checked_merge_rejects_an_exact_set_without_its_group_sum():
     params = color_params(6, 10, 8, 0.3)
     sets = [subset_sums(g) for g in groups]
     sets[2] = sets[2][:-1]  # lacks sigma = 9, as a never-complete group does
-    staged = GroupSumsets(Flat.of(sets), params, True)
+    staged = GroupSumsets(level_of(sets), params, True)
     with pytest.raises(InternalConsistencyError, match="maximum differs from its group's sum"):
         merge_group_sumsets(staged, family, 10, 8, 6, 0.3, rng_stream(1, "p3"), checked=True)
     assert isinstance(merge_group_sumsets(staged, family, 10, 8, 6, 0.3, rng_stream(1, "p3")), SumSet)
-    staged = GroupSumsets(Flat.of([subset_sums(g) for g in groups]), params, True)
+    staged = GroupSumsets(level_of([subset_sums(g) for g in groups]), params, True)
     assert isinstance(
         merge_group_sumsets(staged, family, 10, 8, 6, 0.3, rng_stream(1, "p3"), checked=True), SumSet
     )
@@ -217,7 +217,7 @@ def test_checked_merge_rejects_a_dp_root_unlike_the_kernel_s(monkeypatch):
     groups = ((3, 5), (6,), (7, 2), (4,))
     family = ascending_family(groups, 4)
     params = color_params(6, 10, 8, 0.3)
-    staged = GroupSumsets(Flat.of([subset_sums(g) for g in groups]), params, True)
+    staged = GroupSumsets(level_of([subset_sums(g) for g in groups]), params, True)
     args = (staged, family, 10, 8, 6, 0.3)
     root = SumSet(tuple(subset_sums(sum(groups, ()), 10)))
     assert merge_group_sumsets(*args, rng_stream(1, "p3"), checked=True) == root

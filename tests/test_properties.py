@@ -704,6 +704,47 @@ def test_level_cap_on_runs_matches_per_node_cap(case, lo, hi):
         assert [tuple(z.tolist()) for z in level.cap(lo, hi)] == expected
 
 
+@st.composite
+def _union_case(draw):
+    """(count, runs): runs (node, lo, hi) of count nodes, in any order.
+    Runs overlap, touch (an end + 1 is the next start), repeat and hold
+    one value; most nodes hold 0, some hold nothing else, some hold no run
+    at all.  A run is near 0 or near 2**61, so that three nodes that hold
+    both need more than 2**62 coordinates between them."""
+    count = draw(st.integers(1, 8))
+    run = st.tuples(st.integers(0, count - 1), st.integers(0, 40), st.integers(0, 6), st.sampled_from([0, 0, 1 << 61]))
+    runs = [(node, far + lo, far + lo + length) for node, lo, length, far in draw(st.lists(run, max_size=30))]
+    runs += [(node, 0, 0) for node in range(count) if draw(st.booleans()) or draw(st.booleans())]
+    if runs:
+        runs += draw(st.lists(st.sampled_from(runs), max_size=5))  # repeated runs
+    return count, draw(st.permutations(runs))
+
+
+@given(case=_union_case())
+# [0, 2] and [3, 5] of one node touch: one run [0, 5]
+@example(case=(2, [(0, 0, 2), (1, 0, 0), (0, 3, 5)]))
+@example(case=(3, [(k, 0, 0) for k in range(3)] + [(k, (1 << 61) + 9, (1 << 61) + 9) for k in range(3)]))
+@settings(max_examples=150, deadline=None)
+def test_node_union_matches_set_union(case):
+    # each node's union of its runs, from one merge over all nodes, against
+    # a Python set union per node
+    count, runs = case
+    want = [set() for _ in range(count)]
+    for node, lo, hi in runs:
+        want[node].update(range(lo, hi + 1))
+    base = np.array([min(vals, default=0) for vals in want], dtype=np.int64)
+    span = np.array([max(vals, default=0) for vals in want], dtype=np.int64) - base
+    node, lo, hi = (np.array([r[k] for r in runs], dtype=np.int64) for k in range(3))
+    sizes, nruns, starts, ends = sumset._node_union(lo, hi, node, base, span)
+    got = sumset.Level(starts, ends, sumset._offsets(nruns), 1)
+    assert sizes.tolist() == [len(vals) for vals in want]
+    assert [set(vals.tolist()) for vals in got] == want
+    # the runs are maximal: within a node, each starts past the previous end + 1
+    inner = np.ones(len(starts), dtype=bool)
+    inner[got.offs[:-1][got.offs[:-1] < len(inner)]] = False
+    assert np.all(starts[inner] > ends[np.flatnonzero(inner) - 1] + 1)
+
+
 def test_merge_matches_values_reference():
     outcomes = []
 
@@ -807,7 +848,7 @@ def test_deep_merge_matches_values_reference():
         q = 0.3
         params = color_params(n, t, mult * w, q)
         family = GroupFamily(Flat.of(groups), sum(1 for grp in groups if grp))
-        staged = GroupSumsets(Flat.of(sets), params, exact)
+        staged = GroupSumsets(level_of(sets), params, exact)
 
         bounds = (params.rho, params.g, t, mult * w, n, q)
         eta_mult = eta_side * max(t, sigma) / merge_bounds(*bounds, 1.0, 1.0, 0)[0]
@@ -901,7 +942,7 @@ def test_merge_collapse_matches_values_reference():
         q, eta_mult = 0.3, 1e-30
         params = color_params(n, t, mult * w, q)
         family = GroupFamily(Flat.of(groups), sum(1 for grp in groups if grp))
-        staged = GroupSumsets(Flat.of(sets), params, refuse != "exact")
+        staged = GroupSumsets(level_of(sets), params, refuse != "exact")
         # eta_mult = 1e-30 makes eta = 1 + window exactly
         window = max(t, sigma) - (3 if refuse == "cap" else 2)
         bounds = (params.rho, params.g, t, mult * w, n, q, eta_mult)
@@ -970,7 +1011,7 @@ def test_merge_collapses_exact_families_of_large_items(log_ell, mult, t_frac, ch
     t, q = max(1, int(t_frac * sigma)), 0.3
     params = color_params(n, t, mult * w, q)
     family = GroupFamily(Flat.of(groups), sum(1 for grp in groups if grp))
-    staged = GroupSumsets(Flat.of(sets), params, True)
+    staged = GroupSumsets(level_of(sets), params, True)
     window = target_window(mult * w, t)
     eta, _, tail = merge_bounds(params.rho, params.g, t, mult * w, n, q, 1.0, 1.0, window)
     assert sigma // step < tail and eta + 1 >= max(t, sigma)
@@ -1228,7 +1269,7 @@ def test_stage_two_matches_materialized_reference():
         groups = [g.tolist() for g in family.groups]
         ref = materialized_stage_two(groups, params.g, params.reps, params.tail, rng_stream(seed, "p2"))
         if ref[0] == "sets":
-            assert got == GroupSumsets(Flat.of(ref[1]), params, full_subset_sums(groups, ref[1]))
+            assert got == GroupSumsets(level_of(ref[1]), params, full_subset_sums(groups, ref[1]))
         else:
             assert got == DenseTripSignal(rho=params.rho, u_prime=params.u_prime, g=params.g, **ref[1])
         if params.tail <= excess:  # the budgeted path ran
