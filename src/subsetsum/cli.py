@@ -82,12 +82,13 @@ def generate_instance(
       merge stage's requirement.
     sparse-window: items from the top eighth of [1, w] and a planted
       achievable target, so feasible sums near t are sparse.
-    divisor-structured: all but `tail` items share `divisor`.
+    divisor-structured: all but `tail` items share `divisor` (a tail
+      above n is taken as n; a negative one raises ValueError).
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown profile: {profile}")
-    if n < 1 or w < 1:
-        raise ValueError("n and w must be >= 1")
+    if n < 1 or w < 1 or tail < 0:
+        raise ValueError("n and w must be >= 1, and tail >= 0")
     rng = rng_stream(seed, f"gen:{profile}:{n}:{w}")
     if profile == "uniform":
         items = rng.integers(1, w + 1, size=n).tolist()

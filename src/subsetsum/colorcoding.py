@@ -47,12 +47,12 @@ the elements in part order, each part ascending because each group is
 (stage one builds them so, and a family refuses groups that are not).
 A level holds only the occupied nodes, as one `Level` of runs in units
 of a step that divides every element, taken once per call (for the
-family, `sumset.common_step` of its distinct values).  Level 0 ({0}
-plus each part's distinct elements) starts as node sizes counted from
-the sorted parts (a part's length plus one, less its rare repeated
-values); it is split into runs only at the first level that sums a
-pair, or to read the roots of a repetition that does not trip, since a
-level with no pairs leaves every node as it is.  Each finished
+family, `GroupFamily.step`, the common step of its distinct values).
+Level 0 ({0} plus each part's distinct elements) starts as node sizes
+counted from the sorted parts (a part's length plus one, less its rare
+repeated values); it is split into runs only at the first level that
+sums a pair, or to read the roots of a repetition that does not trip,
+since a level with no pairs leaves every node as it is.  Each finished
 repetition's roots stay runs; after the last repetition one union of
 runs (`sumset._node_union`, which the run kernel also uses) joins them
 with each group's {0} into the sets, so no root is expanded to values.
@@ -102,23 +102,25 @@ until every group is complete.  If every group completes, the sets are
 every group's full subset sums and stage two builds none of them: it
 returns `GroupSumsets.complete`, whose sets are built on their first read
 (checked mode, a merge that does not collapse, tests and tracing read
-them; a collapsing merge needs only the family's multiset), each
-distinct group content's once.
-Otherwise the groups that never complete form a sub-family that goes through the
-same level loop on each repetition's recorded draws of its elements;
-the sub-family's excess is at most the family's, so no level can trip.
-A group's roots depend only on its own elements' parts, so the sets are
-bit-identical to merging every repetition of the whole family.  Every
-other group's full subset sums are {0} for an empty group, {0, x} for a
-singleton, and for a larger group the roots of one more pass of that
-loop, with the group's k-th element in part k.  Each sub-family runs in
+them; a collapsing merge needs only the family's multiset).
+Otherwise the groups that never complete form a sub-family that goes
+through the same level loop on each repetition's recorded draws of its
+elements.  A group's roots depend only on its own elements' parts, so
+the sets are bit-identical to merging every repetition of the whole
+family.  Every other group's full subset sums are the roots of one rank
+pass of that loop, which puts a group's k-th element into part k, over
+the distinct contents of those groups (`_distinct_contents`, one key per
+group): empty, one-element and larger groups alike, since the pass
+gives an element-less group the {0} of its final run union, a singleton
+{0, x} and a larger group every subset sum.  Each such sub-family's
+excess is at most the family's, so no level can trip, and it runs in
 its own elements' common step, a multiple of the family's (groups of
 one layer often share one: on dense w=2 the open groups hold only 2s,
 whose sets are intervals of step 2 and would be single values at step
-1).  The pieces are then held in the family's step (`Level.with_step`:
+1).  Its sets are then held in the family's step (`Level.with_step`:
 past a factor of one each value is a run of its own, the form those
-values take in the family's step) and joined into one `Level` by
-`concat` and `take`.
+values take in the family's step); the open groups' sets join the rank
+pass's by one `concat` and `take`.
 
 `GroupSumsets.exact` says whether every group completed, so that every
 set is its group's full subset sums (a group that never completes lacks
@@ -175,7 +177,9 @@ class GroupFamily:
 
     multiset is every element of the family, as sorted distinct values
     and their int64 counts.  The merge's collapse and stage two's sigma(D)
-    read it instead of the groups.
+    read it instead of the groups, and so does step, the gcd of the
+    elements: the one unit of stage two's levels and sets and of the
+    merge, computed once per family.
 
     A family is built in one of two forms.  Given explicit groups (as the
     tests build families), it raises ValueError unless every group
@@ -187,7 +191,7 @@ class GroupFamily:
     that does not collapse, tests and tracing read them).  offs None
     stands for one element per group in ascending order, as when no layer
     is drawn, and is built on its first read.  sizes(), element_count,
-    ell, largest, multiset and sigma never place the elements;
+    ell, largest, multiset, sigma and step never place the elements;
     group_sums does.  Families compare equal when their groups,
     raw_count and largest are.
     """
@@ -256,6 +260,11 @@ class GroupFamily:
         """sigma(D), the sum of every element."""
         values, counts = self.multiset
         return int(values @ counts)
+
+    @cached_property
+    def step(self) -> int:
+        """The gcd of every element, from the distinct values."""
+        return common_step(self.multiset[0])
 
     @cached_property
     def group_sums(self) -> np.ndarray:
@@ -460,7 +469,8 @@ class GroupSumsets:
     The constructor takes the sets as such a `Level`.
     `complete(family, params)` stands for every group's full subset sums
     without computing them: sets is built from the family on its first
-    read (`_group_sets`) and kept.  GroupSumsets compare equal when their
+    read and kept, by one rank pass of the level loop over the distinct
+    group contents (`_group_sets`).  GroupSumsets compare equal when their
     sets (as values), params and exact are.
     """
 
@@ -482,9 +492,7 @@ class GroupSumsets:
     def sets(self) -> Level:
         if self._sets is None:
             # every group completed: no group is open
-            none = np.zeros(0, dtype=np.int64)
-            no_sets = Level(none, none, np.zeros(1, dtype=np.int64), common_step(self._family.multiset[0]))
-            self._sets = _group_sets(self._family, self.params, none, no_sets)
+            self._sets = _group_sets(self._family, self.params, np.zeros(0, dtype=np.int64), None)
             self._family = None
         return self._sets
 
@@ -549,7 +557,7 @@ def build_group_sumsets(
     ):
         return _unbudgeted_sumsets(family, params, rng)
     draws = (rng.integers(0, params.g, size=family.element_count) for _ in range(params.reps))
-    return _budgeted_sumsets(family.groups.vals, family.sizes(), params, common_step(family.multiset[0]), draws)
+    return _budgeted_sumsets(family.groups.vals, family.sizes(), params, family.step, draws)
 
 
 def _max_level_excess(family: GroupFamily) -> int:
@@ -790,47 +798,50 @@ def _untripped_sets(groups: Flat, params: ColorCodingParams, draws: Iterable[np.
     return out.sets
 
 
-def _group_sets(family: GroupFamily, params: ColorCodingParams, open_groups: np.ndarray, open_sets: Level) -> Level:
-    """The Level whose node open_groups[k] is open_sets' node k, for the
-    groups that never complete (ascending), and every other group's full
-    subset sums: {0} for an empty group, {0, x} for a singleton, and for a
-    larger group the roots of one repetition that puts its k-th element
-    into part k (a complete group holds at most g), computed once for each
-    distinct content (`_distinct_contents`).  Every node is in runs of
-    the family's common step; open_sets may be in runs of any multiple of
-    it."""
-    groups = family.groups
-    sizes = groups.sizes()
-    step = common_step(family.multiset[0])
-    multi = np.setdiff1d(np.flatnonzero(sizes >= 2), open_groups)
-    which, distinct = _distinct_contents(groups, multi)
-    firsts = groups.take(distinct)
+def _group_sets(
+    family: GroupFamily, params: ColorCodingParams, open_groups: np.ndarray, open_sets: Optional[Level]
+) -> Level:
+    """Every group's full subset sums, except that node open_groups[k],
+    for the groups that never complete (ascending), is open_sets' node k;
+    open_sets is None when no group is open (open_groups is then empty).
+
+    The complete groups' sets are the roots of one rank pass of the level
+    loop, which puts a group's k-th element into part k (a complete group
+    holds at most g), over their distinct contents (`_distinct_contents`):
+    an empty group's root is {0}, which the final run union gives a group
+    with no element, a singleton's is {0, x}, and a larger group's its
+    full subset sums.  Every node is in runs of the family's step;
+    open_sets may be in runs of any multiple of it."""
+    complete = np.ones(family.ell, dtype=bool)
+    complete[open_groups] = False
+    done = np.flatnonzero(complete)
+    which, distinct = _distinct_contents(family.groups, done)
+    firsts = family.groups.take(distinct)
     rank = np.arange(firsts.vals.size) - np.repeat(firsts.offs[:-1], firsts.sizes())
-    full = _untripped_sets(firsts, params, [rank]).take(which).with_step(step)
-    # a smaller group's set is 0, then its element if it has one
-    small = np.flatnonzero(sizes < 2)
-    lone = groups.take(small)
-    small_sets = Level.from_values(np.insert(lone.vals, lone.offs[:-1], 0), lone.offs + np.arange(small.size + 1), step)
-    # the joined nodes are the groups small, multi and open_groups in turn:
-    # three ascending runs, which one stable sort merges into group order
-    source = np.argsort(np.concatenate((small, multi, open_groups)), kind="stable")
-    return small_sets.concat(full).concat(open_sets.with_step(step)).take(source)
+    full = _untripped_sets(firsts, params, [rank]).with_step(family.step).take(which)
+    if open_sets is None:
+        return full
+    # the joined nodes are the groups done and open_groups in turn: two
+    # ascending runs, which one stable sort merges into group order
+    source = np.argsort(np.concatenate((done, open_groups)), kind="stable")
+    return full.concat(open_sets.with_step(family.step)).take(source)
 
 
 def _distinct_contents(groups: Flat, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each of the given nodes of groups, the index of its content (a
     sequence of values) among the distinct contents, and the first of the
-    nodes to hold each distinct content.  Nodes of one size are compared
-    as the rows of one matrix."""
-    sizes = np.diff(groups.offs)[nodes]
-    which = np.empty(nodes.size, dtype=np.int64)
-    distinct = [nodes[:0]]
-    found = 0
-    for size in np.unique(sizes).tolist():
-        at = np.flatnonzero(sizes == size)
-        rows = groups.vals[groups.offs[nodes[at], None] + np.arange(size)]
-        _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-        which[at] = found + inverse
-        distinct.append(nodes[at[first]])
-        found += first.size
-    return which, np.concatenate(distinct)
+    nodes to hold each distinct content.
+
+    Each node gets one int64 key: a node of at most one element its
+    element (elements are non-negative), or -1 when empty; a larger node
+    -2 - j, where j numbers the bytes of its values in one dict in order
+    of first sight.  One `np.unique` of the keys gives both results."""
+    offs, ends = groups.offs[nodes], groups.offs[nodes + 1]
+    one, many = ends - offs == 1, np.flatnonzero(ends - offs > 1)
+    keys = np.full(nodes.size, -1, dtype=np.int64)
+    keys[one] = groups.vals[offs[one]]
+    seen: dict[bytes, int] = {}
+    bounds = zip(offs[many].tolist(), ends[many].tolist())
+    keys[many] = [-2 - seen.setdefault(groups.vals[lo:hi].tobytes(), len(seen)) for lo, hi in bounds]
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    return which, nodes[first]

@@ -74,7 +74,7 @@ import numpy as np
 
 from .core import InternalConsistencyError, array_fields_eq, ceil_div, ceil_log2, target_window
 from .colorcoding import DenseTripSignal, GroupFamily, GroupSumsets, _budget_tail
-from .sumset import FALLBACK_MAX_BITS, SumSet, _pair_level, common_step, window_subset_sums
+from .sumset import FALLBACK_MAX_BITS, SumSet, _pair_level, window_subset_sums
 
 
 @dataclass(eq=False)
@@ -287,5 +287,5 @@ def _collapses(exact: bool, family: GroupFamily, t: int, eta: int, tail: int) ->
     """
     # from the family's multiset: a few us over 16 distinct values, where
     # the items took ~0.2 ms at 42k
-    step, sigma = common_step(family.multiset[0]), family.sigma
+    step, sigma = family.step, family.sigma
     return exact and sigma // step < tail and eta + 1 >= max(t, sigma) and t // step + 1 <= FALLBACK_MAX_BITS

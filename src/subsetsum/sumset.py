@@ -401,11 +401,11 @@ def common_step(vals: np.ndarray) -> int:
     their merges through the kernel, computing it for every merge level
     cost 49 ms over them (about 5% of their solve time) and made that
     workload's `wall_dp_ratio` 11% worse over 8 alternating benchmark
-    pairs (2-core x86 VM, numpy 2.4).  Stage two takes it once per call,
-    from the family's distinct values (from the groups' elements for a
-    sub-family of groups), and its sets carry the family's step to the
-    merge, which keeps it; a collapsing merge takes it from the family's
-    distinct values too."""
+    pairs (2-core x86 VM, numpy 2.4).  A family computes its own once,
+    from its distinct values (`colorcoding.GroupFamily.step`), for stage
+    two and a collapsing merge; a sub-family of groups takes one from its
+    elements.  Stage two's sets carry the family's step to the merge,
+    which keeps it."""
     return max(int(np.gcd.reduce(vals)), 1)
 
 

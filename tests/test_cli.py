@@ -51,6 +51,16 @@ def test_generate_divisor_structured():
     assert all(1 <= x <= 60 for x in inst.items)
 
 
+def test_generate_refuses_a_negative_tail(tmp_path, capsys):
+    # n - tail items are drawn: tail = -5 gave 15 items under an n = 10 header
+    with pytest.raises(ValueError, match="tail >= 0"):
+        generate_instance("divisor-structured", 10, 16, seed=1, divisor=2, tail=-5)
+    path = tmp_path / "bad.txt"
+    args = ["--profile", "divisor-structured", "--n", "10", "--w", "16", "--d", "2", "--tail", "-5", "--seed", "1"]
+    assert main(["gen", *args, "--out", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ") and not path.exists()
+
+
 def test_generate_profiles_smoke():
     for profile in ("uniform", "dense", "sparse-window", "divisor-structured"):
         inst = generate_instance(profile, 40, 32, seed=5)

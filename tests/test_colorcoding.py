@@ -441,14 +441,16 @@ def test_part_sizes_from_counts_match_part_level(case):
             (5,),
             id="repeated-contents",
         ),
+        pytest.param(((), (), (), ()), (), id="all-empty"),
+        pytest.param(((5,), (), (3,), (5,), (2, 6, 6), (3,), (1, 1), ()), (4, 6), id="singletons-and-open"),
     ],
 )
 def test_group_sets_match_subset_sums(groups, open_groups):
-    # every group that is not open gets its full subset sums: {0} for an
-    # empty group and {0, x} for a singleton directly, a larger group
-    # through the level loop (written here in any order, then sorted by
-    # `ascending_family`); each open group keeps the set it is given, in
-    # its own place
+    # every group that is not open gets its full subset sums from one rank
+    # pass of the level loop: {0} for an empty group, {0, x} for a
+    # singleton, all sums for a larger group (written here in any order,
+    # then sorted by `ascending_family`); each open group keeps the set it
+    # is given, in its own place
     family = ascending_family(groups, len(groups))
     params = color_params(6, 10, 16, 0.3)
     open_groups = np.array(open_groups, dtype=np.int64)

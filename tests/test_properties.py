@@ -745,6 +745,38 @@ def test_node_union_matches_set_union(case):
     assert np.all(starts[inner] > ends[np.flatnonzero(inner) - 1] + 1)
 
 
+@st.composite
+def _contents_case(draw):
+    """(groups, nodes): ascending groups, often repeating a content, and
+    distinct node indices in any order.  Groups are empty, singletons or
+    larger, values repeat within a group, (1, 4) and (2, 3) share a size
+    and a sum, and values near 2**62 and 2**63 - 1 fill all eight bytes,
+    some of them differing only past their low 32 bits."""
+    value = st.sampled_from([1, 2, 3, 4, 5, (1 << 62) - 1, 1 << 62, (1 << 62) + 1, (1 << 62) + (1 << 32), (1 << 63) - 1])
+    pool = draw(st.lists(st.lists(value, max_size=4).map(sorted), min_size=1, max_size=6))
+    groups = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    return groups, draw(st.lists(st.integers(0, len(groups) - 1), unique=True))
+
+
+@given(case=_contents_case())
+@example(case=([[1, 4], [2, 3], [1, 4], [5], [2, 3]], [0, 1, 2, 3, 4]))
+@example(case=([[], [], []], [2, 0, 1]))  # no group holds an element
+@example(case=([[7], [], [7, 7], [7]], [3, 1, 0, 2]))
+@example(case=([[1]], []))
+@example(case=([[3, 1 << 62], [3, (1 << 62) + (1 << 32)], [1 << 62]], [1, 0, 2]))
+@settings(max_examples=150, deadline=None)
+def test_distinct_contents_index_each_content_at_its_first_node(case):
+    # two nodes share an index exactly when they hold the same sequence,
+    # and each index's representative is the first node holding it
+    groups, nodes = case
+    which, distinct = colorcoding._distinct_contents(Flat.of(groups), np.array(nodes, dtype=np.int64))
+    contents = [tuple(groups[k]) for k in nodes]
+    assert len(which) == len(nodes) and len(distinct) == len(set(contents))
+    for i, content in enumerate(contents):
+        assert [which[j] == which[i] for j in range(len(nodes))] == [c == content for c in contents]
+        assert distinct[which[i]] == nodes[contents.index(content)]
+
+
 def test_merge_matches_values_reference():
     outcomes = []
 
